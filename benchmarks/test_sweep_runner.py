@@ -13,6 +13,9 @@ Measures the acceptance properties of the ``repro.runner`` subsystem:
   in ``benchmarks/results/BENCH_sweep_wall.json`` (gitignored,
   uploaded as a CI artifact) so the trajectory is tracked per PR.
 
+The ``sweep_*.txt`` tables this module writes hold timings only and are
+gitignored too: every run rewrites them, and no golden test reads them.
+
 The default grid keeps tier-1 fast; set ``REPRO_SWEEP_BENCH_SCALE``
 and ``REPRO_SWEEP_BENCH_FULL=1`` to benchmark the full valley suite at
 paper scale (the ``slow``-marked variant, run in CI's non-blocking

@@ -78,27 +78,34 @@ class Bank:
         :meth:`occupy_until`.
         """
         t = self.timing
-        start = max(now, self.ready_at)
-        kind = self.pending_kind(row)
-        if kind == AccessKind.HIT:
-            read_at = start
-            self.row_hits += 1
-        elif kind == AccessKind.MISS:
-            activate_at = max(start, earliest_activate)
-            read_at = activate_at + t.t_rcd
-            self._activate(row, activate_at)
+        ready_at = self.ready_at
+        start = now if now > ready_at else ready_at
+        open_row = self.open_row
+        # Classified inline (pending_kind's cases, in its order).
+        if open_row is None:
+            activate_at = start if start > earliest_activate else earliest_activate
             self.row_misses += 1
+            kind = AccessKind.MISS
+        elif open_row == row:
+            self.row_hits += 1
+            return start, AccessKind.HIT
         else:
             # Precharge may not start before tRAS has elapsed since the
             # open row's activation; the new ACT additionally respects
             # the channel-level activate spacing.
-            precharge_at = max(start, self.activated_at + t.t_ras)
-            activate_at = max(precharge_at + t.t_rp, earliest_activate)
-            read_at = activate_at + t.t_rcd
+            precharge_at = self.activated_at + t.t_ras
+            if start > precharge_at:
+                precharge_at = start
+            activate_at = precharge_at + t.t_rp
+            if earliest_activate > activate_at:
+                activate_at = earliest_activate
             self.precharges += 1
-            self._activate(row, activate_at)
             self.row_conflicts += 1
-        return read_at, kind
+            kind = AccessKind.CONFLICT
+        self.open_row = row
+        self.activated_at = activate_at
+        self.activates += 1
+        return activate_at + t.t_rcd, kind
 
     def replay_rows(self, rows) -> None:
         """Functionally replay an ordered row-access stream (no timing).
@@ -164,9 +171,5 @@ class Bank:
 
     def occupy_until(self, cycle: int) -> None:
         """Block further commands to this bank until *cycle*."""
-        self.ready_at = max(self.ready_at, cycle)
-
-    def _activate(self, row: int, when: int) -> None:
-        self.open_row = row
-        self.activated_at = when
-        self.activates += 1
+        if cycle > self.ready_at:
+            self.ready_at = cycle

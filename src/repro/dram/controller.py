@@ -119,49 +119,59 @@ class MemoryController:
     # Scheduling
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Issue every request that can start now; arrange a wake otherwise."""
+        """Issue every request that can start now; arrange a wake otherwise.
+
+        The issue step is inline: it runs once per DRAM request.
+        """
         now = self._engine.now
+        scheduler = self._scheduler
+        banks = self.banks
+        t = self._timing
         while True:
-            if self._scheduler.empty:
+            if not scheduler.size:
                 return
             # Finite command queue: wait for transfers to drain before
             # issuing further ahead (the drain event re-pumps).
             if self._inflight >= self._max_inflight:
                 return
-            request, next_ready = self._scheduler.select(self.banks, now)
+            request, next_ready = scheduler.select(banks, now)
             if request is None:
                 if next_ready is not None:
                     self._wake_at(next_ready)
                 return
-            self._issue(request, now)
-
-    def _issue(self, request: DRAMRequest, now: int) -> None:
-        t = self._timing
-        bank = self.banks[request.bank]
-        # Space activates channel-wide by tRRD: the bank delays the ACT
-        # command (not the whole access) past last_activate + tRRD.
-        column_cmd, kind = bank.access(
-            request.row, now, earliest_activate=self._last_activate_at + t.t_rrd
-        )
-        if kind != AccessKind.HIT:
-            self._last_activate_at = max(self._last_activate_at, column_cmd - t.t_rcd)
-        data_start = max(column_cmd + t.cl, self._bus_free_at)
-        data_end = data_start + t.t_burst
-        self._bus_free_at = data_end
-        self.busy_cycles += t.t_burst
-        bank.occupy_until(column_cmd + t.t_ccd)
-        if request.is_write:
-            self.writes += 1
-        else:
-            self.reads += 1
-        self.queue_wait_total += max(0, now - request.arrival)
-        self._inflight += 1
-        self._engine.at_call(data_end, self._data_done_cb, request)
-        # The bank frees at column_cmd + tCCD which may be < data_end;
-        # try to issue more work then.  With nothing queued there is
-        # nothing to issue — the next submit wakes the pump itself.
-        if not self._scheduler.empty:
-            self._wake_at(column_cmd + t.t_ccd)
+            bank = banks[request.bank]
+            # Space activates channel-wide by tRRD: the bank delays the
+            # ACT command (not the whole access) past last_activate +
+            # tRRD.
+            column_cmd, kind = bank.access(
+                request.row, now, self._last_activate_at + t.t_rrd
+            )
+            if kind != AccessKind.HIT:
+                activated = column_cmd - t.t_rcd
+                if activated > self._last_activate_at:
+                    self._last_activate_at = activated
+            data_start = column_cmd + t.cl
+            if self._bus_free_at > data_start:
+                data_start = self._bus_free_at
+            data_end = data_start + t.t_burst
+            self._bus_free_at = data_end
+            self.busy_cycles += t.t_burst
+            bank_free = column_cmd + t.t_ccd
+            if bank_free > bank.ready_at:
+                bank.ready_at = bank_free  # Bank.occupy_until, inline
+            if request.is_write:
+                self.writes += 1
+            else:
+                self.reads += 1
+            if now > request.arrival:
+                self.queue_wait_total += now - request.arrival
+            self._inflight += 1
+            self._engine.at_call(data_end, self._data_done_cb, request)
+            # The bank frees at column_cmd + tCCD which may be < data_end;
+            # try to issue more work then.  With nothing queued there is
+            # nothing to issue — the next submit wakes the pump itself.
+            if scheduler.size:
+                self._wake_at(bank_free)
 
     def _data_done(self, request: DRAMRequest) -> None:
         # Fires exactly at the request's data_end cycle, so "when" is
@@ -258,11 +268,14 @@ class MemoryController:
         self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
 
     def _wake_at(self, time: int) -> None:
-        time = max(time, self._engine.now)
-        if self._wake_scheduled_at is not None and self._wake_scheduled_at <= time:
+        engine = self._engine
+        if time < engine.now:
+            time = engine.now
+        scheduled = self._wake_scheduled_at
+        if scheduled is not None and scheduled <= time:
             return
         self._wake_scheduled_at = time
-        self._engine.at(time, self._wake_cb)
+        engine.at(time, self._wake_cb)
 
     def _wake(self) -> None:
         # Only the event matching the marker may clear it; stale events

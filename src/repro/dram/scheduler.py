@@ -74,7 +74,9 @@ class FRFCFSScheduler:
         # row -> FIFO of sequence numbers, per bank.
         self._row_fifos: List[Dict[int, Deque[int]]] = [{} for _ in range(n_banks)]
         self._seq = 0
-        self._size = 0
+        # Queued requests.  Public for read-only use: the controller's
+        # pump tests it on every pass instead of paying for ``empty``.
+        self.size = 0
         # High-water mark of the channel queue.  Sampled-fidelity drift
         # correction reads queue depth as its steady-state signal, and
         # the peak is the cheap summary of how deep this channel ever
@@ -91,11 +93,11 @@ class FRFCFSScheduler:
         )
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     @property
     def empty(self) -> bool:
-        return self._size == 0
+        return self.size == 0
 
     def pending_for_bank(self, bank: int) -> int:
         return len(self._queues[bank])
@@ -111,9 +113,9 @@ class FRFCFSScheduler:
             fifos[request.row] = deque((seq,))
         else:
             fifo.append(seq)
-        self._size += 1
-        if self._size > self.peak_depth:
-            self.peak_depth = self._size
+        self.size += 1
+        if self.size > self.peak_depth:
+            self.peak_depth = self.size
 
     def enqueue_many(self, requests: Sequence[DRAMRequest]) -> None:
         """Bulk-add a batch of requests (one bookkeeping pass).
@@ -135,9 +137,9 @@ class FRFCFSScheduler:
                 fifo.append(seq)
             seq += 1
         self._seq = seq
-        self._size += len(requests)
-        if self._size > self.peak_depth:
-            self.peak_depth = self._size
+        self.size += len(requests)
+        if self.size > self.peak_depth:
+            self.peak_depth = self.size
 
     def _pop(self, bank_idx: int, seq: int, request: DRAMRequest) -> None:
         """Remove a picked request (always the head of its row FIFO)."""
@@ -147,7 +149,7 @@ class FRFCFSScheduler:
         fifo.popleft()
         if not fifo:
             del fifos[request.row]
-        self._size -= 1
+        self.size -= 1
         self._rr = (bank_idx + 1) % len(self._queues)
 
     def select(self, banks: Sequence[Bank], now: int) -> Tuple[Optional[DRAMRequest], Optional[int]]:

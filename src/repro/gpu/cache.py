@@ -209,12 +209,21 @@ class SetAssociativeCache:
                 folded = folded >> bits
         return (index % np.uint64(self._sets)).astype(np.int64)
 
-    def probe(self, address: int) -> bool:
-        """True if the line holding *address* is present (no LRU update)."""
-        line = self.line_address(address)
-        return line in self._lines[self._set_index(line)]
+    # The per-access methods below take an optional *set_id*.  When it
+    # is given, *address* must already be a line address and *set_id*
+    # its :meth:`_set_index` — the detailed engine precomputes both per
+    # op with :meth:`set_indices_array` when a kernel is prepared, so
+    # its hot path never aligns or hashes.  Without it the method
+    # aligns and hashes *address* itself.
 
-    def try_read(self, address: int) -> bool:
+    def probe(self, address: int, set_id: Optional[int] = None) -> bool:
+        """True if the line holding *address* is present (no LRU update)."""
+        if set_id is None:
+            address = self.line_address(address)
+            set_id = self._set_index(address)
+        return address in self._lines[set_id]
+
+    def try_read(self, address: int, set_id: Optional[int] = None) -> bool:
         """Single-pass read for allocate-on-fill designs.
 
         On a hit, refresh LRU, count a read hit and return True.  On a
@@ -223,8 +232,10 @@ class SetAssociativeCache:
         path.  Equivalent to ``probe() and access()`` but with one set
         lookup instead of two, which matters on the issue hot path.
         """
-        line = self.line_address(address)
-        entry = self._lines[self._set_index(line)].get(line)
+        if set_id is None:
+            address = self.line_address(address)
+            set_id = self._set_index(address)
+        entry = self._lines[set_id].get(address)
         if entry is None:
             return False
         self._use_counter += 1
@@ -237,7 +248,8 @@ class SetAssociativeCache:
         return sum(len(s) for s in self._lines)
 
     def access(
-        self, address: int, is_write: bool = False
+        self, address: int, is_write: bool = False,
+        set_id: Optional[int] = None,
     ) -> Tuple[bool, Optional[int]]:
         """Perform a read or write access.
 
@@ -246,8 +258,11 @@ class SetAssociativeCache:
         was evicted its line address is returned for the caller to
         write back, otherwise None.
         """
-        line = self.line_address(address)
-        entry_set = self._lines[self._set_index(line)]
+        if set_id is None:
+            address = self.line_address(address)
+            set_id = self._set_index(address)
+        line = address
+        entry_set = self._lines[set_id]
         self._use_counter += 1
         entry = entry_set.get(line)
         if entry is not None:
@@ -264,7 +279,9 @@ class SetAssociativeCache:
             self.stats.read_misses += 1
         writeback = None
         if len(entry_set) >= self._ways:
-            victim_line = min(entry_set, key=lambda k: entry_set[k][0])
+            # LRU victim: entries are [use, dirty] with unique use
+            # ticks, so comparing entries compares their ticks.
+            victim_line = min(entry_set, key=entry_set.__getitem__)
             victim = entry_set.pop(victim_line)
             self.stats.evictions += 1
             if victim[1]:
@@ -273,21 +290,29 @@ class SetAssociativeCache:
         entry_set[line] = [self._use_counter, bool(is_write)]
         return False, writeback
 
-    def fill(self, address: int, dirty: bool = False) -> Optional[int]:
+    def fill(
+        self, address: int, dirty: bool = False, set_id: Optional[int] = None
+    ) -> Optional[int]:
         """Install a line without counting an access (e.g. prefetch).
 
         Returns a dirty victim's line address if one was evicted.
         """
-        line = self.line_address(address)
-        entry_set = self._lines[self._set_index(line)]
+        if set_id is None:
+            address = self.line_address(address)
+            set_id = self._set_index(address)
+        line = address
+        entry_set = self._lines[set_id]
         self._use_counter += 1
-        if line in entry_set:
-            entry_set[line][0] = self._use_counter
-            entry_set[line][1] = entry_set[line][1] or dirty
+        entry = entry_set.get(line)
+        if entry is not None:
+            entry[0] = self._use_counter
+            entry[1] = entry[1] or dirty
             return None
         writeback = None
         if len(entry_set) >= self._ways:
-            victim_line = min(entry_set, key=lambda k: entry_set[k][0])
+            # LRU victim: entries are [use, dirty] with unique use
+            # ticks, so comparing entries compares their ticks.
+            victim_line = min(entry_set, key=entry_set.__getitem__)
             victim = entry_set.pop(victim_line)
             self.stats.evictions += 1
             if victim[1]:
@@ -296,7 +321,7 @@ class SetAssociativeCache:
         entry_set[line] = [self._use_counter, dirty]
         return writeback
 
-    def write_through(self, address: int) -> bool:
+    def write_through(self, address: int, set_id: Optional[int] = None) -> bool:
         """Write-through, no-write-allocate store (GPU L1 policy).
 
         If the line is present its LRU position is refreshed and the
@@ -304,9 +329,10 @@ class SetAssociativeCache:
         data is forwarded downstream anyway.  Misses are counted but
         never allocate.  Returns True on hit.
         """
-        line = self.line_address(address)
-        entry_set = self._lines[self._set_index(line)]
-        entry = entry_set.get(line)
+        if set_id is None:
+            address = self.line_address(address)
+            set_id = self._set_index(address)
+        entry = self._lines[set_id].get(address)
         if entry is not None:
             self._use_counter += 1
             entry[0] = self._use_counter
@@ -484,7 +510,10 @@ class MSHRFile:
             raise ValueError(f"need at least one MSHR entry, got {entries}")
         self.name = name
         self._entries = entries
-        self._pending: Dict[int, List[object]] = {}
+        # line -> waiter tokens, one entry per in-flight fetch.  Public
+        # for read-only use: the SM and LLC fill paths test
+        # ``len(waiters) < capacity`` directly, frame-free.
+        self.waiters: Dict[int, List[object]] = {}
         self.allocations = 0
         self.merges = 0
         self.stalls = 0
@@ -495,14 +524,10 @@ class MSHRFile:
 
     @property
     def in_flight(self) -> int:
-        return len(self._pending)
-
-    @property
-    def full(self) -> bool:
-        return len(self._pending) >= self._entries
+        return len(self.waiters)
 
     def outstanding_lines(self) -> Tuple[int, ...]:
-        return tuple(self._pending)
+        return tuple(self.waiters)
 
     def allocate(self, line_address: int, waiter: object) -> str:
         """Try to register *waiter* for *line_address*.
@@ -510,22 +535,23 @@ class MSHRFile:
         Returns an :class:`MSHROutcome` constant.  ``FULL`` means the
         caller must retry later; nothing was recorded.
         """
-        waiters = self._pending.get(line_address)
+        pending = self.waiters
+        waiters = pending.get(line_address)
         if waiters is not None:
             waiters.append(waiter)
             self.merges += 1
             return MSHROutcome.MERGED
-        if self.full:
+        if len(pending) >= self._entries:
             self.stalls += 1
             return MSHROutcome.FULL
-        self._pending[line_address] = [waiter]
+        pending[line_address] = [waiter]
         self.allocations += 1
         return MSHROutcome.NEW
 
     def complete(self, line_address: int) -> List[object]:
         """Retire the entry for *line_address*, returning its waiters."""
         try:
-            return self._pending.pop(line_address)
+            return self.waiters.pop(line_address)
         except KeyError:
             raise KeyError(
                 f"{self.name}: no outstanding fetch for line 0x{line_address:x}"

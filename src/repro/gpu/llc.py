@@ -48,7 +48,6 @@ class LLCSlice:
         *submit_dram_read* fetches a missed line;
         *submit_dram_writeback* takes a dirty victim's line address."""
         self._engine = engine
-        self._config = config
         self.slice_id = slice_id
         self._send_response = send_response
         self._submit_dram_read = submit_dram_read
@@ -62,6 +61,8 @@ class LLCSlice:
         self.mshr = MSHRFile(config.llc_mshrs_per_slice, name=f"LLC-MSHR[{slice_id}]")
         self._stalled: Deque[MemRequest] = deque()
         self.outstanding = 0  # reads in flight at this slice
+        self._latency = config.llc_latency
+        self._mshr_capacity = config.llc_mshrs_per_slice
         # Pre-bound for the engine's closure-free scheduling fast path.
         self._respond_cb = self._respond
 
@@ -71,24 +72,28 @@ class LLCSlice:
     def on_read(self, request: MemRequest) -> None:
         """A read request arrived at this slice."""
         self.outstanding += 1
-        if self.cache.try_read(request.line):
-            self._engine.after_call(
-                self._config.llc_latency, self._respond_cb, request
-            )
+        cache = self.cache
+        if cache.try_read(request.line, request.llc_set):
+            self._engine.after_call(self._latency, self._respond_cb, request)
             return
-        self.cache.stats.count_miss(is_write=False)
+        cache.stats.read_misses += 1
         self._allocate_and_fetch(request)
 
-    def on_write(self, line: int) -> None:
-        """A write-through store arrived (full-line, no response needed)."""
-        if self.cache.probe(line):
-            self.cache.access(line, is_write=True)
+    def on_write(self, line: int, set_id: Optional[int] = None) -> None:
+        """A write-through store arrived (full-line, no response needed).
+
+        *set_id* is the line's precomputed set index in this slice, if
+        known.
+        """
+        cache = self.cache
+        if cache.probe(line, set_id):
+            cache.access(line, True, set_id)
             return
-        self.cache.stats.count_miss(is_write=True)
+        cache.stats.write_misses += 1
         # Install the full-line store immediately. If the line is also
         # being fetched for readers, the later fill merges into the
         # resident entry (keeping it dirty), so there is no race.
-        victim = self.cache.fill(line, dirty=True)
+        victim = cache.fill(line, True, set_id)
         if victim is not None:
             self._submit_dram_writeback(victim)
 
@@ -103,21 +108,31 @@ class LLCSlice:
     # ------------------------------------------------------------------
     # DRAM side
     # ------------------------------------------------------------------
-    def on_dram_fill(self, line: int) -> None:
-        """The DRAM read for *line* completed: fill, respond, retry."""
-        victim = self.cache.fill(line)
+    def on_dram_fill(self, line: int, set_id: Optional[int] = None) -> None:
+        """The DRAM read for *line* completed: fill, respond, retry.
+
+        *set_id* is the line's precomputed set index in this slice, if
+        known.
+        """
+        victim = self.cache.fill(line, False, set_id)
         if victim is not None:
             self._submit_dram_writeback(victim)
+        send_response = self._send_response
         for request in self.mshr.complete(line):
-            self._respond(request)
-        while self._stalled and not self.mshr.full:
-            waiting = self._stalled.popleft()
-            if self.cache.try_read(waiting.line):
-                self._engine.after_call(
-                    self._config.llc_latency, self._respond_cb, waiting
-                )
-            else:
-                self._allocate_and_fetch(waiting)
+            self.outstanding -= 1
+            send_response(request)
+        stalled = self._stalled
+        if stalled:
+            in_flight = self.mshr.waiters
+            capacity = self._mshr_capacity
+            while stalled and len(in_flight) < capacity:
+                waiting = stalled.popleft()
+                if self.cache.try_read(waiting.line, waiting.llc_set):
+                    self._engine.after_call(
+                        self._latency, self._respond_cb, waiting
+                    )
+                else:
+                    self._allocate_and_fetch(waiting)
 
     def _respond(self, request: MemRequest) -> None:
         self.outstanding -= 1

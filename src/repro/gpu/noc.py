@@ -32,19 +32,14 @@ _NO_ARG = object()
 
 
 class NoCStats:
-    """Latency and traffic accounting for one crossbar."""
+    """Latency and traffic accounting for one crossbar (kept by
+    :meth:`Crossbar.send`)."""
 
     def __init__(self) -> None:
         self.packets = 0
         self.flits = 0
         self.total_latency = 0
         self.max_latency = 0
-
-    def record(self, latency: int, flits: int) -> None:
-        self.packets += 1
-        self.flits += flits
-        self.total_latency += latency
-        self.max_latency = max(self.max_latency, latency)
 
     @property
     def mean_latency(self) -> float:
@@ -98,16 +93,25 @@ class Crossbar:
             raise ValueError(f"{self.name}: destination port {destination} out of range")
         if flits <= 0:
             raise ValueError(f"{self.name}: packets need at least one flit, got {flits}")
-        now = self._engine.now
-        start = max(now, self._port_free_at[destination])
-        done = start + flits
-        self._port_free_at[destination] = done
+        engine = self._engine
+        now = engine.now
+        port_free_at = self._port_free_at
+        free = port_free_at[destination]
+        done = (free if free > now else now) + flits
+        port_free_at[destination] = done
         delivery = done + self._base_latency
-        self.stats.record(delivery - now, flits)
+        # Latency accounting, inline (one call per packet).
+        latency = delivery - now
+        stats = self.stats
+        stats.packets += 1
+        stats.flits += flits
+        stats.total_latency += latency
+        if latency > stats.max_latency:
+            stats.max_latency = latency
         if arg is _NO_ARG:
-            self._engine.at(delivery, on_delivered)
+            engine.at(delivery, on_delivered)
         else:
-            self._engine.at_call(delivery, on_delivered, arg)
+            engine.at_call(delivery, on_delivered, arg)
         return delivery
 
     def port_backlog(self, destination: int) -> int:

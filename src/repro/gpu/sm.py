@@ -38,15 +38,27 @@ from .thread_block import TBContext, WarpContext
 
 __all__ = ["SM", "MemRequest"]
 
+FULL = MSHROutcome.FULL
+NEW = MSHROutcome.NEW
+
 
 class MemRequest:
-    """An L1-miss read transaction travelling through NoC/LLC/DRAM."""
+    """An L1-miss read transaction travelling through NoC/LLC/DRAM.
 
-    __slots__ = ("sm_id", "line", "channel", "bank", "row", "slice", "issued_at")
+    ``l1_set`` and ``llc_set`` are the line's precomputed set indices in
+    the issuing SM's L1 and in its LLC slice (None: the cache hashes
+    the line itself).
+    """
+
+    __slots__ = (
+        "sm_id", "line", "channel", "bank", "row", "slice", "issued_at",
+        "l1_set", "llc_set",
+    )
 
     def __init__(
         self, sm_id: int, line: int, channel: int, bank: int, row: int,
-        slice_id: int, issued_at: int,
+        slice_id: int, issued_at: int, l1_set: Optional[int] = None,
+        llc_set: Optional[int] = None,
     ) -> None:
         self.sm_id = sm_id
         self.line = line
@@ -55,6 +67,8 @@ class MemRequest:
         self.row = row
         self.slice = slice_id
         self.issued_at = issued_at
+        self.l1_set = l1_set
+        self.llc_set = llc_set
 
     def __repr__(self) -> str:
         return (
@@ -72,14 +86,22 @@ class SM:
         config: GPUConfig,
         sm_id: int,
         send_read: Callable[[MemRequest], None],
-        send_write: Callable[["SM", int, int, Callable, object], None],
+        send_write: Callable[["SM", int, int, int, Callable, object], None],
     ) -> None:
         """*send_read* forwards an L1 miss; *send_write* takes
-        ``(sm, slice_id, line, on_accepted, arg)`` for write-through
-        stores — ``on_accepted(arg)`` fires when the store is accepted
-        downstream (closure-free, like the engine's ``at_call``)."""
+        ``(sm, slice_id, line, llc_set, on_accepted, arg)`` for
+        write-through stores — ``llc_set`` is the line's precomputed
+        LLC set index and ``on_accepted(arg)`` fires when the store is
+        accepted downstream (closure-free, like the engine's
+        ``at_call``)."""
         self._engine = engine
         self._config = config
+        # Config values read on every issue/completion, kept as plain
+        # attributes.
+        self._issue_interval = config.issue_interval
+        self._l1_latency = config.l1_latency
+        self._max_outstanding = config.max_outstanding_per_warp
+        self._mshr_capacity = config.l1_mshrs
         self.sm_id = sm_id
         self._send_read = send_read
         self._send_write = send_write
@@ -100,6 +122,9 @@ class SM:
         self._warp_ready_cb = self._warp_ready
         self._op_completed_cb = self._op_completed
         self.active_tbs: List[TBContext] = []
+        # Warps of the active TBs, kept as a running count: the TB
+        # scheduler reads it for every SM on every dispatch attempt.
+        self.warp_count = 0
         self.on_tb_done: Optional[Callable[[TBContext], None]] = None
         # Statistics.
         self.instructions_issued = 0
@@ -112,10 +137,6 @@ class SM:
     @property
     def tb_count(self) -> int:
         return len(self.active_tbs)
-
-    @property
-    def warp_count(self) -> int:
-        return sum(tb.n_warps for tb in self.active_tbs)
 
     @property
     def in_flight_ops(self) -> int:
@@ -133,7 +154,7 @@ class SM:
     def can_accept(self, tb: TBContext) -> bool:
         """Whether this SM has resources for another TB (the window bound)."""
         return (
-            self.tb_count < self._config.max_tbs_per_sm
+            len(self.active_tbs) < self._config.max_tbs_per_sm
             and self.warp_count + tb.n_warps <= self._config.max_warps_per_sm
         )
 
@@ -144,6 +165,7 @@ class SM:
         tb.sm_id = self.sm_id
         tb.on_done = self._tb_done
         self.active_tbs.append(tb)
+        self.warp_count += tb.n_warps
         started = False
         for warp in tb.warps:
             if warp.n_ops:
@@ -156,6 +178,7 @@ class SM:
     def _tb_done(self, tb: TBContext) -> None:
         if tb in self.active_tbs:
             self.active_tbs.remove(tb)
+            self.warp_count -= tb.n_warps
         if self.on_tb_done is not None:
             self.on_tb_done(tb)
 
@@ -170,6 +193,10 @@ class SM:
     # compute gap, sitting in the ready deque, or parked in the
     # MSHR-full queue, so completions never double-schedule.
 
+    # The per-op path below is written flat: warp cursor moves
+    # (``op``/``n_ops``), tick arming and issue scheduling are inlined
+    # where they happen, because each helper frame is paid once per op.
+
     def _schedule_issue(self, warp: WarpContext) -> None:
         """Arrange for the warp's next op to issue after its compute gap."""
         warp.issue_pending = True
@@ -181,17 +208,15 @@ class SM:
 
     def _warp_ready(self, warp: WarpContext) -> None:
         """The warp's compute gap elapsed: queue it for the issue port."""
-        warp.ready_at = self._engine.now
+        engine = self._engine
+        now = engine.now
+        warp.ready_at = now
         self._ready.append(warp)
         if not self._tick_armed:
-            self._arm_tick()
-
-    def _arm_tick(self) -> None:
-        """Schedule the SM's next issue-port tick (at port-free time)."""
-        self._tick_armed = True
-        now = self._engine.now
-        free = self._port_free_at
-        self._engine.at_call(free if free > now else now, self._tick_cb, None)
+            # Arm the next issue-port tick, at port-free time.
+            self._tick_armed = True
+            free = self._port_free_at
+            engine.at_call(free if free > now else now, self._tick_cb, None)
 
     def _tick(self, _arg: object) -> None:
         """One issue-port slot: drain the oldest ready warp through it."""
@@ -200,21 +225,29 @@ class SM:
         if not ready:
             return
         now = self._engine.now
-        if self._port_free_at > now:  # pragma: no cover - defensive
-            self._arm_tick()
-            return
-        warp = ready.popleft()
-        self.warp_stall_cycles += now - warp.ready_at
-        self._port_free_at = now + self._config.issue_interval
-        self._issue_op(warp)
-        # _issue_op may have re-armed already (a gap-0 warp re-readies
-        # synchronously via _issued -> _warp_ready); arming again here
-        # would stack duplicate ticks that then compound each slot.
-        if ready and not self._tick_armed:
-            self._arm_tick()
+        free = self._port_free_at
+        if free <= now:
+            warp = ready.popleft()
+            self.warp_stall_cycles += now - warp.ready_at
+            free = self._port_free_at = now + self._issue_interval
+            self._issue_op(warp)
+            # _issue_op may have re-armed already (a gap-0 warp
+            # re-readies synchronously through _warp_ready); arming
+            # again here would stack duplicate ticks that then compound
+            # each slot.
+            if not ready or self._tick_armed:
+                return
+        # Re-arm for the next port slot.  (Entering with the port still
+        # busy is defensive: ticks are only armed at port-free time.)
+        self._tick_armed = True
+        self._engine.at_call(free if free > now else now, self._tick_cb, None)
 
     def _issue_op(self, warp: WarpContext) -> None:
-        """Issue the warp's next op through L1/MSHR/store logic."""
+        """Issue the warp's next op through L1/MSHR/store logic.
+
+        Entered with ``warp.issue_pending`` set (it stays set while the
+        warp waits for its gap, the port or a free MSHR).
+        """
         op = warp.op
         if op >= warp.n_ops:
             # A sampled-fidelity freeze moved the cursor past the end
@@ -230,75 +263,86 @@ class SM:
             # the slot is held until the store is *accepted* by its LLC
             # slice (store-queue backpressure) — a congested slice port
             # therefore throttles write-heavy warps.
-            self.l1.write_through(line)
+            self.l1.write_through(line, warp.l1_sets[op])
             warp.outstanding += 1
-            self._send_write(self, warp.slices[op], line, self._op_completed_cb, warp)
-            self._issued(warp)
-            return
-        if self.l1.try_read(line):
-            warp.outstanding += 1
-            self._engine.after_call(
-                self._config.l1_latency, self._op_completed_cb, warp
+            self._send_write(
+                self, warp.slices[op], line, warp.llc_sets[op],
+                self._op_completed_cb, warp,
             )
-            self._issued(warp)
-            return
-        self.l1.stats.count_miss(is_write=False)
-        outcome = self.mshr.allocate(line, warp)
-        if outcome == MSHROutcome.FULL:
-            # Park the warp; on_fill retries it. issue_pending stays
-            # set so completions do not schedule a duplicate issue.
-            self._stalled.append(warp)
-            return
-        warp.outstanding += 1
-        if outcome == MSHROutcome.NEW:
-            self._send_read(MemRequest(
-                sm_id=self.sm_id,
-                line=line,
-                channel=warp.channels[op],
-                bank=warp.banks[op],
-                row=warp.rows[op],
-                slice_id=warp.slices[op],
-                issued_at=self._engine.now,
-            ))
-        # MERGED: the in-flight fetch wakes this warp too.
-        self._issued(warp)
+        elif self.l1.try_read(line, warp.l1_sets[op]):
+            warp.outstanding += 1
+            self._engine.after_call(self._l1_latency, self._op_completed_cb, warp)
+        else:
+            self.l1.stats.read_misses += 1
+            outcome = self.mshr.allocate(line, warp)
+            if outcome == FULL:
+                # Park the warp; on_fill retries it. issue_pending stays
+                # set so completions do not schedule a duplicate issue.
+                self._stalled.append(warp)
+                return
+            warp.outstanding += 1
+            if outcome == NEW:
+                self._send_read(MemRequest(
+                    self.sm_id, line, warp.channels[op], warp.banks[op],
+                    warp.rows[op], warp.slices[op], self._engine.now,
+                    warp.l1_sets[op], warp.llc_sets[op],
+                ))
+            # MERGED: the in-flight fetch wakes this warp too.
+        # The op left the issue stage: advance the cursor and schedule
+        # the next issue if the warp may keep another op in flight.
+        op += 1
+        warp.op = op
+        if op < warp.n_ops and warp.outstanding < self._max_outstanding:
+            gap = warp.gaps[op]
+            if gap:
+                self._engine.after_call(gap, self._warp_ready_cb, warp)
+            else:
+                self._warp_ready(warp)
+        else:
+            warp.issue_pending = False
 
     def _issued(self, warp: WarpContext) -> None:
-        """Bookkeeping after an op left the issue stage."""
+        """Bookkeeping after a parked op left the issue stage."""
         warp.advance()
-        if not warp.issued_all and warp.outstanding < self._config.max_outstanding_per_warp:
+        if warp.op < warp.n_ops and warp.outstanding < self._max_outstanding:
             self._schedule_issue(warp)
         else:
             warp.issue_pending = False
 
     def _op_completed(self, warp: WarpContext) -> None:
         """A load returned / store was accepted: free the warp slot."""
-        if warp.outstanding <= 0:
+        outstanding = warp.outstanding
+        if outstanding <= 0:
             raise RuntimeError(f"warp {warp.warp_id}: completion underflow")
-        warp.outstanding -= 1
+        outstanding -= 1
+        warp.outstanding = outstanding
         self.ops_completed += 1
-        if warp.done:
-            warp.maybe_retire()
-        elif (
-            not warp.issued_all
-            and not warp.issue_pending
-            and warp.outstanding < self._config.max_outstanding_per_warp
-        ):
+        if warp.op >= warp.n_ops:
+            if not outstanding:
+                warp.maybe_retire()
+        elif not warp.issue_pending and outstanding < self._max_outstanding:
             self._schedule_issue(warp)
 
     # ------------------------------------------------------------------
     # Fill path
     # ------------------------------------------------------------------
-    def on_fill(self, line: int) -> None:
-        """A missed line arrived from the LLC: install it and wake waiters."""
-        self.l1.fill(line)
+    def on_fill(self, line: int, set_id: Optional[int] = None) -> None:
+        """A missed line arrived from the LLC: install it and wake waiters.
+
+        *set_id* is the line's precomputed L1 set index, if known.
+        """
+        self.l1.fill(line, False, set_id)
+        op_completed = self._op_completed
         for warp in self.mshr.complete(line):
-            self._op_completed(warp)
+            op_completed(warp)
         # MSHR entries freed: retry parked warps. A retried warp may
         # now hit (another warp's fill brought its line in).
-        while self._stalled and not self.mshr.full:
-            waiting = self._stalled.popleft()
-            self._try_issue_parked(waiting)
+        stalled = self._stalled
+        if stalled:
+            in_flight = self.mshr.waiters
+            capacity = self._mshr_capacity
+            while stalled and len(in_flight) < capacity:
+                self._try_issue_parked(stalled.popleft())
 
     def _try_issue_parked(self, warp: WarpContext) -> None:
         """Retry a warp that was parked on a full MSHR file."""
@@ -309,27 +353,21 @@ class SM:
             warp.maybe_retire()
             return
         line = warp.lines[op]
-        if self.l1.try_read(line):
+        if self.l1.try_read(line, warp.l1_sets[op]):
             warp.outstanding += 1
-            self._engine.after_call(
-                self._config.l1_latency, self._op_completed_cb, warp
-            )
+            self._engine.after_call(self._l1_latency, self._op_completed_cb, warp)
             self._issued(warp)
             return
         outcome = self.mshr.allocate(line, warp)
-        if outcome == MSHROutcome.FULL:
+        if outcome == FULL:
             self._stalled.appendleft(warp)
             return
         warp.outstanding += 1
-        if outcome == MSHROutcome.NEW:
+        if outcome == NEW:
             self._send_read(MemRequest(
-                sm_id=self.sm_id,
-                line=line,
-                channel=warp.channels[op],
-                bank=warp.banks[op],
-                row=warp.rows[op],
-                slice_id=warp.slices[op],
-                issued_at=self._engine.now,
+                self.sm_id, line, warp.channels[op], warp.banks[op],
+                warp.rows[op], warp.slices[op], self._engine.now,
+                warp.l1_sets[op], warp.llc_sets[op],
             ))
         self._issued(warp)
 

@@ -6,10 +6,12 @@ simulator needs: the per-warp program counter and the *pre-mapped*
 per-request DRAM coordinates.
 
 Mapping is applied once, vectorized, when a :class:`TBContext` is
-prepared (see :meth:`WarpContext.prepare`): every request's mapped
-line address, channel, bank, row and LLC slice are precomputed so the
-hot simulation path does no BIM math at all.  This is behaviourally
-identical to mapping at issue time because the BIM is stateless.
+prepared (see the system's ``_prepare_kernel``): every request's
+mapped line address, channel, bank, row, LLC slice, and the line's set
+index in the L1 and in its LLC slice are precomputed, so the hot
+simulation path does no BIM math and no set hashing at all.  This is
+behaviourally identical to mapping at issue time because the BIM and
+the set hash are stateless.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ def _as_list(values) -> list:
     The simulator indexes these one element at a time on its hottest
     path; list indexing returns native ints/bools directly, where numpy
     scalar extraction costs ~100ns per element.  The conversion is one
-    vectorized pass at TB-preparation time.
+    vectorized pass at TB-preparation time.  A list is taken as is (the
+    per-op fields are never mutated).
     """
+    if type(values) is list:
+        return values
     tolist = getattr(values, "tolist", None)
     return tolist() if tolist is not None else list(values)
 
@@ -45,8 +50,8 @@ class WarpContext:
 
     __slots__ = (
         "tb", "warp_id", "gaps", "writes", "lines", "channels", "banks",
-        "rows", "slices", "op", "n_ops", "outstanding", "issue_pending",
-        "ready_at", "retired",
+        "rows", "slices", "l1_sets", "llc_sets", "op", "n_ops",
+        "outstanding", "issue_pending", "ready_at", "retired",
     )
 
     def __init__(
@@ -59,6 +64,8 @@ class WarpContext:
         banks: np.ndarray,
         rows: np.ndarray,
         slices: np.ndarray,
+        l1_sets: np.ndarray,
+        llc_sets: np.ndarray,
     ) -> None:
         self.tb = tb
         self.warp_id = warp_id
@@ -69,6 +76,8 @@ class WarpContext:
         self.banks = _as_list(banks)
         self.rows = _as_list(rows)
         self.slices = _as_list(slices)
+        self.l1_sets = _as_list(l1_sets)
+        self.llc_sets = _as_list(llc_sets)
         self.op = 0  # next op to issue
         self.n_ops = len(trace)
         self.outstanding = 0  # issued but not yet completed
@@ -161,7 +170,10 @@ class WarpContext:
 class TBContext:
     """One Thread Block in flight on an SM."""
 
-    __slots__ = ("tb_id", "kernel_index", "warps", "remaining_warps", "sm_id", "on_done")
+    __slots__ = (
+        "tb_id", "kernel_index", "warps", "n_warps", "remaining_warps",
+        "sm_id", "on_done",
+    )
 
     def __init__(
         self,
@@ -169,26 +181,22 @@ class TBContext:
         kernel_index: int,
         prepare: Callable[[WarpTrace], tuple],
     ) -> None:
-        """*prepare* maps a warp trace to its precomputed coordinate arrays.
+        """*prepare* maps a warp trace to its precomputed per-op arrays.
 
-        It returns ``(lines, channels, banks, rows, slices)`` — see
-        the system's trace preparation for the vectorized BIM apply.
+        It returns ``(lines, channels, banks, rows, slices, l1_sets,
+        llc_sets)`` — see the system's trace preparation for the
+        vectorized BIM apply and set hashing.
         """
         self.tb_id = trace.tb_id
         self.kernel_index = kernel_index
-        self.warps: List[WarpContext] = []
-        for warp_id, warp_trace in enumerate(trace.warps):
-            lines, channels, banks, rows, slices = prepare(warp_trace)
-            self.warps.append(
-                WarpContext(self, warp_id, warp_trace, lines, channels, banks, rows, slices)
-            )
+        self.warps: List[WarpContext] = [
+            WarpContext(self, warp_id, warp_trace, *prepare(warp_trace))
+            for warp_id, warp_trace in enumerate(trace.warps)
+        ]
+        self.n_warps = len(self.warps)
         self.remaining_warps = sum(1 for w in self.warps if w.n_ops) or 0
         self.sm_id: Optional[int] = None
         self.on_done: Optional[Callable[["TBContext"], None]] = None
-
-    @property
-    def n_warps(self) -> int:
-        return len(self.warps)
 
     @property
     def done(self) -> bool:

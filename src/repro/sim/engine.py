@@ -30,11 +30,28 @@ same-cycle FIFO order between each other:
 Times must be integral: an ``int``, or a float/numpy scalar whose value
 is a whole number (normalized to ``int``).  A fractional time raises
 :class:`SimulationError` instead of being silently truncated.
+
+Hot-path contract
+-----------------
+The per-event path is kept flat: scheduling is one method frame, and
+``run`` dispatches each event with no further engine frames.  What
+callers may rely on:
+
+* The event stream is fixed by the model alone: the same events run at
+  the same cycles in the same FIFO order, so ``events_processed`` is
+  part of every result's bytes.
+* ``now`` is a plain attribute, read-only to everyone but the engine.
+  It holds the cycle of the event being dispatched (or the ``until``
+  bound a paused ``run`` stopped at).
+* ``events_processed`` is counted in a local inside ``run`` and stored
+  when ``run`` returns or raises, so it and ``pending`` are exact
+  between ``run`` calls, including after ``max_events`` exhaustion and
+  after a callback error.  Inside a callback they are not updated.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Engine", "SimulationError"]
@@ -65,7 +82,8 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now = 0
+        # Current simulation time in cycles (read-only outside the engine).
+        self.now = 0
         # Calendar queue state: bucket per pending cycle, heap of the
         # distinct cycle numbers.  While a cycle's bucket is being
         # drained it stays in _buckets (so same-cycle scheduling
@@ -79,17 +97,13 @@ class Engine:
         self._running = False
 
     @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
+        """Events executed so far (exact between ``run`` calls)."""
         return self._events_processed
 
     @property
     def pending(self) -> int:
-        """Number of events not yet executed."""
+        """Number of events not yet executed (exact between ``run`` calls)."""
         return self._scheduled - self._events_processed
 
     @property
@@ -108,6 +122,9 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # The four scheduling methods share one body, written out in each:
+    # normalize the time, reject the past, append (fn, arg) to the
+    # cycle's bucket.  A shared helper would cost every event a frame.
     def _checked_time(self, time: Any) -> int:
         """Normalize *time* to an int; reject fractional or bogus values."""
         try:
@@ -122,41 +139,60 @@ class Engine:
             )
         return itime
 
-    def _push(self, time: Any, fn: Callable[..., None], arg: Any) -> None:
-        if type(time) is not int:
-            time = self._checked_time(time)
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time}, current time is {self._now}"
-            )
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [fn, arg]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(fn)
-            bucket.append(arg)
-        self._scheduled += 1
+    def _past_error(self, time: int) -> SimulationError:
+        return SimulationError(
+            f"cannot schedule event at {time}, current time is {self.now}"
+        )
 
     def at(self, time: int, callback: Callback) -> None:
         """Schedule *callback* (no arguments) at absolute cycle *time*."""
-        self._push(time, callback, _NO_ARG)
+        if type(time) is not int:
+            time = self._checked_time(time)
+        if time < self.now:
+            raise self._past_error(time)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [callback, _NO_ARG]
+            heappush(self._times, time)
+        else:
+            bucket += (callback, _NO_ARG)
+        self._scheduled += 1
 
     def after(self, delay: int, callback: Callback) -> None:
         """Schedule *callback* *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        self._push(self._now + delay, callback, _NO_ARG)
+        self.at(self.now + delay, callback)
 
     def at_call(self, time: int, fn: Callable[[Any], None], arg: Any) -> None:
         """Closure-free fast path: schedule ``fn(arg)`` at cycle *time*."""
-        self._push(time, fn, arg)
+        if type(time) is not int:
+            time = self._checked_time(time)
+        if time < self.now:
+            raise self._past_error(time)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [fn, arg]
+            heappush(self._times, time)
+        else:
+            bucket += (fn, arg)
+        self._scheduled += 1
 
     def after_call(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
         """Closure-free fast path: schedule ``fn(arg)`` *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        self._push(self._now + delay, fn, arg)
+        time = self.now + delay
+        if type(time) is not int:
+            time = self._checked_time(time)
+        # A non-negative delay cannot land in the past.
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [fn, arg]
+            heappush(self._times, time)
+        else:
+            bucket += (fn, arg)
+        self._scheduled += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -179,6 +215,8 @@ class Engine:
         budget = -1 if max_events is None else max_events
         buckets = self._buckets
         times = self._times
+        no_arg = _NO_ARG
+        processed = self._events_processed
         self._running = True
         try:
             while True:
@@ -188,11 +226,11 @@ class Engine:
                         break
                     time = times[0]
                     if until is not None and time > until:
-                        if until > self._now:
-                            self._now = until
+                        if until > self.now:
+                            self.now = until
                         break
-                    heapq.heappop(times)
-                    self._now = time
+                    heappop(times)
+                    self.now = time
                     bucket = buckets[time]
                     self._active_bucket = bucket
                     self._active_index = 0
@@ -205,29 +243,30 @@ class Engine:
                         fn = bucket[i]
                         arg = bucket[i + 1]
                         i += 2
-                        self._events_processed += 1
-                        if arg is _NO_ARG:
+                        processed += 1
+                        if arg is no_arg:
                             fn()
                         else:
                             fn(arg)
                         if budget >= 0:
                             budget -= 1
-                            if budget <= 0 and self._scheduled > self._events_processed:
+                            if budget <= 0 and self._scheduled > processed:
                                 # Only a *pending* queue at exhaustion is an
                                 # error: a model that finishes on exactly its
                                 # last allowed event completed, it did not
                                 # livelock.
                                 raise SimulationError(
                                     f"exceeded max_events={max_events} (possible "
-                                    f"livelock) at cycle {self._now}"
+                                    f"livelock) at cycle {self.now}"
                                 )
                 finally:
                     # Persist the cursor so a propagating callback error
                     # leaves the queue resumable (the failing event is
                     # consumed, later events remain).
                     self._active_index = i
-                del buckets[self._now]
+                del buckets[self.now]
                 self._active_bucket = None
         finally:
+            self._events_processed = processed
             self._running = False
-        return self._now
+        return self.now

@@ -50,7 +50,7 @@ from ..gpu.power import GPUPowerModel, GPUPowerParams, default_gpu_power_params
 from ..gpu.sm import SM, MemRequest
 from ..gpu.tb_scheduler import TBScheduler
 from ..gpu.thread_block import TBContext, WarpContext
-from ..workloads.base import WarpTrace, Workload
+from ..workloads.base import Workload
 from . import replay as replay_plane
 from .engine import Engine
 from .fidelity import (
@@ -285,6 +285,8 @@ class GPUSystem:
         self._deliver_fill_cb = self._deliver_fill
         self._store_delivered_cb = self._store_delivered
         self._flush_dram_cb = self._flush_dram_batch
+        self._control_flits = self.config.noc_control_flits
+        self._data_flits = self.config.data_packet_flits
 
         # Mapping/decoding cache for trace preparation.
         self._mapper_extra_latency = scheme.extra_latency_cycles
@@ -319,41 +321,49 @@ class GPUSystem:
         vaults = self.address_map.field("vault").size
         return fields["stack"] * vaults + fields["vault"]
 
-    def _prepare_warp(self, trace: WarpTrace):
-        """Precompute mapped coordinates for every request of a warp."""
-        if not len(trace):
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty, empty
-        mapped = np.atleast_1d(self.scheme.map(trace.addresses))
-        return self._coords_of(mapped)
-
     def _prepare_kernel(self, kernel) -> "callable":
         """Batched trace preparation for one kernel's warps.
 
         All warp address streams of the kernel are concatenated, mapped
         and decoded in a single vectorized pass, then split back into
-        per-warp views.  Bit-identical to per-warp :meth:`_prepare_warp`
-        (the BIM and the field decode are elementwise), but the numpy
-        fixed cost is paid once per kernel instead of once per warp.
+        per-warp views of ``(lines, channels, banks, rows, slices,
+        l1_sets, llc_sets)`` — the :class:`TBContext` prepare contract.
+        The BIM, the field decode and the set hash are elementwise, so
+        this is bit-identical to preparing each warp on its own, but
+        the numpy fixed cost is paid once per kernel instead of once
+        per warp.  Every L1 shares one geometry and every LLC slice
+        another, so one :meth:`set_indices_array` pass per geometry
+        covers all caches.
         """
         traces = [warp for tb in kernel.tbs for warp in tb.warps]
         nonempty = [t for t in traces if len(t)]
+        empties = ([],) * 7
         if not nonempty:
-            return self._prepare_warp
+            return lambda trace: empties
         addresses = np.concatenate([t.addresses for t in nonempty])
         mapped = np.atleast_1d(self.scheme.map(addresses))
-        coords = self._coords_of(mapped)
-        empty = np.empty(0, dtype=np.int64)
+        lines, channels, banks, rows, slices = self._coords_of(mapped)
+        l1_sets = self.sms[0].l1.set_indices_array(lines)
+        llc_sets = self.slices[0].cache.set_indices_array(lines)
+        # One tolist() per field per kernel; warps get list slices.
+        lines, channels, banks, rows, slices, l1_sets, llc_sets = (
+            field.tolist()
+            for field in (lines, channels, banks, rows, slices, l1_sets, llc_sets)
+        )
         table = {}
-        offset = 0
+        start = 0
         for trace in traces:
             n = len(trace)
             if not n:
-                table[id(trace)] = (empty, empty, empty, empty, empty)
+                table[id(trace)] = empties
                 continue
-            view = slice(offset, offset + n)
-            table[id(trace)] = tuple(arr[view] for arr in coords)
-            offset += n
+            end = start + n
+            table[id(trace)] = (
+                lines[start:end], channels[start:end], banks[start:end],
+                rows[start:end], slices[start:end], l1_sets[start:end],
+                llc_sets[start:end],
+            )
+            start = end
         return lambda trace: table[id(trace)]
 
     def _slice_of(self, channels: np.ndarray, banks: np.ndarray) -> np.ndarray:
@@ -384,36 +394,39 @@ class GPUSystem:
 
     def _forward_read(self, request: MemRequest) -> None:
         self.request_noc.send(
-            request.sm_id, request.slice, self.config.noc_control_flits,
+            request.sm_id, request.slice, self._control_flits,
             self._slice_on_read[request.slice], request,
         )
 
-    def _send_write(self, sm: SM, slice_id: int, line: int, on_accepted, arg) -> None:
+    def _send_write(
+        self, sm: SM, slice_id: int, line: int, llc_set: int, on_accepted, arg
+    ) -> None:
         """SM write-through store -> request NoC (data packet) -> slice.
 
         ``on_accepted(arg)`` fires at delivery, releasing the issuing
         warp (store-queue backpressure through the congested port).
         """
         self.request_noc.send(
-            sm.sm_id, slice_id, self.config.data_packet_flits,
-            self._store_delivered_cb, (slice_id, line, on_accepted, arg),
+            sm.sm_id, slice_id, self._data_flits,
+            self._store_delivered_cb,
+            (slice_id, line, llc_set, on_accepted, arg),
         )
 
     def _store_delivered(self, payload) -> None:
-        slice_id, line, on_accepted, arg = payload
-        self.slices[slice_id].on_write(line)
+        slice_id, line, llc_set, on_accepted, arg = payload
+        self.slices[slice_id].on_write(line, llc_set)
         on_accepted(arg)
 
     def _send_response(self, request: MemRequest) -> None:
         """LLC -> response NoC -> SM fill."""
         self.llc_tracker.change(request.slice, -1, self.engine.now)
         self.response_noc.send(
-            request.slice, request.sm_id, self.config.data_packet_flits,
+            request.slice, request.sm_id, self._data_flits,
             self._deliver_fill_cb, request,
         )
 
     def _deliver_fill(self, request: MemRequest) -> None:
-        self.sms[request.sm_id].on_fill(request.line)
+        self.sms[request.sm_id].on_fill(request.line, request.l1_set)
 
     def _submit_dram_read(self, request: MemRequest) -> None:
         self._dram_reads_pending.append(request)
@@ -441,19 +454,20 @@ class GPUSystem:
         now = self.engine.now
         reads, self._dram_reads_pending = self._dram_reads_pending, []
         lines, self._dram_writebacks_pending = self._dram_writebacks_pending, []
+        channel_change = self.channel_tracker.change
+        bank_trackers = self.bank_trackers
         per_channel: Dict[int, List[DRAMRequest]] = {}
         for request in reads:
             channel = request.channel
-            self.channel_tracker.change(channel, +1, now)
-            self.bank_trackers[channel].change(request.bank, +1, now)
-            per_channel.setdefault(channel, []).append(DRAMRequest(
-                request_id=id(request),
-                bank=request.bank,
-                row=request.row,
-                is_write=False,
-                arrival=now,
-                payload=request,
-            ))
+            bank = request.bank
+            channel_change(channel, 1, now)
+            bank_trackers[channel].change(bank, 1, now)
+            batch = per_channel.get(channel)
+            if batch is None:
+                batch = per_channel[channel] = []
+            batch.append(
+                DRAMRequest(id(request), bank, request.row, False, now, request)
+            )
         if lines:
             fields = decode_fields(
                 self.address_map, np.asarray(lines, dtype=np.uint64)
@@ -462,30 +476,29 @@ class GPUSystem:
             banks = fields["bank"].tolist()
             rows = fields["row"].tolist()
             for line, channel, bank, row in zip(lines, channels, banks, rows):
-                self.channel_tracker.change(channel, +1, now)
-                self.bank_trackers[channel].change(bank, +1, now)
-                per_channel.setdefault(channel, []).append(DRAMRequest(
-                    request_id=line,
-                    bank=bank,
-                    row=row,
-                    is_write=True,
-                    arrival=now,
-                    payload=(_WRITEBACK, channel),
+                channel_change(channel, 1, now)
+                bank_trackers[channel].change(bank, 1, now)
+                batch = per_channel.get(channel)
+                if batch is None:
+                    batch = per_channel[channel] = []
+                batch.append(DRAMRequest(
+                    line, bank, row, True, now, (_WRITEBACK, channel)
                 ))
         for channel in sorted(per_channel):
             self.dram.submit_many(channel, per_channel[channel])
 
     def _dram_complete(self, request: DRAMRequest, when: int) -> None:
         payload = request.payload
+        now = self.engine.now
         if isinstance(payload, MemRequest):
             channel = payload.channel
-            self.channel_tracker.change(channel, -1, self.engine.now)
-            self.bank_trackers[channel].change(request.bank, -1, self.engine.now)
-            self.slices[payload.slice].on_dram_fill(payload.line)
+            self.channel_tracker.change(channel, -1, now)
+            self.bank_trackers[channel].change(request.bank, -1, now)
+            self.slices[payload.slice].on_dram_fill(payload.line, payload.llc_set)
         elif isinstance(payload, tuple) and payload[0] is _WRITEBACK:
             channel = payload[1]
-            self.channel_tracker.change(channel, -1, self.engine.now)
-            self.bank_trackers[channel].change(request.bank, -1, self.engine.now)
+            self.channel_tracker.change(channel, -1, now)
+            self.bank_trackers[channel].change(request.bank, -1, now)
         else:
             raise RuntimeError(f"unexpected DRAM completion payload: {payload!r}")
 

@@ -70,7 +70,15 @@ class OutstandingTracker:
 
     def change(self, unit: int, delta: int, now: int) -> None:
         """Adjust unit *unit*'s outstanding count by *delta* at time *now*."""
-        self._advance(now)
+        # _advance, inlined: change() runs several times per request.
+        dt = now - self._last_time
+        if dt:
+            if dt < 0:
+                raise ValueError(f"time went backwards: {self._last_time} -> {now}")
+            if self._busy_units:
+                self._busy_unit_integral += self._busy_units * dt
+                self._active_time += dt
+            self._last_time = now
         before = self._counts[unit]
         after = before + delta
         if after < 0:
@@ -80,7 +88,8 @@ class OutstandingTracker:
         self._counts[unit] = after
         if before == 0 and after > 0:
             self._busy_units += 1
-            self._peak = max(self._peak, self._busy_units)
+            if self._busy_units > self._peak:
+                self._peak = self._busy_units
         elif before > 0 and after == 0:
             self._busy_units -= 1
 

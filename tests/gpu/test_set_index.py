@@ -9,9 +9,16 @@ per-access fold loop, reproduced verbatim below.
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.core import hynix_gddr5_map
 from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.config import GPUConfig
+from repro.gpu.thread_block import TBContext
+from repro.registry import make_scheme
+from repro.sim.gpu_system import GPUSystem
+from repro.workloads.suite import mt
 
 
 def reference_set_index(cache: SetAssociativeCache, line_address: int) -> int:
@@ -143,3 +150,88 @@ class TestWarmPaths:
         assert writebacks == expected_writebacks
         assert bulk.stats == step.stats
         assert bulk.resident_lines() == step.resident_lines()
+
+
+# Non-power-of-two set counts take the legacy fold-then-modulo path in
+# both the scalar and the vectorized hash.
+NON_POW2_GEOMETRIES = [
+    (48, 4, 128),     # 24 KB L1 with 4 ways
+    (12, 8, 64),
+    (3, 2, 32),
+    (100, 4, 128),
+]
+
+
+class TestPrecomputedSetIds:
+    """The detailed engine hashes every op's line once per kernel with
+    ``set_indices_array`` and hands the set id to the per-access
+    methods; both must agree with the scalar ``_set_index``."""
+
+    @pytest.mark.parametrize("hash_sets", [True, False])
+    @pytest.mark.parametrize(
+        "sets,ways,line_bytes", GEOMETRIES + NON_POW2_GEOMETRIES
+    )
+    def test_vectorized_matches_scalar(self, sets, ways, line_bytes, hash_sets):
+        cache = SetAssociativeCache(sets, ways, line_bytes, hash_sets=hash_sets)
+        rng = random.Random(sets * 7 + line_bytes)
+        lines = [cache.line_address(a) for a in address_sweep(rng, line_bytes)]
+        precomputed = cache.set_indices_array(np.asarray(lines, dtype=np.uint64))
+        assert precomputed.tolist() == [cache._set_index(line) for line in lines]
+
+    @pytest.mark.parametrize("sets,ways,line_bytes", NON_POW2_GEOMETRIES)
+    def test_non_pow2_scalar_matches_reference(self, sets, ways, line_bytes):
+        cache = SetAssociativeCache(sets, ways, line_bytes)
+        assert cache._fold_shifts is None
+        rng = random.Random(sets)
+        for address in address_sweep(rng, line_bytes):
+            line = cache.line_address(address)
+            assert cache._set_index(line) == reference_set_index(cache, line)
+
+    @pytest.mark.parametrize(
+        "sets,ways,line_bytes", [(8, 2, 128), (6, 2, 128)]
+    )
+    def test_set_id_path_matches_hashing_path(self, sets, ways, line_bytes):
+        """Every per-access method leaves the same state and returns the
+        same values whether it hashes the line or is handed the id."""
+        rng = random.Random(sets)
+        lines = [rng.randrange(64) * line_bytes for _ in range(600)]
+        kinds = [rng.randrange(5) for _ in range(600)]
+        hashed = SetAssociativeCache(sets, ways, line_bytes)
+        given = SetAssociativeCache(sets, ways, line_bytes)
+        set_ids = given.set_indices_array(np.asarray(lines, dtype=np.uint64))
+        for line, kind, set_id in zip(lines, kinds, set_ids.tolist()):
+            if kind == 0:
+                expected, got = hashed.try_read(line), given.try_read(line, set_id)
+            elif kind == 1:
+                expected = hashed.fill(line, dirty=True)
+                got = given.fill(line, True, set_id)
+            elif kind == 2:
+                expected = hashed.write_through(line)
+                got = given.write_through(line, set_id)
+            elif kind == 3:
+                expected = hashed.access(line, is_write=True)
+                got = given.access(line, True, set_id)
+            else:
+                expected, got = hashed.probe(line), given.probe(line, set_id)
+            assert got == expected
+        assert given.stats == hashed.stats
+        for set_id in range(sets):
+            assert given.set_entries(set_id) == hashed.set_entries(set_id)
+
+    @pytest.mark.parametrize("l1_bytes", [16 * 1024, 24 * 1024])
+    def test_prepared_kernel_set_ids(self, l1_bytes):
+        """The per-op set ids a prepared kernel carries equal the scalar
+        hash of each op's line, for the L1 and the LLC geometry."""
+        config = GPUConfig(l1_bytes=l1_bytes)
+        system = GPUSystem(make_scheme("PAE", hynix_gddr5_map()), config=config)
+        l1 = system.sms[0].l1
+        llc = system.slices[0].cache
+        kernel = mt(scale=0.1).kernels[0]
+        prepare = system._prepare_kernel(kernel)
+        checked = 0
+        for tb in kernel.tbs:
+            for warp in TBContext(tb, 0, prepare).warps:
+                assert warp.l1_sets == [l1._set_index(x) for x in warp.lines]
+                assert warp.llc_sets == [llc._set_index(x) for x in warp.lines]
+                checked += warp.n_ops
+        assert checked == sum(len(w) for tb in kernel.tbs for w in tb.warps)

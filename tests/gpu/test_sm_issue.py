@@ -9,11 +9,17 @@ and the completion-underflow guard.
 import numpy as np
 import pytest
 
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.sm import SM
 from repro.gpu.thread_block import TBContext
 from repro.sim.engine import Engine
 from repro.workloads.base import TBTrace, WarpTrace
+
+# Set hashing of the default L1 geometry (the precomputed per-op
+# ``l1_sets`` the prepare contract requires).
+_CFG = GPUConfig()
+L1 = SetAssociativeCache(_CFG.l1_sets, _CFG.l1_ways, _CFG.line_bytes)
 
 
 def small_config(**overrides):
@@ -25,7 +31,10 @@ def small_config(**overrides):
 def identity_prepare(trace: WarpTrace):
     lines = trace.addresses.astype(np.int64)
     zeros = np.zeros(len(trace), dtype=np.int64)
-    return lines, zeros, zeros, (lines >> 7).astype(np.int64), zeros
+    return (
+        lines, zeros, zeros, (lines >> 7).astype(np.int64), zeros,
+        L1.set_indices_array(lines), zeros,
+    )
 
 
 class Harness:
@@ -37,7 +46,7 @@ class Harness:
         self.sm = SM(
             self.engine, self.config, 0,
             send_read=self.reads.append,
-            send_write=lambda sm, sl, line, fn, arg: self.writes.append(
+            send_write=lambda sm, sl, line, llc_set, fn, arg: self.writes.append(
                 (line, lambda: fn(arg))
             ),
         )

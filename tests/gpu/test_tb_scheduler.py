@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.sm import SM
 from repro.gpu.tb_scheduler import TBScheduler
@@ -11,10 +12,18 @@ from repro.sim.engine import Engine
 from repro.workloads.base import TBTrace, WarpTrace
 
 
+# Set hashing of the default L1 geometry (the precomputed per-op
+# ``l1_sets`` the prepare contract requires).
+_CFG = GPUConfig()
+L1 = SetAssociativeCache(_CFG.l1_sets, _CFG.l1_ways, _CFG.line_bytes)
+
+
 def identity_prepare(trace):
     lines = trace.addresses.astype(np.int64)
     zeros = np.zeros(len(trace), dtype=np.int64)
-    return lines, zeros, zeros, zeros, zeros
+    return (
+        lines, zeros, zeros, zeros, zeros, L1.set_indices_array(lines), zeros,
+    )
 
 
 class Harness:
@@ -25,7 +34,7 @@ class Harness:
         self.sms = [
             SM(self.engine, config, i,
                send_read=lambda r: self.pending_fills.append(r),
-               send_write=lambda sm, sl, l, fn, arg: fn(arg))
+               send_write=lambda sm, sl, l, llc_set, fn, arg: fn(arg))
             for i in range(n_sms)
         ]
         self.kernels_done = 0
@@ -104,3 +113,56 @@ class TestKernelBarrier:
         h.scheduler.load_kernel([h.tb(0)])
         h.drain_fills()
         assert h.kernels_done == 2
+
+
+class TestWarpCountCounter:
+    """``SM.warp_count`` is a running counter updated on assign and TB
+    completion; it must always equal the sum over the active TBs."""
+
+    @staticmethod
+    def assert_consistent(sms):
+        for sm in sms:
+            assert sm.warp_count == sum(tb.n_warps for tb in sm.active_tbs)
+
+    def multi_warp_tb(self, tb_id, n_warps, empty_warps=0):
+        warps = tuple(
+            WarpTrace.from_addresses(np.array(
+                [0x1000 + (tb_id * 8 + w) * 128], dtype=np.uint64))
+            for w in range(n_warps)
+        ) + tuple(
+            WarpTrace.from_addresses(np.empty(0, dtype=np.uint64))
+            for _ in range(empty_warps)
+        )
+        return TBContext(TBTrace(tb_id, warps), 0, identity_prepare)
+
+    def test_counter_tracks_assign_and_done_sequences(self):
+        h = Harness(n_sms=2, max_tbs_per_sm=3)
+        for sm in h.sms:
+            assign, done = sm.assign_tb, sm.on_tb_done
+
+            def checked_assign(tb, assign=assign):
+                assign(tb)
+                self.assert_consistent(h.sms)
+
+            def checked_done(tb, done=done):
+                self.assert_consistent(h.sms)
+                done(tb)
+
+            sm.assign_tb = checked_assign
+            sm.on_tb_done = checked_done
+        tbs = [
+            self.multi_warp_tb(i, 1 + i % 3, empty_warps=i % 2)
+            for i in range(10)
+        ]
+        h.scheduler.load_kernel(tbs)
+        self.assert_consistent(h.sms)
+        h.drain_fills()
+        assert h.scheduler.idle and h.kernels_done == 1
+        assert [sm.warp_count for sm in h.sms] == [0, 0]
+
+    def test_empty_tb_leaves_counter_at_zero(self):
+        """A TB with no memory ops completes inside assign_tb."""
+        h = Harness(n_sms=1)
+        h.scheduler.load_kernel([self.multi_warp_tb(0, 0, empty_warps=2)])
+        assert h.sms[0].warp_count == 0
+        assert h.kernels_done == 1

@@ -266,3 +266,76 @@ class TestLimits:
             engine.at(t, lambda: None)
         engine.run()
         assert engine.events_processed == 5
+
+
+class TestCountersBetweenRuns:
+    """``events_processed`` is counted locally inside ``run`` and stored
+    when it returns or raises: between runs it and ``pending`` are
+    exact, whichever way the run ended."""
+
+    def test_after_normal_return(self):
+        engine = Engine()
+        engine.at(1, lambda: engine.at(1, lambda: engine.after(2, lambda: None)))
+        engine.at_call(1, lambda _arg: None, None)
+        engine.at(4, lambda: None)
+        engine.run()
+        assert engine.events_processed == 5
+        assert engine.pending == 0
+        assert engine.idle
+        engine.after(1, lambda: None)
+        assert engine.pending == 1
+        engine.run()
+        assert engine.events_processed == 6
+        assert engine.pending == 0
+
+    def test_after_until_pause(self):
+        engine = Engine()
+        for t in (1, 2, 3, 10, 11):
+            engine.at(t, lambda: None)
+        engine.run(until=5)
+        assert (engine.events_processed, engine.pending) == (3, 2)
+        assert not engine.idle
+        engine.run()
+        assert (engine.events_processed, engine.pending) == (5, 0)
+
+    def test_after_max_events_exhaustion(self):
+        engine = Engine()
+        for _ in range(4):
+            engine.at(2, lambda: None)
+        for t in (3, 4):
+            engine.at(t, lambda: None)
+        with pytest.raises(SimulationError, match="max_events"):
+            engine.run(max_events=3)
+        assert (engine.events_processed, engine.pending) == (3, 3)
+        # The budget is per run: a later run resumes mid-bucket.
+        engine.run()
+        assert (engine.events_processed, engine.pending) == (6, 0)
+
+    def test_after_callback_raises_mid_bucket(self):
+        engine = Engine()
+        fired = []
+
+        def boom():
+            raise ValueError("model bug")
+
+        engine.at(5, lambda: fired.append(1))
+        engine.at(5, boom)
+        engine.at(5, lambda: fired.append(2))
+        engine.at(6, lambda: fired.append(3))
+        with pytest.raises(ValueError):
+            engine.run()
+        # The failing event counts as processed; the rest stay queued.
+        assert (engine.events_processed, engine.pending) == (2, 2)
+        assert engine.now == 5
+        engine.run()
+        assert fired == [1, 2, 3]
+        assert (engine.events_processed, engine.pending) == (4, 0)
+
+    def test_now_is_a_plain_int_attribute(self):
+        engine = Engine()
+        seen = []
+        engine.at(7, lambda: seen.append(engine.now))
+        engine.at(12, lambda: None)
+        engine.run(until=9)
+        assert seen == [7]
+        assert engine.now == 9 and type(engine.now) is int
