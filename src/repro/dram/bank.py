@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .timing import DRAMTiming
 
 __all__ = ["Bank", "AccessKind"]
@@ -107,50 +105,20 @@ class Bank:
         self.activates += 1
         return activate_at + t.t_rcd, kind
 
-    def replay_rows(self, rows) -> None:
-        """Functionally replay an ordered row-access stream (no timing).
-
-        The sampled-fidelity fast-forward path: classify every access
-        against the evolving open-row state and update the
-        hit/miss/conflict, activate and precharge counters in one
-        vectorized pass, leaving the row buffer holding the stream's
-        last row.  Timing state (``ready_at`` / ``activated_at``) is
-        untouched — fast-forwarded work consumes no simulated cycles.
-        """
-        rows = np.asarray(rows)
-        n = len(rows)
-        if not n:
-            return
-        # Every in-stream row change is a conflict (precharge + ACT);
-        # unchanged rows are hits.  The first access is classified
-        # against the current open row.
-        changes = int(np.count_nonzero(rows[1:] != rows[:-1])) if n > 1 else 0
-        first_row = int(rows[0])
-        if self.open_row is None:
-            self.row_misses += 1
-            first_activates, first_precharges = 1, 0
-        elif self.open_row == first_row:
-            self.row_hits += 1
-            first_activates, first_precharges = 0, 0
-        else:
-            self.row_conflicts += 1
-            first_activates, first_precharges = 1, 1
-        self.row_hits += n - 1 - changes
-        self.row_conflicts += changes
-        self.activates += changes + first_activates
-        self.precharges += changes + first_precharges
-        self.open_row = int(rows[-1])
-
     def replay_rows_summary(
         self, first_row: int, last_row: int, n: int, changes: int
     ) -> None:
-        """Counter-only form of :meth:`replay_rows`.
+        """Functionally replay an ordered row-access stream (no timing).
 
-        The vectorized replay backend computes each bank's sub-stream
-        summary (*n* accesses, *changes* in-stream row transitions,
-        first and last row) with whole-channel array passes; this
-        method applies the identical counter updates without
-        materializing the per-bank row arrays.
+        The stream arrives as its summary — *n* accesses, *changes*
+        in-stream row transitions, first and last row — which the
+        memory controller computes for every bank with whole-channel
+        array passes.  Every in-stream row change is a conflict
+        (precharge + ACT) and every unchanged row a hit; the first
+        access is classified against the current open row, and the row
+        buffer ends up holding *last_row*.  Timing state (``ready_at``
+        / ``activated_at``) is untouched — fast-forwarded work consumes
+        no simulated cycles.
         """
         if not n:
             return

@@ -182,7 +182,7 @@ class MemoryController:
         self._pump()
 
     # ------------------------------------------------------------------
-    # Sampled-fidelity fast-forward
+    # Functional replay (sampled and auto fidelity)
     # ------------------------------------------------------------------
     def replay_traffic(self, banks, rows, n_reads: int, n_writes: int) -> None:
         """Functionally replay decoded DRAM traffic (no engine events).
@@ -190,48 +190,16 @@ class MemoryController:
         *banks*/*rows* are the per-request coordinates in replay
         order; *n_reads*/*n_writes* split the stream by direction for
         the read/write energy counters.  Each bank's sub-stream (order
-        preserved) is replayed through its row-buffer state machine,
-        so activate/hit/conflict counters and the open rows stay
-        integrated across fast-forwarded work.  Queues, timing and the
-        data bus are untouched — no simulated cycles elapse.
-        """
-        banks = np.asarray(banks)
-        rows = np.asarray(rows)
-        if len(banks) != len(rows):
-            raise ValueError(
-                f"bank/row replay arrays disagree on length: "
-                f"{len(banks)}/{len(rows)}"
-            )
-        if len(banks):
-            order = np.argsort(banks, kind="stable")
-            sorted_banks = banks[order]
-            sorted_rows = rows[order]
-            boundaries = np.flatnonzero(sorted_banks[1:] != sorted_banks[:-1]) + 1
-            start = 0
-            for end in [*boundaries.tolist(), len(sorted_banks)]:
-                self.banks[int(sorted_banks[start])].replay_rows(
-                    sorted_rows[start:end]
-                )
-                start = end
-        self.reads += n_reads
-        self.writes += n_writes
-        self.requests_seen += n_reads + n_writes
-        # Account the bursts the transfers would have occupied, so
-        # bandwidth_utilization stays meaningful against extrapolated
-        # cycle counts.
-        self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
-
-    def replay_traffic_vector(
-        self, banks, rows, n_reads: int, n_writes: int
-    ) -> None:
-        """Vectorized :meth:`replay_traffic` (counter-identical).
+        preserved) updates its row-buffer counters and open row, so
+        activate/hit/conflict counts stay integrated across
+        fast-forwarded work.  Queues, timing and the data bus are
+        untouched — no simulated cycles elapse.
 
         One stable argsort groups the stream by bank; per-bank row
         transitions are counted with a single whole-channel ``np.diff``
         comparison (transitions at segment starts masked off), and each
         present bank applies its summary via
-        :meth:`~repro.dram.bank.Bank.replay_rows_summary`.  Leaves
-        every counter and open row exactly as the scalar pass would.
+        :meth:`~repro.dram.bank.Bank.replay_rows_summary`.
         """
         banks = np.asarray(banks)
         rows = np.asarray(rows)
@@ -265,6 +233,9 @@ class MemoryController:
         self.reads += n_reads
         self.writes += n_writes
         self.requests_seen += n_reads + n_writes
+        # Account the bursts the transfers would have occupied, so
+        # bandwidth_utilization stays meaningful against extrapolated
+        # cycle counts.
         self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
 
     def _wake_at(self, time: int) -> None:

@@ -14,7 +14,7 @@ same lines nearly simultaneously.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,29 +137,21 @@ class SetAssociativeCache:
     def sync_use_counter(self, value: int) -> None:
         """Advance the LRU tick to at least *value*.
 
-        The vectorized replay backend stamps ops with per-stream
-        positions instead of per-bump ticks; afterwards it fast-forwards
-        the counter past every stamp so later accesses stay the most
-        recent.  Never moves the counter backwards.
+        The functional-replay plane (:mod:`repro.sim.replay`) stamps
+        ops with per-stream positions instead of per-bump ticks;
+        afterwards it fast-forwards the counter past every stamp so
+        later accesses stay the most recent.  Never moves the counter
+        backwards.
         """
         if value > self._use_counter:
             self._use_counter = value
 
-    def set_entries(self, set_id: int) -> Dict[int, List]:
-        """The live ``{line: [use, dirty]}`` dict of one set.
-
-        Exposed for the vectorized replay backend, which stages set
-        contents into dense arrays and writes them back in place.
-        Mutating the returned dict mutates the cache.
-        """
-        return self._lines[set_id]
-
     @property
     def line_tables(self) -> List[Dict[int, List]]:
-        """All live set dicts, indexed by set id (see :meth:`set_entries`).
+        """All live ``{line: [use, dirty]}`` set dicts, indexed by set id.
 
-        One attribute read instead of one method call per op on the
-        replay plane's sparse-stream fallback path.
+        Exposed for the functional-replay plane, which updates sets in
+        place; mutating a returned dict mutates the cache.
         """
         return self._lines
 
@@ -340,143 +332,6 @@ class SetAssociativeCache:
             return True
         self.stats.write_misses += 1
         return False
-
-    # ------------------------------------------------------------------
-    # Bulk functional replay (sampled-fidelity fast-forward)
-    # ------------------------------------------------------------------
-    # These loops are the no-engine half of the sampled-fidelity mode:
-    # they replay a pre-translated address stream through the tag/LRU
-    # state in one pass, keeping the cache warm and the hit/miss
-    # counters integrated over the fast-forwarded work.  They follow
-    # the same policies as the event-driven paths (try_read /
-    # write_through for the L1, on_read / on_write for the LLC) with
-    # time removed: a read miss installs its line immediately, which
-    # also stands in for MSHR merging (later accesses to the line hit).
-
-    def warm_through_many(
-        self,
-        lines: Sequence[int],
-        writes: Sequence[bool],
-        set_ids: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Replay accesses under the L1 policy (write-through,
-        no-write-allocate; read misses fill).
-
-        Returns the positions of accesses forwarded downstream: every
-        write (write-through) plus every read miss.  Victims are never
-        dirty under this policy, so there is nothing to write back.
-
-        *set_ids*, when given, must be the precomputed
-        :meth:`set_indices_array` of *lines*, which must then already
-        be line-aligned — the bulk replay path hoists both the
-        alignment and the set hash out of this loop.
-        """
-        if set_ids is None:
-            lines = [self.line_address(address) for address in lines]
-            set_ids = [self._set_index(line) for line in lines]
-        forwarded: List[int] = []
-        append = forwarded.append
-        sets = self._lines
-        ways = self._ways
-        use = self._use_counter
-        read_hits = read_misses = write_hits = write_misses = evictions = 0
-        for position, line in enumerate(lines):
-            entry_set = sets[set_ids[position]]
-            entry = entry_set.get(line)
-            if writes[position]:
-                if entry is not None:
-                    use += 1
-                    entry[0] = use
-                    write_hits += 1
-                else:
-                    write_misses += 1
-                append(position)
-                continue
-            if entry is not None:
-                use += 1
-                entry[0] = use
-                read_hits += 1
-                continue
-            read_misses += 1
-            use += 1
-            if len(entry_set) >= ways:
-                victim_line = min(entry_set, key=entry_set.__getitem__)
-                entry_set.pop(victim_line)
-                evictions += 1
-            entry_set[line] = [use, False]
-            append(position)
-        self._use_counter = use
-        stats = self.stats
-        stats.read_hits += read_hits
-        stats.read_misses += read_misses
-        stats.write_hits += write_hits
-        stats.write_misses += write_misses
-        stats.evictions += evictions
-        return forwarded
-
-    def warm_back_many(
-        self,
-        lines: Sequence[int],
-        writes: Sequence[bool],
-        set_ids: Optional[Sequence[int]] = None,
-    ) -> Tuple[List[int], List[int]]:
-        """Replay accesses under the LLC policy (write-back,
-        write-allocate; full-line stores install dirty without a fetch).
-
-        Returns ``(read_miss_positions, writeback_lines)``: the
-        positions whose lines must be fetched from DRAM, and the dirty
-        victim line addresses evicted along the way.
-
-        *set_ids* follows the same contract as in
-        :meth:`warm_through_many`: precomputed set indices for
-        already-aligned *lines*.
-        """
-        if set_ids is None:
-            lines = [self.line_address(address) for address in lines]
-            set_ids = [self._set_index(line) for line in lines]
-        read_miss_positions: List[int] = []
-        writebacks: List[int] = []
-        sets = self._lines
-        ways = self._ways
-        use = self._use_counter
-        read_hits = read_misses = write_hits = write_misses = 0
-        evictions = n_writebacks = 0
-        for position, line in enumerate(lines):
-            entry_set = sets[set_ids[position]]
-            entry = entry_set.get(line)
-            is_write = writes[position]
-            if entry is not None:
-                use += 1
-                entry[0] = use
-                if is_write:
-                    entry[1] = True
-                    write_hits += 1
-                else:
-                    read_hits += 1
-                continue
-            if is_write:
-                write_misses += 1
-            else:
-                read_misses += 1
-                read_miss_positions.append(position)
-            use += 1
-            if len(entry_set) >= ways:
-                victim_line = min(entry_set, key=entry_set.__getitem__)
-                victim = entry_set.pop(victim_line)
-                evictions += 1
-                if victim[1]:
-                    n_writebacks += 1
-                    writebacks.append(victim_line)
-            entry_set[line] = [use, bool(is_write)]
-        self._use_counter = use
-        stats = self.stats
-        stats.read_hits += read_hits
-        stats.read_misses += read_misses
-        stats.write_hits += write_hits
-        stats.write_misses += write_misses
-        stats.evictions += evictions
-        stats.writebacks += n_writebacks
-        return read_miss_positions, writebacks
 
     def invalidate(self, address: int) -> bool:
         """Drop the line holding *address*; True if it was present."""

@@ -139,22 +139,6 @@ class LLCSlice:
         self._send_response(request)
 
     # ------------------------------------------------------------------
-    # Sampled-fidelity fast-forward
-    # ------------------------------------------------------------------
-    def warm_many(self, lines, writes, set_ids=None):
-        """Functionally replay post-L1 accesses through this slice.
-
-        The bulk no-engine path of the sampled-fidelity mode: tags,
-        LRU and hit/miss counters are updated as if the accesses had
-        been simulated, without scheduling any events.  Returns
-        ``(read_miss_positions, writeback_lines)`` — the DRAM traffic
-        the replayed accesses would have generated (read fetches plus
-        dirty victim writebacks), for the caller to replay through the
-        DRAM row state.
-        """
-        return self.cache.warm_back_many(lines, writes, set_ids=set_ids)
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def miss_rate(self) -> float:

@@ -371,22 +371,6 @@ class SM:
             ))
         self._issued(warp)
 
-    # ------------------------------------------------------------------
-    # Sampled-fidelity fast-forward
-    # ------------------------------------------------------------------
-    def warm_l1(self, lines, writes, set_ids=None):
-        """Functionally replay a warp's op stream through this SM's L1.
-
-        The L1-filter stage of the sampled-fidelity fast-forward: no
-        events, no warp state — just the tag/LRU/counter effects of
-        the accesses.  Returns the positions forwarded downstream
-        (read misses plus every write-through store), which the system
-        replays through the LLC slices.  ``instructions_issued`` is
-        untouched: it counts detailed issues only, so sampled-mode
-        rate measurement stays clean.
-        """
-        return self.l1.warm_through_many(lines, writes, set_ids=set_ids)
-
     def __repr__(self) -> str:
         return (
             f"SM({self.sm_id}, tbs={self.tb_count}, warps={self.warp_count}, "

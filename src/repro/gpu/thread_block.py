@@ -112,41 +112,21 @@ class WarpContext:
             self.retired = True
             self.tb.warp_finished()
 
-    def fast_forward_rest(self) -> Tuple[list, list, list, list, list, list]:
-        """Move the op cursor past every remaining op, returning them.
-
-        The sampled-fidelity freeze path: the skipped ops'
-        pre-translated per-op fields are handed back as
-        ``(lines, channels, banks, rows, slices, writes)`` list slices
-        for bulk functional replay — they are never issued on the
-        engine.  In-flight completions and pending issue events stay
-        valid: the SM's issue path treats a cursor at the end as
-        "nothing left to issue" and retires the warp through
-        :meth:`maybe_retire`.
-        """
-        start = self.op
-        self.op = self.n_ops
-        return (
-            self.lines[start:],
-            self.channels[start:],
-            self.banks[start:],
-            self.rows[start:],
-            self.slices[start:],
-            self.writes[start:],
-        )
-
     def fast_forward_middle(self, keep_last: int) -> Tuple[list, list, list, list, list, list]:
         """Skip remaining ops except the last *keep_last*, returning them.
 
-        The skip-middle freeze: the cursor jumps from ``op`` to
-        ``n_ops - keep_last`` and the skipped ops' pre-translated
-        fields come back as ``(lines, channels, banks, rows, slices,
-        writes)`` slices for functional replay.  The kept tail then
-        issues normally, so the end-of-kernel drain is simulated in
-        full detail.  Mid-flight cursor moves are safe for the same
-        reason as :meth:`fast_forward_rest`: the issue path re-reads
-        ``op`` on every event.  With ``keep_last`` at or above the
-        remaining count nothing is skipped.
+        The freeze path of sampled and auto fidelity: the cursor jumps
+        from ``op`` to ``n_ops - keep_last`` and the skipped ops'
+        pre-translated fields come back as ``(lines, channels, banks,
+        rows, slices, writes)`` list slices for functional replay —
+        they are never issued on the engine.  A kept tail issues
+        normally, so the end-of-kernel drain is simulated in full
+        detail; ``keep_last=0`` skips every remaining op.  Mid-flight
+        cursor moves are safe: the SM's issue path re-reads ``op`` on
+        every event, treats a cursor at the end as "nothing left to
+        issue" and retires the warp through :meth:`maybe_retire`.
+        With ``keep_last`` at or above the remaining count nothing is
+        skipped.
         """
         start = self.op
         end = max(start, self.n_ops - max(0, keep_last))
@@ -171,8 +151,8 @@ class TBContext:
     """One Thread Block in flight on an SM."""
 
     __slots__ = (
-        "tb_id", "kernel_index", "warps", "n_warps", "remaining_warps",
-        "sm_id", "on_done",
+        "trace", "tb_id", "kernel_index", "warps", "n_warps",
+        "remaining_warps", "sm_id", "on_done",
     )
 
     def __init__(
@@ -185,8 +165,11 @@ class TBContext:
 
         It returns ``(lines, channels, banks, rows, slices, l1_sets,
         llc_sets)`` — see the system's trace preparation for the
-        vectorized BIM apply and set hashing.
+        vectorized BIM apply and set hashing.  The raw *trace* stays
+        on the context: a frozen kernel replays its still-queued TBs
+        from their traces.
         """
+        self.trace = trace
         self.tb_id = trace.tb_id
         self.kernel_index = kernel_index
         self.warps: List[WarpContext] = [

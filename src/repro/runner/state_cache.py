@@ -149,7 +149,9 @@ class StateCache:
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
+            # Unreadable, missing a field, a non-scalar count, or a
+            # stream that breaks a KernelStream invariant.
             self.stats.corrupt += 1
             try:
                 os.unlink(path)

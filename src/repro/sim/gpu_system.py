@@ -273,10 +273,13 @@ class GPUSystem:
         self.scheduler = TBScheduler(self.sms, on_kernel_done=self._kernel_done)
         self._kernels_pending: List[List[TBContext]] = []
         self._finished = False
-        # Sampled-fidelity state: a rotating cursor spreading each
+        # Functional-replay state: a rotating cursor spreading each
         # fast-forwarded wave's TBs across the SM L1s (approximating
-        # the dispatcher's least-loaded spread).
+        # the dispatcher's least-loaded spread), and the wave size —
+        # one machine window, so only TBs that would plausibly
+        # co-execute are interleaved.
         self._ff_sm_cursor = 0
+        self._wave_cap = max(1, self.config.max_concurrent_tbs)
 
         # Pre-bound callbacks for the engine's closure-free scheduling
         # fast path: no lambda or bound-method allocation per packet.
@@ -979,9 +982,9 @@ class GPUSystem:
         Two populations are skipped: the in-flight warps' remaining
         ops (their cursors jump forward; pending engine events resolve
         through the issue path's cursor guards), and the TBs still
-        queued for dispatch (replayed wholesale, in
-        dispatch-window-sized groups so only TBs that would plausibly
-        co-execute are interleaved).
+        queued for dispatch (replayed wholesale as a
+        :class:`~repro.sim.replay.KernelStream`, the same path an
+        estimated kernel takes).
 
         With ``keep_share`` > 0 (the skip-middle freeze) each in-flight
         warp keeps that share of its remaining ops — at least one — as
@@ -990,8 +993,6 @@ class GPUSystem:
         the end-of-kernel parallelism decay and drain run for real.
         Returns ``(ops_skipped, estimated_noc_flits)``.
         """
-        total_skipped = 0
-        total_flits = 0
         # Group 0: the in-flight warps, on their real SMs.  A warp
         # parked on a full MSHR file replays from its *current* op,
         # whose L1 miss was already counted at the failed issue — the
@@ -1000,107 +1001,49 @@ class GPUSystem:
         # LLC/DRAM traffic.
         streams = []
         for warp in self._active_warps():
+            keep = 0
             if keep_share > 0.0:
-                remaining = warp.n_ops - warp.op
-                keep = max(1, int(remaining * keep_share))
-                chunk = warp.fast_forward_middle(keep)
-            else:
-                chunk = warp.fast_forward_rest()
+                keep = max(1, int((warp.n_ops - warp.op) * keep_share))
+            chunk = warp.fast_forward_middle(keep)
             if chunk[0]:
                 streams.append((warp.tb.sm_id, chunk))
-        if streams:
-            skipped, flits = self._replay_interleaved(streams)
-            total_skipped += skipped
-            total_flits += flits
+        skipped, flits = self._replay_interleaved(streams)
         # Later groups: queued TBs in dispatch order, one machine
         # window at a time, spread round-robin across the SM L1s.
         keep_tbs = 0
         if keep_share > 0.0:
             keep_tbs = int(round(self.scheduler.pending * keep_share))
-        skipped, flits = self._replay_contexts(
-            self.scheduler.take_pending(keep_last=keep_tbs)
+        queued = self.scheduler.take_pending(keep_last=keep_tbs)
+        stream = replay_plane.build_kernel_stream(
+            [tb.trace for tb in queued], self._wave_cap
         )
-        total_skipped += skipped
-        total_flits += flits
-        return total_skipped, total_flits
-
-    def _replay_contexts(self, contexts):
-        """Functionally replay whole TBs (never dispatched) in waves.
-
-        TBs are taken in dispatch order, one machine window
-        (``max_concurrent_tbs``) at a time — only TBs that would
-        plausibly co-execute are interleaved — and spread round-robin
-        across the SM L1s.  Shared by the freeze path (a frozen
-        kernel's undispatched tail) and the auto-fidelity path (a
-        whole estimated kernel).  Returns ``(ops_replayed,
-        estimated_noc_flits)``.
-        """
-        total_skipped = 0
-        total_flits = 0
-        wave_cap = max(1, self.config.max_concurrent_tbs)
-        n_sms = len(self.sms)
-        for start in range(0, len(contexts), wave_cap):
-            streams = []
-            for tb in contexts[start:start + wave_cap]:
-                sm_id = self._ff_sm_cursor % n_sms
-                self._ff_sm_cursor += 1
-                for warp in tb.warps:
-                    chunk = warp.fast_forward_rest()
-                    if chunk[0]:
-                        streams.append((sm_id, chunk))
-            if streams:
-                skipped, flits = self._replay_interleaved(streams)
-                total_skipped += skipped
-                total_flits += flits
-        return total_skipped, total_flits
+        queued_skipped, queued_flits = self._replay_stream(stream)
+        return skipped + queued_skipped, flits + queued_flits
 
     def _replay_interleaved(self, streams):
         """Round-robin-interleave warp op streams and replay them.
 
         *streams* is a list of ``(sm_id, (lines, channels, banks,
         rows, slices, writes))`` per warp; ops are merged one per warp
-        per turn — approximately the order co-resident warps would
-        issue in — and handed to :meth:`_replay_ops`.  The merge is
-        one vectorized lexsort over (op position, stream index)
-        instead of a per-op Python loop — on large frozen kernels the
-        replay is the sampled run's residual cost.
+        per turn (:func:`~repro.sim.replay.interleave_order`, the
+        order :func:`~repro.sim.replay.build_kernel_stream` uses too)
+        and each op replays through its own warp's SM.  Returns
+        ``(ops_replayed, estimated_noc_flits)``.
         """
         if not streams:
             return 0, 0
-        if len(streams) == 1:
-            sm_id, chunk = streams[0]
-            lines, channels, banks, rows, slice_ids, writes = chunk
-            return self._replay_ops(
-                [sm_id] * len(lines), lines, channels, banks, rows,
-                slice_ids, writes,
-            )
         lengths = [len(chunk[0]) for _, chunk in streams]
-        position = np.concatenate([np.arange(n) for n in lengths])
-        stream_index = np.repeat(np.arange(len(streams)), lengths)
-        order = np.lexsort((stream_index, position))
+        order = replay_plane.interleave_order(lengths)
         sm_ids = np.repeat(
             np.asarray([sm_id for sm_id, _ in streams]), lengths
         )[order]
-        merged = []
-        for field in range(6):
-            concatenated = np.concatenate(
+        merged = [
+            np.concatenate(
                 [np.asarray(chunk[field]) for _, chunk in streams]
-            )
-            merged.append(concatenated[order])
-        return self._replay_ops(sm_ids, *merged)
-
-
-    def _replay_ops(self, sm_ids, lines, channels, banks, rows, slice_ids, writes):
-        """Replay an ordered op stream functionally through the hierarchy.
-
-        Delegates to :mod:`repro.sim.replay` (the scalar oracle or the
-        vectorized structure-of-arrays backend, selected per process
-        via ``REPRO_REPLAY_BACKEND``); both leave equivalent state and
-        return ``(ops_replayed, estimated_noc_flits)``.
-        """
-        return replay_plane.replay_ops(
-            self, sm_ids, lines, channels, banks, rows, slice_ids, writes
-        )
+            )[order]
+            for field in range(6)
+        ]
+        return replay_plane.replay_ops(self, sm_ids, *merged)
 
     def _kernel_stream(
         self, kernel, kernel_index, state_cache, state_key, workload=None
@@ -1112,13 +1055,13 @@ class GPUSystem:
         kernel index and the machine's wave capacity), building and
         storing it on a miss.
         """
-        wave_cap = max(1, self.config.max_concurrent_tbs)
+        wave_cap = self._wave_cap
         if state_cache is None or state_key is None:
-            return replay_plane.build_kernel_stream(kernel, wave_cap)
+            return replay_plane.build_kernel_stream(kernel.tbs, wave_cap)
         key = state_cache.key_for(state_key, kernel_index, wave_cap)
         stream = state_cache.get(key)
         if stream is None:
-            stream = replay_plane.build_kernel_stream(kernel, wave_cap)
+            stream = replay_plane.build_kernel_stream(kernel.tbs, wave_cap)
             state_cache.put(
                 key, stream,
                 benchmark=getattr(workload, "abbreviation", None),
@@ -1129,13 +1072,14 @@ class GPUSystem:
     def _replay_stream(self, stream):
         """Replay a :class:`~repro.sim.replay.KernelStream`.
 
-        Equivalent to :meth:`_replay_contexts` over the kernel's full
-        TB list: the fast-forward SM cursor advances once per TB
-        (empty ones included), each op lands on the SM its TB would
-        have been spread to, the whole stream is scheme-mapped and
-        decoded in one pass, and each wave is replayed as one
-        :meth:`_replay_ops` call (preserving the per-wave DRAM
-        grouping).  Returns ``(ops_replayed, estimated_noc_flits)``.
+        The one replay path for whole TBs, whether an estimated
+        kernel's or the queued tail of a frozen one: the fast-forward
+        SM cursor advances once per TB (empty ones included), each op
+        lands on the SM its TB is spread to, the whole stream is
+        scheme-mapped and decoded in one pass, and each wave is
+        replayed as one :func:`~repro.sim.replay.replay_ops` call
+        (preserving the per-wave DRAM grouping).  Returns
+        ``(ops_replayed, estimated_noc_flits)``.
         """
         cursor0 = self._ff_sm_cursor
         self._ff_sm_cursor += stream.n_tbs
@@ -1155,14 +1099,13 @@ class GPUSystem:
         total_flits = 0
         for start, end in zip(bounds, bounds[1:]):
             view = slice(start, end)
-            skipped, flits = self._replay_ops(
-                sm_ids[view], lines[view], channels[view], banks[view],
-                rows[view], slices[view], stream.writes[view],
+            skipped, flits = replay_plane.replay_ops(
+                self, sm_ids[view], lines[view], channels[view],
+                banks[view], rows[view], slices[view], stream.writes[view],
             )
             total_skipped += skipped
             total_flits += flits
         return total_skipped, total_flits
-
 
     # ------------------------------------------------------------------
     # Metric collection

@@ -1,114 +1,64 @@
-"""Vectorized functional-replay backends (the "replay plane").
+"""The functional-replay plane of sampled and auto fidelity.
 
-The sampled/auto fidelity modes push large op streams through the
-warmed L1/LLC/DRAM-row state with no engine events (see
-:meth:`GPUSystem._replay_ops`).  This module provides two
-interchangeable backends for that work:
+Sampled and auto fidelity skip part of a workload's detailed
+simulation — estimated kernels, and the frozen remainder of measured
+ones — but the skipped ops must still warm the memory hierarchy for
+the kernels that follow.  :func:`replay_ops` pushes an ordered op
+stream through that state with no engine events:
 
-``scalar``
-    The original per-op dict loops
-    (:meth:`~repro.gpu.cache.SetAssociativeCache.warm_through_many` /
-    ``warm_back_many`` per SM / LLC slice, and
-    :meth:`~repro.dram.controller.MemoryController.replay_traffic`
-    per channel).  Kept as the oracle.
+1. one per-op pass over the live set dicts of every SM's L1
+   (write-through, no-write-allocate), yielding the ops forwarded
+   downstream (:func:`warm_through`);
+2. the same pass over the LLC slices (write-back, write-allocate),
+   yielding the read misses and dirty victims (:func:`warm_back`);
+3. one array pass per channel over the decoded DRAM traffic
+   (:meth:`~repro.dram.controller.MemoryController.replay_traffic`).
 
-``vector`` (the default)
-    A structure-of-arrays path: ops are grouped by (cache, set) with
-    one stable argsort, the tag/LRU/dirty state of every touched set
-    is staged into dense numpy arrays, and the stream is consumed in
-    *rounds* — round ``k`` applies the k-th op of every still-active
-    group at once (broadcast tag compare, masked argmin victim
-    selection).  Ragged tails (a few hot sets with many more ops than
-    the rest) drop back to a per-op dict loop once the round width
-    collapses, so the worst case never degrades below the scalar
-    path.  DRAM traffic is replayed with one whole-channel pass
-    (:meth:`~repro.dram.controller.MemoryController.replay_traffic_vector`).
+**Equivalence contract.**  The per-cache, per-bank loops this plane
+replaced live on as the oracle in ``tests/replay_oracle.py``, and
+``tests/sim/test_replay_equiv.py`` pins the two to identical
+*observable* state: every stats counter (cache hits/misses, evictions,
+writebacks, DRAM activates/row-hits/conflicts, power-model inputs),
+the forwarded-op set, the DRAM traffic streams (order included), the
+open rows, and the resident (line, dirty) contents of every cache set
+in the same recency order.  Only the internal LRU tick values differ:
+op ``p`` is stamped with its stream position instead of the next tick
+of a per-bump counter.  That is unobservable — victim selection
+depends only on the relative recency order *within* a set, and the
+absolute counter never reaches a report.
 
-**Equivalence contract** (enforced by ``tests/sim/test_replay_equiv.py``
-and the CI ``replay-equiv`` job): both backends produce byte-identical
-*observable* state — every stats counter (cache hits/misses,
-evictions, writebacks, DRAM activates/row-hits/conflicts, power-model
-inputs), the forwarded-op set, the DRAM traffic streams (order
-included), the open rows, and the resident (line, dirty) contents of
-every cache set in the same recency order.  The internal LRU tick
-values differ (the vector backend stamps each touched op with a
-per-stream position instead of a per-bump counter), which is
-unobservable: victim selection depends only on the relative recency
-order *within* a set, and the absolute counter never reaches a report.
-
-The backend is selected per process via ``REPRO_REPLAY_BACKEND``
-(``vector`` | ``scalar``), read lazily at replay time so tests can
-flip it with ``monkeypatch.setenv``.  It never enters cache keys:
-both backends produce the same results by contract.
-
-The module also owns the **kernel-stream** form used by the
-cross-run warmed-state cache
-(:class:`~repro.runner.state_cache.StateCache`): an estimated
-kernel's replay stream as raw (pre-mapping) addresses plus TB
-ordinals.  The stream is a pure function of the workload and the
-machine geometry — never of the mapping scheme (fingerprints and
-interleave order are scheme-independent), which is exactly why it can
-be cached without the scheme in its key; each scheme's run maps the
-raw addresses once (one GF(2) pass) and replays.
+The module also owns the **kernel-stream** form of whole TBs, used by
+the cross-run warmed-state cache
+(:class:`~repro.runner.state_cache.StateCache`): a TB sequence's
+replay stream as raw (pre-mapping) addresses plus TB ordinals.  The
+stream is a pure function of the workload and the machine geometry —
+never of the mapping scheme (fingerprints and interleave order are
+scheme-independent), which is exactly why it can be cached without
+the scheme in its key; each scheme's run maps the raw addresses once
+(one GF(2) pass) and replays.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "BACKEND_ENV",
-    "replay_backend",
     "replay_ops",
-    "warm_through_vector",
-    "warm_back_vector",
+    "warm_through",
+    "warm_back",
+    "interleave_order",
     "KernelStream",
     "build_kernel_stream",
 ]
 
-BACKEND_ENV = "REPRO_REPLAY_BACKEND"
-_BACKENDS = ("vector", "scalar")
-
-# Round width below which the grouped pass stops and the remaining
-# (ragged-tail) groups finish on the per-op dict loop: with only a
-# handful of active groups per round, numpy call overhead exceeds the
-# dict work it replaces.
-_TAIL_CUTOFF = 24
-
-# Mean ops-per-(cache, set) group below which the grouped engine is
-# skipped outright: staging every touched set into dense arrays and
-# back costs a Python loop over groups, which only amortizes when
-# each group carries many ops.  Sparse streams (the common case at
-# small scales, where most sets see a handful of ops) run the direct
-# per-op pass instead, which is never slower than the scalar oracle.
-# Measured crossover (random streams, 1-16 caches, 64-256 sets):
-# grouped pulls ahead of direct at ~12-16 ops/group and reaches
-# ~3-4x at >=64 ops/group.
-_DENSE_OPS_PER_GROUP = 12
-
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def replay_backend() -> str:
-    """The active replay backend (``vector`` unless overridden)."""
-    value = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if not value:
-        return "vector"
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV} must be one of {_BACKENDS}, got {value!r}"
-        )
-    return value
-
 
 # ----------------------------------------------------------------------
-# Grouped set-associative warm passes (vector backend)
+# Set-associative warm passes
 # ----------------------------------------------------------------------
-def _grouped_warm(
+def _warm(
     caches: Sequence,
     cache_ids: np.ndarray,
     lines: np.ndarray,
@@ -116,16 +66,16 @@ def _grouped_warm(
     set_ids: np.ndarray,
     write_back: bool,
 ):
-    """Shared engine of the vectorized warm passes.
+    """One per-op pass of a stream over several same-geometry caches.
 
-    All *caches* share one geometry; ops are grouped by ``cache * sets
-    + set`` and consumed in rounds.  Returns per-op outcome arrays
-    ``(hit, evicted, wb_line)`` — ``wb_line`` (write-back policy only)
-    holds the dirty victim's line address or -1.
+    ``cache_ids[p]`` picks op ``p``'s cache and ``set_ids[p]`` its set.
+    Returns per-op outcome arrays ``(hit, evicted, wb_line)`` —
+    ``wb_line`` (write-back policy only) holds the dirty victim's line
+    address or -1.
 
     Recency stamps: op ``p`` touching its set is stamped ``base(cache)
     + 1 + p``, strictly increasing in op order per cache, so the
-    relative LRU order inside every set matches the scalar loops
+    relative LRU order inside every set matches a per-bump counter's
     exactly even though the absolute values differ (see module
     docstring).  Afterwards each touched cache's counter is advanced
     past every stamp.
@@ -134,161 +84,6 @@ def _grouped_warm(
     hit = np.zeros(n, dtype=bool)
     evicted = np.zeros(n, dtype=bool)
     wb_line = np.full(n, -1, dtype=np.int64) if write_back else None
-    if not n:
-        return hit, evicted, wb_line
-
-    n_sets = caches[0].sets
-    ways = caches[0].ways
-
-    group = cache_ids * np.int64(n_sets) + set_ids
-    order = np.argsort(group, kind="stable")
-    g_sorted = group[order]
-    uniq, starts, counts = np.unique(
-        g_sorted, return_index=True, return_counts=True
-    )
-    n_groups = uniq.size
-    if n < _DENSE_OPS_PER_GROUP * n_groups:
-        return _direct_warm(
-            caches, cache_ids, lines, writes, set_ids, write_back,
-            hit, evicted, wb_line,
-        )
-
-    bases = np.asarray([c.use_counter for c in caches], dtype=np.int64)
-    rec = bases[cache_ids] + 1 + np.arange(n, dtype=np.int64)
-
-    # Stage the touched sets' state into dense arrays.
-    tags = np.full((n_groups, ways), -1, dtype=np.int64)
-    use = np.zeros((n_groups, ways), dtype=np.int64)
-    dirty = np.zeros((n_groups, ways), dtype=bool)
-    group_sets = []  # the live dict per group, for staging back
-    for gi in range(n_groups):
-        g = int(uniq[gi])
-        entry_set = caches[g // n_sets].set_entries(g % n_sets)
-        group_sets.append(entry_set)
-        for way, (line, entry) in enumerate(entry_set.items()):
-            tags[gi, way] = line
-            use[gi, way] = entry[0]
-            dirty[gi, way] = bool(entry[1])
-
-    # Round k applies the k-th op of every group still holding one.
-    # Distinct groups never share a set, so the fancy-indexed updates
-    # of one round are conflict-free.
-    active = np.arange(n_groups)
-    k = 0
-    while active.size:
-        if k > 0 and active.size < _TAIL_CUTOFF:
-            break  # ragged tail: cheaper per-op (see below)
-        pos = order[starts[active] + k]
-        ln = lines[pos]
-        wr = writes[pos]
-        match = tags[active] == ln[:, None]
-        is_hit = match.any(axis=1)
-        hit[pos] = is_hit
-
-        hit_rows = np.flatnonzero(is_hit)
-        if hit_rows.size:
-            g = active[hit_rows]
-            way = match[hit_rows].argmax(axis=1)
-            use[g, way] = rec[pos[hit_rows]]
-            if write_back:
-                dirty[g, way] |= wr[hit_rows]
-
-        miss_rows = np.flatnonzero(~is_hit)
-        if miss_rows.size:
-            # L1 (write-through, no-write-allocate): only read misses
-            # allocate; write misses touch nothing.  LLC (write-back,
-            # write-allocate): every miss allocates.
-            alloc = miss_rows if write_back else miss_rows[~wr[miss_rows]]
-            if alloc.size:
-                g = active[alloc]
-                occupied = tags[g] >= 0
-                full = occupied.all(axis=1)
-                free_way = (~occupied).argmax(axis=1)
-                victim_way = np.where(
-                    occupied, use[g], _INT64_MAX
-                ).argmin(axis=1)
-                way = np.where(full, victim_way, free_way)
-                evicted[pos[alloc]] = full
-                if write_back:
-                    full_rows = np.flatnonzero(full)
-                    if full_rows.size:
-                        victim_dirty = dirty[g[full_rows], way[full_rows]]
-                        dirty_rows = full_rows[victim_dirty]
-                        if dirty_rows.size:
-                            wb_line[pos[alloc[dirty_rows]]] = tags[
-                                g[dirty_rows], way[dirty_rows]
-                            ]
-                tags[g, way] = ln[alloc]
-                use[g, way] = rec[pos[alloc]]
-                dirty[g, way] = wr[alloc] if write_back else False
-        k += 1
-        active = active[counts[active] > k]
-
-    # Stage the array state back into the live dicts (ways ordered by
-    # recency, so the rebuilt iteration order is deterministic).
-    for gi in range(n_groups):
-        valid = np.flatnonzero(tags[gi] >= 0)
-        ordered = valid[np.argsort(use[gi, valid], kind="stable")]
-        entry_set = group_sets[gi]
-        entry_set.clear()
-        for way in ordered.tolist():
-            entry_set[int(tags[gi, way])] = [
-                int(use[gi, way]), bool(dirty[gi, way])
-            ]
-
-    # Finish the ragged tails per op against the (now live) dicts.
-    # The same rec stamps apply, so per-set recency order still
-    # matches op order.
-    if active.size:
-        for gi in active.tolist():
-            entry_set = group_sets[gi]
-            tail = order[starts[gi] + k: starts[gi] + counts[gi]]
-            for p in tail.tolist():
-                line = int(lines[p])
-                is_write = bool(writes[p])
-                entry = entry_set.get(line)
-                if entry is not None:
-                    hit[p] = True
-                    entry[0] = int(rec[p])
-                    if write_back and is_write:
-                        entry[1] = True
-                    continue
-                if not write_back and is_write:
-                    continue  # L1 write miss: no allocation
-                if len(entry_set) >= ways:
-                    victim_line = min(entry_set, key=entry_set.__getitem__)
-                    victim = entry_set.pop(victim_line)
-                    evicted[p] = True
-                    if write_back and victim[1]:
-                        wb_line[p] = victim_line
-                entry_set[line] = [int(rec[p]), write_back and is_write]
-
-    # Advance every touched cache's counter past every stamp used.
-    for cache_id in np.unique(cache_ids).tolist():
-        caches[cache_id].sync_use_counter(int(bases[cache_id]) + n)
-    return hit, evicted, wb_line
-
-
-def _direct_warm(
-    caches: Sequence,
-    cache_ids: np.ndarray,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    set_ids: np.ndarray,
-    write_back: bool,
-    hit: np.ndarray,
-    evicted: np.ndarray,
-    wb_line: Optional[np.ndarray],
-):
-    """Sparse-stream fallback of :func:`_grouped_warm`: one per-op pass.
-
-    Identical policy, outcomes, and ``base(cache) + 1 + p`` recency
-    stamps — only the execution strategy differs (live dicts instead
-    of staged arrays).  Unlike the scalar oracle it needs no per-SM /
-    per-slice sub-stream segmentation, so it stays ahead of the
-    scalar path even when the grouped engine would not.
-    """
-    n = int(lines.size)
     bases = [c.use_counter for c in caches]
     ways = caches[0].ways
     tables = [c.line_tables for c in caches]
@@ -364,44 +159,42 @@ def _per_cache_stats(
             stats.writebacks += int(writebacks[cache_id])
 
 
-def warm_through_vector(
+def warm_through(
     caches: Sequence,
     cache_ids: np.ndarray,
     lines: np.ndarray,
     writes: np.ndarray,
     set_ids: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized ``warm_through_many`` across several same-geometry caches.
+    """Replay an op stream through several same-geometry L1s.
 
     L1 policy: write-through, no-write-allocate; read misses fill.
     Returns the boolean forwarded mask (every write plus every read
-    miss).  Counter- and state-equivalent to calling
-    :meth:`~repro.gpu.cache.SetAssociativeCache.warm_through_many` on
-    each cache's sub-stream in op order (see module docstring).
+    miss).
     """
-    hit, evicted, _ = _grouped_warm(
+    hit, evicted, _ = _warm(
         caches, cache_ids, lines, writes, set_ids, write_back=False
     )
     _per_cache_stats(caches, cache_ids, writes, hit, evicted, None)
     return writes | ~hit
 
 
-def warm_back_vector(
+def warm_back(
     caches: Sequence,
     cache_ids: np.ndarray,
     lines: np.ndarray,
     writes: np.ndarray,
     set_ids: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``warm_back_many`` across several same-geometry caches.
+    """Replay an op stream through several same-geometry LLC slices.
 
     LLC policy: write-back, write-allocate; stores install dirty
     without a fetch.  Returns ``(read_miss_mask, wb_line)`` where
     ``wb_line[p]`` is the dirty victim line evicted by op ``p`` (or
-    -1): position-resolved writebacks, unlike the scalar API, so the
-    caller can reproduce the scalar path's emission order exactly.
+    -1): position-resolved writebacks, so the caller can emit them in
+    the order the DRAM stage needs.
     """
-    hit, evicted, wb_line = _grouped_warm(
+    hit, evicted, wb_line = _warm(
         caches, cache_ids, lines, writes, set_ids, write_back=True
     )
     _per_cache_stats(caches, cache_ids, writes, hit, evicted, wb_line)
@@ -411,24 +204,6 @@ def warm_back_vector(
 # ----------------------------------------------------------------------
 # Whole-stream replay through the hierarchy
 # ----------------------------------------------------------------------
-def replay_ops(
-    system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-) -> Tuple[int, int]:
-    """Replay an ordered op stream through *system*'s hierarchy.
-
-    Dispatches to the scalar or vector backend (module docstring);
-    both return ``(ops_replayed, estimated_noc_flits)`` and leave the
-    system in equivalent state.
-    """
-    if replay_backend() == "scalar":
-        return _replay_ops_scalar(
-            system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-        )
-    return _replay_ops_vector(
-        system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-    )
-
-
 def _noc_flits_for(system, n_forwarded: int, n_forwarded_writes: int) -> int:
     """Estimated NoC flits for forwarded replay traffic.
 
@@ -443,111 +218,16 @@ def _noc_flits_for(system, n_forwarded: int, n_forwarded_writes: int) -> int:
     )
 
 
-def _replay_ops_scalar(
+def replay_ops(
     system, sm_ids, lines, channels, banks, rows, slice_ids, writes
 ) -> Tuple[int, int]:
-    """The original per-op replay loops (the oracle backend).
+    """Replay an ordered op stream through *system*'s hierarchy.
 
-    L1 filtering happens per SM (each SM sees its own sub-stream,
-    order preserved), surviving traffic is grouped per LLC slice, and
-    the resulting DRAM reads plus dirty-victim writebacks are replayed
-    through the per-bank row-buffer state machines.
-    """
-    total_ops = len(lines)
-    if not total_ops:
-        return 0, 0
-    sm_arr = np.asarray(sm_ids, dtype=np.int64)
-    lines_arr = np.asarray(lines, dtype=np.uint64)
-    writes_arr = np.asarray(writes, dtype=bool)
-    # Set hashing depends only on geometry, and every SM shares one
-    # L1 geometry — one vectorized pass covers the whole stream.
-    l1_set_ids = system.sms[0].l1.set_indices_array(lines_arr)
-    order = np.argsort(sm_arr, kind="stable")
-    sorted_sm = sm_arr[order]
-    bounds = [
-        0,
-        *(np.flatnonzero(np.diff(sorted_sm)) + 1).tolist(),
-        total_ops,
-    ]
-    keep = np.zeros(total_ops, dtype=bool)
-    for start, end in zip(bounds, bounds[1:]):
-        positions = order[start:end]
-        kept = system.sms[int(sorted_sm[start])].warm_l1(
-            lines_arr[positions].tolist(),
-            writes_arr[positions].tolist(),
-            set_ids=l1_set_ids[positions].tolist(),
-        )
-        if kept:
-            keep[positions[np.asarray(kept, dtype=np.int64)]] = True
-    forwarded = np.flatnonzero(keep)
-    if not forwarded.size:
-        return total_ops, 0
-    fwd_write_count = int(writes_arr[forwarded].sum())
-    noc_flits = _noc_flits_for(system, forwarded.size, fwd_write_count)
-    # Post-L1 traffic grouped per LLC slice in replay order (a slice
-    # only ever sees its own sub-stream); LLC slices also share one
-    # geometry, so set indices again come from one pass.
-    slice_arr = np.asarray(slice_ids, dtype=np.int64)[forwarded]
-    llc_set_ids = system.slices[0].cache.set_indices_array(
-        lines_arr[forwarded]
-    )
-    chan_arr = np.asarray(channels, dtype=np.int64)
-    bank_arr = np.asarray(banks, dtype=np.int64)
-    row_arr = np.asarray(rows, dtype=np.int64)
-    s_order = np.argsort(slice_arr, kind="stable")
-    sorted_slice = slice_arr[s_order]
-    bounds = [
-        0,
-        *(np.flatnonzero(np.diff(sorted_slice)) + 1).tolist(),
-        forwarded.size,
-    ]
-    miss_channel_parts: List[np.ndarray] = []
-    miss_bank_parts: List[np.ndarray] = []
-    miss_row_parts: List[np.ndarray] = []
-    writeback_parts: List[np.ndarray] = []
-    for start, end in zip(bounds, bounds[1:]):
-        relative = s_order[start:end]
-        positions = forwarded[relative]
-        miss_positions, victims = system.slices[
-            int(sorted_slice[start])
-        ].warm_many(
-            lines_arr[positions].tolist(),
-            writes_arr[positions].tolist(),
-            set_ids=llc_set_ids[relative].tolist(),
-        )
-        if miss_positions:
-            missed = positions[np.asarray(miss_positions, dtype=np.int64)]
-            miss_channel_parts.append(chan_arr[missed])
-            miss_bank_parts.append(bank_arr[missed])
-            miss_row_parts.append(row_arr[missed])
-        if victims:
-            writeback_parts.append(np.asarray(victims, dtype=np.uint64))
-    empty = np.empty(0, dtype=np.int64)
-    read_ch = np.concatenate(miss_channel_parts) if miss_channel_parts else empty
-    read_banks = np.concatenate(miss_bank_parts) if miss_bank_parts else empty
-    read_rows = np.concatenate(miss_row_parts) if miss_row_parts else empty
-    if writeback_parts:
-        wb_ch, wb_banks, wb_rows = _decode_writebacks(
-            system, np.concatenate(writeback_parts)
-        )
-    else:
-        wb_ch = wb_banks = wb_rows = empty
-    _replay_dram(
-        system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows,
-        vector=False,
-    )
-    return total_ops, noc_flits
-
-
-def _replay_ops_vector(
-    system, sm_ids, lines, channels, banks, rows, slice_ids, writes
-) -> Tuple[int, int]:
-    """Structure-of-arrays replay: grouped warm passes, same outputs.
-
-    Mirrors :func:`_replay_ops_scalar` stage for stage; the DRAM
-    streams are re-sorted to (slice, op) order so read fetches and
-    writebacks arrive per channel exactly as the scalar path emits
-    them (slice-major, op order within slice).
+    ``sm_ids[p]`` is the SM whose L1 op ``p`` goes through; the other
+    fields are the op's mapped line and LLC/DRAM coordinates.  Each
+    channel receives the read fetches, then the dirty-victim
+    writebacks, each in slice-major order (op order within a slice).
+    Returns ``(ops_replayed, estimated_noc_flits)``.
     """
     total_ops = len(lines)
     if not total_ops:
@@ -557,7 +237,7 @@ def _replay_ops_vector(
     lines_i64 = lines_u64.astype(np.int64)
     writes_arr = np.asarray(writes, dtype=bool)
     l1_set_ids = system.sms[0].l1.set_indices_array(lines_u64)
-    forwarded_mask = warm_through_vector(
+    forwarded_mask = warm_through(
         [sm.l1 for sm in system.sms], sm_arr, lines_i64, writes_arr,
         l1_set_ids,
     )
@@ -571,7 +251,7 @@ def _replay_ops_vector(
     llc_set_ids = system.slices[0].cache.set_indices_array(
         lines_u64[forwarded]
     )
-    read_miss_mask, wb_line = warm_back_vector(
+    read_miss_mask, wb_line = warm_back(
         [s.cache for s in system.slices], slice_arr,
         lines_i64[forwarded], fwd_writes, llc_set_ids,
     )
@@ -580,7 +260,6 @@ def _replay_ops_vector(
     bank_arr = np.asarray(banks, dtype=np.int64)
     row_arr = np.asarray(rows, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    # Slice-major emission order, matching the scalar per-slice loop.
     miss_rel = np.flatnonzero(read_miss_mask)
     miss_rel = miss_rel[np.argsort(slice_arr[miss_rel], kind="stable")]
     if miss_rel.size:
@@ -599,8 +278,7 @@ def _replay_ops_vector(
     else:
         wb_ch = wb_banks = wb_rows = empty
     _replay_dram(
-        system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows,
-        vector=True,
+        system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows
     )
     return total_ops, noc_flits
 
@@ -618,12 +296,11 @@ def _decode_writebacks(system, wb_lines_u64: np.ndarray):
 
 
 def _replay_dram(
-    system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows,
-    vector: bool,
+    system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows
 ) -> None:
     """Replay decoded DRAM traffic per channel (reads then writebacks).
 
-    Per-channel streams keep the old arrival order: read fetches in
+    Per-channel streams keep the arrival order: read fetches in
     slice-major order, then writebacks in slice-major order.
     """
     all_ch = np.concatenate([read_ch, wb_ch])
@@ -644,32 +321,33 @@ def _replay_dram(
     for start, end in zip(bounds, bounds[1:]):
         segment = c_order[start:end]
         channel = int(sorted_ch[start])
-        controller = system.dram.controllers[channel]
-        replay = (
-            controller.replay_traffic_vector if vector
-            else controller.replay_traffic
-        )
-        replay(
+        system.dram.controllers[channel].replay_traffic(
             all_banks[segment], all_rows[segment],
             int(reads_per[channel]), int(writes_per[channel]),
         )
 
 
 # ----------------------------------------------------------------------
-# Kernel streams (the cacheable replay form)
+# Kernel streams (the cacheable replay form of whole TBs)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class KernelStream:
-    """An estimated kernel's merged replay stream, scheme-independent.
+    """A TB sequence's merged replay stream, scheme-independent.
 
     ``addresses`` are *raw* (pre-mapping) request addresses in replay
     order; ``tb_ordinals[i]`` is the issuing TB's 0-based index within
-    the kernel.  Waves (``tb_ordinal // wave_cap``) are contiguous and
-    non-decreasing; each wave is replayed as one call, preserving the
-    scalar path's per-wave DRAM grouping.  ``n_tbs`` counts *every* TB
-    of the kernel (including ones that contributed no ops) so the
-    fast-forward SM cursor advances identically whether the stream was
-    rebuilt or loaded from the state cache.
+    the sequence.  Waves (``tb_ordinal // wave_cap``) are contiguous
+    and non-decreasing; each wave is replayed as one
+    :func:`replay_ops` call, preserving the per-wave DRAM grouping.
+    ``n_tbs`` counts *every* TB of the sequence (including ones that
+    contributed no ops) so the fast-forward SM cursor advances
+    identically whether the stream was rebuilt or loaded from the
+    state cache.
+
+    Construction validates these invariants and raises
+    :class:`ValueError` on a violation, which is how the state cache
+    recognizes a record that parses but was not written by
+    :func:`build_kernel_stream`.
     """
 
     addresses: np.ndarray  # uint64, raw
@@ -678,24 +356,58 @@ class KernelStream:
     n_tbs: int
     wave_cap: int
 
+    def __post_init__(self) -> None:
+        arrays = (self.addresses, self.writes, self.tb_ordinals)
+        if any(np.ndim(a) != 1 for a in arrays) or len(
+            {np.size(a) for a in arrays}
+        ) != 1:
+            raise ValueError(
+                "kernel stream arrays must be 1-D and of equal length, got "
+                f"shapes {[np.shape(a) for a in arrays]}"
+            )
+        if self.wave_cap < 1:
+            raise ValueError(f"wave_cap must be >= 1, got {self.wave_cap}")
+        ordinals = self.tb_ordinals
+        if ordinals.size and (
+            ordinals.min() < 0
+            or ordinals.max() >= self.n_tbs
+            or bool(np.any(np.diff(ordinals // self.wave_cap) < 0))
+        ):
+            raise ValueError(
+                f"TB ordinals must lie in [0, n_tbs={self.n_tbs}) with "
+                f"waves (ordinal // wave_cap={self.wave_cap}) non-decreasing"
+            )
+
     @property
     def n_ops(self) -> int:
         return int(self.addresses.size)
 
 
-def build_kernel_stream(kernel, wave_cap: int) -> KernelStream:
-    """Merge a whole kernel's warp traces into one replay stream.
+def interleave_order(lengths: Sequence[int]) -> np.ndarray:
+    """Round-robin merge order of op streams with these lengths.
 
-    Reproduces the context-based order exactly: TBs are taken in
-    dispatch order one machine window (*wave_cap*) at a time, each
-    wave's non-empty warp streams are interleaved round-robin (one op
-    per warp per turn — the ``(position, stream)`` lexsort of
-    :meth:`GPUSystem._replay_interleaved`).  Deterministic, and a pure
-    function of the workload and *wave_cap* — nothing scheme- or
-    state-dependent enters, which is what makes the stream cacheable
-    across schemes and runs.
+    One op per stream per turn, streams in index order within a turn —
+    approximately the order co-resident warps would issue in.  Returns
+    the permutation of the concatenated streams: one stable lexsort
+    over (op position, stream index).
     """
-    tbs = list(kernel.tbs)
+    position = np.concatenate([np.arange(n, dtype=np.int64) for n in lengths])
+    stream_index = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    return np.lexsort((stream_index, position))
+
+
+def build_kernel_stream(tbs: Sequence, wave_cap: int) -> KernelStream:
+    """Merge a sequence of TB traces into one replay stream.
+
+    TBs are taken in order one machine window (*wave_cap*) at a time;
+    each wave's non-empty warp streams are merged by
+    :func:`interleave_order`.  Deterministic, and a pure function of
+    the traces and *wave_cap* — nothing scheme- or state-dependent
+    enters, which is what makes an estimated kernel's stream
+    (``kernel.tbs``) cacheable across schemes and runs.  A frozen
+    kernel's queued TBs take the same form.
+    """
+    tbs = list(tbs)
     addr_parts: List[np.ndarray] = []
     write_parts: List[np.ndarray] = []
     tb_parts: List[np.ndarray] = []
@@ -718,13 +430,7 @@ def build_kernel_stream(kernel, wave_cap: int) -> KernelStream:
         addresses = np.concatenate([s[1] for s in streams])
         writes = np.concatenate([s[2] for s in streams])
         if len(streams) > 1:
-            position = np.concatenate(
-                [np.arange(n, dtype=np.int64) for n in lengths]
-            )
-            stream_index = np.repeat(
-                np.arange(len(streams), dtype=np.int64), lengths
-            )
-            order = np.lexsort((stream_index, position))
+            order = interleave_order(lengths)
             ordinals = ordinals[order]
             addresses = addresses[order]
             writes = writes[order]

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from replay_oracle import warm_back_many, warm_through_many
 from repro.core import hynix_gddr5_map
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
@@ -91,7 +92,9 @@ class TestSetIndexEquivalence:
 
 
 class TestWarmPaths:
-    """The bulk warm replays must match the event-driven cache paths."""
+    """The replay oracle's warm loops must match the event-driven cache
+    paths (the production replay plane is pinned to the oracle in
+    ``tests/sim/test_replay_equiv.py``)."""
 
     def test_warm_through_matches_l1_policy(self):
         """warm_through_many == try_read/count_miss/fill + write_through."""
@@ -100,7 +103,7 @@ class TestWarmPaths:
         writes = [rng.random() < 0.3 for _ in range(400)]
 
         bulk = SetAssociativeCache(8, 2, 128)
-        forwarded = bulk.warm_through_many(lines, writes)
+        forwarded = warm_through_many(bulk, lines, writes)
 
         step = SetAssociativeCache(8, 2, 128)
         expected_forward = []
@@ -125,7 +128,7 @@ class TestWarmPaths:
         writes = [rng.random() < 0.4 for _ in range(400)]
 
         bulk = SetAssociativeCache(4, 2, 128)
-        miss_positions, writebacks = bulk.warm_back_many(lines, writes)
+        miss_positions, writebacks = warm_back_many(bulk, lines, writes)
 
         step = SetAssociativeCache(4, 2, 128)
         expected_misses, expected_writebacks = [], []
@@ -215,8 +218,7 @@ class TestPrecomputedSetIds:
                 expected, got = hashed.probe(line), given.probe(line, set_id)
             assert got == expected
         assert given.stats == hashed.stats
-        for set_id in range(sets):
-            assert given.set_entries(set_id) == hashed.set_entries(set_id)
+        assert given.line_tables == hashed.line_tables
 
     @pytest.mark.parametrize("l1_bytes", [16 * 1024, 24 * 1024])
     def test_prepared_kernel_set_ids(self, l1_bytes):

@@ -1,13 +1,15 @@
 """Warmed-state stream cache: records, keys, pruning, sweep reuse.
 
-The :class:`StateCache` (PR 10) shares each estimated kernel's replay
-stream across every scheme of a sweep — its key deliberately excludes
-the mapping scheme.  These tests pin the record plumbing (round trip,
+The :class:`StateCache` shares each estimated kernel's replay stream
+across every scheme of a sweep — its key deliberately excludes the
+mapping scheme.  These tests pin the record plumbing (round trip,
 corrupt-record self-heal, sidecars, prune semantics) and the headline
 property: a multi-scheme sweep builds each kernel's stream exactly
 once and serves every other scheme from disk, without changing any
 observable result.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -39,6 +41,38 @@ def small_stream(n_ops=16, n_tbs=4, wave_cap=2, seed=0):
     )
 
 
+def npz_bytes(payload):
+    """*payload* as stored bytes: raw bytes as is, a dict as an npz."""
+    if isinstance(payload, bytes):
+        return payload
+    buffer = io.BytesIO()
+    np.savez(buffer, **payload)
+    return buffer.getvalue()
+
+
+# A sound record's fields (waves of 2 TBs: ordinals 0-1, then 2-3)...
+GOOD_RECORD = dict(
+    addresses=np.arange(6, dtype=np.uint64) * 128,
+    writes=np.array([0, 1, 0, 0, 1, 0], dtype=bool),
+    tb_ordinals=np.array([0, 1, 0, 2, 3, 2], dtype=np.int32),
+    n_tbs=np.int64(4),
+    wave_cap=np.int64(2),
+)
+
+# ...and records that cannot be read back as a KernelStream: one that
+# is not an archive, and ones that parse but break a stream invariant.
+BAD_RECORDS = [
+    b"not an npz archive",
+    dict(GOOD_RECORD, writes=GOOD_RECORD["writes"][:-1]),
+    dict(GOOD_RECORD, addresses=GOOD_RECORD["addresses"].reshape(2, 3)),
+    dict(GOOD_RECORD, tb_ordinals=GOOD_RECORD["tb_ordinals"] - 1),
+    dict(GOOD_RECORD, n_tbs=np.int64(3)),
+    dict(GOOD_RECORD, tb_ordinals=GOOD_RECORD["tb_ordinals"][::-1].copy()),
+    dict(GOOD_RECORD, wave_cap=np.int64(0)),
+    dict(GOOD_RECORD, n_tbs=np.array([4, 4])),
+]
+
+
 class TestRecords:
     def test_round_trip(self, tmp_path):
         cache = StateCache(tmp_path)
@@ -63,14 +97,49 @@ class TestRecords:
     def test_corrupt_record_self_heals(self, tmp_path):
         cache = StateCache(tmp_path)
         key = cache.key_for(BASE_KEY, kernel_index=0, wave_cap=2)
-        cache.put(key, small_stream())
-        cache.path_for(key).write_bytes(b"not an npz archive")
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
-        assert not cache.path_for(key).exists(), "corrupt record deleted"
+        cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(key).write_bytes(npz_bytes(GOOD_RECORD))
+        assert cache.get(key) is not None, "the sound record reads back"
+        for corrupt, payload in enumerate(BAD_RECORDS, start=1):
+            cache = StateCache(tmp_path)  # empty memo: read from disk
+            cache.path_for(key).write_bytes(npz_bytes(payload))
+            assert cache.get(key) is None
+            assert cache.stats.corrupt == 1, f"bad record {corrupt}"
+            assert not cache.path_for(key).exists(), "corrupt record deleted"
         # The caller rebuilds and re-puts; the cache works again.
         cache.put(key, small_stream())
         assert cache.get(key) is not None
+
+    def test_poisoned_record_heals_the_run(self, tmp_path):
+        """A record that parses but is inconsistent (``writes`` shorter
+        than ``addresses``) is counted, deleted and rebuilt by the next
+        run, whose result is byte-identical to a run without a cache."""
+        from repro.core import hynix_gddr5_map
+        from repro.registry import make_scheme, make_workload
+        from repro.sim.fidelity import parse_fidelity
+        from repro.sim.gpu_system import GPUSystem
+
+        workload = make_workload("SC", scale=0.5)
+
+        def run(state_cache=None):
+            return GPUSystem(make_scheme("BASE", hynix_gddr5_map())).run(
+                workload, fidelity=parse_fidelity("auto"),
+                state_cache=state_cache, state_key=BASE_KEY,
+            ).to_dict()
+
+        clean = run()
+        run(StateCache(tmp_path))
+        victim = StateCache(tmp_path).entries()[0]
+        with np.load(victim.path) as archive:
+            record = {name: archive[name] for name in archive.files}
+        record["writes"] = record["writes"][:-1]
+        victim.path.write_bytes(npz_bytes(record))
+
+        healing = StateCache(tmp_path)
+        assert run(healing) == clean
+        assert healing.stats.corrupt == 1
+        assert healing.stats.stores == 1, "the poisoned stream is rebuilt"
+        assert StateCache(tmp_path).get(victim.key) is not None
 
     def test_meta_sidecar(self, tmp_path):
         cache = StateCache(tmp_path)

@@ -1,18 +1,19 @@
-"""Scalar vs vectorized replay: byte-identical counters and warmed state.
+"""Replay plane vs its per-op oracle: byte-identical counters and state.
 
-PR 10 rewrote the functional replay plane (``repro.sim.replay``) as a
-structure-of-arrays engine.  These property tests pin the rewrite to
-the scalar loops that remain in the tree as the oracle: over random op
-streams (and the degenerate 0-op / 1-op cases, and non-power-of-two
-set counts), the vectorized warm passes must report identical stats,
-identical forwarded / miss / writeback outcomes in identical order,
-and leave every set holding the same (line, dirty) entries in the same
-recency order.
+:mod:`repro.sim.replay` replays op streams through the warmed caches
+with one pass over all of them; ``tests/replay_oracle.py`` keeps the
+per-cache loops it replaced as the oracle.  These property tests pin
+the plane to the oracle: over random op streams (and the degenerate
+0-op / 1-op cases, and non-power-of-two set counts), the warm passes
+must report identical stats, identical forwarded / miss / writeback
+outcomes in identical order, and leave every set holding the same
+(line, dirty) entries in the same recency order.  Whole sampled and
+auto runs must be byte-identical with the oracle swapped in.
 
-The absolute LRU tick values are allowed to differ — the vector
-backend stamps stream positions rather than per-bump counters — so
-warmed state is compared by recency *rank* within each set, which is
-the only thing victim selection ever reads.
+The absolute LRU tick values are allowed to differ — the plane stamps
+stream positions rather than per-bump counters — so warmed state is
+compared by recency *rank* within each set, which is the only thing
+victim selection ever reads.
 """
 
 import random
@@ -20,18 +21,14 @@ import random
 import numpy as np
 import pytest
 
+import replay_oracle
 from repro.core import hynix_gddr5_map
 from repro.gpu.cache import SetAssociativeCache
 from repro.registry import make_scheme, make_workload
+from repro.sim import replay
 from repro.sim.fidelity import parse_fidelity
 from repro.sim.gpu_system import GPUSystem, plan_auto
-from repro.sim.replay import (
-    BACKEND_ENV,
-    build_kernel_stream,
-    replay_backend,
-    warm_back_vector,
-    warm_through_vector,
-)
+from repro.sim.replay import build_kernel_stream, warm_back, warm_through
 
 AMAP = hynix_gddr5_map()
 LINE = 128
@@ -42,11 +39,10 @@ def canonical_state(cache):
 
     Use values are unique within a cache, so recency rank is
     well-defined; comparing ranks instead of raw ticks makes the check
-    backend-agnostic.
+    independent of the stamping scheme.
     """
     state = []
-    for set_id in range(cache.sets):
-        entries = cache.set_entries(set_id)
+    for entries in cache.line_tables:
         ordered = sorted(entries.items(), key=lambda item: item[1][0])
         state.append([(line, bool(e[1])) for line, e in ordered])
     return state
@@ -76,24 +72,25 @@ def make_caches(n_caches, sets, ways):
     ]
 
 
-def scalar_reference(caches, cache_ids, lines, writes, set_ids, policy):
-    """Run each cache's sub-stream through the scalar oracle.
+def oracle_reference(caches, cache_ids, lines, writes, set_ids, policy):
+    """Run each cache's sub-stream through the oracle.
 
     Returns per-cache ``(sub_positions, result)`` where *result* is
-    whatever the scalar method returned for that cache.
+    whatever the oracle function returned for that cache.
     """
+    warm = {
+        "through": replay_oracle.warm_through_many,
+        "back": replay_oracle.warm_back_many,
+    }[policy]
     out = {}
     for c, cache in enumerate(caches):
         sub = np.flatnonzero(cache_ids == c)
-        args = (
+        out[c] = (sub, warm(
+            cache,
             [int(x) for x in lines[sub]],
             [bool(w) for w in writes[sub]],
             [int(s) for s in set_ids[sub]],
-        )
-        if policy == "through":
-            out[c] = (sub, cache.warm_through_many(*args))
-        else:
-            out[c] = (sub, cache.warm_back_many(*args))
+        ))
     return out
 
 
@@ -105,7 +102,7 @@ GEOMETRIES = [
     (2, 12, 3),   # non-pow2 sets, odd ways
 ]
 
-SIZES = [0, 1, 7, 40, 300]  # spans the hybrid scalar-tail cutoff
+SIZES = [0, 1, 7, 40, 300]  # empty, single op, sparse to eviction-heavy
 
 
 class TestWarmThroughEquiv:
@@ -121,8 +118,8 @@ class TestWarmThroughEquiv:
         ref = make_caches(n_caches, sets, ways)
         set_ids = vec[0].set_indices_array(lines.astype(np.uint64))
 
-        fwd_mask = warm_through_vector(vec, cache_ids, lines, writes, set_ids)
-        oracle = scalar_reference(
+        fwd_mask = warm_through(vec, cache_ids, lines, writes, set_ids)
+        oracle = oracle_reference(
             ref, cache_ids, lines, writes, set_ids, "through"
         )
 
@@ -134,15 +131,15 @@ class TestWarmThroughEquiv:
             assert canonical_state(vec[c]) == canonical_state(ref[c])
 
     def test_repeated_calls_keep_recency_coherent(self):
-        """Recency must stay correct across successive vector batches."""
+        """Recency must stay correct across successive batches."""
         rng = random.Random(7)
         vec = make_caches(2, 8, 2)
         ref = make_caches(2, 8, 2)
         for round_no in range(5):
             cache_ids, lines, writes = random_stream(rng, 60, 2, 8, 2)
             set_ids = vec[0].set_indices_array(lines.astype(np.uint64))
-            warm_through_vector(vec, cache_ids, lines, writes, set_ids)
-            scalar_reference(ref, cache_ids, lines, writes, set_ids, "through")
+            warm_through(vec, cache_ids, lines, writes, set_ids)
+            oracle_reference(ref, cache_ids, lines, writes, set_ids, "through")
             for c in range(2):
                 assert canonical_state(vec[c]) == canonical_state(ref[c])
                 assert vec[c].stats.__dict__ == ref[c].stats.__dict__
@@ -161,10 +158,8 @@ class TestWarmBackEquiv:
         ref = make_caches(n_caches, sets, ways)
         set_ids = vec[0].set_indices_array(lines.astype(np.uint64))
 
-        miss_mask, wb_line = warm_back_vector(
-            vec, cache_ids, lines, writes, set_ids
-        )
-        oracle = scalar_reference(
+        miss_mask, wb_line = warm_back(vec, cache_ids, lines, writes, set_ids)
+        oracle = oracle_reference(
             ref, cache_ids, lines, writes, set_ids, "back"
         )
 
@@ -187,107 +182,115 @@ class TestWarmBackEquiv:
         writes = np.array([True, True, False], dtype=bool)
         ids = np.zeros(3, dtype=np.int64)
         set_ids = cache_v[0].set_indices_array(lines.astype(np.uint64))
-        _, wb_line = warm_back_vector(cache_v, ids, lines, writes, set_ids)
-        _, wbs = cache_r[0].warm_back_many(
-            [int(x) for x in lines], [bool(w) for w in writes],
+        _, wb_line = warm_back(cache_v, ids, lines, writes, set_ids)
+        _, wbs = replay_oracle.warm_back_many(
+            cache_r[0], [int(x) for x in lines], [bool(w) for w in writes],
             [int(s) for s in set_ids],
         )
         assert [int(x) for x in wb_line[wb_line >= 0]] == wbs == [0, LINE]
 
 
+def on_both_planes(monkeypatch, run):
+    """``run()`` on the production plane, then with the oracle in place.
+
+    Every caller reaches the plane through the ``replay.replay_ops``
+    module attribute, so patching it swaps the whole replay path.
+    """
+    production = run()
+    monkeypatch.setattr(replay, "replay_ops", replay_oracle.replay_ops)
+    return production, run()
+
+
 class TestFullSystemEquiv:
-    """Twin systems, one per backend, must agree byte-for-byte."""
+    """Whole runs on the plane and on the oracle agree byte for byte."""
 
     @pytest.mark.parametrize("scheme_name", ["BASE", "PAE"])
     def test_auto_run_results_identical(self, scheme_name, monkeypatch):
         workload = make_workload("SC", scale=0.5)  # has estimated kernels
         fidelity = parse_fidelity("auto")
-        results = {}
-        for backend in ("scalar", "vector"):
-            monkeypatch.setenv(BACKEND_ENV, backend)
-            system = GPUSystem(make_scheme(scheme_name, AMAP))
-            results[backend] = system.run(
+        production, oracle = on_both_planes(
+            monkeypatch,
+            lambda: GPUSystem(make_scheme(scheme_name, AMAP)).run(
                 workload, fidelity=fidelity
-            ).to_dict()
-        assert results["scalar"] == results["vector"]
+            ).to_dict(),
+        )
+        assert production["metadata"]["sampled"]["estimated_kernels"] > 0
+        assert production == oracle
+
+    @pytest.mark.parametrize("scheme_name", ["BASE", "PAE"])
+    def test_sampled_run_results_identical(self, scheme_name, monkeypatch):
+        # SRAD2 @0.5 freezes with TBs still queued, so both freeze
+        # populations (in-flight warps and queued TBs) replay.
+        workload = make_workload("SRAD2", scale=0.5)
+        fidelity = parse_fidelity("sampled")
+        production, oracle = on_both_planes(
+            monkeypatch,
+            lambda: GPUSystem(make_scheme(scheme_name, AMAP)).run(
+                workload, fidelity=fidelity
+            ).to_dict(),
+        )
+        assert production["metadata"]["sampled"]["ff_requests"] > 0
+        assert production == oracle
 
     def test_auto_run_with_cached_stream_identical(self, monkeypatch,
                                                    tmp_path):
-        """A vector run replaying a cached stream equals a cold scalar
-        run: the state cache must never change observable results."""
+        """Runs replaying a built and a cached stream equal a cold run
+        on the oracle: the state cache never changes observable
+        results."""
         from repro.runner.state_cache import StateCache
 
         workload = make_workload("SC", scale=0.5)
         fidelity = parse_fidelity("auto")
         plan = plan_auto(workload, fidelity, AMAP)
         base = {"workload": "SC", "scale": 0.5, "memory": "gddr5"}
-
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        cold = GPUSystem(make_scheme("BASE", AMAP)).run(
-            workload, fidelity=fidelity, auto_plan=plan
-        ).to_dict()
-
-        monkeypatch.setenv(BACKEND_ENV, "vector")
         cache = StateCache(tmp_path / "state")
-        first = GPUSystem(make_scheme("BASE", AMAP)).run(
-            workload, fidelity=fidelity, auto_plan=plan,
-            state_cache=cache, state_key=base,
-        ).to_dict()
+
+        def run(state_cache=None):
+            return GPUSystem(make_scheme("BASE", AMAP)).run(
+                workload, fidelity=fidelity, auto_plan=plan,
+                state_cache=state_cache, state_key=base,
+            ).to_dict()
+
+        first = run(cache)
         assert cache.stats.stores > 0, "SC@0.5 must exercise the cache"
-        warm = GPUSystem(make_scheme("BASE", AMAP)).run(
-            workload, fidelity=fidelity, auto_plan=plan,
-            state_cache=cache, state_key=base,
-        ).to_dict()
+        warm = run(cache)
         assert cache.stats.hits == cache.stats.stores
-        assert cold == first == warm
+        monkeypatch.setattr(replay, "replay_ops", replay_oracle.replay_ops)
+        assert run() == first == warm
 
 
 class TestStreamBuild:
     def test_stream_matches_context_order(self):
         """build_kernel_stream must reproduce the per-context interleave
-        (one op per non-empty warp per turn, waves of wave_cap TBs)."""
-        workload = make_workload("SC", scale=0.5)
-        kernel = workload.kernels[0]
-        stream = build_kernel_stream(kernel, wave_cap=3)
-        # Reference: explicit per-wave round-robin over warp streams.
-        expected = []
-        tbs = list(kernel.tbs)
-        for start in range(0, len(tbs), 3):
-            wave = tbs[start:start + 3]
-            streams = []
-            for tb_off, tb in enumerate(wave):
-                for warp in tb.warps:
-                    ops = list(zip(warp.addresses, warp.writes))
-                    if ops:
-                        streams.append((start + tb_off, ops))
-            depth = max((len(ops) for _, ops in streams), default=0)
-            for position in range(depth):
-                for tb_ordinal, ops in streams:
-                    if position < len(ops):
-                        addr, is_write = ops[position]
-                        expected.append((int(addr), bool(is_write),
-                                         tb_ordinal))
-        got = list(zip(
-            (int(a) for a in stream.addresses),
-            (bool(w) for w in stream.writes),
-            (int(t) for t in stream.tb_ordinals),
-        ))
-        assert got == expected
-        assert stream.n_tbs == len(tbs)
-        assert stream.wave_cap == 3
-
-
-class TestBackendSwitch:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert replay_backend() == "vector"
-
-    @pytest.mark.parametrize("value", ["scalar", "vector", " SCALAR "])
-    def test_explicit_values(self, value, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, value)
-        assert replay_backend() == value.strip().lower()
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "simd")
-        with pytest.raises(ValueError, match="REPRO_REPLAY_BACKEND"):
-            replay_backend()
+        (one op per non-empty warp per turn, waves of wave_cap TBs), for
+        a whole kernel and for a TB slice starting mid-kernel (the
+        queued tail a freeze replays)."""
+        kernel = make_workload("SC", scale=0.5).kernels[0]
+        assert len(kernel.tbs) > 4
+        for tbs in (list(kernel.tbs), list(kernel.tbs)[4:]):
+            stream = build_kernel_stream(tbs, wave_cap=3)
+            # Reference: explicit per-wave round-robin over warp streams.
+            expected = []
+            for start in range(0, len(tbs), 3):
+                wave = tbs[start:start + 3]
+                streams = []
+                for tb_off, tb in enumerate(wave):
+                    for warp in tb.warps:
+                        ops = list(zip(warp.addresses, warp.writes))
+                        if ops:
+                            streams.append((start + tb_off, ops))
+                depth = max((len(ops) for _, ops in streams), default=0)
+                for position in range(depth):
+                    for tb_ordinal, ops in streams:
+                        if position < len(ops):
+                            addr, is_write = ops[position]
+                            expected.append((int(addr), bool(is_write),
+                                             tb_ordinal))
+            got = list(zip(
+                (int(a) for a in stream.addresses),
+                (bool(w) for w in stream.writes),
+                (int(t) for t in stream.tb_ordinals),
+            ))
+            assert got == expected
+            assert stream.n_tbs == len(tbs)
+            assert stream.wave_cap == 3
