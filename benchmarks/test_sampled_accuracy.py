@@ -1,8 +1,9 @@
 """Approximate-fidelity accuracy and speedup harness.
 
 Runs the same benchmark x scheme grid twice — ``fidelity="exact"`` and
-the approximate mode under test (default ``auto``) — and records, into
-``benchmarks/results/BENCH_sampled_accuracy.json``:
+``fidelity="auto"`` with its default parameters — and records, into
+``benchmarks/results/BENCH_sampled_accuracy.json`` (the ``sampled_*``
+record fields hold the auto run):
 
 * wall-clock seconds for each mode and the approximate-mode speedup,
 * the fig12-style speedup table (per scheme, per benchmark) and its
@@ -13,10 +14,8 @@ the approximate mode under test (default ``auto``) — and records, into
 
 Environment knobs:
 
-* ``REPRO_SAMPLED_BENCH_SCALE``   — trace scale (default 1.0),
-* ``REPRO_SAMPLED_BENCH_FIDELITY`` — fidelity under test (default
-  ``auto``; any ``sampled:...``/``auto:...`` string works),
-* ``REPRO_SAMPLED_BENCH_FULL=1``  — sweep the whole valley suite x 6
+* ``REPRO_SAMPLED_BENCH_SCALE`` — trace scale (default 1.0),
+* ``REPRO_SAMPLED_BENCH_FULL=1`` — sweep the whole valley suite x 6
   schemes instead of the smoke grid (the ``slow``-marked case runs
   this at ``scale=1.0``).
 
@@ -35,7 +34,7 @@ import pytest
 from repro.api import run_matrix
 from repro.core.schemes import SCHEME_NAMES
 from repro.runner.sweep import SweepRunner, default_workers
-from repro.sim.fidelity import parse_fidelity
+from repro.sim.fidelity import AUTO
 from repro.sim.results import speedup
 from repro.workloads.suite import VALLEY_BENCHMARKS
 
@@ -46,12 +45,6 @@ SMOKE_SCHEMES = ("BASE", "PM", "PAE")
 
 TARGET_SPEEDUP = 2.0
 TARGET_HMEAN_ERROR_PCT = 3.0
-
-
-def _fidelity():
-    return parse_fidelity(
-        os.environ.get("REPRO_SAMPLED_BENCH_FIDELITY", "auto")
-    )
 
 
 def _grid():
@@ -161,7 +154,7 @@ def test_sampled_accuracy_smoke():
     error budget."""
     benchmarks, schemes = _grid()
     scale = float(os.environ.get("REPRO_SAMPLED_BENCH_SCALE", "1.0"))
-    record = measure(scale, _fidelity(), benchmarks, schemes)
+    record = measure(scale, AUTO, benchmarks, schemes)
     _emit(record)
     assert record["sampled_wall_seconds"] > 0
     assert record["hmean_speedup_sampled"]
@@ -180,8 +173,6 @@ def test_sampled_accuracy_smoke():
 @pytest.mark.slow
 def test_sampled_accuracy_full_valley_suite():
     """The acceptance measurement: full valley suite at scale=1.0."""
-    record = measure(
-        1.0, _fidelity(), tuple(VALLEY_BENCHMARKS), tuple(SCHEME_NAMES)
-    )
+    record = measure(1.0, AUTO, tuple(VALLEY_BENCHMARKS), tuple(SCHEME_NAMES))
     _emit(record)
     assert record["sampled_wall_seconds"] > 0

@@ -130,10 +130,8 @@ def simulate(
     """Run one (workload, scheme) scenario and return its result.
 
     *fidelity* selects the simulation mode: ``"exact"`` (the default,
-    byte-identical to the pre-fidelity simulator),
-    ``"sampled[:warmup=..,window=..,period=..]"`` /
-    :class:`~repro.sim.fidelity.SampledFidelity` for interval-sampled
-    approximation, or ``"auto[:exemplars=..,...]"`` /
+    byte-identical to the pre-fidelity simulator) or
+    ``"auto[:exemplars=..,...]"`` /
     :class:`~repro.sim.fidelity.AutoFidelity` for the per-kernel
     planned mode (repeated kernels are replayed functionally and
     estimated from measured exemplars; the plan is shared across all

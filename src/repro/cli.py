@@ -580,6 +580,8 @@ def _cmd_profile(args) -> int:
     import io as io_module
     import pstats
 
+    # Parse before enabling: a bad value must not leave the profiler on.
+    fidelity = parse_fidelity(args.fidelity)
     profiler = cProfile.Profile()
     profiler.enable()
     result = api.simulate(
@@ -589,7 +591,7 @@ def _cmd_profile(args) -> int:
         n_sms=args.n_sms,
         memory=args.memory,
         scale=args.scale,
-        fidelity=parse_fidelity(args.fidelity),
+        fidelity=fidelity,
         workers=1,  # inline, in-process: the profile must see the run
     )
     profiler.disable()
@@ -643,10 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fidelity_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--fidelity", default="exact",
-            help="simulation fidelity: 'exact' (default), "
-                 "'sampled[:warmup=W,window=D,period=P]' for interval-"
-                 "sampled approximation, or 'auto[:exemplars=N,...]' for "
-                 "the per-kernel planned mode (see repro.sim.fidelity)",
+            help="simulation fidelity: 'exact' (default) or "
+                 "'auto[:exemplars=N,...]' for the per-kernel planned "
+                 "approximation (see repro.sim.fidelity)",
         )
 
     def add_register_arg(p: argparse.ArgumentParser) -> None:

@@ -182,7 +182,7 @@ class MemoryController:
         self._pump()
 
     # ------------------------------------------------------------------
-    # Functional replay (sampled and auto fidelity)
+    # Functional replay (auto fidelity)
     # ------------------------------------------------------------------
     def replay_traffic(self, banks, rows, n_reads: int, n_writes: int) -> None:
         """Functionally replay decoded DRAM traffic (no engine events).

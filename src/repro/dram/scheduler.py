@@ -77,7 +77,7 @@ class FRFCFSScheduler:
         # Queued requests.  Public for read-only use: the controller's
         # pump tests it on every pass instead of paying for ``empty``.
         self.size = 0
-        # High-water mark of the channel queue.  Sampled-fidelity drift
+        # High-water mark of the channel queue.  Auto-fidelity drift
         # correction reads queue depth as its steady-state signal, and
         # the peak is the cheap summary of how deep this channel ever
         # ran (depth is what FR-FCFS row-hit rate improves with).

@@ -183,8 +183,8 @@ class SetAssociativeCache:
 
         Bit-identical to the scalar fold for indexes below 2**64 (all
         three paths: doubling-shift cascade, generic chunked fold, and
-        plain modulo).  Used by the sampled-fidelity replay to hoist
-        the set hash out of the per-op warm loops.
+        plain modulo).  Used by trace preparation and the functional
+        replay to hoist the set hash out of their per-op loops.
         """
         index = np.asarray(lines, dtype=np.uint64) >> np.uint64(self._line_shift)
         shifts = self._fold_shifts

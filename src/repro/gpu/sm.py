@@ -142,7 +142,7 @@ class SM:
     def in_flight_ops(self) -> int:
         """Memory ops issued by this SM's warps and not yet completed.
 
-        The sampled-fidelity trajectory sampler reads this as its
+        The auto-fidelity trajectory sampler reads this as its
         issue-pressure signal: a polling segment with nothing in
         flight anywhere is ramp or drain, not steady state, and is
         excluded from the rate-drift fit.
@@ -250,7 +250,7 @@ class SM:
         """
         op = warp.op
         if op >= warp.n_ops:
-            # A sampled-fidelity freeze moved the cursor past the end
+            # An auto-fidelity freeze moved the cursor past the end
             # while this issue was already scheduled: nothing left to
             # issue.  Never taken in exact mode.
             warp.issue_pending = False
@@ -348,7 +348,7 @@ class SM:
         """Retry a warp that was parked on a full MSHR file."""
         op = warp.op
         if op >= warp.n_ops:
-            # Fast-forwarded past the end while parked (sampled mode).
+            # Fast-forwarded past the end while parked (auto freeze).
             warp.issue_pending = False
             warp.maybe_retire()
             return

@@ -92,7 +92,7 @@ class TBScheduler:
     def take_pending(self, keep_last: int = 0) -> List[TBContext]:
         """Remove and return the not-yet-dispatched TBs.
 
-        The sampled-fidelity freeze path: the caller replays these TBs
+        The auto-fidelity freeze path: the caller replays these TBs
         functionally instead of letting them dispatch.  With
         ``keep_last`` > 0 the final that-many TBs stay queued for
         normal detailed dispatch (skip-middle freeze), so the kernel's

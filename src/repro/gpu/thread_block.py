@@ -103,7 +103,7 @@ class WarpContext:
         """Fire ``tb.warp_finished()`` exactly once, when done.
 
         In exact mode retirement has a single trigger (the last
-        completion); a sampled-fidelity fast-forward can move the op
+        completion); an auto-fidelity freeze can move the op
         cursor past the end while stale issue events are still in
         flight, each of which then checks for retirement — this guard
         keeps the transition one-shot.
@@ -115,7 +115,7 @@ class WarpContext:
     def fast_forward_middle(self, keep_last: int) -> Tuple[list, list, list, list, list, list]:
         """Skip remaining ops except the last *keep_last*, returning them.
 
-        The freeze path of sampled and auto fidelity: the cursor jumps
+        The freeze path of auto fidelity: the cursor jumps
         from ``op`` to ``n_ops - keep_last`` and the skipped ops'
         pre-translated fields come back as ``(lines, channels, banks,
         rows, slices, writes)`` list slices for functional replay —

@@ -168,9 +168,9 @@ class RunConfig:
         }
         # The exact default is *omitted* (not serialized as "exact"),
         # keeping every pre-fidelity dict — and therefore every
-        # built-in cache key — byte-identical.  Sampled configs carry
-        # the parameter dict and hash to distinct keys, so sampled and
-        # exact records never collide.
+        # built-in cache key — byte-identical.  Auto configs carry the
+        # parameter dict and hash to distinct keys, so auto and exact
+        # records never collide.
         if self.fidelity != EXACT:
             data["fidelity"] = fidelity_to_json(self.fidelity)
         return data

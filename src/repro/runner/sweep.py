@@ -228,13 +228,13 @@ class SweepOutcome:
 _FALLBACK_SECONDS_PER_SCALE = 1.0
 
 # Relative wall clock of each fidelity family against exact mode.
-# Sampled/auto runs fast-forward most of their detailed cycles, so
+# Auto runs fast-forward most of their detailed cycles, so
 # exact-mode sidecar evidence grossly inflates their estimates (and
 # vice versa); when a config's own family has no recorded evidence,
 # cross-family rates are rescaled by this documented discount instead
 # of being used raw.  Deliberately coarse — estimates only order
 # execution and feed the ETA, never results.
-_FIDELITY_WALL_DISCOUNT = {"exact": 1.0, "sampled": 0.5, "auto": 0.5}
+_FIDELITY_WALL_DISCOUNT = {"exact": 1.0, "auto": 0.5}
 
 
 def _fidelity_discount(kind: str) -> float:

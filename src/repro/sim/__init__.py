@@ -1,7 +1,7 @@
 """Discrete-event full-system simulator."""
 
 from .engine import Engine, SimulationError
-from .fidelity import EXACT, SampledFidelity, fidelity_to_json, parse_fidelity
+from .fidelity import EXACT, fidelity_to_json, parse_fidelity
 from .gpu_system import GPUSystem, simulate
 from .metrics import (
     MeanStat,
@@ -18,7 +18,6 @@ __all__ = [
     "MeanStat",
     "OutstandingTracker",
     "SampledAccounting",
-    "SampledFidelity",
     "SimulationError",
     "SimulationResult",
     "combined_parallelism",

@@ -112,10 +112,10 @@ class Engine:
 
         ``run`` may be called again after it returns — the clock keeps
         advancing monotonically across calls.  This is the pause/resume
-        contract the sampled-fidelity mode builds on: each detailed
-        sample window schedules its work, drains to idle, and the next
-        window resumes on the same warm engine (``until`` /
-        ``max_events`` bound a window when a model misbehaves).
+        contract auto fidelity builds on: a measured kernel runs in
+        ``until``-bounded polls, may freeze between two of them, and
+        resumes on the same warm engine (``max_events`` bounds the
+        whole run when a model misbehaves).
         """
         return not self._running and self._scheduled == self._events_processed
 

@@ -9,34 +9,9 @@ The simulator exposes a **fidelity axis** (threaded from
     Byte-identical to the pre-fidelity simulator: same results, same
     cache keys, no schema bump.
 
-:class:`SampledFidelity`
-    Interval sampling with one detailed sample per kernel.  The
-    parameters are **op shares**: each kernel starts exactly as in
-    exact mode (full TB stream, normal dispatch, real occupancy and
-    co-residency) and runs detailed until ``(warmup + window) /
-    period`` of its ops have *completed*.  The ``warmup / period``
-    share — floored at the machine's in-flight op capacity, so
-    measurement starts past the pipeline-fill ramp — is excluded from
-    measurement; the ``window / period`` share is the measured sample
-    (the kernel's steady cycles-per-completed-request rate).  Then the
-    kernel **freezes**: TBs still queued for dispatch and the
-    in-flight warps' remaining ops are replayed functionally through
-    SM L1 tags, LLC slices and the DRAM row-buffer state machines
-    (pure dict/numpy work, no engine events, no simulated time),
-    keeping microarchitectural state warm, while in-flight detailed
-    requests drain normally.  The skipped ops are extrapolated with
-    the same kernel's measured rate, corrected for row-hit drift (the
-    window's rate is fit against its row-miss trajectory and projected
-    onto the skipped traffic's replay-observed row-miss mix) and for
-    the post-freeze drain overlap (drained ops are real, so their
-    extrapolated share is netted against the real drain cycles) — see
-    :class:`~repro.sim.metrics.SampledAccounting`.  Kernels too small
-    to reach their threshold run to completion — tiny workloads
-    degrade gracefully toward exact simulation.
-
 :class:`AutoFidelity` (``"auto"``)
-    Per-kernel plan derived from the workload's own structure — no
-    hand-tuned global triple.  Each kernel gets a three-level
+    Per-kernel plan derived from the workload's own structure, so the
+    defaults need no hand-tuning.  Each kernel gets a three-level
     fingerprint from one vectorized pass over its trace: its
     structural group (op count, TB count, warp count), its footprint
     *shape* (touched-bank count, hottest-bank load, unique row count
@@ -62,16 +37,16 @@ The simulator exposes a **fidelity axis** (threaded from
 Serialized form (the shape carried by ``RunConfig.to_dict`` and hashed
 into cache keys): the string ``"exact"``, or::
 
-    {"kind": "sampled", "warmup": 1, "window": 1, "period": 16}
     {"kind": "auto", "exemplars": 2, "big_kernel_ops": 2048,
      "min_freeze_ops": 4096, "warmup_frac": 0.2, "freeze_frac": 0.5,
      "tail_frac": 0.3}
 
 ``"exact"`` configs *omit* the fidelity key entirely from their
 serialized dict, so built-in cache keys are byte-identical to the
-pre-fidelity format and warm caches stay warm.  The three kinds are
-serialized distinctly (``"exact"`` / ``kind="sampled"`` /
-``kind="auto"``), so their cache keys can never collide.
+pre-fidelity format and warm caches stay warm; auto configs hash the
+dict, so the two kinds' cache keys can never collide.  A dict with any
+other ``kind`` or an unknown key is rejected rather than defaulted, so
+a cache key is never computed from values nobody asked for.
 """
 
 from __future__ import annotations
@@ -82,7 +57,6 @@ from typing import Dict, Optional, Union
 __all__ = [
     "EXACT",
     "AUTO",
-    "SampledFidelity",
     "AutoFidelity",
     "Fidelity",
     "parse_fidelity",
@@ -91,105 +65,6 @@ __all__ = [
 ]
 
 EXACT = "exact"
-
-# Defaults explored by the sampled-accuracy bench
-# (benchmarks/test_sampled_accuracy.py): a 3/16 detailed op share per
-# kernel.  The effective detailed cost per kernel is this share plus
-# the in-flight-capacity ramp floor, so the wall-clock win grows with
-# workload scale while small kernels stay near-exact.
-DEFAULT_WARMUP = 1
-DEFAULT_WINDOW = 2
-DEFAULT_PERIOD = 16
-
-
-@dataclass(frozen=True)
-class SampledFidelity:
-    """Interval-sampled fidelity parameters (op shares).
-
-    Per kernel, the first ``warmup / period`` share of completed ops
-    is the detailed-but-unmeasured ramp (floored at the machine's
-    in-flight capacity), the next ``window / period`` share is the
-    measured detailed sample, and the remaining ``1 - (warmup +
-    window) / period`` share is fast-forwarded functionally at the
-    freeze point and extrapolated with the measured rate.
-    """
-
-    warmup: int = DEFAULT_WARMUP
-    window: int = DEFAULT_WINDOW
-    period: int = DEFAULT_PERIOD
-
-    def __post_init__(self) -> None:
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.period <= self.warmup + self.window:
-            raise ValueError(
-                f"period must exceed warmup + window (else nothing is "
-                f"fast-forwarded), got period={self.period}, "
-                f"warmup={self.warmup}, window={self.window}"
-            )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "kind": "sampled",
-            "warmup": self.warmup,
-            "window": self.window,
-            "period": self.period,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "SampledFidelity":
-        if data.get("kind") != "sampled":
-            raise ValueError(
-                f"not a sampled-fidelity dict: kind={data.get('kind')!r}"
-            )
-        return cls(
-            warmup=int(data.get("warmup", DEFAULT_WARMUP)),
-            window=int(data.get("window", DEFAULT_WINDOW)),
-            period=int(data.get("period", DEFAULT_PERIOD)),
-        )
-
-    @classmethod
-    def parse(cls, text: str) -> "SampledFidelity":
-        """Parse the CLI form ``sampled[:warmup=W,window=D,period=P]``."""
-        body = text.strip()
-        if body.lower().startswith("sampled"):
-            body = body[len("sampled"):]
-        had_params = bool(body)
-        body = body.lstrip(":")
-        kwargs: Dict[str, int] = {}
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip().lower()
-            if not sep or key not in ("warmup", "window", "period"):
-                raise ValueError(
-                    f"bad sampled-fidelity parameter {part!r} (expected "
-                    f"warmup=/window=/period=)"
-                )
-            try:
-                kwargs[key] = int(value.strip())
-            except ValueError:
-                raise ValueError(
-                    f"sampled-fidelity parameter {key} must be an integer, "
-                    f"got {value.strip()!r}"
-                ) from None
-        if had_params and not kwargs:
-            raise ValueError(
-                f"bad sampled-fidelity string {text!r}: expected parameters "
-                f"after ':' (warmup=/window=/period=)"
-            )
-        return cls(**kwargs)
-
-    def __str__(self) -> str:
-        return (
-            f"sampled:warmup={self.warmup},window={self.window},"
-            f"period={self.period}"
-        )
-
 
 # AutoFidelity defaults.  ``exemplars`` is the per-shape-class quota
 # of measured warm occurrences for *small* kernels, whose warm repeats
@@ -212,6 +87,36 @@ DEFAULT_MIN_FREEZE_OPS = 4096
 DEFAULT_WARMUP_FRAC = 0.2
 DEFAULT_FREEZE_FRAC = 0.5
 DEFAULT_TAIL_FRAC = 0.3
+
+_INT_PARAMS = ("exemplars", "big_kernel_ops", "min_freeze_ops")
+_FLOAT_PARAMS = ("warmup_frac", "freeze_frac", "tail_frac")
+
+
+def _json_param(key: object, value: object):
+    """One auto-fidelity dict value, type-checked for *key*.
+
+    Integer parameters accept integral numbers only (``2.0`` but not
+    ``2.9``); no parameter accepts a boolean or a non-number, and an
+    unknown key is an error.
+    """
+    if key in _INT_PARAMS:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ValueError(
+            f"auto-fidelity parameter {key} must be an integer, got {value!r}"
+        )
+    if key in _FLOAT_PARAMS:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ValueError(
+            f"auto-fidelity parameter {key} must be a number, got {value!r}"
+        )
+    raise ValueError(
+        f"unknown auto-fidelity parameter {key!r} (expected "
+        f"{', '.join(_INT_PARAMS + _FLOAT_PARAMS)})"
+    )
 
 
 @dataclass(frozen=True)
@@ -283,18 +188,10 @@ class AutoFidelity:
             raise ValueError(
                 f"not an auto-fidelity dict: kind={data.get('kind')!r}"
             )
-        return cls(
-            exemplars=int(data.get("exemplars", DEFAULT_EXEMPLARS)),
-            big_kernel_ops=int(
-                data.get("big_kernel_ops", DEFAULT_BIG_KERNEL_OPS)
-            ),
-            min_freeze_ops=int(
-                data.get("min_freeze_ops", DEFAULT_MIN_FREEZE_OPS)
-            ),
-            warmup_frac=float(data.get("warmup_frac", DEFAULT_WARMUP_FRAC)),
-            freeze_frac=float(data.get("freeze_frac", DEFAULT_FREEZE_FRAC)),
-            tail_frac=float(data.get("tail_frac", DEFAULT_TAIL_FRAC)),
-        )
+        return cls(**{
+            key: _json_param(key, value)
+            for key, value in data.items() if key != "kind"
+        })
 
     @classmethod
     def parse(cls, text: str) -> "AutoFidelity":
@@ -304,8 +201,6 @@ class AutoFidelity:
             body = body[len("auto"):]
         had_params = bool(body)
         body = body.lstrip(":")
-        int_keys = ("exemplars", "big_kernel_ops", "min_freeze_ops")
-        float_keys = ("warmup_frac", "freeze_frac", "tail_frac")
         kwargs: Dict[str, object] = {}
         for part in body.split(","):
             part = part.strip()
@@ -313,7 +208,7 @@ class AutoFidelity:
                 continue
             key, sep, value = part.partition("=")
             key = key.strip().lower()
-            if not sep or key not in int_keys + float_keys:
+            if not sep or key not in _INT_PARAMS + _FLOAT_PARAMS:
                 raise ValueError(
                     f"bad auto-fidelity parameter {part!r} (expected "
                     f"exemplars=/big_kernel_ops=/min_freeze_ops=/"
@@ -321,7 +216,7 @@ class AutoFidelity:
                 )
             try:
                 kwargs[key] = (
-                    int(value.strip()) if key in int_keys
+                    int(value.strip()) if key in _INT_PARAMS
                     else float(value.strip())
                 )
             except ValueError:
@@ -349,41 +244,35 @@ class AutoFidelity:
 
 AUTO = AutoFidelity()
 
-Fidelity = Union[str, SampledFidelity, AutoFidelity]
+Fidelity = Union[str, AutoFidelity]
 
 
 def parse_fidelity(value: Optional[object]) -> Fidelity:
     """Normalize any accepted fidelity form.
 
-    Accepts ``None`` / ``"exact"`` (-> :data:`EXACT`), a
-    :class:`SampledFidelity` or :class:`AutoFidelity`, the CLI string
-    forms ``sampled[:warmup=..,window=..,period=..]`` and
-    ``auto[:exemplars=..,...]``, or the serialized dict forms.
+    Accepts ``None`` / ``"exact"`` (-> :data:`EXACT`), an
+    :class:`AutoFidelity`, the CLI string form
+    ``auto[:exemplars=..,...]``, or the serialized dict form.
     """
     if value is None:
         return EXACT
-    if isinstance(value, (SampledFidelity, AutoFidelity)):
+    if isinstance(value, AutoFidelity):
         return value
     if isinstance(value, dict):
-        if value.get("kind") == "auto":
-            return AutoFidelity.from_json(value)
-        return SampledFidelity.from_json(value)
+        return AutoFidelity.from_json(value)
     if isinstance(value, str):
         text = value.strip().lower()
         if text in ("", EXACT):
             return EXACT
-        if text.startswith("sampled"):
-            return SampledFidelity.parse(value.strip())
         if text.startswith("auto"):
             return AutoFidelity.parse(value.strip())
         raise ValueError(
-            f"unknown fidelity {value!r} (expected 'exact', "
-            f"'sampled[:warmup=W,window=D,period=P]' or "
+            f"unknown fidelity {value!r} (expected 'exact' or "
             f"'auto[:exemplars=N,...]')"
         )
     raise TypeError(
-        f"fidelity must be a string, dict, SampledFidelity or "
-        f"AutoFidelity, got {type(value).__name__}"
+        f"fidelity must be a string, dict or AutoFidelity, "
+        f"got {type(value).__name__}"
     )
 
 
@@ -391,13 +280,13 @@ def fidelity_to_json(fidelity: Fidelity) -> Union[str, Dict[str, object]]:
     """The JSON-safe form: ``"exact"`` or the parameter dict."""
     if fidelity == EXACT:
         return EXACT
-    if isinstance(fidelity, (SampledFidelity, AutoFidelity)):
+    if isinstance(fidelity, AutoFidelity):
         return fidelity.to_json()
     raise TypeError(f"not a normalized fidelity: {fidelity!r}")
 
 
 def fidelity_kind(fidelity) -> str:
-    """The coarse mode name: ``"exact"``, ``"sampled"`` or ``"auto"``.
+    """The coarse mode name: ``"exact"`` or ``"auto"``.
 
     Accepts anything :func:`parse_fidelity` accepts.  Used to key
     runtime estimates and cache sidecars by fidelity family — wall

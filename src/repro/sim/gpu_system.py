@@ -57,7 +57,6 @@ from .fidelity import (
     EXACT,
     AutoFidelity,
     Fidelity,
-    SampledFidelity,
     fidelity_to_json,
     parse_fidelity,
 )
@@ -529,11 +528,10 @@ class GPUSystem:
         *fidelity* selects the simulation mode (see
         :mod:`repro.sim.fidelity`): ``"exact"`` (the default) runs
         every cycle on the event engine and is byte-identical to the
-        pre-fidelity simulator; a :class:`SampledFidelity` alternates
-        detailed sample windows with vectorized functional
-        fast-forward phases and extrapolates the skipped cycles; an
-        :class:`AutoFidelity` derives a per-kernel plan from the
-        workload's structure (see :func:`plan_auto`).
+        pre-fidelity simulator; an :class:`AutoFidelity` derives a
+        per-kernel plan from the workload's structure (see
+        :func:`plan_auto`), replays estimated kernels and frozen kernel
+        middles functionally and extrapolates their cycles.
 
         *auto_plan* optionally supplies a precomputed
         :func:`plan_auto` result (the plan is scheme-independent, so a
@@ -558,8 +556,9 @@ class GPUSystem:
                 workload, fidelity, max_events, plan=auto_plan,
                 state_cache=state_cache, state_key=state_key,
             )
-        if isinstance(fidelity, SampledFidelity):
-            return self._run_sampled(workload, fidelity, max_events)
+        # Exact mode keeps its own loop: _kernel_done loads the next
+        # kernel inside the retiring TB's event, where auto's polled
+        # loop would load it up to one poll later and move the bytes.
         kernels = []
         for kernel_index, kernel in enumerate(workload.kernels):
             prepare = self._prepare_kernel(kernel)
@@ -577,139 +576,12 @@ class GPUSystem:
         return self._collect(workload)
 
     # ------------------------------------------------------------------
-    # Sampled fidelity: detailed sample windows + kernel fast-forward
-    # ------------------------------------------------------------------
-    # Cycle granularity of the polling loop that watches for the
-    # warmup / window completed-op thresholds inside a kernel.
-    _SAMPLE_POLL_CYCLES = 64
-
-    def _run_sampled(
-        self,
-        workload: Workload,
-        fidelity: SampledFidelity,
-        max_events: Optional[int] = None,
-    ) -> SimulationResult:
-        """Interval-sampled run (see :mod:`repro.sim.fidelity`).
-
-        Each kernel starts exactly as in exact mode — full TB stream,
-        normal dispatch, real occupancy and co-residency — and runs
-        detailed until the first ``(warmup + window) / period`` share
-        of its ops has **completed**: the warmup share re-fills
-        pipeline state (excluded from measurement) and the window
-        share is the measured sample, yielding the kernel's own
-        steady-state cycles-per-completed-request rate.  Then the
-        kernel **freezes** (:meth:`_freeze_kernel`): un-dispatched TBs
-        and the in-flight warps' remaining ops are replayed
-        functionally — through SM L1 tags, LLC slices and the DRAM
-        row-buffer state machines, in dispatch-window-sized groups
-        with round-robin warp interleaving — while the in-flight
-        detailed requests drain normally on the engine.  The skipped
-        ops are extrapolated with the same kernel's measured rate
-        (:class:`~repro.sim.metrics.SampledAccounting`), so
-        per-kernel heterogeneity is sampled rather than assumed.
-
-        Kernels too small to reach their threshold (or whose detailed
-        share covers everything) simply run to completion — tiny
-        workloads degrade gracefully toward exact simulation.
-        """
-        accounting = SampledAccounting()
-        engine = self.engine
-        poll = self._SAMPLE_POLL_CYCLES
-
-        # One event budget across the whole run, like exact mode: each
-        # engine.run call gets the *remaining* allowance, not a fresh
-        # copy per 64-cycle poll.
-        def remaining_events() -> Optional[int]:
-            if max_events is None:
-                return None
-            return max(0, max_events - engine.events_processed)
-
-        for kernel_index, kernel in enumerate(workload.kernels):
-            prepare = self._prepare_kernel(kernel)
-            contexts = [TBContext(tb, kernel_index, prepare) for tb in kernel.tbs]
-            kernel_ops = sum(w.n_ops for tb in contexts for w in tb.warps)
-            kernel_warps = sum(
-                1 for tb in contexts for w in tb.warps if w.n_ops
-            )
-            # The measured window must start past the machine's fill
-            # ramp: completions only reach steady state once the
-            # in-flight population saturates, which takes about one
-            # flight's worth of ops.  The warmup share is therefore
-            # floored at the in-flight op capacity.
-            if len(contexts):
-                resident_warps = kernel_warps * min(
-                    1.0, self.config.max_concurrent_tbs / len(contexts)
-                )
-            else:
-                resident_warps = 0.0
-            ramp_ops = int(resident_warps) * self.config.max_outstanding_per_warp
-            warmup_target = max(
-                (kernel_ops * fidelity.warmup) // fidelity.period, ramp_ops
-            )
-            detailed_span = fidelity.warmup + fidelity.window
-            detailed_target = max(
-                -(-(kernel_ops * detailed_span) // fidelity.period),
-                warmup_target + (kernel_ops * fidelity.window) // fidelity.period,
-            )
-            cycles_start = engine.now
-            completed_start = self._requests_completed()
-            window_start = None
-            seg_mark = None
-            segments = []
-            self.scheduler.load_kernel(contexts)
-            while True:
-                engine.run(until=engine.now + poll, max_events=remaining_events())
-                done = self.scheduler.idle and engine.idle
-                completed = self._requests_completed() - completed_start
-                if window_start is None:
-                    if done or completed >= warmup_target:
-                        window_start = (engine.now, completed)
-                        seg_mark = (
-                            engine.now, completed, *self._dram_row_state()
-                        )
-                else:
-                    seg_mark = self._sample_segment(
-                        segments, seg_mark, completed
-                    )
-                if done or completed >= detailed_target:
-                    break
-            if not self.scheduler.idle:
-                # Freeze: measure the window (with its trajectory),
-                # fast-forward the rest of the kernel, and let the
-                # in-flight requests drain — the drain is recorded so
-                # its real cycles are netted out of the extrapolation
-                # (frozen work and the drain would have overlapped).
-                accounting.record_window(
-                    engine.now - window_start[0],
-                    completed - window_start[1],
-                    segments,
-                )
-                skipped, noc_flits, miss_frac = self._freeze_with_miss_frac()
-                accounting.record_fast_forward(
-                    skipped, noc_flits, miss_frac=miss_frac
-                )
-                drain_from = engine.now
-                drained_from = self._requests_completed()
-                engine.run(max_events=remaining_events())
-                if not self.scheduler.idle or not engine.idle:
-                    raise RuntimeError(
-                        "sampled kernel failed to drain after its freeze "
-                        f"({self.scheduler.in_flight} TBs in flight)"
-                    )
-                accounting.record_drain(
-                    engine.now - drain_from,
-                    self._requests_completed() - drained_from,
-                )
-            else:
-                # The kernel finished inside its detailed share:
-                # everything is real, nothing to extrapolate.
-                accounting.record_window(engine.now - cycles_start, completed)
-        self._finished = True
-        return self._collect(workload, sampled=(fidelity, accounting))
-
-    # ------------------------------------------------------------------
     # Auto fidelity: structure-planned measurement + kernel transfer
     # ------------------------------------------------------------------
+    # Cycle granularity of the polling loop that watches for the
+    # warmup / freeze completed-op thresholds inside a kernel.
+    _SAMPLE_POLL_CYCLES = 64
+
     def _run_auto(
         self,
         workload: Workload,
@@ -719,7 +591,7 @@ class GPUSystem:
         state_cache=None,
         state_key=None,
     ) -> SimulationResult:
-        """Auto-planned sampled run (``--fidelity auto``).
+        """Auto-planned approximate run (``--fidelity auto``).
 
         :func:`plan_auto` classifies each kernel from the workload's
         structure and footprint fingerprints alone.  Measured kernels
@@ -895,7 +767,7 @@ class GPUSystem:
                     completed - window_start[1],
                     segments,
                 )
-                skipped, flits, miss_frac = self._freeze_with_miss_frac(
+                skipped, flits, miss_frac = self._freeze_kernel(
                     fidelity.keep_share
                 )
                 accounting.record_fast_forward(
@@ -908,7 +780,7 @@ class GPUSystem:
         return (engine.now - kernel_start) + extrapolated
 
     # ------------------------------------------------------------------
-    # Shared sampled-mode telemetry
+    # Auto-mode telemetry
     # ------------------------------------------------------------------
     def _requests_completed(self) -> int:
         return sum(sm.ops_completed for sm in self.sms)
@@ -946,26 +818,6 @@ class GPUSystem:
             ))
         return (now, completed, hits, accesses)
 
-    def _freeze_with_miss_frac(self, keep_share: float = 0.0):
-        """Freeze the current kernel, observing the replay's row-miss mix.
-
-        Returns ``(skipped_ops, noc_flits, miss_frac)`` where
-        *miss_frac* is the row-miss fraction of the DRAM traffic the
-        replay pushed through the bank state machines (None when the
-        replay generated no DRAM accesses) — the projection target of
-        the accounting's drift correction.  *keep_share* is forwarded
-        to :meth:`_freeze_kernel` (skip-middle freeze).
-        """
-        hits_before, accesses_before = self._dram_row_state()
-        skipped, flits = self._freeze_kernel(keep_share)
-        hits_after, accesses_after = self._dram_row_state()
-        replayed = accesses_after - accesses_before
-        if replayed > 0:
-            miss_frac = 1.0 - (hits_after - hits_before) / replayed
-        else:
-            miss_frac = None
-        return skipped, flits, miss_frac
-
     def _active_warps(self) -> List[WarpContext]:
         """In-flight warps with un-issued ops, in SM/TB/warp order."""
         return [
@@ -976,7 +828,7 @@ class GPUSystem:
             if not warp.issued_all
         ]
 
-    def _freeze_kernel(self, keep_share: float = 0.0):
+    def _freeze_kernel(self, keep_share: float):
         """Fast-forward the current kernel's skippable remainder.
 
         Two populations are skipped: the in-flight warps' remaining
@@ -991,8 +843,14 @@ class GPUSystem:
         a detailed tail, and the same share of the queued TBs stays
         queued: only the steady *middle* of the kernel is skipped, so
         the end-of-kernel parallelism decay and drain run for real.
-        Returns ``(ops_skipped, estimated_noc_flits)``.
+
+        Returns ``(ops_skipped, estimated_noc_flits, miss_frac)``, where
+        *miss_frac* is the row-miss fraction of the DRAM traffic the
+        replay pushed through the bank state machines (None when the
+        replay generated no DRAM accesses) — the projection target of
+        the accounting's drift correction.
         """
+        hits_before, accesses_before = self._dram_row_state()
         # Group 0: the in-flight warps, on their real SMs.  A warp
         # parked on a full MSHR file replays from its *current* op,
         # whose L1 miss was already counted at the failed issue — the
@@ -1018,7 +876,13 @@ class GPUSystem:
             [tb.trace for tb in queued], self._wave_cap
         )
         queued_skipped, queued_flits = self._replay_stream(stream)
-        return skipped + queued_skipped, flits + queued_flits
+        hits_after, accesses_after = self._dram_row_state()
+        replayed = accesses_after - accesses_before
+        if replayed > 0:
+            miss_frac = 1.0 - (hits_after - hits_before) / replayed
+        else:
+            miss_frac = None
+        return skipped + queued_skipped, flits + queued_flits, miss_frac
 
     def _replay_interleaved(self, streams):
         """Round-robin-interleave warp op streams and replay them.
@@ -1124,7 +988,7 @@ class GPUSystem:
         noc_flits = self.request_noc.stats.flits + self.response_noc.stats.flits
         metadata_extra: Dict[str, object] = {}
         if sampled is not None:
-            # Sampled fidelity: total cycles = real detailed cycles +
+            # Auto fidelity: total cycles = real detailed cycles +
             # the fast-forwarded phases' extrapolated share; counters
             # (cache stats, DRAM activity, the NoC flits estimated for
             # fast-forwarded traffic) already integrate both kinds of

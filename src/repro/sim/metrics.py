@@ -147,12 +147,9 @@ class _Window:
 
 
 class _FastForward:
-    """One fast-forward phase and the drain that followed it."""
+    """One fast-forward phase."""
 
-    __slots__ = (
-        "requests", "windows_seen", "miss_frac",
-        "drain_cycles", "drain_requests",
-    )
+    __slots__ = ("requests", "windows_seen", "miss_frac")
 
     def __init__(self, requests: int, windows_seen: int, miss_frac) -> None:
         self.requests = requests
@@ -161,25 +158,23 @@ class _FastForward:
         # through the bank state machines (None when the replay
         # produced no DRAM accesses).
         self.miss_frac = miss_frac
-        self.drain_cycles = 0
-        self.drain_requests = 0
 
 
 class SampledAccounting:
-    """Per-phase bookkeeping for sampled-fidelity runs.
+    """Per-phase bookkeeping for auto-fidelity runs.
 
-    A sampled run (see :mod:`repro.sim.fidelity`) alternates measured
-    detailed windows and functional fast-forward phases.  This
-    accumulator records each window's ``(cycles, requests)`` — plus,
-    optionally, the window's internal trajectory — and each
-    fast-forward phase's request count, then integrates the total.
+    An auto run (see :mod:`repro.sim.fidelity`) mixes measured
+    detailed windows, functional fast-forward phases (a frozen
+    kernel's skipped middle) and estimated kernels.  This accumulator
+    records each window's ``(cycles, requests)`` — plus, optionally,
+    the window's internal trajectory — each fast-forward phase's
+    request count and each estimated kernel's transferred cycles, then
+    integrates the total.
 
     Each fast-forward phase is extrapolated with the
     cycles-per-completed-request rate of the *nearest preceding*
-    measured window (falling back to the run's pooled rate), with two
-    corrections over the naive ``requests * rate``:
-
-    **Row-hit drift.**  FR-FCFS row-hit rate is not stationary across
+    measured window (falling back to the run's pooled rate), corrected
+    for **row-hit drift**: FR-FCFS row-hit rate is not stationary across
     a kernel — it moves with queue depth and access phase, so a
     window's average rate mispredicts the skipped tail whenever the
     tail's row-buffer locality differs from the window's.  When the
@@ -191,13 +186,6 @@ class SampledAccounting:
     state), the slope is clamped non-negative (more row misses can
     never be faster), and the projected rate is clamped to the range
     the window actually exhibited.
-
-    **Drain netting.**  After a freeze the in-flight requests drain in
-    real (counted) cycles while the frozen ops are extrapolated — but
-    in exact mode those two populations would have overlapped.  The
-    drain's completed ops are therefore folded into the extrapolated
-    population and the real drain cycles are netted out:
-    ``max(0, rate * (skipped + drained) - drain_cycles)``.
 
     Degenerate inputs are safe by construction: zero-request windows
     fall back to the pooled rate, a run with no measured traffic
@@ -246,19 +234,6 @@ class SampledAccounting:
         self._ff.append(_FastForward(requests, len(self._windows), miss_frac))
         self.ff_requests += requests
         self.ff_noc_flits += noc_flits
-
-    def record_drain(self, cycles: int, requests: int) -> None:
-        """The real post-freeze drain of the latest fast-forward phase."""
-        if not self._ff:
-            raise ValueError("record_drain requires a fast-forward phase")
-        if cycles < 0 or requests < 0:
-            raise ValueError(
-                f"drain measurements cannot be negative: "
-                f"cycles={cycles}, requests={requests}"
-            )
-        phase = self._ff[-1]
-        phase.drain_cycles += cycles
-        phase.drain_requests += requests
 
     def record_estimated_kernel(
         self, requests: int, cycles: float, noc_flits: int = 0
@@ -357,24 +332,22 @@ class SampledAccounting:
         """Estimated cycles of all skipped work (integer)."""
         total = 0.0
         for phase in self._ff:
-            skipped = phase.requests
-            if not skipped and not phase.drain_requests:
+            if not phase.requests:
                 continue
             rate = self._rate_for(phase)
             if rate is None:
                 continue  # no measured traffic anywhere: nothing to scale
-            # The drained ops are folded in and the real drain cycles
-            # netted out — in exact mode the drain would have
-            # overlapped the skipped ops, not run in series with them.
-            estimate = rate * (skipped + phase.drain_requests)
-            total += max(0.0, estimate - phase.drain_cycles)
+            total += rate * phase.requests
         for _, cycles in self._estimated_kernels:
             total += cycles
         return int(round(total))
 
     def metadata(self) -> Dict[str, object]:
-        """JSON-safe summary for the result record's metadata."""
-        drained = sum(p.drain_requests for p in self._ff)
+        """JSON-safe summary for the result record's metadata.
+
+        ``drained_requests`` is always 0 since nothing drains after a
+        freeze; the key stays so existing result bytes keep their shape.
+        """
         corrected = sum(
             1 for p in self._ff
             if p.windows_seen and p.miss_frac is not None
@@ -386,7 +359,7 @@ class SampledAccounting:
             "ff_phases": len(self._ff),
             "ff_requests": self.ff_requests,
             "drift_corrected_phases": corrected,
-            "drained_requests": drained,
+            "drained_requests": 0,
             "estimated_kernels": len(self._estimated_kernels),
             "estimated_ff_cycles": self.extrapolated_cycles(),
         }

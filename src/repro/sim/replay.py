@@ -1,8 +1,7 @@
-"""The functional-replay plane of sampled and auto fidelity.
+"""The functional-replay plane of auto fidelity.
 
-Sampled and auto fidelity skip part of a workload's detailed
-simulation — estimated kernels, and the frozen remainder of measured
-ones — but the skipped ops must still warm the memory hierarchy for
+Auto fidelity skips part of a workload's detailed simulation —
+estimated kernels, and the frozen middle of measured ones — but the skipped ops must still warm the memory hierarchy for
 the kernels that follow.  :func:`replay_ops` pushes an ordered op
 stream through that state with no engine events:
 

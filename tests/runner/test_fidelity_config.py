@@ -7,9 +7,9 @@ Two contracts are pinned here:
   format** — the fidelity key is omitted entirely, so warm caches stay
   warm and no ``CACHE_SCHEMA_VERSION`` bump is needed.  The reference
   payload is reconstructed independently below.
-* sampled-mode reports are deterministic: the same grid produces
+* auto-mode reports are deterministic: the same grid produces
   byte-identical reports across worker counts and cache states, and
-  sampled records never collide with exact ones.
+  auto records never collide with exact ones.
 """
 
 import json
@@ -25,10 +25,8 @@ from repro.runner import (
     sweep_report,
 )
 from repro.core.serialize import stable_hash
-from repro.sim.fidelity import EXACT, SampledFidelity
-from repro.specs import ScenarioSpec, SchemeSpec, WorkloadSpec
-
-SAMPLED = SampledFidelity(warmup=1, window=2, period=16)
+from repro.sim.fidelity import AUTO, EXACT, AutoFidelity
+from repro.specs import ScenarioSpec
 
 
 def pr4_payload(config: RunConfig) -> dict:
@@ -87,32 +85,11 @@ class TestExactByteParity:
         assert RunConfig.from_dict(config.to_dict()) == config
 
 
-class TestSampledKeys:
-    def config(self, fidelity):
-        return RunConfig(
-            benchmark=WorkloadSpec.registered("MT"),
-            scheme=SchemeSpec.registered("PM"),
-            scale=0.25,
-            fidelity=fidelity,
-        )
-
-    def test_sampled_and_exact_never_collide(self):
-        assert self.config(EXACT).config_hash() != self.config(SAMPLED).config_hash()
-
-    def test_distinct_parameters_distinct_keys(self):
-        a = self.config(SampledFidelity(1, 2, 16))
-        b = self.config(SampledFidelity(1, 2, 32))
-        assert a.config_hash() != b.config_hash()
-
-    def test_sampled_round_trip(self):
-        config = self.config(SAMPLED)
-        restored = RunConfig.from_dict(config.to_dict())
-        assert restored == config
-        assert restored.config_hash() == config.config_hash()
-
+class TestAutoScenario:
     def test_scenario_spec_round_trip(self):
         spec = ScenarioSpec(
-            benchmarks=("MT",), schemes=("PM",), scale=0.25, fidelity=SAMPLED
+            benchmarks=("SC",), schemes=("PM",), scale=0.25,
+            fidelity=AutoFidelity(exemplars=3, tail_frac=0.25),
         )
         restored = ScenarioSpec.from_dict(
             json.loads(json.dumps(spec.to_dict()))
@@ -121,9 +98,9 @@ class TestSampledKeys:
         assert restored.grid().configs() == spec.grid().configs()
 
 
-class TestSampledDeterminism:
+class TestAutoDeterminism:
     GRID = SweepGrid(
-        benchmarks=("MT",), schemes=("PM",), scale=0.25, fidelity=SAMPLED
+        benchmarks=("SC",), schemes=("PM",), scale=0.25, fidelity=AUTO
     )
 
     def test_report_identical_across_worker_counts(self):
@@ -154,13 +131,13 @@ class TestSampledDeterminism:
             warm_runner.close()
         assert cold == warm
 
-    def test_sampled_report_differs_from_exact(self):
-        exact_grid = SweepGrid(benchmarks=("MT",), schemes=("PM",), scale=0.25)
+    def test_auto_report_differs_from_exact(self):
+        exact_grid = SweepGrid(benchmarks=("SC",), schemes=("PM",), scale=0.25)
         runner = SweepRunner(workers=1)
         try:
-            sampled = sweep_report(self.GRID, runner)
+            auto = sweep_report(self.GRID, runner)
             exact = sweep_report(exact_grid, runner)
         finally:
             runner.close()
-        assert sampled["grid"] != exact["grid"]
-        assert sampled["runs"][0]["config"] != exact["runs"][0]["config"]
+        assert auto["grid"] != exact["grid"]
+        assert auto["runs"][0]["config"] != exact["runs"][0]["config"]

@@ -103,6 +103,19 @@ def test_400_on_malformed_scenario(server):
     assert "invalid scenario" in str(error)
 
 
+@pytest.mark.parametrize("fidelity", [
+    {"kind": "sampled", "warmup": 1, "window": 2, "period": 16},
+    {"kind": "auto", "exemplar": 3},
+], ids=["sampled", "auto-typo"])
+def test_400_on_bad_fidelity(server, fidelity):
+    _, url = server
+    error = expect_status(
+        lambda: client_for(url).submit(dict(SCENARIO, fidelity=fidelity)),
+        400,
+    )
+    assert "invalid scenario" in str(error)
+
+
 def test_400_on_non_json_body(server):
     _, url = server
     request = urllib.request.Request(

@@ -1,4 +1,4 @@
-"""Fidelity modes: parsing, serialization, exact parity, sampled/auto runs."""
+"""Fidelity modes: parsing, serialization, exact parity, auto runs."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.sim.fidelity import (
     AUTO,
     EXACT,
     AutoFidelity,
-    SampledFidelity,
     fidelity_to_json,
     parse_fidelity,
 )
@@ -37,36 +36,32 @@ class TestParsing:
         assert parse_fidelity("  EXACT ") == EXACT
         assert parse_fidelity("") == EXACT
 
-    def test_sampled_default(self):
-        assert parse_fidelity("sampled") == SampledFidelity()
-
-    def test_sampled_with_params(self):
-        fid = parse_fidelity("sampled:warmup=2,window=3,period=24")
-        assert fid == SampledFidelity(warmup=2, window=3, period=24)
-
-    def test_sampled_partial_params(self):
-        fid = parse_fidelity("sampled:period=64")
-        assert fid.period == 64
-        assert fid.warmup == SampledFidelity().warmup
-
     def test_dict_form(self):
-        data = {"kind": "sampled", "warmup": 1, "window": 2, "period": 8}
-        assert parse_fidelity(data) == SampledFidelity(1, 2, 8)
+        data = {"kind": "auto", "exemplars": 3, "tail_frac": 0.25}
+        assert parse_fidelity(data) == AutoFidelity(exemplars=3, tail_frac=0.25)
 
     def test_passthrough(self):
-        fid = SampledFidelity(1, 1, 4)
+        fid = AutoFidelity(exemplars=3)
         assert parse_fidelity(fid) is fid
 
     @pytest.mark.parametrize(
         "bad",
         [
             "bogus",
+            "auto:",  # params promised but none given
+            "auto:oops=1",
+            # There is no sampled mode: its string and dict forms are
+            # errors, never a silent fallback to some default.
+            "sampled",
+            "sampled:",
+            "sampled: , ,",
             "sampled:oops=3",
             "sampled:warmup=x",
-            "sampled:",  # params promised but none given
-            "sampled: , ,",
-            "auto:",
-            "auto:oops=1",
+            "sampled:warmup=1,window=2,period=16",
+            pytest.param(
+                {"kind": "sampled", "warmup": 1, "window": 2, "period": 16},
+                id="sampled-dict",
+            ),
         ],
     )
     def test_bad_strings(self, bad):
@@ -78,21 +73,18 @@ class TestParsing:
             parse_fidelity(3.14)
 
     def test_validation(self):
+        """The dict form is range-checked like the constructor."""
         with pytest.raises(ValueError):
-            SampledFidelity(warmup=-1)
+            parse_fidelity({"kind": "auto", "exemplars": 0})
         with pytest.raises(ValueError):
-            SampledFidelity(window=0)
-        with pytest.raises(ValueError):
-            SampledFidelity(warmup=4, window=4, period=8)  # nothing skipped
+            parse_fidelity({"kind": "auto", "freeze_frac": 0.99})
 
     def test_json_round_trip(self):
-        fid = SampledFidelity(2, 5, 32)
-        assert parse_fidelity(fidelity_to_json(fid)) == fid
+        assert parse_fidelity(fidelity_to_json(AUTO)) == AUTO
         assert fidelity_to_json(EXACT) == "exact"
 
     def test_str_form_round_trips(self):
-        fid = SampledFidelity(2, 5, 32)
-        assert parse_fidelity(str(fid)) == fid
+        assert parse_fidelity(str(AUTO)) == AUTO
 
 
 class TestExactParity:
@@ -107,65 +99,6 @@ class TestExactParity:
         result = fresh_system().run(small_workload())
         assert "fidelity" not in result.metadata
         assert "sampled" not in result.metadata
-
-
-class TestSampledRuns:
-    FID = SampledFidelity(warmup=1, window=2, period=16)
-
-    def test_deterministic(self):
-        workload = small_workload()
-        first = fresh_system("PAE").run(workload, fidelity=self.FID)
-        second = fresh_system("PAE").run(workload, fidelity=self.FID)
-        assert first.to_dict() == second.to_dict()
-
-    def test_metadata_records_mode(self):
-        result = fresh_system().run(small_workload(), fidelity=self.FID)
-        assert result.metadata["fidelity"] == self.FID.to_json()
-        sampled = result.metadata["sampled"]
-        assert sampled["windows"] >= 1
-        assert sampled["window_requests"] > 0
-        assert (
-            sampled["window_requests"] + sampled["ff_requests"]
-            <= small_workload().n_requests
-        )
-
-    def test_string_fidelity_accepted(self):
-        result = fresh_system().run(
-            small_workload(), fidelity="sampled:warmup=1,window=2,period=16"
-        )
-        assert result.metadata["fidelity"]["kind"] == "sampled"
-
-    def test_cycles_in_plausible_range(self):
-        """Sampled cycles approximate exact (loose sanity band)."""
-        workload = small_workload(scale=0.5)
-        exact = fresh_system().run(workload)
-        sampled = fresh_system().run(workload, fidelity=self.FID)
-        assert 0.4 * exact.cycles < sampled.cycles < 2.5 * exact.cycles
-
-    def test_counters_cover_all_requests(self):
-        """Cache/DRAM counters integrate detailed + fast-forwarded work."""
-        workload = small_workload(scale=0.5)
-        exact = fresh_system().run(workload)
-        sampled = fresh_system().run(workload, fidelity=self.FID)
-        # Every request passes an L1 once, detailed or replayed.
-        assert sampled.requests == exact.requests
-        assert sampled.dram_reads > 0
-        assert sampled.row_hit_rate > 0
-        assert sampled.dram_power.total > 0
-
-    def test_degenerates_to_mostly_detailed_on_tiny_workloads(self):
-        """A workload smaller than the ramp floor runs ~everything."""
-        workload = small_workload(scale=0.25, name="HS")
-        sampled = fresh_system().run(workload, fidelity=self.FID)
-        meta = sampled.metadata["sampled"]
-        assert meta["ff_requests"] < workload.n_requests
-
-    def test_single_use_still_enforced(self):
-        workload = small_workload()
-        system = fresh_system()
-        system.run(workload, fidelity=self.FID)
-        with pytest.raises(RuntimeError):
-            system.run(workload, fidelity=self.FID)
 
 
 class TestAutoParsing:
@@ -197,6 +130,35 @@ class TestAutoParsing:
         with pytest.raises(ValueError):
             AutoFidelity(freeze_frac=0.5, tail_frac=0.6)
 
+    def test_integral_float_accepted(self):
+        data = {"kind": "auto", "exemplars": 3.0, "min_freeze_ops": 2048.0}
+        fid = parse_fidelity(data)
+        assert fid == AutoFidelity(exemplars=3, min_freeze_ops=2048)
+        assert type(fid.exemplars) is int
+        assert fidelity_to_json(fid) == fidelity_to_json(
+            AutoFidelity(exemplars=3, min_freeze_ops=2048)
+        )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("exemplar", 3),  # typo of a real key
+            ("period", 16),  # not an auto parameter
+            ("exemplars", 2.9),
+            ("exemplars", True),
+            ("big_kernel_ops", "512"),
+            ("min_freeze_ops", False),
+            ("min_freeze_ops", None),
+            ("tail_frac", True),
+            ("warmup_frac", "0.1"),
+        ],
+    )
+    def test_dict_rejects_typos_and_bad_types(self, key, value):
+        """A malformed dict fails naming its key, never defaulting: the
+        cache key must come from values the user asked for."""
+        with pytest.raises(ValueError, match=key):
+            parse_fidelity({"kind": "auto", key: value})
+
 
 class TestAutoRuns:
     def test_deterministic(self):
@@ -220,18 +182,22 @@ class TestAutoRuns:
         auto = fresh_system().run(workload, fidelity="auto")
         assert auto.requests == exact.requests
 
+    def test_single_use_still_enforced(self):
+        workload = small_workload(name="SC")
+        system = fresh_system()
+        system.run(workload, fidelity=AUTO)
+        with pytest.raises(RuntimeError):
+            system.run(workload, fidelity=AUTO)
+
 
 class TestAccuracyRegression:
     """Pin drift-corrected approximation error against exact runs.
 
-    SC repeats kernels at every scale, so both the sampled drift
-    correction and the auto per-kernel estimator are exercised.  The
-    bands are generous multiples of the currently measured errors
-    (auto <= 1.3%, sampled <= 14.5% on these points) so they fail on
-    regressions, not on noise — both modes are fully deterministic.
+    SC repeats kernels at every scale, so the auto per-kernel
+    estimator is exercised.  The band is a generous multiple of the
+    currently measured error (<= 1.3% on these points) so it fails on
+    regressions, not on noise — auto runs are fully deterministic.
     """
-
-    SAMPLED = SampledFidelity(warmup=1, window=2, period=16)
 
     @pytest.mark.parametrize("scheme", ["BASE", "PAE"])
     @pytest.mark.parametrize("scale", [0.25, 0.5])
@@ -241,17 +207,6 @@ class TestAccuracyRegression:
         auto = fresh_system(scheme).run(workload, fidelity="auto")
         error = abs(auto.cycles / exact.cycles - 1.0)
         assert error < 0.03, f"auto off by {error:.1%} (SC {scheme} @ {scale})"
-
-    @pytest.mark.parametrize("scheme", ["BASE", "PAE"])
-    @pytest.mark.parametrize("scale", [0.25, 0.5])
-    def test_sampled_tracks_exact(self, scheme, scale):
-        workload = small_workload(scale=scale, name="SC")
-        exact = fresh_system(scheme).run(workload)
-        sampled = fresh_system(scheme).run(workload, fidelity=self.SAMPLED)
-        error = abs(sampled.cycles / exact.cycles - 1.0)
-        assert error < 0.20, (
-            f"sampled off by {error:.1%} (SC {scheme} @ {scale})"
-        )
 
 
 def one_op_workload():
@@ -268,11 +223,7 @@ def one_op_workload():
 class TestDegenerateKernels:
     """Tiny kernels must fall back to exact accounting, not crash."""
 
-    @pytest.mark.parametrize(
-        "fidelity",
-        [SampledFidelity(warmup=1, window=2, period=16), AUTO],
-        ids=["sampled", "auto"],
-    )
+    @pytest.mark.parametrize("fidelity", [AUTO], ids=["auto"])
     def test_one_op_kernel_matches_exact(self, fidelity):
         exact = fresh_system().run(one_op_workload())
         approx = fresh_system().run(one_op_workload(), fidelity=fidelity)
@@ -314,14 +265,13 @@ class TestCacheKeys:
             **kwargs,
         )
 
-    def test_auto_hash_distinct_from_exact_and_sampled(self):
+    def test_auto_hash_distinct_from_exact(self):
         hashes = {
             self.config().config_hash(),
-            self.config(fidelity="sampled").config_hash(),
             self.config(fidelity="auto").config_hash(),
             self.config(fidelity=AutoFidelity(exemplars=3)).config_hash(),
         }
-        assert len(hashes) == 4
+        assert len(hashes) == 3
 
     def test_exact_dict_omits_fidelity(self):
         assert "fidelity" not in self.config().to_dict()

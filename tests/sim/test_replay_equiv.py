@@ -7,8 +7,9 @@ the plane to the oracle: over random op streams (and the degenerate
 0-op / 1-op cases, and non-power-of-two set counts), the warm passes
 must report identical stats, identical forwarded / miss / writeback
 outcomes in identical order, and leave every set holding the same
-(line, dirty) entries in the same recency order.  Whole sampled and
-auto runs must be byte-identical with the oracle swapped in.
+(line, dirty) entries in the same recency order.  Whole auto runs —
+estimated kernels and frozen kernels alike — must be byte-identical
+with the oracle swapped in.
 
 The absolute LRU tick values are allowed to differ — the plane stamps
 stream positions rather than per-bump counters — so warmed state is
@@ -218,18 +219,19 @@ class TestFullSystemEquiv:
         assert production == oracle
 
     @pytest.mark.parametrize("scheme_name", ["BASE", "PAE"])
-    def test_sampled_run_results_identical(self, scheme_name, monkeypatch):
-        # SRAD2 @0.5 freezes with TBs still queued, so both freeze
+    def test_frozen_run_results_identical(self, scheme_name, monkeypatch):
+        # Auto SRAD2 @1.0 freezes a measured kernel with TBs still
+        # queued (19 under BASE, 14 under PAE), so both freeze
         # populations (in-flight warps and queued TBs) replay.
-        workload = make_workload("SRAD2", scale=0.5)
-        fidelity = parse_fidelity("sampled")
+        workload = make_workload("SRAD2", scale=1.0)
+        fidelity = parse_fidelity("auto")
         production, oracle = on_both_planes(
             monkeypatch,
             lambda: GPUSystem(make_scheme(scheme_name, AMAP)).run(
                 workload, fidelity=fidelity
             ).to_dict(),
         )
-        assert production["metadata"]["sampled"]["ff_requests"] > 0
+        assert production["metadata"]["sampled"]["ff_phases"] > 0
         assert production == oracle
 
     def test_auto_run_with_cached_stream_identical(self, monkeypatch,

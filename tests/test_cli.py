@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -361,30 +362,31 @@ class TestProfile:
         assert "cumtime" in out
         assert "function calls" in out
 
-    def test_profile_sampled_and_sort(self, capsys):
+    def test_profile_auto_and_sort(self, capsys):
         assert main([
             "profile", "SP", "--scale", "0.25", "--limit", "3",
-            "--sort", "tottime",
-            "--fidelity", "sampled:warmup=1,window=2,period=16",
+            "--sort", "tottime", "--fidelity", "auto",
         ]) == 0
         assert "tottime" in capsys.readouterr().out
 
 
 class TestFidelityFlag:
-    def test_sweep_sampled_fidelity(self, tmp_path, capsys):
+    def test_sweep_auto_fidelity(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main([
             "sweep", "--benchmarks", "SP", "--schemes", "PM",
             "--scale", "0.25", "--cache-dir", "",
-            "--fidelity", "sampled:warmup=1,window=2,period=16",
+            "--fidelity", "auto:exemplars=3",
             "-o", str(out),
         ]) == 0
         report = json.loads(out.read_text())
         assert report["grid"]["fidelity"] == {
-            "kind": "sampled", "warmup": 1, "window": 2, "period": 16,
+            "kind": "auto", "exemplars": 3, "big_kernel_ops": 2048,
+            "min_freeze_ops": 4096, "warmup_frac": 0.2, "freeze_frac": 0.5,
+            "tail_frac": 0.3,
         }
         for run in report["runs"]:
-            assert run["config"]["fidelity"]["kind"] == "sampled"
+            assert run["config"]["fidelity"] == report["grid"]["fidelity"]
 
     def test_exact_sweep_report_has_no_fidelity_key(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -403,3 +405,32 @@ class TestFidelityFlag:
             "--scale", "0.25", "--cache-dir", "", "--fidelity", "bogus",
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--benchmarks", "SP", "--schemes", "PM", "--cache-dir", ""],
+        ["simulate", "SP", "--schemes", "PM"],
+        ["profile", "SP"],
+    ], ids=["sweep", "simulate", "profile"])
+    def test_sampled_fidelity_is_rejected(self, command, capsys):
+        assert main(command + ["--scale", "0.25", "--fidelity", "sampled"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown fidelity 'sampled'" in err
+        assert "Traceback" not in err
+        assert sys.getprofile() is None  # profile never enabled cProfile
+
+    @pytest.mark.parametrize("fidelity", [
+        {"kind": "sampled", "warmup": 1, "window": 2, "period": 16},
+        {"kind": "auto", "exemplar": 3},
+    ], ids=["sampled", "auto-typo"])
+    def test_bad_scenario_fidelity_fails_cleanly(self, fidelity, tmp_path,
+                                                 capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "benchmarks": ["SP"], "schemes": ["PM"], "scale": 0.25,
+            "fidelity": fidelity,
+        }))
+        assert main([
+            "sweep", "--spec", str(scenario), "--cache-dir", "",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
