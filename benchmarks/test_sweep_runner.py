@@ -6,15 +6,10 @@ Measures the acceptance properties of the ``repro.runner`` subsystem:
   the **cold** sweep that populated the cache, with every run reported
   as a cache hit,
 * the report JSON is byte-identical between 1 worker and N workers and
-  between cold and warm runs,
-* with runtime metadata on disk, a cold multi-worker re-run dispatched
-  longest-job-first in batched futures beats FIFO one-future-per-run
-  submission (the straggler-tail fix); cold/warm/FIFO/LJF numbers land
-  in ``benchmarks/results/BENCH_sweep_wall.json`` (gitignored,
-  uploaded as a CI artifact) so the trajectory is tracked per PR.
+  between cold and warm runs.
 
 The ``sweep_*.txt`` tables this module writes hold timings only and are
-gitignored too: every run rewrites them, and no golden test reads them.
+gitignored: every run rewrites them, and no golden test reads them.
 
 The default grid keeps tier-1 fast; set ``REPRO_SWEEP_BENCH_SCALE``
 and ``REPRO_SWEEP_BENCH_FULL=1`` to benchmark the full valley suite at
@@ -22,7 +17,6 @@ paper scale (the ``slow``-marked variant, run in CI's non-blocking
 benchmark job).
 """
 
-import json
 import os
 import time
 
@@ -97,79 +91,6 @@ def test_sweep_worker_count_invariance(results_dir):
         f"parallel (2 workers): {parallel_seconds:.2f}s",
         "reports byte-identical: yes",
     ]))
-
-
-def test_sweep_ljf_vs_fifo_wall_clock(results_dir, tmp_path_factory):
-    """LJF + batched futures vs FIFO submission on a cold cache.
-
-    The FIFO cold pass also populates the runtime-metadata sidecars;
-    records (but not sidecars) are then dropped so the LJF pass re-runs
-    every config cold *with* recorded runtimes to schedule from — the
-    acceptance scenario of the shard-aware execution layer.  Numbers
-    land in ``BENCH_sweep_wall.json``; wall-clock assertions stay loose
-    (machine noise) — the JSON artifact is the tracked signal.
-    """
-    cache_dir = tmp_path_factory.mktemp("sweep-wall-cache")
-    # SC (the heaviest of the three) deliberately sits *last* in grid
-    # order, and the pool is wider than the heavy-job count — the
-    # straggler scenario: FIFO burns the wide pool on the six cheap
-    # SP/HS runs and only reaches the three long SC runs when the
-    # sweep is nearly drained, while LJF starts them first and overlaps
-    # the cheap runs on the remaining worker.
-    grid = SweepGrid(
-        benchmarks=("SP", "HS", "SC"), schemes=("PM", "PAE"),
-        scale=SWEEP_SCALE,
-    )
-    n_runs = len(grid.configs())
-    workers = 4
-
-    fifo_report, fifo_seconds, fifo_runner = _timed_sweep(
-        grid, cache_dir=cache_dir, workers=workers, schedule="fifo"
-    )
-    fifo_runner.close()
-    assert fifo_runner.stats.executed == n_runs
-
-    # Drop the records, keep the .meta.json sidecars: the next cold run
-    # simulates everything again but schedules from recorded runtimes.
-    for path in cache_dir.glob("*/*.json"):
-        if not path.name.endswith(".meta.json"):
-            path.unlink()
-
-    ljf_report, ljf_seconds, ljf_runner = _timed_sweep(
-        grid, cache_dir=cache_dir, workers=workers, schedule="ljf"
-    )
-    ljf_runner.close()
-    assert ljf_runner.stats.executed == n_runs
-    assert render_report(fifo_report) == render_report(ljf_report)
-
-    warm_report, warm_seconds, warm_runner = _timed_sweep(
-        grid, cache_dir=cache_dir
-    )
-    assert warm_runner.stats.cache_hits == n_runs
-    assert render_report(warm_report) == render_report(fifo_report)
-
-    payload = {
-        "grid": grid.to_dict(),
-        "runs": n_runs,
-        "workers": workers,
-        "fifo_cold_seconds": round(fifo_seconds, 4),
-        "ljf_cold_seconds": round(ljf_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "ljf_speedup_vs_fifo": round(fifo_seconds / max(ljf_seconds, 1e-9), 3),
-    }
-    out = results_dir / "BENCH_sweep_wall.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    emit(results_dir, "sweep_wall", "\n".join([
-        "sweep wall-clock: FIFO vs LJF "
-        f"({workers} workers, cold cache, warm metadata)",
-        f"grid: {n_runs} runs, scale {SWEEP_SCALE}",
-        f"fifo cold: {fifo_seconds:.2f}s",
-        f"ljf  cold: {ljf_seconds:.2f}s "
-        f"({payload['ljf_speedup_vs_fifo']}x vs fifo)",
-        f"warm: {warm_seconds:.4f}s",
-    ]))
-    # Sanity only: LJF must not be pathologically slower than FIFO.
-    assert ljf_seconds <= fifo_seconds * 2.0, payload
 
 
 @pytest.mark.slow

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -270,12 +271,13 @@ def _write_report(text: str, output: str) -> None:
 
 
 def _progress_printer():
-    """Stderr progress callback: executed count, elapsed, estimate-based ETA."""
+    """Stderr progress callback: executed count, elapsed, rate-based ETA."""
     def emit(progress) -> None:
+        eta = progress.eta_seconds
+        eta_text = f"{eta:.0f}s" if math.isfinite(eta) else "?"
         print(
             f"\r[{progress.done}/{progress.total} executed] "
-            f"{progress.elapsed_seconds:.0f}s elapsed, "
-            f"eta {progress.eta_seconds:.0f}s ",
+            f"{progress.elapsed_seconds:.0f}s elapsed, eta {eta_text} ",
             end="", file=sys.stderr, flush=True,
         )
     return emit
@@ -580,21 +582,24 @@ def _cmd_profile(args) -> int:
     import io as io_module
     import pstats
 
-    # Parse before enabling: a bad value must not leave the profiler on.
+    # Parse before enabling, and disable on any exit: a bad value must
+    # not leave the profiler on.
     fidelity = parse_fidelity(args.fidelity)
     profiler = cProfile.Profile()
     profiler.enable()
-    result = api.simulate(
-        _workload_value(args.benchmark),
-        _scheme_value(args.scheme),
-        seed=args.seed,
-        n_sms=args.n_sms,
-        memory=args.memory,
-        scale=args.scale,
-        fidelity=fidelity,
-        workers=1,  # inline, in-process: the profile must see the run
-    )
-    profiler.disable()
+    try:
+        result = api.simulate(
+            _workload_value(args.benchmark),
+            _scheme_value(args.scheme),
+            seed=args.seed,
+            n_sms=args.n_sms,
+            memory=args.memory,
+            scale=args.scale,
+            fidelity=fidelity,
+            workers=1,  # inline, in-process: the profile must see the run
+        )
+    finally:
+        profiler.disable()
     stream = io_module.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats(args.sort)

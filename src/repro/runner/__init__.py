@@ -58,10 +58,10 @@ deleted and recomputed, never trusted.  The cache may be shared
 between concurrent processes.
 
 The ``.meta.json`` sidecar records wall seconds, engine event count
-and the schema version of each run; it feeds longest-job-first
-scheduling, progress/ETA reporting and ``repro cache ls / prune``, and
-is never required for correctness.  ``.claim`` markers implement the
-optional work-claim protocol (see :mod:`repro.runner.cache`).
+and the schema version of each run; it feeds ``repro cache ls /
+prune``, and is never required for correctness.  ``.claim`` markers
+implement the optional work-claim protocol (see
+:mod:`repro.runner.cache`).
 
 Worker configuration
 --------------------
@@ -74,9 +74,8 @@ per CPU.  Each worker process keeps a
 :class:`~repro.runner.worker.RunContext` that memoizes workloads,
 schemes and the RMP suite entropy profile across the tasks it serves,
 so per-task setup cost amortizes away on large grids.  Misses are
-dispatched longest-job-first in batched futures (see
-:mod:`repro.runner.sweep`); pass ``schedule="fifo"`` to A/B the old
-submission order.
+submitted in input order, one future per config (see
+:mod:`repro.runner.sweep`).
 
 Failure semantics
 -----------------
@@ -103,7 +102,7 @@ Determinism guarantees
 * ``run_many`` returns results in **input order**, not completion
   order, and grids expand in a fixed documented order (benchmarks
   outermost, then schemes / seeds / SM counts / memories).
-  Longest-job-first scheduling and claim stealing only reorder
+  Worker completion order and claim stealing only reorder
   *execution*, never output.
 * Shard partitions (:class:`~repro.runner.shard.ShardSpec`) are
   pairwise disjoint, cover the grid, and are stable across
@@ -145,8 +144,6 @@ from .sweep import (
     SweepStats,
     coerce_workers,
     default_workers,
-    estimate_runtimes,
-    plan_buckets,
 )
 from .worker import RunContext, execute_config, execute_config_batch, process_context
 
@@ -175,11 +172,9 @@ __all__ = [
     "SweepStats",
     "coerce_workers",
     "default_workers",
-    "estimate_runtimes",
     "execute_config",
     "execute_config_batch",
     "merge_shard_reports",
-    "plan_buckets",
     "process_context",
     "render_report",
     "report_from_cache",

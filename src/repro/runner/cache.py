@@ -16,11 +16,11 @@ Each result record is one JSON object::
 
 The **metadata sidecar** is advisory: it records how the result was
 produced (wall seconds, engine events, the ``CACHE_SCHEMA_VERSION`` it
-was computed under, and the config axes that predict runtime) so the
-sweep runner can schedule cold configs longest-job-first and ``repro
-cache ls / prune`` can report and evict by schema version.  Results
-are always correct without sidecars — a missing or corrupt sidecar
-only degrades scheduling back to static estimates.
+was computed under, and the run's config axes) so ``repro cache ls /
+prune`` can report and evict by schema version.  Results are always
+correct without sidecars — a missing or corrupt sidecar only drops
+the run's wall from ``repro cache ls`` and makes
+:meth:`ResultCache.schema_of` re-hash the record instead.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or killed
 sweep can never leave a half-written record behind; a record that is
@@ -254,19 +254,6 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         return data if isinstance(data, dict) else None
-
-    def runtime_metadata(self) -> List[Dict[str, object]]:
-        """Every readable metadata sidecar (feeds runtime estimation)."""
-        metas = []
-        for path in sorted(self.root.glob(f"*/*{_META_SUFFIX}")):
-            try:
-                with open(path) as handle:
-                    data = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if isinstance(data, dict) and data.get("wall_seconds") is not None:
-                metas.append(data)
-        return metas
 
     # ------------------------------------------------------------------
     # Inspection and pruning (``repro cache``)

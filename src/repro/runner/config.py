@@ -28,6 +28,7 @@ normalizes against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -131,8 +132,13 @@ class RunConfig:
             raise ValueError(str(error)) from None
         if self.n_sms <= 0:
             raise ValueError(f"n_sms must be positive, got {self.n_sms}")
-        if self.scale <= 0 or self.profile_scale <= 0:
-            raise ValueError("scale and profile_scale must be positive")
+        # ``not 0 < x`` also rejects NaN, which fails every comparison.
+        if not (0 < self.scale < math.inf
+                and 0 < self.profile_scale < math.inf):
+            raise ValueError(
+                f"scale and profile_scale must be positive and finite, got "
+                f"{self.scale!r} and {self.profile_scale!r}"
+            )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 

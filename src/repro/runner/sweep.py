@@ -19,17 +19,9 @@ function of its config.
 
 Scheduling
 ----------
-Cold configs are dispatched **longest-job-first** (``schedule="ljf"``,
-the default): each miss gets a runtime estimate — recorded wall
-seconds from the cache's metadata sidecars when available, a static
-scale-based guess otherwise — and misses are packed longest-first into
-at most ``16 x workers`` futures by greedy LPT assignment (one job per
-future on small grids, batched on large ones to amortize executor
-IPC).  Long runs start first, which kills the straggler tail FIFO
-submission suffers from (the slowest config submitted last pins the
-whole sweep).  ``schedule="fifo"`` restores one-future-per-config
-submission in input order for A/B measurement.  Scheduling only
-reorders *execution*; reported results never change.
+Misses are submitted to the pool in input order, one future per
+config, and idle workers pull the next one.  Execution order never
+affects reported results.
 
 Failure semantics
 -----------------
@@ -87,6 +79,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import heapq
+import math
 import os
 import time
 import warnings
@@ -96,7 +89,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..sim.fidelity import fidelity_kind
 from ..sim.results import SimulationResult
 from .cache import CacheStats, ResultCache
 from .config import RunConfig
@@ -110,8 +102,6 @@ __all__ = [
     "SweepProgress",
     "coerce_workers",
     "default_workers",
-    "estimate_runtimes",
-    "plan_buckets",
 ]
 
 
@@ -202,7 +192,14 @@ class SweepProgress:
     done: int
     total: int
     elapsed_seconds: float
-    eta_seconds: float
+
+    @property
+    def eta_seconds(self) -> float:
+        """Seconds left at the completion rate measured so far; ``inf``
+        until the first config has finished."""
+        if self.done <= 0:
+            return math.inf
+        return self.elapsed_seconds * (self.total - self.done) / self.done
 
 
 @dataclass
@@ -223,131 +220,6 @@ class SweepOutcome:
         return not self.failures
 
 
-# Estimated seconds per unit of trace scale when the cache holds no
-# runtime metadata at all.  Only relative magnitudes matter for LJF.
-_FALLBACK_SECONDS_PER_SCALE = 1.0
-
-# Relative wall clock of each fidelity family against exact mode.
-# Auto runs fast-forward most of their detailed cycles, so
-# exact-mode sidecar evidence grossly inflates their estimates (and
-# vice versa); when a config's own family has no recorded evidence,
-# cross-family rates are rescaled by this documented discount instead
-# of being used raw.  Deliberately coarse — estimates only order
-# execution and feed the ETA, never results.
-_FIDELITY_WALL_DISCOUNT = {"exact": 1.0, "auto": 0.5}
-
-
-def _fidelity_discount(kind: str) -> float:
-    return _FIDELITY_WALL_DISCOUNT.get(kind, 1.0)
-
-
-def estimate_runtimes(
-    configs: Sequence[RunConfig],
-    metas: Sequence[Dict[str, object]],
-) -> List[float]:
-    """Estimated wall seconds for each config, best evidence first.
-
-    1. mean recorded wall of runs with the same (benchmark, scheme,
-       scale, n_sms, memory, fidelity kind) — i.e. the same run under
-       an older cache schema,
-    2. mean recorded wall-per-scale of the same benchmark and fidelity
-       kind, times the config's scale,
-    3. the same benchmark's evidence from another fidelity kind,
-       rescaled by the :data:`_FIDELITY_WALL_DISCOUNT` ratio (exact
-       evidence preferred — the most abundant, least noisy family),
-    4. the same two steps over global (all-benchmark) rates,
-    5. a static ``scale * n_sms`` guess, times the kind's discount.
-
-    Sidecars recorded before the ``fidelity`` field existed are
-    counted as exact — that is what produced them.
-
-    Pure and deterministic: estimates only influence execution order,
-    never results.
-    """
-    exact: Dict[Tuple[str, str, float, int, str, str], List[float]] = {}
-    bench_rates: Dict[str, Dict[str, List[float]]] = {}
-    global_rates: Dict[str, List[float]] = {}
-    for meta in metas:
-        try:
-            wall = float(meta["wall_seconds"])  # type: ignore[arg-type]
-            benchmark = str(meta["benchmark"])
-            scale = float(meta["scale"])  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError):
-            continue
-        kind = str(meta.get("fidelity") or "exact")
-        key = (
-            benchmark, str(meta.get("scheme")), scale,
-            int(meta.get("n_sms", 0) or 0), str(meta.get("memory")), kind,
-        )
-        exact.setdefault(key, []).append(wall)
-        if scale > 0:
-            bench_rates.setdefault(benchmark, {}).setdefault(
-                kind, []
-            ).append(wall / scale)
-            global_rates.setdefault(kind, []).append(wall / scale)
-
-    def mean(values: List[float]) -> float:
-        return sum(values) / len(values)
-
-    def rate_for(table: Dict[str, List[float]], kind: str) -> Optional[float]:
-        """Per-scale rate for *kind*, converting cross-kind evidence by
-        the fidelity discount when the kind itself has none."""
-        rates = table.get(kind)
-        if rates:
-            return mean(rates)
-        for other in ("exact", *sorted(table)):
-            rates = table.get(other)
-            if rates and other != kind:
-                return (
-                    mean(rates)
-                    * _fidelity_discount(kind) / _fidelity_discount(other)
-                )
-        return None
-
-    estimates = []
-    for config in configs:
-        kind = fidelity_kind(config.fidelity)
-        key = (
-            config.benchmark_name, config.scheme_name, config.scale,
-            config.n_sms, config.memory, kind,
-        )
-        if key in exact:
-            estimates.append(mean(exact[key]))
-            continue
-        rate = rate_for(bench_rates.get(config.benchmark_name, {}), kind)
-        if rate is None:
-            rate = rate_for(global_rates, kind)
-        if rate is not None:
-            estimates.append(rate * config.scale)
-        else:
-            estimates.append(
-                _FALLBACK_SECONDS_PER_SCALE * config.scale * config.n_sms
-                * _fidelity_discount(kind)
-            )
-    return estimates
-
-
-def plan_buckets(estimates: Sequence[float], n_buckets: int) -> List[List[int]]:
-    """Greedy LPT packing of job indexes into at most *n_buckets* batches.
-
-    Jobs are taken longest-first and each goes to the least-loaded
-    bucket (ties to the lowest bucket index), so every bucket carries a
-    near-equal share of estimated work and the longest jobs lead their
-    batch.  Every index appears in exactly one bucket; empty buckets
-    are dropped.  Deterministic for fixed inputs.
-    """
-    n = len(estimates)
-    n_buckets = max(1, min(n, n_buckets))
-    order = sorted(range(n), key=lambda i: (-estimates[i], i))
-    buckets: List[List[int]] = [[] for _ in range(n_buckets)]
-    loads = [0.0] * n_buckets
-    for i in order:
-        target = min(range(n_buckets), key=lambda j: (loads[j], j))
-        buckets[target].append(i)
-        loads[target] += estimates[i]
-    return [bucket for bucket in buckets if bucket]
-
-
 @dataclass
 class _Flight:
     """One in-flight pool future: which configs, when, and its deadline."""
@@ -361,25 +233,11 @@ class _Flight:
 class SweepRunner:
     """Runs batches of configs with caching, parallelism and fault tolerance."""
 
-    # LJF gate: below this estimated total mass the grid is too light
-    # for longest-first packing to beat plain input-order submission
-    # (any packing of sub-second jobs finishes within estimate noise),
-    # so ``schedule="ljf"`` falls back to FIFO.  Cold caches estimate
-    # each config at roughly ``scale * n_sms`` seconds, so any grid
-    # with a handful of runs clears this comfortably.
-    _LJF_MIN_MASS_SECONDS = 2.0
-
-    # Futures per worker before misses are batched (see plan_buckets).
-    # A class attribute so fault tests can force multi-config batches
-    # on tiny grids.
-    _FUTURES_PER_WORKER = 16
-
     def __init__(
         self,
         workers: Optional[int] = None,
         cache_dir=None,
         context=None,
-        schedule: str = "ljf",
         claims: bool = False,
         claim_ttl: float = 1800.0,
         claim_poll: float = 0.25,
@@ -392,9 +250,9 @@ class SweepRunner:
         """*context* is the :class:`~repro.runner.worker.RunContext` used
         for inline execution (``workers <= 1``); it defaults to the
         process-wide one.  Pool workers always use their own process's
-        context.  See the module docstring for *schedule* and the claim
-        parameters; *progress* is called with a :class:`SweepProgress`
-        after every completed miss.  *policy* governs retries/timeouts
+        context.  See the module docstring for the claim parameters;
+        *progress* is called with a :class:`SweepProgress` after every
+        completed miss.  *policy* governs retries/timeouts
         (defaults to :class:`~repro.runner.faults.FailurePolicy`);
         *faults* is a fault-injection plan or spec string, defaulting
         to ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing.
@@ -406,8 +264,6 @@ class SweepRunner:
         pass an explicit directory to use one without the other (e.g.
         benchmarks that must re-execute results but still measure
         warmed-state reuse), or ``""`` to disable it."""
-        if schedule not in ("ljf", "fifo"):
-            raise ValueError(f"schedule must be 'ljf' or 'fifo', got {schedule!r}")
         self.workers = coerce_workers(workers) if workers is not None else 1
         self.policy = policy if policy is not None else FailurePolicy()
         self.faults = (
@@ -421,7 +277,6 @@ class SweepRunner:
             state_dir = str(Path(cache_dir) / "state")
         self.state_dir: Optional[str] = state_dir or None
         self.stats = SweepStats()
-        self.schedule = schedule
         self.claims = bool(claims) and self.cache is not None
         self.claim_ttl = float(claim_ttl)
         self.claim_poll = float(claim_poll)
@@ -431,9 +286,6 @@ class SweepRunner:
         self._context = context
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._cache_warned = False
-        # Sidecar snapshot shared by the execute calls of one run_many
-        # batch (claims mode executes in two waves; scan disk once).
-        self._meta_scan: Optional[List[Dict[str, object]]] = None
 
     # ------------------------------------------------------------------
     # Running
@@ -492,7 +344,6 @@ class SweepRunner:
         # record (before releasing its claim).
         failures: Dict[str, RunFailure] = {}
         if miss_order:
-            self._meta_scan = None  # fresh sidecar snapshot per batch
             computed = self._execute([miss_config[key] for key in miss_order])
             for key, entry in zip(miss_order, computed):
                 if isinstance(entry, RunFailure):
@@ -536,13 +387,6 @@ class SweepRunner:
         if self.claims:
             return self._execute_with_claims(configs)
         return self._execute_batch(configs)
-
-    def _estimates(self, configs: Sequence[RunConfig]) -> List[float]:
-        if self._meta_scan is None:
-            self._meta_scan = (
-                self.cache.runtime_metadata() if self.cache is not None else []
-            )
-        return estimate_runtimes(configs, self._meta_scan)
 
     def _emit_progress(self, progress: SweepProgress) -> None:
         """Invoke the user's progress callback, defusing it on error.
@@ -595,22 +439,15 @@ class SweepRunner:
         self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
         """Simulate *configs*, returning entries in input order."""
-        n = len(configs)
         use_pool = self.workers > 1 and (
-            n > 1 or self.policy.timeout is not None
+            len(configs) > 1 or self.policy.timeout is not None
         )
-        # Estimates cost a sidecar scan; only pay it when something
-        # consumes them (LJF bucket planning or the ETA callback).
-        if self._progress is not None or (use_pool and self.schedule == "ljf"):
-            estimates = self._estimates(configs)
-        else:
-            estimates = [0.0] * n
         if not use_pool:
-            return self._execute_inline(configs, estimates)
-        return self._execute_pool(configs, estimates)
+            return self._execute_inline(configs)
+        return self._execute_pool(configs)
 
     def _execute_inline(
-        self, configs: List[RunConfig], estimates: List[float]
+        self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
         """Serial in-process execution with retries (no timeout: inline
         execution cannot interrupt itself — use workers > 1 for that)."""
@@ -620,9 +457,7 @@ class SweepRunner:
         plan = self.faults
         started = time.perf_counter()
         out: List[SweepRunner._Entry] = []
-        done = 0
-        remaining = sum(estimates)
-        for config, estimate in zip(configs, estimates):
+        for done, config in enumerate(configs, start=1):
             key = config.config_hash()
             attempt = 0
             wall_total = 0.0
@@ -650,17 +485,14 @@ class SweepRunner:
                     continue
                 out.append((result, time.perf_counter() - run_started, False))
                 break
-            done += 1
-            remaining -= estimate
             self._emit_progress(SweepProgress(
                 done=done, total=len(configs),
                 elapsed_seconds=time.perf_counter() - started,
-                eta_seconds=remaining / max(1, self.workers),
             ))
         return out
 
     def _execute_pool(
-        self, configs: List[RunConfig], estimates: List[float]
+        self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
         """Parallel execution with the full failure policy.
 
@@ -682,7 +514,6 @@ class SweepRunner:
         fail_wall = [0.0] * n
         started = time.perf_counter()
         done_count = 0
-        remaining_estimate = sum(estimates)
 
         pending: Dict[concurrent.futures.Future, _Flight] = {}
         retry_heap: List[Tuple[float, int]] = []  # (ready time, index)
@@ -698,22 +529,20 @@ class SweepRunner:
             self._emit_progress(SweepProgress(
                 done=done_count, total=n,
                 elapsed_seconds=time.perf_counter() - started,
-                eta_seconds=remaining_estimate / max(1, self.workers),
             ))
 
         def finish_ok(i: int, payload: Dict[str, object]) -> None:
-            nonlocal done_count, remaining_estimate
+            nonlocal done_count
             entries[i] = (
                 SimulationResult.from_dict(payload["result"]),
                 float(payload["wall_seconds"]),
                 False,
             )
             done_count += 1
-            remaining_estimate -= estimates[i]
 
         def charge(i: int, kind: str, error: str, wall: float) -> None:
             """One failed attempt of config *i*: retry or quarantine."""
-            nonlocal done_count, remaining_estimate
+            nonlocal done_count
             attempts[i] += 1
             fail_wall[i] += wall
             if attempts[i] >= policy.max_attempts:
@@ -721,7 +550,6 @@ class SweepRunner:
                     configs[i], keys[i], kind, error, attempts[i], fail_wall[i]
                 )
                 done_count += 1
-                remaining_estimate -= estimates[i]
             else:
                 self.stats.retries += 1
                 ready = time.monotonic() + policy.backoff_seconds(
@@ -834,24 +662,7 @@ class SweepRunner:
             )
             return True
 
-        # -- initial submission ------------------------------------------
-        if self.schedule == "fifo" or (
-            sum(estimates) < self._LJF_MIN_MASS_SECONDS
-        ):
-            # A/B baseline, and the small-grid gate: one future per
-            # config, submitted in input order (the pre-LJF
-            # behaviour).  Below the mass threshold the jobs are so
-            # short that longest-first packing can only reshuffle
-            # near-equal work — estimate noise then decides the order,
-            # which is strictly worse than submitting as given.
-            buckets = [[i] for i in range(n)]
-        else:
-            # One job per future while grids are small (dynamic pulling
-            # then absorbs any estimate error); above ~16 futures per
-            # worker, batch to cap executor IPC.  Either way jobs are
-            # packed longest-first, so the heaviest runs start first.
-            buckets = plan_buckets(estimates, self.workers * self._FUTURES_PER_WORKER)
-        backlog.extend(buckets)
+        backlog.extend([i] for i in range(n))
 
         # -- orchestration loop ------------------------------------------
         while True:
@@ -1098,6 +909,5 @@ class SweepRunner:
         return (
             f"SweepRunner(workers={self.workers}, "
             f"cache={getattr(self.cache, 'root', None)!r}, "
-            f"schedule={self.schedule!r}, "
             f"stats={self.stats.as_dict()})"
         )

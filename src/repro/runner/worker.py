@@ -266,11 +266,11 @@ def execute_config_batch(
 ) -> List[Dict[str, object]]:
     """Pool entry point: run a batch of configs in one task.
 
-    Batching many configs into one future cuts executor IPC overhead
-    (one pickle round-trip per batch instead of per run).  Each item of
-    the returned list carries the result dict plus the measured wall
-    seconds, which the caller records into the cache's runtime-metadata
-    sidecar to drive longest-job-first scheduling of future sweeps.
+    The sweep runner submits one config per task, and several only
+    when crash bisection probes the configs a dead worker took down.
+    Each item of the returned list carries the result dict plus the
+    measured wall seconds, which the caller records into the cache's
+    runtime-metadata sidecar.
 
     Failure semantics: an exception from one config never loses the
     rest of the batch — the failing item comes back as ``{"error":

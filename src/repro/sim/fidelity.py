@@ -288,9 +288,9 @@ def fidelity_to_json(fidelity: Fidelity) -> Union[str, Dict[str, object]]:
 def fidelity_kind(fidelity) -> str:
     """The coarse mode name: ``"exact"`` or ``"auto"``.
 
-    Accepts anything :func:`parse_fidelity` accepts.  Used to key
-    runtime estimates and cache sidecars by fidelity family — wall
-    clock differs by mode far more than by the mode's parameters.
+    Accepts anything :func:`parse_fidelity` accepts.  Recorded in
+    cache sidecars — wall clock differs by mode far more than by the
+    mode's parameters.
     """
     value = fidelity_to_json(parse_fidelity(fidelity))
     if isinstance(value, str):

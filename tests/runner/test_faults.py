@@ -223,11 +223,10 @@ class TestQuarantine:
         results = runner.run_many(GRID.configs())
         assert all(r is not None for r in results)
 
-    def test_poison_exit_isolated_by_bisection(self, monkeypatch):
-        """A poison config inside a multi-config batch is pinned by
-        re-running halves and quarantined without losing its batchmates."""
-        # Force multi-config batches even on this small grid.
-        monkeypatch.setattr(SweepRunner, "_FUTURES_PER_WORKER", 1)
+    def test_poison_exit_isolated_by_bisection(self):
+        """A poison config among the futures a dead pool took down is
+        pinned by probing halves and quarantined without losing the
+        configs that died alongside it."""
         grid = SweepGrid(benchmarks=("SP", "MT", "HS"), schemes=("PM",),
                          scale=SCALE)
         with SweepRunner(workers=2) as runner:

@@ -138,15 +138,6 @@ class TestRuntimeMetadata:
         cache.put(CONFIG, make_result(), wall_seconds=0.2)
         assert len(cache) == 1
 
-    def test_runtime_metadata_lists_sidecars(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(CONFIG, make_result(), wall_seconds=0.7)
-        other = RunConfig("SP", "BASE", scale=0.25)
-        cache.put(other, make_result("SP", "BASE"))  # no sidecar
-        metas = cache.runtime_metadata()
-        assert len(metas) == 1
-        assert metas[0]["wall_seconds"] == 0.7
-
     def test_peek_does_not_count(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.peek(CONFIG) is None

@@ -47,8 +47,11 @@ class TestRunConfig:
     def test_rejects_bad_numbers(self):
         with pytest.raises(ValueError):
             RunConfig("MT", "PAE", n_sms=0)
-        with pytest.raises(ValueError):
-            RunConfig("MT", "PAE", scale=0.0)
+        for scale in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RunConfig("MT", "PAE", scale=scale)
+            with pytest.raises(ValueError):
+                RunConfig("MT", "PAE", scale=0.5, profile_scale=scale)
         with pytest.raises(ValueError):
             RunConfig("MT", "PAE", window=0)
 

@@ -1,12 +1,10 @@
-"""Sharded sweep execution: partition invariants, merge identity, scheduling.
+"""Sharded sweep execution: partition invariants, merge identity, claims.
 
 The load-bearing guarantees of the distributed front-end:
 
 * shards are pairwise disjoint, their union is the full grid, and the
   partition is stable across invocations (property-based over grids),
 * ``repro merge`` output is byte-identical to an unsharded sweep,
-* longest-job-first planning covers every job exactly once and
-  balances estimated load,
 * the claim protocol never loses results (steal, stale takeover).
 """
 
@@ -28,9 +26,7 @@ from repro.runner import (
     SweepGrid,
     SweepRunner,
     default_workers,
-    estimate_runtimes,
     merge_shard_reports,
-    plan_buckets,
     render_report,
     report_from_cache,
     shard_owner,
@@ -190,66 +186,6 @@ class TestMerge:
     def test_merge_from_incomplete_cache_rejected(self, tmp_path):
         with pytest.raises(MergeError, match="not in cache"):
             report_from_cache(GRID, ResultCache(tmp_path / "empty"))
-
-
-class TestScheduling:
-    def test_plan_buckets_covers_exactly_once(self):
-        estimates = [5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 2.5]
-        buckets = plan_buckets(estimates, 3)
-        flat = sorted(i for b in buckets for i in b)
-        assert flat == list(range(len(estimates)))
-        assert len(buckets) <= 3
-
-    def test_plan_buckets_longest_first_and_balanced(self):
-        estimates = [1.0, 10.0, 1.0, 1.0]
-        buckets = plan_buckets(estimates, 2)
-        # The 10s job leads its own bucket; the three 1s jobs share.
-        loads = sorted(sum(estimates[i] for i in b) for b in buckets)
-        assert loads == [3.0, 10.0]
-        assert all(b[0] == max(b, key=lambda i: estimates[i]) for b in buckets)
-
-    def test_plan_buckets_deterministic(self):
-        estimates = [2.0, 2.0, 2.0, 1.0, 1.0]
-        assert plan_buckets(estimates, 2) == plan_buckets(estimates, 2)
-
-    def test_plan_buckets_degenerate(self):
-        assert plan_buckets([], 4) == []
-        assert plan_buckets([1.0], 4) == [[0]]
-
-    def test_estimates_prefer_recorded_runtimes(self):
-        configs = [
-            RunConfig("MT", "PAE", scale=0.5),
-            RunConfig("SP", "PAE", scale=0.5),
-            RunConfig("HS", "PAE", scale=0.5),
-        ]
-        metas = [
-            # Exact-axes record for MT/PAE.
-            {"benchmark": "MT", "scheme": "PAE", "scale": 0.5, "n_sms": 12,
-             "memory": "gddr5", "wall_seconds": 8.0},
-            # Same-benchmark record for SP at another scale: rate 4 s/scale.
-            {"benchmark": "SP", "scheme": "BASE", "scale": 0.25, "n_sms": 12,
-             "memory": "gddr5", "wall_seconds": 1.0},
-        ]
-        est = estimate_runtimes(configs, metas)
-        assert est[0] == pytest.approx(8.0)       # exact mean
-        assert est[1] == pytest.approx(2.0)       # 4 s/scale * 0.5
-        # HS falls back to the global rate (mean of 8/0.5 and 1/0.25).
-        assert est[2] == pytest.approx(((8.0 / 0.5) + (1.0 / 0.25)) / 2 * 0.5)
-
-    def test_estimates_static_fallback_orders_by_size(self):
-        small = RunConfig("SP", "PAE", scale=0.25)
-        large = RunConfig("SP", "PAE", scale=1.0)
-        est = estimate_runtimes([small, large], [])
-        assert est[1] > est[0]
-
-    def test_malformed_meta_ignored(self):
-        config = RunConfig("SP", "PAE", scale=0.5)
-        est = estimate_runtimes([config], [{"wall_seconds": "junk"}, {}])
-        assert est[0] > 0
-
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SweepRunner(schedule="random")
 
 
 class TestDefaultWorkers:

@@ -134,78 +134,17 @@ class TestReportShape:
         }
 
 
-class TestRuntimeEstimates:
-    """ETA evidence must be keyed by fidelity kind (PR 10 bugfix).
+class TestProgress:
+    """The ETA extrapolates the sweep's own measured completion rate."""
 
-    An auto-fidelity sweep is several times faster per run than an
-    exact one; before the fix, exact sidecars silently inflated auto
-    ETAs (and vice versa).  Estimates now prefer same-kind evidence
-    and convert cross-kind evidence by the documented discount ratio.
-    """
-
-    @staticmethod
-    def _meta(wall, benchmark="SP", scheme="BASE", scale=0.25, n_sms=12,
-              memory="gddr5", **extra):
-        return {
-            "wall_seconds": wall, "benchmark": benchmark, "scheme": scheme,
-            "scale": scale, "n_sms": n_sms, "memory": memory, **extra,
-        }
-
-    def test_same_kind_exact_match_preferred(self):
-        from repro.runner.sweep import estimate_runtimes
-
-        config = RunConfig("SP", "BASE", scale=0.25, fidelity="auto")
-        metas = [
-            self._meta(8.0, fidelity="exact"),
-            self._meta(2.0, fidelity="auto"),
-        ]
-        assert estimate_runtimes([config], metas) == [2.0]
-
-    def test_cross_kind_evidence_discounted(self):
-        from repro.runner.sweep import (
-            _FIDELITY_WALL_DISCOUNT,
-            estimate_runtimes,
-        )
-
-        config = RunConfig("SP", "BASE", scale=0.5, fidelity="auto")
-        metas = [self._meta(8.0, scale=0.25, fidelity="exact")]
-        # Only exact evidence exists: rate 8.0/0.25 = 32 s/scale,
-        # converted by discount(auto)/discount(exact) then rescaled.
-        ratio = (
-            _FIDELITY_WALL_DISCOUNT["auto"] / _FIDELITY_WALL_DISCOUNT["exact"]
-        )
-        [estimate] = estimate_runtimes([config], metas)
-        assert estimate == pytest.approx(32.0 * ratio * 0.5)
-
-    def test_exact_estimates_not_deflated_by_auto_runs(self):
-        from repro.runner.sweep import estimate_runtimes
-
-        config = RunConfig("SP", "BASE", scale=0.25)  # exact fidelity
-        metas = [
-            self._meta(8.0, fidelity="exact"),
-            self._meta(1.0, fidelity="auto"),
-        ]
-        assert estimate_runtimes([config], metas) == [8.0]
-
-    def test_legacy_sidecars_counted_as_exact(self):
-        from repro.runner.sweep import estimate_runtimes
-
-        config = RunConfig("SP", "BASE", scale=0.25)  # exact fidelity
-        metas = [self._meta(8.0)]  # pre-PR-10 sidecar: no fidelity field
-        assert estimate_runtimes([config], metas) == [8.0]
-
-    def test_static_fallback_discounted_by_kind(self):
-        from repro.runner.sweep import (
-            _FALLBACK_SECONDS_PER_SCALE,
-            _FIDELITY_WALL_DISCOUNT,
-            estimate_runtimes,
-        )
-
-        exact = RunConfig("SP", "BASE", scale=0.5)
-        auto = RunConfig("SP", "BASE", scale=0.5, fidelity="auto")
-        [e_exact, e_auto] = estimate_runtimes([exact, auto], [])
-        base = _FALLBACK_SECONDS_PER_SCALE * 0.5 * 12
-        assert e_exact == pytest.approx(base)
-        assert e_auto == pytest.approx(
-            base * _FIDELITY_WALL_DISCOUNT["auto"]
-        )
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
+    def test_eta_follows_measured_rate(self, workers):
+        ticks = []
+        with SweepRunner(workers=workers, progress=ticks.append) as runner:
+            runner.run_many(small_configs())
+        assert ticks and ticks[-1].done == ticks[-1].total == 3
+        for tick in ticks:
+            assert tick.eta_seconds == pytest.approx(
+                tick.elapsed_seconds * (tick.total - tick.done) / tick.done
+            )
+        assert ticks[-1].eta_seconds == 0

@@ -101,6 +101,12 @@ def test_400_on_malformed_scenario(server):
         400,
     )
     assert "invalid scenario" in str(error)
+    # Python's json accepts NaN and Infinity literals.
+    for scale in (float("nan"), float("inf")):
+        error = expect_status(
+            lambda: client_for(url).submit(dict(SCENARIO, scale=scale)), 400
+        )
+        assert "scale and profile_scale must be positive" in str(error)
 
 
 @pytest.mark.parametrize("fidelity", [

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _progress_printer, main
+from repro.runner import SweepProgress
 
 
 class TestSchemes:
@@ -99,6 +101,15 @@ class TestSweep:
             "--workers", "0", "--cache-dir", "",
         ]) == 2
         assert "REPRO_WORKERS" in capsys.readouterr().err
+
+    def test_progress_eta_unknown_before_first_completion(self, capsys):
+        emit = _progress_printer()
+        progress = SweepProgress(done=0, total=3, elapsed_seconds=1.5)
+        assert progress.eta_seconds == math.inf
+        emit(progress)
+        assert "eta ? " in capsys.readouterr().err
+        emit(SweepProgress(done=1, total=3, elapsed_seconds=1.5))
+        assert "eta 3s " in capsys.readouterr().err
 
 
 class TestShardAndMerge:
@@ -350,6 +361,21 @@ def cliplug(address_map):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["definitely-not-a-command"])
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--benchmarks", "MT", "--schemes", "PM", "--cache-dir", "",
+     "--scale", "nan"],
+    ["simulate", "MT", "--schemes", "PM", "--scale", "nan"],
+    ["profile", "MT", "--scale", "nan"],
+    ["profile", "SP", "--scale", "0"],
+], ids=["sweep-nan", "simulate-nan", "profile-nan", "profile-zero"])
+def test_bad_scale_fails_cleanly(command, capsys):
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert "scale and profile_scale must be positive" in err
+    assert "Traceback" not in err
+    assert sys.getprofile() is None  # profile disabled cProfile on error
 
 
 class TestProfile:
