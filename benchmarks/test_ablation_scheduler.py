@@ -9,9 +9,10 @@ over BASE survives a scheduler swap.
 from conftest import emit
 
 from repro.analysis.report import banner, format_table
-from repro.core import build_scheme, hynix_gddr5_map
+from repro.core import hynix_gddr5_map
 from repro.dram.scheduler import FCFSScheduler
 from repro.dram.timing import gddr5_timing
+from repro.registry import make_scheme
 from repro.sim.gpu_system import GPUSystem
 from repro.workloads.suite import build_workload
 
@@ -26,7 +27,7 @@ def _run(scheme_name: str, scheduler: str):
         banks = gddr5_timing().banks_per_channel
         factory = lambda _i: FCFSScheduler(banks)
     system = GPUSystem(
-        build_scheme(scheme_name, amap, seed=0), dram_scheduler_factory=factory
+        make_scheme(scheme_name, amap, seed=0), dram_scheduler_factory=factory
     )
     return system.run(build_workload(BENCH, scale=SCALE))
 

@@ -12,8 +12,9 @@ from dataclasses import replace
 from conftest import emit
 
 from repro.analysis.report import banner, format_table
-from repro.core import build_scheme, hynix_gddr5_map
+from repro.core import hynix_gddr5_map
 from repro.gpu.config import baseline_config
+from repro.registry import make_scheme
 from repro.sim.gpu_system import GPUSystem
 from repro.workloads.suite import build_workload
 
@@ -24,7 +25,7 @@ MLPS = (1, 2, 4, 8)
 
 def _run(scheme_name: str, mlp: int):
     config = replace(baseline_config(), max_outstanding_per_warp=mlp)
-    system = GPUSystem(build_scheme(scheme_name, hynix_gddr5_map(), seed=0),
+    system = GPUSystem(make_scheme(scheme_name, hynix_gddr5_map(), seed=0),
                        config=config)
     return system.run(build_workload(BENCH, scale=SCALE))
 

@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.core.address_map import hynix_gddr5_map
-from repro.core.schemes import build_scheme
+from repro.registry import make_scheme
 from repro.sim.engine import Engine
 from repro.sim.gpu_system import GPUSystem
 from repro.workloads.suite import build_workload
@@ -104,7 +104,7 @@ def _valley_loop_rate() -> dict:
     per_bench = {}
     for bench in VALLEY_LOOP:
         workload = build_workload(bench, scale=VALLEY_SCALE)
-        system = GPUSystem(build_scheme("BASE", amap))
+        system = GPUSystem(make_scheme("BASE", amap))
         start = time.perf_counter()
         result = system.run(workload)
         elapsed = time.perf_counter() - start

@@ -51,7 +51,6 @@ from .core import (
     MappingScheme,
     SCHEME_NAMES,
     application_entropy_profile,
-    build_scheme,
     find_entropy_valleys,
     has_parallel_bit_valley,
     hynix_gddr5_map,
@@ -103,7 +102,6 @@ __all__ = [
     "api",
     "application_entropy_profile",
     "baseline_config",
-    "build_scheme",
     "build_suite",
     "build_workload",
     "config_with_sms",

@@ -45,7 +45,7 @@ from .runner.report import render_report, shard_report, sweep_report
 from .runner.shard import ShardSpec
 from .runner.sweep import SweepRunner, default_workers
 from .runner.worker import RunContext, process_context
-from .sim.fidelity import EXACT, Fidelity, parse_fidelity
+from .sim.fidelity import EXACT, parse_fidelity
 from .sim.results import SimulationResult, perf_per_watt_ratio, speedup
 from .specs import ScenarioSpec, SchemeSpec, WorkloadSpec
 
@@ -97,7 +97,7 @@ def _config(
     scale: float,
     window: int,
     profile_scale: Optional[float],
-    fidelity: Fidelity = EXACT,
+    fidelity: str = EXACT,
 ) -> RunConfig:
     return RunConfig(
         benchmark=WorkloadSpec.from_value(benchmark),
@@ -122,7 +122,7 @@ def simulate(
     scale: float = 1.0,
     window: int = 12,
     profile_scale: Optional[float] = None,
-    fidelity: Fidelity = EXACT,
+    fidelity: str = EXACT,
     runner: Optional[SweepRunner] = None,
     workers: Optional[int] = None,
     cache_dir=None,
@@ -130,13 +130,11 @@ def simulate(
     """Run one (workload, scheme) scenario and return its result.
 
     *fidelity* selects the simulation mode: ``"exact"`` (the default,
-    byte-identical to the pre-fidelity simulator) or
-    ``"auto[:exemplars=..,...]"`` /
-    :class:`~repro.sim.fidelity.AutoFidelity` for the per-kernel
-    planned mode (repeated kernels are replayed functionally and
-    estimated from measured exemplars; the plan is shared across all
-    schemes of a sweep so figure-12 ratios stay accurate).  See
-    :mod:`repro.sim.fidelity`.
+    byte-identical to the pre-fidelity simulator) or ``"auto"`` for the
+    per-kernel planned mode (repeated kernels are replayed functionally
+    and estimated from measured exemplars; the plan is shared across
+    all schemes of a sweep so figure-12 ratios stay accurate).  Auto
+    has no parameters to set.  See :mod:`repro.sim.fidelity`.
     """
     config = _config(
         benchmark, scheme, seed=seed, n_sms=n_sms, memory=memory,
@@ -161,7 +159,7 @@ def run_matrix(
     scale: float = 1.0,
     window: int = 12,
     profile_scale: Optional[float] = None,
-    fidelity: Fidelity = EXACT,
+    fidelity: str = EXACT,
     runner: Optional[SweepRunner] = None,
     workers: Optional[int] = None,
     cache_dir=None,
@@ -229,7 +227,7 @@ def sweep(
     memories: Sequence[str] = ("gddr5",),
     scale: float = 1.0,
     window: int = 12,
-    fidelity: Fidelity = EXACT,
+    fidelity: str = EXACT,
     shard: Optional[Union[str, ShardSpec]] = None,
     runner: Optional[SweepRunner] = None,
     workers: Optional[int] = None,
@@ -330,7 +328,7 @@ def compare(
     scale: float = 1.0,
     window: int = 12,
     profile_scale: Optional[float] = None,
-    fidelity: Fidelity = EXACT,
+    fidelity: str = EXACT,
     runner: Optional[SweepRunner] = None,
     workers: Optional[int] = None,
     cache_dir=None,

@@ -350,7 +350,7 @@ def _cmd_merge(args) -> int:
         merged = merge_shard_reports(reports)
     elif args.cache_dir:
         grid = _grid_from_args(args)
-        merged = report_from_cache(grid, ResultCache(args.cache_dir))
+        merged = report_from_cache(grid, _existing_cache(args.cache_dir))
     else:
         print(
             "error: give shard report files, or --cache-dir plus the "
@@ -360,6 +360,17 @@ def _cmd_merge(args) -> int:
     _write_report(render_report(merged), args.output)
     print(f"merged {len(merged['runs'])} runs", file=sys.stderr)
     return _print_failures(merged, "merge")
+
+
+def _existing_cache(cache_dir) -> ResultCache:
+    """The result cache at *cache_dir*, which must already exist.
+
+    For the commands that only read or prune a cache: a mistyped path
+    is an error (exit 2), never a new empty cache.
+    """
+    if not Path(cache_dir).is_dir():
+        raise ValueError(f"no result cache at {cache_dir}")
+    return ResultCache(cache_dir)
 
 
 def _state_cache_at(cache_dir):
@@ -380,7 +391,7 @@ def _state_cache_at(cache_dir):
 def _cmd_cache_ls(args) -> int:
     from .runner.state_cache import STATE_SCHEMA_VERSION
 
-    cache = ResultCache(args.cache_dir)
+    cache = _existing_cache(args.cache_dir)
     entries = cache.entries()
     state = _state_cache_at(args.cache_dir)
     if getattr(args, "json", False):
@@ -466,6 +477,7 @@ def _cmd_cache_prune(args) -> int:
             file=sys.stderr,
         )
         return 2
+    cache = _existing_cache(args.cache_dir)
     if getattr(args, "state", False):
         from .runner.state_cache import STATE_SCHEMA_VERSION
 
@@ -477,7 +489,7 @@ def _cmd_cache_prune(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        state = _state_cache_at(args.cache_dir)
+        state = _state_cache_at(cache.root)
         if state is None:
             print(f"no warmed-state cache under {args.cache_dir}")
             return 0
@@ -493,7 +505,6 @@ def _cmd_cache_prune(args) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = ResultCache(args.cache_dir)
     removed, kept = cache.prune(schema_versions=versions, stale=args.stale)
     print(f"pruned {removed} record(s), kept {kept} ({cache.root})")
     return 0
@@ -650,9 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fidelity_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--fidelity", default="exact",
-            help="simulation fidelity: 'exact' (default) or "
-                 "'auto[:exemplars=N,...]' for the per-kernel planned "
-                 "approximation (see repro.sim.fidelity)",
+            help="simulation fidelity: 'exact' (default) or 'auto' for "
+                 "the per-kernel planned approximation (see "
+                 "repro.sim.fidelity)",
         )
 
     def add_register_arg(p: argparse.ArgumentParser) -> None:

@@ -30,7 +30,6 @@ from .schemes import (
     all_scheme,
     base_scheme,
     broad_scheme,
-    build_scheme,
     fae_scheme,
     pae_scheme,
     pm_scheme,
@@ -56,7 +55,6 @@ __all__ = [
     "base_scheme",
     "bit_value_ratios",
     "broad_scheme",
-    "build_scheme",
     "decode_fields",
     "entropy_of_bvr_window",
     "fae_scheme",

@@ -33,14 +33,13 @@ therefore every scheme is a bijection on the address space.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gf2
-from ..registry import RegistryError, make_scheme, register_scheme
+from ..registry import register_scheme
 from .address_map import AddressMap
 from .bim import BinaryInvertibleMatrix
 
@@ -54,7 +53,6 @@ __all__ = [
     "fae_scheme",
     "all_scheme",
     "broad_scheme",
-    "build_scheme",
     "SCHEME_NAMES",
     "PAPER_RMP_SOURCE_BITS",
 ]
@@ -397,40 +395,3 @@ def _registered_fae(address_map: AddressMap, seed: int = 0) -> MappingScheme:
 def _registered_all(address_map: AddressMap, seed: int = 0) -> MappingScheme:
     """Randomize every non-block bit from every non-block bit."""
     return all_scheme(address_map, seed=seed)
-
-
-_BUILD_SCHEME_WARNED = False
-
-
-def build_scheme(
-    name: str,
-    address_map: AddressMap,
-    seed: int = 0,
-    entropy_by_bit: Optional[Sequence[float]] = None,
-) -> MappingScheme:
-    """Build a registered scheme by name.
-
-    .. deprecated::
-        Use :func:`repro.registry.make_scheme` (any registered scheme)
-        or :meth:`repro.specs.SchemeSpec.build` (serializable specs).
-        This shim keeps old call sites working and warns once.
-
-    *seed* selects the BIM instance for the randomized schemes (the
-    paper's Figure 19 evaluates three instances per scheme).
-    *entropy_by_bit* feeds RMP's source-bit selection when given.
-    """
-    global _BUILD_SCHEME_WARNED
-    if not _BUILD_SCHEME_WARNED:
-        _BUILD_SCHEME_WARNED = True
-        warnings.warn(
-            "build_scheme() is deprecated; use repro.registry.make_scheme() "
-            "or repro.specs.SchemeSpec.build() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    try:
-        return make_scheme(
-            name, address_map, seed=seed, entropy_by_bit=entropy_by_bit
-        )
-    except RegistryError as error:
-        raise SchemeError(str(error)) from None

@@ -145,7 +145,7 @@ from .sweep import (
     coerce_workers,
     default_workers,
 )
-from .worker import RunContext, execute_config, execute_config_batch, process_context
+from .worker import RunContext, execute_config_batch, process_context
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -172,7 +172,6 @@ __all__ = [
     "SweepStats",
     "coerce_workers",
     "default_workers",
-    "execute_config",
     "execute_config_batch",
     "merge_shard_reports",
     "process_context",

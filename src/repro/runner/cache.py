@@ -51,7 +51,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.serialize import canonical_json, stable_hash
-from ..sim.fidelity import fidelity_kind
 from ..sim.results import SimulationResult
 from .config import CACHE_SCHEMA_VERSION, RunConfig
 from .faults import FaultPlan
@@ -238,7 +237,7 @@ class ResultCache:
                 "scale": config.scale,
                 "n_sms": config.n_sms,
                 "memory": config.memory,
-                "fidelity": fidelity_kind(config.fidelity),
+                "fidelity": config.fidelity,
             }
             try:
                 _atomic_write(self.meta_path_for(key), canonical_json(meta) + "\n")

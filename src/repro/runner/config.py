@@ -16,9 +16,8 @@ name.  Plain registered names serialize as bare strings in
 :meth:`RunConfig.to_dict`, keeping built-in cache keys byte-identical
 to the pre-spec format (no cache invalidation, no report churn).
 
-Passing bare strings to ``RunConfig`` itself still works but is
-deprecated (one warning per process); :class:`SweepGrid`,
-:mod:`repro.api` and the CLI normalize names for you.
+Bare registered names normalize to specs wherever a spec is accepted,
+so ``RunConfig("MT", "PAE")`` equals the spec form.
 
 :class:`SweepGrid` expands the cross product (benchmarks x schemes x
 seeds x SM counts x memories) into a deterministically ordered list of
@@ -29,7 +28,6 @@ normalizes against.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -50,24 +48,6 @@ __all__ = ["RunConfig", "SweepGrid", "CACHE_SCHEMA_VERSION"]
 # queue) changed event interleaving, shifting figure tables slightly.
 CACHE_SCHEMA_VERSION = 2
 
-_STRING_FORM_WARNED = False
-
-
-def _warn_string_form(field: str, value: str) -> None:
-    """One DeprecationWarning per process for bare-name RunConfigs."""
-    global _STRING_FORM_WARNED
-    if _STRING_FORM_WARNED:
-        return
-    _STRING_FORM_WARNED = True
-    warnings.warn(
-        f"passing bare names to RunConfig (here {field}={value!r}) is "
-        f"deprecated; pass repro.specs.WorkloadSpec / SchemeSpec objects, "
-        f"or go through SweepGrid / repro.api which normalize names",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 def _validate_memory(memory: str) -> str:
     memory = str(memory).strip().lower()
     try:
@@ -81,8 +61,8 @@ def _validate_memory(memory: str) -> str:
 class RunConfig:
     """Everything that determines one simulation run.
 
-    ``benchmark`` and ``scheme`` are specs (bare-name strings are
-    normalized with a deprecation warning); ``benchmark_name`` /
+    ``benchmark`` and ``scheme`` are specs (bare names and dicts are
+    normalized through ``from_value``); ``benchmark_name`` /
     ``scheme_name`` give the display names.  ``profile_scale`` is the
     trace scale the RMP scheme's suite-average entropy profile is
     computed at; it matters only for RMP but is part of every config so
@@ -101,18 +81,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fidelity", parse_fidelity(self.fidelity))
-        benchmark = self.benchmark
-        if isinstance(benchmark, str):
-            _warn_string_form("benchmark", benchmark)
-            benchmark = WorkloadSpec.registered(benchmark)
-        elif not isinstance(benchmark, WorkloadSpec):
-            benchmark = WorkloadSpec.from_value(benchmark)
-        scheme = self.scheme
-        if isinstance(scheme, str):
-            _warn_string_form("scheme", scheme)
-            scheme = SchemeSpec.registered(scheme)
-        elif not isinstance(scheme, SchemeSpec):
-            scheme = SchemeSpec.from_value(scheme)
+        benchmark = WorkloadSpec.from_value(self.benchmark)
+        scheme = SchemeSpec.from_value(self.scheme)
         object.__setattr__(self, "benchmark", benchmark)
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "memory", _validate_memory(self.memory))

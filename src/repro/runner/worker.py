@@ -1,10 +1,10 @@
 """Per-process run execution.
 
-:func:`execute_config` is the single place a :class:`RunConfig` is
-turned into a :class:`~repro.sim.results.SimulationResult`; both the
+:meth:`RunContext.execute` is the single place a :class:`RunConfig`
+is turned into a :class:`~repro.sim.results.SimulationResult`; both the
 in-process path (``workers <= 1``) and the ``ProcessPoolExecutor``
-workers call it, so parallel and serial sweeps are computed by
-literally the same code.
+workers (through :func:`execute_config_batch`) call it, so parallel
+and serial sweeps are computed by literally the same code.
 
 A module-level :class:`RunContext` memoizes the expensive immutable
 inputs (workloads, schemes, the RMP suite entropy profile) for the
@@ -29,7 +29,7 @@ from ..core.entropy import (
 from ..core.schemes import MappingScheme
 from ..gpu.config import config_with_sms
 from ..registry import memory_config
-from ..sim.fidelity import AutoFidelity, Fidelity, fidelity_to_json
+from ..sim.fidelity import AUTO, fidelity_to_json
 from ..sim.gpu_system import GPUSystem, plan_auto
 from ..sim.results import SimulationResult
 from ..specs import SchemeSpec, WorkloadSpec
@@ -39,7 +39,6 @@ from .config import RunConfig
 
 __all__ = [
     "RunContext",
-    "execute_config",
     "execute_config_batch",
     "process_context",
 ]
@@ -61,7 +60,7 @@ class RunContext:
         self._schemes: Dict[
             Tuple[SchemeSpec, int, str, float, int], MappingScheme
         ] = {}
-        self._auto_plans: Dict[Tuple[WorkloadSpec, float, str, str], list] = {}
+        self._auto_plans: Dict[Tuple[WorkloadSpec, float, str], list] = {}
 
     # -- immutable hardware descriptions --------------------------------
     def address_map(self, memory: str) -> AddressMap:
@@ -141,7 +140,6 @@ class RunContext:
         self,
         benchmark: Union[str, WorkloadSpec],
         scale: float,
-        fidelity: Fidelity,
         memory: str,
     ) -> list:
         """The auto-fidelity kernel plan of one workload, memoized.
@@ -155,10 +153,10 @@ class RunContext:
         instead of once per (workload, scheme) run.
         """
         spec = WorkloadSpec.from_value(benchmark)
-        key = (spec, scale, str(fidelity), memory)
+        key = (spec, scale, memory)
         if key not in self._auto_plans:
             self._auto_plans[key] = plan_auto(
-                self.workload(spec, scale), fidelity, self.address_map(memory)
+                self.workload(spec, scale), self.address_map(memory)
             )
         return self._auto_plans[key]
 
@@ -191,9 +189,9 @@ class RunContext:
         )
         auto_plan = None
         state_key = None
-        if isinstance(config.fidelity, AutoFidelity):
+        if config.fidelity == AUTO:
             auto_plan = self.auto_plan(
-                config.benchmark, config.scale, config.fidelity, config.memory
+                config.benchmark, config.scale, config.memory
             )
             if state_cache is not None:
                 state_key = {
@@ -213,8 +211,8 @@ class RunContext:
 
 
 # One context per process, created lazily.  ProcessPoolExecutor workers
-# call execute_config many times; the context amortizes trace building
-# and scheme construction across those calls.
+# call execute_config_batch many times; the context amortizes trace
+# building and scheme construction across those calls.
 _PROCESS_CONTEXT: Optional[RunContext] = None
 
 
@@ -224,17 +222,6 @@ def process_context() -> RunContext:
     if _PROCESS_CONTEXT is None:
         _PROCESS_CONTEXT = RunContext()
     return _PROCESS_CONTEXT
-
-
-def execute_config(config_data: Dict[str, object]) -> Dict[str, object]:
-    """Pool entry point: run one config (as a dict) and return the result dict.
-
-    Dict-in / dict-out keeps the pickled payload small and makes the
-    worker interface identical to the on-disk record format.
-    """
-    config = RunConfig.from_dict(config_data)
-    result = process_context().execute(config)
-    return result.to_dict()
 
 
 _STATE_CACHES: Dict[str, object] = {}

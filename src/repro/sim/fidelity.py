@@ -2,40 +2,43 @@
 
 The simulator exposes a **fidelity axis** (threaded from
 :class:`~repro.runner.config.RunConfig` all the way into
-:class:`~repro.sim.gpu_system.GPUSystem`):
+:class:`~repro.sim.gpu_system.GPUSystem`).  A normalized fidelity is
+one of two strings:
 
 ``"exact"`` (the default)
     Every cycle of every kernel runs on the discrete-event engine.
     Byte-identical to the pre-fidelity simulator: same results, same
     cache keys, no schema bump.
 
-:class:`AutoFidelity` (``"auto"``)
-    Per-kernel plan derived from the workload's own structure, so the
-    defaults need no hand-tuning.  Each kernel gets a three-level
-    fingerprint from one vectorized pass over its trace: its
-    structural group (op count, TB count, warp count), its footprint
-    *shape* (touched-bank count, hottest-bank load, unique row count
-    under the memory's base address decode — scheme-independent), and
-    its exact *content* (a hash of the sorted request-address
-    multiset).  The plan runs kernel 0 (the cold-state exemplar) in
-    full detail, measures warm kernels until each shape class has its
-    exemplar quota (one exemplar for kernels of at least
-    ``big_kernel_ops`` ops, whose steady phases dominate;
-    ``exemplars`` for smaller, noisier kernels), and every later
-    repeat is **replayed functionally** through the warmed L1/LLC/row
-    state and estimated from the finest measured tier — an exact
-    content twin when one was measured, else its shape class's mean.
-    Measured kernels at least ``min_freeze_ops`` ops long are
-    additionally skip-middle frozen at ``freeze_frac`` of their
-    completions (keeping a detailed per-warp tail), with the middle
-    extrapolated through the drift-corrected accounting.  The plan is
-    a pure function of the workload (never of the mapping scheme), so
-    an auto run of a scheme grid samples every scheme at the *same*
-    per-kernel cut points and the fig12 speedup ratios see correlated
-    — largely cancelling — estimation errors.
+``"auto"``
+    Per-kernel plan derived from the workload's own structure, so it
+    needs no hand-tuning: its six parameters are the module constants
+    below.  Each kernel gets a three-level fingerprint from one
+    vectorized pass over its trace: its structural group (op count,
+    TB count, warp count), its footprint *shape* (touched-bank count,
+    hottest-bank load, unique row count under the memory's base
+    address decode — scheme-independent), and its exact *content* (a
+    hash of the sorted request-address multiset).  The plan runs
+    kernel 0 (the cold-state exemplar) in full detail, measures warm
+    kernels until each shape class has its exemplar quota (one
+    exemplar for kernels of at least :data:`BIG_KERNEL_OPS` ops, whose
+    steady phases dominate; :data:`EXEMPLARS` for smaller, noisier
+    kernels), and every later repeat is **replayed functionally**
+    through the warmed L1/LLC/row state and estimated from the finest
+    measured tier — an exact content twin when one was measured, else
+    its shape class's mean.  Measured kernels at least
+    :data:`MIN_FREEZE_OPS` ops long are additionally skip-middle
+    frozen at :data:`FREEZE_FRAC` of their completions (keeping a
+    detailed per-warp tail), with the middle extrapolated through the
+    drift-corrected accounting.  The plan is a pure function of the
+    workload (never of the mapping scheme), so an auto run of a scheme
+    grid samples every scheme at the *same* per-kernel cut points and
+    the fig12 speedup ratios see correlated — largely cancelling —
+    estimation errors.
 
 Serialized form (the shape carried by ``RunConfig.to_dict`` and hashed
-into cache keys): the string ``"exact"``, or::
+into cache keys): the string ``"exact"``, or auto's constants as a
+dict::
 
     {"kind": "auto", "exemplars": 2, "big_kernel_ops": 2048,
      "min_freeze_ops": 4096, "warmup_frac": 0.2, "freeze_frac": 0.5,
@@ -44,255 +47,116 @@ into cache keys): the string ``"exact"``, or::
 ``"exact"`` configs *omit* the fidelity key entirely from their
 serialized dict, so built-in cache keys are byte-identical to the
 pre-fidelity format and warm caches stay warm; auto configs hash the
-dict, so the two kinds' cache keys can never collide.  A dict with any
-other ``kind`` or an unknown key is rejected rather than defaulted, so
-a cache key is never computed from values nobody asked for.
+dict, so the two kinds' cache keys can never collide, and changing a
+constant re-keys every auto record.  A dict with any other ``kind``,
+an unknown key or a value other than the constant's is rejected
+rather than ignored, so a cache key never names values the run did
+not use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 __all__ = [
     "EXACT",
     "AUTO",
-    "AutoFidelity",
-    "Fidelity",
+    "EXEMPLARS",
+    "BIG_KERNEL_OPS",
+    "MIN_FREEZE_OPS",
+    "WARMUP_FRAC",
+    "FREEZE_FRAC",
+    "TAIL_FRAC",
     "parse_fidelity",
     "fidelity_to_json",
-    "fidelity_kind",
 ]
 
 EXACT = "exact"
+AUTO = "auto"
 
-# AutoFidelity defaults.  ``exemplars`` is the per-shape-class quota
-# of measured warm occurrences for *small* kernels, whose warm repeats
+# Auto's parameters.  ``EXEMPLARS`` is the per-shape-class quota of
+# measured warm occurrences for *small* kernels, whose warm repeats
 # are noisy enough that one sample misleads; kernels of at least
-# ``big_kernel_ops`` ops need only one shape exemplar (their steady
+# ``BIG_KERNEL_OPS`` ops need only one shape exemplar (their steady
 # phases dominate, so warm repeats agree to a couple of percent).
 # Kernel 0 is always measured on top, as the cold-state exemplar — its
 # cycles are *not* transferred to warm siblings, where cold caches can
 # swing per-kernel time by tens of percent in either direction.
-# ``min_freeze_ops`` keeps the in-kernel freeze away from kernels
+# ``MIN_FREEZE_OPS`` keeps the in-kernel freeze away from kernels
 # short enough that the fill ramp plus tail would dominate the
 # extrapolated share.  The freeze skips the *middle* of the kernel:
-# the window closes at ``freeze_frac`` of completions and the last
-# ``tail_frac`` share of every warp's ops runs detailed, so the
-# end-of-kernel parallelism decay and pipeline drain — which no
-# stationary rate predicts — are simulated rather than extrapolated.
-DEFAULT_EXEMPLARS = 2
-DEFAULT_BIG_KERNEL_OPS = 2048
-DEFAULT_MIN_FREEZE_OPS = 4096
-DEFAULT_WARMUP_FRAC = 0.2
-DEFAULT_FREEZE_FRAC = 0.5
-DEFAULT_TAIL_FRAC = 0.3
-
-_INT_PARAMS = ("exemplars", "big_kernel_ops", "min_freeze_ops")
-_FLOAT_PARAMS = ("warmup_frac", "freeze_frac", "tail_frac")
+# the measurement window opens at ``WARMUP_FRAC`` of completions and
+# closes at ``FREEZE_FRAC``, and the last ``TAIL_FRAC`` share of every
+# warp's ops runs detailed, so the end-of-kernel parallelism decay and
+# pipeline drain — which no stationary rate predicts — are simulated
+# rather than extrapolated.
+EXEMPLARS = 2
+BIG_KERNEL_OPS = 2048
+MIN_FREEZE_OPS = 4096
+WARMUP_FRAC = 0.2
+FREEZE_FRAC = 0.5
+TAIL_FRAC = 0.3
 
 
-def _json_param(key: object, value: object):
-    """One auto-fidelity dict value, type-checked for *key*.
+def parse_fidelity(value: Optional[object]) -> str:
+    """Normalize any accepted fidelity form to :data:`EXACT` or :data:`AUTO`.
 
-    Integer parameters accept integral numbers only (``2.0`` but not
-    ``2.9``); no parameter accepts a boolean or a non-number, and an
-    unknown key is an error.
-    """
-    if key in _INT_PARAMS:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ValueError(
-            f"auto-fidelity parameter {key} must be an integer, got {value!r}"
-        )
-    if key in _FLOAT_PARAMS:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ValueError(
-            f"auto-fidelity parameter {key} must be a number, got {value!r}"
-        )
-    raise ValueError(
-        f"unknown auto-fidelity parameter {key!r} (expected "
-        f"{', '.join(_INT_PARAMS + _FLOAT_PARAMS)})"
-    )
-
-
-@dataclass(frozen=True)
-class AutoFidelity:
-    """Per-kernel automatic fidelity plan (see the module docstring).
-
-    Warm kernels are measured until their shape class fills its
-    exemplar quota — one measurement for kernels of at least
-    ``big_kernel_ops`` ops, ``exemplars`` for smaller ones — and later
-    repeats are replayed functionally and estimated from the finest
-    measured tier (exact content twin, else shape-class mean).
-    Measured kernels with at least ``min_freeze_ops`` ops freeze at
-    ``freeze_frac`` of completions (the measured window opens at
-    ``warmup_frac``); the freeze skips the steady middle of each
-    warp's stream and keeps roughly a ``tail_frac`` op share to run
-    detailed at the end.
-    """
-
-    exemplars: int = DEFAULT_EXEMPLARS
-    big_kernel_ops: int = DEFAULT_BIG_KERNEL_OPS
-    min_freeze_ops: int = DEFAULT_MIN_FREEZE_OPS
-    warmup_frac: float = DEFAULT_WARMUP_FRAC
-    freeze_frac: float = DEFAULT_FREEZE_FRAC
-    tail_frac: float = DEFAULT_TAIL_FRAC
-
-    def __post_init__(self) -> None:
-        if self.exemplars < 1:
-            raise ValueError(f"exemplars must be >= 1, got {self.exemplars}")
-        if self.big_kernel_ops < 1:
-            raise ValueError(
-                f"big_kernel_ops must be >= 1, got {self.big_kernel_ops}"
-            )
-        if self.min_freeze_ops < 1:
-            raise ValueError(
-                f"min_freeze_ops must be >= 1, got {self.min_freeze_ops}"
-            )
-        if not 0.0 <= self.warmup_frac < self.freeze_frac <= 0.95:
-            raise ValueError(
-                f"need 0 <= warmup_frac < freeze_frac <= 0.95, got "
-                f"warmup_frac={self.warmup_frac}, "
-                f"freeze_frac={self.freeze_frac}"
-            )
-        if not 0.0 <= self.tail_frac <= 1.0 - self.freeze_frac:
-            raise ValueError(
-                f"need 0 <= tail_frac <= 1 - freeze_frac, got "
-                f"tail_frac={self.tail_frac}, "
-                f"freeze_frac={self.freeze_frac}"
-            )
-
-    @property
-    def keep_share(self) -> float:
-        """Share of each warp's *remaining* ops the freeze keeps detailed."""
-        return self.tail_frac / (1.0 - self.freeze_frac)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "kind": "auto",
-            "exemplars": self.exemplars,
-            "big_kernel_ops": self.big_kernel_ops,
-            "min_freeze_ops": self.min_freeze_ops,
-            "warmup_frac": self.warmup_frac,
-            "freeze_frac": self.freeze_frac,
-            "tail_frac": self.tail_frac,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "AutoFidelity":
-        if data.get("kind") != "auto":
-            raise ValueError(
-                f"not an auto-fidelity dict: kind={data.get('kind')!r}"
-            )
-        return cls(**{
-            key: _json_param(key, value)
-            for key, value in data.items() if key != "kind"
-        })
-
-    @classmethod
-    def parse(cls, text: str) -> "AutoFidelity":
-        """Parse the CLI form ``auto[:exemplars=N,min_freeze_ops=N,...]``."""
-        body = text.strip()
-        if body.lower().startswith("auto"):
-            body = body[len("auto"):]
-        had_params = bool(body)
-        body = body.lstrip(":")
-        kwargs: Dict[str, object] = {}
-        for part in body.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip().lower()
-            if not sep or key not in _INT_PARAMS + _FLOAT_PARAMS:
-                raise ValueError(
-                    f"bad auto-fidelity parameter {part!r} (expected "
-                    f"exemplars=/big_kernel_ops=/min_freeze_ops=/"
-                    f"warmup_frac=/freeze_frac=/tail_frac=)"
-                )
-            try:
-                kwargs[key] = (
-                    int(value.strip()) if key in _INT_PARAMS
-                    else float(value.strip())
-                )
-            except ValueError:
-                raise ValueError(
-                    f"auto-fidelity parameter {key} must be numeric, "
-                    f"got {value.strip()!r}"
-                ) from None
-        if had_params and not kwargs:
-            raise ValueError(
-                f"bad auto-fidelity string {text!r}: expected parameters "
-                f"after ':' (exemplars=/big_kernel_ops=/...)"
-            )
-        return cls(**kwargs)
-
-    def __str__(self) -> str:
-        return (
-            f"auto:exemplars={self.exemplars},"
-            f"big_kernel_ops={self.big_kernel_ops},"
-            f"min_freeze_ops={self.min_freeze_ops},"
-            f"warmup_frac={self.warmup_frac},"
-            f"freeze_frac={self.freeze_frac},"
-            f"tail_frac={self.tail_frac}"
-        )
-
-
-AUTO = AutoFidelity()
-
-Fidelity = Union[str, AutoFidelity]
-
-
-def parse_fidelity(value: Optional[object]) -> Fidelity:
-    """Normalize any accepted fidelity form.
-
-    Accepts ``None`` / ``"exact"`` (-> :data:`EXACT`), an
-    :class:`AutoFidelity`, the CLI string form
-    ``auto[:exemplars=..,...]``, or the serialized dict form.
+    Accepts ``None`` / ``""`` / ``"exact"``, ``"auto"`` (any case,
+    surrounding blanks ignored), or an auto dict carrying any subset
+    of :func:`fidelity_to_json`'s entries: ``{"kind": "auto"}``, or
+    an old record's full dict.  Integral floats match integer
+    constants (``2.0`` for ``2``); booleans and non-numbers never do.
     """
     if value is None:
         return EXACT
-    if isinstance(value, AutoFidelity):
-        return value
     if isinstance(value, dict):
-        return AutoFidelity.from_json(value)
+        if value.get("kind") != AUTO:
+            raise ValueError(
+                f"not an auto-fidelity dict: kind={value.get('kind')!r}"
+            )
+        fixed = fidelity_to_json(AUTO)
+        for key, given in value.items():
+            if key not in fixed:
+                raise ValueError(
+                    f"unknown auto-fidelity parameter {key!r} (expected "
+                    f"{', '.join(k for k in fixed if k != 'kind')})"
+                )
+            if key != "kind" and (
+                isinstance(given, bool)
+                or not isinstance(given, (int, float))
+                or given != fixed[key]
+            ):
+                raise ValueError(
+                    f"auto-fidelity parameter {key} is fixed at "
+                    f"{fixed[key]!r}, got {given!r}"
+                )
+        return AUTO
     if isinstance(value, str):
         text = value.strip().lower()
         if text in ("", EXACT):
             return EXACT
-        if text.startswith("auto"):
-            return AutoFidelity.parse(value.strip())
+        if text == AUTO:
+            return AUTO
         raise ValueError(
-            f"unknown fidelity {value!r} (expected 'exact' or "
-            f"'auto[:exemplars=N,...]')"
+            f"unknown fidelity {value!r} (expected 'exact' or 'auto')"
         )
     raise TypeError(
-        f"fidelity must be a string, dict or AutoFidelity, "
-        f"got {type(value).__name__}"
+        f"fidelity must be a string or dict, got {type(value).__name__}"
     )
 
 
-def fidelity_to_json(fidelity: Fidelity) -> Union[str, Dict[str, object]]:
-    """The JSON-safe form: ``"exact"`` or the parameter dict."""
+def fidelity_to_json(fidelity: str) -> Union[str, Dict[str, object]]:
+    """The JSON-safe form: ``"exact"`` or auto's parameter dict."""
     if fidelity == EXACT:
         return EXACT
-    if isinstance(fidelity, AutoFidelity):
-        return fidelity.to_json()
+    if fidelity == AUTO:
+        return {
+            "kind": AUTO,
+            "exemplars": EXEMPLARS,
+            "big_kernel_ops": BIG_KERNEL_OPS,
+            "min_freeze_ops": MIN_FREEZE_OPS,
+            "warmup_frac": WARMUP_FRAC,
+            "freeze_frac": FREEZE_FRAC,
+            "tail_frac": TAIL_FRAC,
+        }
     raise TypeError(f"not a normalized fidelity: {fidelity!r}")
-
-
-def fidelity_kind(fidelity) -> str:
-    """The coarse mode name: ``"exact"`` or ``"auto"``.
-
-    Accepts anything :func:`parse_fidelity` accepts.  Recorded in
-    cache sidecars — wall clock differs by mode far more than by the
-    mode's parameters.
-    """
-    value = fidelity_to_json(parse_fidelity(fidelity))
-    if isinstance(value, str):
-        return value
-    return str(value.get("kind", EXACT))

@@ -54,9 +54,14 @@ from ..workloads.base import Workload
 from . import replay as replay_plane
 from .engine import Engine
 from .fidelity import (
+    AUTO,
+    BIG_KERNEL_OPS,
     EXACT,
-    AutoFidelity,
-    Fidelity,
+    EXEMPLARS,
+    FREEZE_FRAC,
+    MIN_FREEZE_OPS,
+    TAIL_FRAC,
+    WARMUP_FRAC,
     fidelity_to_json,
     parse_fidelity,
 )
@@ -68,6 +73,11 @@ __all__ = ["GPUSystem", "plan_auto", "simulate"]
 # Sentinel tagging fire-and-forget writeback completions; the payload
 # is the tuple ``(_WRITEBACK, channel)`` so completion needs no decode.
 _WRITEBACK = object()
+
+# Share of each in-flight warp's *remaining* ops (and of the queued
+# TBs) an auto freeze keeps detailed: the tail that is TAIL_FRAC of the
+# whole kernel once FREEZE_FRAC of it has completed.
+_KEEP_SHARE = TAIL_FRAC / (1.0 - FREEZE_FRAC)
 
 
 def _kernel_fingerprint(kernel, address_map: Optional[AddressMap]):
@@ -132,7 +142,6 @@ def _kernel_fingerprint(kernel, address_map: Optional[AddressMap]):
 
 def plan_auto(
     workload: Workload,
-    fidelity: AutoFidelity,
     address_map: Optional[AddressMap] = None,
 ):
     """Per-kernel sampling plan for auto fidelity.
@@ -154,10 +163,11 @@ def plan_auto(
       that has a measured member (an address-identical twin), else
       its shape class (same grid, same footprint statistics).
 
-    The quota is 1 for kernels of at least ``fidelity.big_kernel_ops``
-    ops (their steady phases dominate, so one warm exemplar is
-    representative) and ``fidelity.exemplars`` for smaller kernels,
-    whose warm-repeat noise a single sample would mistake for signal.
+    The quota is 1 for kernels of at least
+    :data:`~repro.sim.fidelity.BIG_KERNEL_OPS` ops (their steady phases
+    dominate, so one warm exemplar is representative) and
+    :data:`~repro.sim.fidelity.EXEMPLARS` for smaller kernels, whose
+    warm-repeat noise a single sample would mistake for signal.
 
     ``freeze_ok`` gates the in-kernel skip-middle freeze: a measured
     kernel whose classes seed later estimates must run unfrozen,
@@ -186,7 +196,7 @@ def plan_auto(
         if index == 0:
             draft.append(("cold", None, keys, ops))
             continue
-        quota = 1 if ops >= fidelity.big_kernel_ops else fidelity.exemplars
+        quota = 1 if ops >= BIG_KERNEL_OPS else EXEMPLARS
         if content in content_measured:
             draft.append(("estimate", ("content", content), keys, ops))
         elif shape_measured.get(shape, 0) >= quota:
@@ -518,7 +528,7 @@ class GPUSystem:
         self,
         workload: Workload,
         max_events: Optional[int] = None,
-        fidelity: Fidelity = EXACT,
+        fidelity: str = EXACT,
         auto_plan=None,
         state_cache=None,
         state_key=None,
@@ -528,10 +538,10 @@ class GPUSystem:
         *fidelity* selects the simulation mode (see
         :mod:`repro.sim.fidelity`): ``"exact"`` (the default) runs
         every cycle on the event engine and is byte-identical to the
-        pre-fidelity simulator; an :class:`AutoFidelity` derives a
-        per-kernel plan from the workload's structure (see
-        :func:`plan_auto`), replays estimated kernels and frozen kernel
-        middles functionally and extrapolates their cycles.
+        pre-fidelity simulator; ``"auto"`` derives a per-kernel plan
+        from the workload's structure (see :func:`plan_auto`), replays
+        estimated kernels and frozen kernel middles functionally and
+        extrapolates their cycles.
 
         *auto_plan* optionally supplies a precomputed
         :func:`plan_auto` result (the plan is scheme-independent, so a
@@ -550,10 +560,9 @@ class GPUSystem:
         """
         if self._finished or self.scheduler.tbs_dispatched:
             raise RuntimeError("GPUSystem instances are single-use; build a new one")
-        fidelity = parse_fidelity(fidelity)
-        if isinstance(fidelity, AutoFidelity):
+        if parse_fidelity(fidelity) == AUTO:
             return self._run_auto(
-                workload, fidelity, max_events, plan=auto_plan,
+                workload, max_events, plan=auto_plan,
                 state_cache=state_cache, state_key=state_key,
             )
         # Exact mode keeps its own loop: _kernel_done loads the next
@@ -585,7 +594,6 @@ class GPUSystem:
     def _run_auto(
         self,
         workload: Workload,
-        fidelity: AutoFidelity,
         max_events: Optional[int] = None,
         plan=None,
         state_cache=None,
@@ -595,9 +603,9 @@ class GPUSystem:
 
         :func:`plan_auto` classifies each kernel from the workload's
         structure and footprint fingerprints alone.  Measured kernels
-        run in detail — large ones (>= ``min_freeze_ops`` ops)
-        additionally open a measurement window at ``warmup_frac`` of
-        completions and skip-middle freeze at ``freeze_frac``: the
+        run in detail — large ones (>= ``MIN_FREEZE_OPS`` ops)
+        additionally open a measurement window at ``WARMUP_FRAC`` of
+        completions and skip-middle freeze at ``FREEZE_FRAC``: the
         steady middle is extrapolated at the drift-corrected window
         rate while a per-warp detailed tail simulates the
         end-of-kernel decay and drain for real.  Estimated kernels are
@@ -616,7 +624,7 @@ class GPUSystem:
         accounting = SampledAccounting()
         engine = self.engine
         if plan is None:
-            plan = plan_auto(workload, fidelity, self.address_map)
+            plan = plan_auto(workload, self.address_map)
         if len(plan) != len(workload.kernels):
             raise ValueError(
                 f"auto-fidelity plan has {len(plan)} entries for a workload "
@@ -673,7 +681,7 @@ class GPUSystem:
                 + accounting.ff_noc_flits
             )
             kernel_cycles = self._run_kernel_measured(
-                contexts, kernel_ops, fidelity, accounting, remaining_events,
+                contexts, kernel_ops, accounting, remaining_events,
                 freeze_ok=freeze_ok,
             )
             kernel_flits = (
@@ -694,20 +702,20 @@ class GPUSystem:
                 f"({self.scheduler.in_flight} TBs in flight)"
             )
         self._finished = True
-        return self._collect(workload, sampled=(fidelity, accounting))
+        return self._collect(workload, accounting=accounting)
 
     def _run_kernel_measured(
-        self, contexts, kernel_ops, fidelity, accounting, remaining_events,
+        self, contexts, kernel_ops, accounting, remaining_events,
         freeze_ok=True,
     ) -> float:
         """Run one kernel in detail (frozen if large); return its cycles.
 
-        Large kernels (>= ``min_freeze_ops`` ops) use the skip-middle
-        freeze: a measurement window opens at ``warmup_frac`` of
-        completions and closes at ``freeze_frac``, at which point the
+        Large kernels (>= ``MIN_FREEZE_OPS`` ops) use the skip-middle
+        freeze: a measurement window opens at ``WARMUP_FRAC`` of
+        completions and closes at ``FREEZE_FRAC``, at which point the
         steady *middle* of every warp's remaining stream is replayed
         functionally while each warp keeps a detailed tail
-        (``keep_share`` of its remainder).  The tail then runs on the
+        (``_KEEP_SHARE`` of its remainder).  The tail then runs on the
         engine, so the end-of-kernel parallelism decay and pipeline
         drain — whose cycles-per-request bear no fixed relation to the
         steady-state window rate — are simulated, and only the
@@ -729,9 +737,9 @@ class GPUSystem:
         ext_before = accounting.extrapolated_cycles()
         freeze_target = None
         warmup_target = 0
-        if freeze_ok and kernel_ops >= fidelity.min_freeze_ops:
-            freeze_target = max(1, int(kernel_ops * fidelity.freeze_frac))
-            warmup_target = int(kernel_ops * fidelity.warmup_frac)
+        if freeze_ok and kernel_ops >= MIN_FREEZE_OPS:
+            freeze_target = max(1, int(kernel_ops * FREEZE_FRAC))
+            warmup_target = int(kernel_ops * WARMUP_FRAC)
         self.scheduler.load_kernel(contexts)
         window_start = None
         seg_mark = None
@@ -767,9 +775,7 @@ class GPUSystem:
                     completed - window_start[1],
                     segments,
                 )
-                skipped, flits, miss_frac = self._freeze_kernel(
-                    fidelity.keep_share
-                )
+                skipped, flits, miss_frac = self._freeze_kernel()
                 accounting.record_fast_forward(
                     skipped, flits, miss_frac=miss_frac
                 )
@@ -828,7 +834,7 @@ class GPUSystem:
             if not warp.issued_all
         ]
 
-    def _freeze_kernel(self, keep_share: float):
+    def _freeze_kernel(self):
         """Fast-forward the current kernel's skippable remainder.
 
         Two populations are skipped: the in-flight warps' remaining
@@ -838,11 +844,11 @@ class GPUSystem:
         :class:`~repro.sim.replay.KernelStream`, the same path an
         estimated kernel takes).
 
-        With ``keep_share`` > 0 (the skip-middle freeze) each in-flight
-        warp keeps that share of its remaining ops — at least one — as
-        a detailed tail, and the same share of the queued TBs stays
-        queued: only the steady *middle* of the kernel is skipped, so
-        the end-of-kernel parallelism decay and drain run for real.
+        Each in-flight warp keeps ``_KEEP_SHARE`` of its remaining ops
+        — at least one — as a detailed tail, and the same share of the
+        queued TBs stays queued: only the steady *middle* of the kernel
+        is skipped, so the end-of-kernel parallelism decay and drain
+        run for real.
 
         Returns ``(ops_skipped, estimated_noc_flits, miss_frac)``, where
         *miss_frac* is the row-miss fraction of the DRAM traffic the
@@ -859,18 +865,14 @@ class GPUSystem:
         # LLC/DRAM traffic.
         streams = []
         for warp in self._active_warps():
-            keep = 0
-            if keep_share > 0.0:
-                keep = max(1, int((warp.n_ops - warp.op) * keep_share))
+            keep = max(1, int((warp.n_ops - warp.op) * _KEEP_SHARE))
             chunk = warp.fast_forward_middle(keep)
             if chunk[0]:
                 streams.append((warp.tb.sm_id, chunk))
         skipped, flits = self._replay_interleaved(streams)
         # Later groups: queued TBs in dispatch order, one machine
         # window at a time, spread round-robin across the SM L1s.
-        keep_tbs = 0
-        if keep_share > 0.0:
-            keep_tbs = int(round(self.scheduler.pending * keep_share))
+        keep_tbs = int(round(self.scheduler.pending * _KEEP_SHARE))
         queued = self.scheduler.take_pending(keep_last=keep_tbs)
         stream = replay_plane.build_kernel_stream(
             [tb.trace for tb in queued], self._wave_cap
@@ -974,7 +976,7 @@ class GPUSystem:
     # ------------------------------------------------------------------
     # Metric collection
     # ------------------------------------------------------------------
-    def _collect(self, workload: Workload, sampled=None) -> SimulationResult:
+    def _collect(self, workload: Workload, accounting=None) -> SimulationResult:
         detailed_cycles = max(self.engine.now, 1)
         now = detailed_cycles
         l1_accesses = sum(sm.l1.stats.accesses for sm in self.sms)
@@ -987,17 +989,16 @@ class GPUSystem:
         )
         noc_flits = self.request_noc.stats.flits + self.response_noc.stats.flits
         metadata_extra: Dict[str, object] = {}
-        if sampled is not None:
+        if accounting is not None:
             # Auto fidelity: total cycles = real detailed cycles +
             # the fast-forwarded phases' extrapolated share; counters
             # (cache stats, DRAM activity, the NoC flits estimated for
             # fast-forwarded traffic) already integrate both kinds of
             # phase, so the count-based power models stay consistent.
-            fidelity, accounting = sampled
             now = detailed_cycles + accounting.extrapolated_cycles()
             noc_flits += accounting.ff_noc_flits
             metadata_extra = {
-                "fidelity": fidelity_to_json(fidelity),
+                "fidelity": fidelity_to_json(AUTO),
                 "sampled": dict(
                     accounting.metadata(),
                     detailed_cycles=detailed_cycles,
@@ -1049,7 +1050,7 @@ def simulate(
     config: Optional[GPUConfig] = None,
     timing: Optional[DRAMTiming] = None,
     dram_power_params: Optional[DRAMPowerParams] = None,
-    fidelity: Fidelity = EXACT,
+    fidelity: str = EXACT,
 ) -> SimulationResult:
     """Convenience wrapper: build a system, run one workload, return results."""
     system = GPUSystem(

@@ -239,8 +239,8 @@ class TestTranslateKernelInputs:
               for n in (4, 9)], 13),
             ([rng.integers(0, amap.capacity, size=6, dtype=np.uint64)], None),
         ]
-        from repro.core.schemes import build_scheme
-        scheme = build_scheme("FAE", amap, seed=1)
+        from repro.registry import make_scheme
+        scheme = make_scheme("FAE", amap, seed=1)
         translated = translate_kernel_inputs(kernels, scheme.bim.matrix)
         assert [w for _, w in translated] == [13, None]
         for (tbs_in, _), (tbs_out, _) in zip(kernels, translated):
@@ -256,8 +256,8 @@ class TestTranslateKernelInputs:
             ([rng.integers(0, amap.capacity, size=24, dtype=np.uint64)
               for _ in range(6)], 0),
         ]
-        from repro.core.schemes import build_scheme
-        scheme = build_scheme("PAE", amap, seed=0)
+        from repro.registry import make_scheme
+        scheme = make_scheme("PAE", amap, seed=0)
         slow = [
             ([np.atleast_1d(scheme.map(a)) for a in tbs], w)
             for tbs, w in kernels

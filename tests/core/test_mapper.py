@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import AddressMapper, build_scheme, hynix_gddr5_map
+from repro.core import AddressMapper, hynix_gddr5_map
 from repro.core.mapper import decode_fields
+from repro.registry import make_scheme
 
 AMAP = hynix_gddr5_map()
 
@@ -26,7 +27,7 @@ class TestDecodeFields:
 
 class TestAddressMapper:
     def test_map_and_decode_consistent_with_scheme(self):
-        scheme = build_scheme("PAE", AMAP, seed=1)
+        scheme = make_scheme("PAE", AMAP, seed=1)
         mapper = AddressMapper(scheme)
         addrs = np.arange(0, 1 << 16, 128, dtype=np.uint64)
         out = mapper.map_and_decode(addrs)
@@ -38,19 +39,19 @@ class TestAddressMapper:
         assert out["row"][3] == sample["row"]
 
     def test_counts_requests(self):
-        mapper = AddressMapper(build_scheme("BASE", AMAP))
+        mapper = AddressMapper(make_scheme("BASE", AMAP))
         mapper.map_addresses(np.zeros(10, dtype=np.uint64))
         mapper.map_addresses(5)
         assert mapper.mapped_requests == 11
 
     def test_latency_zero_for_base(self):
-        assert AddressMapper(build_scheme("BASE", AMAP)).latency_cycles == 0
+        assert AddressMapper(make_scheme("BASE", AMAP)).latency_cycles == 0
 
     def test_latency_one_for_mapped(self):
-        assert AddressMapper(build_scheme("PAE", AMAP)).latency_cycles == 1
+        assert AddressMapper(make_scheme("PAE", AMAP)).latency_cycles == 1
 
     def test_hardware_cost(self):
-        cost = AddressMapper(build_scheme("PM", AMAP)).hardware_cost()
+        cost = AddressMapper(make_scheme("PM", AMAP)).hardware_cost()
         # PM: six two-input XORs, depth 1, one pipeline cycle.
         assert cost.xor_gates == 6
         assert cost.tree_depth == 1
@@ -58,5 +59,5 @@ class TestAddressMapper:
         assert "6 two-input XOR gates" in str(cost)
 
     def test_base_cost_is_zero_gates(self):
-        cost = AddressMapper(build_scheme("BASE", AMAP)).hardware_cost()
+        cost = AddressMapper(make_scheme("BASE", AMAP)).hardware_cost()
         assert cost.xor_gates == 0 and cost.tree_depth == 0

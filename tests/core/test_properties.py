@@ -27,7 +27,8 @@ from repro.core.entropy import (
     window_entropy,
 )
 from repro.core.mapper import AddressMapper
-from repro.core.schemes import SCHEME_NAMES, build_scheme
+from repro.core.schemes import SCHEME_NAMES
+from repro.registry import make_scheme
 
 N_TRIALS = 12
 AMAP = hynix_gddr5_map()
@@ -81,7 +82,7 @@ class TestGF2Invariants:
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     @pytest.mark.parametrize("seed", range(4))
     def test_scheme_matrices_invertible_for_any_seed(self, scheme_name, seed):
-        scheme = build_scheme(scheme_name, AMAP, seed=seed)
+        scheme = make_scheme(scheme_name, AMAP, seed=seed)
         matrix = scheme.bim.matrix
         assert gf2.is_invertible(matrix)
         # Rebuilding the BIM from the raw matrix re-validates it.
@@ -91,7 +92,7 @@ class TestGF2Invariants:
     def test_scheme_invertibility_on_stacked_map(self, seed):
         smap = stacked_memory_map()
         for scheme_name in SCHEME_NAMES:
-            scheme = build_scheme(scheme_name, smap, seed=seed)
+            scheme = make_scheme(scheme_name, smap, seed=seed)
             assert gf2.is_invertible(scheme.bim.matrix)
 
 
@@ -100,7 +101,7 @@ class TestMappingRoundTrips:
     @pytest.mark.parametrize("seed", range(3))
     def test_unmap_inverts_map(self, scheme_name, seed):
         rng = np.random.default_rng(1000 + seed)
-        scheme = build_scheme(scheme_name, AMAP, seed=seed)
+        scheme = make_scheme(scheme_name, AMAP, seed=seed)
         addresses = random_addresses(rng, 512, AMAP.width)
         mapped = scheme.map(addresses)
         assert np.array_equal(scheme.unmap(mapped), addresses)
@@ -109,7 +110,7 @@ class TestMappingRoundTrips:
     def test_map_is_a_bijection_on_samples(self, seed):
         """Distinct inputs stay distinct (no collisions ever)."""
         rng = np.random.default_rng(2000 + seed)
-        scheme = build_scheme("FAE", AMAP, seed=seed)
+        scheme = make_scheme("FAE", AMAP, seed=seed)
         addresses = np.unique(random_addresses(rng, 2048, AMAP.width))
         mapped = np.asarray(scheme.map(addresses))
         assert len(np.unique(mapped)) == len(addresses)
@@ -120,7 +121,7 @@ class TestMappingRoundTrips:
     def test_apply_decode_encode_round_trip(self, amap, seed):
         """map_and_decode's fields re-encode to exactly the mapped address."""
         rng = np.random.default_rng(3000 + seed)
-        mapper = AddressMapper(build_scheme("PAE", amap, seed=seed))
+        mapper = AddressMapper(make_scheme("PAE", amap, seed=seed))
         addresses = random_addresses(rng, 64, amap.width)
         fields = mapper.map_and_decode(addresses)
         mapped = fields.pop("address")
@@ -131,7 +132,7 @@ class TestMappingRoundTrips:
     @pytest.mark.parametrize("seed", range(3))
     def test_scalar_decode_agrees_with_vectorized(self, seed):
         rng = np.random.default_rng(4000 + seed)
-        mapper = AddressMapper(build_scheme("ALL", AMAP, seed=seed))
+        mapper = AddressMapper(make_scheme("ALL", AMAP, seed=seed))
         addresses = random_addresses(rng, 32, AMAP.width)
         fields = mapper.map_and_decode(addresses)
         for i, address in enumerate(addresses):
@@ -159,7 +160,7 @@ class TestEntropyBounds:
     def test_mapped_streams_keep_entropy_bounds(self, scheme_name):
         """Any bijective remap keeps every window entropy in [0, 1]."""
         rng = np.random.default_rng(6000)
-        scheme = build_scheme(scheme_name, AMAP, seed=1)
+        scheme = make_scheme(scheme_name, AMAP, seed=1)
         tbs = self._random_tb_addresses(rng, 16)
         mapped = [np.atleast_1d(scheme.map(a)) for a in tbs]
         profile = kernel_entropy_profile(mapped, AMAP, window=8)
@@ -171,7 +172,7 @@ class TestEntropyBounds:
         entropies is preserved exactly — the paper's 'remap' strategy
         moves entropy, broad strategies create it."""
         rng = np.random.default_rng(7000 + seed)
-        scheme = build_scheme("RMP", AMAP)
+        scheme = make_scheme("RMP", AMAP)
         tbs = self._random_tb_addresses(rng, 16)
         base = kernel_entropy_profile(tbs, AMAP, window=8)
         mapped = [np.atleast_1d(scheme.map(a)) for a in tbs]
@@ -183,7 +184,7 @@ class TestEntropyBounds:
     @pytest.mark.parametrize("seed", range(3))
     def test_stream_entropy_bounded_by_one_bit(self, seed):
         rng = np.random.default_rng(8000 + seed)
-        scheme = build_scheme("FAE", AMAP, seed=seed)
+        scheme = make_scheme("FAE", AMAP, seed=seed)
         addresses = random_addresses(rng, 4096, AMAP.width)
         mapped = np.atleast_1d(scheme.map(addresses))
         for stream in (addresses, mapped):

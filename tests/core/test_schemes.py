@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     SCHEME_NAMES,
-    build_scheme,
     hynix_gddr5_map,
     stacked_memory_map,
     toy_map,
@@ -22,6 +21,7 @@ from repro.core.schemes import (
     pm_scheme,
     rmp_scheme,
 )
+from repro.registry import RegistryError, make_scheme
 
 AMAP = hynix_gddr5_map()
 
@@ -36,7 +36,7 @@ def _block_mask(amap):
 class TestAllSchemes:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_bijective_on_samples(self, name):
-        scheme = build_scheme(name, AMAP, seed=3)
+        scheme = make_scheme(name, AMAP, seed=3)
         rng = np.random.default_rng(0)
         addrs = rng.integers(0, 1 << 30, size=5000, dtype=np.uint64)
         addrs = np.unique(addrs)
@@ -47,7 +47,7 @@ class TestAllSchemes:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_block_bits_never_touched(self, name):
         """Block offsets are outside every scheme (paper Section IV-B)."""
-        scheme = build_scheme(name, AMAP, seed=5)
+        scheme = make_scheme(name, AMAP, seed=5)
         block = _block_mask(AMAP)
         rng = np.random.default_rng(1)
         addrs = rng.integers(0, 1 << 30, size=2000, dtype=np.uint64)
@@ -57,14 +57,14 @@ class TestAllSchemes:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_works_on_stacked_map(self, name):
         smap = stacked_memory_map()
-        scheme = build_scheme(name, smap, seed=2)
+        scheme = make_scheme(name, smap, seed=2)
         addrs = np.arange(0, 1 << 20, 4096, dtype=np.uint64)
         mapped = np.atleast_1d(scheme.map(addrs))
         assert np.unique(mapped).size == addrs.size
 
     def test_unknown_scheme(self):
-        with pytest.raises(SchemeError, match="unknown scheme"):
-            build_scheme("XYZ", AMAP)
+        with pytest.raises(RegistryError, match="unknown scheme"):
+            make_scheme("XYZ", AMAP)
 
 
 class TestBase:
@@ -224,7 +224,7 @@ class TestMappingSchemeAPI:
     st.lists(st.integers(min_value=0, max_value=(1 << 30) - 1), min_size=1, max_size=50),
 )
 def test_scheme_roundtrip_property(name, seed, addrs):
-    scheme = build_scheme(name, AMAP, seed=seed)
+    scheme = make_scheme(name, AMAP, seed=seed)
     arr = np.asarray(addrs, dtype=np.uint64)
     assert (np.atleast_1d(scheme.unmap(scheme.map(arr))) == arr).all()
 
@@ -238,7 +238,7 @@ class TestMapTrace:
             for n in (1, 7, 0, 33)
         ]
         for name in SCHEME_NAMES:
-            scheme = build_scheme(name, amap, seed=2)
+            scheme = make_scheme(name, amap, seed=2)
             batched = scheme.map_trace(arrays)
             assert len(batched) == len(arrays)
             for original, mapped in zip(arrays, batched):
@@ -246,5 +246,5 @@ class TestMapTrace:
                 assert (np.atleast_1d(scheme.map(original)) == mapped).all(), name
 
     def test_empty_trace(self):
-        scheme = build_scheme("PAE", hynix_gddr5_map())
+        scheme = make_scheme("PAE", hynix_gddr5_map())
         assert scheme.map_trace([]) == []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import SCHEME_NAMES, build_scheme, hynix_gddr5_map, toy_map
+from repro.core import SCHEME_NAMES, hynix_gddr5_map, toy_map
 from repro.core.bim import BinaryInvertibleMatrix
 from repro.core.serialize import (
     bim_from_dict,
@@ -15,6 +15,7 @@ from repro.core.serialize import (
     scheme_from_dict,
     scheme_to_dict,
 )
+from repro.registry import make_scheme
 
 AMAP = hynix_gddr5_map()
 
@@ -54,7 +55,7 @@ class TestBIMRoundtrip:
 class TestSchemeRoundtrip:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_every_scheme_roundtrips(self, name):
-        scheme = build_scheme(name, AMAP, seed=5)
+        scheme = make_scheme(name, AMAP, seed=5)
         restored = scheme_from_dict(scheme_to_dict(scheme), AMAP)
         assert restored.name == scheme.name
         assert restored.bim == scheme.bim
@@ -66,12 +67,12 @@ class TestSchemeRoundtrip:
                 == np.atleast_1d(scheme.map(addrs))).all()
 
     def test_width_mismatch_rejected(self):
-        scheme = build_scheme("PAE", AMAP)
+        scheme = make_scheme("PAE", AMAP)
         with pytest.raises(ValueError, match="width"):
             scheme_from_dict(scheme_to_dict(scheme), toy_map())
 
     def test_file_roundtrip(self, tmp_path):
-        scheme = build_scheme("FAE", AMAP, seed=9)
+        scheme = make_scheme("FAE", AMAP, seed=9)
         path = tmp_path / "fae.json"
         dump_scheme(scheme, path)
         restored = load_scheme(path, AMAP)
@@ -82,7 +83,7 @@ class TestSchemeRoundtrip:
         assert len(data["rows"]) == 30
 
     def test_metadata_survives(self):
-        scheme = build_scheme("PAE", AMAP, seed=2)
+        scheme = make_scheme("PAE", AMAP, seed=2)
         restored = scheme_from_dict(scheme_to_dict(scheme), AMAP)
         assert list(restored.metadata["output_bits"]) == list(
             scheme.metadata["output_bits"]

@@ -25,7 +25,7 @@ from repro.runner import (
     sweep_report,
 )
 from repro.core.serialize import stable_hash
-from repro.sim.fidelity import AUTO, EXACT, AutoFidelity
+from repro.sim.fidelity import AUTO, EXACT, parse_fidelity
 from repro.specs import ScenarioSpec
 
 
@@ -89,13 +89,44 @@ class TestAutoScenario:
     def test_scenario_spec_round_trip(self):
         spec = ScenarioSpec(
             benchmarks=("SC",), schemes=("PM",), scale=0.25,
-            fidelity=AutoFidelity(exemplars=3, tail_frac=0.25),
+            fidelity=AUTO,
         )
         restored = ScenarioSpec.from_dict(
             json.loads(json.dumps(spec.to_dict()))
         )
         assert restored == spec
         assert restored.grid().configs() == spec.grid().configs()
+
+
+class TestAutoByteParity:
+    # Recorded while auto's parameters were still settable (their
+    # defaults written out here): making them constants moved no key.
+    FULL_AUTO_DICT = {
+        "kind": "auto", "exemplars": 2, "big_kernel_ops": 2048,
+        "min_freeze_ops": 4096, "warmup_frac": 0.2, "freeze_frac": 0.5,
+        "tail_frac": 0.3,
+    }
+    PINNED_KEYS = {
+        ("SC", "BASE"): "c78e7f2c8b4aa6660d67d55569780e84"
+                        "f040499ca7f68c48ad84a5d1784a09c1",
+        ("SC", "PAE"): "beaddc2333c6607afe0666eb3fa60e63"
+                       "8c01933244933869037c79b26611b824",
+    }
+
+    @pytest.mark.parametrize(
+        "fidelity", ["auto", {"kind": "auto"}, FULL_AUTO_DICT],
+        ids=["string", "kind-only", "full-dict"],
+    )
+    def test_auto_cache_keys_unchanged(self, fidelity):
+        assert parse_fidelity(fidelity) == AUTO
+        grid = SweepGrid(
+            benchmarks=("SC",), schemes=("PAE",), scale=0.5, fidelity=fidelity
+        )
+        assert {
+            (c.benchmark_name, c.scheme_name): c.config_hash()
+            for c in grid.configs()
+        } == self.PINNED_KEYS
+        assert grid.configs()[0].to_dict()["fidelity"] == self.FULL_AUTO_DICT
 
 
 class TestAutoDeterminism:

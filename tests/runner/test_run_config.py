@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.runner import config as config_module
 from repro.runner.config import CACHE_SCHEMA_VERSION, RunConfig, SweepGrid
 from repro.specs import SchemeSpec, WorkloadSpec
 
@@ -73,49 +72,18 @@ class TestRunConfig:
         assert base == replace(config, scheme=SchemeSpec.registered("BASE"))
 
 
-class TestDeprecatedStringForm:
-    def test_bare_names_warn_exactly_once(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_STRING_FORM_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = RunConfig("MT", "PAE")
-            RunConfig("LU", "FAE")  # second string config: no second warning
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "deprecated" in str(deprecations[0].message)
-        # The shim keeps working: the config is fully normalized.
-        assert config.scheme == SchemeSpec.registered("PAE")
-
-    def test_spec_form_never_warns(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_STRING_FORM_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            RunConfig(
+class TestBareNames:
+    def test_names_normalize_and_no_form_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bare = RunConfig("MT", "PAE")
+            spec = RunConfig(
                 benchmark=WorkloadSpec.registered("MT"),
                 scheme=SchemeSpec.registered("PAE"),
             )
             SweepGrid(benchmarks=("MT",), schemes=("PAE",)).configs()
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_build_scheme_warns_once_and_works(self, monkeypatch):
-        from repro.core import schemes as schemes_module
-        from repro.core.address_map import hynix_gddr5_map
-
-        monkeypatch.setattr(schemes_module, "_BUILD_SCHEME_WARNED", False)
-        amap = hynix_gddr5_map()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = schemes_module.build_scheme("PAE", amap, seed=1)
-            second = schemes_module.build_scheme("PAE", amap, seed=1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert first.bim == second.bim  # still builds the same scheme
+        assert bare == spec
+        assert bare.scheme == SchemeSpec.registered("PAE")
 
 
 class TestConfigHash:

@@ -112,7 +112,8 @@ def test_400_on_malformed_scenario(server):
 @pytest.mark.parametrize("fidelity", [
     {"kind": "sampled", "warmup": 1, "window": 2, "period": 16},
     {"kind": "auto", "exemplar": 3},
-], ids=["sampled", "auto-typo"])
+    {"kind": "auto", "exemplars": 3},
+], ids=["sampled", "auto-typo", "auto-tuned"])
 def test_400_on_bad_fidelity(server, fidelity):
     _, url = server
     error = expect_status(

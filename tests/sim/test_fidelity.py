@@ -8,8 +8,8 @@ from repro.registry import make_scheme, make_workload
 from repro.runner.config import RunConfig
 from repro.sim.fidelity import (
     AUTO,
+    BIG_KERNEL_OPS,
     EXACT,
-    AutoFidelity,
     fidelity_to_json,
     parse_fidelity,
 )
@@ -37,12 +37,14 @@ class TestParsing:
         assert parse_fidelity("") == EXACT
 
     def test_dict_form(self):
-        data = {"kind": "auto", "exemplars": 3, "tail_frac": 0.25}
-        assert parse_fidelity(data) == AutoFidelity(exemplars=3, tail_frac=0.25)
+        """A dict may spell out some of auto's fixed values, or none."""
+        assert parse_fidelity({"kind": "auto"}) == AUTO
+        data = {"kind": "auto", "exemplars": 2, "tail_frac": 0.3}
+        assert parse_fidelity(data) == AUTO
 
     def test_passthrough(self):
-        fid = AutoFidelity(exemplars=3)
-        assert parse_fidelity(fid) is fid
+        assert parse_fidelity(AUTO) is AUTO
+        assert parse_fidelity(EXACT) is EXACT
 
     @pytest.mark.parametrize(
         "bad",
@@ -73,7 +75,7 @@ class TestParsing:
             parse_fidelity(3.14)
 
     def test_validation(self):
-        """The dict form is range-checked like the constructor."""
+        """A dict value other than auto's fixed one is rejected."""
         with pytest.raises(ValueError):
             parse_fidelity({"kind": "auto", "exemplars": 0})
         with pytest.raises(ValueError):
@@ -103,41 +105,33 @@ class TestExactParity:
 
 class TestAutoParsing:
     def test_auto_default(self):
-        assert parse_fidelity("auto") == AutoFidelity()
+        assert parse_fidelity("auto") == AUTO == "auto"
         assert parse_fidelity(" AUTO ") == AUTO
 
     def test_auto_with_params(self):
-        fid = parse_fidelity("auto:exemplars=3,big_kernel_ops=512")
-        assert fid == AutoFidelity(exemplars=3, big_kernel_ops=512)
-        assert fid.min_freeze_ops == AutoFidelity().min_freeze_ops
+        """Auto has no parameters to set: the ``auto:k=v`` form is an error."""
+        with pytest.raises(ValueError, match="unknown fidelity"):
+            parse_fidelity("auto:exemplars=3,big_kernel_ops=512")
 
     def test_auto_json_round_trip(self):
-        fid = AutoFidelity(exemplars=3, big_kernel_ops=512, tail_frac=0.25)
-        data = fidelity_to_json(fid)
-        assert data["kind"] == "auto"
-        assert data["big_kernel_ops"] == 512
-        assert parse_fidelity(data) == fid
-
-    def test_auto_str_round_trips(self):
-        fid = AutoFidelity(exemplars=3, min_freeze_ops=2048)
-        assert parse_fidelity(str(fid)) == fid
+        data = fidelity_to_json(AUTO)
+        assert data == {
+            "kind": "auto", "exemplars": 2, "big_kernel_ops": 2048,
+            "min_freeze_ops": 4096, "warmup_frac": 0.2, "freeze_frac": 0.5,
+            "tail_frac": 0.3,
+        }
+        assert parse_fidelity(data) == AUTO
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AutoFidelity(exemplars=0)
-        with pytest.raises(ValueError):
-            AutoFidelity(warmup_frac=0.6, freeze_frac=0.5)
-        with pytest.raises(ValueError):
-            AutoFidelity(freeze_frac=0.5, tail_frac=0.6)
+        """Each parameter is fixed: any other value fails naming its key."""
+        for key, value in fidelity_to_json(AUTO).items():
+            if key != "kind":
+                with pytest.raises(ValueError, match=key):
+                    parse_fidelity({"kind": "auto", key: value * 2})
 
     def test_integral_float_accepted(self):
-        data = {"kind": "auto", "exemplars": 3.0, "min_freeze_ops": 2048.0}
-        fid = parse_fidelity(data)
-        assert fid == AutoFidelity(exemplars=3, min_freeze_ops=2048)
-        assert type(fid.exemplars) is int
-        assert fidelity_to_json(fid) == fidelity_to_json(
-            AutoFidelity(exemplars=3, min_freeze_ops=2048)
-        )
+        data = {"kind": "auto", "exemplars": 2.0, "min_freeze_ops": 4096.0}
+        assert parse_fidelity(data) == AUTO
 
     @pytest.mark.parametrize(
         "key,value",
@@ -269,17 +263,15 @@ class TestCacheKeys:
         hashes = {
             self.config().config_hash(),
             self.config(fidelity="auto").config_hash(),
-            self.config(fidelity=AutoFidelity(exemplars=3)).config_hash(),
         }
-        assert len(hashes) == 3
+        assert len(hashes) == 2
 
     def test_exact_dict_omits_fidelity(self):
         assert "fidelity" not in self.config().to_dict()
 
     def test_auto_round_trips_through_dict(self):
-        fid = AutoFidelity(exemplars=3, big_kernel_ops=512)
-        data = self.config(fidelity=fid).to_dict()
-        assert data["fidelity"]["big_kernel_ops"] == 512
+        data = self.config(fidelity=AUTO).to_dict()
+        assert data["fidelity"]["big_kernel_ops"] == BIG_KERNEL_OPS
         restored = RunConfig.from_dict(data)
-        assert restored.fidelity == fid
-        assert restored.config_hash() == self.config(fidelity=fid).config_hash()
+        assert restored.fidelity == AUTO
+        assert restored.config_hash() == self.config(fidelity=AUTO).config_hash()

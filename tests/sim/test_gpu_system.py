@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import build_scheme, hynix_gddr5_map
+from repro.core import hynix_gddr5_map
 from repro.dram.stacked import stacked_memory_config
 from repro.gpu.config import GPUConfig, config_with_sms
+from repro.registry import make_scheme
 from repro.sim.gpu_system import GPUSystem, simulate
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
 
@@ -38,14 +39,14 @@ def two_kernel_workload():
 class TestConservation:
     def test_all_requests_issued(self):
         wl = concentrated_workload()
-        system = GPUSystem(build_scheme("BASE", AMAP))
+        system = GPUSystem(make_scheme("BASE", AMAP))
         result = system.run(wl)
         issued = sum(sm.instructions_issued for sm in system.sms)
         assert issued == wl.n_requests
 
     def test_llc_misses_equal_dram_reads(self):
         wl = concentrated_workload()
-        system = GPUSystem(build_scheme("BASE", AMAP))
+        system = GPUSystem(make_scheme("BASE", AMAP))
         system.run(wl)
         llc_read_misses = sum(s.cache.stats.read_misses for s in system.slices)
         # Misses may merge in MSHRs, so DRAM reads <= read misses; but
@@ -54,7 +55,7 @@ class TestConservation:
 
     def test_no_outstanding_state_at_end(self):
         wl = concentrated_workload(with_writes=True)
-        system = GPUSystem(build_scheme("PAE", AMAP, seed=1))
+        system = GPUSystem(make_scheme("PAE", AMAP, seed=1))
         result = system.run(wl)
         assert system.dram.pending == 0
         for sm in system.sms:
@@ -66,7 +67,7 @@ class TestConservation:
 
     def test_writes_reach_dram(self):
         wl = concentrated_workload(with_writes=True)
-        system = GPUSystem(build_scheme("BASE", AMAP))
+        system = GPUSystem(make_scheme("BASE", AMAP))
         system.run(wl)
         # Write-through stores allocate dirty LLC lines whose evictions
         # (plus end-of-run residue) bound DRAM writes from above.
@@ -79,15 +80,15 @@ class TestMappingEffects:
         """The headline mechanism: channel-concentrated traffic under
         BASE spreads out and speeds up under PAE."""
         wl = concentrated_workload()
-        base = simulate(wl, build_scheme("BASE", AMAP))
-        pae = simulate(wl, build_scheme("PAE", AMAP, seed=2))
+        base = simulate(wl, make_scheme("BASE", AMAP))
+        pae = simulate(wl, make_scheme("PAE", AMAP, seed=2))
         assert base.channel_parallelism < 1.5
         assert pae.channel_parallelism > 2.5
         assert base.cycles / pae.cycles > 1.5
 
     def test_identity_mapping_decode_consistency(self):
         wl = concentrated_workload(n_tbs=4)
-        system = GPUSystem(build_scheme("BASE", AMAP))
+        system = GPUSystem(make_scheme("BASE", AMAP))
         system.run(wl)
         # All requests stride by 1 MB = bit 20 upwards: channel bits are
         # zero, so only controller 0 may have seen reads.
@@ -98,7 +99,7 @@ class TestMappingEffects:
 class TestKernelSequencing:
     def test_kernels_run_back_to_back(self):
         wl = two_kernel_workload()
-        result = simulate(wl, build_scheme("BASE", AMAP))
+        result = simulate(wl, make_scheme("BASE", AMAP))
         assert result.requests == 3
         assert result.metadata["max_tbs_in_flight"] == 1
 
@@ -106,14 +107,14 @@ class TestKernelSequencing:
 class TestConfigurations:
     def test_more_sms_do_not_slow_down(self):
         wl = concentrated_workload(n_tbs=96)
-        slow = simulate(wl, build_scheme("PAE", AMAP), config=config_with_sms(4))
-        fast = simulate(wl, build_scheme("PAE", AMAP), config=config_with_sms(24))
+        slow = simulate(wl, make_scheme("PAE", AMAP), config=config_with_sms(4))
+        fast = simulate(wl, make_scheme("PAE", AMAP), config=config_with_sms(24))
         assert fast.cycles <= slow.cycles
 
     def test_stacked_memory_run(self):
         cfg = stacked_memory_config()
         wl = concentrated_workload(n_tbs=16)
-        scheme = build_scheme("PAE", cfg.address_map, seed=1)
+        scheme = make_scheme("PAE", cfg.address_map, seed=1)
         result = simulate(
             wl, scheme, config=config_with_sms(16), timing=cfg.timing,
             dram_power_params=cfg.power_params,
@@ -123,7 +124,7 @@ class TestConfigurations:
 
     def test_single_use_enforced(self):
         wl = concentrated_workload(n_tbs=4)
-        system = GPUSystem(build_scheme("BASE", AMAP))
+        system = GPUSystem(make_scheme("BASE", AMAP))
         system.run(wl)
         with pytest.raises(RuntimeError, match="single-use"):
             system.run(wl)
@@ -132,7 +133,7 @@ class TestConfigurations:
 class TestMetricsPlumbing:
     def test_result_fields_populated(self):
         wl = concentrated_workload(with_writes=True)
-        result = simulate(wl, build_scheme("FAE", AMAP, seed=3))
+        result = simulate(wl, make_scheme("FAE", AMAP, seed=3))
         assert 0 <= result.l1_miss_rate <= 1
         assert 0 <= result.llc_miss_rate <= 1
         assert 0 <= result.row_hit_rate <= 1

@@ -243,7 +243,7 @@ class TestFullSystemEquiv:
 
         workload = make_workload("SC", scale=0.5)
         fidelity = parse_fidelity("auto")
-        plan = plan_auto(workload, fidelity, AMAP)
+        plan = plan_auto(workload, AMAP)
         base = {"workload": "SC", "scale": 0.5, "memory": "gddr5"}
         cache = StateCache(tmp_path / "state")
 

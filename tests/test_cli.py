@@ -206,6 +206,18 @@ class TestCacheCommand:
         assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 2
         assert "nothing to prune" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["cache", "ls"],
+        ["cache", "prune", "--stale"],
+        ["merge", "--benchmarks", "SP", "--schemes", "PM", "--scale", "0.25"],
+    ], ids=["ls", "prune", "merge"])
+    def test_missing_cache_dir_is_an_error(self, command, tmp_path, capsys):
+        """Commands that only read a cache never create one."""
+        missing = tmp_path / "typo" / "cache"
+        assert main(command + ["--cache-dir", str(missing)]) == 2
+        assert f"error: no result cache at {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "typo").exists()
+
 
 class TestExport:
     def test_export_roundtrip(self, tmp_path, capsys):
@@ -402,12 +414,12 @@ class TestFidelityFlag:
         assert main([
             "sweep", "--benchmarks", "SP", "--schemes", "PM",
             "--scale", "0.25", "--cache-dir", "",
-            "--fidelity", "auto:exemplars=3",
+            "--fidelity", "auto",
             "-o", str(out),
         ]) == 0
         report = json.loads(out.read_text())
         assert report["grid"]["fidelity"] == {
-            "kind": "auto", "exemplars": 3, "big_kernel_ops": 2048,
+            "kind": "auto", "exemplars": 2, "big_kernel_ops": 2048,
             "min_freeze_ops": 4096, "warmup_frac": 0.2, "freeze_frac": 0.5,
             "tail_frac": 0.3,
         }
@@ -438,16 +450,22 @@ class TestFidelityFlag:
         ["profile", "SP"],
     ], ids=["sweep", "simulate", "profile"])
     def test_sampled_fidelity_is_rejected(self, command, capsys):
-        assert main(command + ["--scale", "0.25", "--fidelity", "sampled"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown fidelity 'sampled'" in err
-        assert "Traceback" not in err
-        assert sys.getprofile() is None  # profile never enabled cProfile
+        """Neither the deleted sampled mode nor auto's retired
+        parameter grammar is read as some default."""
+        for fidelity in ("sampled", "auto:exemplars=3"):
+            assert main(
+                command + ["--scale", "0.25", "--fidelity", fidelity]
+            ) == 2
+            err = capsys.readouterr().err
+            assert f"unknown fidelity '{fidelity}'" in err
+            assert "Traceback" not in err
+            assert sys.getprofile() is None  # profile never enabled cProfile
 
     @pytest.mark.parametrize("fidelity", [
         {"kind": "sampled", "warmup": 1, "window": 2, "period": 16},
         {"kind": "auto", "exemplar": 3},
-    ], ids=["sampled", "auto-typo"])
+        {"kind": "auto", "exemplars": 3},
+    ], ids=["sampled", "auto-typo", "auto-tuned"])
     def test_bad_scenario_fidelity_fails_cleanly(self, fidelity, tmp_path,
                                                  capsys):
         scenario = tmp_path / "scenario.json"

@@ -56,12 +56,13 @@ class TestRoundtrip:
         assert restored.kernels[0].tbs[0].warps[1].writes[0]
 
     def test_simulation_identical_after_roundtrip(self, tmp_path):
-        from repro.core import build_scheme, hynix_gddr5_map
+        from repro.core import hynix_gddr5_map
+        from repro.registry import make_scheme
         from repro.sim.gpu_system import simulate
 
         original = build_workload("SP", scale=0.25)
         restored = _roundtrip(original, tmp_path)
-        scheme = build_scheme("PAE", hynix_gddr5_map(), seed=0)
+        scheme = make_scheme("PAE", hynix_gddr5_map(), seed=0)
         a = simulate(original, scheme)
         b = simulate(restored, scheme)
         assert a.cycles == b.cycles
