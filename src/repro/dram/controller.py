@@ -11,6 +11,13 @@ data bus, and drives them through the discrete-event engine:
 * the completion callback fires when the request's data burst finishes
   on the bus.
 
+When the scheduler finds every queued bank busy, the controller is
+**blocked until** the first frees up: pumps before that re-arm the
+wake without asking again.  The answer depends only on the queues and
+the banks' ready times, which only an enqueue or an issue changes (a
+functional replay moves open rows only), so only an enqueue or an
+issue clears the blocked-until cycle.
+
 Timing model per issued request (see :mod:`repro.dram.bank` for the
 row-buffer cases)::
 
@@ -70,6 +77,8 @@ class MemoryController:
         self._inflight = 0
         self._max_inflight = max_inflight
         self._wake_scheduled_at: Optional[int] = None
+        # Every queued bank is busy until this cycle (module docstring).
+        self._blocked_until: Optional[int] = None
         # Pre-bound for the engine's closure-free scheduling fast path.
         self._wake_cb = self._wake
         self._data_done_cb = self._data_done
@@ -104,6 +113,7 @@ class MemoryController:
                 )
         self.requests_seen += len(requests)
         self._scheduler.enqueue_many(requests)
+        self._blocked_until = None
         self._wake_at(self._engine.now)
 
     @property
@@ -121,7 +131,8 @@ class MemoryController:
     def _pump(self) -> None:
         """Issue every request that can start now; arrange a wake otherwise.
 
-        The issue step is inline: it runs once per DRAM request.
+        The issue step is inline: it runs once per DRAM request, and
+        it skips :meth:`_wake_at` when a wake at or before is armed.
         """
         now = self._engine.now
         scheduler = self._scheduler
@@ -134,11 +145,19 @@ class MemoryController:
             # issuing further ahead (the drain event re-pumps).
             if self._inflight >= self._max_inflight:
                 return
-            request, next_ready = scheduler.select(banks, now)
+            blocked = self._blocked_until
+            if blocked is None or blocked <= now:
+                request, blocked = scheduler.select(banks, now)
+            else:
+                request = None
             if request is None:
-                if next_ready is not None:
-                    self._wake_at(next_ready)
+                self._blocked_until = blocked
+                if blocked is not None:
+                    armed = self._wake_scheduled_at
+                    if armed is None or armed > blocked:
+                        self._wake_at(blocked)
                 return
+            self._blocked_until = None
             bank = banks[request.bank]
             # Space activates channel-wide by tRRD: the bank delays the
             # ACT command (not the whole access) past last_activate +
@@ -171,7 +190,9 @@ class MemoryController:
             # try to issue more work then.  With nothing queued there is
             # nothing to issue — the next submit wakes the pump itself.
             if scheduler.size:
-                self._wake_at(bank_free)
+                armed = self._wake_scheduled_at
+                if armed is None or armed > bank_free:
+                    self._wake_at(bank_free)
 
     def _data_done(self, request: DRAMRequest) -> None:
         # Fires exactly at the request's data_end cycle, so "when" is

@@ -159,10 +159,13 @@ class FRFCFSScheduler:
         pending work is ready, *request* is None and
         *next_ready_time* is the earliest cycle at which one will be
         (None when the queues are empty).
+
+        Candidates rank by (row hit, arrival): the best hit and the
+        oldest non-hit are tracked apart, a hit wins, ties go to
+        round-robin order.
         """
-        best_key: Optional[Tuple[int, int]] = None
-        best_pick: Optional[Tuple[int, int, DRAMRequest]] = None
-        next_ready: Optional[int] = None
+        hit_arrival = miss_arrival = next_ready = None
+        hit = miss = None
         queues = self._queues
         row_fifos = self._row_fifos
         for bank_idx in self._orders[self._rr]:
@@ -175,25 +178,23 @@ class FRFCFSScheduler:
                 if next_ready is None or ready_at < next_ready:
                     next_ready = ready_at
                 continue
-            open_row = bank.open_row
-            if open_row is not None:
-                fifo = row_fifos[bank_idx].get(open_row)
-            else:
-                fifo = None
+            fifo = row_fifos[bank_idx].get(bank.open_row)
             if fifo is not None:
                 seq = fifo[0]
                 request = queue[seq]
-                key = (0, request.arrival)
-            else:
+                if hit_arrival is None or request.arrival < hit_arrival:
+                    hit_arrival = request.arrival
+                    hit = (bank_idx, seq, request)
+            elif hit is None:
                 seq = next(iter(queue))
                 request = queue[seq]
-                key = (1, request.arrival)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pick = (bank_idx, seq, request)
-        if best_pick is None:
+                if miss_arrival is None or request.arrival < miss_arrival:
+                    miss_arrival = request.arrival
+                    miss = (bank_idx, seq, request)
+        pick = hit if hit is not None else miss
+        if pick is None:
             return None, next_ready
-        bank_idx, seq, request = best_pick
+        bank_idx, seq, request = pick
         self._pop(bank_idx, seq, request)
         return request, None
 

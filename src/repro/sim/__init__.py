@@ -3,12 +3,7 @@
 from .engine import Engine, SimulationError
 from .fidelity import EXACT, fidelity_to_json, parse_fidelity
 from .gpu_system import GPUSystem, simulate
-from .metrics import (
-    MeanStat,
-    OutstandingTracker,
-    SampledAccounting,
-    combined_parallelism,
-)
+from .metrics import MeanStat, SampledAccounting
 from .results import SimulationResult, perf_per_watt_ratio, speedup
 
 __all__ = [
@@ -16,11 +11,9 @@ __all__ = [
     "Engine",
     "GPUSystem",
     "MeanStat",
-    "OutstandingTracker",
     "SampledAccounting",
     "SimulationError",
     "SimulationResult",
-    "combined_parallelism",
     "fidelity_to_json",
     "parse_fidelity",
     "perf_per_watt_ratio",

@@ -14,9 +14,10 @@ cache indexing, slice selection, NoC routing and DRAM decode use the
 *mapped* address.  For speed the mapping + field decode of every
 transaction is precomputed (vectorized, one pass per kernel) when TBs
 are prepared; this is exact because the BIM is stateless.  DRAM
-traffic is batched per cycle: LLC misses and writeback victims
-accumulate and are decoded, grouped per channel and scheduled by one
-FR-FCFS pass per controller per cycle instead of one Python event per
+traffic is batched per cycle: LLC misses and writeback victims (their
+coordinates memoized when their kernel's store lines are decoded)
+accumulate, are grouped per channel and scheduled by one FR-FCFS pass
+per controller per cycle instead of one Python event per
 request.  Warp issue is batched per SM the same way (one issue tick
 per port slot, see :mod:`repro.gpu.sm`), and all inter-component
 plumbing below schedules through the engine's closure-free
@@ -24,8 +25,9 @@ plumbing below schedules through the engine's closure-free
 
 Instrumentation captures everything the paper's evaluation plots:
 execution cycles, NoC packet latency (13a), LLC miss rate (13b),
-LLC/channel/bank-level parallelism (14), row-buffer hit rate (15),
-the DRAM power breakdown (16) and system power (11/17).
+LLC/channel/bank-level parallelism (14, from per-request busy
+intervals), row-buffer hit rate (15), the DRAM power breakdown (16)
+and system power (11/17).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .fidelity import (
     fidelity_to_json,
     parse_fidelity,
 )
-from .metrics import OutstandingTracker, SampledAccounting, combined_parallelism
+from .metrics import SampledAccounting, busy_time
 from .results import SimulationResult
 
 __all__ = ["GPUSystem", "plan_auto", "simulate"]
@@ -243,13 +245,14 @@ class GPUSystem:
             scheduler_factory=dram_scheduler_factory,
         )
 
-        # Parallelism trackers (Fig. 14).
-        self.llc_tracker = OutstandingTracker(self.config.llc_slices, "llc")
-        self.channel_tracker = OutstandingTracker(self.timing.channels, "channel")
-        self.bank_trackers = [
-            OutstandingTracker(self.timing.banks_per_channel, f"bank[ch{c}]")
-            for c in range(self.timing.channels)
-        ]
+        # Busy intervals for the parallelism metrics (Fig. 14), appended
+        # as flat ints and integrated once in _collect: (slice, issued,
+        # responded) per LLC read and (channel, bank, arrival,
+        # completed) per DRAM request.
+        self._llc_log: List[int] = []
+        self._dram_log: List[int] = []
+        self._llc_log_extend = self._llc_log.extend
+        self._dram_log_extend = self._dram_log.extend
 
         # NoC: request crossbar SMs -> slices, response crossbar back.
         self.request_noc = Crossbar(
@@ -272,10 +275,15 @@ class GPUSystem:
             for slice_id in range(self.config.llc_slices)
         ]
 
-        # SMs.
+        # SMs.  Without a mapper pipeline cycle an L1 miss goes
+        # straight onto the request NoC.
+        self._mapper_extra_latency = scheme.extra_latency_cycles
+        send_read = (
+            self._send_read if self._mapper_extra_latency else self._forward_read
+        )
         self.sms: List[SM] = [
             SM(self.engine, self.config, sm_id,
-               send_read=self._send_read, send_write=self._send_write)
+               send_read=send_read, send_write=self._send_write)
             for sm_id in range(self.config.n_sms)
         ]
 
@@ -300,8 +308,6 @@ class GPUSystem:
         self._control_flits = self.config.noc_control_flits
         self._data_flits = self.config.data_packet_flits
 
-        # Mapping/decoding cache for trace preparation.
-        self._mapper_extra_latency = scheme.extra_latency_cycles
         self._slices_per_channel = max(1, self.config.llc_slices // self.timing.channels)
 
         # Same-cycle DRAM submission batching: misses and writebacks
@@ -311,6 +317,10 @@ class GPUSystem:
         self._dram_reads_pending: List[MemRequest] = []
         self._dram_writebacks_pending: List[int] = []
         self._dram_flush_scheduled = False
+        # Writeback victims' line -> (channel, bank, row), filled from
+        # each kernel's store lines and, for a line never seen (one a
+        # replayed kernel dirtied, say), by the flush.
+        self._victim_coords: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Trace preparation: vectorized mapping + decode
@@ -346,6 +356,9 @@ class GPUSystem:
         per warp.  Every L1 shares one geometry and every LLC slice
         another, so one :meth:`set_indices_array` pass per geometry
         covers all caches.
+
+        Only stored lines can become dirty LLC victims, so the unique
+        store lines are decoded once into the run's victim memo.
         """
         traces = [warp for tb in kernel.tbs for warp in tb.warps]
         nonempty = [t for t in traces if len(t)]
@@ -357,6 +370,9 @@ class GPUSystem:
         lines, channels, banks, rows, slices = self._coords_of(mapped)
         l1_sets = self.sms[0].l1.set_indices_array(lines)
         llc_sets = self.slices[0].cache.set_indices_array(lines)
+        writes = np.concatenate([t.writes for t in nonempty])
+        if writes.any():
+            self._remember_victims(np.unique(lines[writes]))
         # One tolist() per field per kernel; warps get list slices.
         lines, channels, banks, rows, slices, l1_sets, llc_sets = (
             field.tolist()
@@ -378,6 +394,18 @@ class GPUSystem:
             start = end
         return lambda trace: table[id(trace)]
 
+    def _remember_victims(self, lines: np.ndarray) -> None:
+        """Decode possible writeback victim *lines* into the memo."""
+        fields = decode_fields(self.address_map, lines.astype(np.uint64))
+        self._victim_coords.update(zip(
+            lines.tolist(),
+            zip(
+                self._channels_of(fields).tolist(),
+                fields["bank"].tolist(),
+                fields["row"].tolist(),
+            ),
+        ))
+
     def _slice_of(self, channels: np.ndarray, banks: np.ndarray) -> np.ndarray:
         """LLC slice selection from mapped channel/bank coordinates.
 
@@ -396,13 +424,10 @@ class GPUSystem:
     # Component plumbing
     # ------------------------------------------------------------------
     def _send_read(self, request: MemRequest) -> None:
-        """SM L1 miss -> (mapper latency) -> request NoC -> LLC slice."""
-        self.llc_tracker.change(request.slice, +1, self.engine.now)
-        delay = self._mapper_extra_latency
-        if delay:
-            self.engine.after_call(delay, self._forward_read_cb, request)
-        else:
-            self._forward_read(request)
+        """SM L1 miss -> mapper latency -> request NoC -> LLC slice."""
+        self.engine.after_call(
+            self._mapper_extra_latency, self._forward_read_cb, request
+        )
 
     def _forward_read(self, request: MemRequest) -> None:
         self.request_noc.send(
@@ -431,7 +456,9 @@ class GPUSystem:
 
     def _send_response(self, request: MemRequest) -> None:
         """LLC -> response NoC -> SM fill."""
-        self.llc_tracker.change(request.slice, -1, self.engine.now)
+        self._llc_log_extend(
+            (request.slice, request.issued_at, self.engine.now)
+        )
         self.response_noc.send(
             request.slice, request.sm_id, self._data_flits,
             self._deliver_fill_cb, request,
@@ -457,8 +484,9 @@ class GPUSystem:
     def _flush_dram_batch(self) -> None:
         """Hand this cycle's accumulated DRAM traffic to the controllers.
 
-        Reads were decoded at trace preparation; writeback victim lines
-        are decoded here as one array.  Requests are grouped per channel
+        Reads were decoded at trace preparation and writeback victims
+        with their kernel's store lines (lines the memo lacks are
+        decoded here, as one array).  Requests are grouped per channel
         and submitted as batches, so each controller runs one FR-FCFS
         pass over the cycle's arrivals.
         """
@@ -466,30 +494,22 @@ class GPUSystem:
         now = self.engine.now
         reads, self._dram_reads_pending = self._dram_reads_pending, []
         lines, self._dram_writebacks_pending = self._dram_writebacks_pending, []
-        channel_change = self.channel_tracker.change
-        bank_trackers = self.bank_trackers
         per_channel: Dict[int, List[DRAMRequest]] = {}
         for request in reads:
             channel = request.channel
-            bank = request.bank
-            channel_change(channel, 1, now)
-            bank_trackers[channel].change(bank, 1, now)
             batch = per_channel.get(channel)
             if batch is None:
                 batch = per_channel[channel] = []
-            batch.append(
-                DRAMRequest(id(request), bank, request.row, False, now, request)
-            )
+            batch.append(DRAMRequest(
+                id(request), request.bank, request.row, False, now, request
+            ))
         if lines:
-            fields = decode_fields(
-                self.address_map, np.asarray(lines, dtype=np.uint64)
-            )
-            channels = self._channels_of(fields).tolist()
-            banks = fields["bank"].tolist()
-            rows = fields["row"].tolist()
-            for line, channel, bank, row in zip(lines, channels, banks, rows):
-                channel_change(channel, 1, now)
-                bank_trackers[channel].change(bank, 1, now)
+            coords = self._victim_coords
+            unseen = [line for line in lines if line not in coords]
+            if unseen:
+                self._remember_victims(np.asarray(unseen, dtype=np.int64))
+            for line in lines:
+                channel, bank, row = coords[line]
                 batch = per_channel.get(channel)
                 if batch is None:
                     batch = per_channel[channel] = []
@@ -501,16 +521,15 @@ class GPUSystem:
 
     def _dram_complete(self, request: DRAMRequest, when: int) -> None:
         payload = request.payload
-        now = self.engine.now
         if isinstance(payload, MemRequest):
-            channel = payload.channel
-            self.channel_tracker.change(channel, -1, now)
-            self.bank_trackers[channel].change(request.bank, -1, now)
+            self._dram_log_extend(
+                (payload.channel, request.bank, request.arrival, when)
+            )
             self.slices[payload.slice].on_dram_fill(payload.line, payload.llc_set)
         elif isinstance(payload, tuple) and payload[0] is _WRITEBACK:
-            channel = payload[1]
-            self.channel_tracker.change(channel, -1, now)
-            self.bank_trackers[channel].change(request.bank, -1, now)
+            self._dram_log_extend(
+                (payload[1], request.bank, request.arrival, when)
+            )
         else:
             raise RuntimeError(f"unexpected DRAM completion payload: {payload!r}")
 
@@ -1008,6 +1027,9 @@ class GPUSystem:
                     ),
                 ),
             }
+        llc_parallelism, channel_parallelism, bank_parallelism = (
+            self._parallelism()
+        )
         instructions = workload.approx_instructions
         gpu_power_model = GPUPowerModel(
             default_gpu_power_params(), self.config.clock_mhz
@@ -1024,9 +1046,9 @@ class GPUSystem:
             llc_miss_rate=llc_misses / llc_accesses if llc_accesses else 0.0,
             llc_accesses=llc_accesses,
             noc_mean_latency=noc_total_latency / noc_packets if noc_packets else 0.0,
-            llc_parallelism=self.llc_tracker.value(now),
-            channel_parallelism=self.channel_tracker.value(now),
-            bank_parallelism=combined_parallelism(self.bank_trackers, now),
+            llc_parallelism=llc_parallelism,
+            channel_parallelism=channel_parallelism,
+            bank_parallelism=bank_parallelism,
             row_hit_rate=self.dram.row_hit_rate(),
             dram_activates=self.dram.activates,
             dram_reads=self.dram.reads,
@@ -1042,6 +1064,27 @@ class GPUSystem:
                 **metadata_extra,
             },
         )
+
+    def _parallelism(self):
+        """LLC, channel and bank parallelism (Fig. 14) from the logs."""
+        slices, issued, responded = (
+            np.array(self._llc_log, dtype=np.int64).reshape(-1, 3).T
+        )
+        channels, banks, arrived, done = (
+            np.array(self._dram_log, dtype=np.int64).reshape(-1, 4).T
+        )
+        gbanks = channels * self.timing.banks_per_channel + banks
+        channel_busy = busy_time(arrived, done, channels)
+        return (
+            _ratio(busy_time(issued, responded, slices),
+                   busy_time(issued, responded)),
+            _ratio(channel_busy, busy_time(arrived, done)),
+            _ratio(busy_time(arrived, done, gbanks), channel_busy),
+        )
+
+
+def _ratio(busy: int, active: int) -> float:
+    return busy / active if active else 0.0
 
 
 def simulate(

@@ -2,129 +2,64 @@
 
 The paper's memory-level-parallelism metrics (Fig. 14) are defined as
 "the number of outstanding requests if at least one is outstanding":
-a time average of the number of busy units, conditioned on the system
-being active.  :class:`OutstandingTracker` implements exactly that —
-it integrates the number of units with a non-zero outstanding count
-over the cycles in which at least one unit is busy.
+the time-average number of busy units over the time at least one is
+busy.  A unit is busy while one of its requests is outstanding, so a
+run logs each request's busy interval and integrates once at the end
+with :func:`busy_time` (``|U|`` is the length of a union):
 
-Three trackers instrument a run:
+* LLC-level, over slices, each read from L1-miss issue to response:
+  ``sum over slices |U slice| / |U all|``,
+* channel-level, each DRAM request from controller arrival to
+  completion: ``sum over channels |U channel| / |U all|``,
+* bank-level, per channel and weighted by channel busy time:
+  ``sum over (channel, bank) |U bank| / sum over channels |U channel|``.
 
-* LLC-level parallelism  — units are the 8 LLC slices,
-* channel-level parallelism — units are the DRAM channels,
-* bank-level parallelism — one tracker per channel over its banks
-  ("bank-level parallelism is quantified per channel"); the reported
-  number is the busy-time-weighted mean across channels.
+All terms are integer cycles, so the ratios equal those of a +1/-1
+outstanding-count tracker (kept as the oracle in
+``tests/parallelism_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
-    "OutstandingTracker",
     "MeanStat",
     "SampledAccounting",
-    "combined_parallelism",
+    "busy_time",
 ]
 
 
-class OutstandingTracker:
-    """Integrates the busy-unit count over active time.
+def busy_time(starts, ends, units=None) -> int:
+    """Sum over units of the length of each unit's union of intervals.
 
-    ``change(unit, delta, now)`` adjusts unit occupancy; ``value(now)``
-    returns the average number of busy units over the cycles where at
-    least one unit was busy (0 if never active).
+    Intervals are ``[start, end)``; without *units* they all belong to
+    one unit.  Each unit's intervals are shifted into a time band of
+    their own, so one sort and one running maximum of the ends measure
+    every union at once.  An interval that ends before it starts
+    raises :class:`ValueError`.
     """
-
-    def __init__(self, n_units: int, name: str = "") -> None:
-        if n_units <= 0:
-            raise ValueError(f"need at least one unit, got {n_units}")
-        self.name = name
-        self._counts = [0] * n_units
-        self._busy_units = 0
-        self._last_time = 0
-        self._busy_unit_integral = 0  # sum of busy-unit-count * dt
-        self._active_time = 0  # cycles with >= 1 busy unit
-        self._peak = 0
-
-    @property
-    def n_units(self) -> int:
-        return len(self._counts)
-
-    @property
-    def peak(self) -> int:
-        """Maximum simultaneous busy units observed."""
-        return self._peak
-
-    def outstanding(self, unit: int) -> int:
-        return self._counts[unit]
-
-    def _advance(self, now: int) -> None:
-        dt = now - self._last_time
-        if dt < 0:
-            raise ValueError(f"time went backwards: {self._last_time} -> {now}")
-        if dt and self._busy_units:
-            self._busy_unit_integral += self._busy_units * dt
-            self._active_time += dt
-        self._last_time = now
-
-    def change(self, unit: int, delta: int, now: int) -> None:
-        """Adjust unit *unit*'s outstanding count by *delta* at time *now*."""
-        # _advance, inlined: change() runs several times per request.
-        dt = now - self._last_time
-        if dt:
-            if dt < 0:
-                raise ValueError(f"time went backwards: {self._last_time} -> {now}")
-            if self._busy_units:
-                self._busy_unit_integral += self._busy_units * dt
-                self._active_time += dt
-            self._last_time = now
-        before = self._counts[unit]
-        after = before + delta
-        if after < 0:
-            raise ValueError(
-                f"{self.name or 'tracker'}: unit {unit} outstanding underflow"
-            )
-        self._counts[unit] = after
-        if before == 0 and after > 0:
-            self._busy_units += 1
-            if self._busy_units > self._peak:
-                self._peak = self._busy_units
-        elif before > 0 and after == 0:
-            self._busy_units -= 1
-
-    def value(self, now: int) -> float:
-        """Average busy units over active time, up to *now*."""
-        self._advance(now)
-        if not self._active_time:
-            return 0.0
-        return self._busy_unit_integral / self._active_time
-
-    def active_fraction(self, now: int) -> float:
-        """Fraction of elapsed time with at least one busy unit."""
-        self._advance(now)
-        return self._active_time / now if now else 0.0
-
-    @property
-    def active_time(self) -> int:
-        return self._active_time
-
-    @property
-    def busy_unit_integral(self) -> int:
-        return self._busy_unit_integral
-
-
-def combined_parallelism(trackers: Sequence[OutstandingTracker], now: int) -> float:
-    """Busy-time-weighted mean across trackers (per-channel bank MLP)."""
-    total_integral = 0
-    total_active = 0
-    for tracker in trackers:
-        tracker._advance(now)
-        total_integral += tracker.busy_unit_integral
-        total_active += tracker.active_time
-    if not total_active:
-        return 0.0
-    return total_integral / total_active
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if not starts.size:
+        return 0
+    backwards = np.flatnonzero(ends < starts)
+    if backwards.size:
+        i = backwards[0]
+        raise ValueError(
+            f"interval {i} ends before it starts: [{starts[i]}, {ends[i]})"
+        )
+    if units is not None:
+        origin = starts.min()
+        shift = np.asarray(units, dtype=np.int64) * (ends.max() - origin + 1)
+        starts, ends = starts + shift - origin, ends + shift - origin
+    order = np.argsort(starts)
+    starts, ends = starts[order], ends[order]
+    # Each interval adds what lies past the furthest end before it.
+    added = ends[1:] - np.maximum(starts[1:], np.maximum.accumulate(ends)[:-1])
+    return int(ends[0] - starts[0]) + int(added[added > 0].sum())
 
 
 class _Window:

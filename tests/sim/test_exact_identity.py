@@ -22,6 +22,14 @@ Auto SRAD2 @1.0 freezes once with 14 queued TBs on gddr5 (13 on
 A deliberate model change that moves these digests must regenerate
 them in the same change, together with the figure tables and the
 performance benchmark's reference digests.
+
+Next to the event pins, two runs also pin host work that the result
+bytes cannot see: how often the system decodes addresses and how often
+the DRAM scheduler is asked for a pick.  Writeback victims are decoded
+once per kernel through a memo, and a controller whose queued banks
+are all busy does not ask again until an enqueue or an issue, so a
+change that brings back per-flush victim decodes or blocked rescans
+fails here with a count diff rather than only a slower wall.
 """
 
 import hashlib
@@ -30,6 +38,9 @@ import pytest
 
 from repro import api
 from repro.core.serialize import canonical_json
+from repro.dram.scheduler import FRFCFSScheduler
+from repro.runner import worker
+from repro.sim import gpu_system
 
 # (workload, memory, scheme, scale, fidelity) -> SHA-256 of the
 # canonical result.
@@ -74,6 +85,19 @@ EVENTS = {
     ("SRAD2", "stacked", "PAE", 1.0, "auto"): 89005,
 }
 
+# Host calls of two of the same runs, counted by wrapping the bindings
+# the performance benchmark's tracer wraps (``core.decode`` and
+# ``dram.scheduler``), in a fresh process context so the auto plan's
+# fingerprint decodes count whatever ran before.  Before the victim memo and the blocked-until
+# shortcut the counts were 62 and 4,290 (exact MT) and 2,129 and
+# 13,252 (auto SRAD2).
+HOST_CALLS = {
+    ("MT", "gddr5", "PAE", 0.1, "exact"):
+        {"decode_fields": 8, "FRFCFSScheduler.select": 3056},
+    ("SRAD2", "gddr5", "PAE", 1.0, "auto"):
+        {"decode_fields": 9, "FRFCFSScheduler.select": 10236},
+}
+
 
 def check_pinned(key):
     workload, memory, scheme, scale, fidelity = key
@@ -104,3 +128,27 @@ def test_exact_result_bytes_pinned(workload, memory, scheme, scale):
 def test_replayed_result_bytes_pinned(workload, memory, scheme, scale,
                                       fidelity):
     check_pinned((workload, memory, scheme, scale, fidelity))
+
+
+@pytest.mark.parametrize("key", sorted(HOST_CALLS), ids=str)
+def test_host_call_counts_pinned(monkeypatch, key):
+    counts = dict.fromkeys(HOST_CALLS[key], 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(gpu_system, "decode_fields", counting(
+        "decode_fields", gpu_system.decode_fields
+    ))
+    monkeypatch.setattr(FRFCFSScheduler, "select", counting(
+        "FRFCFSScheduler.select", FRFCFSScheduler.select
+    ))
+    monkeypatch.setattr(worker, "_PROCESS_CONTEXT", None)
+    workload, memory, scheme, scale, fidelity = key
+    api.simulate(
+        workload, scheme, scale=scale, memory=memory, fidelity=fidelity
+    )
+    assert counts == HOST_CALLS[key]
