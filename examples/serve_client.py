@@ -7,8 +7,8 @@ root), then exercises the whole service surface through the plain
 over the network, minus the second machine:
 
 1. two tenants submit **overlapping** scenarios concurrently — the
-   single-flight table and the warm runner pool make sure every
-   unique config is simulated exactly once;
+   warm runner pool's shared result memo makes sure every unique
+   config is simulated exactly once;
 2. each report is fetched and checked **byte-identical** to a direct
    in-process ``api.sweep`` of the same grid;
 3. ``/v1/healthz`` shows the dedup accounting and the per-tenant
@@ -34,7 +34,8 @@ from repro.serve import ReproServer, ServerThread, TenantQuota
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "0.25"))
 
 # Two scenarios that overlap: both need SP under BASE and PM, so of
-# the 2 + 3 = 5 submitted configs only 4 are unique.
+# the 2 + 4 = 6 submitted configs (each benchmark also runs BASE)
+# only 4 are unique.
 ALICE_SCENARIO = {"benchmarks": ["SP"], "schemes": ["PM"], "scale": SCALE}
 BOB_SCENARIO = {"benchmarks": ["SP", "MT"], "schemes": ["PM"], "scale": SCALE}
 
@@ -97,7 +98,7 @@ def main() -> int:
                 indent=2, sort_keys=True,
             ))
             executed = health["runner"]["executed"]
-            print(f"\n5 configs submitted, {executed} simulated "
+            print(f"\n6 configs submitted, {executed} simulated "
                   f"(every unique config exactly once)")
             assert executed == 4
 

@@ -32,8 +32,9 @@ Commands
     cache.
 ``serve``
     Run the sweep-as-a-service HTTP server (:mod:`repro.serve`): a
-    warm runner pool shared across requests, async jobs, request
-    coalescing, and per-tenant cache namespaces with quotas.
+    warm runner pool shared across requests whose runners share one
+    single-flight result memo, async jobs, and per-tenant cache
+    namespaces with quotas.
 ``submit``
     Submit the grid the flags describe to a running ``repro serve``
     (via :mod:`repro.client`), wait, and write the report — the remote

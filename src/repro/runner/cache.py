@@ -110,12 +110,12 @@ class CacheEntry:
         }
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, payload: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -225,7 +225,7 @@ class ResultCache:
             if fault == "corrupt":
                 # A torn write: half the record, no closing brace.
                 text = text[: max(8, len(text) // 2)]
-        _atomic_write(path, text)
+        _atomic_write(path, text.encode())
         self.stats.stores += 1
         if wall_seconds is not None:
             meta = {
@@ -240,7 +240,8 @@ class ResultCache:
                 "fidelity": config.fidelity,
             }
             try:
-                _atomic_write(self.meta_path_for(key), canonical_json(meta) + "\n")
+                sidecar = canonical_json(meta) + "\n"
+                _atomic_write(self.meta_path_for(key), sidecar.encode())
             except OSError:
                 pass
         return path
@@ -420,7 +421,7 @@ class ResultCache:
             "started": time.time(), "nonce": nonce,
         })
         try:
-            _atomic_write(path, payload)
+            _atomic_write(path, payload.encode())
             with open(path) as handle:
                 if json.load(handle).get("nonce") == nonce:
                     return nonce

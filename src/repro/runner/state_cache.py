@@ -38,7 +38,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -47,7 +46,7 @@ import numpy as np
 
 from ..core.serialize import canonical_json, stable_hash
 from ..sim.replay import KernelStream
-from .cache import CacheEntry, CacheStats
+from .cache import CacheEntry, CacheStats, _atomic_write
 
 __all__ = ["StateCache", "STATE_SCHEMA_VERSION"]
 
@@ -63,21 +62,6 @@ _META_SUFFIX = ".meta.json"
 # the npz archive each time would rival the replay itself.  Streams
 # are read-only after construction, so sharing one object is safe.
 _MEMO_CAP = 128
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class StateCache:
@@ -181,7 +165,7 @@ class StateCache:
             wave_cap=np.int64(stream.wave_cap),
         )
         try:
-            _atomic_write_bytes(self.path_for(key), buffer.getvalue())
+            _atomic_write(self.path_for(key), buffer.getvalue())
             sidecar = {
                 "schema": STATE_SCHEMA_VERSION,
                 "ops": stream.n_ops,
@@ -189,7 +173,7 @@ class StateCache:
                 "wave_cap": stream.wave_cap,
                 **{k: v for k, v in meta.items() if v is not None},
             }
-            _atomic_write_bytes(
+            _atomic_write(
                 self.meta_path_for(key),
                 (canonical_json(sidecar) + "\n").encode(),
             )

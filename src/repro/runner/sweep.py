@@ -5,7 +5,11 @@ worker processes (``concurrent.futures.ProcessPoolExecutor``) with an
 on-disk :class:`~repro.runner.cache.ResultCache` in front and an
 in-memory memo behind it:
 
-1. every config is first looked up in the in-process memo,
+1. every config is first looked up in the in-process memo, which is
+   single-flight (:class:`RunMemo`): an entry is a finished result or
+   a key some runner is computing, and the runners of a
+   :class:`~repro.serve.jobs.RunnerPool` share one memo, so a config
+   in flight on one runner is waited for, not run again, by the others,
 2. then in the on-disk cache (if one is configured),
 3. remaining misses are deduplicated and executed — inline when
    ``workers <= 1``, otherwise on the pool — and written back to the
@@ -81,11 +85,12 @@ import concurrent.futures
 import heapq
 import math
 import os
+import threading
 import time
 import warnings
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -96,6 +101,7 @@ from .faults import FailurePolicy, FaultPlan, RunFailure, SweepFailure
 from .worker import _state_cache_for, execute_config_batch, process_context
 
 __all__ = [
+    "RunMemo",
     "SweepRunner",
     "SweepOutcome",
     "SweepStats",
@@ -159,12 +165,14 @@ class SweepStats:
 
     ``memory_hits`` are served from the in-process memo, ``cache_hits``
     from disk (including results stolen from a concurrent claimant),
-    ``executed`` were actually simulated.  ``requested`` is the total
-    number of configs asked for, so with no failures ``requested ==
-    memory_hits + cache_hits + executed`` after every call (duplicate
-    configs inside one call count as memory hits).  ``retries`` counts
-    re-executions the failure policy scheduled; ``failed`` counts
-    configs quarantined as :class:`~repro.runner.faults.RunFailure`.
+    ``executed`` were actually simulated, and ``coalesced`` were taken
+    from another runner's in-flight run through a shared memo.
+    ``requested`` is the total number of configs asked for, so with no
+    failures ``requested == memory_hits + cache_hits + executed +
+    coalesced`` after every call (duplicate configs inside one call
+    count as memory hits).  ``retries`` counts re-executions the
+    failure policy scheduled; ``failed`` counts configs quarantined as
+    :class:`~repro.runner.faults.RunFailure`.
     """
 
     requested: int = 0
@@ -173,16 +181,10 @@ class SweepStats:
     executed: int = 0
     retries: int = 0
     failed: int = 0
+    coalesced: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "requested": self.requested,
-            "memory_hits": self.memory_hits,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "retries": self.retries,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,63 @@ class _Flight:
     submitted: float
     deadline: Optional[float]
     probe: bool = False
+
+
+class _Running:
+    """A memo key some runner is computing; waiters block on ``done``."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.outcome: Union[SimulationResult, RunFailure, None] = None
+
+
+class RunMemo:
+    """The in-process result memo, single-flight across the runners
+    that share it.
+
+    Each entry is a finished result or a :class:`_Running` marker for a
+    key one runner leads.  A leader publishes every key it leads, in a
+    ``finally``, before it waits on keys another runner leads, so the
+    leader of a waited-on key is executing or done, never waiting, and
+    runners sharing a memo cannot deadlock.  A published
+    :class:`~repro.runner.faults.RunFailure` wakes the waiters and
+    leaves the memo, so a later call retries the config.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: Dict[str, Union[SimulationResult, _Running]] = {}
+
+    def join(self, key: str) -> Union[SimulationResult, _Running, None]:
+        """The entry for *key*; None when the caller now leads it."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._entries[key] = _Running()
+            return entry
+
+    def publish(
+        self, key: str, outcome: Union[SimulationResult, RunFailure]
+    ) -> None:
+        """Resolve a key the caller leads and wake its waiters."""
+        with self._lock:
+            running = self._entries.pop(key)
+            if isinstance(outcome, SimulationResult):
+                self._entries[key] = outcome
+        running.outcome = outcome
+        running.done.set()
+
+    def in_flight(self) -> int:
+        """Keys some runner is computing right now."""
+        with self._lock:
+            return sum(isinstance(e, _Running) for e in self._entries.values())
+
+    def finished(self) -> int:
+        """Results held."""
+        with self._lock:
+            return sum(
+                not isinstance(e, _Running) for e in self._entries.values()
+            )
 
 
 class SweepRunner:
@@ -282,7 +341,7 @@ class SweepRunner:
         self.claim_poll = float(claim_poll)
         self.claim_wait = float(claim_wait) if claim_wait is not None else float(claim_ttl)
         self._progress = progress
-        self._memory: Dict[str, SimulationResult] = {}
+        self._memory = RunMemo()
         self._context = context
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._cache_warned = False
@@ -314,63 +373,83 @@ class SweepRunner:
         configs = list(configs)
         self.stats.requested += len(configs)
         keys = [c.config_hash() for c in configs]
-        results: List[Optional[SimulationResult]] = [None] * len(configs)
+        outcomes: Dict[str, Union[SimulationResult, RunFailure]] = {}
+        led: Dict[str, RunConfig] = {}  # keys this call resolves itself
+        waits: Dict[str, _Running] = {}  # keys another runner leads
+        try:
+            # 1: the memo.  Keys are deduplicated, so one config
+            # requested twice in a batch is simulated once.
+            for config, key in zip(configs, keys):
+                if key in outcomes or key in led or key in waits:
+                    self.stats.memory_hits += 1
+                    continue
+                entry = self._memory.join(key)
+                if entry is None:
+                    led[key] = config
+                elif isinstance(entry, _Running):
+                    waits[key] = entry
+                else:
+                    outcomes[key] = entry
+                    self.stats.memory_hits += 1
+            self.stats.coalesced += len(waits)
 
-        # 1-2: memo, then disk.  Misses are deduplicated by hash so one
-        # config requested twice in a batch is simulated once.
-        miss_order: List[str] = []
-        miss_config: Dict[str, RunConfig] = {}
-        for i, (config, key) in enumerate(zip(configs, keys)):
-            if key in self._memory:
-                results[i] = self._memory[key]
-                self.stats.memory_hits += 1
-                continue
-            if key in miss_config:
-                self.stats.memory_hits += 1
-                continue
-            if self.cache is not None:
-                cached = self.cache.get(config)
+            # 2: disk.
+            misses: List[str] = []
+            for key, config in led.items():
+                cached = self.cache.get(config) if self.cache is not None else None
                 if cached is not None:
-                    self._memory[key] = cached
-                    results[i] = cached
-                    self.stats.cache_hits += 1
-                    continue
-            miss_order.append(key)
-            miss_config[key] = config
-
-        # 3: execute the misses.  ``wall`` is None when a concurrent
-        # claimant computed the result and we only read it back;
-        # ``persisted`` is True when the claims path already wrote the
-        # record (before releasing its claim).
-        failures: Dict[str, RunFailure] = {}
-        if miss_order:
-            computed = self._execute([miss_config[key] for key in miss_order])
-            for key, entry in zip(miss_order, computed):
-                if isinstance(entry, RunFailure):
-                    failures[key] = entry
-                    self.stats.failed += 1
-                    continue
-                result, wall, persisted = entry
-                self._memory[key] = result
-                if wall is None:
+                    outcomes[key] = cached
                     self.stats.cache_hits += 1
                 else:
-                    self.stats.executed += 1
-                    if self.cache is not None and not persisted:
-                        try:
-                            self.cache.put(
-                                miss_config[key], result, wall_seconds=wall
-                            )
-                        except OSError as error:
-                            self._cache_degraded(error)
+                    misses.append(key)
 
-        # Fill remaining slots (memo now has every surviving key).
-        for i, key in enumerate(keys):
-            if results[i] is None and key in self._memory:
-                results[i] = self._memory[key]
+            # 3: execute the misses.  ``wall`` is None when a concurrent
+            # claimant computed the result and we only read it back;
+            # ``persisted`` is True when the claims path already wrote
+            # the record (before releasing its claim).
+            if misses:
+                computed = self._execute([led[key] for key in misses])
+                for key, entry in zip(misses, computed):
+                    if isinstance(entry, RunFailure):
+                        outcomes[key] = entry
+                        self.stats.failed += 1
+                        continue
+                    result, wall, persisted = entry
+                    outcomes[key] = result
+                    if wall is None:
+                        self.stats.cache_hits += 1
+                    else:
+                        self.stats.executed += 1
+                        if self.cache is not None and not persisted:
+                            try:
+                                self.cache.put(
+                                    led[key], result, wall_seconds=wall
+                                )
+                            except OSError as error:
+                                self._cache_degraded(error)
+        finally:
+            # Publish before waiting, even when execution raised, so no
+            # waiter hangs on a key this call leads.
+            for key, config in led.items():
+                self._memory.publish(key, outcomes.get(key) or self._failure(
+                    config, key, "exception",
+                    "the leading run raised before this config resolved",
+                    0, 0.0,
+                ))
+
+        # 4: the keys other runners lead.
+        for key, running in waits.items():
+            running.done.wait()
+            outcomes[key] = running.outcome
+        failures = {
+            key: outcomes[key] for key in keys
+            if isinstance(outcomes[key], RunFailure)
+        }
         return SweepOutcome(
-            results=results,
-            failures=[failures[key] for key in miss_order if key in failures],
+            results=[
+                None if key in failures else outcomes[key] for key in keys
+            ],
+            failures=list(failures.values()),
         )
 
     # ------------------------------------------------------------------
@@ -903,7 +982,7 @@ class SweepRunner:
 
     def cached_runs(self) -> int:
         """Distinct results currently held in the in-process memo."""
-        return len(self._memory)
+        return self._memory.finished()
 
     def __repr__(self) -> str:
         return (

@@ -2,23 +2,22 @@
 
 A long-lived HTTP front-end over :mod:`repro.api`: a warm
 :class:`~repro.runner.sweep.SweepRunner` pool shared across requests,
-an async job manager (submit a scenario, poll its status, fetch the
-deterministic report), in-process request coalescing keyed by
-canonical cache keys, and per-tenant cache namespaces with byte /
-entry / concurrent-job quotas.
+whose runners share one single-flight result memo keyed by canonical
+cache keys (:class:`~repro.runner.sweep.RunMemo`), an async job
+manager (submit a scenario, poll its status, fetch the deterministic
+report), and per-tenant cache namespaces with byte / entry /
+concurrent-job quotas.
 
 Layers (each its own module):
 
 * :mod:`~repro.serve.protocol` — the wire contract shared with
   :mod:`repro.client`,
-* :mod:`~repro.serve.coalesce` — the single-flight table,
 * :mod:`~repro.serve.tenants` — namespaces, quotas, job slots,
 * :mod:`~repro.serve.jobs` — the warm runner pool and job manager,
 * :mod:`~repro.serve.app` — the asyncio HTTP server.
 """
 
 from .app import ReproServer, ServerThread
-from .coalesce import Flight, SingleFlight
 from .jobs import Job, JobManager, RunnerPool, TenantBusy
 from .protocol import (
     API_PREFIX,
@@ -34,14 +33,12 @@ from .tenants import TenantManager, TenantQuota
 __all__ = [
     "API_PREFIX",
     "DEFAULT_TENANT",
-    "Flight",
     "JOB_STATES",
     "Job",
     "JobManager",
     "ReproServer",
     "RunnerPool",
     "ServerThread",
-    "SingleFlight",
     "TENANT_HEADER",
     "TERMINAL_STATES",
     "TenantBusy",

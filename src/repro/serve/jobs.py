@@ -8,12 +8,12 @@ Three pieces:
     server start and checked out per job execution, so their process
     pools (interpreter startup, ``REPRO_PLUGINS`` registration, the
     per-worker :class:`~repro.runner.worker.RunContext` memos) and
-    their in-process result memos survive across requests — the whole
-    point of running a service instead of a batch CLI.  The runner's
-    disk cache is rebound to the requesting tenant's namespace at
-    checkout; the result memo is deliberately *not* cleared (results
-    are pure functions of config, so sharing them across tenants is
-    exactly the coalescing win).
+    their shared single-flight result memo survive across requests —
+    the whole point of running a service instead of a batch CLI.  The
+    runner's disk cache is rebound to the requesting tenant's
+    namespace at checkout; the memo is deliberately *not* cleared
+    (results are pure functions of config, so sharing them across
+    tenants is exactly the coalescing win).
 
 :class:`Job`
     One submitted scenario: its grid, lifecycle state
@@ -24,19 +24,21 @@ Three pieces:
 
 :class:`JobManager`
     Bounded concurrent execution (a thread pool of ``max_jobs``
-    workers; excess jobs wait in state ``queued``), wired through the
-    :class:`~repro.serve.coalesce.SingleFlight` table so overlapping
-    concurrent jobs execute each unique config exactly once, and
-    through the :class:`~repro.serve.tenants.TenantManager` for
-    namespace selection, job-slot limits and post-job quota
-    enforcement.
+    workers; excess jobs wait in state ``queued``): each job is one
+    checkout and one :meth:`~repro.runner.sweep.SweepRunner.run_outcomes`
+    call, and the pool's shared memo makes overlapping jobs execute
+    each unique config exactly once.  The
+    :class:`~repro.serve.tenants.TenantManager` handles namespace
+    selection, job-slot limits and post-job quota enforcement.
 
-Deadlock freedom: a job holds a checked-out runner only while
-executing the configs it *leads*; it waits for coalesced followers
-only after the runner is back in the pool.  Leaders publish their
-flights in a ``finally`` block, so a follower can always make
-progress once the leading job's thread finishes — there is no cycle
-between the runner queue and the flight table.
+Deadlock freedom: a runner publishes every key it leads (in a
+``finally``) before it waits on keys another runner leads, so the
+leader of a waited-on key is executing or done, never waiting — there
+is no cycle between runners.  With two or more runners a job keeps
+its runner while it waits for a config another runner is computing,
+so that runner sits idle meanwhile; in exchange, runners never
+re-execute each other's finished configs.  With one runner (the
+default) nothing ever waits.
 """
 
 from __future__ import annotations
@@ -48,14 +50,12 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..runner.config import RunConfig, SweepGrid
+from ..runner.config import SweepGrid
 from ..runner.faults import FailurePolicy, RunFailure
 from ..runner.report import render_report, report_from_results
-from ..runner.sweep import SweepProgress, SweepRunner, SweepStats
-from ..sim.results import SimulationResult
-from .coalesce import SingleFlight
+from ..runner.sweep import RunMemo, SweepProgress, SweepRunner, SweepStats
 from .protocol import (
     JOB_DONE,
     JOB_FAILED,
@@ -81,7 +81,9 @@ class RunnerPool:
     checkout blocks until one is free, so at most ``size * workers``
     simulations run at once regardless of how many jobs are in
     flight.  *faults* / *policy* apply to every runner (they come from
-    the server's flags and ``REPRO_FAULT_INJECT``).
+    the server's flags and ``REPRO_FAULT_INJECT``).  All runners share
+    one single-flight :class:`~repro.runner.sweep.RunMemo`, so no two
+    of them ever run the same config.
     """
 
     def __init__(
@@ -97,12 +99,14 @@ class RunnerPool:
             raise ValueError(f"runner pool size must be >= 1, got {size}")
         self.size = size
         self._claims = bool(claims)
+        self.memo = RunMemo()
+        self._idle: "queue.Queue[SweepRunner]" = queue.Queue()
         self._runners: List[SweepRunner] = [
             runner_factory(workers=workers, policy=policy, faults=faults)
             for _ in range(size)
         ]
-        self._idle: "queue.Queue[SweepRunner]" = queue.Queue()
         for runner in self._runners:
+            runner._memory = self.memo
             self._idle.put(runner)
 
     @contextmanager
@@ -130,13 +134,8 @@ class RunnerPool:
         """Aggregate accounting across every runner in the pool."""
         total = SweepStats()
         for runner in self._runners:
-            stats = runner.stats
-            total.requested += stats.requested
-            total.memory_hits += stats.memory_hits
-            total.cache_hits += stats.cache_hits
-            total.executed += stats.executed
-            total.retries += stats.retries
-            total.failed += stats.failed
+            for name, count in runner.stats.as_dict().items():
+                setattr(total, name, getattr(total, name) + count)
         return total
 
     def close(self) -> None:
@@ -156,9 +155,9 @@ class Job:
     started: Optional[float] = None
     finished: Optional[float] = None
     total: int = 0  # configs in the grid
-    completed: int = 0  # configs resolved (hits, leaders, followers)
-    executed: int = 0  # simulations this job's leaders actually ran
-    coalesced: int = 0  # configs served by another job's flight
+    completed: int = 0  # configs resolved
+    executed: int = 0  # simulations this job's runner actually ran
+    coalesced: int = 0  # configs taken from another runner's run
     failures: List[RunFailure] = field(default_factory=list)
     error: Optional[str] = None
     report: Optional[Dict[str, object]] = None
@@ -199,14 +198,11 @@ class JobManager:
         runners: RunnerPool,
         tenants: TenantManager,
         max_jobs: int = 8,
-        flight_timeout: float = 3600.0,
     ) -> None:
         if max_jobs < 1:
             raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
         self.runners = runners
         self.tenants = tenants
-        self.flights = SingleFlight()
-        self.flight_timeout = float(flight_timeout)
         self._executor = ThreadPoolExecutor(
             max_workers=max_jobs, thread_name_prefix="repro-job"
         )
@@ -270,13 +266,23 @@ class JobManager:
         try:
             configs = job.grid.configs()
             job.total = len(configs)
-            results, failures = self._execute_coalesced(job, configs)
+
+            def on_progress(progress: SweepProgress) -> None:
+                job.executed = progress.done
+
+            with self.runners.checkout(
+                cache=self.tenants.cache_for(job.tenant), progress=on_progress
+            ) as runner:
+                before = runner.stats.coalesced
+                outcome = runner.run_outcomes(configs)
+                job.coalesced = runner.stats.coalesced - before
+            job.completed = job.total
             job.report = report_from_results(
-                job.grid, configs, results, failures=failures
+                job.grid, configs, outcome.results, failures=outcome.failures
             )
             job.report_text = render_report(job.report)
-            job.failures = failures
-            final_state = JOB_PARTIAL if failures else JOB_DONE
+            job.failures = outcome.failures
+            final_state = JOB_PARTIAL if outcome.failures else JOB_DONE
         except Exception as error:  # noqa: BLE001 — job-level quarantine
             # The job, not the server, absorbs the failure: one bad
             # request must never take the process (or other tenants'
@@ -295,118 +301,24 @@ class JobManager:
             # already visible when it observes the job as finished.
             job.state = final_state
 
-    def _execute_coalesced(
-        self, job: Job, configs: List[RunConfig]
-    ) -> Tuple[List[Optional[SimulationResult]], List[RunFailure]]:
-        """Run *configs* through the single-flight table and warm pool.
-
-        Returns results in input order (None where quarantined) plus
-        the failure records, exactly the shapes
-        :func:`~repro.runner.report.report_from_results` consumes.
-        """
-        keys = [config.config_hash() for config in configs]
-        unique: Dict[str, RunConfig] = {}
-        for key, config in zip(keys, configs):
-            unique.setdefault(key, config)
-
-        leaders: List[Tuple[str, RunConfig, object]] = []
-        followers: List[Tuple[str, object]] = []
-        for key, config in unique.items():
-            flight, is_leader = self.flights.begin(key)
-            if is_leader:
-                leaders.append((key, config, flight))
-            else:
-                followers.append((key, flight))
-        job.coalesced = len(followers)
-
-        by_key: Dict[str, SimulationResult] = {}
-        failure_by_key: Dict[str, RunFailure] = {}
-
-        if leaders:
-            published = set()
-            try:
-                cache = self.tenants.cache_for(job.tenant)
-
-                def on_progress(progress: SweepProgress) -> None:
-                    job.executed = progress.done
-
-                # The runner goes back to the pool before any follower
-                # wait below — holding it while blocked on another
-                # job's flight could starve that very job of a runner.
-                with self.runners.checkout(
-                    cache=cache, progress=on_progress
-                ) as runner:
-                    outcome = runner.run_outcomes(
-                        [config for _, config, _ in leaders]
-                    )
-                    fmap = {f.key: f for f in outcome.failures}
-                    for (key, config, flight), result in zip(
-                        leaders, outcome.results
-                    ):
-                        resolved = result if result is not None else fmap[key]
-                        self.flights.finish(flight, resolved)
-                        published.add(key)
-                        if isinstance(resolved, RunFailure):
-                            failure_by_key[key] = resolved
-                        else:
-                            by_key[key] = resolved
-                        job.completed += 1
-            finally:
-                # A crashed leader still publishes: followers get a
-                # structured failure instead of hanging on a flight
-                # whose leader died.
-                for key, config, flight in leaders:
-                    if key not in published:
-                        self.flights.finish(flight, RunFailure(
-                            key=key,
-                            benchmark=config.benchmark_name,
-                            scheme=config.scheme_name,
-                            config=config.to_dict(),
-                            kind="exception",
-                            error="leading job failed before this config "
-                                  "resolved",
-                            attempts=0,
-                            wall_seconds=0.0,
-                        ))
-
-        for key, flight in followers:
-            config = unique[key]
-            try:
-                resolved = flight.wait(self.flight_timeout)
-            except TimeoutError as error:
-                resolved = RunFailure(
-                    key=key,
-                    benchmark=config.benchmark_name,
-                    scheme=config.scheme_name,
-                    config=config.to_dict(),
-                    kind="exception",
-                    error=str(error),
-                    attempts=0,
-                    wall_seconds=self.flight_timeout,
-                )
-            if isinstance(resolved, RunFailure):
-                failure_by_key[key] = resolved
-            else:
-                by_key[key] = resolved
-            job.completed += 1
-
-        results = [by_key.get(key) for key in keys]
-        job.completed = len(configs)
-        failures = [
-            failure_by_key[key]
-            for key in dict.fromkeys(keys)  # first-seen order, deduped
-            if key in failure_by_key
-        ]
-        return results, failures
-
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """JSON-safe service counters (for ``/v1/healthz``)."""
+        """JSON-safe service counters (for ``/v1/healthz``).
+
+        ``coalesce.leaders`` counts the configs a runner resolved
+        itself (a disk hit, an execution or a quarantine);
+        ``coalesce.coalesced`` those it took from another runner's
+        in-flight run.
+        """
+        stats = self.runners.stats()
         return {
             "jobs": self.counts(),
-            "runner": self.runners.stats().as_dict(),
-            "coalesce": self.flights.stats.as_dict(),
-            "in_flight": self.flights.in_flight(),
+            "runner": stats.as_dict(),
+            "coalesce": {
+                "leaders": stats.cache_hits + stats.executed + stats.failed,
+                "coalesced": stats.coalesced,
+            },
+            "in_flight": self.runners.memo.in_flight(),
         }
 
     def close(self, wait: bool = True) -> None:

@@ -24,7 +24,7 @@ tenant's *concurrent* jobs; excess submissions are rejected up front
 
 Isolation boundary: namespaces isolate *persistence and quota*, not
 results — a simulation is a pure function of its config, so the
-in-process memo and single-flight table deliberately share results
+runner pool's shared single-flight memo deliberately shares results
 across tenants (that sharing is the coalescing win).  What one tenant
 can never do is consume another's disk budget or job slots.
 """

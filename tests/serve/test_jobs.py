@@ -1,4 +1,4 @@
-"""The warm runner pool and the coalescing job manager.
+"""The warm runner pool and the job manager.
 
 The load-bearing contracts of sweep-as-a-service:
 
@@ -95,7 +95,7 @@ def test_parallel_overlapping_jobs_execute_each_config_once(tmp_path):
 
         unique = {c.config_hash() for grid in grids for c in grid.configs()}
         assert set(context.counts) == unique
-        # The core claim: coalescing + the shared namespace cache mean
+        # The core claim: the runners' shared single-flight memo means
         # no config ever runs twice, however the jobs interleaved.
         assert all(count == 1 for count in context.counts.values()), (
             context.counts
@@ -119,7 +119,7 @@ def test_identical_concurrent_jobs_coalesce_deterministically(tmp_path):
         # Both configs must register as followers before we let the
         # leader finish — that is what makes this test deterministic.
         deadline = time.monotonic() + 60
-        while manager.flights.stats.coalesced < 2:
+        while manager.runners.stats().coalesced < 2:
             assert time.monotonic() < deadline
             time.sleep(0.01)
 
@@ -129,9 +129,32 @@ def test_identical_concurrent_jobs_coalesce_deterministically(tmp_path):
         assert second.coalesced == 2
         assert all(count == 1 for count in context.counts.values())
         assert first.report_text == second.report_text
-        assert manager.flights.in_flight() == 0
+        assert manager.runners.memo.in_flight() == 0
     finally:
         context.gate.set()
+        manager.close()
+
+
+def test_runners_share_finished_results_across_tenants(tmp_path):
+    """A job on the other runner reuses a finished config from the
+    shared memo, though the tenants' disk namespaces differ."""
+    context = CountingContext()
+    manager = make_manager(tmp_path, context, runners=2)
+    try:
+        grid = SweepGrid(benchmarks=("SP",), schemes=("PM",), scale=SCALE)
+        first = manager.submit(grid, "alice")
+        wait_jobs([first])
+        second = manager.submit(grid, "bob")
+        wait_jobs([second])
+        assert first.state == second.state == "done"
+        unique = {c.config_hash() for c in grid.configs()}
+        assert context.counts == {key: 1 for key in unique}
+        # Leaders are the configs a runner resolved itself; bob's were
+        # memo hits.
+        assert manager.snapshot()["coalesce"] == {
+            "leaders": 2, "coalesced": 0,
+        }
+    finally:
         manager.close()
 
 
