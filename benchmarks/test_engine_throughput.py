@@ -13,12 +13,8 @@ Pins the simulator's event-dispatch rate so engine regressions are
   under the BASE scheme, reporting events/sec, simulated cycles/sec
   and wall time.
 
-Numbers land in ``benchmarks/results/BENCH_engine_throughput.json``
-(machine-dependent, gitignored; CI uploads it as a build artifact so
-the perf trajectory is visible per-PR).  The ``REFERENCE`` block
-records the rates measured on the pre-rewrite engine (heap of
-``(time, seq, lambda)`` tuples) on the same machine that developed the
-calendar-queue engine, for before/after context.
+The rates are printed, not recorded: wall-clock measurements with a
+spread come only from ``benchmarks/perf/bench.py``.
 
 The hard assertions are deliberately conservative floors — an order of
 magnitude below the development machine's rates — so the bench fails
@@ -28,7 +24,6 @@ reintroduced per-event allocation storm), not on a slow CI runner.
 
 import json
 import time
-from pathlib import Path
 
 from repro.core.address_map import hynix_gddr5_map
 from repro.registry import make_scheme
@@ -36,25 +31,11 @@ from repro.sim.engine import Engine
 from repro.sim.gpu_system import GPUSystem
 from repro.workloads.suite import build_workload
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
 # Delay mix mirroring the simulator's schedule profile: same-cycle
 # flushes, 1-2 cycle port/bank ticks, NoC/L1-latency style hops.
 DELAYS = (0, 1, 1, 2, 5, 28)
 N_CHAINS = 64
 N_EVENTS = 200_000
-
-# Pre-rewrite engine rates measured on the development machine with
-# this exact synthetic load and this exact valley loop (MT/LU/SC at
-# scale 0.25, BASE scheme).
-REFERENCE = {
-    "engine": "heap[(time, seq, closure)] (pre calendar-queue)",
-    "engine_core_events_per_sec": 760_000,
-    "valley_loop_wall_sec": 0.748,
-    "valley_loop_events": 147_227,
-    "valley_loop_events_per_sec": 191_000,
-    "valley_loop_cycles_per_sec": 57_000,
-}
 
 # Conservative CI floors (see module docstring).
 MIN_ENGINE_CORE_EVENTS_PER_SEC = 200_000
@@ -133,14 +114,9 @@ def test_engine_throughput():
     valley = _valley_loop_rate()
 
     report = {
-        "bench": "engine_throughput",
         "engine_core": {"closure_api": closure, "at_call_api": at_call},
         "valley_loop": valley,
-        "reference_pre_rewrite": REFERENCE,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_engine_throughput.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
 

@@ -319,7 +319,7 @@ def _cmd_sweep(args) -> int:
         progress=_progress_printer() if args.progress else None,
         policy=FailurePolicy(
             max_retries=args.max_retries,
-            timeout=args.timeout if args.timeout > 0 else None,
+            timeout=args.timeout or None,
         ),
     ) as runner:  # context manager: deterministic pool shutdown, even on error
         started = time.perf_counter()
@@ -532,7 +532,7 @@ def _cmd_serve(args) -> int:
         ),
         policy=FailurePolicy(
             max_retries=args.max_retries,
-            timeout=args.timeout if args.timeout > 0 else None,
+            timeout=args.timeout or None,
         ),
         claims=args.claims,
     )

@@ -83,10 +83,10 @@ A :class:`~repro.runner.faults.FailurePolicy` governs how a sweep
 reacts to failing runs: worker exceptions are retried with exponential
 backoff and deterministic jitter up to ``max_retries`` times, hung
 runs are bounded by a parent-enforced per-run ``timeout``, a dead
-worker (``BrokenProcessPool``) triggers an automatic pool rebuild with
-batch *bisection* to pin the poisoned config, and cache I/O errors
-degrade to unpersisted execution with a warning.  A config that keeps
-failing is **quarantined** as a structured
+worker (``BrokenProcessPool``) triggers an automatic pool rebuild and
+a one-at-a-time *probe* of the configs it took down, and cache I/O
+errors degrade to unpersisted execution with a warning.  A config that
+keeps failing is **quarantined** as a structured
 :class:`~repro.runner.faults.RunFailure`; ``run_outcomes`` returns
 them alongside the healthy results, strict ``run_many`` raises
 :class:`~repro.runner.faults.SweepFailure` after everything healthy
@@ -145,7 +145,7 @@ from .sweep import (
     coerce_workers,
     default_workers,
 )
-from .worker import RunContext, execute_config_batch, process_context
+from .worker import RunContext, execute_config, process_context
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -172,7 +172,7 @@ __all__ = [
     "SweepStats",
     "coerce_workers",
     "default_workers",
-    "execute_config_batch",
+    "execute_config",
     "merge_shard_reports",
     "process_context",
     "render_report",

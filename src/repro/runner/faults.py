@@ -26,7 +26,7 @@ Three pieces, all consumed by :class:`~repro.runner.sweep.SweepRunner`:
     testable in CI without flaky process murder.  A plan is parsed
     from a compact spec string — the ``REPRO_FAULT_INJECT``
     environment variable or the ``faults=`` runner argument — and
-    threaded explicitly to :func:`~repro.runner.worker.execute_config_batch`
+    threaded explicitly to :func:`~repro.runner.worker.execute_config`
     (the string form crosses the process boundary, so pool workers see
     exactly the parent's plan).
 
@@ -81,6 +81,15 @@ __all__ = [
 
 FAULT_ENV_VAR = "REPRO_FAULT_INJECT"
 
+# Retry n (1-based) of a config waits BACKOFF_BASE * BACKOFF_FACTOR **
+# (n - 1) seconds, capped at BACKOFF_MAX and stretched by up to JITTER
+# of itself; a pool future gets TIMEOUT_GRACE seconds past its timeout.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+JITTER = 0.25
+TIMEOUT_GRACE = 0.5
+
 
 def stable_fraction(text: str) -> float:
     """Deterministic uniform-ish fraction in [0, 1) from *text*.
@@ -108,28 +117,22 @@ class FailurePolicy:
     ``max_retries`` bounds *re*-executions per config: a config is
     attempted at most ``1 + max_retries`` times before it is
     quarantined.  ``timeout`` is the per-run wall-clock budget; a
-    batched future of *k* configs gets ``k * timeout`` (+ grace)
-    before the parent declares it hung, kills the worker pool and
-    retries the batch (pool mode only — inline execution cannot
-    interrupt itself).  Retries back off exponentially from
-    ``backoff_base`` with deterministic jitter derived from the config
-    key, so concurrent sweeps sharing a cache never retry in lockstep
-    but test runs reproduce exactly.
+    future gets ``timeout`` (+ :data:`TIMEOUT_GRACE`) before the parent
+    declares it hung, kills the worker pool and retries the config
+    (pool mode only — inline execution cannot interrupt itself).
+    Retries back off exponentially with deterministic jitter derived
+    from the config key, so concurrent sweeps sharing a cache never
+    retry in lockstep but test runs reproduce exactly.
     """
 
     max_retries: int = 2
     timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    timeout_grace: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
     @property
     def max_attempts(self) -> int:
@@ -139,16 +142,15 @@ class FailurePolicy:
     def backoff_seconds(self, key: str, attempt: int) -> float:
         """Delay before retry number *attempt* (1-based) of config *key*."""
         base = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** max(0, attempt - 1),
+            BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** max(0, attempt - 1)
         )
-        return base * (1.0 + self.jitter * stable_fraction(f"{key}:retry:{attempt}"))
+        return base * (1.0 + JITTER * stable_fraction(f"{key}:retry:{attempt}"))
 
-    def deadline_seconds(self, batch_size: int) -> Optional[float]:
-        """Wall budget of one batched future, or None when no timeout."""
+    def deadline_seconds(self) -> Optional[float]:
+        """Wall budget of one pool future, or None when no timeout."""
         if self.timeout is None:
             return None
-        return self.timeout * max(1, batch_size) + self.timeout_grace
+        return self.timeout + TIMEOUT_GRACE
 
 
 @dataclass(frozen=True)

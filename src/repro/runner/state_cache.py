@@ -14,11 +14,14 @@ streams by::
      kernel index, wave capacity)
 
 with the scheme deliberately excluded, so a 6-scheme sweep builds each
-kernel's stream once and re-sweeps (and the serve worker pool) skip the
-build entirely.  The warmed tag/row state itself is *not* cached — it
-is scheme-dependent (tags hold scheme-mapped lines) — each run derives
-it by mapping the cached stream once and replaying, which is the cheap
-part once the stream exists.
+kernel's stream once and later sweeps reuse it.  Only a
+:class:`~repro.runner.sweep.SweepRunner` with a ``cache_dir`` uses this
+cache, in ``<cache_dir>/state``; ``repro serve`` builds its runners
+without one, so every serve run builds its own streams.  The warmed
+tag/row state itself is *not* cached — it is scheme-dependent (tags
+hold scheme-mapped lines) — each run derives it by mapping the cached
+stream once and replaying, which is the cheap part once the stream
+exists.
 
 Layout mirrors :class:`~repro.runner.cache.ResultCache` (same
 sidecar/prune/ls plumbing, own schema version)::

@@ -33,14 +33,14 @@ The runner survives every failure class a real fleet hits, governed by
 a :class:`~repro.runner.faults.FailurePolicy`:
 
 * **Worker exceptions** never abort the sweep: the worker reports the
-  failing config individually (the rest of its batch completes), and
-  the parent retries it with exponential backoff and deterministic
-  jitter up to ``max_retries`` times before quarantining it.
+  failing config, and the parent retries it with exponential backoff
+  and deterministic jitter up to ``max_retries`` times before
+  quarantining it.
 * **Worker death** (OOM kill, segfault — surfacing as
-  ``BrokenProcessPool``) rebuilds the pool automatically.  The dead
-  future's configs are *bisected*: re-run as halves, probed one group
-  at a time so the next crash pins blame precisely, until the poisoned
-  config is isolated, charged, and eventually quarantined.  A global
+  ``BrokenProcessPool``) rebuilds the pool automatically.  A lone
+  unfinished config is charged with the crash; several are all
+  suspects, *probed* one config at a time so the next crash names its
+  culprit, which is charged and eventually quarantined.  A global
   rebuild budget stops a crash-looping environment from spinning
   forever.
 * **Hung runs** are bounded by ``policy.timeout``: each future gets a
@@ -71,8 +71,10 @@ With ``claims=True`` (and a cache configured), the runner participates
 in the cache's claim-file protocol: before executing a miss it tries
 to atomically claim the key; keys claimed by a concurrent process
 (e.g. an overlapping sweep sharing the cache dir) are *polled* for
-instead of re-run, falling back to local execution when the peer's
-claim goes stale (``claim_ttl``) or the wait exceeds ``claim_wait``.
+every :data:`CLAIM_POLL` seconds instead of re-run.  A key whose claim
+vanishes without a record runs locally, and so does every key still
+waiting after :data:`CLAIM_TTL` seconds, the age at which a peer's
+claim counts as stale and is taken over.
 Correctness never depends on claims — they only avoid duplicate work.
 Claims this runner owns are released exactly once, nonce-verified, so
 a claim released-then-reacquired by a peer is never deleted out from
@@ -98,7 +100,7 @@ from ..sim.results import SimulationResult
 from .cache import CacheStats, ResultCache
 from .config import RunConfig
 from .faults import FailurePolicy, FaultPlan, RunFailure, SweepFailure
-from .worker import _state_cache_for, execute_config_batch, process_context
+from .worker import _state_cache_for, execute_config, process_context
 
 __all__ = [
     "RunMemo",
@@ -109,6 +111,10 @@ __all__ = [
     "coerce_workers",
     "default_workers",
 ]
+
+# Claim protocol timing (see the module docstring).
+CLAIM_TTL = 1800.0
+CLAIM_POLL = 0.25
 
 
 def coerce_workers(value, source: str = "workers") -> int:
@@ -224,9 +230,9 @@ class SweepOutcome:
 
 @dataclass
 class _Flight:
-    """One in-flight pool future: which configs, when, and its deadline."""
+    """One in-flight pool future: which config, when, and its deadline."""
 
-    indices: List[int]
+    index: int
     submitted: float
     deadline: Optional[float]
     probe: bool = False
@@ -298,31 +304,24 @@ class SweepRunner:
         cache_dir=None,
         context=None,
         claims: bool = False,
-        claim_ttl: float = 1800.0,
-        claim_poll: float = 0.25,
-        claim_wait: Optional[float] = None,
         progress: Optional[Callable[[SweepProgress], None]] = None,
         policy: Optional[FailurePolicy] = None,
         faults: Union[FaultPlan, str, None] = None,
-        state_dir: Optional[str] = None,
     ) -> None:
         """*context* is the :class:`~repro.runner.worker.RunContext` used
         for inline execution (``workers <= 1``); it defaults to the
         process-wide one.  Pool workers always use their own process's
-        context.  See the module docstring for the claim parameters;
+        context.  See the module docstring for *claims*;
         *progress* is called with a :class:`SweepProgress` after every
         completed miss.  *policy* governs retries/timeouts
         (defaults to :class:`~repro.runner.faults.FailurePolicy`);
         *faults* is a fault-injection plan or spec string, defaulting
         to ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing.
 
-        *state_dir* locates the warmed-state cache
-        (:mod:`repro.runner.state_cache`) that auto-fidelity runs share
-        their scheme-independent replay streams through.  It defaults
-        to ``<cache_dir>/state`` when a result cache is configured;
-        pass an explicit directory to use one without the other (e.g.
-        benchmarks that must re-execute results but still measure
-        warmed-state reuse), or ``""`` to disable it."""
+        With a *cache_dir*, auto-fidelity runs share their
+        scheme-independent replay streams through the warmed-state
+        cache (:mod:`repro.runner.state_cache`) in ``<cache_dir>/state``;
+        without one they build every stream themselves."""
         self.workers = coerce_workers(workers) if workers is not None else 1
         self.policy = policy if policy is not None else FailurePolicy()
         self.faults = (
@@ -332,14 +331,11 @@ class SweepRunner:
             ResultCache(cache_dir, faults=self.faults)
             if cache_dir is not None else None
         )
-        if state_dir is None and cache_dir is not None:
-            state_dir = str(Path(cache_dir) / "state")
-        self.state_dir: Optional[str] = state_dir or None
+        self.state_dir: Optional[str] = (
+            str(Path(cache_dir) / "state") if cache_dir is not None else None
+        )
         self.stats = SweepStats()
         self.claims = bool(claims) and self.cache is not None
-        self.claim_ttl = float(claim_ttl)
-        self.claim_poll = float(claim_poll)
-        self.claim_wait = float(claim_wait) if claim_wait is not None else float(claim_ttl)
         self._progress = progress
         self._memory = RunMemo()
         self._context = context
@@ -575,18 +571,19 @@ class SweepRunner:
     ) -> List["SweepRunner._Entry"]:
         """Parallel execution with the full failure policy.
 
-        The orchestration loop tracks every config through exactly one
-        place at a time — an in-flight future, the retry heap, the
-        probe queue (crash bisection), the resubmission backlog, or a
-        final entry — so the loop terminates exactly when all configs
-        are resolved.  See the module docstring for the recovery
-        rules.
+        Every pool task runs one config.  The orchestration loop
+        tracks every config through exactly one place at a time — an
+        in-flight future, the retry heap, the probe queue (crash
+        forensics), the resubmission backlog, or a final entry — so
+        the loop terminates exactly when all configs are resolved.
+        See the module docstring for the recovery rules.
         """
         n = len(configs)
         policy = self.policy
         keys = [c.config_hash() for c in configs]
         payloads = [c.to_dict() for c in configs]
         fault_spec = self.faults.spec if self.faults is not None else None
+        budget = policy.deadline_seconds()
 
         entries: List[Optional[SweepRunner._Entry]] = [None] * n
         attempts = [0] * n  # failed attempts charged so far, per config
@@ -596,12 +593,13 @@ class SweepRunner:
 
         pending: Dict[concurrent.futures.Future, _Flight] = {}
         retry_heap: List[Tuple[float, int]] = []  # (ready time, index)
-        probe_queue: deque = deque()  # suspect groups, probed one at a time
-        backlog: deque = deque()  # innocent groups awaiting resubmission
+        probe_queue: deque = deque()  # crash suspects, probed one at a time
+        backlog: deque = deque(range(n))  # awaiting (re)submission
         rebuilds = 0
         # Enough rebuilds for every config to crash out individually,
-        # with bisection overhead; beyond this the environment itself
-        # is killing workers and retrying is harm, not help.
+        # twice per attempt (as a suspect, then as a probe); beyond
+        # this the environment itself is killing workers and retrying
+        # is harm, not help.
         rebuild_budget = max(8, 2 * policy.max_attempts * n)
 
         def tick() -> None:
@@ -609,15 +607,6 @@ class SweepRunner:
                 done=done_count, total=n,
                 elapsed_seconds=time.perf_counter() - started,
             ))
-
-        def finish_ok(i: int, payload: Dict[str, object]) -> None:
-            nonlocal done_count
-            entries[i] = (
-                SimulationResult.from_dict(payload["result"]),
-                float(payload["wall_seconds"]),
-                False,
-            )
-            done_count += 1
 
         def charge(i: int, kind: str, error: str, wall: float) -> None:
             """One failed attempt of config *i*: retry or quarantine."""
@@ -635,37 +624,23 @@ class SweepRunner:
                     keys[i], attempts[i]
                 )
                 heapq.heappush(retry_heap, (ready, i))
-
-        def process_payloads(flight: _Flight, items: List[Dict[str, object]]) -> None:
-            for i, payload in zip(flight.indices, items):
-                if "error" in payload:
-                    charge(
-                        i, "exception", str(payload["error"]),
-                        float(payload.get("wall_seconds", 0.0)),
-                    )
-                else:
-                    finish_ok(i, payload)
             tick()
 
-        def group_failure(indices: List[int], kind: str, error: str,
-                          wall: float) -> None:
-            """A future died wholesale: bisect to pin blame, or charge.
-
-            A single-config future identifies its culprit exactly; a
-            batch is split into halves probed one at a time, so the
-            next crash narrows the suspect set by half (log2 probes to
-            isolate one poison config from a batch).
-            """
-            alive = [i for i in indices if entries[i] is None]
-            if not alive:
+        def process_payload(i: int, payload: Dict[str, object]) -> None:
+            nonlocal done_count
+            if "error" in payload:
+                charge(
+                    i, "exception", str(payload["error"]),
+                    float(payload.get("wall_seconds", 0.0)),
+                )
                 return
-            if len(alive) == 1:
-                charge(alive[0], kind, error, wall)
-                tick()
-                return
-            mid = len(alive) // 2
-            probe_queue.appendleft(alive[mid:])
-            probe_queue.appendleft(alive[:mid])
+            entries[i] = (
+                SimulationResult.from_dict(payload["result"]),
+                float(payload["wall_seconds"]),
+                False,
+            )
+            done_count += 1
+            tick()
 
         def kill_pool() -> None:
             nonlocal rebuilds
@@ -690,7 +665,7 @@ class SweepRunner:
                     future.done() and not future.cancelled()
                     and future.exception() is None
                 ):
-                    process_payloads(flight, future.result())
+                    process_payload(flight.index, future.result())
                 else:
                     unfinished.append(flight)
             pending.clear()
@@ -714,17 +689,14 @@ class SweepRunner:
                     done_count += 1
             tick()
 
-        def submit(indices: List[int], probe: bool = False) -> bool:
+        def submit(i: int, probe: bool = False) -> bool:
             if self._pool is None:
                 self._pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=self.workers
                 )
             try:
                 future = self._pool.submit(
-                    execute_config_batch,
-                    [payloads[i] for i in indices],
-                    fault_spec,
-                    [attempts[i] for i in indices],
+                    execute_config, payloads[i], fault_spec, attempts[i],
                     self.state_dir,
                 )
             except BrokenProcessPool:
@@ -733,15 +705,12 @@ class SweepRunner:
                 kill_pool()
                 return False
             now = time.monotonic()
-            budget = policy.deadline_seconds(len(indices))
             pending[future] = _Flight(
-                indices=list(indices), submitted=now,
+                index=i, submitted=now,
                 deadline=(now + budget) if budget is not None else None,
                 probe=probe,
             )
             return True
-
-        backlog.extend([i] for i in range(n))
 
         # -- orchestration loop ------------------------------------------
         while True:
@@ -754,22 +723,22 @@ class SweepRunner:
             )
             if probing:
                 # Crash forensics: exactly one future in flight, so the
-                # next pool break attributes blame to that probe alone.
+                # next pool break names that probe's config alone.
                 if not pending and probe_queue:
-                    group = probe_queue.popleft()
-                    if not submit(group, probe=True):
-                        probe_queue.appendleft(group)
+                    i = probe_queue.popleft()
+                    if not submit(i, probe=True):
+                        probe_queue.appendleft(i)
             else:
                 while backlog:
-                    group = backlog.popleft()
-                    if not submit(group):
-                        backlog.appendleft(group)
+                    i = backlog.popleft()
+                    if not submit(i):
+                        backlog.appendleft(i)
                         break
                 while retry_heap and retry_heap[0][0] <= now:
                     _, i = heapq.heappop(retry_heap)
                     if entries[i] is not None:
                         continue
-                    if not submit([i]):
+                    if not submit(i):
                         heapq.heappush(retry_heap, (now, i))
                         break
 
@@ -803,36 +772,38 @@ class SweepRunner:
             for future in done:
                 flight = pending.pop(future)
                 try:
-                    items = future.result()
+                    payload = future.result()
                 except (BrokenProcessPool, concurrent.futures.BrokenExecutor):
                     pool_broke = True
                     pending[future] = flight  # reclassified by harvest below
                 except Exception as error:  # noqa: BLE001 — infra failure
                     # The future failed without killing the pool
                     # (pickling error, spec rejected by the worker...).
-                    group_failure(
-                        flight.indices, "worker-crash",
+                    charge(
+                        flight.index, "worker-crash",
                         f"{type(error).__name__}: {error}",
                         time.monotonic() - flight.submitted,
                     )
                 else:
-                    process_payloads(flight, items)
+                    process_payload(flight.index, payload)
 
             if pool_broke:
                 # A worker died; every unfinished future is suspect
                 # (the executor fails them all).  Harvest what did
-                # finish, rebuild the pool, and bisect the union.
-                suspects = harvest_pending()
+                # finish and rebuild the pool.  A lone suspect is the
+                # culprit; several are probed one at a time.
+                suspects = [flight.index for flight in harvest_pending()]
                 kill_pool()
                 if rebuilds > rebuild_budget:
                     exhaust_budget()
                     break
-                union = [i for flight in suspects for i in flight.indices]
-                group_failure(
-                    union, "worker-crash",
-                    "worker process died (BrokenProcessPool)",
-                    0.0,
-                )
+                if len(suspects) == 1:
+                    charge(
+                        suspects[0], "worker-crash",
+                        "worker process died (BrokenProcessPool)", 0.0,
+                    )
+                else:
+                    probe_queue.extend(suspects)
                 continue
 
             now = time.monotonic()
@@ -841,8 +812,8 @@ class SweepRunner:
                 if flight.deadline is not None and now >= flight.deadline
             ]
             if expired:
-                # A worker is hung past its wall-clock budget.  The
-                # expired future names its suspects precisely; other
+                # A worker is hung past its wall-clock budget.  An
+                # expired future names its config precisely; other
                 # in-flight work is innocent but shares the pool we
                 # must kill, so it is resubmitted uncharged.
                 unfinished = harvest_pending()
@@ -852,18 +823,15 @@ class SweepRunner:
                     break
                 expired_ids = {id(flight) for flight in expired}
                 for flight in unfinished:
-                    alive = [i for i in flight.indices if entries[i] is None]
-                    if not alive:
-                        continue
                     if id(flight) in expired_ids:
-                        group_failure(
-                            alive, "timeout",
+                        charge(
+                            flight.index, "timeout",
                             f"run exceeded the {policy.timeout}s wall-clock "
                             f"timeout",
                             now - flight.submitted,
                         )
                     else:
-                        backlog.append(alive)
+                        backlog.append(flight.index)
 
         return entries  # type: ignore[return-value]
 
@@ -883,7 +851,7 @@ class SweepRunner:
             nonce = self.cache.try_claim(key)
             if not nonce:
                 # Dead peer: a stale claim is atomically replaced.
-                nonce = self.cache.take_over_claim(key, self.claim_ttl)
+                nonce = self.cache.take_over_claim(key, CLAIM_TTL)
             if nonce:
                 owned.append(i)
                 nonces[key] = nonce
@@ -930,31 +898,33 @@ class SweepRunner:
                     if keys[i] not in released:
                         self.cache.release_claim(keys[i], nonces[keys[i]])
 
-        # Poll for the configs a peer is computing; take over when the
-        # claim goes stale or the wait budget runs out.  Correctness
-        # first: everything left at the deadline is run locally.
-        if deferred:
-            deadline = time.monotonic() + self.claim_wait
-            pending = list(deferred)
-            while pending and time.monotonic() < deadline:
-                still_pending = []
-                for i in pending:
-                    result = self.cache.peek(configs[i])
-                    if result is not None:
-                        results[i] = (result, None, False)
-                        continue
+        # Poll for the configs a peer is computing.  A key whose claim
+        # vanished without a record runs locally at once; the rest are
+        # still polled.  Correctness first: everything left at the
+        # deadline is run locally.
+        deadline = time.monotonic() + CLAIM_TTL
+        pending = deferred
+        while pending:
+            local, still_pending = [], []
+            for i in pending:
+                # Claim before record: a peer writes its record before
+                # releasing its claim, so "no claim, then no record"
+                # proves the claim went without one.
+                claimed = self.cache.claim_age(keys[i]) is not None
+                result = self.cache.peek(configs[i])
+                if result is not None:
+                    results[i] = (result, None, False)
+                elif claimed and time.monotonic() < deadline:
                     still_pending.append(i)
-                    if self.cache.claim_age(keys[i]) is None:
-                        # Claim vanished without a record: the peer
-                        # died — stop waiting, run the rest locally.
-                        deadline = time.monotonic()
-                pending = still_pending
-                if pending and time.monotonic() < deadline:
-                    time.sleep(self.claim_poll)
-            if pending:
-                computed = self._execute_batch([configs[i] for i in pending])
-                for i, entry in zip(pending, computed):
+                else:
+                    local.append(i)
+            pending = still_pending
+            if local:
+                computed = self._execute_batch([configs[i] for i in local])
+                for i, entry in zip(local, computed):
                     results[i] = entry
+            elif pending:
+                time.sleep(CLAIM_POLL)
         return results  # type: ignore[return-value]
 
     def close(self) -> None:

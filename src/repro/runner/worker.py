@@ -3,8 +3,8 @@
 :meth:`RunContext.execute` is the single place a :class:`RunConfig`
 is turned into a :class:`~repro.sim.results.SimulationResult`; both the
 in-process path (``workers <= 1``) and the ``ProcessPoolExecutor``
-workers (through :func:`execute_config_batch`) call it, so parallel
-and serial sweeps are computed by literally the same code.
+workers (one config per task, through :func:`execute_config`) call
+it, so parallel and serial sweeps are computed by the same code.
 
 A module-level :class:`RunContext` memoizes the expensive immutable
 inputs (workloads, schemes, the RMP suite entropy profile) for the
@@ -16,7 +16,7 @@ computed at most once per worker per (memory, scale, window) triple.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .config import RunConfig
 
 __all__ = [
     "RunContext",
-    "execute_config_batch",
+    "execute_config",
     "process_context",
 ]
 
@@ -211,7 +211,7 @@ class RunContext:
 
 
 # One context per process, created lazily.  ProcessPoolExecutor workers
-# call execute_config_batch many times; the context amortizes trace
+# call execute_config many times; the context amortizes trace
 # building and scheme construction across those calls.
 _PROCESS_CONTEXT: Optional[RunContext] = None
 
@@ -245,65 +245,54 @@ def _state_cache_for(state_dir: Optional[str]):
     return _STATE_CACHES[state_dir]
 
 
-def execute_config_batch(
-    payloads: Sequence[Dict[str, object]],
+def execute_config(
+    payload: Dict[str, object],
     fault_spec: Optional[str] = None,
-    attempts: Optional[Sequence[int]] = None,
+    attempt: int = 0,
     state_dir: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Pool entry point: run a batch of configs in one task.
+) -> Dict[str, object]:
+    """Pool entry point: run one config in one task.
 
-    The sweep runner submits one config per task, and several only
-    when crash bisection probes the configs a dead worker took down.
-    Each item of the returned list carries the result dict plus the
-    measured wall seconds, which the caller records into the cache's
-    runtime-metadata sidecar.
-
-    Failure semantics: an exception from one config never loses the
-    rest of the batch — the failing item comes back as ``{"error":
-    ..., "error_type": ..., "wall_seconds": ...}`` and execution moves
-    on, so the parent can retry or quarantine exactly the config that
-    failed.  Only a process-killing fault (OOM, an injected ``exit``)
-    takes the whole batch down, and the parent then bisects it.
+    Returns the result dict plus the measured wall seconds, which the
+    caller records into the cache's runtime-metadata sidecar.  An
+    exception from the run comes back as ``{"error": ...,
+    "error_type": ..., "wall_seconds": ...}`` for the parent to retry
+    or quarantine; only a process-killing fault (OOM, an injected
+    ``exit``) loses the task.
 
     *fault_spec* is a :class:`~repro.runner.faults.FaultPlan` spec
     string (it crosses the process boundary; plan objects do not) and
-    *attempts* the parent's 0-based attempt counter per config, which
-    ``times=N`` fault clauses count against.  Without a spec the
+    *attempt* the parent's 0-based attempt counter for this config,
+    which ``times=N`` fault clauses count against.  Without a spec the
     ``REPRO_FAULT_INJECT`` environment variable still applies, so CLI
     chaos smoke runs need no plumbing.
 
-    *state_dir*, when set, points every run of the batch at the shared
-    on-disk warmed-state cache (:mod:`repro.runner.state_cache`);
-    auto-fidelity runs then reuse each other's replay streams across
-    schemes, processes and sweeps.
+    *state_dir*, when set, points the run at the shared on-disk
+    warmed-state cache (:mod:`repro.runner.state_cache`); auto-fidelity
+    runs then reuse each other's replay streams across schemes,
+    processes and sweeps.
     """
     from .faults import FaultPlan  # worker import kept lazy & cycle-free
 
     context = process_context()
     plan = FaultPlan.parse(fault_spec) if fault_spec else FaultPlan.from_env()
     state_cache = _state_cache_for(state_dir)
-    out: List[Dict[str, object]] = []
-    for index, data in enumerate(payloads):
-        config = RunConfig.from_dict(data)
-        attempt = int(attempts[index]) if attempts is not None else 0
-        started = time.perf_counter()
-        try:
-            if plan is not None:
-                plan.apply(
-                    config.benchmark_name, config.scheme_name,
-                    config.config_hash(), attempt,
-                )
-            result = context.execute(config, state_cache=state_cache)
-        except Exception as error:  # noqa: BLE001 — reported, not hidden
-            out.append({
-                "error": f"{type(error).__name__}: {error}",
-                "error_type": type(error).__name__,
-                "wall_seconds": time.perf_counter() - started,
-            })
-            continue
-        out.append({
-            "result": result.to_dict(),
+    config = RunConfig.from_dict(payload)
+    started = time.perf_counter()
+    try:
+        if plan is not None:
+            plan.apply(
+                config.benchmark_name, config.scheme_name,
+                config.config_hash(), attempt,
+            )
+        result = context.execute(config, state_cache=state_cache)
+    except Exception as error:  # noqa: BLE001 — reported, not hidden
+        return {
+            "error": f"{type(error).__name__}: {error}",
+            "error_type": type(error).__name__,
             "wall_seconds": time.perf_counter() - started,
-        })
-    return out
+        }
+    return {
+        "result": result.to_dict(),
+        "wall_seconds": time.perf_counter() - started,
+    }

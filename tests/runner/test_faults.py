@@ -1,6 +1,6 @@
 """Fault-injection tests for the sweep runner's failure policy.
 
-Every recovery path — retry, timeout, pool rebuild, batch bisection,
+Every recovery path — retry, timeout, pool rebuild, crash probing,
 quarantine, cache-fault degradation, claims-mode peer death — is
 driven deterministically through :class:`repro.runner.FaultPlan`
 injection, and every test asserts the core contract: **surviving
@@ -26,6 +26,7 @@ from repro.runner import (
     SweepFailure,
     SweepGrid,
     SweepRunner,
+    faults,
     merge_shard_reports,
     render_report,
     shard_report,
@@ -41,9 +42,8 @@ SP_PM = RunConfig(
 
 GRID = SweepGrid(benchmarks=("SP", "MT"), schemes=("PM",), scale=SCALE)
 
-# One fast policy for everything: near-zero backoff keeps retry tests
-# quick without changing any control flow under test.
-FAST = FailurePolicy(max_retries=2, backoff_base=0.001, backoff_max=0.01)
+# One policy for everything: two retries at the default backoff.
+POLICY = FailurePolicy(max_retries=2)
 
 
 @pytest.fixture(scope="module")
@@ -121,24 +121,29 @@ class TestFaultSpec:
 
 class TestFailurePolicy:
     def test_backoff_deterministic_bounded_and_growing(self):
-        policy = FailurePolicy(backoff_base=0.1, backoff_factor=2.0,
-                               backoff_max=1.0, jitter=0.25)
+        policy = FailurePolicy()
         first = policy.backoff_seconds("key", 1)
         assert first == policy.backoff_seconds("key", 1)
         assert first != policy.backoff_seconds("other", 1)  # desynced peers
-        assert 0.1 <= first <= 0.1 * 1.25
-        assert policy.backoff_seconds("key", 10) <= 1.0 * 1.25
+        ceiling = 1.0 + faults.JITTER
+        assert faults.BACKOFF_BASE <= first <= faults.BACKOFF_BASE * ceiling
+        second = policy.backoff_seconds("key", 2)
+        assert second >= faults.BACKOFF_BASE * faults.BACKOFF_FACTOR
+        assert policy.backoff_seconds("key", 50) <= faults.BACKOFF_MAX * ceiling
 
-    def test_deadline_scales_with_batch(self):
-        policy = FailurePolicy(timeout=2.0, timeout_grace=0.5)
-        assert policy.deadline_seconds(3) == pytest.approx(6.5)
-        assert FailurePolicy().deadline_seconds(3) is None
+    def test_deadline_is_timeout_plus_grace(self):
+        policy = FailurePolicy(timeout=2.0)
+        assert policy.deadline_seconds() == pytest.approx(
+            2.0 + faults.TIMEOUT_GRACE
+        )
+        assert FailurePolicy().deadline_seconds() is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FailurePolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            FailurePolicy(timeout=0.0)
+        for timeout in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FailurePolicy(timeout=timeout)
 
 
 class TestTransientFaults:
@@ -146,7 +151,7 @@ class TestTransientFaults:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_transient_raise_recovers(self, clean_report, workers):
-        with SweepRunner(workers=workers, policy=FAST,
+        with SweepRunner(workers=workers, policy=POLICY,
                          faults="raise@SP/PM:times=2") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert "failures" not in report
@@ -157,7 +162,7 @@ class TestTransientFaults:
     def test_worker_exit_rebuilds_pool_and_recovers(self, clean_report):
         """An OOM-style worker death (os._exit) breaks the pool; the
         runner rebuilds it and the config succeeds on retry."""
-        with SweepRunner(workers=2, policy=FAST,
+        with SweepRunner(workers=2, policy=POLICY,
                          faults="exit@MT/PM:times=1") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert "failures" not in report
@@ -166,9 +171,7 @@ class TestTransientFaults:
 
     def test_chaos_rate_report_is_byte_identical(self, clean_report):
         """20% of (config, attempt) pairs fail; the report never shows it."""
-        with SweepRunner(workers=2, policy=FailurePolicy(
-                             max_retries=8, backoff_base=0.001,
-                             backoff_max=0.01),
+        with SweepRunner(workers=2, policy=FailurePolicy(max_retries=8),
                          faults="raise@rate=0.2:salt=chaos") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert "failures" not in report
@@ -177,14 +180,14 @@ class TestTransientFaults:
 
 class TestQuarantine:
     def test_poison_config_quarantined_exactly_once(self, clean_report):
-        with SweepRunner(workers=2, policy=FAST,
+        with SweepRunner(workers=2, policy=POLICY,
                          faults="raise@SP/PM:times=inf") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert len(report["failures"]) == 1
         failure = report["failures"][0]
         assert failure["benchmark"] == "SP" and failure["scheme"] == "PM"
         assert failure["kind"] == "exception"
-        assert failure["attempts"] == FAST.max_attempts
+        assert failure["attempts"] == POLICY.max_attempts
         assert "InjectedFault" in failure["error"]
         assert runner.stats.failed == 1
         # Healthy configs all completed, byte-identical to fault-free.
@@ -195,16 +198,16 @@ class TestQuarantine:
         assert "MT" in report["derived"]["speedup"]["PM"]
 
     def test_inline_quarantine_matches_pool(self):
-        with SweepRunner(workers=1, policy=FAST,
+        with SweepRunner(workers=1, policy=POLICY,
                          faults="raise@SP/PM:times=inf") as runner:
             outcome = runner.run_outcomes(GRID.configs())
         assert len(outcome.failures) == 1
-        assert outcome.failures[0].attempts == FAST.max_attempts
+        assert outcome.failures[0].attempts == POLICY.max_attempts
         assert sum(r is None for r in outcome.results) == 1
         assert not outcome.ok
 
     def test_strict_run_many_raises_after_completion(self):
-        with SweepRunner(workers=2, policy=FAST,
+        with SweepRunner(workers=2, policy=POLICY,
                          faults="raise@SP/PM:times=inf") as runner:
             with pytest.raises(SweepFailure) as excinfo:
                 runner.run_many(GRID.configs())
@@ -215,7 +218,7 @@ class TestQuarantine:
 
     def test_failed_config_not_memoized(self):
         """A quarantined config is retried fresh by a later call."""
-        runner = SweepRunner(workers=1, policy=FAST,
+        runner = SweepRunner(workers=1, policy=POLICY,
                              faults="raise@SP/PM:times=inf")
         outcome = runner.run_outcomes(GRID.configs())
         assert len(outcome.failures) == 1
@@ -223,22 +226,21 @@ class TestQuarantine:
         results = runner.run_many(GRID.configs())
         assert all(r is not None for r in results)
 
-    def test_poison_exit_isolated_by_bisection(self):
+    def test_poison_exit_isolated_by_probing(self):
         """A poison config among the futures a dead pool took down is
-        pinned by probing halves and quarantined without losing the
-        configs that died alongside it."""
+        pinned by probing them one at a time and quarantined without
+        losing the configs that died alongside it."""
         grid = SweepGrid(benchmarks=("SP", "MT", "HS"), schemes=("PM",),
                          scale=SCALE)
         with SweepRunner(workers=2) as runner:
             clean = sweep_report(grid, runner)
-        with SweepRunner(workers=2, policy=FailurePolicy(
-                             max_retries=1, backoff_base=0.001,
-                             backoff_max=0.01),
+        with SweepRunner(workers=2, policy=FailurePolicy(max_retries=1),
                          faults="exit@MT/PM:times=inf") as runner:
             report = sweep_report(grid, runner, strict=False)
         assert [f["benchmark"] for f in report["failures"]] == ["MT"]
         assert report["failures"][0]["kind"] == "worker-crash"
         assert len(report["runs"]) == len(grid.configs()) - 1
+        assert runner.stats.executed == len(grid.configs()) - 1
         assert_survivors_identical(report, clean)
 
 
@@ -261,7 +263,7 @@ class TestCacheFaults:
 
     def test_corrupt_write_self_heals(self, tmp_path):
         """A torn record write is detected on read and recomputed."""
-        with SweepRunner(cache_dir=tmp_path, policy=FAST,
+        with SweepRunner(cache_dir=tmp_path, policy=POLICY,
                          faults="corrupt@SP/PM:times=1") as runner:
             expected = runner.run_one(self.CONFIG)
         # The on-disk record is garbage ...
@@ -280,7 +282,7 @@ class TestCacheFaults:
     def test_cache_io_error_degrades_with_warning(self, tmp_path):
         """Persistent write failure never fails the sweep: one warning,
         results still flow (just not persisted)."""
-        with SweepRunner(cache_dir=tmp_path, policy=FAST,
+        with SweepRunner(cache_dir=tmp_path, policy=POLICY,
                          faults="cacheio@SP/PM:times=inf") as runner:
             with pytest.warns(RuntimeWarning, match="result-cache write"):
                 result = runner.run_one(self.CONFIG)
@@ -311,7 +313,7 @@ class TestClaimsFaults:
     def test_quarantined_config_releases_its_claim(self, tmp_path):
         """A claim must not outlive the failure: peers would poll a key
         whose record will never appear."""
-        with SweepRunner(cache_dir=tmp_path, claims=True, policy=FAST,
+        with SweepRunner(cache_dir=tmp_path, claims=True, policy=POLICY,
                          faults="raise@SP/PM:times=inf") as runner:
             outcome = runner.run_outcomes([self.CONFIG])
         assert len(outcome.failures) == 1
@@ -327,8 +329,7 @@ class TestClaimsFaults:
         assert cache.try_claim(key)
         stale = time.time() - 3600
         os.utime(cache.claim_path_for(key), (stale, stale))
-        with SweepRunner(cache_dir=tmp_path, claims=True,
-                         claim_ttl=60.0) as runner:
+        with SweepRunner(cache_dir=tmp_path, claims=True) as runner:
             runner.run_one(self.CONFIG)
         assert runner.stats.executed == 1
         assert cache.claim_age(key) is None
@@ -339,8 +340,7 @@ class TestClaimsFaults:
         cache = ResultCache(tmp_path)
         key = self.CONFIG.config_hash()
         assert cache.try_claim(key)
-        with SweepRunner(cache_dir=tmp_path, claims=True, claim_ttl=3600.0,
-                         claim_wait=30.0, claim_poll=0.05) as runner:
+        with SweepRunner(cache_dir=tmp_path, claims=True) as runner:
             # Drop the peer's claim from under the poller after a beat.
             import threading
             threading.Timer(0.2, cache.release_claim, args=(key,)).start()
@@ -348,7 +348,7 @@ class TestClaimsFaults:
             result = runner.run_one(self.CONFIG)
         assert result is not None
         assert runner.stats.executed == 1
-        assert time.monotonic() - started < 25.0  # did not burn claim_wait
+        assert time.monotonic() - started < 25.0  # did not wait CLAIM_TTL
 
 
 class TestRunnerHygiene:
@@ -377,7 +377,7 @@ class TestShardAndMergeFailures:
     def test_merge_carries_shard_failures(self, clean_report):
         shards = []
         for index in (1, 2):
-            with SweepRunner(workers=1, policy=FAST,
+            with SweepRunner(workers=1, policy=POLICY,
                              faults="raise@SP/PM:times=inf") as runner:
                 shards.append(shard_report(
                     GRID, ShardSpec.parse(f"{index}/2"), runner,

@@ -262,7 +262,7 @@ class TestClaims:
         assert cache.try_claim(key)
         stale = time.time() - 3600
         os.utime(cache.claim_path_for(key), (stale, stale))
-        runner = SweepRunner(cache_dir=tmp_path, claims=True, claim_ttl=60.0)
+        runner = SweepRunner(cache_dir=tmp_path, claims=True)
         runner.run_one(self.CONFIG)
         assert runner.stats.executed == 1
 
@@ -281,10 +281,7 @@ class TestClaims:
         timer = threading.Timer(0.15, peer_finishes)
         timer.start()
         try:
-            runner = SweepRunner(
-                cache_dir=tmp_path, claims=True,
-                claim_ttl=60.0, claim_poll=0.02, claim_wait=10.0,
-            )
+            runner = SweepRunner(cache_dir=tmp_path, claims=True)
             stolen = runner.run_one(self.CONFIG)
         finally:
             timer.cancel()
@@ -292,19 +289,55 @@ class TestClaims:
         assert runner.stats.executed == 0
         assert runner.stats.cache_hits == 1
 
-    def test_abandoned_claim_runs_locally_after_wait(self, tmp_path):
+    def test_abandoned_claim_runs_locally_after_wait(
+        self, tmp_path, monkeypatch
+    ):
         """A live-looking claim that never produces a record is run
         locally once the wait budget expires — correctness first."""
+        monkeypatch.setattr("repro.runner.sweep.CLAIM_TTL", 0.5)
         cache = ResultCache(tmp_path)
         key = self.CONFIG.config_hash()
         assert cache.try_claim(key)
-        runner = SweepRunner(
-            cache_dir=tmp_path, claims=True,
-            claim_ttl=60.0, claim_poll=0.02, claim_wait=0.1,
-        )
+        runner = SweepRunner(cache_dir=tmp_path, claims=True)
+        started = time.monotonic()
         result = runner.run_one(self.CONFIG)
         assert result is not None
         assert runner.stats.executed == 1
+        assert time.monotonic() - started >= 0.5  # it waited first
+
+    def test_vanished_claim_reruns_only_its_own_key(self, tmp_path):
+        """A peer drops one claim without a record (a quarantine) while
+        it still computes another key: only the dropped key runs
+        locally; the other is still polled and read from the peer's
+        record."""
+        sp_pm = RunConfig("SP", "PM", scale=SCALE)
+        mt_pm = RunConfig("MT", "PM", scale=SCALE)
+        mt_result = SweepRunner().run_one(mt_pm)
+        cache = ResultCache(tmp_path)
+        sp_key, mt_key = sp_pm.config_hash(), mt_pm.config_hash()
+        sp_nonce, mt_nonce = cache.try_claim(sp_key), cache.try_claim(mt_key)
+        runner = SweepRunner(cache_dir=tmp_path, claims=True)
+        polling = threading.Event()
+        peek = runner.cache.peek
+        runner.cache.peek = lambda config: (polling.set(), peek(config))[1]
+
+        def peer():
+            polling.wait(timeout=30)
+            cache.release_claim(sp_key, sp_nonce)  # quarantined: no record
+            time.sleep(1.0)
+            cache.put(mt_pm, mt_result)
+            cache.release_claim(mt_key, mt_nonce)
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        try:
+            results = runner.run_many([sp_pm, mt_pm])
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert results[1].to_dict() == mt_result.to_dict()
+        assert runner.stats.executed == 1
+        assert runner.stats.cache_hits == 1
 
 
 class TestShardedSweepStats:

@@ -227,27 +227,22 @@ class TestSweepReuse:
 
     def test_state_dir_explicit_and_disabled(self, tmp_path):
         assert SweepRunner().state_dir is None
-        assert (
-            SweepRunner(state_dir=str(tmp_path)).state_dir == str(tmp_path)
-        )
-        assert SweepRunner(cache_dir=tmp_path, state_dir="").state_dir is None
 
     def test_scheme_sweep_builds_each_kernel_stream_once(self, tmp_path):
         """The headline reuse property: across a 3-scheme sweep, each
         estimated kernel's stream is stored once (by the first scheme)
         and every later scheme hits it."""
-        state_dir = str(tmp_path / "state")
         schemes = ["BASE", "PAE", "PM"]
         configs = [
             RunConfig("SC", s, scale=0.5, fidelity="auto") for s in schemes
         ]
-        runner = SweepRunner(state_dir=state_dir)
+        runner = SweepRunner(cache_dir=tmp_path)
         baseline = [
             r.to_dict() for r in SweepRunner().run_many(configs)
         ]
         results = [r.to_dict() for r in runner.run_many(configs)]
 
-        cache = _state_cache_for(state_dir)
+        cache = _state_cache_for(runner.state_dir)
         n_kernels = len(cache)
         assert n_kernels > 0, "SC@0.5 must have estimate-replayed kernels"
         assert cache.stats.stores == n_kernels
@@ -257,9 +252,8 @@ class TestSweepReuse:
         assert results == baseline
 
     def test_exact_fidelity_never_touches_state_cache(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        runner = SweepRunner(state_dir=state_dir)
+        runner = SweepRunner(cache_dir=tmp_path)
         runner.run_one(RunConfig("SP", "BASE", scale=0.25))
-        cache = _state_cache_for(state_dir)
+        cache = _state_cache_for(runner.state_dir)
         assert cache.stats.stores == 0
         assert cache.stats.misses == 0

@@ -1,8 +1,16 @@
-"""Worker-count parsing: coerce_workers / REPRO_WORKERS hardening."""
+"""Worker processes: coerce_workers / REPRO_WORKERS hardening, and
+the pool entry point :func:`repro.runner.worker.execute_config`."""
 
 import pytest
 
-from repro.runner import SweepRunner, coerce_workers, default_workers
+from repro.runner import (
+    RunConfig,
+    RunContext,
+    SweepRunner,
+    coerce_workers,
+    default_workers,
+    execute_config,
+)
 
 
 # ----------------------------------------------------------------------
@@ -79,3 +87,28 @@ def test_runner_rejects_non_integer_workers():
 def test_runner_accepts_stringly_typed_workers():
     with SweepRunner(workers="1") as runner:
         assert runner.workers == 1
+
+
+# ----------------------------------------------------------------------
+# execute_config: the pool entry point, one config per task
+# ----------------------------------------------------------------------
+class TestExecuteConfig:
+    CONFIG = RunConfig("SP", "PM", scale=0.25)
+
+    def test_one_payload_returns_its_result(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        out = execute_config(self.CONFIG.to_dict())
+        assert set(out) == {"result", "wall_seconds"}
+        assert out["result"] == RunContext().execute(self.CONFIG).to_dict()
+        assert out["wall_seconds"] >= 0.0
+
+    def test_injected_faults_count_the_attempt(self):
+        payload, spec = self.CONFIG.to_dict(), "raise@SP/PM:times=2"
+        for attempt in (0, 1):
+            out = execute_config(payload, spec, attempt)
+            assert set(out) == {"error", "error_type", "wall_seconds"}
+            assert out["error"].startswith("InjectedFault: ")
+            assert out["error_type"] == "InjectedFault"
+        assert set(execute_config(payload, spec, 2)) == {
+            "result", "wall_seconds",
+        }

@@ -22,7 +22,7 @@ def server(tmp_path_factory):
         port=0,
         cache_dir=str(tmp_path_factory.mktemp("cache")),
         max_jobs=4,
-        policy=FailurePolicy(max_retries=0, backoff_base=0.001),
+        policy=FailurePolicy(max_retries=0),
     )
     thread = ServerThread(srv)
     url = thread.start()
@@ -206,7 +206,7 @@ def test_429_when_tenant_is_at_its_job_limit(tmp_path):
 def test_poisoned_config_yields_partial_job_and_server_survives(tmp_path):
     srv = ReproServer(
         port=0, cache_dir=str(tmp_path / "c"),
-        policy=FailurePolicy(max_retries=0, backoff_base=0.001),
+        policy=FailurePolicy(max_retries=0),
         faults="raise@SP/PM:times=inf",
     )
     with ServerThread(srv) as url:

@@ -23,8 +23,6 @@ from repro.serve.jobs import JobManager, RunnerPool, TenantBusy
 from repro.serve.tenants import TenantManager, TenantQuota
 
 SCALE = 0.25
-# Near-zero backoff: retry flow unchanged, test time negligible.
-FAST = FailurePolicy(max_retries=1, backoff_base=0.001, backoff_max=0.01)
 
 
 class CountingContext(RunContext):
@@ -164,7 +162,8 @@ def test_runners_share_finished_results_across_tenants(tmp_path):
 def test_poisoned_config_makes_job_partial_not_dead(tmp_path):
     context = CountingContext()
     manager = make_manager(
-        tmp_path, context, faults="raise@SP/PM:times=inf", policy=FAST
+        tmp_path, context, faults="raise@SP/PM:times=inf",
+        policy=FailurePolicy(max_retries=1),
     )
     try:
         grid = SweepGrid(benchmarks=("SP",), schemes=("PM",), scale=SCALE)

@@ -390,6 +390,19 @@ def test_bad_scale_fails_cleanly(command, capsys):
     assert sys.getprofile() is None  # profile disabled cProfile on error
 
 
+@pytest.mark.parametrize("timeout", ["inf", "nan", "-1"])
+def test_bad_timeout_fails_cleanly(timeout, capsys):
+    """Only 0 means no timeout: inf, nan and negative values exit 2
+    with a message, never a traceback or a silent "no timeout"."""
+    assert main([
+        "sweep", "--benchmarks", "SP", "--schemes", "PM", "--scale", "0.25",
+        "--cache-dir", "", "--workers", "2", "--timeout", timeout,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "error: timeout must be positive and finite" in err
+    assert "Traceback" not in err
+
+
 class TestProfile:
     def test_profile_prints_stats(self, capsys):
         assert main([
