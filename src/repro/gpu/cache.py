@@ -111,9 +111,9 @@ class SetAssociativeCache:
             self._fold_shifts: Optional[Tuple[int, ...]] = tuple(reversed(shifts))
         else:
             self._fold_shifts = None
-        # Per set: dict line_address -> [lru_counter, dirty]. Insertion
-        # into a dict is cheap and we keep len <= ways.
-        self._lines: List[Dict[int, List]] = [dict() for _ in range(sets)]
+        # Per set: dict line_address -> use << 1 | dirty (see
+        # line_tables); we keep len <= ways.
+        self._lines: List[Dict[int, int]] = [dict() for _ in range(sets)]
         self._use_counter = 0
         self.stats = CacheStats()
 
@@ -147,11 +147,15 @@ class SetAssociativeCache:
             self._use_counter = value
 
     @property
-    def line_tables(self) -> List[Dict[int, List]]:
-        """All live ``{line: [use, dirty]}`` set dicts, indexed by set id.
+    def line_tables(self) -> List[Dict[int, int]]:
+        """All live ``{line: use << 1 | dirty}`` set dicts, by set id.
 
-        Exposed for the functional-replay plane, which updates sets in
-        place; mutating a returned dict mutates the cache.
+        An entry is one int, the line's last-use tick above its dirty
+        bit (0 or 1), so installing a line allocates no container.
+        Ticks are unique within a cache, so a set's smallest entry is
+        its LRU line.  Exposed for the functional-replay plane, which
+        updates sets in place; mutating a returned dict mutates the
+        cache.
         """
         return self._lines
 
@@ -227,11 +231,12 @@ class SetAssociativeCache:
         if set_id is None:
             address = self.line_address(address)
             set_id = self._set_index(address)
-        entry = self._lines[set_id].get(address)
+        entry_set = self._lines[set_id]
+        entry = entry_set.get(address)
         if entry is None:
             return False
-        self._use_counter += 1
-        entry[0] = self._use_counter
+        use = self._use_counter = self._use_counter + 1
+        entry_set[address] = use << 1 | entry & 1
         self.stats.read_hits += 1
         return True
 
@@ -255,14 +260,14 @@ class SetAssociativeCache:
             set_id = self._set_index(address)
         line = address
         entry_set = self._lines[set_id]
-        self._use_counter += 1
+        use = self._use_counter = self._use_counter + 1
         entry = entry_set.get(line)
         if entry is not None:
-            entry[0] = self._use_counter
             if is_write:
-                entry[1] = True
+                entry_set[line] = use << 1 | 1
                 self.stats.write_hits += 1
             else:
+                entry_set[line] = use << 1 | entry & 1
                 self.stats.read_hits += 1
             return True, None
         if is_write:
@@ -271,15 +276,15 @@ class SetAssociativeCache:
             self.stats.read_misses += 1
         writeback = None
         if len(entry_set) >= self._ways:
-            # LRU victim: entries are [use, dirty] with unique use
-            # ticks, so comparing entries compares their ticks.
+            # LRU victim: ticks are unique, so the smallest entry is
+            # the least recently used line.
             victim_line = min(entry_set, key=entry_set.__getitem__)
             victim = entry_set.pop(victim_line)
             self.stats.evictions += 1
-            if victim[1]:
+            if victim & 1:
                 self.stats.writebacks += 1
                 writeback = victim_line
-        entry_set[line] = [self._use_counter, bool(is_write)]
+        entry_set[line] = use << 1 | (1 if is_write else 0)
         return False, writeback
 
     def fill(
@@ -294,23 +299,23 @@ class SetAssociativeCache:
             set_id = self._set_index(address)
         line = address
         entry_set = self._lines[set_id]
-        self._use_counter += 1
+        use = self._use_counter = self._use_counter + 1
+        dirty = 1 if dirty else 0
         entry = entry_set.get(line)
         if entry is not None:
-            entry[0] = self._use_counter
-            entry[1] = entry[1] or dirty
+            entry_set[line] = use << 1 | entry & 1 | dirty
             return None
         writeback = None
         if len(entry_set) >= self._ways:
-            # LRU victim: entries are [use, dirty] with unique use
-            # ticks, so comparing entries compares their ticks.
+            # LRU victim: ticks are unique, so the smallest entry is
+            # the least recently used line.
             victim_line = min(entry_set, key=entry_set.__getitem__)
             victim = entry_set.pop(victim_line)
             self.stats.evictions += 1
-            if victim[1]:
+            if victim & 1:
                 self.stats.writebacks += 1
                 writeback = victim_line
-        entry_set[line] = [self._use_counter, dirty]
+        entry_set[line] = use << 1 | dirty
         return writeback
 
     def write_through(self, address: int, set_id: Optional[int] = None) -> bool:
@@ -324,10 +329,11 @@ class SetAssociativeCache:
         if set_id is None:
             address = self.line_address(address)
             set_id = self._set_index(address)
-        entry = self._lines[set_id].get(address)
+        entry_set = self._lines[set_id]
+        entry = entry_set.get(address)
         if entry is not None:
-            self._use_counter += 1
-            entry[0] = self._use_counter
+            use = self._use_counter = self._use_counter + 1
+            entry_set[address] = use << 1 | entry & 1
             self.stats.write_hits += 1
             return True
         self.stats.write_misses += 1

@@ -168,7 +168,7 @@ class SM:
         self.warp_count += tb.n_warps
         started = False
         for warp in tb.warps:
-            if warp.n_ops:
+            if warp.op < warp.end:
                 started = True
                 self._schedule_issue(warp)
         if not started:
@@ -194,7 +194,7 @@ class SM:
     # MSHR-full queue, so completions never double-schedule.
 
     # The per-op path below is written flat: warp cursor moves
-    # (``op``/``n_ops``), tick arming and issue scheduling are inlined
+    # (``op``/``end``), tick arming and issue scheduling are inlined
     # where they happen, because each helper frame is paid once per op.
 
     def _schedule_issue(self, warp: WarpContext) -> None:
@@ -249,7 +249,7 @@ class SM:
         warp waits for its gap, the port or a free MSHR).
         """
         op = warp.op
-        if op >= warp.n_ops:
+        if op >= warp.end:
             # An auto-fidelity freeze moved the cursor past the end
             # while this issue was already scheduled: nothing left to
             # issue.  Never taken in exact mode.
@@ -292,7 +292,7 @@ class SM:
         # the next issue if the warp may keep another op in flight.
         op += 1
         warp.op = op
-        if op < warp.n_ops and warp.outstanding < self._max_outstanding:
+        if op < warp.end and warp.outstanding < self._max_outstanding:
             gap = warp.gaps[op]
             if gap:
                 self._engine.after_call(gap, self._warp_ready_cb, warp)
@@ -304,7 +304,7 @@ class SM:
     def _issued(self, warp: WarpContext) -> None:
         """Bookkeeping after a parked op left the issue stage."""
         warp.advance()
-        if warp.op < warp.n_ops and warp.outstanding < self._max_outstanding:
+        if warp.op < warp.end and warp.outstanding < self._max_outstanding:
             self._schedule_issue(warp)
         else:
             warp.issue_pending = False
@@ -317,7 +317,7 @@ class SM:
         outstanding -= 1
         warp.outstanding = outstanding
         self.ops_completed += 1
-        if warp.op >= warp.n_ops:
+        if warp.op >= warp.end:
             if not outstanding:
                 warp.maybe_retire()
         elif not warp.issue_pending and outstanding < self._max_outstanding:
@@ -347,7 +347,7 @@ class SM:
     def _try_issue_parked(self, warp: WarpContext) -> None:
         """Retry a warp that was parked on a full MSHR file."""
         op = warp.op
-        if op >= warp.n_ops:
+        if op >= warp.end:
             # Fast-forwarded past the end while parked (auto freeze).
             warp.issue_pending = False
             warp.maybe_retire()

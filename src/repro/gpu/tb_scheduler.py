@@ -33,6 +33,7 @@ class TBScheduler:
         self._queue: Deque[TBContext] = deque()
         self._in_flight = 0
         self._kernel_loaded = False
+        self._dispatching = False
         self.tbs_dispatched = 0
         self.max_in_flight = 0
         for sm in sms:
@@ -65,18 +66,23 @@ class TBScheduler:
         """Assign queued TBs (in order) to any SM with room.
 
         Dispatch is strict in-order: if the next TB fits nowhere, later
-        TBs wait too — GPUs do not skip ahead in the TB stream.
+        TBs wait too — GPUs do not skip ahead in the TB stream.  An
+        empty TB retires inside its own ``assign_tb``; this loop then
+        goes on with the next TB rather than ``_tb_done`` dispatching
+        it one frame deeper, so a run of empty TBs never nests.
         """
+        self._dispatching = True
         while self._queue:
             tb = self._queue[0]
             sm = self._pick_sm(tb)
             if sm is None:
-                return
+                break
             self._queue.popleft()
             self._in_flight += 1
             self.tbs_dispatched += 1
             self.max_in_flight = max(self.max_in_flight, self._in_flight)
             sm.assign_tb(tb)
+        self._dispatching = False
 
     def _check_kernel_done(self) -> None:
         """Fire the kernel-done callback when nothing is left to run.
@@ -104,8 +110,7 @@ class TBScheduler:
         if keep_last >= len(self._queue):
             return []
         cut = len(self._queue) - keep_last
-        pending = [self._queue.popleft() for _ in range(cut)]
-        return pending
+        return [self._queue.popleft() for _ in range(cut)]
 
     def _pick_sm(self, tb: TBContext) -> Optional[SM]:
         """Least-loaded SM that can accept *tb* (round-robin on ties)."""
@@ -121,6 +126,8 @@ class TBScheduler:
         self._in_flight -= 1
         if self._in_flight < 0:
             raise RuntimeError("TB completion underflow")
+        if self._dispatching:
+            return  # the dispatch loop on the stack carries on
         if self._queue:
             self._dispatch()
         self._check_kernel_done()

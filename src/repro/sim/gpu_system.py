@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from ..gpu.noc import Crossbar
 from ..gpu.power import GPUPowerModel, GPUPowerParams, default_gpu_power_params
 from ..gpu.sm import SM, MemRequest
 from ..gpu.tb_scheduler import TBScheduler
-from ..gpu.thread_block import TBContext, WarpContext
+from ..gpu.thread_block import TBContext
 from ..workloads.base import Workload
 from . import replay as replay_plane
 from .engine import Engine
@@ -288,7 +288,9 @@ class GPUSystem:
         ]
 
         self.scheduler = TBScheduler(self.sms, on_kernel_done=self._kernel_done)
+        # Exact mode's kernels not yet loaded, the next one last.
         self._kernels_pending: List[List[TBContext]] = []
+        self._loading = False
         self._finished = False
         # Functional-replay state: a rotating cursor spreading each
         # fast-forwarded wave's TBs across the SM L1s (approximating
@@ -343,16 +345,20 @@ class GPUSystem:
         vaults = self.address_map.field("vault").size
         return fields["stack"] * vaults + fields["vault"]
 
-    def _prepare_kernel(self, kernel) -> "callable":
+    def _prepare_kernel(self, kernel) -> Tuple[list, ...]:
         """Batched trace preparation for one kernel's warps.
 
-        All warp address streams of the kernel are concatenated, mapped
-        and decoded in a single vectorized pass, then split back into
-        per-warp views of ``(lines, channels, banks, rows, slices,
-        l1_sets, llc_sets)`` — the :class:`TBContext` prepare contract.
-        The BIM, the field decode and the set hash are elementwise, so
-        this is bit-identical to preparing each warp on its own, but
-        the numpy fixed cost is paid once per kernel instead of once
+        All warp streams of the kernel are concatenated, and the
+        addresses mapped and decoded in a single vectorized pass, into
+        nine kernel-wide per-op lists ``(gaps, writes, lines,
+        channels, banks, rows, slices, l1_sets, llc_sets)`` holding
+        every warp's ops back to back in TB then warp order.  That is
+        the :class:`TBContext` prepare contract: a warp shares these
+        lists and owns the range from its offset to the next warp's
+        (see :meth:`_kernel_contexts`).  The BIM, the field decode and
+        the set hash are elementwise, so this is bit-identical to
+        preparing each warp on its own, but the numpy fixed cost and
+        the list allocations are paid once per kernel instead of once
         per warp.  Every L1 shares one geometry and every LLC slice
         another, so one :meth:`set_indices_array` pass per geometry
         covers all caches.
@@ -360,39 +366,34 @@ class GPUSystem:
         Only stored lines can become dirty LLC victims, so the unique
         store lines are decoded once into the run's victim memo.
         """
-        traces = [warp for tb in kernel.tbs for warp in tb.warps]
-        nonempty = [t for t in traces if len(t)]
-        empties = ([],) * 7
+        nonempty = [warp for tb in kernel.tbs for warp in tb.warps if len(warp)]
         if not nonempty:
-            return lambda trace: empties
+            return ([],) * 9
         addresses = np.concatenate([t.addresses for t in nonempty])
         mapped = np.atleast_1d(self.scheme.map(addresses))
         lines, channels, banks, rows, slices = self._coords_of(mapped)
         l1_sets = self.sms[0].l1.set_indices_array(lines)
         llc_sets = self.slices[0].cache.set_indices_array(lines)
+        gaps = np.concatenate([t.gaps for t in nonempty])
         writes = np.concatenate([t.writes for t in nonempty])
         if writes.any():
             self._remember_victims(np.unique(lines[writes]))
-        # One tolist() per field per kernel; warps get list slices.
-        lines, channels, banks, rows, slices, l1_sets, llc_sets = (
+        return tuple(
             field.tolist()
-            for field in (lines, channels, banks, rows, slices, l1_sets, llc_sets)
+            for field in (gaps, writes, lines, channels, banks, rows, slices,
+                          l1_sets, llc_sets)
         )
-        table = {}
+
+    def _kernel_contexts(self, kernel, kernel_index: int) -> List[TBContext]:
+        """The kernel's TB contexts over its prepared op lists."""
+        ops = self._prepare_kernel(kernel)
+        contexts = []
         start = 0
-        for trace in traces:
-            n = len(trace)
-            if not n:
-                table[id(trace)] = empties
-                continue
-            end = start + n
-            table[id(trace)] = (
-                lines[start:end], channels[start:end], banks[start:end],
-                rows[start:end], slices[start:end], l1_sets[start:end],
-                llc_sets[start:end],
-            )
-            start = end
-        return lambda trace: table[id(trace)]
+        for tb in kernel.tbs:
+            context = TBContext(tb, kernel_index, ops, start)
+            start = context.warps[-1].end
+            contexts.append(context)
+        return contexts
 
     def _remember_victims(self, lines: np.ndarray) -> None:
         """Decode possible writeback victim *lines* into the memo."""
@@ -537,11 +538,18 @@ class GPUSystem:
     # Run control
     # ------------------------------------------------------------------
     def _kernel_done(self) -> None:
-        if self._kernels_pending:
-            tbs = self._kernels_pending.pop(0)
-            self.scheduler.load_kernel(tbs)
-        else:
-            self._finished = True
+        # A kernel of empty TBs completes inside its own load_kernel:
+        # the loop in _load_kernels, up the stack, loads the next one.
+        if not self._loading:
+            self._load_kernels()
+
+    def _load_kernels(self) -> None:
+        """Load pending kernels until one is running or none is left."""
+        self._loading = True
+        while self._kernels_pending and self.scheduler.idle:
+            self.scheduler.load_kernel(self._kernels_pending.pop())
+        self._loading = False
+        self._finished = self.scheduler.idle
 
     def run(
         self,
@@ -579,6 +587,15 @@ class GPUSystem:
         """
         if self._finished or self.scheduler.tbs_dispatched:
             raise RuntimeError("GPUSystem instances are single-use; build a new one")
+        limit = self.config.max_warps_per_sm
+        for kernel in workload.kernels:
+            for tb in kernel.tbs:
+                if len(tb.warps) > limit:
+                    # No SM could ever take this TB: the run would stall.
+                    raise ValueError(
+                        f"TB {tb.tb_id} has {len(tb.warps)} warps, more than "
+                        f"an SM holds (max_warps_per_sm={limit})"
+                    )
         if parse_fidelity(fidelity) == AUTO:
             return self._run_auto(
                 workload, max_events, plan=auto_plan,
@@ -587,14 +604,11 @@ class GPUSystem:
         # Exact mode keeps its own loop: _kernel_done loads the next
         # kernel inside the retiring TB's event, where auto's polled
         # loop would load it up to one poll later and move the bytes.
-        kernels = []
-        for kernel_index, kernel in enumerate(workload.kernels):
-            prepare = self._prepare_kernel(kernel)
-            kernels.append([
-                TBContext(tb, kernel_index, prepare) for tb in kernel.tbs
-            ])
-        self._kernels_pending = kernels[1:]
-        self.scheduler.load_kernel(kernels[0])
+        self._kernels_pending = [
+            self._kernel_contexts(kernel, kernel_index)
+            for kernel_index, kernel in enumerate(workload.kernels)
+        ][::-1]
+        self._load_kernels()
         self.engine.run(max_events=max_events)
         if not self._finished:
             raise RuntimeError(
@@ -693,8 +707,7 @@ class GPUSystem:
                             flits / kernel_ops
                         )
                 continue
-            prepare = self._prepare_kernel(kernel)
-            contexts = [TBContext(tb, kernel_index, prepare) for tb in kernel.tbs]
+            contexts = self._kernel_contexts(kernel, kernel_index)
             flits_before = (
                 self.request_noc.stats.flits + self.response_noc.stats.flits
                 + accounting.ff_noc_flits
@@ -770,6 +783,11 @@ class GPUSystem:
             completed = self._requests_completed() - completed_start
             if self.scheduler.idle:
                 break
+            if engine.idle:
+                raise RuntimeError(
+                    "simulation drained its event queue before the kernel "
+                    f"finished ({self.scheduler.in_flight} TBs in flight)"
+                )
             budget = remaining_events()
             if budget is not None and budget == 0:
                 raise RuntimeError(
@@ -843,16 +861,6 @@ class GPUSystem:
             ))
         return (now, completed, hits, accesses)
 
-    def _active_warps(self) -> List[WarpContext]:
-        """In-flight warps with un-issued ops, in SM/TB/warp order."""
-        return [
-            warp
-            for sm in self.sms
-            for tb in sm.active_tbs
-            for warp in tb.warps
-            if not warp.issued_all
-        ]
-
     def _freeze_kernel(self):
         """Fast-forward the current kernel's skippable remainder.
 
@@ -883,11 +891,15 @@ class GPUSystem:
         # retry performs, and dropping the op would instead lose its
         # LLC/DRAM traffic.
         streams = []
-        for warp in self._active_warps():
-            keep = max(1, int((warp.n_ops - warp.op) * _KEEP_SHARE))
-            chunk = warp.fast_forward_middle(keep)
-            if chunk[0]:
-                streams.append((warp.tb.sm_id, chunk))
+        for sm in self.sms:
+            for tb in sm.active_tbs:
+                for warp in tb.warps:
+                    if warp.issued_all:
+                        continue
+                    keep = max(1, int((warp.end - warp.op) * _KEEP_SHARE))
+                    chunk = warp.fast_forward_middle(keep)
+                    if chunk[0]:
+                        streams.append((tb.sm_id, chunk))
         skipped, flits = self._replay_interleaved(streams)
         # Later groups: queued TBs in dispatch order, one machine
         # window at a time, spread round-robin across the SM L1s.
@@ -1030,6 +1042,9 @@ class GPUSystem:
         llc_parallelism, channel_parallelism, bank_parallelism = (
             self._parallelism()
         )
+        # Integrated: the logs are the run's largest leftovers.
+        self._llc_log.clear()
+        self._dram_log.clear()
         instructions = workload.approx_instructions
         gpu_power_model = GPUPowerModel(
             default_gpu_power_params(), self.config.clock_mhz

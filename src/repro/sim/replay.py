@@ -72,6 +72,8 @@ def _warm(
     ``wb_line`` (write-back policy only) holds the dirty victim's line
     address or -1.
 
+    Entries use the caches' ``use << 1 | dirty`` encoding
+    (:attr:`~repro.gpu.cache.SetAssociativeCache.line_tables`).
     Recency stamps: op ``p`` touching its set is stamped ``base(cache)
     + 1 + p``, strictly increasing in op order per cache, so the
     relative LRU order inside every set matches a per-bump counter's
@@ -99,12 +101,12 @@ def _warm(
         c = cid_l[p]
         entry_set = tables[c][sid_l[p]]
         line = lines_l[p]
+        stamp = (bases[c] + 1 + p) << 1
+        dirty = 1 if write_back and writes_l[p] else 0
         entry = entry_set.get(line)
         if entry is not None:
             hit_append(p)
-            entry[0] = bases[c] + 1 + p
-            if write_back and writes_l[p]:
-                entry[1] = True
+            entry_set[line] = stamp | entry & 1 | dirty
             continue
         if not write_back and writes_l[p]:
             continue  # L1 write miss: no allocation
@@ -112,10 +114,10 @@ def _warm(
             victim_line = min(entry_set, key=entry_set.__getitem__)
             victim = entry_set.pop(victim_line)
             ev_pos.append(p)
-            if write_back and victim[1]:
+            if write_back and victim & 1:
                 wb_pos.append(p)
                 wb_victims.append(victim_line)
-        entry_set[line] = [bases[c] + 1 + p, write_back and writes_l[p]]
+        entry_set[line] = stamp | dirty
     if hit_pos:
         hit[hit_pos] = True
     if ev_pos:

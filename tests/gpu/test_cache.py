@@ -1,10 +1,13 @@
 """Unit tests for the set-associative cache and MSHR file."""
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.cache import MSHRFile, MSHROutcome, SetAssociativeCache
+from repro.gpu.cache import CacheStats, MSHRFile, MSHROutcome, SetAssociativeCache
 
 
 def cache(sets=4, ways=2, line=128, hash_sets=False):
@@ -228,3 +231,108 @@ def test_cache_invariants(accesses):
     assert c.stats.accesses == len(accesses)
     assert c.stats.misses + c.stats.read_hits + c.stats.write_hits == len(accesses)
     assert c.stats.writebacks <= c.stats.evictions
+
+
+class ReferenceLRU:
+    """The cache's policy, written plainly: per set, an ordered dict of
+    line -> dirty flag, moved to the end on every touch."""
+
+    def __init__(self, sets, ways, line_bytes):
+        self.sets = [OrderedDict() for _ in range(sets)]
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.stats = CacheStats()
+
+    def _set(self, line):
+        return self.sets[line // self.line_bytes % len(self.sets)]
+
+    def _touch(self, line, dirty=False):
+        """Refresh a resident line; True if it was resident."""
+        entries = self._set(line)
+        if line not in entries:
+            return False
+        entries[line] = entries.pop(line) or bool(dirty)
+        return True
+
+    def _install(self, line, dirty):
+        """Insert a missing line; return the dirty victim, if any."""
+        entries = self._set(line)
+        writeback = None
+        if len(entries) >= self.ways:
+            victim, victim_dirty = entries.popitem(last=False)
+            self.stats.evictions += 1
+            if victim_dirty:
+                self.stats.writebacks += 1
+                writeback = victim
+        entries[line] = bool(dirty)
+        return writeback
+
+    def access(self, line, is_write):
+        if self._touch(line, is_write):
+            if is_write:
+                self.stats.write_hits += 1
+            else:
+                self.stats.read_hits += 1
+            return True, None
+        self.stats.count_miss(is_write)
+        return False, self._install(line, is_write)
+
+    def try_read(self, line):
+        hit = self._touch(line)
+        self.stats.read_hits += hit
+        return hit
+
+    def fill(self, line, dirty):
+        if self._touch(line, dirty):
+            return None
+        return self._install(line, dirty)
+
+    def write_through(self, line):
+        hit = self._touch(line)  # a hit keeps a dirty line dirty
+        if hit:
+            self.stats.write_hits += 1
+        else:
+            self.stats.write_misses += 1
+        return hit
+
+    def contents(self):
+        return [list(entries.items()) for entries in self.sets]
+
+
+# Flags as callers pass them: bools, ints and numpy bools.
+_FLAGS = st.sampled_from([False, True, 0, 1, np.bool_(False), np.bool_(True)])
+_OPS = st.one_of(
+    st.tuples(st.just("access"), st.integers(0, 23), _FLAGS),
+    st.tuples(st.just("try_read"), st.integers(0, 23), st.none()),
+    st.tuples(st.just("fill"), st.integers(0, 23), _FLAGS),
+    st.tuples(st.just("write_through"), st.integers(0, 23), st.none()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OPS, max_size=300))
+def test_matches_reference_lru(ops):
+    """Every return value, the stats and each set's (line, dirty)
+    contents in recency order match the reference model, over random
+    mixes of the four access paths — including read and write-through
+    hits on dirty lines, which must leave them dirty."""
+    sets, ways, line_bytes = 4, 3, 128
+    cache = SetAssociativeCache(sets, ways, line_bytes, hash_sets=False)
+    model = ReferenceLRU(sets, ways, line_bytes)
+    for name, line_no, flag in ops:
+        line = line_no * line_bytes
+        if name == "access":
+            got, expected = cache.access(line, flag), model.access(line, flag)
+        elif name == "fill":
+            got, expected = cache.fill(line, flag), model.fill(line, flag)
+        else:
+            got = getattr(cache, name)(line)
+            expected = getattr(model, name)(line)
+        assert got == expected, (name, line)
+    assert cache.stats == model.stats
+    contents = []
+    for entries in cache.line_tables:
+        assert all(type(entry) is int for entry in entries.values())
+        ordered = sorted(entries.items(), key=lambda item: item[1])
+        contents.append([(line, bool(entry & 1)) for line, entry in ordered])
+    assert contents == model.contents()

@@ -16,7 +16,6 @@ from replay_oracle import warm_back_many, warm_through_many
 from repro.core import hynix_gddr5_map
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
-from repro.gpu.thread_block import TBContext
 from repro.registry import make_scheme
 from repro.sim.gpu_system import GPUSystem
 from repro.workloads.suite import mt
@@ -229,11 +228,12 @@ class TestPrecomputedSetIds:
         l1 = system.sms[0].l1
         llc = system.slices[0].cache
         kernel = mt(scale=0.1).kernels[0]
-        prepare = system._prepare_kernel(kernel)
         checked = 0
-        for tb in kernel.tbs:
-            for warp in TBContext(tb, 0, prepare).warps:
-                assert warp.l1_sets == [l1._set_index(x) for x in warp.lines]
-                assert warp.llc_sets == [llc._set_index(x) for x in warp.lines]
-                checked += warp.n_ops
+        for tb in system._kernel_contexts(kernel, 0):
+            for warp in tb.warps:
+                ops = slice(warp.op, warp.end)
+                lines = warp.lines[ops]
+                assert warp.l1_sets[ops] == [l1._set_index(x) for x in lines]
+                assert warp.llc_sets[ops] == [llc._set_index(x) for x in lines]
+                checked += warp.end - warp.op
         assert checked == sum(len(w) for tb in kernel.tbs for w in tb.warps)

@@ -22,14 +22,20 @@ def small_config(**overrides):
     return GPUConfig(**defaults)
 
 
-def identity_prepare(trace: WarpTrace):
-    """Prepare hook mapping addresses 1:1 with trivial coordinates."""
-    lines = trace.addresses.astype(np.int64)
-    zeros = np.zeros(len(trace), dtype=np.int64)
-    return (
-        lines, zeros, zeros, (lines >> 7).astype(np.int64), zeros,
-        L1.set_indices_array(lines), zeros,
-    )
+def identity_prepare(trace: TBTrace):
+    """Prepared op lists mapping addresses 1:1 with trivial coordinates.
+
+    The nine per-op lists of the TB's warps, back to back (the
+    :class:`TBContext` prepare contract).
+    """
+    lines = np.concatenate([w.addresses for w in trace.warps]).astype(np.int64)
+    zeros = np.zeros(len(lines), dtype=np.int64)
+    return tuple(field.tolist() for field in (
+        np.concatenate([w.gaps for w in trace.warps]),
+        np.concatenate([w.writes for w in trace.warps]),
+        lines, zeros, zeros, lines >> 7, zeros, L1.set_indices_array(lines),
+        zeros,
+    ))
 
 
 class Harness:
@@ -60,7 +66,8 @@ class Harness:
                     writes[chunk] if writes is not None else [False] * per
                 ),
             ))
-        return TBContext(TBTrace(0, tuple(warp_traces)), 0, identity_prepare)
+        trace = TBTrace(0, tuple(warp_traces))
+        return TBContext(trace, 0, identity_prepare(trace))
 
 
 class TestReadPath:

@@ -19,11 +19,14 @@ L1 = SetAssociativeCache(_CFG.l1_sets, _CFG.l1_ways, _CFG.line_bytes)
 
 
 def identity_prepare(trace):
-    lines = trace.addresses.astype(np.int64)
-    zeros = np.zeros(len(trace), dtype=np.int64)
-    return (
+    """The nine per-op lists of the TB's warps, back to back."""
+    lines = np.concatenate([w.addresses for w in trace.warps]).astype(np.int64)
+    zeros = np.zeros(len(lines), dtype=np.int64)
+    return tuple(field.tolist() for field in (
+        np.concatenate([w.gaps for w in trace.warps]),
+        np.concatenate([w.writes for w in trace.warps]),
         lines, zeros, zeros, zeros, zeros, L1.set_indices_array(lines), zeros,
-    )
+    ))
 
 
 class Harness:
@@ -46,7 +49,7 @@ class Harness:
     def tb(self, tb_id, line=0x1000):
         trace = TBTrace(tb_id, (WarpTrace.from_addresses(
             np.array([line + tb_id * 128], dtype=np.uint64)),))
-        return TBContext(trace, 0, identity_prepare)
+        return TBContext(trace, 0, identity_prepare(trace))
 
     def drain_fills(self):
         """Complete every outstanding read (acts as LLC+DRAM)."""
@@ -133,7 +136,8 @@ class TestWarpCountCounter:
             WarpTrace.from_addresses(np.empty(0, dtype=np.uint64))
             for _ in range(empty_warps)
         )
-        return TBContext(TBTrace(tb_id, warps), 0, identity_prepare)
+        trace = TBTrace(tb_id, warps)
+        return TBContext(trace, 0, identity_prepare(trace))
 
     def test_counter_tracks_assign_and_done_sequences(self):
         h = Harness(n_sms=2, max_tbs_per_sm=3)

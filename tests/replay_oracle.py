@@ -52,7 +52,7 @@ def warm_through_many(cache, lines, writes, set_ids=None) -> List[int]:
         if writes[position]:
             if entry is not None:
                 use += 1
-                entry[0] = use
+                entry_set[line] = use << 1 | entry & 1
                 stats.write_hits += 1
             else:
                 stats.write_misses += 1
@@ -60,7 +60,7 @@ def warm_through_many(cache, lines, writes, set_ids=None) -> List[int]:
             continue
         if entry is not None:
             use += 1
-            entry[0] = use
+            entry_set[line] = use << 1 | entry & 1
             stats.read_hits += 1
             continue
         stats.read_misses += 1
@@ -68,7 +68,7 @@ def warm_through_many(cache, lines, writes, set_ids=None) -> List[int]:
         if len(entry_set) >= cache.ways:
             entry_set.pop(min(entry_set, key=entry_set.__getitem__))
             stats.evictions += 1
-        entry_set[line] = [use, False]
+        entry_set[line] = use << 1
         forwarded.append(position)
     cache.sync_use_counter(use)
     return forwarded
@@ -94,11 +94,11 @@ def warm_back_many(cache, lines, writes, set_ids=None) -> Tuple[List[int], List[
         is_write = bool(writes[position])
         use += 1
         if entry is not None:
-            entry[0] = use
             if is_write:
-                entry[1] = True
+                entry_set[line] = use << 1 | 1
                 stats.write_hits += 1
             else:
+                entry_set[line] = use << 1 | entry & 1
                 stats.read_hits += 1
             continue
         if is_write:
@@ -110,10 +110,10 @@ def warm_back_many(cache, lines, writes, set_ids=None) -> Tuple[List[int], List[
             victim_line = min(entry_set, key=entry_set.__getitem__)
             victim = entry_set.pop(victim_line)
             stats.evictions += 1
-            if victim[1]:
+            if victim & 1:
                 stats.writebacks += 1
                 writebacks.append(victim_line)
-        entry_set[line] = [use, is_write]
+        entry_set[line] = use << 1 | is_write
     cache.sync_use_counter(use)
     return read_miss_positions, writebacks
 

@@ -1,12 +1,20 @@
 """Integration tests for the full-system simulator."""
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import hynix_gddr5_map
 from repro.dram.stacked import stacked_memory_config
 from repro.gpu.config import GPUConfig, config_with_sms
-from repro.registry import make_scheme
+from repro.gpu.thread_block import TBContext, WarpContext
+from repro.registry import make_scheme, make_workload
 from repro.sim.gpu_system import GPUSystem, simulate
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
 
@@ -142,3 +150,138 @@ class TestMetricsPlumbing:
         assert result.gpu_power > 0
         assert result.scheme == "FAE"
         assert result.metadata["events"] > 0
+
+
+def one_tb_kernel(name, addresses, n_tbs=1):
+    """A kernel of *n_tbs* one-warp TBs issuing *addresses* each."""
+    warp = WarpTrace.from_addresses(np.array(addresses, dtype=np.uint64))
+    return KernelTrace(name, tuple(TBTrace(t, (warp,)) for t in range(n_tbs)))
+
+
+def run_in_child(code, timeout=60):
+    """Run *code* in a fresh interpreter; a hang fails instead of stalling."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the run did not finish within {timeout} s")
+
+
+@pytest.mark.parametrize("fidelity", ["exact", "auto"])
+def test_tb_wider_than_an_sm_fails_fast(fidelity):
+    """No SM can ever take a TB of more warps than ``max_warps_per_sm``
+    (48): loading it must fail with a message, not stall the run
+    (auto fidelity used to poll an idle engine forever)."""
+    recipe = {"kernels": [{
+        "pattern": "row_segment", "tbs": 2, "width": 7680,
+        "tb_stride": 1048576, "reqs_per_warp": 1,
+    }]}
+    out = run_in_child(f"""
+from repro.core import hynix_gddr5_map
+from repro.registry import make_scheme
+from repro.sim.gpu_system import GPUSystem
+from repro.workloads.recipes import build_recipe_workload
+
+workload = build_recipe_workload("WIDE", {recipe!r})
+system = GPUSystem(make_scheme("PAE", hynix_gddr5_map()))
+try:
+    system.run(workload, fidelity={fidelity!r})
+except ValueError as exc:
+    print(exc)
+""")
+    assert out.stdout.strip() == (
+        "TB 0 has 60 warps, more than an SM holds (max_warps_per_sm=48)"
+    ), out.stderr
+
+
+def test_auto_poll_fails_when_nothing_can_progress():
+    """Auto fidelity's poll loop raises when its engine is idle but
+    TBs remain, instead of advancing nothing forever."""
+    out = run_in_child("""
+import numpy as np
+from repro.core import hynix_gddr5_map
+from repro.gpu.sm import SM
+from repro.registry import make_scheme
+from repro.sim.gpu_system import GPUSystem
+from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
+
+SM.can_accept = lambda self, tb: False  # no TB is ever dispatched
+warp = WarpTrace.from_addresses(np.array([0, 128], dtype=np.uint64))
+kernel = KernelTrace("k", (TBTrace(0, (warp,)),))
+workload = Workload("stuck", "STK", (kernel,), instructions_per_request=50)
+try:
+    GPUSystem(make_scheme("PAE", hynix_gddr5_map())).run(workload, fidelity="auto")
+except RuntimeError as exc:
+    print(exc)
+""")
+    assert out.stdout.strip() == (
+        "simulation drained its event queue before the kernel finished "
+        "(0 TBs in flight)"
+    ), out.stderr
+
+
+def test_many_empty_kernels_run_in_exact_mode():
+    """A kernel of empty TBs completes inside its own load; 500 in a
+    row must not nest loads past the recursion limit, and they add
+    nothing to the result."""
+    first = one_tb_kernel("k1", [0, 128])
+    last = one_tb_kernel("k2", [4096, 8192])
+    empties = tuple(one_tb_kernel(f"e{i}", []) for i in range(500))
+    scheme = make_scheme("PAE", AMAP)
+    with_empties = simulate(Workload(
+        "seq", "SEQ", (first, *empties, last), instructions_per_request=50,
+    ), scheme)
+    without = simulate(Workload(
+        "seq", "SEQ", (first, last), instructions_per_request=50,
+    ), scheme)
+    assert with_empties.to_dict() == without.to_dict()
+
+
+@pytest.mark.parametrize("fidelity", ["exact", "auto"])
+def test_a_kernel_of_many_empty_tbs_runs(fidelity):
+    """An empty TB retires inside its own dispatch; 1,000 of them in
+    one kernel must not nest dispatches past the recursion limit."""
+    workload = Workload("seq", "SEQ", (
+        one_tb_kernel("k1", [0, 128]),
+        one_tb_kernel("empty", [], n_tbs=1000),
+        one_tb_kernel("k2", [4096, 8192]),
+    ), instructions_per_request=50)
+    system = GPUSystem(make_scheme("PAE", AMAP))
+    result = system.run(workload, fidelity=fidelity)
+    assert result.requests == 4
+    assert system.scheduler.tbs_dispatched == 1002
+
+
+@pytest.mark.parametrize("fidelity", ["exact", "auto"])
+def test_finished_run_frees_its_contexts(fidelity):
+    """A finished run's warp and TB contexts, and the per-op lists
+    they share, are freed by reference counting: only the machine
+    graph is left for the cycle collector."""
+    if fidelity == "exact":
+        workload = make_workload("MT", scale=0.1)
+    else:
+        workload = make_workload("SRAD2", scale=1.0)
+    system = GPUSystem(make_scheme("PAE", AMAP))
+
+    def contexts():
+        return sum(
+            type(obj) in (WarpContext, TBContext) for obj in gc.get_objects()
+        )
+
+    gc.collect()
+    baseline = contexts()
+    gc.disable()
+    try:
+        result = system.run(workload, fidelity=fidelity)
+        assert contexts() == baseline
+    finally:
+        gc.enable()
+    assert system._llc_log == [] and system._dram_log == []
+    if fidelity == "auto":
+        # The auto run froze a kernel: its warps were fast-forwarded.
+        assert result.metadata["sampled"]["ff_phases"] >= 1

@@ -44,8 +44,10 @@ def canonical_state(cache):
     """
     state = []
     for entries in cache.line_tables:
-        ordered = sorted(entries.items(), key=lambda item: item[1][0])
-        state.append([(line, bool(e[1])) for line, e in ordered])
+        # Entries are ``use << 1 | dirty`` ints: sorting them sorts by
+        # use.
+        ordered = sorted(entries.items(), key=lambda item: item[1])
+        state.append([(line, bool(e & 1)) for line, e in ordered])
     return state
 
 
