@@ -315,7 +315,6 @@ def _cmd_sweep(args) -> int:
     with SweepRunner(
         workers=workers,
         cache_dir=args.cache_dir if args.cache_dir else None,
-        claims=args.claims,
         progress=_progress_printer() if args.progress else None,
         policy=FailurePolicy(
             max_retries=args.max_retries,
@@ -374,27 +373,9 @@ def _existing_cache(cache_dir) -> ResultCache:
     return ResultCache(cache_dir)
 
 
-def _state_cache_at(cache_dir):
-    """The warmed-state cache living under *cache_dir*, or None.
-
-    Sweeps default their :class:`StateCache` to ``<cache_dir>/state``
-    (see :class:`~repro.runner.sweep.SweepRunner`), so the cache CLI
-    reports and prunes that same location.
-    """
-    from .runner.state_cache import StateCache
-
-    state_root = Path(cache_dir) / "state"
-    if not state_root.is_dir():
-        return None
-    return StateCache(state_root)
-
-
 def _cmd_cache_ls(args) -> int:
-    from .runner.state_cache import STATE_SCHEMA_VERSION
-
     cache = _existing_cache(args.cache_dir)
     entries = cache.entries()
-    state = _state_cache_at(args.cache_dir)
     if getattr(args, "json", False):
         # Machine-readable form for dashboards / quota scripts: every
         # record plus the totals, deterministically ordered by key.
@@ -411,16 +392,6 @@ def _cmd_cache_ls(args) -> int:
                 e.to_dict() for e in sorted(entries, key=lambda e: e.key)
             ],
         }
-        if state is not None:
-            document["state"] = {
-                "root": str(state.root),
-                "current_schema": STATE_SCHEMA_VERSION,
-                "totals": state.usage(),
-                "entries": [
-                    e.to_dict()
-                    for e in sorted(state.entries(), key=lambda e: e.key)
-                ],
-            }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     by_schema = {}
@@ -446,17 +417,6 @@ def _cmd_cache_ls(args) -> int:
         f"\n{len(entries)} records under {cache.root} "
         f"(current schema: {CACHE_SCHEMA_VERSION})"
     )
-    if state is not None:
-        usage = state.usage()
-        stale = sum(
-            1 for e in state.entries() if e.schema != STATE_SCHEMA_VERSION
-        )
-        stale_note = f", {stale} stale" if stale else ""
-        print(
-            f"warmed-state cache: {usage['entries']} stream(s), "
-            f"{usage['bytes']} bytes under {state.root} "
-            f"(schema {STATE_SCHEMA_VERSION}{stale_note})"
-        )
     return 0
 
 
@@ -479,26 +439,6 @@ def _cmd_cache_prune(args) -> int:
         )
         return 2
     cache = _existing_cache(args.cache_dir)
-    if getattr(args, "state", False):
-        from .runner.state_cache import STATE_SCHEMA_VERSION
-
-        if STATE_SCHEMA_VERSION in versions:
-            print(
-                f"error: refusing to prune the current state schema version "
-                f"({STATE_SCHEMA_VERSION}); delete the state dir if you "
-                f"mean it",
-                file=sys.stderr,
-            )
-            return 2
-        state = _state_cache_at(cache.root)
-        if state is None:
-            print(f"no warmed-state cache under {args.cache_dir}")
-            return 0
-        removed, kept = state.prune(schema_versions=versions, stale=args.stale)
-        print(
-            f"pruned {removed} state record(s), kept {kept} ({state.root})"
-        )
-        return 0
     if CACHE_SCHEMA_VERSION in versions:
         print(
             f"error: refusing to prune the current schema version "
@@ -534,7 +474,6 @@ def _cmd_serve(args) -> int:
             max_retries=args.max_retries,
             timeout=args.timeout or None,
         ),
-        claims=args.claims,
     )
 
     async def _serve() -> None:
@@ -758,11 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
              "a partial report for 'repro merge'",
     )
     p.add_argument(
-        "--claims", action="store_true",
-        help="use cache claim files so concurrent sweeps sharing the cache "
-             "dir never double-run a config",
-    )
-    p.add_argument(
         "--progress", action="store_true",
         help="report live executed-count / ETA on stderr",
     )
@@ -827,12 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stale", action="store_true",
         help="evict everything not produced by the current schema version",
     )
-    p_prune.add_argument(
-        "--state", action="store_true",
-        help="prune the warmed-state replay-stream cache at "
-             "<cache-dir>/state instead of the result records (schema "
-             "versions then refer to STATE_SCHEMA_VERSION)",
-    )
     p_prune.set_defaults(func=_cmd_cache_prune)
 
     p = sub.add_parser(
@@ -884,11 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenant-max-jobs", type=int, default=0,
         help="per-tenant concurrent-job limit (HTTP 429 beyond it); "
              "0 = unlimited (default)",
-    )
-    p.add_argument(
-        "--claims", action="store_true",
-        help="use cache claim files (for a cache root shared with "
-             "external sweeps)",
     )
     p.add_argument(
         "--timeout", type=float, default=0.0,

@@ -38,7 +38,6 @@ Cache layout
 
     <cache_dir>/<hh>/<sha256-of-config>.json
     <cache_dir>/<hh>/<sha256-of-config>.meta.json   # runtime sidecar
-    <cache_dir>/<hh>/<sha256-of-config>.claim       # transient claim
 
 where ``hh`` is the first two hex characters of the key (a fan-out
 directory so no single directory grows huge).  The key is a SHA-256
@@ -55,13 +54,15 @@ whenever a simulator change alters what a config computes.  Changing
 records from older code are never served.  Records are written
 atomically (temp file + rename); unreadable or truncated records are
 deleted and recomputed, never trusted.  The cache may be shared
-between concurrent processes.
+between concurrent processes; sweeps with overlapping grids may then
+compute a config twice, which costs time but never changes a record.
 
 The ``.meta.json`` sidecar records wall seconds, engine event count
 and the schema version of each run; it feeds ``repro cache ls /
-prune``, and is never required for correctness.  ``.claim`` markers
-implement the optional work-claim protocol (see
-:mod:`repro.runner.cache`).
+prune``, and is never required for correctness.  Records and sidecars
+are the only files a sweep writes.  Auto fidelity's replay streams are
+shared through an in-process memo instead
+(:mod:`repro.runner.state_cache`).
 
 Worker configuration
 --------------------
@@ -102,8 +103,7 @@ Determinism guarantees
 * ``run_many`` returns results in **input order**, not completion
   order, and grids expand in a fixed documented order (benchmarks
   outermost, then schemes / seeds / SM counts / memories).
-  Worker completion order and claim stealing only reorder
-  *execution*, never output.
+  Worker completion order only reorders *execution*, never output.
 * Shard partitions (:class:`~repro.runner.shard.ShardSpec`) are
   pairwise disjoint, cover the grid, and are stable across
   re-invocations; ``repro merge`` rebuilds the full report through the

@@ -5,7 +5,6 @@ Layout (under the cache root)::
     <root>/
       <hh>/<full-64-hex-hash>.json        # hh = first two hash chars
       <hh>/<full-64-hex-hash>.meta.json   # runtime metadata sidecar
-      <hh>/<full-64-hex-hash>.claim       # transient work claim
 
 Each result record is one JSON object::
 
@@ -30,22 +29,17 @@ in :attr:`CacheStats.corrupt` — the run is simply recomputed.
 
 The cache is safe for concurrent use by multiple processes: records
 are immutable once written (content-addressed by the config hash), and
-the atomic rename makes racing writers idempotent.  **Claim files**
-(:meth:`ResultCache.try_claim`) let concurrent sweeps additionally
-avoid duplicating work: a process that fails to create the claim knows
-a peer is already computing that key and may poll for the record
-instead of re-running it.  Claims are purely an optimization — stale
-claims (dead peers) are detected by age and broken, and correctness
-never depends on them.
+the atomic rename makes racing writers idempotent.  Two sweeps whose
+grids overlap may both compute a config; the later write replaces the
+earlier record with the same bytes.  Only records and sidecars are
+written under the root, each through a transient temp file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -58,7 +52,6 @@ from .faults import FaultPlan
 __all__ = ["ResultCache", "CacheStats", "CacheEntry"]
 
 _META_SUFFIX = ".meta.json"
-_CLAIM_SUFFIX = ".claim"
 
 
 @dataclass
@@ -151,10 +144,6 @@ class ResultCache:
         """On-disk location of the runtime-metadata sidecar for *key*."""
         return self.root / key[:2] / f"{key}{_META_SUFFIX}"
 
-    def claim_path_for(self, key: str) -> Path:
-        """On-disk location of the work-claim file for *key*."""
-        return self.root / key[:2] / f"{key}{_CLAIM_SUFFIX}"
-
     # ------------------------------------------------------------------
     # Records
     # ------------------------------------------------------------------
@@ -187,9 +176,9 @@ class ResultCache:
     def peek(self, config: RunConfig) -> Optional[SimulationResult]:
         """Like :meth:`get` but without hit/miss accounting.
 
-        Used by claim polling, which re-reads the same key many times
-        while a peer computes it; counting each poll as a miss would
-        make the stats meaningless.
+        Used by :func:`~repro.runner.report.report_from_cache`, which
+        reads a cache without running anything, so its lookups are not
+        a sweep's hits or misses.
         """
         return self._load(self.path_for(config.config_hash()))
 
@@ -324,10 +313,8 @@ class ResultCache:
         return {"entries": entries, "bytes": bytes_total}
 
     def remove(self, key: str) -> None:
-        """Delete the record, sidecar and claim for *key* (if present)."""
-        for path in (
-            self.path_for(key), self.meta_path_for(key), self.claim_path_for(key)
-        ):
+        """Delete the record and sidecar for *key* (if present)."""
+        for path in (self.path_for(key), self.meta_path_for(key)):
             try:
                 os.unlink(path)
             except OSError:
@@ -358,99 +345,6 @@ class ResultCache:
             else:
                 kept += 1
         return removed, kept
-
-    # ------------------------------------------------------------------
-    # Claims
-    # ------------------------------------------------------------------
-    def _claim_nonce(self) -> str:
-        return f"{os.getpid()}@{socket.gethostname()}:{time.time_ns()}"
-
-    def try_claim(self, key: str) -> Optional[str]:
-        """Atomically claim *key* for this process.
-
-        The claim is a small JSON marker created with ``O_EXCL`` so
-        exactly one of any number of racing processes wins.  Returns
-        the claim's nonce (truthy) when this process now owns it —
-        pass it to :meth:`release_claim` so only *this* claim is ever
-        released, never a successor's — or None when a peer holds it.
-        """
-        path = self.claim_path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-        except FileExistsError:
-            return None
-        nonce = self._claim_nonce()
-        with os.fdopen(fd, "w") as handle:
-            json.dump(
-                {"pid": os.getpid(), "host": socket.gethostname(),
-                 "started": time.time(), "nonce": nonce},
-                handle,
-            )
-        return nonce
-
-    def claim_age(self, key: str) -> Optional[float]:
-        """Seconds since the claim on *key* was created; None if unclaimed."""
-        try:
-            return max(0.0, time.time() - self.claim_path_for(key).stat().st_mtime)
-        except OSError:
-            return None
-
-    def take_over_claim(self, key: str, ttl: float) -> Optional[str]:
-        """Take over the claim on *key* if it is older than *ttl* seconds.
-
-        Racing takeovers are resolved by atomically replacing the stale
-        claim with a nonce-tagged one and reading it back: the last
-        replacer finds its own nonce and wins, every other contender
-        sees a foreign nonce and defers.  (A plain unlink-then-claim
-        would let a loser delete the winner's fresh claim.)  Returns
-        the new claim's nonce (truthy) when this process now owns it,
-        None otherwise.
-        """
-        path = self.claim_path_for(key)
-        try:
-            age = time.time() - path.stat().st_mtime
-        except OSError:
-            # Claim vanished meanwhile: race for a fresh one.
-            return self.try_claim(key)
-        if age <= ttl:
-            return None
-        nonce = self._claim_nonce()
-        payload = json.dumps({
-            "pid": os.getpid(), "host": socket.gethostname(),
-            "started": time.time(), "nonce": nonce,
-        })
-        try:
-            _atomic_write(path, payload.encode())
-            with open(path) as handle:
-                if json.load(handle).get("nonce") == nonce:
-                    return nonce
-                return None
-        except (OSError, ValueError):
-            return None
-
-    def release_claim(self, key: str, nonce: Optional[str] = None) -> None:
-        """Drop the claim on *key* (no-op when absent).
-
-        With *nonce*, release only if the on-disk claim still carries
-        it: after this process's claim has already been released, a
-        *new* peer may have claimed the same key, and an unconditional
-        unlink would delete that peer's live claim (a third process
-        would then double-run the config).  Without a nonce the unlink
-        is unconditional (legacy / cleanup use).
-        """
-        path = self.claim_path_for(key)
-        if nonce is not None:
-            try:
-                with open(path) as handle:
-                    if json.load(handle).get("nonce") != nonce:
-                        return  # someone else's claim — leave it
-            except (OSError, ValueError):
-                return  # no claim (or unreadable): nothing of ours to drop
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

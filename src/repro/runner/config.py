@@ -11,7 +11,7 @@ the content-addressed result cache sound.
 Workloads and schemes are held as :class:`~repro.specs.WorkloadSpec` /
 :class:`~repro.specs.SchemeSpec` — the serializable open-world forms —
 so a custom BIM, stage pipeline, pattern recipe or trace file flows
-through the cache/shard/claim/merge machinery exactly like a built-in
+through the cache/shard/merge machinery exactly like a built-in
 name.  Plain registered names serialize as bare strings in
 :meth:`RunConfig.to_dict`, keeping built-in cache keys byte-identical
 to the pre-spec format (no cache invalidation, no report churn).
@@ -35,7 +35,7 @@ from ..core.schemes import SCHEME_NAMES
 from ..core.serialize import stable_hash
 from ..registry import RegistryError, memory_entry
 from ..sim.fidelity import EXACT, fidelity_to_json, parse_fidelity
-from ..specs import SchemeSpec, WorkloadSpec
+from ..specs import SchemeSpec, WorkloadSpec, integer
 from ..workloads.suite import VALLEY_BENCHMARKS
 
 __all__ = ["RunConfig", "SweepGrid", "CACHE_SCHEMA_VERSION"]
@@ -100,6 +100,10 @@ class RunConfig:
                 scheme_entry(scheme.name)
         except RegistryError as error:
             raise ValueError(str(error)) from None
+        for name in ("seed", "n_sms", "window"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_sms <= 0:
             raise ValueError(f"n_sms must be positive, got {self.n_sms}")
         # ``not 0 < x`` also rejects NaN, which fails every comparison.
@@ -156,11 +160,11 @@ class RunConfig:
         return cls(
             benchmark=WorkloadSpec.from_value(data["benchmark"]),
             scheme=SchemeSpec.from_value(data["scheme"]),
-            seed=int(data["seed"]),
-            n_sms=int(data["n_sms"]),
+            seed=data["seed"],
+            n_sms=data["n_sms"],
             memory=str(data["memory"]),
             scale=float(data["scale"]),
-            window=int(data["window"]),
+            window=data["window"],
             profile_scale=float(data["profile_scale"]),
             fidelity=data.get("fidelity", EXACT),
         )
@@ -232,8 +236,13 @@ class SweepGrid:
         object.__setattr__(self, "schemes", tuple(
             SchemeSpec.from_value(s) for s in self.schemes
         ))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "n_sms", tuple(int(n) for n in self.n_sms))
+        object.__setattr__(self, "seeds", tuple(
+            integer(s, "seed") for s in self.seeds
+        ))
+        object.__setattr__(self, "n_sms", tuple(
+            integer(n, "n_sms") for n in self.n_sms
+        ))
+        object.__setattr__(self, "window", integer(self.window, "window"))
         object.__setattr__(self, "memories", tuple(
             str(m).lower() for m in self.memories
         ))
@@ -297,10 +306,10 @@ class SweepGrid:
         return cls(
             benchmarks=tuple(data["benchmarks"]),
             schemes=tuple(data["schemes"]),
-            seeds=tuple(int(s) for s in data["seeds"]),
-            n_sms=tuple(int(n) for n in data["n_sms"]),
+            seeds=tuple(data["seeds"]),
+            n_sms=tuple(data["n_sms"]),
             memories=tuple(str(m) for m in data["memories"]),
             scale=float(data["scale"]),
-            window=int(data["window"]),
+            window=data["window"],
             fidelity=data.get("fidelity", EXACT),
         )

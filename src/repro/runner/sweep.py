@@ -65,20 +65,14 @@ exceptions.  All recovery paths are testable deterministically through
 :class:`~repro.runner.faults.FaultPlan` injection
 (``REPRO_FAULT_INJECT`` / the ``faults=`` argument).
 
-Claims
-------
-With ``claims=True`` (and a cache configured), the runner participates
-in the cache's claim-file protocol: before executing a miss it tries
-to atomically claim the key; keys claimed by a concurrent process
-(e.g. an overlapping sweep sharing the cache dir) are *polled* for
-every :data:`CLAIM_POLL` seconds instead of re-run.  A key whose claim
-vanishes without a record runs locally, and so does every key still
-waiting after :data:`CLAIM_TTL` seconds, the age at which a peer's
-claim counts as stale and is taken over.
-Correctness never depends on claims — they only avoid duplicate work.
-Claims this runner owns are released exactly once, nonce-verified, so
-a claim released-then-reacquired by a peer is never deleted out from
-under that peer.
+Shared caches
+-------------
+Sweeps in different processes may share one cache directory.  When
+their grids overlap, both may compute a config the other is computing;
+that duplicates work but never changes a result, because records are
+content-addressed and written atomically, so the second write replaces
+the first with the same bytes.  Inside one process, or one ``repro
+serve``, the single-flight memo runs each config once.
 """
 
 from __future__ import annotations
@@ -93,14 +87,13 @@ import warnings
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..sim.results import SimulationResult
 from .cache import CacheStats, ResultCache
 from .config import RunConfig
 from .faults import FailurePolicy, FaultPlan, RunFailure, SweepFailure
-from .worker import _state_cache_for, execute_config, process_context
+from .worker import execute_config, process_context
 
 __all__ = [
     "RunMemo",
@@ -111,10 +104,6 @@ __all__ = [
     "coerce_workers",
     "default_workers",
 ]
-
-# Claim protocol timing (see the module docstring).
-CLAIM_TTL = 1800.0
-CLAIM_POLL = 0.25
 
 
 def coerce_workers(value, source: str = "workers") -> int:
@@ -170,15 +159,14 @@ class SweepStats:
     """Accounting for one :class:`SweepRunner` instance.
 
     ``memory_hits`` are served from the in-process memo, ``cache_hits``
-    from disk (including results stolen from a concurrent claimant),
-    ``executed`` were actually simulated, and ``coalesced`` were taken
-    from another runner's in-flight run through a shared memo.
-    ``requested`` is the total number of configs asked for, so with no
-    failures ``requested == memory_hits + cache_hits + executed +
-    coalesced`` after every call (duplicate configs inside one call
-    count as memory hits).  ``retries`` counts re-executions the
-    failure policy scheduled; ``failed`` counts configs quarantined as
-    :class:`~repro.runner.faults.RunFailure`.
+    from disk, ``executed`` were actually simulated, and ``coalesced``
+    were taken from another runner's in-flight run through a shared
+    memo.  ``requested`` is the total number of configs asked for, so
+    with no failures ``requested == memory_hits + cache_hits +
+    executed + coalesced`` after every call (duplicate configs inside
+    one call count as memory hits).  ``retries`` counts re-executions
+    the failure policy scheduled; ``failed`` counts configs
+    quarantined as :class:`~repro.runner.faults.RunFailure`.
     """
 
     requested: int = 0
@@ -303,7 +291,6 @@ class SweepRunner:
         workers: Optional[int] = None,
         cache_dir=None,
         context=None,
-        claims: bool = False,
         progress: Optional[Callable[[SweepProgress], None]] = None,
         policy: Optional[FailurePolicy] = None,
         faults: Union[FaultPlan, str, None] = None,
@@ -311,17 +298,14 @@ class SweepRunner:
         """*context* is the :class:`~repro.runner.worker.RunContext` used
         for inline execution (``workers <= 1``); it defaults to the
         process-wide one.  Pool workers always use their own process's
-        context.  See the module docstring for *claims*;
-        *progress* is called with a :class:`SweepProgress` after every
-        completed miss.  *policy* governs retries/timeouts
+        context.  Auto-fidelity runs share their scheme-independent
+        replay streams through the context's
+        :class:`~repro.runner.state_cache.StateCache`, with or without a
+        *cache_dir*.  *progress* is called with a :class:`SweepProgress`
+        after every completed miss.  *policy* governs retries/timeouts
         (defaults to :class:`~repro.runner.faults.FailurePolicy`);
         *faults* is a fault-injection plan or spec string, defaulting
-        to ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing.
-
-        With a *cache_dir*, auto-fidelity runs share their
-        scheme-independent replay streams through the warmed-state
-        cache (:mod:`repro.runner.state_cache`) in ``<cache_dir>/state``;
-        without one they build every stream themselves."""
+        to ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing."""
         self.workers = coerce_workers(workers) if workers is not None else 1
         self.policy = policy if policy is not None else FailurePolicy()
         self.faults = (
@@ -331,11 +315,7 @@ class SweepRunner:
             ResultCache(cache_dir, faults=self.faults)
             if cache_dir is not None else None
         )
-        self.state_dir: Optional[str] = (
-            str(Path(cache_dir) / "state") if cache_dir is not None else None
-        )
         self.stats = SweepStats()
-        self.claims = bool(claims) and self.cache is not None
         self._progress = progress
         self._memory = RunMemo()
         self._context = context
@@ -399,10 +379,7 @@ class SweepRunner:
                 else:
                     misses.append(key)
 
-            # 3: execute the misses.  ``wall`` is None when a concurrent
-            # claimant computed the result and we only read it back;
-            # ``persisted`` is True when the claims path already wrote
-            # the record (before releasing its claim).
+            # 3: execute the misses.
             if misses:
                 computed = self._execute([led[key] for key in misses])
                 for key, entry in zip(misses, computed):
@@ -410,19 +387,14 @@ class SweepRunner:
                         outcomes[key] = entry
                         self.stats.failed += 1
                         continue
-                    result, wall, persisted = entry
+                    result, wall = entry
                     outcomes[key] = result
-                    if wall is None:
-                        self.stats.cache_hits += 1
-                    else:
-                        self.stats.executed += 1
-                        if self.cache is not None and not persisted:
-                            try:
-                                self.cache.put(
-                                    led[key], result, wall_seconds=wall
-                                )
-                            except OSError as error:
-                                self._cache_degraded(error)
+                    self.stats.executed += 1
+                    if self.cache is not None:
+                        try:
+                            self.cache.put(led[key], result, wall_seconds=wall)
+                        except OSError as error:
+                            self._cache_degraded(error)
         finally:
             # Publish before waiting, even when execution raised, so no
             # waiter hangs on a key this call leads.
@@ -451,17 +423,18 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # Execution strategies
     # ------------------------------------------------------------------
-    # Each executed entry is (result, wall_seconds, persisted) — wall is
-    # None for results stolen from a peer, persisted is True when the
-    # record already reached the cache (claims write before releasing) —
-    # or a RunFailure when the config was quarantined.
-    _Executed = Tuple[SimulationResult, Optional[float], bool]
-    _Entry = Union[_Executed, RunFailure]
+    # Each executed entry is (result, wall_seconds), or a RunFailure
+    # when the config was quarantined.
+    _Entry = Union[Tuple[SimulationResult, float], RunFailure]
 
     def _execute(self, configs: List[RunConfig]) -> List["SweepRunner._Entry"]:
-        if self.claims:
-            return self._execute_with_claims(configs)
-        return self._execute_batch(configs)
+        """Simulate *configs*, returning entries in input order."""
+        use_pool = self.workers > 1 and (
+            len(configs) > 1 or self.policy.timeout is not None
+        )
+        if not use_pool:
+            return self._execute_inline(configs)
+        return self._execute_pool(configs)
 
     def _emit_progress(self, progress: SweepProgress) -> None:
         """Invoke the user's progress callback, defusing it on error.
@@ -510,24 +483,12 @@ class SweepRunner:
             wall_seconds=wall,
         )
 
-    def _execute_batch(
-        self, configs: List[RunConfig]
-    ) -> List["SweepRunner._Entry"]:
-        """Simulate *configs*, returning entries in input order."""
-        use_pool = self.workers > 1 and (
-            len(configs) > 1 or self.policy.timeout is not None
-        )
-        if not use_pool:
-            return self._execute_inline(configs)
-        return self._execute_pool(configs)
-
     def _execute_inline(
         self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
         """Serial in-process execution with retries (no timeout: inline
         execution cannot interrupt itself — use workers > 1 for that)."""
         context = self._context if self._context is not None else process_context()
-        state_cache = _state_cache_for(self.state_dir)
         policy = self.policy
         plan = self.faults
         started = time.perf_counter()
@@ -544,7 +505,7 @@ class SweepRunner:
                             config.benchmark_name, config.scheme_name,
                             key, attempt, allow_exit=False,
                         )
-                    result = context.execute(config, state_cache=state_cache)
+                    result = context.execute(config)
                 except Exception as error:  # noqa: BLE001 — retried/reported
                     wall_total += time.perf_counter() - run_started
                     attempt += 1
@@ -558,7 +519,7 @@ class SweepRunner:
                     self.stats.retries += 1
                     time.sleep(policy.backoff_seconds(key, attempt))
                     continue
-                out.append((result, time.perf_counter() - run_started, False))
+                out.append((result, time.perf_counter() - run_started))
                 break
             self._emit_progress(SweepProgress(
                 done=done, total=len(configs),
@@ -637,7 +598,6 @@ class SweepRunner:
             entries[i] = (
                 SimulationResult.from_dict(payload["result"]),
                 float(payload["wall_seconds"]),
-                False,
             )
             done_count += 1
             tick()
@@ -697,7 +657,6 @@ class SweepRunner:
             try:
                 future = self._pool.submit(
                     execute_config, payloads[i], fault_spec, attempts[i],
-                    self.state_dir,
                 )
             except BrokenProcessPool:
                 # Pool died between our last observation and this
@@ -834,98 +793,6 @@ class SweepRunner:
                         backlog.append(flight.index)
 
         return entries  # type: ignore[return-value]
-
-    def _execute_with_claims(
-        self, configs: List[RunConfig]
-    ) -> List["SweepRunner._Entry"]:
-        """Claim-aware execution: run what we claim, poll what peers hold."""
-        assert self.cache is not None
-        n = len(configs)
-        keys = [c.config_hash() for c in configs]
-        results: List[Optional[SweepRunner._Entry]] = [None] * n
-
-        owned: List[int] = []
-        deferred: List[int] = []
-        nonces: Dict[str, str] = {}
-        for i, key in enumerate(keys):
-            nonce = self.cache.try_claim(key)
-            if not nonce:
-                # Dead peer: a stale claim is atomically replaced.
-                nonce = self.cache.take_over_claim(key, CLAIM_TTL)
-            if nonce:
-                owned.append(i)
-                nonces[key] = nonce
-            else:
-                deferred.append(i)
-
-        if owned:
-            released: set = set()
-            try:
-                computed = self._execute_batch([configs[i] for i in owned])
-                for i, entry in zip(owned, computed):
-                    key = keys[i]
-                    if isinstance(entry, RunFailure):
-                        # No record will ever appear for this key: drop
-                        # the claim now so polling peers stop waiting
-                        # and take the work over (their own policy may
-                        # still succeed where ours quarantined).
-                        self.cache.release_claim(key, nonces[key])
-                        released.add(key)
-                        results[i] = entry
-                        continue
-                    result, wall, _ = entry
-                    # Persist each record *before* releasing its claim:
-                    # a peer polling this key must never see the claim
-                    # vanish while the record is still missing, or it
-                    # would conclude we died and re-run the config.
-                    persisted = True
-                    try:
-                        self.cache.put(configs[i], result, wall_seconds=wall)
-                    except OSError as error:
-                        persisted = False
-                        self._cache_degraded(error)
-                    self.cache.release_claim(key, nonces[key])
-                    released.add(key)
-                    results[i] = (result, wall, persisted)
-            finally:
-                # On an execution error the unfinished claims are
-                # dropped (no record): peers take the work over.  Only
-                # claims still held are released — an unconditional
-                # re-release here could delete a *new* peer's claim
-                # for a key we already released above (the nonce check
-                # guards the same race at the file level).
-                for i in owned:
-                    if keys[i] not in released:
-                        self.cache.release_claim(keys[i], nonces[keys[i]])
-
-        # Poll for the configs a peer is computing.  A key whose claim
-        # vanished without a record runs locally at once; the rest are
-        # still polled.  Correctness first: everything left at the
-        # deadline is run locally.
-        deadline = time.monotonic() + CLAIM_TTL
-        pending = deferred
-        while pending:
-            local, still_pending = [], []
-            for i in pending:
-                # Claim before record: a peer writes its record before
-                # releasing its claim, so "no claim, then no record"
-                # proves the claim went without one.
-                claimed = self.cache.claim_age(keys[i]) is not None
-                result = self.cache.peek(configs[i])
-                if result is not None:
-                    results[i] = (result, None, False)
-                elif claimed and time.monotonic() < deadline:
-                    still_pending.append(i)
-                else:
-                    local.append(i)
-            pending = still_pending
-            if local:
-                computed = self._execute_batch([configs[i] for i in local])
-                for i, entry in zip(local, computed):
-                    results[i] = entry
-            elif pending:
-                time.sleep(CLAIM_POLL)
-        return results  # type: ignore[return-value]
 
     def close(self) -> None:
         """Shut the worker pool down (no-op when none was started)."""

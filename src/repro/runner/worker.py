@@ -7,10 +7,11 @@ workers (one config per task, through :func:`execute_config`) call
 it, so parallel and serial sweeps are computed by the same code.
 
 A module-level :class:`RunContext` memoizes the expensive immutable
-inputs (workloads, schemes, the RMP suite entropy profile) for the
-lifetime of the process.  Worker processes are reused across tasks by
-the executor, so e.g. the suite-wide entropy profile RMP needs is
-computed at most once per worker per (memory, scale, window) triple.
+inputs (workloads, schemes, the RMP suite entropy profile, auto
+fidelity's kernel plans and replay streams) for the lifetime of the
+process.  Worker processes are reused across tasks by the executor, so
+e.g. the suite-wide entropy profile RMP needs is computed at most once
+per worker per (memory, scale, window) triple.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from ..specs import SchemeSpec, WorkloadSpec
 from ..workloads.base import Workload
 from ..workloads.suite import ALL_BENCHMARKS
 from .config import RunConfig
+from .state_cache import StateCache
 
 __all__ = [
     "RunContext",
@@ -48,7 +50,8 @@ class RunContext:
     """Memoized builders for everything a run needs.
 
     Deterministic: every product is a pure function of its key, so two
-    contexts (in different processes) always agree.
+    contexts (in different processes) always agree.  :attr:`state_cache`
+    is the context's memo of auto fidelity's replay streams.
     """
 
     def __init__(self) -> None:
@@ -61,6 +64,7 @@ class RunContext:
             Tuple[SchemeSpec, int, str, float, int], MappingScheme
         ] = {}
         self._auto_plans: Dict[Tuple[WorkloadSpec, float, str], list] = {}
+        self.state_cache = StateCache()
 
     # -- immutable hardware descriptions --------------------------------
     def address_map(self, memory: str) -> AddressMap:
@@ -161,19 +165,16 @@ class RunContext:
         return self._auto_plans[key]
 
     # -- execution -------------------------------------------------------
-    def execute(
-        self, config: RunConfig, state_cache=None
-    ) -> SimulationResult:
+    def execute(self, config: RunConfig) -> SimulationResult:
         """Build a fresh system and run *config* to completion.
 
-        *state_cache* optionally connects an auto-fidelity run to a
-        :class:`~repro.runner.state_cache.StateCache`: the run's
-        scheme-independent identity document is derived here (workload
-        content identity, scale, fidelity, memory, machine size) and
-        handed to the system, which caches each estimated kernel's
-        replay stream under it.  The scheme is deliberately absent
-        from the document — the stream is scheme-invariant, which is
-        the whole point of sharing it across a scheme sweep.
+        An auto-fidelity run is connected to :attr:`state_cache`: the
+        run's scheme-independent identity document is derived here
+        (workload content identity, scale, fidelity, memory, machine
+        size) and handed to the system, which memoizes each estimated
+        kernel's replay stream under it.  The scheme is deliberately
+        absent from the document — the stream is scheme-invariant,
+        which is the whole point of sharing it across a scheme sweep.
         """
         workload = self.workload(config.benchmark, config.scale)
         scheme = self.scheme(
@@ -187,26 +188,23 @@ class RunContext:
             timing=memory.timing,
             dram_power_params=memory.power_params,
         )
-        auto_plan = None
-        state_key = None
-        if config.fidelity == AUTO:
-            auto_plan = self.auto_plan(
-                config.benchmark, config.scale, config.memory
-            )
-            if state_cache is not None:
-                state_key = {
-                    "workload": WorkloadSpec.from_value(
-                        config.benchmark
-                    ).identity(),
-                    "scale": config.scale,
-                    "fidelity": fidelity_to_json(config.fidelity),
-                    "memory": config.memory,
-                    "n_sms": config.n_sms,
-                }
+        if config.fidelity != AUTO:
+            return system.run(workload, fidelity=config.fidelity)
         return system.run(
-            workload, fidelity=config.fidelity, auto_plan=auto_plan,
-            state_cache=state_cache if state_key is not None else None,
-            state_key=state_key,
+            workload, fidelity=config.fidelity,
+            auto_plan=self.auto_plan(
+                config.benchmark, config.scale, config.memory
+            ),
+            state_cache=self.state_cache,
+            state_key={
+                "workload": WorkloadSpec.from_value(
+                    config.benchmark
+                ).identity(),
+                "scale": config.scale,
+                "fidelity": fidelity_to_json(config.fidelity),
+                "memory": config.memory,
+                "n_sms": config.n_sms,
+            },
         )
 
 
@@ -224,32 +222,10 @@ def process_context() -> RunContext:
     return _PROCESS_CONTEXT
 
 
-_STATE_CACHES: Dict[str, object] = {}
-
-
-def _state_cache_for(state_dir: Optional[str]):
-    """This process's :class:`StateCache` for *state_dir* (memoized).
-
-    Any failure to open the cache directory degrades to running
-    without one — the state cache is purely an optimization.
-    """
-    if not state_dir:
-        return None
-    if state_dir not in _STATE_CACHES:
-        from .state_cache import StateCache
-
-        try:
-            _STATE_CACHES[state_dir] = StateCache(state_dir)
-        except OSError:
-            _STATE_CACHES[state_dir] = None
-    return _STATE_CACHES[state_dir]
-
-
 def execute_config(
     payload: Dict[str, object],
     fault_spec: Optional[str] = None,
     attempt: int = 0,
-    state_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Pool entry point: run one config in one task.
 
@@ -266,17 +242,11 @@ def execute_config(
     which ``times=N`` fault clauses count against.  Without a spec the
     ``REPRO_FAULT_INJECT`` environment variable still applies, so CLI
     chaos smoke runs need no plumbing.
-
-    *state_dir*, when set, points the run at the shared on-disk
-    warmed-state cache (:mod:`repro.runner.state_cache`); auto-fidelity
-    runs then reuse each other's replay streams across schemes,
-    processes and sweeps.
     """
     from .faults import FaultPlan  # worker import kept lazy & cycle-free
 
     context = process_context()
     plan = FaultPlan.parse(fault_spec) if fault_spec else FaultPlan.from_env()
-    state_cache = _state_cache_for(state_dir)
     config = RunConfig.from_dict(payload)
     started = time.perf_counter()
     try:
@@ -285,7 +255,7 @@ def execute_config(
                 config.benchmark_name, config.scheme_name,
                 config.config_hash(), attempt,
             )
-        result = context.execute(config, state_cache=state_cache)
+        result = context.execute(config)
     except Exception as error:  # noqa: BLE001 — reported, not hidden
         return {
             "error": f"{type(error).__name__}: {error}",

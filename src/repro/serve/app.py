@@ -90,15 +90,13 @@ class ReproServer:
         cache_dir: Optional[str] = None,
         quota: TenantQuota = TenantQuota(),
         policy: Optional[FailurePolicy] = None,
-        claims: bool = False,
         faults: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.tenants = TenantManager(cache_root=cache_dir, quota=quota)
         self.pool = RunnerPool(
-            size=runners, workers=workers, policy=policy,
-            claims=claims, faults=faults,
+            size=runners, workers=workers, policy=policy, faults=faults,
         )
         self.jobs = JobManager(self.pool, self.tenants, max_jobs=max_jobs)
         self._server: Optional[asyncio.AbstractServer] = None

@@ -91,14 +91,12 @@ class RunnerPool:
         size: int = 1,
         workers: Optional[int] = None,
         policy: Optional[FailurePolicy] = None,
-        claims: bool = False,
         faults: Optional[str] = None,
         runner_factory=SweepRunner,
     ) -> None:
         if size < 1:
             raise ValueError(f"runner pool size must be >= 1, got {size}")
         self.size = size
-        self._claims = bool(claims)
         self.memo = RunMemo()
         self._idle: "queue.Queue[SweepRunner]" = queue.Queue()
         self._runners: List[SweepRunner] = [
@@ -120,13 +118,11 @@ class RunnerPool:
         """
         runner = self._idle.get()
         runner.cache = cache
-        runner.claims = self._claims and cache is not None
         runner._progress = progress
         try:
             yield runner
         finally:
             runner.cache = None
-            runner.claims = False
             runner._progress = None
             self._idle.put(runner)
 

@@ -15,7 +15,7 @@ to evict).
 
 Quotas (:class:`TenantQuota`) bound each namespace by **bytes** and
 **entry count**, enforced after every job: when a namespace exceeds a
-limit, whole records (result + sidecar + claim) are evicted
+limit, whole records (result + sidecar) are evicted
 oldest-first by file modification time until the namespace fits.
 Eviction is safe by construction — the cache is an optimization, so an
 evicted record merely costs a future recompute.  ``max_jobs`` bounds a

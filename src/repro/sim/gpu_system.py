@@ -577,13 +577,14 @@ class GPUSystem:
 
         *state_cache* / *state_key* optionally connect the auto mode's
         estimated-kernel replay to a cross-run
-        :class:`~repro.runner.state_cache.StateCache`: *state_key* is
-        the run's scheme-independent identity document (workload
-        content, scale, fidelity, memory kind, machine size) and the
-        cache stores each estimated kernel's merged replay stream
-        (:class:`~repro.sim.replay.KernelStream`) under it, so sweeps
-        over many schemes — and later re-sweeps — build each kernel's
-        warmed-state input once.  Ignored unless *fidelity* is auto.
+        :class:`~repro.runner.state_cache.StateCache`, the in-process
+        memo a :class:`~repro.runner.worker.RunContext` owns:
+        *state_key* is the run's scheme-independent identity document
+        (workload content, scale, fidelity, memory kind, machine size)
+        and the memo keeps each estimated kernel's merged replay stream
+        (:class:`~repro.sim.replay.KernelStream`) under it, so the runs
+        of a sweep over many schemes build each kernel's warmed-state
+        input once.  Ignored unless *fidelity* is auto.
         """
         if self._finished or self.scheduler.tbs_dispatched:
             raise RuntimeError("GPUSystem instances are single-use; build a new one")
@@ -694,8 +695,7 @@ class GPUSystem:
                     )
                     continue
                 stream = self._kernel_stream(
-                    kernel, kernel_index, state_cache, state_key,
-                    workload=workload,
+                    kernel, kernel_index, state_cache, state_key
                 )
                 skipped, flits = self._replay_stream(stream)
                 accounting.record_estimated_kernel(
@@ -942,12 +942,10 @@ class GPUSystem:
         ]
         return replay_plane.replay_ops(self, sm_ids, *merged)
 
-    def _kernel_stream(
-        self, kernel, kernel_index, state_cache, state_key, workload=None
-    ):
+    def _kernel_stream(self, kernel, kernel_index, state_cache, state_key):
         """The merged replay stream of an estimated kernel.
 
-        Loads the stream from *state_cache* when connected (keyed by
+        Takes the stream from *state_cache* when connected (keyed by
         the run's scheme-independent *state_key* document plus the
         kernel index and the machine's wave capacity), building and
         storing it on a miss.
@@ -959,11 +957,7 @@ class GPUSystem:
         stream = state_cache.get(key)
         if stream is None:
             stream = replay_plane.build_kernel_stream(kernel.tbs, wave_cap)
-            state_cache.put(
-                key, stream,
-                benchmark=getattr(workload, "abbreviation", None),
-                kernel=kernel_index,
-            )
+            state_cache.put(key, stream)
         return stream
 
     def _replay_stream(self, stream):

@@ -26,13 +26,13 @@ of a per-bump counter.  That is unobservable — victim selection
 depends only on the relative recency order *within* a set, and the
 absolute counter never reaches a report.
 
-The module also owns the **kernel-stream** form of whole TBs, used by
-the cross-run warmed-state cache
-(:class:`~repro.runner.state_cache.StateCache`): a TB sequence's
+The module also owns the **kernel-stream** form of whole TBs, which
+the runs of one process share through the in-process warmed-state
+memo (:class:`~repro.runner.state_cache.StateCache`): a TB sequence's
 replay stream as raw (pre-mapping) addresses plus TB ordinals.  The
 stream is a pure function of the workload and the machine geometry —
 never of the mapping scheme (fingerprints and interleave order are
-scheme-independent), which is exactly why it can be cached without
+scheme-independent), which is exactly why it can be memoized without
 the scheme in its key; each scheme's run maps the raw addresses once
 (one GF(2) pass) and replays.
 """
@@ -342,13 +342,9 @@ class KernelStream:
     :func:`replay_ops` call, preserving the per-wave DRAM grouping.
     ``n_tbs`` counts *every* TB of the sequence (including ones that
     contributed no ops) so the fast-forward SM cursor advances
-    identically whether the stream was rebuilt or loaded from the
-    state cache.
-
-    Construction validates these invariants and raises
-    :class:`ValueError` on a violation, which is how the state cache
-    recognizes a record that parses but was not written by
-    :func:`build_kernel_stream`.
+    identically whether the stream was just built or taken from the
+    warmed-state memo.  :func:`build_kernel_stream` is the one
+    constructor that upholds these invariants.
     """
 
     addresses: np.ndarray  # uint64, raw
@@ -356,28 +352,6 @@ class KernelStream:
     tb_ordinals: np.ndarray  # int32
     n_tbs: int
     wave_cap: int
-
-    def __post_init__(self) -> None:
-        arrays = (self.addresses, self.writes, self.tb_ordinals)
-        if any(np.ndim(a) != 1 for a in arrays) or len(
-            {np.size(a) for a in arrays}
-        ) != 1:
-            raise ValueError(
-                "kernel stream arrays must be 1-D and of equal length, got "
-                f"shapes {[np.shape(a) for a in arrays]}"
-            )
-        if self.wave_cap < 1:
-            raise ValueError(f"wave_cap must be >= 1, got {self.wave_cap}")
-        ordinals = self.tb_ordinals
-        if ordinals.size and (
-            ordinals.min() < 0
-            or ordinals.max() >= self.n_tbs
-            or bool(np.any(np.diff(ordinals // self.wave_cap) < 0))
-        ):
-            raise ValueError(
-                f"TB ordinals must lie in [0, n_tbs={self.n_tbs}) with "
-                f"waves (ordinal // wave_cap={self.wave_cap}) non-decreasing"
-            )
 
     @property
     def n_ops(self) -> int:

@@ -5,7 +5,7 @@ This module is the self-describing half of the open config surface
 frozen dataclass with a canonical-JSON representation, so it can live
 in a file, travel through ``RunConfig.to_dict()`` / worker pickles /
 shard reports, and derive the content-addressed cache key — custom
-scenarios cache, shard, claim and merge exactly like built-ins.
+scenarios cache, shard and merge exactly like built-ins.
 
 * :class:`SchemeSpec` — a mapping scheme: a **registered** name (with
   optional builder params), a literal **bim** matrix (the
@@ -98,6 +98,17 @@ def _as_spec_dict(data, what: str) -> Dict:
             f"a {what} must be a JSON object, got {type(data).__name__}"
         )
     return data
+
+
+def integer(value, what: str) -> int:
+    """*value* as a plain ``int``, or ValueError naming *what*.
+
+    Python and numpy integers pass; bools, floats and strings do not,
+    so a malformed axis value is rejected instead of truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _require(data: Dict, key: str, what: str):
@@ -623,8 +634,16 @@ class ScenarioSpec:
         object.__setattr__(self, "schemes", tuple(
             SchemeSpec.from_value(s) for s in self.schemes
         ))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "n_sms", tuple(int(n) for n in self.n_sms))
+        try:
+            object.__setattr__(self, "seeds", tuple(
+                integer(s, "seed") for s in self.seeds
+            ))
+            object.__setattr__(self, "n_sms", tuple(
+                integer(n, "n_sms") for n in self.n_sms
+            ))
+            object.__setattr__(self, "window", integer(self.window, "window"))
+        except ValueError as error:
+            raise SpecError(str(error)) from None
         object.__setattr__(self, "memories", tuple(
             str(m).lower() for m in self.memories
         ))
@@ -689,7 +708,7 @@ class ScenarioSpec:
                 n_sms=axis("n_sms", (12,)),
                 memories=axis("memories", ("gddr5",)),
                 scale=float(data.get("scale", 1.0)),
-                window=int(data.get("window", 12)),
+                window=data.get("window", 12),
                 fidelity=data.get("fidelity", "exact"),
             )
         except TypeError as error:

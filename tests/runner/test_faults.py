@@ -1,7 +1,7 @@
 """Fault-injection tests for the sweep runner's failure policy.
 
 Every recovery path — retry, timeout, pool rebuild, crash probing,
-quarantine, cache-fault degradation, claims-mode peer death — is
+quarantine, cache-fault degradation — is
 driven deterministically through :class:`repro.runner.FaultPlan`
 injection, and every test asserts the core contract: **surviving
 results are byte-identical to a fault-free sweep**.  Faults decide
@@ -10,8 +10,6 @@ whether a result is produced, never what it is.
 
 import json
 import math
-import os
-import time
 
 import pytest
 
@@ -290,65 +288,6 @@ class TestCacheFaults:
         assert ResultCache(tmp_path).peek(self.CONFIG) is None
         # The unpersisted result matches a clean run exactly.
         assert result.to_dict() == SweepRunner().run_one(self.CONFIG).to_dict()
-
-
-class TestClaimsFaults:
-    CONFIG = SP_PM
-
-    def test_release_claim_is_nonce_verified(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        nonce = cache.try_claim(key)
-        assert nonce
-        cache.release_claim(key, nonce="somebody-else")
-        assert cache.claim_age(key) is not None  # foreign nonce: kept
-        cache.release_claim(key, nonce=nonce)
-        assert cache.claim_age(key) is None  # own nonce: dropped
-        # A successor's claim survives a replay of the old nonce — the
-        # double-release hazard the claims fix is about.
-        assert cache.try_claim(key)
-        cache.release_claim(key, nonce=nonce)
-        assert cache.claim_age(key) is not None
-
-    def test_quarantined_config_releases_its_claim(self, tmp_path):
-        """A claim must not outlive the failure: peers would poll a key
-        whose record will never appear."""
-        with SweepRunner(cache_dir=tmp_path, claims=True, policy=POLICY,
-                         faults="raise@SP/PM:times=inf") as runner:
-            outcome = runner.run_outcomes([self.CONFIG])
-        assert len(outcome.failures) == 1
-        assert ResultCache(tmp_path).claim_age(
-            self.CONFIG.config_hash()
-        ) is None
-
-    def test_dead_peer_claim_taken_over(self, tmp_path):
-        """A stale claim (peer died mid-run) is taken over and the
-        config executed locally."""
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        assert cache.try_claim(key)
-        stale = time.time() - 3600
-        os.utime(cache.claim_path_for(key), (stale, stale))
-        with SweepRunner(cache_dir=tmp_path, claims=True) as runner:
-            runner.run_one(self.CONFIG)
-        assert runner.stats.executed == 1
-        assert cache.claim_age(key) is None
-
-    def test_vanished_peer_claim_falls_back_to_local_run(self, tmp_path):
-        """A fresh foreign claim that disappears without a record means
-        the peer died: stop polling, run locally."""
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        assert cache.try_claim(key)
-        with SweepRunner(cache_dir=tmp_path, claims=True) as runner:
-            # Drop the peer's claim from under the poller after a beat.
-            import threading
-            threading.Timer(0.2, cache.release_claim, args=(key,)).start()
-            started = time.monotonic()
-            result = runner.run_one(self.CONFIG)
-        assert result is not None
-        assert runner.stats.executed == 1
-        assert time.monotonic() - started < 25.0  # did not wait CLAIM_TTL
 
 
 class TestRunnerHygiene:

@@ -53,6 +53,27 @@ class TestRunConfig:
                 RunConfig("MT", "PAE", scale=0.5, profile_scale=scale)
         with pytest.raises(ValueError):
             RunConfig("MT", "PAE", window=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            RunConfig("MT", "PAE", seed=-1)
+        for field in ("seed", "n_sms", "window"):
+            for value in (2.5, 2.0, True, "4", None):
+                with pytest.raises(ValueError, match=f"{field} must be an int"):
+                    RunConfig("MT", "PAE", **{field: value})
+            data = RunConfig("MT", "PAE").to_dict()
+            data[field] = 2.5
+            with pytest.raises(ValueError, match=f"{field} must be an int"):
+                RunConfig.from_dict(data)
+
+    def test_numpy_integers_keep_the_plain_config(self):
+        import numpy as np
+
+        config = RunConfig("MT", "PAE", seed=np.int64(3), n_sms=np.int32(8),
+                           window=np.int16(10))
+        plain = RunConfig("MT", "PAE", seed=3, n_sms=8, window=10)
+        assert config == plain
+        assert all(type(config.to_dict()[f]) is int
+                   for f in ("seed", "n_sms", "window"))
+        assert config.config_hash() == plain.config_hash()
 
     def test_dict_round_trip(self):
         config = RunConfig("LU", "FAE", seed=3, n_sms=24, memory="stacked",

@@ -1,17 +1,19 @@
-"""Sharded sweep execution: partition invariants, merge identity, claims.
+"""Sharded sweep execution: partition invariants, merge identity, shared caches.
 
 The load-bearing guarantees of the distributed front-end:
 
 * shards are pairwise disjoint, their union is the full grid, and the
   partition is stable across invocations (property-based over grids),
 * ``repro merge`` output is byte-identical to an unsharded sweep,
-* the claim protocol never loses results (steal, stale takeover).
+* overlapping sweeps racing on one cache directory leave every record
+  sound and every report unchanged.
 """
 
 import json
 import os
-import threading
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 from repro.runner import (
     MergeError,
     ResultCache,
-    RunConfig,
     SHARD_FORMAT,
     ShardSpec,
     SweepGrid,
@@ -33,6 +34,8 @@ from repro.runner import (
     shard_report,
     sweep_report,
 )
+from repro.serve import ReproServer
+from repro.serve.jobs import RunnerPool
 
 SCALE = 0.25
 GRID = SweepGrid(benchmarks=("SP", "HS"), schemes=("PAE",), scale=SCALE)
@@ -207,137 +210,84 @@ class TestDefaultWorkers:
         assert default_workers() >= 1
 
 
-class TestClaims:
-    CONFIG = RunConfig("SP", "BASE", scale=SCALE)
+class TestSharedCache:
+    """Two processes sweeping overlapping grids into one cache directory.
 
-    def test_claim_exclusive_and_released(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        assert cache.try_claim(key)
-        assert not cache.try_claim(key)
-        assert cache.claim_age(key) is not None
-        cache.release_claim(key)
-        assert cache.claim_age(key) is None
-        assert cache.try_claim(key)
+    Nothing coordinates them: a config in both grids may be computed
+    twice, and the atomic, content-addressed record writes make that
+    harmless.
+    """
 
-    def test_sweep_releases_claims_after_run(self, tmp_path):
-        runner = SweepRunner(cache_dir=tmp_path, claims=True)
-        runner.run_one(self.CONFIG)
-        assert runner.stats.executed == 1
-        assert runner.cache.claim_age(self.CONFIG.config_hash()) is None
+    GRIDS = (("MT,SP", "PM,PAE"), ("SP,LU", "PM,PAE"))
 
-    def test_take_over_claim_semantics(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        # Absent claim: takeover degenerates to a fresh claim.
-        assert cache.take_over_claim(key, ttl=60.0)
-        # Fresh claim: refused.
-        assert not cache.take_over_claim(key, ttl=60.0)
-        # Stale claim: atomically replaced and owned.
-        stale = time.time() - 3600
-        os.utime(cache.claim_path_for(key), (stale, stale))
-        assert cache.take_over_claim(key, ttl=60.0)
-        # ... and the takeover refreshed the claim (no longer stale).
-        assert cache.claim_age(key) < 60.0
+    @staticmethod
+    def _sweep(benchmarks, schemes, cache_dir, output):
+        import repro
 
-    def test_record_written_before_claim_released(self, tmp_path):
-        """A peer polling a claimed key must never observe the claim
-        gone while the record is still missing (it would re-run)."""
-        runner = SweepRunner(cache_dir=tmp_path, claims=True)
-        events = []
-        orig_put = runner.cache.put
-        orig_release = runner.cache.release_claim
-        runner.cache.put = lambda *a, **k: (events.append("put"), orig_put(*a, **k))[1]
-        runner.cache.release_claim = (
-            lambda key, nonce=None: (
-                events.append("release"), orig_release(key, nonce)
-            )[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep",
+             "--benchmarks", benchmarks, "--schemes", schemes,
+             "--scale", str(SCALE), "--workers", "2",
+             "--cache-dir", str(cache_dir), "-o", str(output)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
         )
-        runner.run_one(self.CONFIG)
-        assert events.index("put") < events.index("release")
 
-    def test_stale_claim_taken_over(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        assert cache.try_claim(key)
-        stale = time.time() - 3600
-        os.utime(cache.claim_path_for(key), (stale, stale))
-        runner = SweepRunner(cache_dir=tmp_path, claims=True)
-        runner.run_one(self.CONFIG)
-        assert runner.stats.executed == 1
+    def test_overlapping_sweeps_share_one_cache(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        procs = [
+            self._sweep(b, s, cache_dir, tmp_path / f"report{i}.json")
+            for i, (b, s) in enumerate(self.GRIDS)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
 
-    def test_steals_result_from_live_peer(self, tmp_path):
-        """A fresh foreign claim makes the runner poll; when the peer's
-        record lands, it is consumed instead of re-run."""
-        # Precompute the result without touching the shared cache.
-        result = SweepRunner().run_one(self.CONFIG)
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        assert cache.try_claim(key)  # the "peer" holds the claim
+        uncached = SweepRunner()
+        for i, (benchmarks, schemes) in enumerate(self.GRIDS):
+            grid = SweepGrid(
+                benchmarks=tuple(benchmarks.split(",")),
+                schemes=tuple(schemes.split(",")), scale=SCALE,
+            )
+            expected = render_report(sweep_report(grid, uncached))
+            assert (tmp_path / f"report{i}.json").read_text() == expected
 
-        def peer_finishes():
-            ResultCache(tmp_path).put(self.CONFIG, result)
+        # MT, SP, LU x BASE, PM, PAE: nine distinct configs, each one
+        # record and one sidecar, and nothing else.
+        files = sorted(
+            path.relative_to(cache_dir).as_posix()
+            for path in cache_dir.rglob("*") if path.is_file()
+        )
+        assert len(files) == 18
+        for name in files:
+            hh, _, leaf = name.partition("/")
+            key = leaf.split(".", 1)[0]
+            assert key[:2] == hh and len(key) == 64, name
+            assert leaf in (f"{key}.json", f"{key}.meta.json"), name
 
-        timer = threading.Timer(0.15, peer_finishes)
-        timer.start()
-        try:
-            runner = SweepRunner(cache_dir=tmp_path, claims=True)
-            stolen = runner.run_one(self.CONFIG)
-        finally:
-            timer.cancel()
-        assert stolen.to_dict() == result.to_dict()
+        cache = ResultCache(cache_dir)
+        union = SweepGrid(
+            benchmarks=("MT", "SP", "LU"), schemes=("PM", "PAE"),
+            scale=SCALE,
+        )
+        assert all(cache.get(c) is not None for c in union.configs())
+        assert len(cache) == 9
+        assert cache.stats.corrupt == 0
+        runner = SweepRunner(cache_dir=cache_dir)
+        runner.run_many(union.configs())
+        assert runner.stats.cache_hits == 9
         assert runner.stats.executed == 0
-        assert runner.stats.cache_hits == 1
 
-    def test_abandoned_claim_runs_locally_after_wait(
-        self, tmp_path, monkeypatch
-    ):
-        """A live-looking claim that never produces a record is run
-        locally once the wait budget expires — correctness first."""
-        monkeypatch.setattr("repro.runner.sweep.CLAIM_TTL", 0.5)
-        cache = ResultCache(tmp_path)
-        key = self.CONFIG.config_hash()
-        assert cache.try_claim(key)
-        runner = SweepRunner(cache_dir=tmp_path, claims=True)
-        started = time.monotonic()
-        result = runner.run_one(self.CONFIG)
-        assert result is not None
-        assert runner.stats.executed == 1
-        assert time.monotonic() - started >= 0.5  # it waited first
-
-    def test_vanished_claim_reruns_only_its_own_key(self, tmp_path):
-        """A peer drops one claim without a record (a quarantine) while
-        it still computes another key: only the dropped key runs
-        locally; the other is still polled and read from the peer's
-        record."""
-        sp_pm = RunConfig("SP", "PM", scale=SCALE)
-        mt_pm = RunConfig("MT", "PM", scale=SCALE)
-        mt_result = SweepRunner().run_one(mt_pm)
-        cache = ResultCache(tmp_path)
-        sp_key, mt_key = sp_pm.config_hash(), mt_pm.config_hash()
-        sp_nonce, mt_nonce = cache.try_claim(sp_key), cache.try_claim(mt_key)
-        runner = SweepRunner(cache_dir=tmp_path, claims=True)
-        polling = threading.Event()
-        peek = runner.cache.peek
-        runner.cache.peek = lambda config: (polling.set(), peek(config))[1]
-
-        def peer():
-            polling.wait(timeout=30)
-            cache.release_claim(sp_key, sp_nonce)  # quarantined: no record
-            time.sleep(1.0)
-            cache.put(mt_pm, mt_result)
-            cache.release_claim(mt_key, mt_nonce)
-
-        thread = threading.Thread(target=peer)
-        thread.start()
-        try:
-            results = runner.run_many([sp_pm, mt_pm])
-        finally:
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert results[1].to_dict() == mt_result.to_dict()
-        assert runner.stats.executed == 1
-        assert runner.stats.cache_hits == 1
+    @pytest.mark.parametrize("make", [
+        lambda: SweepRunner(claims=True),
+        lambda: RunnerPool(size=1, claims=True),
+        lambda: ReproServer(port=0, claims=True),
+    ], ids=["SweepRunner", "RunnerPool", "ReproServer"])
+    def test_no_claims_keyword(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestShardedSweepStats:

@@ -173,7 +173,7 @@ class GatedContext(RunContext):
         self.entered = threading.Event()
         self.gate = threading.Event()
 
-    def execute(self, config, state_cache=None):
+    def execute(self, config):
         key = config.config_hash()
         with self.lock:
             self.counts[key] = self.counts.get(key, 0) + 1
@@ -182,7 +182,7 @@ class GatedContext(RunContext):
         assert self.gate.wait(timeout=60), "test never released the gate"
         if fail:
             raise RuntimeError("injected failure")
-        return super().execute(config, state_cache=state_cache)
+        return super().execute(config)
 
 
 class StubContext(RunContext):
@@ -195,7 +195,7 @@ class StubContext(RunContext):
         self.lock = threading.Lock()
         self.counts = {}
 
-    def execute(self, config, state_cache=None):
+    def execute(self, config):
         key = config.config_hash()
         with self.lock:
             self.counts[key] = self.counts.get(key, 0) + 1

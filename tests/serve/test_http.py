@@ -107,6 +107,16 @@ def test_400_on_malformed_scenario(server):
             lambda: client_for(url).submit(dict(SCENARIO, scale=scale)), 400
         )
         assert "scale and profile_scale must be positive" in str(error)
+    for axis, value, message in (
+        ("seeds", [-1], "seed must be non-negative"),
+        ("n_sms", [2.5], "n_sms must be an integer"),
+        ("window", 2.5, "window must be an integer"),
+    ):
+        error = expect_status(
+            lambda: client_for(url).submit(dict(SCENARIO, **{axis: value})),
+            400,
+        )
+        assert message in str(error)
 
 
 @pytest.mark.parametrize("fidelity", [

@@ -33,11 +33,11 @@ class CountingContext(RunContext):
         self.lock = threading.Lock()
         self.counts = {}
 
-    def execute(self, config, state_cache=None):
+    def execute(self, config):
         with self.lock:
             key = config.config_hash()
             self.counts[key] = self.counts.get(key, 0) + 1
-        return super().execute(config, state_cache=state_cache)
+        return super().execute(config)
 
 
 class GateContext(CountingContext):
@@ -48,10 +48,10 @@ class GateContext(CountingContext):
         self.entered = threading.Event()
         self.gate = threading.Event()
 
-    def execute(self, config, state_cache=None):
+    def execute(self, config):
         self.entered.set()
         assert self.gate.wait(timeout=60), "test never released the gate"
-        return super().execute(config, state_cache=state_cache)
+        return super().execute(config)
 
 
 def make_manager(tmp_path, context, *, runners=2, max_jobs=4,
@@ -251,18 +251,16 @@ def test_runner_pool_memo_survives_across_checkouts(tmp_path):
         pool.close()
 
 
-def test_runner_pool_rebinds_cache_and_claims_per_checkout(tmp_path):
+def test_runner_pool_rebinds_cache_per_checkout(tmp_path):
     from repro.runner import ResultCache
 
-    pool = RunnerPool(size=1, claims=True)
+    pool = RunnerPool(size=1)
     try:
         cache = ResultCache(tmp_path / "ns")
         with pool.checkout(cache=cache) as runner:
             assert runner.cache is cache
-            assert runner.claims is True
         with pool.checkout() as runner:  # uncached checkout
             assert runner.cache is None
-            assert runner.claims is False
     finally:
         pool.close()
 

@@ -236,9 +236,8 @@ class TestFullSystemEquiv:
         assert production["metadata"]["sampled"]["ff_phases"] > 0
         assert production == oracle
 
-    def test_auto_run_with_cached_stream_identical(self, monkeypatch,
-                                                   tmp_path):
-        """Runs replaying a built and a cached stream equal a cold run
+    def test_auto_run_with_cached_stream_identical(self, monkeypatch):
+        """Runs replaying a built and a memoized stream equal a cold run
         on the oracle: the state cache never changes observable
         results."""
         from repro.runner.state_cache import StateCache
@@ -247,7 +246,7 @@ class TestFullSystemEquiv:
         fidelity = parse_fidelity("auto")
         plan = plan_auto(workload, AMAP)
         base = {"workload": "SC", "scale": 0.5, "memory": "gddr5"}
-        cache = StateCache(tmp_path / "state")
+        cache = StateCache()
 
         def run(state_cache=None):
             return GPUSystem(make_scheme("BASE", AMAP)).run(

@@ -94,6 +94,24 @@ class TestSweep:
         ]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--claims"],
+        ["serve", "--claims"],
+        ["cache", "prune", "--stale", "--state"],
+    ], ids=["sweep-claims", "serve-claims", "prune-state"])
+    def test_removed_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_seed_fails_cleanly(self, capsys):
+        assert main([
+            "sweep", "--benchmarks", "SP", "--schemes", "PAE",
+            "--seeds", "-1", "--scale", "0.1", "--cache-dir", "",
+        ]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_bad_repro_workers_fails_cleanly(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")
         assert main([

@@ -77,6 +77,14 @@ class TestSchemeSpecRegistered:
             ScenarioSpec.from_dict({"type": "scenario_spec",
                                     "benchmarks": ["SP"], "schemes": ["PAE"],
                                     "seeds": 3})
+        # Malformed integers are refused, never truncated to a run.
+        for field, value in (("n_sms", [2.5]), ("window", 2.5),
+                             ("seeds", [True]), ("seeds", ["1"]),
+                             ("n_sms", [12.0])):
+            with pytest.raises(SpecError, match="must be an integer"):
+                ScenarioSpec.from_dict({"type": "scenario_spec",
+                                        "benchmarks": ["SP"],
+                                        "schemes": ["PAE"], field: value})
         with pytest.raises(SpecError, match="hex"):
             SchemeSpec.from_dict({"type": "scheme_spec", "kind": "bim",
                                   "name": "N", "width": 2, "rows": [1, 2]})
