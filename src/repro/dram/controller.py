@@ -18,6 +18,11 @@ the banks' ready times, which only an enqueue or an issue changes (a
 functional replay moves open rows only), so only an enqueue or an
 issue clears the blocked-until cycle.
 
+After a **lone** pick (``select``'s hint: no other queued bank ready)
+the pump blocks until the earlier of the hint and the picked bank's
+``column_cmd + tCCD`` (while it has requests), the cycle a second
+``select`` would report; with ``tCCD = 0`` that can be ``now``.
+
 Timing model per issued request (see :mod:`repro.dram.bank` for the
 row-buffer cases)::
 
@@ -138,6 +143,7 @@ class MemoryController:
         scheduler = self._scheduler
         banks = self.banks
         t = self._timing
+        blocked = self._blocked_until
         while True:
             if not scheduler.size:
                 return
@@ -145,7 +151,6 @@ class MemoryController:
             # issuing further ahead (the drain event re-pumps).
             if self._inflight >= self._max_inflight:
                 return
-            blocked = self._blocked_until
             if blocked is None or blocked <= now:
                 request, blocked = scheduler.select(banks, now)
             else:
@@ -193,6 +198,11 @@ class MemoryController:
                 armed = self._wake_scheduled_at
                 if armed is None or armed > bank_free:
                     self._wake_at(bank_free)
+            # A lone pick blocks the next pass (module docstring).
+            if blocked != now and scheduler.pending_for_bank(request.bank):
+                ready_at = bank.ready_at
+                if blocked is None or ready_at < blocked:
+                    blocked = ready_at
 
     def _data_done(self, request: DRAMRequest) -> None:
         # Fires exactly at the request's data_end cycle, so "when" is

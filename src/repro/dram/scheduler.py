@@ -24,6 +24,12 @@ is two O(1) pops — no scan of the bank queue.  Behaviour is identical
 to the historical list-scanning implementation (same selection order,
 same round-robin tie-breaking); ``tests/dram/test_scheduler_equiv.py``
 pins the equivalence against a reference implementation.
+
+A queued request is any object with ``bank``, ``row``, ``is_write``
+and ``arrival``.  ``select`` returns ``(request, hint)``: with no pick,
+*hint* is the earliest cycle a queued bank is ready; on a pick, the
+earliest cycle *another* queued bank can take a command (``now`` if
+one is ready; the scan counts ready banks).  None: no such bank.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ class DRAMRequest:
 
     ``bank`` and ``row`` are coordinates decoded from the *mapped*
     address.  ``payload`` is opaque to the DRAM subsystem and is handed
-    back on completion (the GPU side stores its transaction there).
-    Slots keep the per-request footprint small — controllers allocate
-    one of these per transaction on the hot path.
+    back on completion (the GPU side stores a writeback's channel
+    there; its reads are queued as themselves, see the module
+    docstring).  Slots keep the per-request footprint small.
     """
 
     request_id: int
@@ -155,10 +161,8 @@ class FRFCFSScheduler:
     def select(self, banks: Sequence[Bank], now: int) -> Tuple[Optional[DRAMRequest], Optional[int]]:
         """Pick the next request to issue at time *now* (and pop it).
 
-        Returns ``(request, next_ready_time)``.  If no bank with
-        pending work is ready, *request* is None and
-        *next_ready_time* is the earliest cycle at which one will be
-        (None when the queues are empty).
+        Returns ``(request, hint)``; the module docstring defines
+        *hint* with and without a pick.
 
         Candidates rank by (row hit, arrival): the best hit and the
         oldest non-hit are tracked apart, a hit wins, ties go to
@@ -166,6 +170,7 @@ class FRFCFSScheduler:
         """
         hit_arrival = miss_arrival = next_ready = None
         hit = miss = None
+        ready = 0
         queues = self._queues
         row_fifos = self._row_fifos
         for bank_idx in self._orders[self._rr]:
@@ -178,6 +183,7 @@ class FRFCFSScheduler:
                 if next_ready is None or ready_at < next_ready:
                     next_ready = ready_at
                 continue
+            ready += 1
             fifo = row_fifos[bank_idx].get(bank.open_row)
             if fifo is not None:
                 seq = fifo[0]
@@ -196,7 +202,7 @@ class FRFCFSScheduler:
             return None, next_ready
         bank_idx, seq, request = pick
         self._pop(bank_idx, seq, request)
-        return request, None
+        return request, now if ready > 1 else next_ready
 
 
 class FCFSScheduler(FRFCFSScheduler):
@@ -212,6 +218,7 @@ class FCFSScheduler(FRFCFSScheduler):
         best_pick: Optional[Tuple[int, int, DRAMRequest]] = None
         best_arrival: Optional[int] = None
         next_ready: Optional[int] = None
+        ready = 0
         for bank_idx in self._orders[self._rr]:
             queue = self._queues[bank_idx]
             if not queue:
@@ -221,6 +228,7 @@ class FCFSScheduler(FRFCFSScheduler):
                 if next_ready is None or bank.ready_at < next_ready:
                     next_ready = bank.ready_at
                 continue
+            ready += 1
             seq = next(iter(queue))
             request = queue[seq]
             if best_arrival is None or request.arrival < best_arrival:
@@ -230,4 +238,4 @@ class FCFSScheduler(FRFCFSScheduler):
             return None, next_ready
         bank_idx, seq, request = best_pick
         self._pop(bank_idx, seq, request)
-        return request, None
+        return request, now if ready > 1 else next_ready

@@ -82,6 +82,12 @@ class DRAMTiming:
         for label, value in positive.items():
             if value <= 0:
                 raise ValueError(f"{label} must be positive, got {value}")
+        # A negative latency schedules DRAM events in the past or
+        # silently reorders commands; zero is a legal ideal part.
+        for label in ("cl", "t_rcd", "t_rp", "t_ras", "t_ccd", "t_rrd"):
+            value = getattr(self, label)
+            if value < 0:
+                raise ValueError(f"{label} must be non-negative, got {value}")
         if self.t_ras < self.t_rcd:
             raise ValueError("t_RAS must cover at least t_RCD")
 

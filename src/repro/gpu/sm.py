@@ -47,13 +47,15 @@ class MemRequest:
 
     ``l1_set`` and ``llc_set`` are the line's precomputed set indices in
     the issuing SM's L1 and in its LLC slice (None: the cache hashes
-    the line itself).
+    the line itself).  An LLC miss is queued at DRAM as itself, with
+    ``arrival`` stamped then (:mod:`repro.dram.scheduler` protocol).
     """
 
     __slots__ = (
         "sm_id", "line", "channel", "bank", "row", "slice", "issued_at",
-        "l1_set", "llc_set",
+        "l1_set", "llc_set", "arrival",
     )
+    is_write = False
 
     def __init__(
         self, sm_id: int, line: int, channel: int, bank: int, row: int,

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.schemes import SCHEME_NAMES
 from ..core.serialize import stable_hash
-from ..registry import RegistryError, memory_entry
+from ..registry import RegistryError, memory_config, memory_entry
 from ..sim.fidelity import EXACT, fidelity_to_json, parse_fidelity
 from ..specs import SchemeSpec, WorkloadSpec, integer
 from ..workloads.suite import VALLEY_BENCHMARKS
@@ -115,6 +115,10 @@ class RunConfig:
             )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if scheme.kind == "stages":
+            # Bit ranges, block bits and invertibility depend on the
+            # memory's address map: reject a bad pipeline before any run.
+            scheme.build(memory_config(self.memory).address_map)
 
     # -- display ---------------------------------------------------------
     @property

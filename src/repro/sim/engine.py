@@ -43,23 +43,29 @@ callers may rely on:
 * ``now`` is a plain attribute, read-only to everyone but the engine.
   It holds the cycle of the event being dispatched (or the ``until``
   bound a paused ``run`` stopped at).
-* ``events_processed`` is counted in a local inside ``run`` and stored
-  when ``run`` returns or raises, so it and ``pending`` are exact
-  between ``run`` calls, including after ``max_events`` exhaustion and
-  after a callback error.  Inside a callback they are not updated.
+* A bucket is a list of ``(fn, arg)`` pairs, drained by ``for fn, arg
+  in cursor`` over one list iterator (which also yields pairs appended
+  meanwhile) and counted into ``events_processed`` once per bucket.  A
+  raise, or ``max_events`` (an ``islice``) running out, leaves the
+  cursor at ``len(bucket) - length_hint(cursor)``; a failing event
+  counts as processed.
+* ``pending`` (the queued buckets' sum) and ``idle`` (not running, no
+  pending cycle, active bucket drained; O(1)) are derived, not counted.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import islice
+from operator import length_hint
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Engine", "SimulationError"]
 
 Callback = Callable[[], None]
 
-# Bucket slot marker for argument-less callbacks: buckets are flat
-# lists [fn0, arg0, fn1, arg1, ...] and _NO_ARG in the arg slot means
+# Bucket slot marker for argument-less callbacks: buckets are lists
+# [(fn0, arg0), (fn1, arg1), ...] and _NO_ARG in the arg slot means
 # "call fn with no arguments".
 _NO_ARG = object()
 
@@ -91,8 +97,7 @@ class Engine:
         self._buckets: Dict[int, List[Any]] = {}
         self._times: List[int] = []
         self._active_bucket: Optional[List[Any]] = None
-        self._active_index = 0
-        self._scheduled = 0
+        self._active_index = 0  # its cursor (a list index)
         self._events_processed = 0
         self._running = False
 
@@ -104,7 +109,10 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of events not yet executed (exact between ``run`` calls)."""
-        return self._scheduled - self._events_processed
+        queued = sum(len(bucket) for bucket in self._buckets.values())
+        if self._active_bucket is not None:
+            queued -= self._active_index
+        return queued
 
     @property
     def idle(self) -> bool:
@@ -117,7 +125,10 @@ class Engine:
         resumes on the same warm engine (``max_events`` bounds the
         whole run when a model misbehaves).
         """
-        return not self._running and self._scheduled == self._events_processed
+        bucket = self._active_bucket
+        return not self._running and not self._times and (
+            bucket is None or self._active_index == len(bucket)
+        )
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -152,11 +163,10 @@ class Engine:
             raise self._past_error(time)
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [callback, _NO_ARG]
+            self._buckets[time] = [(callback, _NO_ARG)]
             heappush(self._times, time)
         else:
-            bucket += (callback, _NO_ARG)
-        self._scheduled += 1
+            bucket.append((callback, _NO_ARG))
 
     def after(self, delay: int, callback: Callback) -> None:
         """Schedule *callback* *delay* cycles from now."""
@@ -172,11 +182,10 @@ class Engine:
             raise self._past_error(time)
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [fn, arg]
+            self._buckets[time] = [(fn, arg)]
             heappush(self._times, time)
         else:
-            bucket += (fn, arg)
-        self._scheduled += 1
+            bucket.append((fn, arg))
 
     def after_call(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
         """Closure-free fast path: schedule ``fn(arg)`` *delay* cycles from now."""
@@ -188,11 +197,10 @@ class Engine:
         # A non-negative delay cannot land in the past.
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [fn, arg]
+            self._buckets[time] = [(fn, arg)]
             heappush(self._times, time)
         else:
-            bucket += (fn, arg)
-        self._scheduled += 1
+            bucket.append((fn, arg))
 
     # ------------------------------------------------------------------
     # Execution
@@ -201,9 +209,9 @@ class Engine:
         """Execute events until the queue drains (or limits hit).
 
         Returns the final simulation time.  *until* stops the clock at
-        a cycle bound; *max_events* guards against runaway models.  The
-        budget is counted down in integers — no float arithmetic on the
-        hot path, and ``max_events=None`` means unlimited.
+        a cycle bound; *max_events* guards against runaway models: at
+        most that many events (at least one), then an error if work is
+        queued.  None or a negative value means unlimited.
 
         ``run`` is not re-entrant: the bucket drain cursor is engine
         state, so calling ``run`` from inside a callback would replay
@@ -212,7 +220,7 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
-        budget = -1 if max_events is None else max_events
+        budget = None if max_events is None or max_events < 0 else max_events
         buckets = self._buckets
         times = self._times
         no_arg = _NO_ARG
@@ -221,6 +229,7 @@ class Engine:
         try:
             while True:
                 bucket = self._active_bucket
+                start = 0
                 if bucket is None:
                     if not times:
                         break
@@ -234,36 +243,38 @@ class Engine:
                     bucket = buckets[time]
                     self._active_bucket = bucket
                     self._active_index = 0
-                i = self._active_index
+                else:
+                    start = self._active_index
+                cursor = iter(bucket)
+                if start:  # resume after a raise
+                    next(islice(cursor, start, start), None)
+                pairs = cursor if budget is None else islice(cursor, budget or 1)
                 try:
-                    # The bucket may grow while draining (same-cycle
-                    # scheduling from callbacks); re-checking len() each
-                    # iteration picks those up in FIFO order.
-                    while i < len(bucket):
-                        fn = bucket[i]
-                        arg = bucket[i + 1]
-                        i += 2
-                        processed += 1
+                    for fn, arg in pairs:
                         if arg is no_arg:
                             fn()
                         else:
                             fn(arg)
-                        if budget >= 0:
-                            budget -= 1
-                            if budget <= 0 and self._scheduled > processed:
-                                # Only a *pending* queue at exhaustion is an
-                                # error: a model that finishes on exactly its
-                                # last allowed event completed, it did not
-                                # livelock.
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events} (possible "
-                                    f"livelock) at cycle {self.now}"
-                                )
-                finally:
-                    # Persist the cursor so a propagating callback error
-                    # leaves the queue resumable (the failing event is
-                    # consumed, later events remain).
-                    self._active_index = i
+                except BaseException:  # the events behind it stay queued
+                    self._active_index = len(bucket) - length_hint(cursor)
+                    processed += self._active_index - start
+                    raise
+                # Only an exhausted budget leaves pairs behind the cursor.
+                left = 0 if budget is None else length_hint(cursor)
+                end = len(bucket) - left
+                processed += end - start
+                if budget is not None and end > start:
+                    budget -= end - start
+                    if budget <= 0 and (left or times):
+                        # Only a *pending* queue at exhaustion is an
+                        # error: a model that finishes on exactly its
+                        # last allowed event completed, it did not
+                        # livelock.
+                        self._active_index = end
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} (possible "
+                            f"livelock) at cycle {self.now}"
+                        )
                 del buckets[self.now]
                 self._active_bucket = None
         finally:

@@ -72,10 +72,6 @@ from .results import SimulationResult
 
 __all__ = ["GPUSystem", "plan_auto", "simulate"]
 
-# Sentinel tagging fire-and-forget writeback completions; the payload
-# is the tuple ``(_WRITEBACK, channel)`` so completion needs no decode.
-_WRITEBACK = object()
-
 # Share of each in-flight warp's *remaining* ops (and of the queued
 # TBs) an auto freeze keeps detailed: the tail that is TAIL_FRAC of the
 # whole kernel once FREEZE_FRAC of it has completed.
@@ -485,25 +481,30 @@ class GPUSystem:
     def _flush_dram_batch(self) -> None:
         """Hand this cycle's accumulated DRAM traffic to the controllers.
 
-        Reads were decoded at trace preparation and writeback victims
-        with their kernel's store lines (lines the memo lacks are
-        decoded here, as one array).  Requests are grouped per channel
-        and submitted as batches, so each controller runs one FR-FCFS
-        pass over the cycle's arrivals.
+        Reads were decoded at trace preparation and queue as
+        themselves; writeback victims, decoded with their kernel's
+        store lines (lines the memo lacks are decoded here, as one
+        array), become ``DRAMRequest`` objects carrying their channel.
+        Each controller gets one batch, so it runs one FR-FCFS pass
+        over the cycle's arrivals.
         """
         self._dram_flush_scheduled = False
         now = self.engine.now
         reads, self._dram_reads_pending = self._dram_reads_pending, []
         lines, self._dram_writebacks_pending = self._dram_writebacks_pending, []
-        per_channel: Dict[int, List[DRAMRequest]] = {}
+        if not lines and len(reads) == 1:
+            request = reads[0]
+            request.arrival = now
+            self.dram.submit_many(request.channel, reads)
+            return
+        per_channel: Dict[int, list] = {}
         for request in reads:
+            request.arrival = now
             channel = request.channel
             batch = per_channel.get(channel)
             if batch is None:
                 batch = per_channel[channel] = []
-            batch.append(DRAMRequest(
-                id(request), request.bank, request.row, False, now, request
-            ))
+            batch.append(request)
         if lines:
             coords = self._victim_coords
             unseen = [line for line in lines if line not in coords]
@@ -514,25 +515,22 @@ class GPUSystem:
                 batch = per_channel.get(channel)
                 if batch is None:
                     batch = per_channel[channel] = []
-                batch.append(DRAMRequest(
-                    line, bank, row, True, now, (_WRITEBACK, channel)
-                ))
+                batch.append(DRAMRequest(line, bank, row, True, now, channel))
         for channel in sorted(per_channel):
             self.dram.submit_many(channel, per_channel[channel])
 
-    def _dram_complete(self, request: DRAMRequest, when: int) -> None:
-        payload = request.payload
-        if isinstance(payload, MemRequest):
+    def _dram_complete(self, request, when: int) -> None:
+        if request.is_write:
             self._dram_log_extend(
-                (payload.channel, request.bank, request.arrival, when)
+                (request.payload, request.bank, request.arrival, when)
             )
-            self.slices[payload.slice].on_dram_fill(payload.line, payload.llc_set)
-        elif isinstance(payload, tuple) and payload[0] is _WRITEBACK:
+        elif isinstance(request, MemRequest):
             self._dram_log_extend(
-                (payload[1], request.bank, request.arrival, when)
+                (request.channel, request.bank, request.arrival, when)
             )
+            self.slices[request.slice].on_dram_fill(request.line, request.llc_set)
         else:
-            raise RuntimeError(f"unexpected DRAM completion payload: {payload!r}")
+            raise RuntimeError(f"unexpected DRAM completion: {request!r}")
 
     # ------------------------------------------------------------------
     # Run control

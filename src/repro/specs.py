@@ -111,6 +111,30 @@ def integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _check_stage_bits(stage: Dict) -> None:
+    """Reject a stage whose bit indices are not integers (SpecError).
+
+    Range and block bits depend on the address map, so
+    :meth:`SchemeSpec._compose_stages` checks those.
+    """
+    op = stage["op"]
+    if op == "swap":
+        bits = [("swap", stage.get("a")), ("swap", stage.get("b"))]
+    else:
+        sources = stage.get("sources")
+        if not isinstance(sources, list) or not sources:
+            raise SpecError(f"{op} stage needs a non-empty 'sources' bit list")
+        role = "source" if op == "xor" else "permute"
+        bits = [(role, bit) for bit in sources]
+        if op == "xor":
+            bits.insert(0, ("target", stage.get("target")))
+    for role, bit in bits:
+        try:
+            integer(bit, f"stage {role} bit")
+        except ValueError as error:
+            raise SpecError(str(error)) from None
+
+
 def _require(data: Dict, key: str, what: str):
     try:
         return data[key]
@@ -350,6 +374,7 @@ class SchemeSpec(_Spec):
                     raise SpecError(
                         f"stage op must be xor/swap/permute, got {stage!r}"
                     )
+                _check_stage_bits(stage)
 
     # -- building -------------------------------------------------------
     def needs_entropy_profile(self) -> bool:
@@ -402,16 +427,16 @@ class SchemeSpec(_Spec):
         )
 
     def _compose_stages(self, address_map) -> np.ndarray:
+        """The pipeline's matrix on *address_map*, or SpecError.
+
+        Bit indices are integers (:meth:`_validate`); this checks them
+        against the map's width and block bits, and the composition
+        for invertibility.
+        """
         width = address_map.width
         block = set(address_map.block_bits())
 
-        def check_bit(value, role) -> int:
-            try:
-                bit = int(value)
-            except (TypeError, ValueError):
-                raise SpecError(
-                    f"stage {role} bit must be an integer, got {value!r}"
-                ) from None
+        def check_bit(bit, role) -> int:
             if not 0 <= bit < width:
                 raise SpecError(f"stage {role} bit {bit} outside 0..{width - 1}")
             if bit in block:
@@ -426,30 +451,24 @@ class SchemeSpec(_Spec):
             op = stage["op"]
             step = gf2.identity(width)
             if op == "xor":
-                target = check_bit(stage.get("target"), "target")
-                raw_sources = stage.get("sources")
-                if not isinstance(raw_sources, list) or not raw_sources:
-                    raise SpecError(
-                        "xor stage needs a non-empty 'sources' bit list"
-                    )
-                sources = [check_bit(s, "source") for s in raw_sources]
+                target = check_bit(stage["target"], "target")
+                sources = [check_bit(s, "source") for s in stage["sources"]]
                 for source in sources:
                     step[target, source] ^= 1
             elif op == "swap":
-                a = check_bit(stage.get("a"), "swap")
-                b = check_bit(stage.get("b"), "swap")
+                a = check_bit(stage["a"], "swap")
+                b = check_bit(stage["b"], "swap")
                 step[[a, b]] = step[[b, a]]
             else:  # permute
-                sources = stage.get("sources")
-                if not isinstance(sources, list) or len(sources) != width:
+                sources = stage["sources"]
+                if len(sources) != width:
                     raise SpecError(
                         f"permute stage needs a full {width}-entry source list"
                     )
-                if sorted(int(s) for s in sources) != list(range(width)):
+                if sorted(sources) != list(range(width)):
                     raise SpecError("permute stage sources must be a permutation")
                 step = np.zeros((width, width), dtype=np.uint8)
                 for out_bit, src in enumerate(sources):
-                    src = int(src)
                     if out_bit != src:
                         check_bit(out_bit, "permute")
                         check_bit(src, "permute")

@@ -7,6 +7,9 @@ behaviour: over randomized workloads (arrival ties, row mixes, busy
 banks, interleaved enqueue/select), the sequence of picked requests —
 and every reported ``next_ready`` gap — must be identical to the
 original implementation, which is reproduced verbatim below.
+
+The reference returns no hint on a pick; the real schedulers' pick
+hint is checked against the bank states just before each call.
 """
 
 import random
@@ -137,6 +140,17 @@ def random_workload(rng, n_banks, n_rows, n_requests, arrival_ties):
     return batches
 
 
+def pick_hint(queued_ready, picked_bank, now):
+    """When another queued bank can take a command, from the bank
+    states before the pick: ``now`` if one is ready, None if there is
+    no other queued bank."""
+    others = [ready for bank, ready in queued_ready.items()
+              if bank != picked_bank]
+    if not others:
+        return None
+    return max(min(others), now)
+
+
 def drive_pair(real, reference, rng, n_banks, batches):
     """Feed both schedulers identically; assert identical pops."""
     banks_real = [Bank(T) for _ in range(n_banks)]
@@ -167,6 +181,10 @@ def drive_pair(real, reference, rng, n_banks, batches):
                 bank_real.ready_at = bank_ref.ready_at = 0
         # Drain a few picks at this instant.
         for _ in range(rng.randint(1, 4)):
+            queued_ready = {
+                b: banks_real[b].ready_at
+                for b in range(n_banks) if real.pending_for_bank(b)
+            }
             got_real = real.select(banks_real, now)
             got_ref = reference.select(banks_ref, now)
             assert (got_real[0] is None) == (got_ref[0] is None)
@@ -174,6 +192,9 @@ def drive_pair(real, reference, rng, n_banks, batches):
                 assert got_real[1] == got_ref[1]
                 break
             assert got_real[0].request_id == got_ref[0].request_id
+            assert got_real[1] == pick_hint(
+                queued_ready, got_real[0].bank, now
+            )
             picks += 1
             # Mirror the bank-side effect of issuing the pick.
             request = got_real[0]

@@ -1,5 +1,7 @@
 """Unit tests for DRAM timing/organization parameter sets."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.timing import DRAMTiming, gddr5_timing, stacked_timing
@@ -60,3 +62,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_RAS"):
             DRAMTiming("x", 100, channels=1, banks_per_channel=1,
                        rows_per_bank=1, columns_per_row=1, t_rcd=20, t_ras=10)
+
+    @pytest.mark.parametrize("field", ["cl", "t_rcd", "t_rp", "t_ras",
+                                       "t_ccd", "t_rrd"])
+    def test_negative_latency_rejected(self, field):
+        """A negative latency used to surface mid-run as an event in the
+        past (``cl``) or to finish with meaningless timing (``t_ccd``,
+        ``t_rp``); it is rejected up front, naming the field."""
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            dataclasses.replace(gddr5_timing(), **{field: -3})
+
+    @pytest.mark.parametrize("field", ["cl", "t_rp", "t_ccd", "t_rrd"])
+    def test_zero_latency_stays_legal(self, field):
+        assert getattr(dataclasses.replace(gddr5_timing(), **{field: 0}),
+                       field) == 0

@@ -119,6 +119,20 @@ def test_400_on_malformed_scenario(server):
         assert message in str(error)
 
 
+@pytest.mark.parametrize("target,message", [
+    (8.7, "stage target bit must be an integer"),
+    (200, "stage target bit 200 outside"),
+], ids=["fractional", "out-of-range"])
+def test_400_on_bad_stage_bit(server, target, message):
+    _, url = server
+    scheme = {"type": "scheme_spec", "kind": "stages", "name": "BADBIT",
+              "stages": [{"op": "xor", "target": target, "sources": [20]}]}
+    error = expect_status(
+        lambda: client_for(url).submit(dict(SCENARIO, schemes=[scheme])), 400
+    )
+    assert message in str(error)
+
+
 @pytest.mark.parametrize("fidelity", [
     {"kind": "sampled", "warmup": 1, "window": 2, "period": 16},
     {"kind": "auto", "exemplar": 3},

@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from engine_oracle import ReferenceEngine
 from repro.sim.engine import Engine, SimulationError
 
 
@@ -339,3 +342,103 @@ class TestCountersBetweenRuns:
         engine.run(until=9)
         assert seen == [7]
         assert engine.now == 9 and type(engine.now) is int
+
+
+# ----------------------------------------------------------------------
+# The bucket engine against an independent oracle
+# ----------------------------------------------------------------------
+class Boom(Exception):
+    """A model error raised by a scheduled callback."""
+
+
+# An event node: (delay from its parent, whether it raises, children).
+# Roots carry an absolute cycle instead of a delay.
+_node = st.recursive(
+    st.tuples(st.integers(0, 3), st.booleans(), st.just(())),
+    lambda children: st.tuples(
+        st.integers(0, 3), st.booleans(),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+_runs = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 4)),  # until, relative to now
+        st.one_of(st.none(), st.integers(0, 4)),  # max_events
+    ),
+    min_size=1, max_size=6,
+)
+
+
+class Program:
+    """Plays one random event forest on an engine, logging dispatches.
+
+    Every event logs ``(cycle, name)``, then schedules its children
+    (rotating through ``at_call``, ``after_call`` and ``after``, so
+    delay-0 children land in the current cycle's bucket, also from its
+    last event), then raises if its node says so.
+    """
+
+    def __init__(self, engine, roots):
+        self.engine = engine
+        self.log = []
+        self._fire_cb = self._fire
+        for index, (time, node) in enumerate(roots):
+            engine.at_call(time, self._fire_cb, (str(index), node))
+
+    def _fire(self, item):
+        name, (_, raises, children) = item
+        engine = self.engine
+        self.log.append((engine.now, name))
+        for k, child in enumerate(children):
+            entry = (f"{name}.{k}", child)
+            form = k % 3
+            if form == 0:
+                engine.at_call(engine.now + child[0], self._fire_cb, entry)
+            elif form == 1:
+                engine.after_call(child[0], self._fire_cb, entry)
+            else:
+                engine.after(child[0], lambda entry=entry: self._fire(entry))
+        if raises:
+            raise Boom(name)
+
+    def run(self, until, max_events):
+        """One ``run`` call; returns the error it raised, if any."""
+        bound = None if until is None else self.engine.now + until
+        try:
+            self.engine.run(until=bound, max_events=max_events)
+        except (Boom, SimulationError) as error:
+            return type(error).__name__, str(error)
+        return None
+
+    def observed(self):
+        engine = self.engine
+        return (list(self.log), engine.now, engine.events_processed,
+                engine.pending, engine.idle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(st.integers(0, 4), _node), max_size=6),
+       runs=_runs)
+def test_bucket_engine_matches_heap_oracle(roots, runs):
+    """Same random schedules, same dispatch order and counters.
+
+    The forest covers same-cycle scheduling from callbacks, ``until``
+    pauses, ``max_events`` budgets from 0 up, and callbacks that raise
+    mid-bucket followed by resumed runs; after every ``run`` both
+    engines must agree on the log, ``now``, ``events_processed``,
+    ``pending`` and ``idle``.
+    """
+    real = Program(Engine(), roots)
+    oracle = Program(ReferenceEngine(), roots)
+    assert real.observed() == oracle.observed()
+    # The given runs, then unbounded ones until both queues drain: each
+    # resumed run consumes at least one event, so this terminates.
+    drains = [(None, None)] * (1 + 13 * len(roots))
+    for until, max_events in runs + drains:
+        outcome = real.run(until, max_events)
+        assert outcome == oracle.run(until, max_events)
+        assert real.observed() == oracle.observed()
+        if real.engine.idle and (until, max_events) == (None, None):
+            break
+    assert real.engine.idle and real.engine.pending == 0

@@ -23,13 +23,21 @@ A deliberate model change that moves these digests must regenerate
 them in the same change, together with the figure tables and the
 performance benchmark's reference digests.
 
+The digests belong to one ``CACHE_SCHEMA_VERSION``: result records
+cached under that version are only valid while the digests hold, so
+the pinned table's own hash is recorded next to the version, and a
+change that moves a digest without bumping the version fails
+``test_pinned_digests_belong_to_the_schema_version``.
+
 Next to the event pins, two runs also pin host work that the result
 bytes cannot see: how often the system decodes addresses and how often
 the DRAM scheduler is asked for a pick.  Writeback victims are decoded
-once per kernel through a memo, and a controller whose queued banks
-are all busy does not ask again until an enqueue or an issue, so a
-change that brings back per-flush victim decodes or blocked rescans
-fails here with a count diff rather than only a slower wall.
+once per kernel through a memo; a controller whose queued banks are
+all busy does not ask again until an enqueue or an issue; and after a
+lone pick (no other queued bank ready) it blocks until the first bank
+frees up instead of asking again in the same cycle.  A change that
+brings back per-flush victim decodes, blocked rescans or repeat
+selects fails here with a count diff rather than only a slower wall.
 """
 
 import hashlib
@@ -40,6 +48,7 @@ from repro import api
 from repro.core.serialize import canonical_json
 from repro.dram.scheduler import FRFCFSScheduler
 from repro.runner import worker
+from repro.runner.config import CACHE_SCHEMA_VERSION
 from repro.sim import gpu_system
 
 # (workload, memory, scheme, scale, fidelity) -> SHA-256 of the
@@ -85,18 +94,44 @@ EVENTS = {
     ("SRAD2", "stacked", "PAE", 1.0, "auto"): 89005,
 }
 
+# SHA-256 of the canonical PINNED table, per CACHE_SCHEMA_VERSION.  A
+# change that moves a pinned digest changes result bytes, so it must
+# bump CACHE_SCHEMA_VERSION (repro/runner/config.py) and record the new
+# table hash under the new version here.
+PINNED_TABLE_BY_SCHEMA = {
+    2: "e12cf03d69a72f61fcc690a97ffc6958f17a70765232a58c43cd10a5d9efaa3f",
+}
+
 # Host calls of two of the same runs, counted by wrapping the bindings
 # the performance benchmark's tracer wraps (``core.decode`` and
 # ``dram.scheduler``), in a fresh process context so the auto plan's
-# fingerprint decodes count whatever ran before.  Before the victim memo and the blocked-until
-# shortcut the counts were 62 and 4,290 (exact MT) and 2,129 and
-# 13,252 (auto SRAD2).
+# fingerprint decodes count whatever ran before.  Before the victim
+# memo and the blocked-until shortcut the counts were 62 and 4,290
+# (exact MT) and 2,129 and 13,252 (auto SRAD2).  The lone-pick rule
+# then cut the select counts from 3,056 to 2,565 (exact MT) and from
+# 10,236 to 8,993 (auto SRAD2).
 HOST_CALLS = {
     ("MT", "gddr5", "PAE", 0.1, "exact"):
-        {"decode_fields": 8, "FRFCFSScheduler.select": 3056},
+        {"decode_fields": 8, "FRFCFSScheduler.select": 2565},
     ("SRAD2", "gddr5", "PAE", 1.0, "auto"):
-        {"decode_fields": 9, "FRFCFSScheduler.select": 10236},
+        {"decode_fields": 9, "FRFCFSScheduler.select": 8993},
 }
+
+
+def pinned_table_hash():
+    rows = sorted([*key, digest] for key, digest in PINNED.items())
+    return hashlib.sha256(canonical_json(rows).encode("ascii")).hexdigest()
+
+
+def test_pinned_digests_belong_to_the_schema_version():
+    recorded = PINNED_TABLE_BY_SCHEMA.get(CACHE_SCHEMA_VERSION)
+    assert recorded == pinned_table_hash(), (
+        f"PINNED no longer hashes to the table recorded for "
+        f"CACHE_SCHEMA_VERSION {CACHE_SCHEMA_VERSION}: results cached under "
+        f"that version would be stale.  Bump CACHE_SCHEMA_VERSION in "
+        f"repro/runner/config.py and record {pinned_table_hash()} under the "
+        f"new version in PINNED_TABLE_BY_SCHEMA."
+    )
 
 
 def check_pinned(key):

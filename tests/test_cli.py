@@ -355,6 +355,27 @@ class TestSpecSweep:
         report = json.loads(capsys.readouterr().out)
         assert set(report["derived"]["speedup"]) == {"BASE", "MYX", "PAE"}
 
+    @pytest.mark.parametrize("target,message", [
+        (8.7, "stage target bit must be an integer, got 8.7"),
+        (200, "stage target bit 200 outside 0..29"),
+    ], ids=["fractional", "out-of-range"])
+    def test_bad_stage_bit_exits_2_before_any_run(
+        self, tmp_path, capsys, target, message
+    ):
+        """A fractional bit used to run as its truncation, and an
+        out-of-range one was retried and quarantined (exit 3)."""
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(dict(CUSTOM_SCHEME_SPEC, stages=[
+            {"op": "xor", "target": target, "sources": [20, 24]},
+        ])))
+        assert main([
+            "sweep", "--benchmarks", "SP", "--schemes", f"@{spec_file}",
+            "--scale", "0.1", "--cache-dir", "",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main([
             "sweep", "--spec", str(tmp_path / "nope.json"), "--cache-dir", "",

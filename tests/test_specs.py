@@ -233,6 +233,52 @@ class TestSchemeSpecStages:
         with pytest.raises(SpecError, match="integer"):
             SchemeSpec.stages("S7", [{"op": "swap", "a": 8}]).build(AMAP)
 
+    @pytest.mark.parametrize("bad", [8.7, 8.0, "8", True], ids=repr)
+    @pytest.mark.parametrize("role", ["target", "source", "swap", "permute"])
+    def test_non_integer_bit_rejected_at_construction(self, role, bad):
+        """A bit index is an integer: 8.7 used to XOR into bit 8 under a
+        cache key of its own, and ``"8"``, ``8.0`` and ``true`` (bit 1)
+        were coerced the same way."""
+        stage = {
+            "target": {"op": "xor", "target": bad, "sources": [20]},
+            "source": {"op": "xor", "target": 8, "sources": [20, bad]},
+            "swap": {"op": "swap", "a": 9, "b": bad},
+            "permute": {"op": "permute",
+                        "sources": [bad] + list(range(1, AMAP.width))},
+        }[role]
+        with pytest.raises(SpecError, match="must be an integer"):
+            SchemeSpec.from_dict({"type": "scheme_spec", "kind": "stages",
+                                  "name": "F", "stages": [stage]})
+
+    def test_out_of_range_bit_rejected_when_the_config_is_built(self):
+        """Range needs the memory's address map, so a config checks it
+        before any run instead of the run failing inside a worker."""
+        spec = SchemeSpec.stages("WIDE", [
+            {"op": "xor", "target": 200, "sources": [20]},
+        ])
+        for memory in ("gddr5", "stacked"):
+            with pytest.raises(SpecError, match="outside"):
+                RunConfig(benchmark="SP", scheme=spec, memory=memory)
+        with pytest.raises(SpecError, match="singular"):
+            SweepGrid(benchmarks=("SP",), schemes=(SchemeSpec.stages("S", [
+                {"op": "xor", "target": 8, "sources": [8]},
+            ]),)).configs()
+
+    def test_integer_bit_documents_keep_their_cache_keys(self):
+        spec = SchemeSpec.from_dict({
+            "type": "scheme_spec", "kind": "stages", "name": "MYX",
+            "stages": [{"op": "xor", "target": 8, "sources": [20, 24]},
+                       {"op": "swap", "a": 9, "b": 22}],
+            "extra_latency_cycles": 1,
+        })
+        assert spec.spec_hash() == (
+            "2797a70c1b54e602cce73d3f645bdf76f064caa0993c85ade6495141e461caf0"
+        )
+        assert RunConfig(benchmark="SP", scheme=spec,
+                         scale=0.25).config_hash() == (
+            "bf6f17b678724f00b7a1cccebcd3274c7e1c4b76ab9731ea1331ea5d70f5ead0"
+        )
+
 
 class TestWorkloadSpec:
     RECIPE = {
