@@ -45,7 +45,6 @@ from .analysis import ExperimentRunner, harmonic_mean
 from .core import (
     BIM,
     AddressMap,
-    AddressMapper,
     BinaryInvertibleMatrix,
     EntropyProfile,
     MappingScheme,
@@ -66,7 +65,7 @@ from .registry import (
     register_workload,
 )
 from .sim import GPUSystem, SimulationResult, simulate, speedup
-from .specs import ScenarioSpec, SchemeSpec, WorkloadSpec
+from .specs import SchemeSpec, WorkloadSpec
 from .workloads import (
     ALL_BENCHMARKS,
     NON_VALLEY_BENCHMARKS,
@@ -81,7 +80,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_BENCHMARKS",
     "AddressMap",
-    "AddressMapper",
     "BIM",
     "BinaryInvertibleMatrix",
     "DRAMSystem",
@@ -93,7 +91,6 @@ __all__ = [
     "MappingScheme",
     "NON_VALLEY_BENCHMARKS",
     "SCHEME_NAMES",
-    "ScenarioSpec",
     "SchemeSpec",
     "SimulationResult",
     "VALLEY_BENCHMARKS",

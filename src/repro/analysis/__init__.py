@@ -1,4 +1,4 @@
-"""Experiment harness, power comparisons and report formatting."""
+"""Experiment harness and report formatting."""
 
 from .experiments import (
     DEFAULT_SCALE,
@@ -7,20 +7,16 @@ from .experiments import (
     arithmetic_mean,
     harmonic_mean,
 )
-from .power import PowerComparison, compare_to_base, normalized_views
 from .report import banner, format_grouped_bars, format_series, format_table
 
 __all__ = [
     "DEFAULT_SCALE",
     "ExperimentRunner",
-    "PowerComparison",
     "SENSITIVITY_SCALE",
     "arithmetic_mean",
     "banner",
-    "compare_to_base",
     "format_grouped_bars",
     "format_series",
     "format_table",
     "harmonic_mean",
-    "normalized_views",
 ]

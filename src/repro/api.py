@@ -6,7 +6,7 @@ suite — routes through these four entry points, so scripting a custom
 scenario uses exactly the code paths the paper figures use:
 
 * :func:`simulate` — one run (cache-aware, memoized),
-* :func:`sweep` — a grid or :class:`~repro.specs.ScenarioSpec` to a
+* :func:`sweep` — a grid, a grid document or axis keywords to a
   deterministic JSON-safe report (optionally one shard of it),
 * :func:`entropy_profile` — the window-based entropy profile of a
   workload, optionally through a mapping scheme (paper Figs. 5/10),
@@ -45,9 +45,9 @@ from .runner.report import render_report, shard_report, sweep_report
 from .runner.shard import ShardSpec
 from .runner.sweep import SweepRunner, default_workers
 from .runner.worker import RunContext, process_context
-from .sim.fidelity import EXACT, parse_fidelity
+from .sim.fidelity import EXACT
 from .sim.results import SimulationResult, perf_per_watt_ratio, speedup
-from .specs import ScenarioSpec, SchemeSpec, WorkloadSpec
+from .specs import SchemeSpec, WorkloadSpec
 
 __all__ = [
     "simulate",
@@ -194,40 +194,33 @@ def run_matrix(
     return dict(zip(keys, results))
 
 
-def scenario_grid(
-    scenario: Union[ScenarioSpec, SweepGrid, dict]
-) -> SweepGrid:
-    """Normalize any accepted scenario form to a :class:`SweepGrid`.
+def scenario_grid(scenario: Union[SweepGrid, dict]) -> SweepGrid:
+    """A ready grid, or a grid document parsed by :meth:`SweepGrid.from_dict`.
 
-    The single coercion every sweep entry point shares — :func:`sweep`
-    here, ``repro sweep --spec`` and the ``repro serve`` job intake all
-    accept the same three shapes and must keep meaning the same thing:
-    a ready grid, a :class:`~repro.specs.ScenarioSpec`, or a scenario
-    dict (e.g. ``json.load`` of a spec file / an HTTP request body).
+    The coercion :func:`sweep` and the ``repro serve`` job intake
+    share, so a grid document (``json.load`` of a ``--spec`` file, an
+    HTTP request body) means the same thing everywhere.
     """
     if isinstance(scenario, SweepGrid):
         return scenario
-    if isinstance(scenario, ScenarioSpec):
-        return scenario.grid()
     if isinstance(scenario, dict):
-        return ScenarioSpec.from_dict(scenario).grid()
+        return SweepGrid.from_dict(scenario)
     raise TypeError(
-        f"scenario must be a ScenarioSpec, SweepGrid or dict, got "
-        f"{type(scenario).__name__}"
+        f"scenario must be a SweepGrid or dict, got {type(scenario).__name__}"
     )
 
 
 def sweep(
-    scenario: Optional[Union[ScenarioSpec, SweepGrid, dict]] = None,
+    scenario: Optional[Union[SweepGrid, dict]] = None,
     *,
     benchmarks: Optional[Sequence[WorkloadLike]] = None,
     schemes: Optional[Sequence[SchemeLike]] = None,
-    seeds: Sequence[int] = (0,),
-    n_sms: Sequence[int] = (12,),
-    memories: Sequence[str] = ("gddr5",),
-    scale: float = 1.0,
-    window: int = 12,
-    fidelity: str = EXACT,
+    seeds: Optional[Sequence[int]] = None,
+    n_sms: Optional[Sequence[int]] = None,
+    memories: Optional[Sequence[str]] = None,
+    scale: Optional[float] = None,
+    window: Optional[int] = None,
+    fidelity: Optional[str] = None,
     shard: Optional[Union[str, ShardSpec]] = None,
     runner: Optional[SweepRunner] = None,
     workers: Optional[int] = None,
@@ -237,10 +230,11 @@ def sweep(
 ) -> Dict[str, object]:
     """Run a sweep and return the deterministic report dict.
 
-    *scenario* may be a :class:`~repro.specs.ScenarioSpec`, a
-    :class:`~repro.runner.config.SweepGrid`, or a scenario dict (e.g.
-    ``json.load`` of a ``--spec`` file); alternatively describe the
-    grid with the keyword axes.  With *shard* (``"2/4"`` or a
+    *scenario* may be a :class:`~repro.runner.config.SweepGrid` or a
+    grid document (e.g. ``json.load`` of a ``--spec`` file);
+    alternatively describe the grid with the axis keywords, whose
+    unset axes take :class:`SweepGrid`'s defaults.  Passing both
+    raises ``TypeError``.  With *shard* (``"2/4"`` or a
     :class:`ShardSpec`) only that slice runs and a partial shard
     report is returned, mergeable by :func:`repro.runner.report.merge_shard_reports`.
 
@@ -251,18 +245,21 @@ def sweep(
     *policy* is the :class:`~repro.runner.faults.FailurePolicy`
     (retries, timeout) for the facade-created runner.
     """
+    axes = {
+        name: value for name, value in (
+            ("benchmarks", benchmarks), ("schemes", schemes),
+            ("seeds", seeds), ("n_sms", n_sms), ("memories", memories),
+            ("scale", scale), ("window", window), ("fidelity", fidelity),
+        ) if value is not None
+    }
     if scenario is not None:
+        if axes:
+            raise TypeError(
+                f"sweep() takes a scenario or axis keywords, not both "
+                f"(got {', '.join(axes)})"
+            )
         grid = scenario_grid(scenario)
     else:
-        axes = dict(
-            seeds=tuple(seeds), n_sms=tuple(n_sms),
-            memories=tuple(memories), scale=scale, window=window,
-            fidelity=parse_fidelity(fidelity),
-        )
-        if benchmarks is not None:
-            axes["benchmarks"] = tuple(benchmarks)
-        if schemes is not None:
-            axes["schemes"] = tuple(schemes)
         grid = SweepGrid(**axes)
     executor, owned = _runner(runner, workers, cache_dir, policy)
     try:

@@ -18,9 +18,9 @@ Commands
     the parallel sweep runner and emit a machine-readable JSON report.
     Results are cached on disk, so re-runs are near-instant; the JSON
     is byte-identical regardless of worker count or cache state.
-    ``--spec scenario.json`` loads the whole grid from a
-    :class:`~repro.specs.ScenarioSpec` file (which may embed custom
-    scheme/workload specs); ``--shard I/N`` runs one deterministic
+    ``--spec scenario.json`` loads the whole grid from a grid document
+    (:meth:`~repro.runner.config.SweepGrid.from_dict`; it may embed
+    custom scheme/workload specs); ``--shard I/N`` runs one deterministic
     slice of the grid and emits a partial shard report instead.
 ``merge``
     Combine N shard reports — or a shared cache directory plus the
@@ -49,7 +49,7 @@ Commands
 ``import-scheme``
     Validate a scheme file (exported or hand-written spec) and emit
     the normalized :class:`~repro.specs.SchemeSpec` JSON usable as
-    ``--schemes @file`` or inside a scenario spec.
+    ``--schemes @file`` or inside a ``--spec`` grid document.
 
 Anywhere a scheme or benchmark name is accepted, ``@path.json`` loads
 a spec file instead — so custom scenarios flow through the same
@@ -108,7 +108,7 @@ from .runner import (
     report_from_cache,
 )
 from .sim.fidelity import parse_fidelity
-from .specs import ScenarioSpec, SchemeSpec, WorkloadSpec
+from .specs import SchemeSpec, WorkloadSpec
 from .workloads.suite import ALL_BENCHMARKS, VALLEY_BENCHMARKS
 
 __all__ = ["main"]
@@ -244,7 +244,8 @@ def _parse_names(text: str) -> List[Union[str, WorkloadSpec]]:
 def _grid_from_args(args) -> SweepGrid:
     """Build (and eagerly validate) the sweep grid the flags describe."""
     if getattr(args, "spec", ""):
-        grid = ScenarioSpec.from_file(args.spec).grid()
+        with open(args.spec) as handle:
+            grid = SweepGrid.from_dict(json.load(handle))
     else:
         grid = SweepGrid(
             benchmarks=tuple(_parse_names(args.benchmarks)),
@@ -655,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--spec", default="",
-            help="scenario spec file describing the whole grid "
+            help="JSON grid document describing the whole grid "
                  "(overrides the axis flags below)",
         )
         p.add_argument(

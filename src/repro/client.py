@@ -113,17 +113,17 @@ class ReproClient:
         return self._request("GET", "/healthz")
 
     def submit(self, scenario) -> Dict[str, object]:
-        """Submit a scenario; returns the job's initial status document.
+        """Submit a grid; returns the job's initial status document.
 
-        *scenario* may be a plain scenario dict, or anything with a
-        ``to_dict()`` (:class:`~repro.specs.ScenarioSpec`,
-        :class:`~repro.runner.config.SweepGrid`).
+        *scenario* may be a grid document (the dict
+        :meth:`~repro.runner.config.SweepGrid.from_dict` parses) or a
+        :class:`~repro.runner.config.SweepGrid`.
         """
         if hasattr(scenario, "to_dict"):
             scenario = scenario.to_dict()
         if not isinstance(scenario, dict):
             raise TypeError(
-                f"scenario must be a dict, ScenarioSpec or SweepGrid, got "
+                f"scenario must be a dict or SweepGrid, got "
                 f"{type(scenario).__name__}"
             )
         return self._request("POST", "/sweeps", body=scenario)

@@ -22,7 +22,7 @@ from .entropy import (
     window_entropy,
 )
 from .gf2 import GF2Error
-from .mapper import AddressMapper, HardwareCost, decode_fields
+from .mapper import decode_fields
 from .schemes import (
     SCHEME_NAMES,
     MappingScheme,
@@ -40,12 +40,10 @@ __all__ = [
     "AddressField",
     "AddressMap",
     "AddressMapError",
-    "AddressMapper",
     "BIM",
     "BinaryInvertibleMatrix",
     "EntropyProfile",
     "GF2Error",
-    "HardwareCost",
     "MappingScheme",
     "SCHEME_NAMES",
     "SchemeError",

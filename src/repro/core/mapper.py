@@ -1,28 +1,25 @@
-"""The address mapper unit: scheme application + vectorized decode.
+"""The address mapper's decode half: mapped addresses to DRAM coordinates.
 
 In hardware the BIM sits directly after the memory coalescer
-(paper Section IV) and is a fixed-function XOR tree (Fig. 7).  In this
-reproduction the :class:`AddressMapper` is the single component the
-simulator talks to: it applies a :class:`~repro.core.schemes.MappingScheme`
-to whole request arrays and decodes the mapped addresses into DRAM
-coordinates (channel, bank, row, column, ...) in one vectorized pass.
-
-It also exposes the hardware cost model used for sanity checks: gate
-count and XOR-tree depth of the scheme's matrix.
+(paper Section IV) and is a fixed-function XOR tree (Fig. 7).  Here a
+:class:`~repro.core.schemes.MappingScheme` maps whole request arrays
+(``scheme.map``) and :func:`decode_fields` decodes the mapped
+addresses into DRAM coordinates (channel, bank, row, column, ...) in
+one vectorized pass.  The tree's cost is the scheme's
+``bim.xor_gate_count()`` / ``bim.xor_tree_depth()`` and its
+``extra_latency_cycles``.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .address_map import AddressMap
-from .schemes import MappingScheme
 
-__all__ = ["AddressMapper", "decode_fields", "HardwareCost"]
+__all__ = ["decode_fields"]
 
 # Per-map decode plans: field name -> [(src_shift, mask, dst_shift)].
 # Keyed weakly so long-lived processes (sweep workers) do not pin maps.
@@ -78,76 +75,3 @@ def decode_fields(address_map: AddressMap, addresses: np.ndarray) -> Dict[str, n
             value |= ((addr >> src_shift) & mask) << dst_shift
         out[name] = value.astype(np.int64)
     return out
-
-
-@dataclass(frozen=True)
-class HardwareCost:
-    """Cost of a direct XOR-tree implementation of a mapping scheme."""
-
-    xor_gates: int
-    tree_depth: int
-    latency_cycles: int
-
-    def __str__(self) -> str:
-        return (
-            f"{self.xor_gates} two-input XOR gates, depth {self.tree_depth}, "
-            f"{self.latency_cycles} pipeline cycle(s)"
-        )
-
-
-class AddressMapper:
-    """Applies a mapping scheme to request streams.
-
-    The mapper is stateless apart from a served-request counter; it is
-    safe to share one instance across all SMs (as the hardware would).
-    """
-
-    def __init__(self, scheme: MappingScheme) -> None:
-        self._scheme = scheme
-        self._mapped_requests = 0
-
-    @property
-    def scheme(self) -> MappingScheme:
-        return self._scheme
-
-    @property
-    def address_map(self) -> AddressMap:
-        return self._scheme.address_map
-
-    @property
-    def latency_cycles(self) -> int:
-        """Pipeline latency the mapping adds to every request."""
-        return self._scheme.extra_latency_cycles
-
-    @property
-    def mapped_requests(self) -> int:
-        """Number of addresses mapped so far (across all calls)."""
-        return self._mapped_requests
-
-    def map_addresses(self, addresses) -> np.ndarray:
-        """Map an array of input addresses to DRAM-visible addresses."""
-        addr = np.atleast_1d(np.asarray(addresses, dtype=np.uint64))
-        self._mapped_requests += addr.size
-        return self._scheme.map(addr)
-
-    def map_and_decode(self, addresses) -> Dict[str, np.ndarray]:
-        """Map addresses and decode every field of the result.
-
-        The returned dict additionally carries the mapped flat address
-        under the key ``"address"``.
-        """
-        mapped = self.map_addresses(addresses)
-        fields = decode_fields(self.address_map, mapped)
-        fields["address"] = mapped.astype(np.int64)
-        return fields
-
-    def hardware_cost(self) -> HardwareCost:
-        """XOR-tree cost of this scheme (paper Fig. 7 discussion)."""
-        return HardwareCost(
-            xor_gates=self._scheme.bim.xor_gate_count(),
-            tree_depth=self._scheme.bim.xor_tree_depth(),
-            latency_cycles=self._scheme.extra_latency_cycles,
-        )
-
-    def __repr__(self) -> str:
-        return f"AddressMapper(scheme={self._scheme.name!r})"

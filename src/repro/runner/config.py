@@ -22,7 +22,10 @@ so ``RunConfig("MT", "PAE")`` equals the spec form.
 :class:`SweepGrid` expands the cross product (benchmarks x schemes x
 seeds x SM counts x memories) into a deterministically ordered list of
 configs, always including the BASE baseline each derived metric
-normalizes against.
+normalizes against.  :meth:`SweepGrid.from_dict` is the one parser of
+grid documents: ``repro sweep --spec`` files, ``POST /v1/sweeps``
+bodies, the dicts :mod:`repro.api` takes and the grid a shard report
+embeds.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..core.schemes import SCHEME_NAMES
 from ..core.serialize import stable_hash
 from ..registry import RegistryError, memory_config, memory_entry
 from ..sim.fidelity import EXACT, fidelity_to_json, parse_fidelity
-from ..specs import SchemeSpec, WorkloadSpec, integer
+from ..specs import SchemeSpec, SpecError, WorkloadSpec, integer, real
 from ..workloads.suite import VALLEY_BENCHMARKS
 
 __all__ = ["RunConfig", "SweepGrid", "CACHE_SCHEMA_VERSION"]
@@ -47,6 +50,11 @@ __all__ = ["RunConfig", "SweepGrid", "CACHE_SCHEMA_VERSION"]
 # v2: batched warp-issue engine (per-SM issue ticks + calendar event
 # queue) changed event interleaving, shifting figure tables slightly.
 CACHE_SCHEMA_VERSION = 2
+
+# The list axes of a grid document, and the tag older spec files carry.
+_LIST_AXES = ("benchmarks", "schemes", "seeds", "n_sms", "memories")
+_LEGACY_TYPE = "scenario_spec"
+
 
 def _validate_memory(memory: str) -> str:
     memory = str(memory).strip().lower()
@@ -102,6 +110,8 @@ class RunConfig:
             raise ValueError(str(error)) from None
         for name in ("seed", "n_sms", "window"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
+        real(self.scale, "scale")
+        real(self.profile_scale, "profile_scale")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_sms <= 0:
@@ -167,9 +177,9 @@ class RunConfig:
             seed=data["seed"],
             n_sms=data["n_sms"],
             memory=str(data["memory"]),
-            scale=float(data["scale"]),
+            scale=float(real(data["scale"], "scale")),
             window=data["window"],
-            profile_scale=float(data["profile_scale"]),
+            profile_scale=float(real(data["profile_scale"], "profile_scale")),
             fidelity=data.get("fidelity", EXACT),
         )
 
@@ -301,19 +311,39 @@ class SweepGrid:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SweepGrid":
-        """Rebuild a grid from :meth:`to_dict` output (re-validating).
+        """Parse a grid document; every rejection is a :class:`SpecError`.
 
-        Round-trips exactly: ``repro merge`` uses this to re-expand the
-        grid a shard report was cut from, so the merged report's config
-        order matches a single-machine sweep's.
+        ``benchmarks`` and ``schemes`` are required; the other axes
+        default as the constructor's do.  List axes must be lists,
+        ``scale`` a real number (stored as a float), and any key but
+        the eight axes and an older spec file's ``"type":
+        "scenario_spec"`` tag is refused rather than ignored.
+        Round-trips :meth:`to_dict` exactly, so ``repro merge``
+        re-expands the grid a shard report was cut from in a
+        single-machine sweep's config order.
         """
-        return cls(
-            benchmarks=tuple(data["benchmarks"]),
-            schemes=tuple(data["schemes"]),
-            seeds=tuple(data["seeds"]),
-            n_sms=tuple(data["n_sms"]),
-            memories=tuple(str(m) for m in data["memories"]),
-            scale=float(data["scale"]),
-            window=data["window"],
-            fidelity=data.get("fidelity", EXACT),
-        )
+        if not isinstance(data, dict):
+            raise SpecError(
+                f"a sweep grid must be a JSON object, got {type(data).__name__}"
+            )
+        axes: Dict[str, object] = {}
+        for key, value in data.items():
+            if key in _LIST_AXES:
+                if not isinstance(value, (list, tuple)):
+                    raise SpecError(f"grid {key!r} must be a list, got {value!r}")
+                axes[key] = tuple(value)
+            elif key in ("scale", "window", "fidelity"):
+                axes[key] = value
+            elif key != "type":
+                raise SpecError(f"unknown sweep grid key {key!r}")
+            elif value != _LEGACY_TYPE:
+                raise SpecError(f"not a sweep grid: type={value!r}")
+        for key in ("benchmarks", "schemes"):
+            if key not in axes:
+                raise SpecError(f"a sweep grid is missing the required {key!r} field")
+        try:
+            if "scale" in axes:
+                axes["scale"] = float(real(axes["scale"], "scale"))
+            return cls(**axes)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise SpecError(str(error)) from None

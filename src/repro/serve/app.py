@@ -27,7 +27,7 @@ import json
 import threading
 from typing import Dict, Optional, Tuple
 
-from ..api import scenario_grid
+from ..runner.config import SweepGrid
 from ..runner.faults import FailurePolicy
 from .jobs import JobManager, RunnerPool, TenantBusy
 from .protocol import (
@@ -278,17 +278,12 @@ class ReproServer:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise _HttpError(400, f"request body is not valid JSON: {error}")
-        if not isinstance(document, dict):
-            raise _HttpError(
-                400, f"scenario must be a JSON object, got "
-                f"{type(document).__name__}"
-            )
         # Validate the whole grid up front so a bad spec is the
         # submitter's 400, not a failed job discovered by polling.
         try:
-            grid = scenario_grid(document)
+            grid = SweepGrid.from_dict(document)
             grid.configs()
-        except (ValueError, KeyError, TypeError) as error:
+        except (ValueError, TypeError) as error:
             raise _HttpError(400, f"invalid scenario: {error}")
         try:
             job = self.jobs.submit(grid, tenant)

@@ -7,7 +7,7 @@ JSON shapes — so the two sides cannot drift apart silently.
 Endpoints (all JSON; ``/v1`` is :data:`API_PREFIX`)::
 
     GET  /v1/healthz            liveness + service counters
-    POST /v1/sweeps             submit a ScenarioSpec document -> job id
+    POST /v1/sweeps             submit a grid document -> job id
     GET  /v1/sweeps             list known jobs (most recent first)
     GET  /v1/sweeps/{id}        job status (state, progress, failures)
     GET  /v1/sweeps/{id}/report the deterministic sweep report
@@ -22,6 +22,11 @@ config produced a result), ``partial`` (the sweep completed but some
 configs were quarantined by the failure policy — the status and report
 both carry the structured ``failures`` records), or ``failed`` (the
 job itself errored: bad grid expansion, an internal bug — no report).
+
+A grid document is what :meth:`repro.runner.config.SweepGrid.from_dict`
+parses: ``benchmarks`` and ``schemes`` lists plus optional ``seeds``,
+``n_sms``, ``memories``, ``scale``, ``window`` and ``fidelity``; any
+other key is a 400.
 
 Error responses are ``{"error": "<message>"}`` with a conventional
 status code: 400 malformed request / spec, 404 unknown job or path,

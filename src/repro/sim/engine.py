@@ -46,9 +46,8 @@ callers may rely on:
 * A bucket is a list of ``(fn, arg)`` pairs, drained by ``for fn, arg
   in cursor`` over one list iterator (which also yields pairs appended
   meanwhile) and counted into ``events_processed`` once per bucket.  A
-  raise, or ``max_events`` (an ``islice``) running out, leaves the
-  cursor at ``len(bucket) - length_hint(cursor)``; a failing event
-  counts as processed.
+  raise leaves the cursor at ``len(bucket) - length_hint(cursor)``; a
+  failing event counts as processed.
 * ``pending`` (the queued buckets' sum) and ``idle`` (not running, no
   pending cycle, active bucket drained; O(1)) are derived, not counted.
 """
@@ -122,8 +121,7 @@ class Engine:
         advancing monotonically across calls.  This is the pause/resume
         contract auto fidelity builds on: a measured kernel runs in
         ``until``-bounded polls, may freeze between two of them, and
-        resumes on the same warm engine (``max_events`` bounds the
-        whole run when a model misbehaves).
+        resumes on the same warm engine.
         """
         bucket = self._active_bucket
         return not self._running and not self._times and (
@@ -205,13 +203,11 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Execute events until the queue drains (or limits hit).
+    def run(self, until: Optional[int] = None) -> int:
+        """Execute events until the queue drains or the clock passes *until*.
 
         Returns the final simulation time.  *until* stops the clock at
-        a cycle bound; *max_events* guards against runaway models: at
-        most that many events (at least one), then an error if work is
-        queued.  None or a negative value means unlimited.
+        a cycle bound.
 
         ``run`` is not re-entrant: the bucket drain cursor is engine
         state, so calling ``run`` from inside a callback would replay
@@ -220,7 +216,6 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
-        budget = None if max_events is None or max_events < 0 else max_events
         buckets = self._buckets
         times = self._times
         no_arg = _NO_ARG
@@ -248,9 +243,8 @@ class Engine:
                 cursor = iter(bucket)
                 if start:  # resume after a raise
                     next(islice(cursor, start, start), None)
-                pairs = cursor if budget is None else islice(cursor, budget or 1)
                 try:
-                    for fn, arg in pairs:
+                    for fn, arg in cursor:
                         if arg is no_arg:
                             fn()
                         else:
@@ -259,22 +253,7 @@ class Engine:
                     self._active_index = len(bucket) - length_hint(cursor)
                     processed += self._active_index - start
                     raise
-                # Only an exhausted budget leaves pairs behind the cursor.
-                left = 0 if budget is None else length_hint(cursor)
-                end = len(bucket) - left
-                processed += end - start
-                if budget is not None and end > start:
-                    budget -= end - start
-                    if budget <= 0 and (left or times):
-                        # Only a *pending* queue at exhaustion is an
-                        # error: a model that finishes on exactly its
-                        # last allowed event completed, it did not
-                        # livelock.
-                        self._active_index = end
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} (possible "
-                            f"livelock) at cycle {self.now}"
-                        )
+                processed += len(bucket) - start
                 del buckets[self.now]
                 self._active_bucket = None
         finally:

@@ -552,7 +552,6 @@ class GPUSystem:
     def run(
         self,
         workload: Workload,
-        max_events: Optional[int] = None,
         fidelity: str = EXACT,
         auto_plan=None,
         state_cache=None,
@@ -597,7 +596,7 @@ class GPUSystem:
                     )
         if parse_fidelity(fidelity) == AUTO:
             return self._run_auto(
-                workload, max_events, plan=auto_plan,
+                workload, plan=auto_plan,
                 state_cache=state_cache, state_key=state_key,
             )
         # Exact mode keeps its own loop: _kernel_done loads the next
@@ -608,7 +607,7 @@ class GPUSystem:
             for kernel_index, kernel in enumerate(workload.kernels)
         ][::-1]
         self._load_kernels()
-        self.engine.run(max_events=max_events)
+        self.engine.run()
         if not self._finished:
             raise RuntimeError(
                 "simulation drained its event queue before the workload finished "
@@ -626,7 +625,6 @@ class GPUSystem:
     def _run_auto(
         self,
         workload: Workload,
-        max_events: Optional[int] = None,
         plan=None,
         state_cache=None,
         state_key=None,
@@ -662,11 +660,6 @@ class GPUSystem:
                 f"auto-fidelity plan has {len(plan)} entries for a workload "
                 f"with {len(workload.kernels)} kernels"
             )
-
-        def remaining_events() -> Optional[int]:
-            if max_events is None:
-                return None
-            return max(0, max_events - engine.events_processed)
 
         class_cycles: Dict[tuple, List[float]] = {}
         class_flit_rates: Dict[tuple, List[float]] = {}
@@ -711,8 +704,7 @@ class GPUSystem:
                 + accounting.ff_noc_flits
             )
             kernel_cycles = self._run_kernel_measured(
-                contexts, kernel_ops, accounting, remaining_events,
-                freeze_ok=freeze_ok,
+                contexts, kernel_ops, accounting, freeze_ok=freeze_ok,
             )
             kernel_flits = (
                 self.request_noc.stats.flits + self.response_noc.stats.flits
@@ -725,7 +717,7 @@ class GPUSystem:
                         class_flit_rates.setdefault(key, []).append(
                             kernel_flits / kernel_ops
                         )
-        engine.run(max_events=remaining_events())
+        engine.run()
         if not self.scheduler.idle or not engine.idle:
             raise RuntimeError(
                 "auto-fidelity run failed to drain its trailing events "
@@ -735,8 +727,7 @@ class GPUSystem:
         return self._collect(workload, accounting=accounting)
 
     def _run_kernel_measured(
-        self, contexts, kernel_ops, accounting, remaining_events,
-        freeze_ok=True,
+        self, contexts, kernel_ops, accounting, freeze_ok=True
     ) -> float:
         """Run one kernel in detail (frozen if large); return its cycles.
 
@@ -777,7 +768,7 @@ class GPUSystem:
         frozen = False
         completed = 0
         while True:
-            engine.run(until=engine.now + poll, max_events=remaining_events())
+            engine.run(until=engine.now + poll)
             completed = self._requests_completed() - completed_start
             if self.scheduler.idle:
                 break
@@ -785,12 +776,6 @@ class GPUSystem:
                 raise RuntimeError(
                     "simulation drained its event queue before the kernel "
                     f"finished ({self.scheduler.in_flight} TBs in flight)"
-                )
-            budget = remaining_events()
-            if budget is not None and budget == 0:
-                raise RuntimeError(
-                    "auto-fidelity kernel exhausted max_events before "
-                    f"completing ({self.scheduler.in_flight} TBs in flight)"
                 )
             if freeze_target is None or frozen:
                 continue

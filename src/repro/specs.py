@@ -15,9 +15,6 @@ scenarios cache, shard and merge exactly like built-ins.
   synthetic **pattern** recipe (:mod:`repro.workloads.recipes`), or an
   on-disk **trace** file (:mod:`repro.workloads.io`), content-addressed
   by its SHA-256 so the cache key survives moving the file.
-* :class:`ScenarioSpec` — a whole sweep grid (benchmarks x schemes x
-  seeds x SM counts x memories) as one JSON document; ``repro sweep
-  --spec scenario.json`` runs it.
 
 Every spec offers ``to_dict`` / ``from_dict`` (exact round trip),
 ``compact()`` (the form embedded in configs and reports — a plain name
@@ -25,12 +22,18 @@ string for plain registered entries, keeping built-in cache keys
 byte-stable), ``identity()`` (the form hashed into the cache key), and
 ``build(...)``.  ``from_value`` accepts a spec, a name string, or a
 dict, so every API boundary can normalize uniformly.
+
+A whole sweep grid is a :class:`~repro.runner.config.SweepGrid`, whose
+``from_dict`` parses grid documents (``repro sweep --spec
+scenario.json``); its benchmark and scheme entries may be any form
+``from_value`` accepts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Dict, Optional, Sequence, Tuple, Union
@@ -46,16 +49,13 @@ from .core.serialize import canonical_json, pack_rows, stable_hash, unpack_rows
 __all__ = [
     "SchemeSpec",
     "WorkloadSpec",
-    "ScenarioSpec",
     "SpecError",
     "SCHEME_SPEC_TYPE",
     "WORKLOAD_SPEC_TYPE",
-    "SCENARIO_SPEC_TYPE",
 ]
 
 SCHEME_SPEC_TYPE = "scheme_spec"
 WORKLOAD_SPEC_TYPE = "workload_spec"
-SCENARIO_SPEC_TYPE = "scenario_spec"
 
 _SCHEME_KINDS = ("registered", "bim", "stages")
 _WORKLOAD_KINDS = ("registered", "pattern", "trace")
@@ -109,6 +109,17 @@ def integer(value, what: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def real(value, what: str):
+    """*value* unchanged if it is a real number, else ValueError naming *what*.
+
+    Python and numpy integers and floats pass; bools and strings do
+    not, so a ``"scale": true`` or ``"0.25"`` is refused, not coerced.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def _check_stage_bits(stage: Dict) -> None:
@@ -616,132 +627,3 @@ class WorkloadSpec(_Spec):
                 f"different trace under the same cache identity"
             )
         return load_workload(path)
-
-
-# ----------------------------------------------------------------------
-# ScenarioSpec
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A whole sweep grid as one serializable document.
-
-    The spec-world mirror of :class:`~repro.runner.config.SweepGrid`
-    (which it expands to): benchmarks and schemes may be names or
-    nested specs.  ``repro sweep --spec scenario.json`` and
-    :func:`repro.api.sweep` both consume it.
-    """
-
-    benchmarks: Tuple[WorkloadSpec, ...]
-    schemes: Tuple[SchemeSpec, ...]
-    seeds: Tuple[int, ...] = (0,)
-    n_sms: Tuple[int, ...] = (12,)
-    memories: Tuple[str, ...] = ("gddr5",)
-    scale: float = 1.0
-    window: int = 12
-    fidelity: object = "exact"
-
-    def __post_init__(self) -> None:
-        from .sim.fidelity import parse_fidelity
-
-        try:
-            object.__setattr__(self, "fidelity", parse_fidelity(self.fidelity))
-        except (TypeError, ValueError) as error:
-            raise SpecError(str(error)) from None
-        object.__setattr__(self, "benchmarks", tuple(
-            WorkloadSpec.from_value(b) for b in self.benchmarks
-        ))
-        object.__setattr__(self, "schemes", tuple(
-            SchemeSpec.from_value(s) for s in self.schemes
-        ))
-        try:
-            object.__setattr__(self, "seeds", tuple(
-                integer(s, "seed") for s in self.seeds
-            ))
-            object.__setattr__(self, "n_sms", tuple(
-                integer(n, "n_sms") for n in self.n_sms
-            ))
-            object.__setattr__(self, "window", integer(self.window, "window"))
-        except ValueError as error:
-            raise SpecError(str(error)) from None
-        object.__setattr__(self, "memories", tuple(
-            str(m).lower() for m in self.memories
-        ))
-        if not self.benchmarks or not self.schemes:
-            raise SpecError("a scenario needs at least one benchmark and scheme")
-
-    def grid(self):
-        """Expand to a :class:`~repro.runner.config.SweepGrid`."""
-        from .runner.config import SweepGrid
-
-        return SweepGrid(
-            benchmarks=self.benchmarks,
-            schemes=self.schemes,
-            seeds=self.seeds,
-            n_sms=self.n_sms,
-            memories=self.memories,
-            scale=self.scale,
-            window=self.window,
-            fidelity=self.fidelity,
-        )
-
-    def to_dict(self) -> Dict:
-        from .sim.fidelity import EXACT, fidelity_to_json
-
-        data = {
-            "type": SCENARIO_SPEC_TYPE,
-            "benchmarks": [b.compact() for b in self.benchmarks],
-            "schemes": [s.compact() for s in self.schemes],
-            "seeds": list(self.seeds),
-            "n_sms": list(self.n_sms),
-            "memories": list(self.memories),
-            "scale": self.scale,
-            "window": self.window,
-        }
-        if self.fidelity != EXACT:  # exact omitted: pre-fidelity byte-parity
-            data["fidelity"] = fidelity_to_json(self.fidelity)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ScenarioSpec":
-        data = _as_spec_dict(data, "scenario spec")
-        kind = data.get("type")
-        if kind not in (None, SCENARIO_SPEC_TYPE):
-            raise SpecError(f"not a scenario spec: type={kind!r}")
-
-        def axis(key, default=None):
-            value = (
-                _require(data, key, "a scenario spec")
-                if default is None else data.get(key, default)
-            )
-            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-                raise SpecError(
-                    f"scenario {key!r} must be a list, got {value!r}"
-                )
-            return tuple(value)
-
-        try:
-            return cls(
-                benchmarks=axis("benchmarks"),
-                schemes=axis("schemes"),
-                seeds=axis("seeds", (0,)),
-                n_sms=axis("n_sms", (12,)),
-                memories=axis("memories", ("gddr5",)),
-                scale=float(data.get("scale", 1.0)),
-                window=data.get("window", 12),
-                fidelity=data.get("fidelity", "exact"),
-            )
-        except TypeError as error:
-            raise SpecError(f"malformed scenario spec: {error}") from None
-
-    @classmethod
-    def from_file(cls, path) -> "ScenarioSpec":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
-    def dump(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def spec_hash(self) -> str:
-        return stable_hash(_jsonable(self.to_dict()))

@@ -1,9 +1,9 @@
-"""Unit tests for the AddressMapper unit."""
+"""Unit tests for the address mapper: its field decode and its hardware cost."""
 
 import numpy as np
 import pytest
 
-from repro.core import AddressMapper, hynix_gddr5_map
+from repro.core import hynix_gddr5_map
 from repro.core.mapper import decode_fields
 from repro.registry import make_scheme
 
@@ -20,44 +20,38 @@ class TestDecodeFields:
             for name, arr in fields.items():
                 assert arr[i] == scalar[name], name
 
+    def test_decodes_scheme_mapped_addresses(self):
+        scheme = make_scheme("PAE", AMAP, seed=1)
+        addrs = np.arange(0, 1 << 16, 128, dtype=np.uint64)
+        mapped = np.atleast_1d(scheme.map(addrs))
+        fields = decode_fields(AMAP, mapped)
+        sample = AMAP.decode(int(mapped[3]))
+        assert fields["channel"][3] == sample["channel"]
+        assert fields["bank"][3] == sample["bank"]
+        assert fields["row"][3] == sample["row"]
+
     def test_all_fields_present(self):
         fields = decode_fields(AMAP, np.array([0], dtype=np.uint64))
         assert set(fields) == set(AMAP.field_names)
 
 
-class TestAddressMapper:
-    def test_map_and_decode_consistent_with_scheme(self):
-        scheme = make_scheme("PAE", AMAP, seed=1)
-        mapper = AddressMapper(scheme)
-        addrs = np.arange(0, 1 << 16, 128, dtype=np.uint64)
-        out = mapper.map_and_decode(addrs)
-        mapped = np.atleast_1d(scheme.map(addrs))
-        assert (out["address"] == mapped.astype(np.int64)).all()
-        sample = AMAP.decode(int(mapped[3]))
-        assert out["channel"][3] == sample["channel"]
-        assert out["bank"][3] == sample["bank"]
-        assert out["row"][3] == sample["row"]
 
-    def test_counts_requests(self):
-        mapper = AddressMapper(make_scheme("BASE", AMAP))
-        mapper.map_addresses(np.zeros(10, dtype=np.uint64))
-        mapper.map_addresses(5)
-        assert mapper.mapped_requests == 11
+class TestAddressMapper:
+    """The XOR tree a scheme stands for: gate count, depth and latency."""
 
     def test_latency_zero_for_base(self):
-        assert AddressMapper(make_scheme("BASE", AMAP)).latency_cycles == 0
+        assert make_scheme("BASE", AMAP).extra_latency_cycles == 0
 
     def test_latency_one_for_mapped(self):
-        assert AddressMapper(make_scheme("PAE", AMAP)).latency_cycles == 1
+        assert make_scheme("PAE", AMAP).extra_latency_cycles == 1
 
     def test_hardware_cost(self):
-        cost = AddressMapper(make_scheme("PM", AMAP)).hardware_cost()
+        scheme = make_scheme("PM", AMAP)
         # PM: six two-input XORs, depth 1, one pipeline cycle.
-        assert cost.xor_gates == 6
-        assert cost.tree_depth == 1
-        assert cost.latency_cycles == 1
-        assert "6 two-input XOR gates" in str(cost)
+        assert scheme.bim.xor_gate_count() == 6
+        assert scheme.bim.xor_tree_depth() == 1
+        assert scheme.extra_latency_cycles == 1
 
     def test_base_cost_is_zero_gates(self):
-        cost = AddressMapper(make_scheme("BASE", AMAP)).hardware_cost()
-        assert cost.xor_gates == 0 and cost.tree_depth == 0
+        bim = make_scheme("BASE", AMAP).bim
+        assert bim.xor_gate_count() == 0 and bim.xor_tree_depth() == 0

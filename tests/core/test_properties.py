@@ -7,7 +7,7 @@ rests on:
 * scheme matrices stay invertible under the :mod:`repro.core.gf2`
   operations (products, inverses, permutation embeddings),
 * mapping is a bijection: ``unmap . map`` is the identity and
-  ``AddressMapper.map_and_decode`` round-trips through
+  ``decode_fields`` of ``scheme.map``'s output round-trips through
   ``AddressMap.encode``,
 * window entropy stays within its normalized [0, 1] bounds under any
   mapping, and pure bit permutations (RMP) *permute* the per-bit
@@ -26,7 +26,7 @@ from repro.core.entropy import (
     stream_entropy,
     window_entropy,
 )
-from repro.core.mapper import AddressMapper
+from repro.core.mapper import decode_fields
 from repro.core.schemes import SCHEME_NAMES
 from repro.registry import make_scheme
 
@@ -119,12 +119,12 @@ class TestMappingRoundTrips:
                              ids=["gddr5", "stacked", "toy"])
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_decode_encode_round_trip(self, amap, seed):
-        """map_and_decode's fields re-encode to exactly the mapped address."""
+        """Decoded fields re-encode to exactly the mapped address."""
         rng = np.random.default_rng(3000 + seed)
-        mapper = AddressMapper(make_scheme("PAE", amap, seed=seed))
+        scheme = make_scheme("PAE", amap, seed=seed)
         addresses = random_addresses(rng, 64, amap.width)
-        fields = mapper.map_and_decode(addresses)
-        mapped = fields.pop("address")
+        mapped = np.atleast_1d(scheme.map(addresses))
+        fields = decode_fields(amap, mapped)
         for i in range(len(addresses)):
             coords = {name: int(values[i]) for name, values in fields.items()}
             assert amap.encode(**coords) == int(mapped[i])
@@ -132,11 +132,11 @@ class TestMappingRoundTrips:
     @pytest.mark.parametrize("seed", range(3))
     def test_scalar_decode_agrees_with_vectorized(self, seed):
         rng = np.random.default_rng(4000 + seed)
-        mapper = AddressMapper(make_scheme("ALL", AMAP, seed=seed))
+        scheme = make_scheme("ALL", AMAP, seed=seed)
         addresses = random_addresses(rng, 32, AMAP.width)
-        fields = mapper.map_and_decode(addresses)
+        fields = decode_fields(AMAP, np.atleast_1d(scheme.map(addresses)))
         for i, address in enumerate(addresses):
-            scalar = AMAP.decode(int(np.asarray(mapper.scheme.map(int(address)))))
+            scalar = AMAP.decode(int(np.asarray(scheme.map(int(address)))))
             for name, value in scalar.items():
                 assert int(fields[name][i]) == value
 

@@ -12,9 +12,6 @@ The contract it implements is the engine's:
   for the current cycle;
 * ``run(until=...)`` stops before the first event after *until* and
   moves the clock to *until*;
-* ``run(max_events=k)`` dispatches at most ``max(k, 1)`` events and
-  raises :class:`SimulationError` if any event is still queued (a
-  negative or None budget is unlimited);
 * a raising callback counts as processed, and the events behind it
   stay queued for the next ``run``.
 """
@@ -58,16 +55,8 @@ class ReferenceEngine:
     def after(self, delay, callback):
         self.at(self.now + delay, callback)
 
-    def run(self, until=None, max_events=None):
-        budget = None
-        if max_events is not None and max_events >= 0:
-            budget = max(max_events, 1)
+    def run(self, until=None):
         while self._heap:
-            if budget == 0:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (possible "
-                    f"livelock) at cycle {self.now}"
-                )
             time, _, fn, arg = self._heap[0]
             if until is not None and time > until:
                 self.now = max(self.now, until)
@@ -75,8 +64,6 @@ class ReferenceEngine:
             heappop(self._heap)
             self.now = time
             self.events_processed += 1
-            if budget is not None:
-                budget -= 1
             if arg is _NO_ARG:
                 fn()
             else:

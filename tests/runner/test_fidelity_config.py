@@ -26,7 +26,6 @@ from repro.runner import (
 )
 from repro.core.serialize import stable_hash
 from repro.sim.fidelity import AUTO, EXACT, parse_fidelity
-from repro.specs import ScenarioSpec
 
 
 def pr4_payload(config: RunConfig) -> dict:
@@ -76,8 +75,8 @@ class TestExactByteParity:
 
     def test_grid_dict_has_no_fidelity_key(self):
         assert "fidelity" not in SweepGrid().to_dict()
-        assert "fidelity" not in ScenarioSpec(
-            benchmarks=("MT",), schemes=("PM",)
+        assert "fidelity" not in SweepGrid.from_dict(
+            {"benchmarks": ["MT"], "schemes": ["PM"]}
         ).to_dict()
 
     def test_exact_round_trip(self):
@@ -87,15 +86,15 @@ class TestExactByteParity:
 
 class TestAutoScenario:
     def test_scenario_spec_round_trip(self):
-        spec = ScenarioSpec(
+        grid = SweepGrid(
             benchmarks=("SC",), schemes=("PM",), scale=0.25,
             fidelity=AUTO,
         )
-        restored = ScenarioSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict()))
+        restored = SweepGrid.from_dict(
+            json.loads(json.dumps(grid.to_dict()))
         )
-        assert restored == spec
-        assert restored.grid().configs() == spec.grid().configs()
+        assert restored == grid
+        assert restored.configs() == grid.configs()
 
 
 class TestAutoByteParity:

@@ -51,6 +51,17 @@ class TestRunConfig:
                 RunConfig("MT", "PAE", scale=scale)
             with pytest.raises(ValueError):
                 RunConfig("MT", "PAE", scale=0.5, profile_scale=scale)
+        # Bools and strings are not coerced (True would run at 1.0).
+        for value in (True, "0.25"):
+            for field in ("scale", "profile_scale"):
+                with pytest.raises(ValueError,
+                                   match=f"{field} must be a real number"):
+                    RunConfig("MT", "PAE", **{field: value})
+                data = RunConfig("MT", "PAE").to_dict()
+                data[field] = value
+                with pytest.raises(ValueError,
+                                   match=f"{field} must be a real number"):
+                    RunConfig.from_dict(data)
         with pytest.raises(ValueError):
             RunConfig("MT", "PAE", window=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):

@@ -111,6 +111,8 @@ def test_400_on_malformed_scenario(server):
         ("seeds", [-1], "seed must be non-negative"),
         ("n_sms", [2.5], "n_sms must be an integer"),
         ("window", 2.5, "window must be an integer"),
+        ("scales", 0.25, "unknown sweep grid key 'scales'"),
+        ("scale", True, "scale must be a real number"),
     ):
         error = expect_status(
             lambda: client_for(url).submit(dict(SCENARIO, **{axis: value})),

@@ -165,37 +165,6 @@ class TestLimits:
         assert engine.now == 50
         assert engine.pending == 1
 
-    def test_max_events_guard(self):
-        engine = Engine()
-
-        def forever():
-            engine.after(1, forever)
-
-        engine.at(0, forever)
-        with pytest.raises(SimulationError, match="max_events"):
-            engine.run(max_events=100)
-
-    def test_exact_max_events_completion_is_not_an_error(self):
-        """A model that finishes on exactly its last allowed event
-        completed normally — exhaustion is only an error while work
-        remains queued."""
-        engine = Engine()
-        fired = []
-        for t in range(5):
-            engine.at(t, lambda t=t: fired.append(t))
-        assert engine.run(max_events=5) == 4
-        assert fired == [0, 1, 2, 3, 4]
-        assert engine.pending == 0
-
-    def test_max_events_exhaustion_with_pending_work_raises(self):
-        engine = Engine()
-        for t in range(6):
-            engine.at(t, lambda: None)
-        with pytest.raises(SimulationError, match="max_events"):
-            engine.run(max_events=5)
-        # The guard fired with the sixth event still queued.
-        assert engine.pending == 1
-
     def test_past_scheduling_rejected(self):
         engine = Engine()
         engine.at(10, lambda: None)
@@ -301,19 +270,6 @@ class TestCountersBetweenRuns:
         engine.run()
         assert (engine.events_processed, engine.pending) == (5, 0)
 
-    def test_after_max_events_exhaustion(self):
-        engine = Engine()
-        for _ in range(4):
-            engine.at(2, lambda: None)
-        for t in (3, 4):
-            engine.at(t, lambda: None)
-        with pytest.raises(SimulationError, match="max_events"):
-            engine.run(max_events=3)
-        assert (engine.events_processed, engine.pending) == (3, 3)
-        # The budget is per run: a later run resumes mid-bucket.
-        engine.run()
-        assert (engine.events_processed, engine.pending) == (6, 0)
-
     def test_after_callback_raises_mid_bucket(self):
         engine = Engine()
         fired = []
@@ -362,10 +318,7 @@ _node = st.recursive(
     max_leaves=12,
 )
 _runs = st.lists(
-    st.tuples(
-        st.one_of(st.none(), st.integers(0, 4)),  # until, relative to now
-        st.one_of(st.none(), st.integers(0, 4)),  # max_events
-    ),
+    st.one_of(st.none(), st.integers(0, 4)),  # until, relative to now
     min_size=1, max_size=6,
 )
 
@@ -402,12 +355,12 @@ class Program:
         if raises:
             raise Boom(name)
 
-    def run(self, until, max_events):
+    def run(self, until):
         """One ``run`` call; returns the error it raised, if any."""
         bound = None if until is None else self.engine.now + until
         try:
-            self.engine.run(until=bound, max_events=max_events)
-        except (Boom, SimulationError) as error:
+            self.engine.run(until=bound)
+        except Boom as error:
             return type(error).__name__, str(error)
         return None
 
@@ -424,8 +377,8 @@ def test_bucket_engine_matches_heap_oracle(roots, runs):
     """Same random schedules, same dispatch order and counters.
 
     The forest covers same-cycle scheduling from callbacks, ``until``
-    pauses, ``max_events`` budgets from 0 up, and callbacks that raise
-    mid-bucket followed by resumed runs; after every ``run`` both
+    pauses, and callbacks that raise mid-bucket followed by resumed
+    runs; after every ``run`` both
     engines must agree on the log, ``now``, ``events_processed``,
     ``pending`` and ``idle``.
     """
@@ -434,11 +387,11 @@ def test_bucket_engine_matches_heap_oracle(roots, runs):
     assert real.observed() == oracle.observed()
     # The given runs, then unbounded ones until both queues drain: each
     # resumed run consumes at least one event, so this terminates.
-    drains = [(None, None)] * (1 + 13 * len(roots))
-    for until, max_events in runs + drains:
-        outcome = real.run(until, max_events)
-        assert outcome == oracle.run(until, max_events)
+    drains = [None] * (1 + 13 * len(roots))
+    for until in runs + drains:
+        outcome = real.run(until)
+        assert outcome == oracle.run(until)
         assert real.observed() == oracle.observed()
-        if real.engine.idle and (until, max_events) == (None, None):
+        if real.engine.idle and until is None:
             break
     assert real.engine.idle and real.engine.pending == 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.runner import SweepRunner
-from repro.specs import ScenarioSpec, SchemeSpec, WorkloadSpec
+from repro.runner import SweepGrid, SweepRunner
+from repro.specs import SchemeSpec, WorkloadSpec
 
 SCALE = 0.25
 
@@ -69,10 +69,14 @@ class TestSweep:
         kw = api.sweep(
             benchmarks=["SP"], schemes=["PAE"], scale=SCALE, runner=runner
         )
-        scenario = ScenarioSpec(benchmarks=("SP",), schemes=("PAE",), scale=SCALE)
-        by_spec = api.sweep(scenario, runner=runner)
-        by_dict = api.sweep(scenario.to_dict(), runner=runner)
-        assert kw == by_spec == by_dict
+        grid = SweepGrid(benchmarks=("SP",), schemes=("PAE",), scale=SCALE)
+        by_grid = api.sweep(grid, runner=runner)
+        by_dict = api.sweep(
+            {"type": "scenario_spec", "benchmarks": ["SP"],
+             "schemes": ["PAE"], "scale": SCALE},
+            runner=runner,
+        )
+        assert kw == by_grid == by_dict
         assert kw["derived"]["speedup"]["PAE"]["SP"] > 1.0
 
     def test_shard_report(self, runner):
@@ -86,6 +90,15 @@ class TestSweep:
     def test_rejects_bad_scenario_type(self, runner):
         with pytest.raises(TypeError, match="scenario"):
             api.sweep(42, runner=runner)
+
+    def test_rejects_axis_keywords_with_a_scenario(self, runner):
+        scenario = {"benchmarks": ["SP"], "schemes": ["PAE"], "scale": 0.1}
+        with pytest.raises(TypeError, match="seeds, scale, fidelity"):
+            api.sweep(scenario, scale=0.5, seeds=(3,), fidelity="auto",
+                      runner=runner)
+        with pytest.raises(TypeError, match="benchmarks"):
+            api.sweep(SweepGrid(benchmarks=("SP",)), benchmarks=["MT"],
+                      runner=runner)
 
 
 class TestWorkerDefaults:

@@ -382,6 +382,17 @@ class TestSpecSweep:
         ]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_mistyped_spec_key_exits_2_before_any_run(self, tmp_path, capsys):
+        """A misspelt axis used to be ignored: this file ran at scale 1.0."""
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "benchmarks": ["MT"], "schemes": ["PAE"], "scales": 0.25,
+        }))
+        assert main(["sweep", "--spec", str(scenario), "--cache-dir", ""]) == 2
+        captured = capsys.readouterr()
+        assert "unknown sweep grid key 'scales'" in captured.err
+        assert captured.out == ""
+
 
 class TestRegisterFlag:
     def test_schemes_register_lists_plugin(

@@ -1,4 +1,4 @@
-"""Tests for the serializable SchemeSpec / WorkloadSpec / ScenarioSpec family."""
+"""Tests for the serializable SchemeSpec / WorkloadSpec family and grid documents."""
 
 import json
 
@@ -10,7 +10,7 @@ from repro.core.serialize import dump_scheme, scheme_to_dict
 from repro.core.schemes import SCHEME_NAMES
 from repro.registry import make_scheme
 from repro.runner.config import RunConfig, SweepGrid
-from repro.specs import ScenarioSpec, SchemeSpec, SpecError, WorkloadSpec
+from repro.specs import SchemeSpec, SpecError, WorkloadSpec
 from repro.workloads.io import save_workload
 from repro.workloads.recipes import build_recipe_workload
 
@@ -69,22 +69,22 @@ class TestSchemeSpecRegistered:
         with pytest.raises(SpecError, match="object"):
             SchemeSpec.from_dict(["not", "a", "dict"])
         with pytest.raises(SpecError, match="benchmarks"):
-            ScenarioSpec.from_dict({"type": "scenario_spec", "schemes": ["PAE"]})
+            SweepGrid.from_dict({"type": "scenario_spec", "schemes": ["PAE"]})
         with pytest.raises(SpecError, match="list"):
-            ScenarioSpec.from_dict({"type": "scenario_spec",
-                                    "benchmarks": "SP", "schemes": ["PAE"]})
+            SweepGrid.from_dict({"type": "scenario_spec",
+                                 "benchmarks": "SP", "schemes": ["PAE"]})
         with pytest.raises(SpecError, match="seeds"):
-            ScenarioSpec.from_dict({"type": "scenario_spec",
-                                    "benchmarks": ["SP"], "schemes": ["PAE"],
-                                    "seeds": 3})
+            SweepGrid.from_dict({"type": "scenario_spec",
+                                 "benchmarks": ["SP"], "schemes": ["PAE"],
+                                 "seeds": 3})
         # Malformed integers are refused, never truncated to a run.
         for field, value in (("n_sms", [2.5]), ("window", 2.5),
                              ("seeds", [True]), ("seeds", ["1"]),
                              ("n_sms", [12.0])):
             with pytest.raises(SpecError, match="must be an integer"):
-                ScenarioSpec.from_dict({"type": "scenario_spec",
-                                        "benchmarks": ["SP"],
-                                        "schemes": ["PAE"], field: value})
+                SweepGrid.from_dict({"type": "scenario_spec",
+                                     "benchmarks": ["SP"],
+                                     "schemes": ["PAE"], field: value})
         with pytest.raises(SpecError, match="hex"):
             SchemeSpec.from_dict({"type": "scheme_spec", "kind": "bim",
                                   "name": "N", "width": 2, "rows": [1, 2]})
@@ -374,31 +374,71 @@ class TestWorkloadSpec:
 
 
 class TestScenarioSpec:
+    """Scenario spec files: the grid documents ``SweepGrid.from_dict`` parses."""
+
     def test_round_trip_and_grid(self, tmp_path):
         custom = SchemeSpec.stages(
             "MYX", [{"op": "xor", "target": 8, "sources": [20, 21]}]
         )
-        scenario = ScenarioSpec(
+        grid = SweepGrid(
             benchmarks=("SP",),
             schemes=("PAE", custom),
             scale=0.25,
         )
         path = tmp_path / "scenario.json"
-        scenario.dump(path)
-        loaded = ScenarioSpec.from_file(path)
-        assert loaded == scenario
-        grid = loaded.grid()
-        assert isinstance(grid, SweepGrid)
-        assert {c.scheme_name for c in grid.configs()} == {"BASE", "PAE", "MYX"}
-        assert grid.scale == 0.25
+        path.write_text(json.dumps(grid.to_dict()))
+        loaded = SweepGrid.from_dict(json.loads(path.read_text()))
+        assert loaded == grid
+        assert {c.scheme_name for c in loaded.configs()} == {"BASE", "PAE", "MYX"}
+        assert loaded.scale == 0.25
 
     def test_grid_matches_equivalent_flag_grid(self):
-        scenario = ScenarioSpec(benchmarks=("MT", "SP"), schemes=("PM",),
-                                scale=0.5, window=8)
+        document = {"type": "scenario_spec", "benchmarks": ["MT", "SP"],
+                    "schemes": ["PM"], "scale": 0.5, "window": 8}
         flags = SweepGrid(benchmarks=("MT", "SP"), schemes=("PM",),
-                         scale=0.5, window=8)
-        assert scenario.grid() == flags
+                          scale=0.5, window=8)
+        assert SweepGrid.from_dict(document) == flags
 
     def test_empty_axes_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(benchmarks=(), schemes=("PAE",))
+        with pytest.raises(SpecError):
+            SweepGrid.from_dict({"benchmarks": [], "schemes": ["PAE"]})
+
+    def test_missing_axes_take_the_defaults(self):
+        grid = SweepGrid.from_dict({"benchmarks": ["MT"], "schemes": ["PAE"]})
+        assert (grid.seeds, grid.n_sms, grid.memories) == ((0,), (12,), ("gddr5",))
+        assert (grid.scale, grid.window, grid.fidelity) == (1.0, 12, "exact")
+        assert SweepGrid.from_dict(dict(grid.to_dict(), scale=1)).scale == 1.0
+
+    def test_old_spec_file_sweeps_like_the_flag_grid(self):
+        # An old-format spec file: the type tag and every axis written out.
+        document = {"type": "scenario_spec", "benchmarks": ["MT"],
+                    "schemes": ["PAE"], "seeds": [0], "n_sms": [12],
+                    "memories": ["gddr5"], "scale": 0.25, "window": 12}
+        flags = SweepGrid(benchmarks=("MT",), schemes=("PAE",), scale=0.25)
+        grid = SweepGrid.from_dict(document)
+        assert grid.to_dict() == flags.to_dict()
+        assert [c.config_hash() for c in grid.configs()] == [
+            c.config_hash() for c in flags.configs()
+        ]
+
+    @pytest.mark.parametrize("document,message", [
+        (["MT"], "JSON object"),
+        ({"type": "workload_spec", "benchmarks": ["MT"], "schemes": ["PAE"]},
+         "type='workload_spec'"),
+        ({"benchmarks": ["MT"], "schemes": ["PAE"], "scales": 0.25},
+         "unknown sweep grid key 'scales'"),
+        ({"benchmarks": ["MT"], "schemes": ["PAE"], "scale": True},
+         "scale must be a real number"),
+        ({"benchmarks": ["MT"], "schemes": ["PAE"], "scale": "0.25"},
+         "scale must be a real number"),
+        ({"benchmarks": ["MT"], "schemes": ["PAE"], "scale": 10 ** 400},
+         "too large"),
+        ({"benchmarks": ["MT"], "schemes": ["PAE"], "fidelity": "fast"},
+         "unknown fidelity"),
+        ({"benchmarks": ["MT"], "schemes": ["PAE"], "fidelity": 3},
+         "fidelity must be a string or dict"),
+    ], ids=["not-object", "other-type", "unknown-key", "bool-scale",
+            "string-scale", "huge-scale", "bad-fidelity", "int-fidelity"])
+    def test_malformed_documents_raise_spec_error(self, document, message):
+        with pytest.raises(SpecError, match=message):
+            SweepGrid.from_dict(document)
