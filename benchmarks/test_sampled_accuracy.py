@@ -22,9 +22,14 @@ Environment knobs:
   this at ``scale=1.0``).
 
 The smoke grid doubles as the CI budget: both targets are pure
-functions of the traces, so both are asserted.  Wall time is measured
-only by ``benchmarks/perf/bench.py``, which repeats runs and reports
-their spread.
+functions of the traces, so both are asserted, and at scale 1.0 its
+event counts and HMEAN errors are pinned, so any drift in auto's
+results fails here.  Wall time is measured only by
+``benchmarks/perf/bench.py``, which repeats runs and reports their
+spread.
+
+The results file keeps one record per grid (benchmarks, schemes,
+scale, fidelity): a run replaces its grid's record.
 """
 
 import json
@@ -47,6 +52,12 @@ SMOKE_SCHEMES = ("BASE", "PM", "PAE")
 
 TARGET_EVENT_RATIO = 2.0
 TARGET_HMEAN_ERROR_PCT = 3.0
+
+# The smoke grid at scale 1.0: engine events exactly, HMEAN errors (in
+# percent) to 1e-9.
+PINNED_EXACT_EVENTS = 2049122
+PINNED_AUTO_EVENTS = 948492
+PINNED_HMEAN_ERROR_PCT = {"PAE": 2.958238775561184, "PM": -0.3095824057715024}
 
 
 def _grid():
@@ -150,8 +161,15 @@ def _emit(record, name="BENCH_sampled_accuracy.json"):
                 existing = [existing]
         except json.JSONDecodeError:
             existing = []
-    existing.append(record)
-    path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
+
+    def grid(entry):
+        return tuple(
+            entry.get(key) for key in ("benchmarks", "schemes", "scale", "fidelity")
+        )
+
+    records = [entry for entry in existing if grid(entry) != grid(record)]
+    records.append(record)
+    path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
     print(json.dumps(record, indent=2, sort_keys=True))
 
 
@@ -177,6 +195,13 @@ def test_sampled_accuracy_smoke():
         f"{record['exact_events']}: a {record['event_ratio']:.2f}x ratio, "
         f"under the {TARGET_EVENT_RATIO}x target"
     )
+    if (benchmarks, schemes, scale) == (SMOKE_BENCHMARKS, SMOKE_SCHEMES, 1.0):
+        assert (record["exact_events"], record["auto_events"]) == (
+            PINNED_EXACT_EVENTS, PINNED_AUTO_EVENTS
+        )
+        assert record["hmean_error_pct"] == pytest.approx(
+            PINNED_HMEAN_ERROR_PCT, rel=0, abs=1e-9
+        )
 
 
 @pytest.mark.slow

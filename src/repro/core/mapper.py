@@ -19,7 +19,7 @@ import numpy as np
 
 from .address_map import AddressMap
 
-__all__ = ["decode_fields"]
+__all__ = ["decode_fields", "dram_channels"]
 
 # Per-map decode plans: field name -> [(src_shift, mask, dst_shift)].
 # Keyed weakly so long-lived processes (sweep workers) do not pin maps.
@@ -75,3 +75,15 @@ def decode_fields(address_map: AddressMap, addresses: np.ndarray) -> Dict[str, n
             value |= ((addr >> src_shift) & mask) << dst_shift
         out[name] = value.astype(np.int64)
     return out
+
+
+def dram_channels(address_map: AddressMap, fields: Dict[str, np.ndarray]) -> np.ndarray:
+    """Controller index per address from its :func:`decode_fields` *fields*.
+
+    A conventional map has a ``channel`` field; on a stacked one each
+    (stack, vault) pair has its own controller, ``stack * vaults +
+    vault``.
+    """
+    if "channel" in address_map:
+        return fields["channel"]
+    return fields["stack"] * address_map.field("vault").size + fields["vault"]

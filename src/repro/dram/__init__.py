@@ -9,7 +9,7 @@ from .power import (
     gddr5_power_params,
 )
 from .scheduler import DRAMRequest, FCFSScheduler, FRFCFSScheduler
-from .stacked import StackedMemoryConfig, stacked_memory_config
+from .stacked import stacked_memory_config
 from .system import DRAMSystem
 from .timing import DRAMTiming, gddr5_timing, stacked_timing
 
@@ -25,7 +25,6 @@ __all__ = [
     "FCFSScheduler",
     "FRFCFSScheduler",
     "MemoryController",
-    "StackedMemoryConfig",
     "gddr5_power_params",
     "gddr5_timing",
     "stacked_memory_config",

@@ -14,44 +14,23 @@ scaled for many narrow channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core.address_map import AddressMap, stacked_memory_map
+from ..core.address_map import stacked_memory_map
+from ..registry import MemoryConfig
 from .power import DRAMPowerParams
-from .timing import DRAMTiming, stacked_timing
+from .timing import stacked_timing
 
-__all__ = ["StackedMemoryConfig", "stacked_memory_config"]
-
-
-@dataclass(frozen=True)
-class StackedMemoryConfig:
-    """Everything needed to instantiate a 3D-stacked memory system."""
-
-    address_map: AddressMap
-    timing: DRAMTiming
-    power_params: DRAMPowerParams
-
-    @property
-    def stacks(self) -> int:
-        return self.address_map.field("stack").size
-
-    @property
-    def vaults_per_stack(self) -> int:
-        return self.address_map.field("vault").size
-
-    @property
-    def independent_channels(self) -> int:
-        return self.stacks * self.vaults_per_stack
+__all__ = ["stacked_memory_config"]
 
 
-def stacked_memory_config() -> StackedMemoryConfig:
+def stacked_memory_config() -> MemoryConfig:
     """The Fig. 18 3D-stacked configuration.
 
     Per-vault background power is much lower than a GDDR5 channel's
     (no long board traces), and TSV I/O makes reads cheaper; activate
     energy stays DRAM-array-bound.
     """
-    return StackedMemoryConfig(
+    return MemoryConfig(
+        "stacked",
         address_map=stacked_memory_map(),
         timing=stacked_timing(),
         power_params=DRAMPowerParams(

@@ -182,10 +182,7 @@ def _register_builtin_memories() -> None:
     def _stacked() -> MemoryConfig:
         from .dram.stacked import stacked_memory_config
 
-        stacked = stacked_memory_config()
-        return MemoryConfig(
-            "stacked", stacked.address_map, stacked.timing, stacked.power_params
-        )
+        return stacked_memory_config()
 
     register_memory("gddr5", origin="builtin")(_gddr5)
     register_memory("stacked", origin="builtin")(_stacked)

@@ -56,6 +56,21 @@ _LIST_AXES = ("benchmarks", "schemes", "seeds", "n_sms", "memories")
 _LEGACY_TYPE = "scenario_spec"
 
 
+def _float(value, what: str) -> float:
+    """A real *value* (see :func:`~repro.specs.real`) as a ``float``.
+
+    So ``1`` and ``1.0`` serialize, and hash, alike.  An int too large
+    for a float is refused like ``inf``.
+    """
+    try:
+        return float(real(value, what))
+    except OverflowError:
+        raise ValueError(
+            f"{what} must be positive and finite, got an int too large "
+            f"for a float"
+        ) from None
+
+
 def _validate_memory(memory: str) -> str:
     memory = str(memory).strip().lower()
     try:
@@ -110,8 +125,8 @@ class RunConfig:
             raise ValueError(str(error)) from None
         for name in ("seed", "n_sms", "window"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
-        real(self.scale, "scale")
-        real(self.profile_scale, "profile_scale")
+        for name in ("scale", "profile_scale"):
+            object.__setattr__(self, name, _float(getattr(self, name), name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_sms <= 0:
@@ -177,9 +192,9 @@ class RunConfig:
             seed=data["seed"],
             n_sms=data["n_sms"],
             memory=str(data["memory"]),
-            scale=float(real(data["scale"], "scale")),
+            scale=data["scale"],
             window=data["window"],
-            profile_scale=float(real(data["profile_scale"], "profile_scale")),
+            profile_scale=data["profile_scale"],
             fidelity=data.get("fidelity", EXACT),
         )
 
@@ -257,6 +272,7 @@ class SweepGrid:
             integer(n, "n_sms") for n in self.n_sms
         ))
         object.__setattr__(self, "window", integer(self.window, "window"))
+        object.__setattr__(self, "scale", _float(self.scale, "scale"))
         object.__setattr__(self, "memories", tuple(
             str(m).lower() for m in self.memories
         ))
@@ -342,8 +358,6 @@ class SweepGrid:
             if key not in axes:
                 raise SpecError(f"a sweep grid is missing the required {key!r} field")
         try:
-            if "scale" in axes:
-                axes["scale"] = float(real(axes["scale"], "scale"))
             return cls(**axes)
         except (TypeError, ValueError, OverflowError) as error:
             raise SpecError(str(error)) from None

@@ -30,8 +30,9 @@ from ..core.entropy import (
 from ..core.schemes import MappingScheme
 from ..gpu.config import config_with_sms
 from ..registry import memory_config
-from ..sim.fidelity import AUTO, fidelity_to_json
-from ..sim.gpu_system import GPUSystem, plan_auto
+from ..sim.auto import Auto, KernelPlan, plan_auto
+from ..sim.fidelity import AUTO
+from ..sim.gpu_system import GPUSystem
 from ..sim.results import SimulationResult
 from ..specs import SchemeSpec, WorkloadSpec
 from ..workloads.base import Workload
@@ -63,7 +64,9 @@ class RunContext:
         self._schemes: Dict[
             Tuple[SchemeSpec, int, str, float, int], MappingScheme
         ] = {}
-        self._auto_plans: Dict[Tuple[WorkloadSpec, float, str], list] = {}
+        self._auto_plans: Dict[
+            Tuple[WorkloadSpec, float, str], Tuple[KernelPlan, ...]
+        ] = {}
         self.state_cache = StateCache()
 
     # -- immutable hardware descriptions --------------------------------
@@ -145,16 +148,11 @@ class RunContext:
         benchmark: Union[str, WorkloadSpec],
         scale: float,
         memory: str,
-    ) -> list:
-        """The auto-fidelity kernel plan of one workload, memoized.
+    ) -> Tuple[KernelPlan, ...]:
+        """One workload's :func:`~repro.sim.auto.plan_auto`, memoized.
 
-        Fingerprinted against the memory technology's *base* address
-        map — never a scheme's — so the plan (which kernels run
-        detailed vs estimated) is identical for every scheme in a
-        sweep.  Estimation errors then hit every scheme's cycles the
-        same way and largely cancel in Figure-12-style speedup ratios,
-        and the warmed-state replay work is planned once per workload
-        instead of once per (workload, scheme) run.
+        It is fingerprinted against the memory's *base* address map,
+        never a scheme's, so one plan serves every scheme of a sweep.
         """
         spec = WorkloadSpec.from_value(benchmark)
         key = (spec, scale, memory)
@@ -164,18 +162,32 @@ class RunContext:
             )
         return self._auto_plans[key]
 
+    def auto(self, config: RunConfig) -> Auto:
+        """An auto run's plan and its memoized replay-stream lookup.
+
+        The lookup keeps each estimated kernel's stream in
+        :attr:`state_cache` under the run's workload spec, scale,
+        memory and SM count plus the kernel index and the machine's
+        wave capacity.  The scheme is deliberately absent: the stream
+        is raw pre-mapping addresses, so every scheme of a sweep shares
+        it.
+        """
+        identity = (config.benchmark, config.scale, config.memory, config.n_sms)
+        memo = self.state_cache
+
+        def stream(kernel_index, kernel, wave_cap):
+            return memo.stream(
+                (*identity, kernel_index, wave_cap), kernel.tbs, wave_cap
+            )
+
+        return Auto(
+            self.auto_plan(config.benchmark, config.scale, config.memory),
+            stream,
+        )
+
     # -- execution -------------------------------------------------------
     def execute(self, config: RunConfig) -> SimulationResult:
-        """Build a fresh system and run *config* to completion.
-
-        An auto-fidelity run is connected to :attr:`state_cache`: the
-        run's scheme-independent identity document is derived here
-        (workload content identity, scale, fidelity, memory, machine
-        size) and handed to the system, which memoizes each estimated
-        kernel's replay stream under it.  The scheme is deliberately
-        absent from the document — the stream is scheme-invariant,
-        which is the whole point of sharing it across a scheme sweep.
-        """
+        """Build a fresh system and run *config* to completion."""
         workload = self.workload(config.benchmark, config.scale)
         scheme = self.scheme(
             config.scheme, config.seed, config.memory,
@@ -188,24 +200,8 @@ class RunContext:
             timing=memory.timing,
             dram_power_params=memory.power_params,
         )
-        if config.fidelity != AUTO:
-            return system.run(workload, fidelity=config.fidelity)
-        return system.run(
-            workload, fidelity=config.fidelity,
-            auto_plan=self.auto_plan(
-                config.benchmark, config.scale, config.memory
-            ),
-            state_cache=self.state_cache,
-            state_key={
-                "workload": WorkloadSpec.from_value(
-                    config.benchmark
-                ).identity(),
-                "scale": config.scale,
-                "fidelity": fidelity_to_json(config.fidelity),
-                "memory": config.memory,
-                "n_sms": config.n_sms,
-            },
-        )
+        auto = self.auto(config) if config.fidelity == AUTO else None
+        return system.run(workload, auto=auto)
 
 
 # One context per process, created lazily.  ProcessPoolExecutor workers

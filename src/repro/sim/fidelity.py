@@ -2,8 +2,8 @@
 
 The simulator exposes a **fidelity axis** (threaded from
 :class:`~repro.runner.config.RunConfig` all the way into
-:class:`~repro.sim.gpu_system.GPUSystem`).  A normalized fidelity is
-one of two strings:
+:meth:`GPUSystem.run <repro.sim.gpu_system.GPUSystem.run>`).  A
+normalized fidelity is one of two strings:
 
 ``"exact"`` (the default)
     Every cycle of every kernel runs on the discrete-event engine.
@@ -11,30 +11,16 @@ one of two strings:
     cache keys, no schema bump.
 
 ``"auto"``
-    Per-kernel plan derived from the workload's own structure, so it
-    needs no hand-tuning: its six parameters are the module constants
-    below.  Each kernel gets a three-level fingerprint from one
-    vectorized pass over its trace: its structural group (op count,
-    TB count, warp count), its footprint *shape* (touched-bank count,
-    hottest-bank load, unique row count under the memory's base
-    address decode — scheme-independent), and its exact *content* (a
-    hash of the sorted request-address multiset).  The plan runs
-    kernel 0 (the cold-state exemplar) in full detail, measures warm
-    kernels until each shape class has its exemplar quota (one
-    exemplar for kernels of at least :data:`BIG_KERNEL_OPS` ops, whose
-    steady phases dominate; :data:`EXEMPLARS` for smaller, noisier
-    kernels), and every later repeat is **replayed functionally**
-    through the warmed L1/LLC/row state and estimated from the finest
-    measured tier — an exact content twin when one was measured, else
-    its shape class's mean.  Measured kernels at least
-    :data:`MIN_FREEZE_OPS` ops long are additionally skip-middle
-    frozen at :data:`FREEZE_FRAC` of their completions (keeping a
-    detailed per-warp tail), with the middle extrapolated through the
-    drift-corrected accounting.  The plan is a pure function of the
-    workload (never of the mapping scheme), so an auto run of a scheme
-    grid samples every scheme at the *same* per-kernel cut points and
-    the fig12 speedup ratios see correlated — largely cancelling —
-    estimation errors.
+    Per-kernel sampling derived from the workload's own structure, so
+    it needs no hand-tuning: its six parameters are the module
+    constants below, which only :mod:`repro.sim.auto` simulates with.
+    A plan fingerprints every kernel, measures exemplars, and replays
+    and estimates their repeats; big measured kernels also skip their
+    steady middle.  The plan is a pure function of the workload (never
+    of the mapping scheme), so an auto run of a scheme grid samples
+    every scheme at the *same* per-kernel cut points and the fig12
+    speedup ratios see correlated — largely cancelling — estimation
+    errors.
 
 Serialized form (the shape carried by ``RunConfig.to_dict`` and hashed
 into cache keys): the string ``"exact"``, or auto's constants as a

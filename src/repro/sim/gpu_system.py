@@ -32,14 +32,12 @@ and system power (11/17).
 
 from __future__ import annotations
 
-import hashlib
-import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.address_map import AddressMap
-from ..core.mapper import decode_fields
+from ..core.mapper import decode_fields, dram_channels
 from ..core.schemes import MappingScheme
 from ..dram.power import DRAMPowerParams
 from ..dram.scheduler import DRAMRequest
@@ -48,169 +46,22 @@ from ..dram.timing import DRAMTiming, gddr5_timing
 from ..gpu.config import GPUConfig, baseline_config
 from ..gpu.llc import LLCSlice
 from ..gpu.noc import Crossbar
-from ..gpu.power import GPUPowerModel, GPUPowerParams, default_gpu_power_params
+from ..gpu.power import GPUPowerModel, default_gpu_power_params
 from ..gpu.sm import SM, MemRequest
 from ..gpu.tb_scheduler import TBScheduler
 from ..gpu.thread_block import TBContext
 from ..workloads.base import Workload
-from . import replay as replay_plane
 from .engine import Engine
-from .fidelity import (
-    AUTO,
-    BIG_KERNEL_OPS,
-    EXACT,
-    EXEMPLARS,
-    FREEZE_FRAC,
-    MIN_FREEZE_OPS,
-    TAIL_FRAC,
-    WARMUP_FRAC,
-    fidelity_to_json,
-    parse_fidelity,
-)
-from .metrics import SampledAccounting, busy_time
+from .fidelity import EXACT, parse_fidelity
+from .metrics import busy_time
 from .results import SimulationResult
 
-__all__ = ["GPUSystem", "plan_auto", "simulate"]
+__all__ = ["GPUSystem", "dram_coords", "simulate"]
 
-# Share of each in-flight warp's *remaining* ops (and of the queued
-# TBs) an auto freeze keeps detailed: the tail that is TAIL_FRAC of the
-# whole kernel once FREEZE_FRAC of it has completed.
-_KEEP_SHARE = TAIL_FRAC / (1.0 - FREEZE_FRAC)
-
-
-def _kernel_fingerprint(kernel, address_map: Optional[AddressMap]):
-    """Three-level identity of one kernel's memory traffic.
-
-    Returns ``(ops, content_key, shape_key)``:
-
-    * the structural group ``(ops, n_tbs, n_warps)`` — embedded in
-      both keys, so transfer never crosses grid shapes,
-    * ``content_key`` — the group plus a hash of the sorted request
-      address multiset: two kernels share it iff they touch exactly
-      the same addresses the same number of times, so *every* address
-      decode (cache line, LLC slice, bank, row) agrees between them,
-    * ``shape_key`` — the group plus coarse footprint statistics
-      under the memory's base address decode (touched-bank count,
-      hottest-bank request load, unique bank/row count), each
-      geometrically bucketed: kernels whose statistics agree within
-      ~1.5x land in the same class (a transposed matrix pass touching
-      2x the banks does not), so near-identical access patterns
-      transfer while genuinely different ones stay measured.  The
-      decode uses the *raw* trace addresses, which is exactly the
-      BASE mapping — a pure function of the workload and memory
-      geometry, never of the scheme under test.
-    """
-    ops = sum(len(warp) for tb in kernel.tbs for warp in tb.warps)
-    group = (ops, len(kernel.tbs), sum(len(tb.warps) for tb in kernel.tbs))
-    arrays = [
-        np.asarray(warp.addresses, dtype=np.uint64)
-        for tb in kernel.tbs for warp in tb.warps if len(warp)
-    ]
-    if not arrays:
-        return ops, (group, "empty"), (group,)
-    addrs = np.sort(np.concatenate(arrays))
-    digest = hashlib.blake2b(addrs.tobytes(), digest_size=16).hexdigest()
-    content_key = (group, digest)
-    if address_map is None:
-        return ops, content_key, (group,)
-    fields = decode_fields(address_map, addrs)
-    if "channel" in address_map:
-        channels = fields["channel"]
-    else:
-        vaults = address_map.field("vault").size
-        channels = fields["stack"] * vaults + fields["vault"]
-    banks_per = address_map.field("bank").size
-    gbank = channels.astype(np.int64) * banks_per + fields["bank"].astype(np.int64)
-    counts = np.bincount(gbank)
-    bankrow = (gbank << np.int64(32)) | fields["row"].astype(np.int64)
-
-    def bucket(value: int) -> int:
-        # Geometric bucketing (base 1.5): statistics within ~1.5x of
-        # each other collapse to one class.
-        return round(math.log(max(1, value)) / math.log(1.5))
-
-    shape_key = (
-        group,
-        bucket(int((counts > 0).sum())),
-        bucket(int(counts.max())),
-        bucket(int(np.unique(bankrow).size)),
-    )
-    return ops, content_key, shape_key
-
-
-def plan_auto(
-    workload: Workload,
-    address_map: Optional[AddressMap] = None,
-):
-    """Per-kernel sampling plan for auto fidelity.
-
-    Returns one ``(mode, source, keys, ops, freeze_ok)`` entry per
-    kernel, in execution order.  ``keys`` is the kernel's fingerprint
-    pair ``(("content", ...), ("shape", ...))`` (see
-    :func:`_kernel_fingerprint`); ``mode`` is one of:
-
-    * ``"cold"`` — kernel 0: measured in full detail but never used to
-      estimate siblings (cold caches and empty row buffers make its
-      cycles unrepresentative of warm repeats, in either direction),
-    * ``"measure"`` — a warm kernel whose shape class has not yet
-      filled its exemplar quota: measured, and its boundary cycles
-      feed both its content class and its shape class,
-    * ``"estimate"`` — a later repeat: replayed functionally through
-      the already-warm hierarchy state and assigned the mean of the
-      measured cycles of ``source`` — its exact content class when
-      that has a measured member (an address-identical twin), else
-      its shape class (same grid, same footprint statistics).
-
-    The quota is 1 for kernels of at least
-    :data:`~repro.sim.fidelity.BIG_KERNEL_OPS` ops (their steady phases
-    dominate, so one warm exemplar is representative) and
-    :data:`~repro.sim.fidelity.EXEMPLARS` for smaller kernels, whose
-    warm-repeat noise a single sample would mistake for signal.
-
-    ``freeze_ok`` gates the in-kernel skip-middle freeze: a measured
-    kernel whose classes seed later estimates must run unfrozen,
-    because its boundary cycles are multiplied across every sibling it
-    estimates — a freeze-extrapolation bias of a percent or two is
-    acceptable on one kernel but not amplified three-fold, and the
-    bias direction varies by mapping scheme, so the amplified copies
-    break the figure-12 ratio cancellation.  Cold kernel 0 (whose
-    cycles are never transferred) and measured kernels no estimate
-    draws on keep the freeze.
-
-    The plan is a pure function of the workload and the memory's base
-    address geometry — never of the mapping scheme — so every scheme
-    samples the same kernels at the same cut points.  The paper's
-    figure-12 metric is the per-benchmark cycle *ratio* against BASE:
-    keeping the cut points identical across schemes keeps per-cell
-    estimation errors correlated, and correlated errors cancel in the
-    ratio.
-    """
-    shape_measured: Dict[tuple, int] = {}
-    content_measured = set()
-    draft = []
-    for index, kernel in enumerate(workload.kernels):
-        ops, content, shape = _kernel_fingerprint(kernel, address_map)
-        keys = (("content", content), ("shape", shape))
-        if index == 0:
-            draft.append(("cold", None, keys, ops))
-            continue
-        quota = 1 if ops >= BIG_KERNEL_OPS else EXEMPLARS
-        if content in content_measured:
-            draft.append(("estimate", ("content", content), keys, ops))
-        elif shape_measured.get(shape, 0) >= quota:
-            draft.append(("estimate", ("shape", shape), keys, ops))
-        else:
-            content_measured.add(content)
-            shape_measured[shape] = shape_measured.get(shape, 0) + 1
-            draft.append(("measure", None, keys, ops))
-    sources = {source for mode, source, _, _ in draft if mode == "estimate"}
-    plan = []
-    for mode, source, keys, ops in draft:
-        freeze_ok = mode == "cold" or (
-            mode == "measure" and not any(key in sources for key in keys)
-        )
-        plan.append((mode, source, keys, ops, freeze_ok))
-    return plan
+def dram_coords(address_map: AddressMap, addresses: np.ndarray):
+    """``(channels, banks, rows)`` of *addresses* under *address_map*."""
+    fields = decode_fields(address_map, addresses)
+    return dram_channels(address_map, fields), fields["bank"], fields["row"]
 
 
 class GPUSystem:
@@ -222,7 +73,6 @@ class GPUSystem:
         config: Optional[GPUConfig] = None,
         timing: Optional[DRAMTiming] = None,
         dram_power_params: Optional[DRAMPowerParams] = None,
-        gpu_power_params: Optional[GPUPowerParams] = None,
         dram_scheduler_factory=None,
     ) -> None:
         self.config = config or baseline_config()
@@ -288,13 +138,6 @@ class GPUSystem:
         self._kernels_pending: List[List[TBContext]] = []
         self._loading = False
         self._finished = False
-        # Functional-replay state: a rotating cursor spreading each
-        # fast-forwarded wave's TBs across the SM L1s (approximating
-        # the dispatcher's least-loaded spread), and the wave size —
-        # one machine window, so only TBs that would plausibly
-        # co-execute are interleaved.
-        self._ff_sm_cursor = 0
-        self._wave_cap = max(1, self.config.max_concurrent_tbs)
 
         # Pre-bound callbacks for the engine's closure-free scheduling
         # fast path: no lambda or bound-method allocation per packet.
@@ -324,22 +167,11 @@ class GPUSystem:
     # Trace preparation: vectorized mapping + decode
     # ------------------------------------------------------------------
     def _coords_of(self, mapped: np.ndarray):
-        """DRAM coordinates of already-mapped addresses (vectorized)."""
-        fields = decode_fields(self.address_map, mapped)
+        """Lines, channels, banks, rows and LLC slices of mapped addresses."""
+        channels, banks, rows = dram_coords(self.address_map, mapped)
         line_mask = ~np.uint64(self.config.line_bytes - 1)
         lines = (mapped & line_mask).astype(np.int64)
-        channels = self._channels_of(fields)
-        banks = fields["bank"]
-        rows = fields["row"]
-        slices = self._slice_of(channels, banks)
-        return lines, channels, banks, rows, slices
-
-    def _channels_of(self, fields: Dict[str, np.ndarray]) -> np.ndarray:
-        """Controller index per request from decoded fields."""
-        if "channel" in self.address_map:
-            return fields["channel"]
-        vaults = self.address_map.field("vault").size
-        return fields["stack"] * vaults + fields["vault"]
+        return lines, channels, banks, rows, self._slice_of(channels, banks)
 
     def _prepare_kernel(self, kernel) -> Tuple[list, ...]:
         """Batched trace preparation for one kernel's warps.
@@ -393,14 +225,12 @@ class GPUSystem:
 
     def _remember_victims(self, lines: np.ndarray) -> None:
         """Decode possible writeback victim *lines* into the memo."""
-        fields = decode_fields(self.address_map, lines.astype(np.uint64))
+        channels, banks, rows = dram_coords(
+            self.address_map, lines.astype(np.uint64)
+        )
         self._victim_coords.update(zip(
             lines.tolist(),
-            zip(
-                self._channels_of(fields).tolist(),
-                fields["bank"].tolist(),
-                fields["row"].tolist(),
-            ),
+            zip(channels.tolist(), banks.tolist(), rows.tolist()),
         ))
 
     def _slice_of(self, channels: np.ndarray, banks: np.ndarray) -> np.ndarray:
@@ -549,39 +379,14 @@ class GPUSystem:
         self._loading = False
         self._finished = self.scheduler.idle
 
-    def run(
-        self,
-        workload: Workload,
-        fidelity: str = EXACT,
-        auto_plan=None,
-        state_cache=None,
-        state_key=None,
-    ) -> SimulationResult:
+    def run(self, workload: Workload, auto=None) -> SimulationResult:
         """Simulate *workload* to completion and collect all metrics.
 
-        *fidelity* selects the simulation mode (see
-        :mod:`repro.sim.fidelity`): ``"exact"`` (the default) runs
-        every cycle on the event engine and is byte-identical to the
-        pre-fidelity simulator; ``"auto"`` derives a per-kernel plan
-        from the workload's structure (see :func:`plan_auto`), replays
-        estimated kernels and frozen kernel middles functionally and
-        extrapolates their cycles.
-
-        *auto_plan* optionally supplies a precomputed
-        :func:`plan_auto` result (the plan is scheme-independent, so a
-        sweep computes it once per workload and shares it across every
-        scheme's run).  Ignored unless *fidelity* is auto.
-
-        *state_cache* / *state_key* optionally connect the auto mode's
-        estimated-kernel replay to a cross-run
-        :class:`~repro.runner.state_cache.StateCache`, the in-process
-        memo a :class:`~repro.runner.worker.RunContext` owns:
-        *state_key* is the run's scheme-independent identity document
-        (workload content, scale, fidelity, memory kind, machine size)
-        and the memo keeps each estimated kernel's merged replay stream
-        (:class:`~repro.sim.replay.KernelStream`) under it, so the runs
-        of a sweep over many schemes build each kernel's warmed-state
-        input once.  Ignored unless *fidelity* is auto.
+        Without *auto* every cycle of every kernel runs on the event
+        engine (exact fidelity).  With an :class:`~repro.sim.auto.Auto`
+        (a kernel plan and a replay-stream lookup) the run measures,
+        freezes or estimates each kernel as the plan says (see
+        :mod:`repro.sim.auto`).
         """
         if self._finished or self.scheduler.tbs_dispatched:
             raise RuntimeError("GPUSystem instances are single-use; build a new one")
@@ -594,11 +399,10 @@ class GPUSystem:
                         f"TB {tb.tb_id} has {len(tb.warps)} warps, more than "
                         f"an SM holds (max_warps_per_sm={limit})"
                     )
-        if parse_fidelity(fidelity) == AUTO:
-            return self._run_auto(
-                workload, plan=auto_plan,
-                state_cache=state_cache, state_key=state_key,
-            )
+        if auto is not None:
+            result = auto.run(self, workload)
+            self._finished = True
+            return result
         # Exact mode keeps its own loop: _kernel_done loads the next
         # kernel inside the retiring TB's event, where auto's polled
         # loop would load it up to one poll later and move the bytes.
@@ -616,377 +420,18 @@ class GPUSystem:
         return self._collect(workload)
 
     # ------------------------------------------------------------------
-    # Auto fidelity: structure-planned measurement + kernel transfer
-    # ------------------------------------------------------------------
-    # Cycle granularity of the polling loop that watches for the
-    # warmup / freeze completed-op thresholds inside a kernel.
-    _SAMPLE_POLL_CYCLES = 64
-
-    def _run_auto(
-        self,
-        workload: Workload,
-        plan=None,
-        state_cache=None,
-        state_key=None,
-    ) -> SimulationResult:
-        """Auto-planned approximate run (``--fidelity auto``).
-
-        :func:`plan_auto` classifies each kernel from the workload's
-        structure and footprint fingerprints alone.  Measured kernels
-        run in detail — large ones (>= ``MIN_FREEZE_OPS`` ops)
-        additionally open a measurement window at ``WARMUP_FRAC`` of
-        completions and skip-middle freeze at ``FREEZE_FRAC``: the
-        steady middle is extrapolated at the drift-corrected window
-        rate while a per-warp detailed tail simulates the
-        end-of-kernel decay and drain for real.  Estimated kernels are
-        repeats of an already-measured class: their traffic is
-        replayed functionally through the warm L1/LLC/row state their
-        siblings built (warmed-state reuse — the fixed per-kernel ramp
-        cost is paid once per class, not once per kernel) and their
-        cycles are the mean of the plan-chosen source class's measured
-        warm boundaries (exact content twin when one was measured,
-        else the shape class).
-
-        Kernel boundaries are taken at the TB-retire poll, not at full
-        event drain, so trailing writebacks overlap the next kernel's
-        ramp just as they do in exact mode.
-        """
-        accounting = SampledAccounting()
-        engine = self.engine
-        if plan is None:
-            plan = plan_auto(workload, self.address_map)
-        if len(plan) != len(workload.kernels):
-            raise ValueError(
-                f"auto-fidelity plan has {len(plan)} entries for a workload "
-                f"with {len(workload.kernels)} kernels"
-            )
-
-        class_cycles: Dict[tuple, List[float]] = {}
-        class_flit_rates: Dict[tuple, List[float]] = {}
-        # Warmed state flows forward only: an estimated kernel after
-        # the last detailed one has no downstream consumer for the
-        # cache/row state its replay would build, so the replay (and
-        # even the trace preparation) is skipped outright and its NoC
-        # flits are estimated from the class's flits-per-op instead.
-        last_detailed = max(
-            (i for i, entry in enumerate(plan) if entry[0] != "estimate"),
-            default=-1,
-        )
-        for kernel_index, kernel in enumerate(workload.kernels):
-            mode, source, keys, kernel_ops, freeze_ok = plan[kernel_index]
-            exemplars = class_cycles.get(source) if mode == "estimate" else None
-            if exemplars:
-                mean_cycles = sum(exemplars) / len(exemplars)
-                if kernel_index > last_detailed:
-                    rates = class_flit_rates.get(source)
-                    rate = sum(rates) / len(rates) if rates else 0.0
-                    accounting.record_estimated_kernel(
-                        kernel_ops, mean_cycles,
-                        noc_flits=int(round(rate * kernel_ops)),
-                    )
-                    continue
-                stream = self._kernel_stream(
-                    kernel, kernel_index, state_cache, state_key
-                )
-                skipped, flits = self._replay_stream(stream)
-                accounting.record_estimated_kernel(
-                    skipped, mean_cycles, noc_flits=flits
-                )
-                if kernel_ops:
-                    for key in keys:
-                        class_flit_rates.setdefault(key, []).append(
-                            flits / kernel_ops
-                        )
-                continue
-            contexts = self._kernel_contexts(kernel, kernel_index)
-            flits_before = (
-                self.request_noc.stats.flits + self.response_noc.stats.flits
-                + accounting.ff_noc_flits
-            )
-            kernel_cycles = self._run_kernel_measured(
-                contexts, kernel_ops, accounting, freeze_ok=freeze_ok,
-            )
-            kernel_flits = (
-                self.request_noc.stats.flits + self.response_noc.stats.flits
-                + accounting.ff_noc_flits - flits_before
-            )
-            if mode != "cold":
-                for key in keys:
-                    class_cycles.setdefault(key, []).append(kernel_cycles)
-                    if kernel_ops:
-                        class_flit_rates.setdefault(key, []).append(
-                            kernel_flits / kernel_ops
-                        )
-        engine.run()
-        if not self.scheduler.idle or not engine.idle:
-            raise RuntimeError(
-                "auto-fidelity run failed to drain its trailing events "
-                f"({self.scheduler.in_flight} TBs in flight)"
-            )
-        self._finished = True
-        return self._collect(workload, accounting=accounting)
-
-    def _run_kernel_measured(
-        self, contexts, kernel_ops, accounting, freeze_ok=True
-    ) -> float:
-        """Run one kernel in detail (frozen if large); return its cycles.
-
-        Large kernels (>= ``MIN_FREEZE_OPS`` ops) use the skip-middle
-        freeze: a measurement window opens at ``WARMUP_FRAC`` of
-        completions and closes at ``FREEZE_FRAC``, at which point the
-        steady *middle* of every warp's remaining stream is replayed
-        functionally while each warp keeps a detailed tail
-        (``_KEEP_SHARE`` of its remainder).  The tail then runs on the
-        engine, so the end-of-kernel parallelism decay and pipeline
-        drain — whose cycles-per-request bear no fixed relation to the
-        steady-state window rate — are simulated, and only the
-        regime-matched middle is extrapolated at the window's
-        (drift-corrected) rate.
-
-        The returned boundary cycles include the kernel's extrapolated
-        share when it froze.  *freeze_ok* comes from the plan: kernels
-        whose cycles seed sibling estimates run unfrozen so the
-        transferred value carries no extrapolation bias.  Small
-        kernels never freeze either way: a kernel with fewer ops than
-        the machine's in-flight capacity has no steady state to
-        measure, so it runs exactly.
-        """
-        engine = self.engine
-        poll = self._SAMPLE_POLL_CYCLES
-        kernel_start = engine.now
-        completed_start = self._requests_completed()
-        ext_before = accounting.extrapolated_cycles()
-        freeze_target = None
-        warmup_target = 0
-        if freeze_ok and kernel_ops >= MIN_FREEZE_OPS:
-            freeze_target = max(1, int(kernel_ops * FREEZE_FRAC))
-            warmup_target = int(kernel_ops * WARMUP_FRAC)
-        self.scheduler.load_kernel(contexts)
-        window_start = None
-        seg_mark = None
-        segments = []
-        frozen = False
-        completed = 0
-        while True:
-            engine.run(until=engine.now + poll)
-            completed = self._requests_completed() - completed_start
-            if self.scheduler.idle:
-                break
-            if engine.idle:
-                raise RuntimeError(
-                    "simulation drained its event queue before the kernel "
-                    f"finished ({self.scheduler.in_flight} TBs in flight)"
-                )
-            if freeze_target is None or frozen:
-                continue
-            if window_start is None:
-                if completed >= warmup_target:
-                    window_start = (engine.now, completed)
-                    seg_mark = (engine.now, completed, *self._dram_row_state())
-                continue
-            seg_mark = self._sample_segment(segments, seg_mark, completed)
-            if (
-                completed >= freeze_target
-                and completed > window_start[1]
-                and engine.now > window_start[0]
-            ):
-                accounting.record_window(
-                    engine.now - window_start[0],
-                    completed - window_start[1],
-                    segments,
-                )
-                skipped, flits, miss_frac = self._freeze_kernel()
-                accounting.record_fast_forward(
-                    skipped, flits, miss_frac=miss_frac
-                )
-                frozen = True
-        if not frozen:
-            accounting.record_window(engine.now - kernel_start, completed)
-        extrapolated = accounting.extrapolated_cycles() - ext_before
-        return (engine.now - kernel_start) + extrapolated
-
-    # ------------------------------------------------------------------
-    # Auto-mode telemetry
-    # ------------------------------------------------------------------
-    def _requests_completed(self) -> int:
-        return sum(sm.ops_completed for sm in self.sms)
-
-    def _dram_row_state(self):
-        """Cumulative (row_hits, accesses) across all controllers."""
-        hits = accesses = 0
-        for controller in self.dram.controllers:
-            hits += controller.row_hits
-            accesses += controller.accesses
-        return hits, accesses
-
-    def _system_in_flight(self) -> int:
-        """Memory ops issued and not yet completed, machine-wide."""
-        return sum(sm.in_flight_ops for sm in self.sms)
-
-    def _sample_segment(self, segments, seg_mark, completed):
-        """Append one trajectory segment since *seg_mark*; return new mark.
-
-        Segments feed :meth:`SampledAccounting.record_window`'s drift
-        fit: per-poll deltas of (cycles, completed requests, row hits,
-        row accesses) plus the instantaneous in-flight population (the
-        issue-pressure gate excluding ramp/drain segments).
-        """
-        hits, accesses = self._dram_row_state()
-        now = self.engine.now
-        d_cycles = now - seg_mark[0]
-        if d_cycles > 0:
-            segments.append((
-                d_cycles,
-                completed - seg_mark[1],
-                hits - seg_mark[2],
-                accesses - seg_mark[3],
-                self._system_in_flight(),
-            ))
-        return (now, completed, hits, accesses)
-
-    def _freeze_kernel(self):
-        """Fast-forward the current kernel's skippable remainder.
-
-        Two populations are skipped: the in-flight warps' remaining
-        ops (their cursors jump forward; pending engine events resolve
-        through the issue path's cursor guards), and the TBs still
-        queued for dispatch (replayed wholesale as a
-        :class:`~repro.sim.replay.KernelStream`, the same path an
-        estimated kernel takes).
-
-        Each in-flight warp keeps ``_KEEP_SHARE`` of its remaining ops
-        — at least one — as a detailed tail, and the same share of the
-        queued TBs stays queued: only the steady *middle* of the kernel
-        is skipped, so the end-of-kernel parallelism decay and drain
-        run for real.
-
-        Returns ``(ops_skipped, estimated_noc_flits, miss_frac)``, where
-        *miss_frac* is the row-miss fraction of the DRAM traffic the
-        replay pushed through the bank state machines (None when the
-        replay generated no DRAM accesses) — the projection target of
-        the accounting's drift correction.
-        """
-        hits_before, accesses_before = self._dram_row_state()
-        # Group 0: the in-flight warps, on their real SMs.  A warp
-        # parked on a full MSHR file replays from its *current* op,
-        # whose L1 miss was already counted at the failed issue — the
-        # replay's extra L1 touch mirrors the re-access an exact-mode
-        # retry performs, and dropping the op would instead lose its
-        # LLC/DRAM traffic.
-        streams = []
-        for sm in self.sms:
-            for tb in sm.active_tbs:
-                for warp in tb.warps:
-                    if warp.issued_all:
-                        continue
-                    keep = max(1, int((warp.end - warp.op) * _KEEP_SHARE))
-                    chunk = warp.fast_forward_middle(keep)
-                    if chunk[0]:
-                        streams.append((tb.sm_id, chunk))
-        skipped, flits = self._replay_interleaved(streams)
-        # Later groups: queued TBs in dispatch order, one machine
-        # window at a time, spread round-robin across the SM L1s.
-        keep_tbs = int(round(self.scheduler.pending * _KEEP_SHARE))
-        queued = self.scheduler.take_pending(keep_last=keep_tbs)
-        stream = replay_plane.build_kernel_stream(
-            [tb.trace for tb in queued], self._wave_cap
-        )
-        queued_skipped, queued_flits = self._replay_stream(stream)
-        hits_after, accesses_after = self._dram_row_state()
-        replayed = accesses_after - accesses_before
-        if replayed > 0:
-            miss_frac = 1.0 - (hits_after - hits_before) / replayed
-        else:
-            miss_frac = None
-        return skipped + queued_skipped, flits + queued_flits, miss_frac
-
-    def _replay_interleaved(self, streams):
-        """Round-robin-interleave warp op streams and replay them.
-
-        *streams* is a list of ``(sm_id, (lines, channels, banks,
-        rows, slices, writes))`` per warp; ops are merged one per warp
-        per turn (:func:`~repro.sim.replay.interleave_order`, the
-        order :func:`~repro.sim.replay.build_kernel_stream` uses too)
-        and each op replays through its own warp's SM.  Returns
-        ``(ops_replayed, estimated_noc_flits)``.
-        """
-        if not streams:
-            return 0, 0
-        lengths = [len(chunk[0]) for _, chunk in streams]
-        order = replay_plane.interleave_order(lengths)
-        sm_ids = np.repeat(
-            np.asarray([sm_id for sm_id, _ in streams]), lengths
-        )[order]
-        merged = [
-            np.concatenate(
-                [np.asarray(chunk[field]) for _, chunk in streams]
-            )[order]
-            for field in range(6)
-        ]
-        return replay_plane.replay_ops(self, sm_ids, *merged)
-
-    def _kernel_stream(self, kernel, kernel_index, state_cache, state_key):
-        """The merged replay stream of an estimated kernel.
-
-        Takes the stream from *state_cache* when connected (keyed by
-        the run's scheme-independent *state_key* document plus the
-        kernel index and the machine's wave capacity), building and
-        storing it on a miss.
-        """
-        wave_cap = self._wave_cap
-        if state_cache is None or state_key is None:
-            return replay_plane.build_kernel_stream(kernel.tbs, wave_cap)
-        key = state_cache.key_for(state_key, kernel_index, wave_cap)
-        stream = state_cache.get(key)
-        if stream is None:
-            stream = replay_plane.build_kernel_stream(kernel.tbs, wave_cap)
-            state_cache.put(key, stream)
-        return stream
-
-    def _replay_stream(self, stream):
-        """Replay a :class:`~repro.sim.replay.KernelStream`.
-
-        The one replay path for whole TBs, whether an estimated
-        kernel's or the queued tail of a frozen one: the fast-forward
-        SM cursor advances once per TB (empty ones included), each op
-        lands on the SM its TB is spread to, the whole stream is
-        scheme-mapped and decoded in one pass, and each wave is
-        replayed as one :func:`~repro.sim.replay.replay_ops` call
-        (preserving the per-wave DRAM grouping).  Returns
-        ``(ops_replayed, estimated_noc_flits)``.
-        """
-        cursor0 = self._ff_sm_cursor
-        self._ff_sm_cursor += stream.n_tbs
-        if not stream.n_ops:
-            return 0, 0
-        mapped = np.atleast_1d(self.scheme.map(stream.addresses))
-        lines, channels, banks, rows, slices = self._coords_of(mapped)
-        n_sms = len(self.sms)
-        sm_ids = (cursor0 + stream.tb_ordinals.astype(np.int64)) % n_sms
-        waves = stream.tb_ordinals // np.int32(stream.wave_cap)
-        bounds = [
-            0,
-            *(np.flatnonzero(np.diff(waves)) + 1).tolist(),
-            stream.n_ops,
-        ]
-        total_skipped = 0
-        total_flits = 0
-        for start, end in zip(bounds, bounds[1:]):
-            view = slice(start, end)
-            skipped, flits = replay_plane.replay_ops(
-                self, sm_ids[view], lines[view], channels[view],
-                banks[view], rows[view], slices[view], stream.writes[view],
-            )
-            total_skipped += skipped
-            total_flits += flits
-        return total_skipped, total_flits
-
-    # ------------------------------------------------------------------
     # Metric collection
     # ------------------------------------------------------------------
-    def _collect(self, workload: Workload, accounting=None) -> SimulationResult:
-        detailed_cycles = max(self.engine.now, 1)
-        now = detailed_cycles
+    def _collect(
+        self, workload: Workload, skipped_cycles: int = 0,
+        skipped_flits: int = 0, metadata: Optional[dict] = None,
+    ) -> SimulationResult:
+        """The run's result.
+
+        An auto run adds the estimated cycles and NoC flits of the work
+        it did not simulate, and its own *metadata* entries.
+        """
+        now = max(self.engine.now, 1) + skipped_cycles
         l1_accesses = sum(sm.l1.stats.accesses for sm in self.sms)
         l1_misses = sum(sm.l1.stats.misses for sm in self.sms)
         llc_accesses = sum(s.cache.stats.accesses for s in self.slices)
@@ -995,27 +440,10 @@ class GPUSystem:
         noc_total_latency = (
             self.request_noc.stats.total_latency + self.response_noc.stats.total_latency
         )
-        noc_flits = self.request_noc.stats.flits + self.response_noc.stats.flits
-        metadata_extra: Dict[str, object] = {}
-        if accounting is not None:
-            # Auto fidelity: total cycles = real detailed cycles +
-            # the fast-forwarded phases' extrapolated share; counters
-            # (cache stats, DRAM activity, the NoC flits estimated for
-            # fast-forwarded traffic) already integrate both kinds of
-            # phase, so the count-based power models stay consistent.
-            now = detailed_cycles + accounting.extrapolated_cycles()
-            noc_flits += accounting.ff_noc_flits
-            metadata_extra = {
-                "fidelity": fidelity_to_json(AUTO),
-                "sampled": dict(
-                    accounting.metadata(),
-                    detailed_cycles=detailed_cycles,
-                    peak_dram_queue_depth=max(
-                        (c.peak_queue_depth for c in self.dram.controllers),
-                        default=0,
-                    ),
-                ),
-            }
+        noc_flits = (
+            self.request_noc.stats.flits + self.response_noc.stats.flits
+            + skipped_flits
+        )
         llc_parallelism, channel_parallelism, bank_parallelism = (
             self._parallelism()
         )
@@ -1053,7 +481,7 @@ class GPUSystem:
                 "max_tbs_in_flight": self.scheduler.max_in_flight,
                 "n_sms": self.config.n_sms,
                 "dram_config": self.timing.name,
-                **metadata_extra,
+                **(metadata or {}),
             },
         )
 
@@ -1087,8 +515,17 @@ def simulate(
     dram_power_params: Optional[DRAMPowerParams] = None,
     fidelity: str = EXACT,
 ) -> SimulationResult:
-    """Convenience wrapper: build a system, run one workload, return results."""
+    """Convenience wrapper: build a system, run one workload, return results.
+
+    An auto *fidelity* plans the workload here and builds each replay
+    stream when the run asks for it (:meth:`~repro.sim.auto.Auto.standalone`).
+    """
     system = GPUSystem(
         scheme, config=config, timing=timing, dram_power_params=dram_power_params
     )
-    return system.run(workload, fidelity=fidelity)
+    auto = None
+    if parse_fidelity(fidelity) != EXACT:
+        from .auto import Auto  # repro.sim.auto imports this module
+
+        auto = Auto.standalone(workload, scheme.address_map)
+    return system.run(workload, auto=auto)

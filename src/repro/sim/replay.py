@@ -44,6 +44,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.mapper import decode_fields, dram_channels
+
 __all__ = [
     "replay_ops",
     "warm_through",
@@ -286,11 +288,9 @@ def replay_ops(
 
 def _decode_writebacks(system, wb_lines_u64: np.ndarray):
     """DRAM coordinates of dirty victim lines (one decode for all)."""
-    from ..core.mapper import decode_fields
-
     fields = decode_fields(system.address_map, wb_lines_u64)
     return (
-        system._channels_of(fields).astype(np.int64),
+        dram_channels(system.address_map, fields).astype(np.int64),
         fields["bank"].astype(np.int64),
         fields["row"].astype(np.int64),
     )

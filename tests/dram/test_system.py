@@ -71,10 +71,10 @@ class TestAggregates:
 
 class TestStackedConfig:
     def test_shape(self):
-        cfg = stacked_memory_config()
-        assert cfg.stacks == 4
-        assert cfg.vaults_per_stack == 16
-        assert cfg.independent_channels == 64
+        address_map = stacked_memory_config().address_map
+        stacks = address_map.field("stack").size
+        vaults = address_map.field("vault").size
+        assert (stacks, vaults, stacks * vaults) == (4, 16, 64)
 
     def test_map_and_timing_agree(self):
         cfg = stacked_memory_config()

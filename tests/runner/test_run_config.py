@@ -46,10 +46,10 @@ class TestRunConfig:
     def test_rejects_bad_numbers(self):
         with pytest.raises(ValueError):
             RunConfig("MT", "PAE", n_sms=0)
-        for scale in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for scale in (0.0, float("nan"), float("inf"), 10 ** 400):
+            with pytest.raises(ValueError, match="must be positive and finite"):
                 RunConfig("MT", "PAE", scale=scale)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="must be positive and finite"):
                 RunConfig("MT", "PAE", scale=0.5, profile_scale=scale)
         # Bools and strings are not coerced (True would run at 1.0).
         for value in (True, "0.25"):
@@ -74,6 +74,19 @@ class TestRunConfig:
             data[field] = 2.5
             with pytest.raises(ValueError, match=f"{field} must be an int"):
                 RunConfig.from_dict(data)
+
+    def test_int_and_float_scales_share_one_cache_key(self):
+        """``scale=1`` is stored as ``1.0``: one cache key, kept by a
+        round trip, and a grid renders it as ``1.0``."""
+        as_int = RunConfig("SP", "PAE", scale=1, profile_scale=1)
+        as_float = RunConfig("SP", "PAE", scale=1.0)
+        assert (as_int.scale, as_int.profile_scale) == (1.0, 1.0)
+        assert as_int.config_hash() == as_float.config_hash()
+        restored = RunConfig.from_dict(as_int.to_dict())
+        assert restored.config_hash() == as_float.config_hash()
+        grid = SweepGrid(benchmarks=("SP",), schemes=("PAE",), scale=1)
+        assert repr(grid.to_dict()["scale"]) == "1.0"
+        assert grid.configs()[1].config_hash() == as_float.config_hash()
 
     def test_numpy_integers_keep_the_plain_config(self):
         import numpy as np

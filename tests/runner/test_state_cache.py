@@ -1,12 +1,13 @@
 """Warmed-state stream memo: keys, LRU bound, sweep reuse.
 
 The :class:`StateCache` shares each estimated kernel's replay stream
-across every scheme of a sweep — its key deliberately excludes the
-mapping scheme.  These tests pin the memo (round trip, miss, LRU
-bound) and the headline property: a multi-scheme sweep builds each
-kernel's stream exactly once and serves every other scheme from the
-memo of its :class:`RunContext`, with or without a result cache,
-without changing any observable result.
+across every scheme of a sweep — the key :meth:`RunContext.auto`
+gives it deliberately excludes the mapping scheme.  These tests pin
+the memo (round trip, miss, LRU bound), the key's parts, and the
+headline property: a multi-scheme sweep builds each kernel's stream
+exactly once and serves every other scheme from the memo of its
+:class:`RunContext`, with or without a result cache, without changing
+any observable result.
 """
 
 import numpy as np
@@ -16,13 +17,28 @@ from repro.runner import RunConfig, RunContext, SweepRunner
 from repro.runner.state_cache import _MEMO_CAP, StateCache
 from repro.sim.replay import KernelStream
 
-BASE_KEY = {
-    "workload": "SC",
-    "scale": 0.5,
-    "fidelity": {"kind": "auto"},
-    "memory": "gddr5",
-    "n_sms": 12,
-}
+BASE_KEY = ("SC", 0.5, "gddr5", 12)
+
+
+def memo_key(kernel_index, wave_cap=2):
+    return (*BASE_KEY, kernel_index, wave_cap)
+
+
+def auto_config(**changes):
+    fields = dict(benchmark="SC", scheme="BASE", scale=0.5, fidelity="auto")
+    return RunConfig(**dict(fields, **changes))
+
+
+def streams_stored(configs, lookups=((0, 2),)):
+    """Streams one context stores when each config looks each
+    ``(kernel_index, wave_cap)`` up, in order."""
+    context = RunContext()
+    for config in configs:
+        kernels = context.workload(config.benchmark, config.scale).kernels
+        auto = context.auto(config)
+        for kernel_index, wave_cap in lookups:
+            auto.stream(kernel_index, kernels[kernel_index], wave_cap)
+    return context.state_cache.stats.stores
 
 
 def small_stream(n_ops=16, n_tbs=4, wave_cap=2, seed=0):
@@ -42,21 +58,19 @@ class TestRecords:
     def test_round_trip(self):
         cache = StateCache()
         stream = small_stream()
-        key = cache.key_for(BASE_KEY, kernel_index=3, wave_cap=2)
-        cache.put(key, stream)
-        assert cache.get(key) is stream
+        cache.put(memo_key(3), stream)
+        assert cache.get(memo_key(3)) is stream
         assert cache.stats.hits == 1 and cache.stats.stores == 1
 
     def test_miss_on_absent_key(self):
         cache = StateCache()
-        key = cache.key_for(BASE_KEY, kernel_index=0, wave_cap=2)
-        assert cache.get(key) is None
+        assert cache.get(memo_key(0)) is None
         assert cache.stats.misses == 1
 
     def test_least_recently_used_stream_is_evicted(self):
         cache = StateCache()
         stream = small_stream()
-        keys = [cache.key_for(BASE_KEY, k, 2) for k in range(_MEMO_CAP + 1)]
+        keys = [memo_key(k) for k in range(_MEMO_CAP + 1)]
         for key in keys[:-1]:
             cache.put(key, stream)
         assert cache.get(keys[0]) is stream  # now the most recently used
@@ -68,33 +82,23 @@ class TestRecords:
 
 class TestKeys:
     def test_key_is_scheme_free_by_construction(self):
-        """The base identity document carries no scheme field, so two
-        schemes sweeping the same workload derive the same key."""
-        cache = StateCache()
-        assert "scheme" not in BASE_KEY
-        key_a = cache.key_for(dict(BASE_KEY), kernel_index=0, wave_cap=2)
-        key_b = cache.key_for(dict(BASE_KEY), kernel_index=0, wave_cap=2)
-        assert key_a == key_b
+        """The key carries no scheme, so two schemes sweeping the same
+        workload share one stream."""
+        configs = [auto_config(scheme="BASE"), auto_config(scheme="PAE")]
+        assert streams_stored(configs) == 1
 
     @pytest.mark.parametrize("field,value", [
         ("scale", 1.0),
-        ("memory", "hbm"),
+        ("memory", "stacked"),
         ("n_sms", 8),
-        ("fidelity", {"kind": "auto", "exemplars": 3}),
     ])
     def test_key_depends_on_identity_fields(self, field, value):
-        cache = StateCache()
-        changed = dict(BASE_KEY, **{field: value})
-        assert (
-            cache.key_for(changed, 0, 2)
-            != cache.key_for(BASE_KEY, 0, 2)
-        )
+        configs = [auto_config(), auto_config(**{field: value})]
+        assert streams_stored(configs) == 2
 
     def test_key_depends_on_kernel_and_wave_cap(self):
-        cache = StateCache()
-        base = cache.key_for(BASE_KEY, 0, 2)
-        assert cache.key_for(BASE_KEY, 1, 2) != base
-        assert cache.key_for(BASE_KEY, 0, 3) != base
+        lookups = ((0, 2), (1, 2), (0, 3), (0, 2))
+        assert streams_stored([auto_config()], lookups) == 3
 
 
 class TestSweepReuse:

@@ -29,7 +29,7 @@ the pinned table's own hash is recorded next to the version, and a
 change that moves a digest without bumping the version fails
 ``test_pinned_digests_belong_to_the_schema_version``.
 
-Next to the event pins, two runs also pin host work that the result
+Next to the event pins, three runs also pin host work that the result
 bytes cannot see: how often the system decodes addresses and how often
 the DRAM scheduler is asked for a pick.  Writeback victims are decoded
 once per kernel through a memo; a controller whose queued banks are
@@ -38,6 +38,10 @@ lone pick (no other queued bank ready) it blocks until the first bank
 frees up instead of asking again in the same cycle.  A change that
 brings back per-flush victim decodes, blocked rescans or repeat
 selects fails here with a count diff rather than only a slower wall.
+The same runs count the replay plane's calls and the stream memo's
+lookups through the module attributes the performance benchmark's
+tracer wraps, so a caller that binds one of them by name (and so
+escapes the tracer) fails here too.
 """
 
 import hashlib
@@ -49,7 +53,8 @@ from repro.core.serialize import canonical_json
 from repro.dram.scheduler import FRFCFSScheduler
 from repro.runner import worker
 from repro.runner.config import CACHE_SCHEMA_VERSION
-from repro.sim import gpu_system
+from repro.runner.state_cache import StateCache
+from repro.sim import gpu_system, replay
 
 # (workload, memory, scheme, scale, fidelity) -> SHA-256 of the
 # canonical result.
@@ -102,19 +107,40 @@ PINNED_TABLE_BY_SCHEMA = {
     2: "e12cf03d69a72f61fcc690a97ffc6958f17a70765232a58c43cd10a5d9efaa3f",
 }
 
-# Host calls of two of the same runs, counted by wrapping the bindings
-# the performance benchmark's tracer wraps (``core.decode`` and
-# ``dram.scheduler``), in a fresh process context so the auto plan's
-# fingerprint decodes count whatever ran before.  Before the victim
-# memo and the blocked-until shortcut the counts were 62 and 4,290
-# (exact MT) and 2,129 and 13,252 (auto SRAD2).  The lone-pick rule
-# then cut the select counts from 3,056 to 2,565 (exact MT) and from
-# 10,236 to 8,993 (auto SRAD2).
+# Host calls of three of the same runs, counted by wrapping the
+# bindings the performance benchmark's tracer wraps (``core.decode``,
+# ``dram.scheduler``, ``sim.replay``, ``sim.replay.stream_build`` and
+# the ``runner.state_cache`` layers), in a fresh process context so the
+# auto plan's fingerprint decodes count and the stream memo starts
+# empty whatever ran before.  Before the victim memo and the
+# blocked-until shortcut the first two counts were 62 and 4,290 (exact
+# MT) and 2,129 and 13,252 (auto SRAD2).  The lone-pick rule then cut
+# the select counts from 3,056 to 2,565 (exact MT) and from 10,236 to
+# 8,993 (auto SRAD2).  Auto SC @0.5 replays two of its three estimated
+# kernels through the memo; auto SRAD2 @1.0 replays one freeze's
+# in-flight warps and queued TBs, and estimates two kernels after its
+# last detailed one, which no replay warms.
+COUNTED = {
+    "decode_fields": (gpu_system, "decode_fields"),
+    "FRFCFSScheduler.select": (FRFCFSScheduler, "select"),
+    "replay_ops": (replay, "replay_ops"),
+    "build_kernel_stream": (replay, "build_kernel_stream"),
+    "StateCache.get": (StateCache, "get"),
+    "StateCache.put": (StateCache, "put"),
+}
 HOST_CALLS = {
     ("MT", "gddr5", "PAE", 0.1, "exact"):
-        {"decode_fields": 8, "FRFCFSScheduler.select": 2565},
+        {"decode_fields": 8, "FRFCFSScheduler.select": 2565,
+         "replay_ops": 0, "build_kernel_stream": 0,
+         "StateCache.get": 0, "StateCache.put": 0},
+    ("SC", "gddr5", "PAE", 0.5, "auto"):
+        {"decode_fields": 11, "FRFCFSScheduler.select": 2865,
+         "replay_ops": 2, "build_kernel_stream": 2,
+         "StateCache.get": 2, "StateCache.put": 2},
     ("SRAD2", "gddr5", "PAE", 1.0, "auto"):
-        {"decode_fields": 9, "FRFCFSScheduler.select": 8993},
+        {"decode_fields": 9, "FRFCFSScheduler.select": 8993,
+         "replay_ops": 2, "build_kernel_stream": 1,
+         "StateCache.get": 0, "StateCache.put": 0},
 }
 
 
@@ -175,12 +201,10 @@ def test_host_call_counts_pinned(monkeypatch, key):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(gpu_system, "decode_fields", counting(
-        "decode_fields", gpu_system.decode_fields
-    ))
-    monkeypatch.setattr(FRFCFSScheduler, "select", counting(
-        "FRFCFSScheduler.select", FRFCFSScheduler.select
-    ))
+    for name, (owner, attribute) in COUNTED.items():
+        monkeypatch.setattr(owner, attribute, counting(
+            name, getattr(owner, attribute)
+        ))
     monkeypatch.setattr(worker, "_PROCESS_CONTEXT", None)
     workload, memory, scheme, scale, fidelity = key
     api.simulate(

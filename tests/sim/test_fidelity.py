@@ -13,8 +13,8 @@ from repro.sim.fidelity import (
     fidelity_to_json,
     parse_fidelity,
 )
-from repro.sim.gpu_system import GPUSystem
-from repro.sim.metrics import SampledAccounting
+from repro.sim.auto import Auto, SampledAccounting, plan_auto
+from repro.sim.gpu_system import GPUSystem, simulate
 from repro.specs import SchemeSpec, WorkloadSpec
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
 
@@ -27,6 +27,10 @@ def small_workload(scale=0.25, name="MT"):
 
 def fresh_system(scheme_name="BASE"):
     return GPUSystem(make_scheme(scheme_name, AMAP))
+
+
+def run_auto(system, workload):
+    return system.run(workload, auto=Auto.standalone(workload, AMAP))
 
 
 class TestParsing:
@@ -91,10 +95,10 @@ class TestParsing:
 
 class TestExactParity:
     def test_exact_is_default_and_identical(self):
-        """run() with fidelity='exact' matches the plain run() exactly."""
+        """simulate() with fidelity='exact' matches the plain run() exactly."""
         workload = small_workload()
         default = fresh_system().run(workload)
-        explicit = fresh_system().run(workload, fidelity="exact")
+        explicit = simulate(workload, make_scheme("BASE", AMAP), fidelity="exact")
         assert default.to_dict() == explicit.to_dict()
 
     def test_exact_metadata_has_no_fidelity_key(self):
@@ -157,13 +161,13 @@ class TestAutoParsing:
 class TestAutoRuns:
     def test_deterministic(self):
         workload = small_workload(name="SC")
-        first = fresh_system("PAE").run(workload, fidelity="auto")
-        second = fresh_system("PAE").run(workload, fidelity="auto")
+        first = run_auto(fresh_system("PAE"), workload)
+        second = run_auto(fresh_system("PAE"), workload)
         assert first.to_dict() == second.to_dict()
 
     def test_metadata_records_auto_plan(self):
         """SC repeats a kernel even at scale 0.25, so auto estimates >= 1."""
-        result = fresh_system().run(small_workload(name="SC"), fidelity="auto")
+        result = run_auto(fresh_system(), small_workload(name="SC"))
         assert result.metadata["fidelity"]["kind"] == "auto"
         sampled = result.metadata["sampled"]
         assert sampled["estimated_kernels"] >= 1
@@ -173,15 +177,46 @@ class TestAutoRuns:
         """Every request still passes an L1 (detailed or replayed)."""
         workload = small_workload(name="SC")
         exact = fresh_system().run(workload)
-        auto = fresh_system().run(workload, fidelity="auto")
+        auto = run_auto(fresh_system(), workload)
         assert auto.requests == exact.requests
 
     def test_single_use_still_enforced(self):
         workload = small_workload(name="SC")
         system = fresh_system()
-        system.run(workload, fidelity=AUTO)
+        run_auto(system, workload)
         with pytest.raises(RuntimeError):
-            system.run(workload, fidelity=AUTO)
+            run_auto(system, workload)
+
+
+class TestPlan:
+    """The plan decides every kernel's fate: its action, the class tier
+    an estimate draws on, whether it freezes and whether it replays."""
+
+    @pytest.mark.parametrize("name,scale,expected", [
+        # Kernels under MIN_FREEZE_OPS never freeze; the estimate
+        # after the last measured kernel does not replay.
+        ("SC", 0.5, [
+            ("cold", None, False, False), ("measure", None, False, False),
+            ("estimate", "shape", False, True),
+            ("estimate", "shape", False, True),
+            ("measure", None, False, False),
+            ("estimate", "shape", False, False),
+        ]),
+        # Cold kernel 0 freezes; measured kernel 1 seeds both estimates,
+        # so it runs unfrozen.
+        ("SRAD2", 1.0, [
+            ("cold", None, True, False), ("measure", None, False, False),
+            ("estimate", "shape", False, False),
+            ("estimate", "content", False, False),
+        ]),
+    ], ids=["SC-0.5", "SRAD2-1.0"])
+    def test_plan_records_each_kernels_fate(self, name, scale, expected):
+        plan = plan_auto(small_workload(scale=scale, name=name), AMAP)
+        assert [
+            (entry.action, entry.source and entry.source[0], entry.freeze,
+             entry.replay)
+            for entry in plan
+        ] == expected
 
 
 class TestAccuracyRegression:
@@ -198,7 +233,7 @@ class TestAccuracyRegression:
     def test_auto_tracks_exact(self, scheme, scale):
         workload = small_workload(scale=scale, name="SC")
         exact = fresh_system(scheme).run(workload)
-        auto = fresh_system(scheme).run(workload, fidelity="auto")
+        auto = run_auto(fresh_system(scheme), workload)
         error = abs(auto.cycles / exact.cycles - 1.0)
         assert error < 0.03, f"auto off by {error:.1%} (SC {scheme} @ {scale})"
 
@@ -220,26 +255,23 @@ class TestDegenerateKernels:
     @pytest.mark.parametrize("fidelity", [AUTO], ids=["auto"])
     def test_one_op_kernel_matches_exact(self, fidelity):
         exact = fresh_system().run(one_op_workload())
-        approx = fresh_system().run(one_op_workload(), fidelity=fidelity)
+        approx = simulate(one_op_workload(), make_scheme("BASE", AMAP),
+                          fidelity=fidelity)
         assert approx.cycles == exact.cycles
         sampled = approx.metadata["sampled"]
         assert sampled["ff_requests"] == 0
         assert sampled["estimated_kernels"] == 0
 
-    def test_zero_request_window_extrapolates_nothing(self):
-        """With no measured traffic anywhere, nothing is extrapolated."""
-        accounting = SampledAccounting()
-        accounting.record_window(100.0, 0)
-        accounting.record_fast_forward(10)
-        assert accounting.extrapolated_cycles() == 0
-
-    def test_zero_request_window_falls_back_to_pooled_rate(self):
-        """A zero-request window never poisons the rate with None/inf."""
-        accounting = SampledAccounting()
-        accounting.record_window(100.0, 0)
-        accounting.record_window(100.0, 50)  # 2 cycles per request
-        accounting.record_fast_forward(10)
-        assert accounting.extrapolated_cycles() == 20
+    def test_frozen_kernel_refuses_a_window_without_traffic(self):
+        """A freeze fires only once its window completed a request in a
+        cycle; a window without one has no rate to extrapolate at."""
+        for cycles, requests in ((100, 0), (0, 50)):
+            accounting = SampledAccounting()
+            with pytest.raises(ValueError, match="window needs traffic"):
+                accounting.record_frozen_kernel(
+                    cycles, requests, [], 10, 0, None
+                )
+            assert accounting.extrapolated_cycles() == 0
 
     def test_negative_estimates_rejected(self):
         accounting = SampledAccounting()

@@ -15,10 +15,16 @@ from repro.dram.stacked import stacked_memory_config
 from repro.gpu.config import GPUConfig, config_with_sms
 from repro.gpu.thread_block import TBContext, WarpContext
 from repro.registry import make_scheme, make_workload
+from repro.sim.auto import Auto
 from repro.sim.gpu_system import GPUSystem, simulate
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
 
 AMAP = hynix_gddr5_map()
+
+
+def auto_for(fidelity, workload):
+    """``GPUSystem.run``'s *auto* argument for a *fidelity* name."""
+    return None if fidelity == "exact" else Auto.standalone(workload, AMAP)
 
 
 def concentrated_workload(n_tbs=48, reqs=8, stride=1 << 20, with_writes=False):
@@ -184,13 +190,13 @@ def test_tb_wider_than_an_sm_fails_fast(fidelity):
     out = run_in_child(f"""
 from repro.core import hynix_gddr5_map
 from repro.registry import make_scheme
-from repro.sim.gpu_system import GPUSystem
+from repro.sim.gpu_system import simulate
 from repro.workloads.recipes import build_recipe_workload
 
 workload = build_recipe_workload("WIDE", {recipe!r})
-system = GPUSystem(make_scheme("PAE", hynix_gddr5_map()))
 try:
-    system.run(workload, fidelity={fidelity!r})
+    simulate(workload, make_scheme("PAE", hynix_gddr5_map()),
+             fidelity={fidelity!r})
 except ValueError as exc:
     print(exc)
 """)
@@ -207,7 +213,7 @@ import numpy as np
 from repro.core import hynix_gddr5_map
 from repro.gpu.sm import SM
 from repro.registry import make_scheme
-from repro.sim.gpu_system import GPUSystem
+from repro.sim.gpu_system import simulate
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
 
 SM.can_accept = lambda self, tb: False  # no TB is ever dispatched
@@ -215,7 +221,7 @@ warp = WarpTrace.from_addresses(np.array([0, 128], dtype=np.uint64))
 kernel = KernelTrace("k", (TBTrace(0, (warp,)),))
 workload = Workload("stuck", "STK", (kernel,), instructions_per_request=50)
 try:
-    GPUSystem(make_scheme("PAE", hynix_gddr5_map())).run(workload, fidelity="auto")
+    simulate(workload, make_scheme("PAE", hynix_gddr5_map()), fidelity="auto")
 except RuntimeError as exc:
     print(exc)
 """)
@@ -252,7 +258,7 @@ def test_a_kernel_of_many_empty_tbs_runs(fidelity):
         one_tb_kernel("k2", [4096, 8192]),
     ), instructions_per_request=50)
     system = GPUSystem(make_scheme("PAE", AMAP))
-    result = system.run(workload, fidelity=fidelity)
+    result = system.run(workload, auto=auto_for(fidelity, workload))
     assert result.requests == 4
     assert system.scheduler.tbs_dispatched == 1002
 
@@ -267,6 +273,7 @@ def test_finished_run_frees_its_contexts(fidelity):
     else:
         workload = make_workload("SRAD2", scale=1.0)
     system = GPUSystem(make_scheme("PAE", AMAP))
+    auto = auto_for(fidelity, workload)
 
     def contexts():
         return sum(
@@ -277,7 +284,7 @@ def test_finished_run_frees_its_contexts(fidelity):
     baseline = contexts()
     gc.disable()
     try:
-        result = system.run(workload, fidelity=fidelity)
+        result = system.run(workload, auto=auto)
         assert contexts() == baseline
     finally:
         gc.enable()

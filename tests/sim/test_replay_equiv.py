@@ -26,9 +26,10 @@ import replay_oracle
 from repro.core import hynix_gddr5_map
 from repro.gpu.cache import SetAssociativeCache
 from repro.registry import make_scheme, make_workload
+from repro.runner import RunConfig, RunContext
 from repro.sim import replay
-from repro.sim.fidelity import parse_fidelity
-from repro.sim.gpu_system import GPUSystem, plan_auto
+from repro.sim.auto import Auto
+from repro.sim.gpu_system import GPUSystem
 from repro.sim.replay import build_kernel_stream, warm_back, warm_through
 
 AMAP = hynix_gddr5_map()
@@ -210,11 +211,10 @@ class TestFullSystemEquiv:
     @pytest.mark.parametrize("scheme_name", ["BASE", "PAE"])
     def test_auto_run_results_identical(self, scheme_name, monkeypatch):
         workload = make_workload("SC", scale=0.5)  # has estimated kernels
-        fidelity = parse_fidelity("auto")
         production, oracle = on_both_planes(
             monkeypatch,
             lambda: GPUSystem(make_scheme(scheme_name, AMAP)).run(
-                workload, fidelity=fidelity
+                workload, auto=Auto.standalone(workload, AMAP)
             ).to_dict(),
         )
         assert production["metadata"]["sampled"]["estimated_kernels"] > 0
@@ -226,40 +226,35 @@ class TestFullSystemEquiv:
         # queued (19 under BASE, 14 under PAE), so both freeze
         # populations (in-flight warps and queued TBs) replay.
         workload = make_workload("SRAD2", scale=1.0)
-        fidelity = parse_fidelity("auto")
         production, oracle = on_both_planes(
             monkeypatch,
             lambda: GPUSystem(make_scheme(scheme_name, AMAP)).run(
-                workload, fidelity=fidelity
+                workload, auto=Auto.standalone(workload, AMAP)
             ).to_dict(),
         )
         assert production["metadata"]["sampled"]["ff_phases"] > 0
         assert production == oracle
 
     def test_auto_run_with_cached_stream_identical(self, monkeypatch):
-        """Runs replaying a built and a memoized stream equal a cold run
-        on the oracle: the state cache never changes observable
-        results."""
-        from repro.runner.state_cache import StateCache
-
+        """Runs replaying a built and a memoized stream equal a run that
+        builds its own streams on the oracle: the state cache never
+        changes observable results."""
         workload = make_workload("SC", scale=0.5)
-        fidelity = parse_fidelity("auto")
-        plan = plan_auto(workload, AMAP)
-        base = {"workload": "SC", "scale": 0.5, "memory": "gddr5"}
-        cache = StateCache()
+        context = RunContext()
+        config = RunConfig("SC", "BASE", scale=0.5, fidelity="auto")
 
-        def run(state_cache=None):
+        def run(auto):
             return GPUSystem(make_scheme("BASE", AMAP)).run(
-                workload, fidelity=fidelity, auto_plan=plan,
-                state_cache=state_cache, state_key=base,
+                workload, auto=auto
             ).to_dict()
 
-        first = run(cache)
+        first = run(context.auto(config))
+        cache = context.state_cache
         assert cache.stats.stores > 0, "SC@0.5 must exercise the cache"
-        warm = run(cache)
+        warm = run(context.auto(config))
         assert cache.stats.hits == cache.stats.stores
         monkeypatch.setattr(replay, "replay_ops", replay_oracle.replay_ops)
-        assert run() == first == warm
+        assert run(Auto.standalone(workload, AMAP)) == first == warm
 
 
 class TestStreamBuild:
