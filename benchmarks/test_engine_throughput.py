@@ -6,8 +6,7 @@ Pins the simulator's event-dispatch rate so engine regressions are
 * **Engine core** — a synthetic schedule shaped like the simulator's
   hot loop (dense same-cycle bursts plus short timer chains from ~64
   components: issue ticks, L1 latencies, NoC deliveries, DRAM wakes),
-  driven through both scheduling forms: ``at``/``after`` closures and
-  the closure-free ``at_call``/``after_call`` fast path.
+  driven through ``at_call``/``after_call`` with pre-bound callbacks.
 
 * **Valley-suite hot loop** — an end-to-end run of valley benchmarks
   under the BASE scheme, reporting events/sec, simulated cycles/sec
@@ -45,17 +44,7 @@ VALLEY_LOOP = ("MT", "LU", "SC")
 VALLEY_SCALE = 0.25
 
 
-def _drive_closures(engine: Engine, budget: list) -> None:
-    def tick():
-        budget[0] -= 1
-        if budget[0] > 0:
-            engine.after(DELAYS[budget[0] % len(DELAYS)], tick)
-
-    for chain in range(N_CHAINS):
-        engine.at(chain % 7, tick)
-
-
-def _drive_at_call(engine: Engine, budget: list) -> None:
+def _drive(engine: Engine, budget: list) -> None:
     def tick(arg):
         budget[0] -= 1
         if budget[0] > 0:
@@ -65,9 +54,9 @@ def _drive_at_call(engine: Engine, budget: list) -> None:
         engine.at_call(chain % 7, tick, chain)
 
 
-def _engine_core_rate(driver) -> dict:
+def _engine_core_rate() -> dict:
     engine = Engine()
-    driver(engine, [N_EVENTS])
+    _drive(engine, [N_EVENTS])
     start = time.perf_counter()
     engine.run()
     wall = time.perf_counter() - start
@@ -109,17 +98,12 @@ def _valley_loop_rate() -> dict:
 
 
 def test_engine_throughput():
-    closure = _engine_core_rate(_drive_closures)
-    at_call = _engine_core_rate(_drive_at_call)
+    core = _engine_core_rate()
     valley = _valley_loop_rate()
 
-    report = {
-        "engine_core": {"closure_api": closure, "at_call_api": at_call},
-        "valley_loop": valley,
-    }
+    report = {"engine_core": core, "valley_loop": valley}
     print()
     print(json.dumps(report, indent=2, sort_keys=True))
 
-    assert closure["events_per_sec"] >= MIN_ENGINE_CORE_EVENTS_PER_SEC
-    assert at_call["events_per_sec"] >= MIN_ENGINE_CORE_EVENTS_PER_SEC
+    assert core["events_per_sec"] >= MIN_ENGINE_CORE_EVENTS_PER_SEC
     assert valley["events_per_sec"] >= MIN_VALLEY_EVENTS_PER_SEC

@@ -3,9 +3,9 @@
 Owns the channel's banks, its FR-FCFS request queues and the shared
 data bus, and drives them through the discrete-event engine:
 
-* requests arrive via :meth:`MemoryController.submit`, or in same-cycle
-  batches via :meth:`MemoryController.submit_many`; all arrivals of one
-  cycle are scheduled by a single FR-FCFS pass,
+* requests arrive in same-cycle batches via
+  :meth:`MemoryController.submit_many`; all arrivals of one cycle are
+  scheduled by a single FR-FCFS pass,
 * whenever a bank or the bus frees up the controller re-runs the
   scheduler and issues every request that can start,
 * the completion callback fires when the request's data burst finishes
@@ -84,7 +84,7 @@ class MemoryController:
         self._wake_scheduled_at: Optional[int] = None
         # Every queued bank is busy until this cycle (module docstring).
         self._blocked_until: Optional[int] = None
-        # Pre-bound for the engine's closure-free scheduling fast path.
+        # Pre-bound for the engine's closure-free scheduling.
         self._wake_cb = self._wake
         self._data_done_cb = self._data_done
         # Statistics.
@@ -97,17 +97,14 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Request intake
     # ------------------------------------------------------------------
-    def submit(self, request: DRAMRequest) -> None:
-        """Queue a request (bank/row already decoded by the caller)."""
-        self.submit_many((request,))
-
     def submit_many(self, requests: Sequence[DRAMRequest]) -> None:
         """Queue a batch of requests arriving this cycle.
 
-        Scheduling is deferred to a single same-cycle wake event rather
-        than pumped per request: all arrivals of one cycle are enqueued
-        first and then considered by *one* FR-FCFS pass, so a burst of
-        N submits costs one scheduling sweep instead of N.
+        Bank and row are already decoded by the caller.  Scheduling is
+        deferred to a single same-cycle wake event rather than pumped
+        per request: all arrivals of one cycle are enqueued first and
+        then considered by *one* FR-FCFS pass, so a burst of N requests
+        costs one scheduling sweep instead of N.
         """
         n_banks = self._timing.banks_per_channel
         for request in requests:
@@ -277,9 +274,9 @@ class MemoryController:
         if scheduled is not None and scheduled <= time:
             return
         self._wake_scheduled_at = time
-        engine.at(time, self._wake_cb)
+        engine.at_call(time, self._wake_cb, None)
 
-    def _wake(self) -> None:
+    def _wake(self, _: None) -> None:
         # Only the event matching the marker may clear it; stale events
         # (superseded by an earlier wake) must not, or every stale event
         # would re-arm a duplicate and wakes would multiply.

@@ -81,7 +81,7 @@ class FRFCFSScheduler:
         self._row_fifos: List[Dict[int, Deque[int]]] = [{} for _ in range(n_banks)]
         self._seq = 0
         # Queued requests.  Public for read-only use: the controller's
-        # pump tests it on every pass instead of paying for ``empty``.
+        # pump tests it on every pass.
         self.size = 0
         # High-water mark of the channel queue.  Auto-fidelity drift
         # correction reads queue depth as its steady-state signal, and
@@ -101,35 +101,11 @@ class FRFCFSScheduler:
     def __len__(self) -> int:
         return self.size
 
-    @property
-    def empty(self) -> bool:
-        return self.size == 0
-
     def pending_for_bank(self, bank: int) -> int:
         return len(self._queues[bank])
 
-    def enqueue(self, request: DRAMRequest) -> None:
-        """Add a request to its bank's queue."""
-        seq = self._seq
-        self._seq = seq + 1
-        self._queues[request.bank][seq] = request
-        fifos = self._row_fifos[request.bank]
-        fifo = fifos.get(request.row)
-        if fifo is None:
-            fifos[request.row] = deque((seq,))
-        else:
-            fifo.append(seq)
-        self.size += 1
-        if self.size > self.peak_depth:
-            self.peak_depth = self.size
-
     def enqueue_many(self, requests: Sequence[DRAMRequest]) -> None:
-        """Bulk-add a batch of requests (one bookkeeping pass).
-
-        The controller hands over all requests that arrived in the same
-        cycle at once, so the queues and row FIFOs are updated in one
-        call instead of one Python call per request.
-        """
+        """Add a cycle's arrivals to their banks' queues, in order."""
         seq = self._seq
         queues = self._queues
         row_fifos = self._row_fifos

@@ -8,12 +8,13 @@ the whole memory system.
 Routing is driven by the :class:`~repro.core.address_map.AddressMap`:
 conventional maps have a ``channel`` field; stacked maps have
 ``stack`` and ``vault`` fields which together select one of the
-stacks x vaults independent controllers.
+stacks x vaults independent controllers
+(:func:`repro.core.mapper.dram_channels` computes the index).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..core.address_map import AddressMap
 from .controller import MemoryController
@@ -40,7 +41,6 @@ class DRAMSystem:
         scheduler_factory: Optional[Callable[[int], FRFCFSScheduler]] = None,
     ) -> None:
         self._timing = timing
-        self._address_map = address_map
         expected = self._expected_channels(address_map)
         if expected != timing.channels:
             raise ValueError(
@@ -75,17 +75,6 @@ class DRAMSystem:
     @property
     def n_channels(self) -> int:
         return len(self.controllers)
-
-    def channel_of(self, fields: Dict[str, int]) -> int:
-        """Controller index for decoded address *fields*."""
-        if "channel" in fields:
-            return int(fields["channel"])
-        vaults = self._address_map.field("vault").size
-        return int(fields["stack"]) * vaults + int(fields["vault"])
-
-    def submit(self, channel: int, request: DRAMRequest) -> None:
-        """Hand a decoded request to its channel controller."""
-        self.controllers[channel].submit(request)
 
     def submit_many(self, channel: int, requests) -> None:
         """Hand a same-cycle batch of decoded requests to one controller."""

@@ -66,10 +66,10 @@ class CacheStats:
 class SetAssociativeCache:
     """A write-back, write-allocate, true-LRU set-associative cache.
 
-    Addresses are byte addresses; the cache operates on aligned lines
-    of ``line_bytes``.  ``probe`` checks presence without side effects;
-    ``access`` performs the hit/allocate path and returns the evicted
-    dirty line (if any) so the caller can write it back.
+    Every access names an aligned line and its set id from
+    :meth:`set_indices_array`.  ``probe`` checks presence without side
+    effects; ``access`` performs the hit/allocate path and returns the
+    evicted dirty line (if any) so the caller can write it back.
     """
 
     def __init__(
@@ -97,10 +97,10 @@ class SetAssociativeCache:
         # XOR fold reduces to a fixed doubling-shift cascade plus a
         # mask (each b-bit chunk of the index is XORed into the low b
         # bits; shift subsets enumerate every chunk offset exactly
-        # once for indexes below 2**64).  Precomputed here so the
-        # per-access cost is a handful of shifts instead of a
-        # data-dependent fold loop.  Non-power-of-two set counts keep
-        # the exact legacy fold-then-modulo.
+        # once for indexes below 2**64).  Precomputed here so hashing
+        # costs a handful of array shifts instead of a data-dependent
+        # fold loop.  Non-power-of-two set counts keep the exact
+        # legacy fold-then-modulo.
         self._set_mask = sets - 1
         if hash_sets and sets & (sets - 1) == 0:
             shifts: List[int] = []
@@ -163,32 +163,13 @@ class SetAssociativeCache:
     def capacity_bytes(self) -> int:
         return self._sets * self._ways * self._line_bytes
 
-    def line_address(self, address: int) -> int:
-        """The aligned line address containing byte *address*."""
-        return (address >> self._line_shift) << self._line_shift
-
-    def _set_index(self, line_address: int) -> int:
-        index = line_address >> self._line_shift
-        shifts = self._fold_shifts
-        if shifts is not None:
-            for shift in shifts:
-                index ^= index >> shift
-            return index & self._set_mask
-        if self._hash_sets:
-            folded = index
-            index = 0
-            while folded:
-                index ^= folded
-                folded >>= self._set_bits
-        return index % self._sets
-
     def set_indices_array(self, lines: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`_set_index` over aligned line addresses.
+        """The set id of each aligned line address in *lines*.
 
-        Bit-identical to the scalar fold for indexes below 2**64 (all
-        three paths: doubling-shift cascade, generic chunked fold, and
-        plain modulo).  Used by trace preparation and the functional
-        replay to hoist the set hash out of their per-op loops.
+        The line index is XOR-folded in set-index-wide chunks, then
+        taken modulo the set count (plain modulo without ``hash_sets``).
+        Trace preparation and the functional replay hash every op here,
+        once, so no per-access method hashes.
         """
         index = np.asarray(lines, dtype=np.uint64) >> np.uint64(self._line_shift)
         shifts = self._fold_shifts
@@ -205,21 +186,16 @@ class SetAssociativeCache:
                 folded = folded >> bits
         return (index % np.uint64(self._sets)).astype(np.int64)
 
-    # The per-access methods below take an optional *set_id*.  When it
-    # is given, *address* must already be a line address and *set_id*
-    # its :meth:`_set_index` — the detailed engine precomputes both per
-    # op with :meth:`set_indices_array` when a kernel is prepared, so
-    # its hot path never aligns or hashes.  Without it the method
-    # aligns and hashes *address* itself.
+    # The per-access methods below take an aligned *line* address and
+    # its *set_id* from :meth:`set_indices_array`: the detailed engine
+    # precomputes both per op when a kernel is prepared, so its hot
+    # path never aligns or hashes.
 
-    def probe(self, address: int, set_id: Optional[int] = None) -> bool:
-        """True if the line holding *address* is present (no LRU update)."""
-        if set_id is None:
-            address = self.line_address(address)
-            set_id = self._set_index(address)
-        return address in self._lines[set_id]
+    def probe(self, line: int, set_id: int) -> bool:
+        """True if *line* is present (no LRU update)."""
+        return line in self._lines[set_id]
 
-    def try_read(self, address: int, set_id: Optional[int] = None) -> bool:
+    def try_read(self, line: int, set_id: int) -> bool:
         """Single-pass read for allocate-on-fill designs.
 
         On a hit, refresh LRU, count a read hit and return True.  On a
@@ -228,15 +204,12 @@ class SetAssociativeCache:
         path.  Equivalent to ``probe() and access()`` but with one set
         lookup instead of two, which matters on the issue hot path.
         """
-        if set_id is None:
-            address = self.line_address(address)
-            set_id = self._set_index(address)
         entry_set = self._lines[set_id]
-        entry = entry_set.get(address)
+        entry = entry_set.get(line)
         if entry is None:
             return False
         use = self._use_counter = self._use_counter + 1
-        entry_set[address] = use << 1 | entry & 1
+        entry_set[line] = use << 1 | entry & 1
         self.stats.read_hits += 1
         return True
 
@@ -245,8 +218,7 @@ class SetAssociativeCache:
         return sum(len(s) for s in self._lines)
 
     def access(
-        self, address: int, is_write: bool = False,
-        set_id: Optional[int] = None,
+        self, line: int, is_write: bool, set_id: int
     ) -> Tuple[bool, Optional[int]]:
         """Perform a read or write access.
 
@@ -255,10 +227,6 @@ class SetAssociativeCache:
         was evicted its line address is returned for the caller to
         write back, otherwise None.
         """
-        if set_id is None:
-            address = self.line_address(address)
-            set_id = self._set_index(address)
-        line = address
         entry_set = self._lines[set_id]
         use = self._use_counter = self._use_counter + 1
         entry = entry_set.get(line)
@@ -287,17 +255,11 @@ class SetAssociativeCache:
         entry_set[line] = use << 1 | (1 if is_write else 0)
         return False, writeback
 
-    def fill(
-        self, address: int, dirty: bool = False, set_id: Optional[int] = None
-    ) -> Optional[int]:
+    def fill(self, line: int, dirty: bool, set_id: int) -> Optional[int]:
         """Install a line without counting an access (e.g. prefetch).
 
         Returns a dirty victim's line address if one was evicted.
         """
-        if set_id is None:
-            address = self.line_address(address)
-            set_id = self._set_index(address)
-        line = address
         entry_set = self._lines[set_id]
         use = self._use_counter = self._use_counter + 1
         dirty = 1 if dirty else 0
@@ -318,7 +280,7 @@ class SetAssociativeCache:
         entry_set[line] = use << 1 | dirty
         return writeback
 
-    def write_through(self, address: int, set_id: Optional[int] = None) -> bool:
+    def write_through(self, line: int, set_id: int) -> bool:
         """Write-through, no-write-allocate store (GPU L1 policy).
 
         If the line is present its LRU position is refreshed and the
@@ -326,23 +288,15 @@ class SetAssociativeCache:
         data is forwarded downstream anyway.  Misses are counted but
         never allocate.  Returns True on hit.
         """
-        if set_id is None:
-            address = self.line_address(address)
-            set_id = self._set_index(address)
         entry_set = self._lines[set_id]
-        entry = entry_set.get(address)
+        entry = entry_set.get(line)
         if entry is not None:
             use = self._use_counter = self._use_counter + 1
-            entry_set[address] = use << 1 | entry & 1
+            entry_set[line] = use << 1 | entry & 1
             self.stats.write_hits += 1
             return True
         self.stats.write_misses += 1
         return False
-
-    def invalidate(self, address: int) -> bool:
-        """Drop the line holding *address*; True if it was present."""
-        line = self.line_address(address)
-        return self._lines[self._set_index(line)].pop(line, None) is not None
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,7 @@ Each slice is a write-back, write-allocate cache with MSHRs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque
 
 from typing import TYPE_CHECKING
 
@@ -63,7 +63,7 @@ class LLCSlice:
         self.outstanding = 0  # reads in flight at this slice
         self._latency = config.llc_latency
         self._mshr_capacity = config.llc_mshrs_per_slice
-        # Pre-bound for the engine's closure-free scheduling fast path.
+        # Pre-bound for the engine's closure-free scheduling.
         self._respond_cb = self._respond
 
     # ------------------------------------------------------------------
@@ -79,11 +79,10 @@ class LLCSlice:
         cache.stats.read_misses += 1
         self._allocate_and_fetch(request)
 
-    def on_write(self, line: int, set_id: Optional[int] = None) -> None:
+    def on_write(self, line: int, set_id: int) -> None:
         """A write-through store arrived (full-line, no response needed).
 
-        *set_id* is the line's precomputed set index in this slice, if
-        known.
+        *set_id* is the line's precomputed set index in this slice.
         """
         cache = self.cache
         if cache.probe(line, set_id):
@@ -108,11 +107,10 @@ class LLCSlice:
     # ------------------------------------------------------------------
     # DRAM side
     # ------------------------------------------------------------------
-    def on_dram_fill(self, line: int, set_id: Optional[int] = None) -> None:
+    def on_dram_fill(self, line: int, set_id: int) -> None:
         """The DRAM read for *line* completed: fill, respond, retry.
 
-        *set_id* is the line's precomputed set index in this slice, if
-        known.
+        *set_id* is the line's precomputed set index in this slice.
         """
         victim = self.cache.fill(line, False, set_id)
         if victim is not None:

@@ -17,7 +17,7 @@ latencies (arrival to delivery) are recorded for the Fig. 13a metric.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from typing import TYPE_CHECKING
 
@@ -25,10 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import Engine
 
 __all__ = ["Crossbar", "NoCStats"]
-
-# "No payload" marker for send(): distinguishes an omitted arg from a
-# legitimate None payload.
-_NO_ARG = object()
 
 
 class NoCStats:
@@ -76,16 +72,13 @@ class Crossbar:
         source: int,
         destination: int,
         flits: int,
-        on_delivered: Callable[..., None],
-        arg: object = _NO_ARG,
+        on_delivered: Callable[[object], None],
+        arg: object,
     ) -> int:
-        """Inject a packet; *on_delivered* fires at the destination.
+        """Inject a packet; ``on_delivered(arg)`` fires at the destination.
 
         Returns the delivery time.  *source* is validated but (being a
-        crossbar) does not contend — only output ports queue.  When
-        *arg* is given, delivery invokes ``on_delivered(arg)`` through
-        the engine's closure-free fast path (no lambda per packet);
-        otherwise ``on_delivered()``.
+        crossbar) does not contend — only output ports queue.
         """
         if not 0 <= source < self.n_inputs:
             raise ValueError(f"{self.name}: source port {source} out of range")
@@ -108,10 +101,7 @@ class Crossbar:
         stats.total_latency += latency
         if latency > stats.max_latency:
             stats.max_latency = latency
-        if arg is _NO_ARG:
-            engine.at(delivery, on_delivered)
-        else:
-            engine.at_call(delivery, on_delivered, arg)
+        engine.at_call(delivery, on_delivered, arg)
         return delivery
 
     def port_backlog(self, destination: int) -> int:

@@ -46,9 +46,9 @@ class MemRequest:
     """An L1-miss read transaction travelling through NoC/LLC/DRAM.
 
     ``l1_set`` and ``llc_set`` are the line's precomputed set indices in
-    the issuing SM's L1 and in its LLC slice (None: the cache hashes
-    the line itself).  An LLC miss is queued at DRAM as itself, with
-    ``arrival`` stamped then (:mod:`repro.dram.scheduler` protocol).
+    the issuing SM's L1 and in its LLC slice.  An LLC miss is queued at
+    DRAM as itself, with ``arrival`` stamped then
+    (:mod:`repro.dram.scheduler` protocol).
     """
 
     __slots__ = (
@@ -59,8 +59,7 @@ class MemRequest:
 
     def __init__(
         self, sm_id: int, line: int, channel: int, bank: int, row: int,
-        slice_id: int, issued_at: int, l1_set: Optional[int] = None,
-        llc_set: Optional[int] = None,
+        slice_id: int, issued_at: int, l1_set: int, llc_set: int,
     ) -> None:
         self.sm_id = sm_id
         self.line = line
@@ -328,10 +327,10 @@ class SM:
     # ------------------------------------------------------------------
     # Fill path
     # ------------------------------------------------------------------
-    def on_fill(self, line: int, set_id: Optional[int] = None) -> None:
+    def on_fill(self, line: int, set_id: int) -> None:
         """A missed line arrived from the LLC: install it and wake waiters.
 
-        *set_id* is the line's precomputed L1 set index, if known.
+        *set_id* is the line's precomputed L1 set index.
         """
         self.l1.fill(line, False, set_id)
         op_completed = self._op_completed

@@ -68,6 +68,15 @@ class MergeError(ValueError):
     """Raised when shard reports cannot be combined into a full report."""
 
 
+def _parsed(what: str, parse):
+    """``parse()``, or a :class:`MergeError` saying *what* does not parse."""
+    try:
+        return parse()
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        why = f"missing field {error}" if type(error) is KeyError else error
+        raise MergeError(f"{what} does not parse: {why}") from None
+
+
 def _metric_tables(
     configs: List[RunConfig],
     results: List[Optional[SimulationResult]],
@@ -222,28 +231,37 @@ def merge_shard_reports(shards: Sequence[Dict[str, object]]) -> Dict[str, object
     Validates that every partial uses the shard format, that all agree
     on the grid and cache schema, and that the shard indexes are
     exactly ``1..N`` — then rebuilds the report from the union of runs.
-    Raises :class:`MergeError` on any inconsistency or gap.  A config
+    Raises :class:`MergeError` on any inconsistency or gap, and on a
+    malformed report, naming the shard (its position in *shards*) and
+    the field that is missing or does not parse.  A config
     missing a result is a gap *unless* some shard quarantined it (its
     ``"failures"`` record is then carried into the merged report) —
     a partially-successful fleet still merges; a half-run one errors.
     """
     if not shards:
         raise MergeError("no shard reports to merge")
-    for report in shards:
+    specs = []
+    for number, report in enumerate(shards, 1):
+        if not isinstance(report, dict):
+            raise MergeError(f"shard report {number} is not a JSON object")
         if report.get("format") != SHARD_FORMAT:
             raise MergeError(
                 f"not a shard report: format={report.get('format')!r} "
                 f"(expected {SHARD_FORMAT!r})"
             )
+        for field in ("grid", "schema", "shard", "runs"):
+            if field not in report:
+                raise MergeError(f"shard report {number} has no {field!r} field")
+        specs.append(_parsed(f"shard report {number}'s 'shard' field",
+                             lambda: ShardSpec.from_dict(report["shard"])))
     grid_dicts = [report["grid"] for report in shards]
     if any(g != grid_dicts[0] for g in grid_dicts[1:]):
         raise MergeError("shard reports were cut from different grids")
-    schemas = {report.get("schema") for report in shards}
+    schemas = {json.dumps(report["schema"]) for report in shards}
     if len(schemas) != 1:
         raise MergeError(
-            f"shard reports disagree on cache schema: {sorted(map(str, schemas))}"
+            f"shard reports disagree on cache schema: {sorted(schemas)}"
         )
-    specs = [ShardSpec.from_dict(report["shard"]) for report in shards]
     counts = {spec.count for spec in specs}
     if len(counts) != 1:
         raise MergeError(f"shard reports disagree on shard count: {sorted(counts)}")
@@ -257,12 +275,20 @@ def merge_shard_reports(shards: Sequence[Dict[str, object]]) -> Dict[str, object
 
     by_key: Dict[str, SimulationResult] = {}
     failures_by_key: Dict[str, RunFailure] = {}
-    for report in shards:
-        for run in report["runs"]:
-            config = RunConfig.from_dict(run["config"])
-            by_key[config.config_hash()] = SimulationResult.from_dict(run["result"])
-        for record in report.get("failures", []):
-            failure = RunFailure.from_dict(record)
+    for number, report in enumerate(shards, 1):
+        where = f"shard report {number}"
+        runs, failures = report["runs"], report.get("failures", [])
+        if not isinstance(runs, list) or not isinstance(failures, list):
+            raise MergeError(f"{where}'s 'runs' and 'failures' must be lists")
+        for index, run in enumerate(runs, 1):
+            config, result = _parsed(f"{where}'s run {index}", lambda: (
+                RunConfig.from_dict(run["config"]),
+                SimulationResult.from_dict(run["result"]),
+            ))
+            by_key[config.config_hash()] = result
+        for index, record in enumerate(failures, 1):
+            failure = _parsed(f"{where}'s failure {index}",
+                              lambda: RunFailure.from_dict(record))
             failures_by_key[failure.key] = failure
 
     grid = SweepGrid.from_dict(grid_dicts[0])

@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from ..specs import integer
 from .config import RunConfig
 
 __all__ = ["ShardSpec", "shard_owner"]
@@ -104,7 +105,11 @@ class ShardSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ShardSpec":
-        return cls(index=int(data["index"]), count=int(data["count"]))
+        """Parse :meth:`to_dict` output; a non-integer is a ValueError."""
+        return cls(
+            index=integer(data["index"], "shard index"),
+            count=integer(data["count"], "shard count"),
+        )
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"

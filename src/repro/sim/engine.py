@@ -13,19 +13,11 @@ heap pushes of ``(time, seq, callback)`` tuples.
 
 Scheduling API contract
 -----------------------
-Two forms schedule work; both accept only integral times and preserve
-same-cycle FIFO order between each other:
-
-``at(time, callback)`` / ``after(delay, callback)``
-    The general form: *callback* is invoked with no arguments.  Use it
-    when a closure is natural or the call site is cold.
-
-``at_call(time, fn, arg)`` / ``after_call(delay, fn, arg)``
-    The closure-free fast path for hot components: *fn* is invoked as
-    ``fn(arg)``.  Callers pre-bind methods once (``self._cb =
-    self._tick``) and pass the varying state as *arg*, so scheduling an
-    event allocates no lambda and no bound method.  ``arg`` may be any
-    object, including ``None``.
+One form schedules work: ``at_call(time, fn, arg)`` /
+``after_call(delay, fn, arg)`` invoke ``fn(arg)``.  Callers pre-bind
+methods once (``self._cb = self._tick``) and pass the varying state as
+*arg*, so scheduling an event allocates no lambda and no bound method.
+``arg`` may be any object, including ``None``.
 
 Times must be integral: an ``int``, or a float/numpy scalar whose value
 is a whole number (normalized to ``int``).  A fractional time raises
@@ -44,10 +36,10 @@ callers may rely on:
   It holds the cycle of the event being dispatched (or the ``until``
   bound a paused ``run`` stopped at).
 * A bucket is a list of ``(fn, arg)`` pairs, drained by ``for fn, arg
-  in cursor`` over one list iterator (which also yields pairs appended
-  meanwhile) and counted into ``events_processed`` once per bucket.  A
-  raise leaves the cursor at ``len(bucket) - length_hint(cursor)``; a
-  failing event counts as processed.
+  in cursor: fn(arg)`` over one list iterator (which also yields pairs
+  appended meanwhile) and counted into ``events_processed`` once per
+  bucket.  A raise leaves the cursor at ``len(bucket) -
+  length_hint(cursor)``; a failing event counts as processed.
 * ``pending`` (the queued buckets' sum) and ``idle`` (not running, no
   pending cycle, active bucket drained; O(1)) are derived, not counted.
 """
@@ -61,13 +53,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Engine", "SimulationError"]
 
-Callback = Callable[[], None]
-
-# Bucket slot marker for argument-less callbacks: buckets are lists
-# [(fn0, arg0), (fn1, arg1), ...] and _NO_ARG in the arg slot means
-# "call fn with no arguments".
-_NO_ARG = object()
-
 
 class SimulationError(RuntimeError):
     """Raised for scheduling bugs (events in the past, runaway loops)."""
@@ -80,10 +65,10 @@ class Engine:
     --------
     >>> engine = Engine()
     >>> fired = []
-    >>> engine.at(10, lambda: fired.append(engine.now))
+    >>> engine.at_call(10, fired.append, "ping")
     >>> engine.run()
     >>> fired
-    [10]
+    ['ping']
     """
 
     def __init__(self) -> None:
@@ -131,7 +116,7 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    # The four scheduling methods share one body, written out in each:
+    # The two scheduling methods share one body, written out in each:
     # normalize the time, reject the past, append (fn, arg) to the
     # cycle's bucket.  A shared helper would cost every event a frame.
     def _checked_time(self, time: Any) -> int:
@@ -153,27 +138,8 @@ class Engine:
             f"cannot schedule event at {time}, current time is {self.now}"
         )
 
-    def at(self, time: int, callback: Callback) -> None:
-        """Schedule *callback* (no arguments) at absolute cycle *time*."""
-        if type(time) is not int:
-            time = self._checked_time(time)
-        if time < self.now:
-            raise self._past_error(time)
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(callback, _NO_ARG)]
-            heappush(self._times, time)
-        else:
-            bucket.append((callback, _NO_ARG))
-
-    def after(self, delay: int, callback: Callback) -> None:
-        """Schedule *callback* *delay* cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        self.at(self.now + delay, callback)
-
     def at_call(self, time: int, fn: Callable[[Any], None], arg: Any) -> None:
-        """Closure-free fast path: schedule ``fn(arg)`` at cycle *time*."""
+        """Schedule ``fn(arg)`` at absolute cycle *time*."""
         if type(time) is not int:
             time = self._checked_time(time)
         if time < self.now:
@@ -186,7 +152,7 @@ class Engine:
             bucket.append((fn, arg))
 
     def after_call(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
-        """Closure-free fast path: schedule ``fn(arg)`` *delay* cycles from now."""
+        """Schedule ``fn(arg)`` *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
@@ -218,7 +184,6 @@ class Engine:
             raise SimulationError("Engine.run() is not re-entrant")
         buckets = self._buckets
         times = self._times
-        no_arg = _NO_ARG
         processed = self._events_processed
         self._running = True
         try:
@@ -245,10 +210,7 @@ class Engine:
                     next(islice(cursor, start, start), None)
                 try:
                     for fn, arg in cursor:
-                        if arg is no_arg:
-                            fn()
-                        else:
-                            fn(arg)
+                        fn(arg)
                 except BaseException:  # the events behind it stay queued
                     self._active_index = len(bucket) - length_hint(cursor)
                     processed += self._active_index - start

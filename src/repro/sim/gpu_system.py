@@ -21,7 +21,7 @@ per controller per cycle instead of one Python event per
 request.  Warp issue is batched per SM the same way (one issue tick
 per port slot, see :mod:`repro.gpu.sm`), and all inter-component
 plumbing below schedules through the engine's closure-free
-``at_call``/``after_call`` fast path with pre-bound callbacks.
+``at_call``/``after_call`` with pre-bound callbacks.
 
 Instrumentation captures everything the paper's evaluation plots:
 execution cycles, NoC packet latency (13a), LLC miss rate (13b),
@@ -139,8 +139,8 @@ class GPUSystem:
         self._loading = False
         self._finished = False
 
-        # Pre-bound callbacks for the engine's closure-free scheduling
-        # fast path: no lambda or bound-method allocation per packet.
+        # Pre-bound callbacks for the engine's closure-free scheduling:
+        # no lambda or bound-method allocation per packet.
         self._slice_on_read = [s.on_read for s in self.slices]
         self._forward_read_cb = self._forward_read
         self._deliver_fill_cb = self._deliver_fill
@@ -306,9 +306,9 @@ class GPUSystem:
     def _schedule_dram_flush(self) -> None:
         if not self._dram_flush_scheduled:
             self._dram_flush_scheduled = True
-            self.engine.at(self.engine.now, self._flush_dram_cb)
+            self.engine.at_call(self.engine.now, self._flush_dram_cb, None)
 
-    def _flush_dram_batch(self) -> None:
+    def _flush_dram_batch(self, _: None) -> None:
         """Hand this cycle's accumulated DRAM traffic to the controllers.
 
         Reads were decoded at trace preparation and queue as

@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.mapper import decode_fields, dram_channels
+from . import gpu_system
 
 __all__ = [
     "replay_ops",
@@ -275,8 +275,8 @@ def replay_ops(
     wb_rel = np.flatnonzero(wb_line >= 0)
     wb_rel = wb_rel[np.argsort(slice_arr[wb_rel], kind="stable")]
     if wb_rel.size:
-        wb_ch, wb_banks, wb_rows = _decode_writebacks(
-            system, wb_line[wb_rel].astype(np.uint64)
+        wb_ch, wb_banks, wb_rows = gpu_system.dram_coords(
+            system.address_map, wb_line[wb_rel].astype(np.uint64)
         )
     else:
         wb_ch = wb_banks = wb_rows = empty
@@ -284,16 +284,6 @@ def replay_ops(
         system, read_ch, read_banks, read_rows, wb_ch, wb_banks, wb_rows
     )
     return total_ops, noc_flits
-
-
-def _decode_writebacks(system, wb_lines_u64: np.ndarray):
-    """DRAM coordinates of dirty victim lines (one decode for all)."""
-    fields = decode_fields(system.address_map, wb_lines_u64)
-    return (
-        dram_channels(system.address_map, fields).astype(np.int64),
-        fields["bank"].astype(np.int64),
-        fields["row"].astype(np.int64),
-    )
 
 
 def _replay_dram(

@@ -21,7 +21,7 @@ class TestSingleRequestTiming:
     def test_cold_miss_latency(self):
         done = []
         engine, mc = build(lambda r, t: done.append(t))
-        mc.submit(DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0))
+        mc.submit_many([DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0)])
         engine.run()
         # activate 0, read at tRCD, data at tRCD+CL .. +tBURST
         assert done == [T.t_rcd + T.cl + T.t_burst]
@@ -29,8 +29,10 @@ class TestSingleRequestTiming:
     def test_row_hits_pipeline_at_burst_rate(self):
         done = []
         engine, mc = build(lambda r, t: done.append(t))
-        for i in range(6):
-            mc.submit(DRAMRequest(i, bank=0, row=1, is_write=False, arrival=0))
+        mc.submit_many([
+            DRAMRequest(i, bank=0, row=1, is_write=False, arrival=0)
+            for i in range(6)
+        ])
         engine.run()
         gaps = np.diff(done)
         # After the opening activate, consecutive hits are tBURST apart.
@@ -39,10 +41,12 @@ class TestSingleRequestTiming:
     def test_conflict_pays_precharge(self):
         done = []
         engine, mc = build(lambda r, t: done.append(t))
-        mc.submit(DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0))
+        mc.submit_many([DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0)])
         engine.run()
         first = done[-1]
-        mc.submit(DRAMRequest(1, bank=0, row=2, is_write=False, arrival=engine.now))
+        mc.submit_many([
+            DRAMRequest(1, bank=0, row=2, is_write=False, arrival=engine.now)
+        ])
         engine.run()
         # Precharge waits out tRAS (from activate at 0), then tRP+tRCD+CL+burst.
         assert done[-1] == T.t_ras + T.t_rp + T.t_rcd + T.cl + T.t_burst
@@ -51,9 +55,11 @@ class TestSingleRequestTiming:
 class TestThroughput:
     def _drive(self, rows, banks, n=2000):
         engine, mc = build()
-        for i in range(n):
-            mc.submit(DRAMRequest(i, bank=int(banks[i]), row=int(rows[i]),
-                                  is_write=False, arrival=0))
+        mc.submit_many([
+            DRAMRequest(i, bank=int(banks[i]), row=int(rows[i]),
+                        is_write=False, arrival=0)
+            for i in range(n)
+        ])
         engine.run()
         return n / engine.now, mc
 
@@ -80,35 +86,44 @@ class TestThroughput:
 class TestAccounting:
     def test_reads_writes_counted(self):
         engine, mc = build()
-        mc.submit(DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0))
-        mc.submit(DRAMRequest(1, bank=1, row=1, is_write=True, arrival=0))
+        mc.submit_many([
+            DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0),
+            DRAMRequest(1, bank=1, row=1, is_write=True, arrival=0),
+        ])
         engine.run()
         assert mc.reads == 1 and mc.writes == 1
         assert mc.requests_seen == 2
 
     def test_busy_cycles_equal_bursts(self):
         engine, mc = build()
-        for i in range(5):
-            mc.submit(DRAMRequest(i, bank=i, row=1, is_write=False, arrival=0))
+        mc.submit_many([
+            DRAMRequest(i, bank=i, row=1, is_write=False, arrival=0)
+            for i in range(5)
+        ])
         engine.run()
         assert mc.busy_cycles == 5 * T.t_burst
 
     def test_bank_range_validated(self):
         engine, mc = build()
         with pytest.raises(ValueError):
-            mc.submit(DRAMRequest(0, bank=99, row=1, is_write=False, arrival=0))
+            mc.submit_many([
+                DRAMRequest(0, bank=99, row=1, is_write=False, arrival=0)
+            ])
 
     def test_payload_passed_through(self):
         seen = []
         engine, mc = build(lambda r, t: seen.append(r.payload))
-        mc.submit(DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0, payload="tag"))
+        mc.submit_many([DRAMRequest(0, bank=0, row=1, is_write=False,
+                                    arrival=0, payload="tag")])
         engine.run()
         assert seen == ["tag"]
 
     def test_pending_drains_to_zero(self):
         engine, mc = build()
-        for i in range(50):
-            mc.submit(DRAMRequest(i, bank=i % 16, row=i, is_write=False, arrival=0))
+        mc.submit_many([
+            DRAMRequest(i, bank=i % 16, row=i, is_write=False, arrival=0)
+            for i in range(50)
+        ])
         assert mc.pending >= 0
         engine.run()
         assert mc.pending == 0
@@ -116,7 +131,7 @@ class TestAccounting:
     def test_custom_scheduler_injection(self):
         engine = Engine()
         mc = MemoryController(engine, T, 0, scheduler=FCFSScheduler(T.banks_per_channel))
-        mc.submit(DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0))
+        mc.submit_many([DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0)])
         engine.run()
         assert mc.reads == 1
 
@@ -126,8 +141,10 @@ class TestAccounting:
         engine = Engine()
         mc = MemoryController(engine, T, 0, on_complete=lambda r, t: done.append(t),
                               max_inflight=1)
-        for i in range(3):
-            mc.submit(DRAMRequest(i, bank=i, row=1, is_write=False, arrival=0))
+        mc.submit_many([
+            DRAMRequest(i, bank=i, row=1, is_write=False, arrival=0)
+            for i in range(3)
+        ])
         engine.run()
         assert done == sorted(done)
         assert done[1] - done[0] >= T.t_burst

@@ -133,17 +133,11 @@ def drive(controller_cls, scheduler_cls, schedule, max_inflight, timing=T):
         scheduler=scheduler, max_inflight=max_inflight,
     )
     ids = iter(range(10**9))
-
-    def submit_at(cycle, burst):
-        def submit():
-            controller.submit_many([
-                DRAMRequest(next(ids), bank, row, is_write, cycle)
-                for bank, row, is_write in burst
-            ])
-        engine.at(cycle, submit)
-
     for cycle, burst in schedule:
-        submit_at(cycle, burst)
+        engine.at_call(cycle, controller.submit_many, [
+            DRAMRequest(next(ids), bank, row, is_write, cycle)
+            for bank, row, is_write in burst
+        ])
     engine.run()
     assert controller.pending == 0
     return done, engine.events_processed, scheduler.selects
@@ -194,7 +188,7 @@ def test_enqueue_clears_blocked_until():
                             DRAMRequest(1, 0, 2, False, 0)])
     engine.run(until=1)
     assert controller._blocked_until is not None
-    engine.at(2, lambda: controller.submit(DRAMRequest(2, 5, 1, False, 2)))
+    engine.at_call(2, controller.submit_many, [DRAMRequest(2, 5, 1, False, 2)])
     engine.run()
     finished = dict(done)
     # Bank 5 was idle, so its cold miss activates at once and finishes

@@ -74,8 +74,8 @@ class TestModel:
 
         engine = Engine()
         mcs = [MemoryController(engine, T, i) for i in range(2)]
-        mcs[0].submit(DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0))
-        mcs[1].submit(DRAMRequest(1, bank=0, row=1, is_write=True, arrival=0))
+        mcs[0].submit_many([DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0)])
+        mcs[1].submit_many([DRAMRequest(1, bank=0, row=1, is_write=True, arrival=0)])
         engine.run()
         b = self.model.breakdown(mcs, elapsed_cycles=engine.now)
         assert b.background == pytest.approx(4.0)

@@ -22,8 +22,10 @@ class TestFRFCFS:
         bs = banks()
         bs[0].access(5, 0)  # open row 5 on bank 0
         sched = FRFCFSScheduler(4)
-        sched.enqueue(req(1, bank=1, row=9, arrival=0))   # older, no hit
-        sched.enqueue(req(2, bank=0, row=5, arrival=10))  # newer, row hit
+        sched.enqueue_many([
+            req(1, bank=1, row=9, arrival=0),   # older, no hit
+            req(2, bank=0, row=5, arrival=10),  # newer, row hit
+        ])
         picked, _ = sched.select(bs, now=100)
         assert picked.request_id == 2
 
@@ -31,16 +33,20 @@ class TestFRFCFS:
         bs = banks()
         bs[0].access(5, 0)
         sched = FRFCFSScheduler(4)
-        sched.enqueue(req(1, bank=0, row=9, arrival=0))
-        sched.enqueue(req(2, bank=0, row=5, arrival=10))
+        sched.enqueue_many([
+            req(1, bank=0, row=9, arrival=0),
+            req(2, bank=0, row=5, arrival=10),
+        ])
         picked, _ = sched.select(bs, now=100)
         assert picked.request_id == 2  # the hit jumps the queue
 
     def test_oldest_first_without_hits(self):
         bs = banks()
         sched = FRFCFSScheduler(4)
-        sched.enqueue(req(1, bank=2, row=9, arrival=20))
-        sched.enqueue(req(2, bank=1, row=5, arrival=5))
+        sched.enqueue_many([
+            req(1, bank=2, row=9, arrival=20),
+            req(2, bank=1, row=5, arrival=5),
+        ])
         picked, _ = sched.select(bs, now=100)
         assert picked.request_id == 2
 
@@ -48,8 +54,10 @@ class TestFRFCFS:
         bs = banks()
         bs[0].occupy_until(1000)
         sched = FRFCFSScheduler(4)
-        sched.enqueue(req(1, bank=0, row=1, arrival=0))
-        sched.enqueue(req(2, bank=1, row=1, arrival=50))
+        sched.enqueue_many([
+            req(1, bank=0, row=1, arrival=0),
+            req(2, bank=1, row=1, arrival=50),
+        ])
         picked, _ = sched.select(bs, now=100)
         assert picked.request_id == 2
 
@@ -58,8 +66,10 @@ class TestFRFCFS:
         bs[0].occupy_until(500)
         bs[1].occupy_until(300)
         sched = FRFCFSScheduler(4)
-        sched.enqueue(req(1, bank=0, row=1))
-        sched.enqueue(req(2, bank=1, row=1))
+        sched.enqueue_many([
+            req(1, bank=0, row=1),
+            req(2, bank=1, row=1),
+        ])
         picked, next_ready = sched.select(bs, now=100)
         assert picked is None
         assert next_ready == 300
@@ -70,9 +80,11 @@ class TestFRFCFS:
 
     def test_size_bookkeeping(self):
         sched = FRFCFSScheduler(4)
-        assert sched.empty
-        sched.enqueue(req(1, bank=0, row=1))
-        sched.enqueue(req(2, bank=0, row=2))
+        assert len(sched) == 0
+        sched.enqueue_many([
+            req(1, bank=0, row=1),
+            req(2, bank=0, row=2),
+        ])
         assert len(sched) == 2
         assert sched.pending_for_bank(0) == 2
         sched.select(banks(), 0)
@@ -83,8 +95,10 @@ class TestFRFCFS:
         bs = banks(4)
         sched = FRFCFSScheduler(4)
         for b in range(4):
-            sched.enqueue(req(b, bank=b, row=1, arrival=0))
-            sched.enqueue(req(10 + b, bank=b, row=2, arrival=0))
+            sched.enqueue_many([
+                req(b, bank=b, row=1, arrival=0),
+                req(10 + b, bank=b, row=2, arrival=0),
+            ])
         served = [sched.select(bs, 0)[0].bank for _ in range(4)]
         assert sorted(served) == [0, 1, 2, 3]
 
@@ -98,8 +112,10 @@ class TestFCFS:
         bs = banks()
         bs[0].access(5, 0)
         sched = FCFSScheduler(4)
-        sched.enqueue(req(1, bank=1, row=9, arrival=0))
-        sched.enqueue(req(2, bank=0, row=5, arrival=10))
+        sched.enqueue_many([
+            req(1, bank=1, row=9, arrival=0),
+            req(2, bank=0, row=5, arrival=10),
+        ])
         picked, _ = sched.select(bs, now=100)
         assert picked.request_id == 1  # strict arrival order
 
@@ -107,7 +123,9 @@ class TestFCFS:
         bs = banks()
         bs[1].occupy_until(1000)
         sched = FCFSScheduler(4)
-        sched.enqueue(req(1, bank=1, row=9, arrival=0))
-        sched.enqueue(req(2, bank=0, row=5, arrival=10))
+        sched.enqueue_many([
+            req(1, bank=1, row=9, arrival=0),
+            req(2, bank=0, row=5, arrival=10),
+        ])
         picked, _ = sched.select(bs, now=100)
         assert picked.request_id == 2

@@ -37,10 +37,6 @@ class ReferenceFRFCFS:
     def __len__(self):
         return self._size
 
-    @property
-    def empty(self):
-        return self._size == 0
-
     def enqueue_many(self, requests):
         for request in requests:
             self._queues[request.bank].append(request)
@@ -158,7 +154,7 @@ def drive_pair(real, reference, rng, n_banks, batches):
     now = 0
     picks = 0
     pending_batches = list(batches)
-    while pending_batches or not real.empty:
+    while pending_batches or len(real):
         # Deliver every batch that has arrived by `now`.
         while pending_batches and pending_batches[0][0] <= now:
             _, batch = pending_batches.pop(0)
@@ -172,7 +168,7 @@ def drive_pair(real, reference, rng, n_banks, batches):
                 until = now + rng.randint(1, 8)
                 bank_real.occupy_until(until)
                 bank_ref.occupy_until(until)
-            elif roll < 0.25 and not real.empty:
+            elif roll < 0.25 and len(real):
                 row = rng.randrange(8)
                 bank_real.access(row, now)
                 bank_ref.access(row, now)
@@ -203,7 +199,7 @@ def drive_pair(real, reference, rng, n_banks, batches):
             banks_real[request.bank].ready_at = now + 1
             banks_ref[request.bank].ready_at = now + 1
         now += 1
-    assert real.empty and reference.empty
+    assert len(real) == len(reference) == 0
     return picks
 
 

@@ -1,8 +1,10 @@
 """Unit tests for the multi-channel DRAM system and 3D-stacked config."""
 
+import numpy as np
 import pytest
 
 from repro.core.address_map import hynix_gddr5_map, stacked_memory_map, toy_map
+from repro.core.mapper import dram_channels
 from repro.dram.scheduler import DRAMRequest
 from repro.dram.stacked import stacked_memory_config
 from repro.dram.system import DRAMSystem
@@ -26,18 +28,24 @@ class TestConstruction:
 
 
 class TestRouting:
+    """Decoded fields name a controller through ``dram_channels``."""
+
     def test_channel_of_conventional(self):
-        system = DRAMSystem(Engine(), gddr5_timing(), hynix_gddr5_map())
-        assert system.channel_of({"channel": 3}) == 3
+        fields = {"channel": np.array([3])}
+        assert dram_channels(hynix_gddr5_map(), fields).tolist() == [3]
 
     def test_channel_of_stacked(self):
-        system = DRAMSystem(Engine(), stacked_timing(), stacked_memory_map())
-        assert system.channel_of({"stack": 2, "vault": 5}) == 2 * 16 + 5
+        fields = {"stack": np.array([2]), "vault": np.array([5])}
+        assert dram_channels(stacked_memory_map(), fields).tolist() == [
+            2 * 16 + 5
+        ]
 
     def test_submit_routes_to_controller(self):
         engine = Engine()
         system = DRAMSystem(engine, gddr5_timing(), hynix_gddr5_map())
-        system.submit(2, DRAMRequest(0, bank=1, row=3, is_write=False, arrival=0))
+        system.submit_many(
+            2, [DRAMRequest(0, bank=1, row=3, is_write=False, arrival=0)]
+        )
         engine.run()
         assert system.controllers[2].reads == 1
         assert system.controllers[0].reads == 0
@@ -48,8 +56,10 @@ class TestAggregates:
         engine = Engine()
         system = DRAMSystem(engine, gddr5_timing(), hynix_gddr5_map())
         for ch in range(4):
-            system.submit(ch, DRAMRequest(ch, bank=0, row=1, is_write=False, arrival=0))
-            system.submit(ch, DRAMRequest(10 + ch, bank=0, row=1, is_write=True, arrival=0))
+            system.submit_many(ch, [
+                DRAMRequest(ch, bank=0, row=1, is_write=False, arrival=0),
+                DRAMRequest(10 + ch, bank=0, row=1, is_write=True, arrival=0),
+            ])
         engine.run()
         assert system.reads == 4
         assert system.writes == 4
@@ -62,7 +72,9 @@ class TestAggregates:
     def test_power_aggregation(self):
         engine = Engine()
         system = DRAMSystem(engine, gddr5_timing(), hynix_gddr5_map())
-        system.submit(0, DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0))
+        system.submit_many(
+            0, [DRAMRequest(0, bank=0, row=1, is_write=False, arrival=0)]
+        )
         engine.run()
         breakdown = system.power(engine.now)
         assert breakdown.total > 0

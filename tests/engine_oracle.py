@@ -20,8 +20,6 @@ from heapq import heappop, heappush
 
 from repro.sim.engine import SimulationError
 
-_NO_ARG = object()
-
 
 class ReferenceEngine:
     def __init__(self):
@@ -46,14 +44,8 @@ class ReferenceEngine:
         heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
 
-    def at(self, time, callback):
-        self.at_call(time, callback, _NO_ARG)
-
     def after_call(self, delay, fn, arg):
         self.at_call(self.now + delay, fn, arg)
-
-    def after(self, delay, callback):
-        self.at(self.now + delay, callback)
 
     def run(self, until=None):
         while self._heap:
@@ -64,8 +56,5 @@ class ReferenceEngine:
             heappop(self._heap)
             self.now = time
             self.events_processed += 1
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
+            fn(arg)
         return self.now

@@ -14,28 +14,47 @@ def cache(sets=4, ways=2, line=128, hash_sets=False):
     return SetAssociativeCache(sets, ways, line, hash_sets=hash_sets)
 
 
+def set_id(c, address):
+    """The set of the line holding *address*, as trace preparation
+    computes it."""
+    return int(c.set_indices_array(np.array([address], dtype=np.uint64))[0])
+
+
+def read(c, line):
+    return c.access(line, False, set_id(c, line))
+
+
+def write(c, line):
+    return c.access(line, True, set_id(c, line))
+
+
+def probe(c, line):
+    return c.probe(line, set_id(c, line))
+
+
+def fill(c, line, dirty=False):
+    return c.fill(line, dirty, set_id(c, line))
+
+
 class TestBasics:
     def test_cold_miss_then_hit(self):
         c = cache()
-        hit, _ = c.access(0x1000)
+        hit, _ = read(c, 0x1000)
         assert not hit
-        hit, _ = c.access(0x1000)
+        hit, _ = read(c, 0x1000)
         assert hit
 
     def test_same_line_different_offsets_hit(self):
+        """Every byte of a line hashes to the line's set."""
         c = cache()
-        c.access(0x1000)
-        hit, _ = c.access(0x1000 + 127)
+        read(c, 0x1000)
+        hit, _ = c.access(0x1000, False, set_id(c, 0x1000 + 127))
         assert hit
 
     def test_probe_has_no_side_effects(self):
         c = cache()
-        assert not c.probe(0x1000)
+        assert not probe(c, 0x1000)
         assert c.stats.accesses == 0
-
-    def test_line_address(self):
-        c = cache()
-        assert c.line_address(0x1234) == 0x1200
 
     def test_capacity(self):
         assert cache(4, 2, 128).capacity_bytes == 1024
@@ -50,31 +69,31 @@ class TestBasics:
 class TestTryRead:
     def test_miss_counts_and_allocates_nothing(self):
         c = cache()
-        assert not c.try_read(0x1000)
+        assert not c.try_read(0x1000, set_id(c, 0x1000))
         assert c.resident_lines() == 0
         assert c.stats.accesses == 0  # caller records the miss
 
     def test_hit_counts_and_refreshes_lru(self):
         c = cache(sets=1, ways=2)
-        c.fill(0x0000)
-        c.fill(0x1000)
-        assert c.try_read(0x0000)  # refresh: 0x1000 is now LRU
+        fill(c, 0x0000)
+        fill(c, 0x1000)
+        assert c.try_read(0x0000, 0)  # refresh: 0x1000 is now LRU
         assert c.stats.read_hits == 1
-        c.fill(0x2000)
-        assert c.probe(0x0000)
-        assert not c.probe(0x1000)
+        fill(c, 0x2000)
+        assert probe(c, 0x0000)
+        assert not probe(c, 0x1000)
 
     def test_equivalent_to_probe_then_access(self):
         """try_read == probe() + access-on-hit, in one set lookup."""
         a, b = cache(), cache()
         for c in (a, b):
-            c.fill(0x1000)
-            c.fill(0x3000)
+            fill(c, 0x1000)
+            fill(c, 0x3000)
         for addr in (0x1000, 0x2000, 0x1000, 0x3000, 0x4000):
-            expected = a.probe(addr)
+            expected = probe(a, addr)
             if expected:
-                a.access(addr, is_write=False)
-            assert b.try_read(addr) == expected
+                read(a, addr)
+            assert b.try_read(addr, set_id(b, addr)) == expected
         assert a.stats.read_hits == b.stats.read_hits == 3
         assert a.resident_lines() == b.resident_lines()
 
@@ -82,25 +101,25 @@ class TestTryRead:
 class TestLRU:
     def test_lru_eviction_order(self):
         c = cache(sets=1, ways=2)
-        c.access(0x0000)
-        c.access(0x1000)
-        c.access(0x0000)        # refresh line 0
-        c.access(0x2000)        # evicts 0x1000 (least recently used)
-        assert c.probe(0x0000)
-        assert not c.probe(0x1000)
+        read(c, 0x0000)
+        read(c, 0x1000)
+        read(c, 0x0000)        # refresh line 0
+        read(c, 0x2000)        # evicts 0x1000 (least recently used)
+        assert probe(c, 0x0000)
+        assert not probe(c, 0x1000)
 
     def test_dirty_victim_reported(self):
         c = cache(sets=1, ways=1)
-        c.access(0x0000, is_write=True)
-        hit, writeback = c.access(0x1000)
+        write(c, 0x0000)
+        hit, writeback = read(c, 0x1000)
         assert not hit
         assert writeback == 0x0000
         assert c.stats.writebacks == 1
 
     def test_clean_victim_not_reported(self):
         c = cache(sets=1, ways=1)
-        c.access(0x0000)
-        _, writeback = c.access(0x1000)
+        read(c, 0x0000)
+        _, writeback = read(c, 0x1000)
         assert writeback is None
         assert c.stats.evictions == 1
 
@@ -108,53 +127,46 @@ class TestLRU:
 class TestFillAndInvalidate:
     def test_fill_counts_no_access(self):
         c = cache()
-        c.fill(0x1000)
+        fill(c, 0x1000)
         assert c.stats.accesses == 0
-        assert c.probe(0x1000)
+        assert probe(c, 0x1000)
 
     def test_fill_merges_dirty_flag(self):
         c = cache(sets=1, ways=1)
-        c.fill(0x0000, dirty=True)
-        c.fill(0x0000, dirty=False)  # must stay dirty
-        _, writeback = c.access(0x1000)
+        fill(c, 0x0000, dirty=True)
+        fill(c, 0x0000, dirty=False)  # must stay dirty
+        _, writeback = read(c, 0x1000)
         assert writeback == 0x0000
 
     def test_fill_evicts_dirty_victim(self):
         c = cache(sets=1, ways=1)
-        c.access(0x0000, is_write=True)
-        victim = c.fill(0x1000)
+        write(c, 0x0000)
+        victim = fill(c, 0x1000)
         assert victim == 0x0000
-
-    def test_invalidate(self):
-        c = cache()
-        c.access(0x1000)
-        assert c.invalidate(0x1000)
-        assert not c.probe(0x1000)
-        assert not c.invalidate(0x1000)
 
 
 class TestWriteThrough:
     def test_hit_refreshes_but_stays_clean(self):
         c = cache(sets=1, ways=2)
-        c.access(0x0000)
-        c.access(0x1000)
-        assert c.write_through(0x0000)   # refresh LRU, stays clean
-        _, wb = c.access(0x2000)         # evicts 0x1000
+        read(c, 0x0000)
+        read(c, 0x1000)
+        assert c.write_through(0x0000, 0)   # refresh LRU, stays clean
+        _, wb = read(c, 0x2000)             # evicts 0x1000
         assert wb is None
-        assert c.probe(0x0000)
+        assert probe(c, 0x0000)
 
     def test_miss_does_not_allocate(self):
         c = cache()
-        assert not c.write_through(0x1000)
-        assert not c.probe(0x1000)
+        assert not c.write_through(0x1000, set_id(c, 0x1000))
+        assert not probe(c, 0x1000)
         assert c.stats.write_misses == 1
 
 
 class TestStats:
     def test_miss_rate(self):
         c = cache()
-        c.access(0x0000)
-        c.access(0x0000)
+        read(c, 0x0000)
+        read(c, 0x0000)
         assert c.stats.miss_rate() == pytest.approx(0.5)
 
     def test_count_miss_helper(self):
@@ -174,15 +186,14 @@ class TestSetHashing:
         linear = cache(sets=64, ways=8, hash_sets=False)
         hashed = cache(sets=64, ways=8, hash_sets=True)
         stride = 64 * 128  # one full wrap of the linear index
-        sets_linear = {linear._set_index(i * stride) for i in range(32)}
-        sets_hashed = {hashed._set_index(i * stride) for i in range(32)}
-        assert len(sets_linear) == 1
-        assert len(sets_hashed) > 8
+        lines = np.arange(32, dtype=np.uint64) * np.uint64(stride)
+        assert len(set(linear.set_indices_array(lines).tolist())) == 1
+        assert len(set(hashed.set_indices_array(lines).tolist())) > 8
 
     def test_hashing_preserves_hit_detection(self):
         c = cache(sets=64, ways=8, hash_sets=True)
-        c.access(0xABC00)
-        assert c.probe(0xABC00)
+        read(c, 0xABC00)
+        assert probe(c, 0xABC00)
 
 
 class TestMSHR:
@@ -226,7 +237,8 @@ def test_cache_invariants(accesses):
     """Properties: residency never exceeds capacity; counters balance."""
     c = SetAssociativeCache(4, 2, 128, hash_sets=True)
     for line_no, is_write in accesses:
-        c.access(line_no * 128, is_write)
+        line = line_no * 128
+        c.access(line, is_write, set_id(c, line))
     assert c.resident_lines() <= 8
     assert c.stats.accesses == len(accesses)
     assert c.stats.misses + c.stats.read_hits + c.stats.write_hits == len(accesses)
@@ -321,12 +333,14 @@ def test_matches_reference_lru(ops):
     model = ReferenceLRU(sets, ways, line_bytes)
     for name, line_no, flag in ops:
         line = line_no * line_bytes
+        index = set_id(cache, line)
         if name == "access":
-            got, expected = cache.access(line, flag), model.access(line, flag)
+            got = cache.access(line, flag, index)
+            expected = model.access(line, flag)
         elif name == "fill":
-            got, expected = cache.fill(line, flag), model.fill(line, flag)
+            got, expected = cache.fill(line, flag, index), model.fill(line, flag)
         else:
-            got = getattr(cache, name)(line)
+            got = getattr(cache, name)(line, index)
             expected = getattr(model, name)(line)
         assert got == expected, (name, line)
     assert cache.stats == model.stats

@@ -1,10 +1,10 @@
-"""Cache set-index fast path vs the reference chunked XOR fold.
+"""Cache set-index hashing vs the reference chunked XOR fold.
 
-``SetAssociativeCache._set_index`` precomputes a doubling-shift XOR
-cascade plus mask at construction when the set count is a power of
-two; non-power-of-two set counts keep the exact legacy fold-then-
-modulo.  These property sweeps pin both paths to the original
-per-access fold loop, reproduced verbatim below.
+``SetAssociativeCache.set_indices_array`` hashes aligned lines with a
+doubling-shift XOR cascade plus mask, precomputed at construction,
+when the set count is a power of two; non-power-of-two set counts keep
+the exact legacy fold-then-modulo.  These property sweeps pin every
+path to the original per-access fold loop, reproduced verbatim below.
 """
 
 import random
@@ -44,6 +44,19 @@ GEOMETRIES = [
 ]
 
 
+def aligned(addresses, line_bytes):
+    """The line address of each byte address, as a uint64 array."""
+    mask = np.uint64(~(line_bytes - 1) & (1 << 64) - 1)
+    return np.asarray(addresses, dtype=np.uint64) & mask
+
+
+def assert_matches_reference(cache, lines):
+    """``set_indices_array(lines)`` equals the scalar fold, line by line."""
+    got = cache.set_indices_array(lines).tolist()
+    expected = [reference_set_index(cache, line) for line in lines.tolist()]
+    assert got == expected, f"set ids differ ({cache.sets} sets)"
+
+
 def address_sweep(rng, line_bytes):
     """Structured + random addresses over the realistic space."""
     addresses = []
@@ -63,27 +76,26 @@ class TestSetIndexEquivalence:
     @pytest.mark.parametrize("sets,ways,line_bytes", GEOMETRIES)
     def test_hashed_pow2_matches_reference(self, sets, ways, line_bytes):
         cache = SetAssociativeCache(sets, ways, line_bytes)
+        assert cache._fold_shifts is not None  # the doubling-shift cascade
         rng = random.Random(sets * 1000 + line_bytes)
-        for address in address_sweep(rng, line_bytes):
-            line = cache.line_address(address)
-            assert cache._set_index(line) == reference_set_index(cache, line), (
-                f"mismatch at 0x{line:x} ({sets} sets)"
-            )
+        assert_matches_reference(
+            cache, aligned(address_sweep(rng, line_bytes), line_bytes)
+        )
 
     def test_unhashed_matches_reference(self):
         cache = SetAssociativeCache(64, 8, 128, hash_sets=False)
         rng = random.Random(7)
-        for address in address_sweep(rng, 128):
-            line = cache.line_address(address)
-            assert cache._set_index(line) == reference_set_index(cache, line)
+        assert_matches_reference(cache, aligned(address_sweep(rng, 128), 128))
 
     def test_index_always_in_range(self):
         rng = random.Random(99)
         for sets, ways, line_bytes in GEOMETRIES:
             cache = SetAssociativeCache(sets, ways, line_bytes)
-            for _ in range(200):
-                line = cache.line_address(rng.randrange(1 << 34))
-                assert 0 <= cache._set_index(line) < sets
+            lines = aligned(
+                [rng.randrange(1 << 34) for _ in range(200)], line_bytes
+            )
+            set_ids = cache.set_indices_array(lines)
+            assert ((0 <= set_ids) & (set_ids < sets)).all()
 
     def test_fast_path_only_for_pow2(self):
         assert SetAssociativeCache(64, 8, 128)._fold_shifts is not None
@@ -102,19 +114,22 @@ class TestWarmPaths:
         writes = [rng.random() < 0.3 for _ in range(400)]
 
         bulk = SetAssociativeCache(8, 2, 128)
-        forwarded = warm_through_many(bulk, lines, writes)
+        set_ids = bulk.set_indices_array(aligned(lines, 128)).tolist()
+        forwarded = warm_through_many(bulk, lines, writes, set_ids)
 
         step = SetAssociativeCache(8, 2, 128)
         expected_forward = []
-        for position, (line, is_write) in enumerate(zip(lines, writes)):
+        for position, (line, is_write, set_id) in enumerate(
+            zip(lines, writes, set_ids)
+        ):
             if is_write:
-                step.write_through(line)
+                step.write_through(line, set_id)
                 expected_forward.append(position)
-            elif step.try_read(line):
+            elif step.try_read(line, set_id):
                 pass
             else:
                 step.stats.count_miss(is_write=False)
-                step.fill(line)  # allocate-on-fill, collapsed in time
+                step.fill(line, False, set_id)  # allocate-on-fill, timeless
                 expected_forward.append(position)
         assert forwarded == expected_forward
         assert bulk.stats == step.stats
@@ -127,25 +142,28 @@ class TestWarmPaths:
         writes = [rng.random() < 0.4 for _ in range(400)]
 
         bulk = SetAssociativeCache(4, 2, 128)
-        miss_positions, writebacks = warm_back_many(bulk, lines, writes)
+        set_ids = bulk.set_indices_array(aligned(lines, 128)).tolist()
+        miss_positions, writebacks = warm_back_many(bulk, lines, writes, set_ids)
 
         step = SetAssociativeCache(4, 2, 128)
         expected_misses, expected_writebacks = [], []
-        for position, (line, is_write) in enumerate(zip(lines, writes)):
+        for position, (line, is_write, set_id) in enumerate(
+            zip(lines, writes, set_ids)
+        ):
             if is_write:
-                if step.probe(line):
-                    step.access(line, is_write=True)
+                if step.probe(line, set_id):
+                    step.access(line, True, set_id)
                 else:
                     step.stats.count_miss(is_write=True)
-                    victim = step.fill(line, dirty=True)
+                    victim = step.fill(line, True, set_id)
                     if victim is not None:
                         expected_writebacks.append(victim)
-            elif step.try_read(line):
+            elif step.try_read(line, set_id):
                 pass
             else:
                 step.stats.count_miss(is_write=False)
                 expected_misses.append(position)
-                victim = step.fill(line)
+                victim = step.fill(line, False, set_id)
                 if victim is not None:
                     expected_writebacks.append(victim)
         assert miss_positions == expected_misses
@@ -167,62 +185,37 @@ NON_POW2_GEOMETRIES = [
 class TestPrecomputedSetIds:
     """The detailed engine hashes every op's line once per kernel with
     ``set_indices_array`` and hands the set id to the per-access
-    methods; both must agree with the scalar ``_set_index``."""
+    methods; the ids must equal the scalar reference fold."""
 
     @pytest.mark.parametrize("hash_sets", [True, False])
     @pytest.mark.parametrize(
         "sets,ways,line_bytes", GEOMETRIES + NON_POW2_GEOMETRIES
     )
     def test_vectorized_matches_scalar(self, sets, ways, line_bytes, hash_sets):
+        """Every geometry, hashed or not; a line's id does not depend on
+        the other lines hashed with it (the generic fold loops until
+        the widest index of the batch is folded)."""
         cache = SetAssociativeCache(sets, ways, line_bytes, hash_sets=hash_sets)
         rng = random.Random(sets * 7 + line_bytes)
-        lines = [cache.line_address(a) for a in address_sweep(rng, line_bytes)]
-        precomputed = cache.set_indices_array(np.asarray(lines, dtype=np.uint64))
-        assert precomputed.tolist() == [cache._set_index(line) for line in lines]
+        lines = aligned(address_sweep(rng, line_bytes), line_bytes)
+        assert_matches_reference(cache, lines)
+        batch = cache.set_indices_array(lines)
+        narrow = lines < np.uint64(1 << 32)
+        assert (cache.set_indices_array(lines[narrow]) == batch[narrow]).all()
 
     @pytest.mark.parametrize("sets,ways,line_bytes", NON_POW2_GEOMETRIES)
     def test_non_pow2_scalar_matches_reference(self, sets, ways, line_bytes):
         cache = SetAssociativeCache(sets, ways, line_bytes)
-        assert cache._fold_shifts is None
+        assert cache._fold_shifts is None  # the generic chunked fold
         rng = random.Random(sets)
-        for address in address_sweep(rng, line_bytes):
-            line = cache.line_address(address)
-            assert cache._set_index(line) == reference_set_index(cache, line)
-
-    @pytest.mark.parametrize(
-        "sets,ways,line_bytes", [(8, 2, 128), (6, 2, 128)]
-    )
-    def test_set_id_path_matches_hashing_path(self, sets, ways, line_bytes):
-        """Every per-access method leaves the same state and returns the
-        same values whether it hashes the line or is handed the id."""
-        rng = random.Random(sets)
-        lines = [rng.randrange(64) * line_bytes for _ in range(600)]
-        kinds = [rng.randrange(5) for _ in range(600)]
-        hashed = SetAssociativeCache(sets, ways, line_bytes)
-        given = SetAssociativeCache(sets, ways, line_bytes)
-        set_ids = given.set_indices_array(np.asarray(lines, dtype=np.uint64))
-        for line, kind, set_id in zip(lines, kinds, set_ids.tolist()):
-            if kind == 0:
-                expected, got = hashed.try_read(line), given.try_read(line, set_id)
-            elif kind == 1:
-                expected = hashed.fill(line, dirty=True)
-                got = given.fill(line, True, set_id)
-            elif kind == 2:
-                expected = hashed.write_through(line)
-                got = given.write_through(line, set_id)
-            elif kind == 3:
-                expected = hashed.access(line, is_write=True)
-                got = given.access(line, True, set_id)
-            else:
-                expected, got = hashed.probe(line), given.probe(line, set_id)
-            assert got == expected
-        assert given.stats == hashed.stats
-        assert given.line_tables == hashed.line_tables
+        assert_matches_reference(
+            cache, aligned(address_sweep(rng, line_bytes), line_bytes)
+        )
 
     @pytest.mark.parametrize("l1_bytes", [16 * 1024, 24 * 1024])
     def test_prepared_kernel_set_ids(self, l1_bytes):
         """The per-op set ids a prepared kernel carries equal the scalar
-        hash of each op's line, for the L1 and the LLC geometry."""
+        fold of each op's line, for the L1 and the LLC geometry."""
         config = GPUConfig(l1_bytes=l1_bytes)
         system = GPUSystem(make_scheme("PAE", hynix_gddr5_map()), config=config)
         l1 = system.sms[0].l1
@@ -233,7 +226,11 @@ class TestPrecomputedSetIds:
             for warp in tb.warps:
                 ops = slice(warp.op, warp.end)
                 lines = warp.lines[ops]
-                assert warp.l1_sets[ops] == [l1._set_index(x) for x in lines]
-                assert warp.llc_sets[ops] == [llc._set_index(x) for x in lines]
+                assert warp.l1_sets[ops] == [
+                    reference_set_index(l1, x) for x in lines
+                ]
+                assert warp.llc_sets[ops] == [
+                    reference_set_index(llc, x) for x in lines
+                ]
                 checked += warp.end - warp.op
         assert checked == sum(len(w) for tb in kernel.tbs for w in tb.warps)

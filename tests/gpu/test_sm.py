@@ -54,6 +54,11 @@ class Harness:
         self.done_tbs = []
         self.sm.on_tb_done = self.done_tbs.append
 
+    def fill(self, line):
+        """The LLC returns *line* (with its precomputed L1 set)."""
+        lines = np.array([line], dtype=np.uint64)
+        self.sm.on_fill(line, int(self.sm.l1.set_indices_array(lines)[0]))
+
     def tb(self, addresses, writes=None, gap=0, n_warps=1):
         per = len(addresses) // n_warps
         warp_traces = []
@@ -89,7 +94,7 @@ class TestReadPath:
         h = Harness()
         h.sm.assign_tb(h.tb([0x1000, 0x1000]))
         h.engine.run()
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert h.done_tbs and h.done_tbs[0].done
 
@@ -97,7 +102,7 @@ class TestReadPath:
         h = Harness()
         h.sm.assign_tb(h.tb([0x1000]))
         h.engine.run()
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         h.sm.assign_tb(h.tb([0x1000]))
         h.engine.run()
@@ -110,7 +115,7 @@ class TestReadPath:
         h.sm.assign_tb(h.tb([0x1000, 0x2000, 0x3000, 0x4000]))
         h.engine.run()
         assert len(h.reads) == 2
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert len(h.reads) == 3
 
@@ -120,7 +125,7 @@ class TestReadPath:
         h.engine.run()
         assert len(h.reads) == 1  # second miss parked
         assert h.sm.mshr.stalls == 1
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert len(h.reads) == 2  # retried after the fill
 
@@ -171,7 +176,7 @@ class TestWarpContextState:
         h.sm.assign_tb(tb)
         h.engine.run()
         assert warp.issued_all and not warp.done
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert warp.done
 

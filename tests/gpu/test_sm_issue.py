@@ -56,6 +56,11 @@ class Harness:
         self.done_tbs = []
         self.sm.on_tb_done = self.done_tbs.append
 
+    def fill(self, line):
+        """The LLC returns *line* (with its precomputed L1 set)."""
+        lines = np.array([line], dtype=np.uint64)
+        self.sm.on_fill(line, int(self.sm.l1.set_indices_array(lines)[0]))
+
     def tb(self, addresses, writes=None, gaps=None, n_warps=1):
         per = len(addresses) // n_warps
         warp_traces = []
@@ -85,11 +90,11 @@ class TestMSHRFullParking:
         h.engine.run()
         assert [r.line for r in h.reads] == [0x1000]
         assert h.sm.mshr.stalls == 2
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         # Only one MSHR: the oldest parked warp (0x2000) won the retry.
         assert [r.line for r in h.reads] == [0x1000, 0x2000]
-        h.sm.on_fill(0x2000)
+        h.fill(0x2000)
         h.engine.run()
         assert [r.line for r in h.reads] == [0x1000, 0x2000, 0x3000]
 
@@ -102,11 +107,11 @@ class TestMSHRFullParking:
         # One warp, three ops: op0 holds the MSHR, op1 parked (op2 not
         # yet issued because the warp is parked).
         assert [r.line for r in h.reads] == [0x1000]
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
-        h.sm.on_fill(0x2000)
+        h.fill(0x2000)
         h.engine.run()
-        h.sm.on_fill(0x3000)
+        h.fill(0x3000)
         h.engine.run()
         assert [r.line for r in h.reads] == [0x1000, 0x2000, 0x3000]
         assert h.done_tbs and h.done_tbs[0].done
@@ -118,13 +123,13 @@ class TestMSHRFullParking:
         h.sm.assign_tb(h.tb([0x1000, 0x2000], n_warps=1))
         h.engine.run()
         assert len(h.reads) == 1
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         # Exactly one issue of op1 — not one from _op_completed plus
         # one from the parked-retry path.
         assert [r.line for r in h.reads] == [0x1000, 0x2000]
         assert h.sm.instructions_issued == 2
-        h.sm.on_fill(0x2000)
+        h.fill(0x2000)
         h.engine.run()
         assert h.sm.instructions_issued == 2
         assert h.done_tbs and h.done_tbs[0].done
@@ -139,7 +144,7 @@ class TestMSHRFullParking:
         # park: merging is allowed even when the file is full).
         assert len(h.reads) == 1
         assert h.sm.mshr.merges == 1
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert len(h.reads) == 1
         assert h.done_tbs and h.done_tbs[0].done
@@ -151,11 +156,11 @@ class TestOutstandingPipelining:
         h.sm.assign_tb(h.tb([0x1000, 0x2000, 0x3000, 0x4000, 0x5000]))
         h.engine.run()
         assert len(h.reads) == 3  # exactly max_outstanding in flight
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert len(h.reads) == 4  # one completion frees one slot
-        h.sm.on_fill(0x2000)
-        h.sm.on_fill(0x3000)
+        h.fill(0x2000)
+        h.fill(0x3000)
         h.engine.run()
         assert len(h.reads) == 5
 
@@ -218,10 +223,10 @@ class TestCompletionGuards:
         h = Harness(small_config(l1_mshrs=8))
         h.sm.assign_tb(h.tb([0x1000, 0x2000], n_warps=2))
         h.engine.run()
-        h.sm.on_fill(0x1000)
+        h.fill(0x1000)
         h.engine.run()
         assert not h.done_tbs  # second warp still outstanding
-        h.sm.on_fill(0x2000)
+        h.fill(0x2000)
         h.engine.run()
         assert len(h.done_tbs) == 1
         # A spurious extra completion now trips the underflow guard.

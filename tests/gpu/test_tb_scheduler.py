@@ -56,7 +56,7 @@ class Harness:
         self.engine.run()
         while self.pending_fills:
             req = self.pending_fills.pop(0)
-            self.sms[req.sm_id].on_fill(req.line)
+            self.sms[req.sm_id].on_fill(req.line, req.l1_set)
             self.engine.run()
 
 

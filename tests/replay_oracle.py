@@ -17,31 +17,21 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.sim import gpu_system
 from repro.sim import replay as replay_plane
 
 
-def _aligned(cache, lines, set_ids):
-    """*lines* aligned plus their set indices, unless *set_ids* is given.
-
-    When *set_ids* is given it must be the precomputed
-    :meth:`~repro.gpu.cache.SetAssociativeCache.set_indices_array` of
-    already-aligned *lines*.
-    """
-    if set_ids is None:
-        lines = [cache.line_address(address) for address in lines]
-        set_ids = [cache._set_index(line) for line in lines]
-    return lines, set_ids
-
-
-def warm_through_many(cache, lines, writes, set_ids=None) -> List[int]:
+def warm_through_many(cache, lines, writes, set_ids) -> List[int]:
     """Replay accesses through *cache* under the L1 policy.
+
+    *lines* are aligned line addresses and *set_ids* their
+    :meth:`~repro.gpu.cache.SetAssociativeCache.set_indices_array`.
 
     Write-through, no-write-allocate; read misses fill.  Returns the
     positions forwarded downstream: every write plus every read miss.
     Victims are never dirty under this policy, so nothing is written
     back.
     """
-    lines, set_ids = _aligned(cache, lines, set_ids)
     forwarded: List[int] = []
     sets = cache.line_tables
     use = cache.use_counter
@@ -74,15 +64,16 @@ def warm_through_many(cache, lines, writes, set_ids=None) -> List[int]:
     return forwarded
 
 
-def warm_back_many(cache, lines, writes, set_ids=None) -> Tuple[List[int], List[int]]:
+def warm_back_many(cache, lines, writes, set_ids) -> Tuple[List[int], List[int]]:
     """Replay accesses through *cache* under the LLC policy.
+
+    *lines* and *set_ids* are as for :func:`warm_through_many`.
 
     Write-back, write-allocate; full-line stores install dirty without
     a fetch.  Returns ``(read_miss_positions, writeback_lines)``: the
     positions whose lines must be fetched from DRAM, and the dirty
     victim lines evicted along the way, in eviction order.
     """
-    lines, set_ids = _aligned(cache, lines, set_ids)
     read_miss_positions: List[int] = []
     writebacks: List[int] = []
     sets = cache.line_tables
@@ -218,8 +209,8 @@ def replay_ops(
     read_banks = np.asarray(banks, dtype=np.int64)[missed]
     read_rows = np.asarray(rows, dtype=np.int64)[missed]
     if victim_lines:
-        wb_ch, wb_banks, wb_rows = replay_plane._decode_writebacks(
-            system, np.asarray(victim_lines, dtype=np.uint64)
+        wb_ch, wb_banks, wb_rows = gpu_system.dram_coords(
+            system.address_map, np.asarray(victim_lines, dtype=np.uint64)
         )
     else:
         wb_ch = wb_banks = wb_rows = np.empty(0, dtype=np.int64)

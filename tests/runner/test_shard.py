@@ -180,6 +180,13 @@ class TestMerge:
         with pytest.raises(MergeError, match="different grids"):
             merge_shard_reports([a, b])
 
+    @pytest.mark.parametrize("schema", [0, "1", [1]])
+    def test_merge_schema_mismatch_rejected(self, shared_cache, schema):
+        """Any JSON value that differs is a mismatch, lists included."""
+        a, b = self._shards(shared_cache, 2)
+        with pytest.raises(MergeError, match="disagree on cache schema"):
+            merge_shard_reports([a, {**b, "schema": schema}])
+
     def test_merge_non_shard_report_rejected(self):
         with pytest.raises(MergeError, match="not a shard report"):
             merge_shard_reports([{"format": "repro-sweep-report/1"}])

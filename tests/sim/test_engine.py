@@ -8,12 +8,16 @@ from engine_oracle import ReferenceEngine
 from repro.sim.engine import Engine, SimulationError
 
 
+def nothing(_arg):
+    """An event that does nothing."""
+
+
 class TestOrdering:
     def test_time_order(self):
         engine = Engine()
         fired = []
-        engine.at(20, lambda: fired.append("b"))
-        engine.at(10, lambda: fired.append("a"))
+        engine.at_call(20, fired.append, "b")
+        engine.at_call(10, fired.append, "a")
         engine.run()
         assert fired == ["a", "b"]
         assert engine.now == 20
@@ -21,16 +25,20 @@ class TestOrdering:
     def test_fifo_within_cycle(self):
         engine = Engine()
         fired = []
-        engine.at(5, lambda: fired.append(1))
-        engine.at(5, lambda: fired.append(2))
-        engine.at(5, lambda: fired.append(3))
+        engine.at_call(5, fired.append, 1)
+        engine.at_call(5, fired.append, 2)
+        engine.at_call(5, fired.append, 3)
         engine.run()
         assert fired == [1, 2, 3]
 
     def test_after_is_relative(self):
         engine = Engine()
         times = []
-        engine.at(10, lambda: engine.after(5, lambda: times.append(engine.now)))
+
+        def later(delay):
+            engine.after_call(delay, lambda _: times.append(engine.now), None)
+
+        engine.at_call(10, later, 5)
         engine.run()
         assert times == [15]
 
@@ -41,9 +49,9 @@ class TestOrdering:
         def chain(n):
             fired.append(n)
             if n < 3:
-                engine.after(1, lambda: chain(n + 1))
+                engine.after_call(1, chain, n + 1)
 
-        engine.at(0, lambda: chain(0))
+        engine.at_call(0, chain, 0)
         engine.run()
         assert fired == [0, 1, 2, 3]
 
@@ -53,18 +61,23 @@ class TestOrdering:
         the property the DRAM same-cycle submit batching rests on."""
         engine = Engine()
         fired = []
-        engine.at(5, lambda: (fired.append("a"),
-                              engine.at(5, lambda: fired.append("flush"))))
-        engine.at(5, lambda: fired.append("b"))
-        engine.at(6, lambda: fired.append("next-cycle"))
+
+        def first(name):
+            fired.append(name)
+            engine.at_call(5, fired.append, "flush")
+
+        engine.at_call(5, first, "a")
+        engine.at_call(5, fired.append, "b")
+        engine.at_call(6, fired.append, "next-cycle")
         engine.run()
         assert fired == ["a", "b", "flush", "next-cycle"]
 
     def test_zero_delay_after_is_same_cycle_fifo(self):
         engine = Engine()
         fired = []
-        engine.at(3, lambda: engine.after(0, lambda: fired.append("late")))
-        engine.at(3, lambda: fired.append("early"))
+        engine.at_call(3, lambda name: engine.after_call(0, fired.append, name),
+                       "late")
+        engine.at_call(3, fired.append, "early")
         engine.run()
         assert engine.now == 3
         assert fired == ["early", "late"]
@@ -82,7 +95,9 @@ class TestClosureFreeScheduling:
     def test_after_call_is_relative(self):
         engine = Engine()
         fired = []
-        engine.at(10, lambda: engine.after_call(5, fired.append, engine.now))
+        engine.at_call(
+            10, lambda _: engine.after_call(5, fired.append, engine.now), None
+        )
         engine.run()
         assert fired == [10]
         assert engine.now == 15
@@ -94,26 +109,16 @@ class TestClosureFreeScheduling:
         engine.run()
         assert fired == [None]
 
-    def test_fifo_order_interleaves_both_forms(self):
-        """at() and at_call() events on one cycle share one FIFO."""
-        engine = Engine()
-        fired = []
-        engine.at(3, lambda: fired.append("a"))
-        engine.at_call(3, fired.append, "b")
-        engine.at(3, lambda: fired.append("c"))
-        engine.run()
-        assert fired == ["a", "b", "c"]
-
     def test_after_call_negative_delay_rejected(self):
         with pytest.raises(SimulationError, match="non-negative"):
-            Engine().after_call(-1, print, None)
+            Engine().after_call(-1, nothing, None)
 
 
 class TestTimeValidation:
     def test_whole_float_times_are_normalized(self):
         engine = Engine()
         fired = []
-        engine.at(10.0, lambda: fired.append(engine.now))
+        engine.at_call(10.0, lambda _: fired.append(engine.now), None)
         engine.run()
         assert fired == [10]
         assert isinstance(engine.now, int)
@@ -121,35 +126,35 @@ class TestTimeValidation:
     def test_fractional_time_raises_instead_of_truncating(self):
         engine = Engine()
         with pytest.raises(SimulationError, match="integral"):
-            engine.at(10.5, lambda: None)
+            engine.at_call(10.5, nothing, None)
         assert engine.pending == 0
 
     def test_fractional_delay_raises(self):
         engine = Engine()
         with pytest.raises(SimulationError, match="integral"):
-            engine.after(0.25, lambda: None)
+            engine.after_call(0.25, nothing, None)
 
     def test_fractional_at_call_raises(self):
         engine = Engine()
         with pytest.raises(SimulationError, match="integral"):
-            engine.at_call(3.7, print, None)
+            engine.at_call(3.7, nothing, None)
 
     def test_non_numeric_time_raises_simulation_error(self):
         engine = Engine()
         with pytest.raises(SimulationError, match="integral"):
-            engine.at("soon", lambda: None)
+            engine.at_call("soon", nothing, None)
 
     def test_nan_and_inf_rejected(self):
         engine = Engine()
         for bogus in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(SimulationError, match="integral"):
-                engine.at(bogus, lambda: None)
+                engine.at_call(bogus, nothing, None)
 
     def test_numpy_integral_scalar_accepted(self):
         np = pytest.importorskip("numpy")
         engine = Engine()
         fired = []
-        engine.at(np.int64(7), lambda: fired.append(engine.now))
+        engine.at_call(np.int64(7), lambda _: fired.append(engine.now), None)
         engine.run()
         assert fired == [7]
 
@@ -158,8 +163,8 @@ class TestLimits:
     def test_until_stops_clock(self):
         engine = Engine()
         fired = []
-        engine.at(10, lambda: fired.append(10))
-        engine.at(100, lambda: fired.append(100))
+        engine.at_call(10, fired.append, 10)
+        engine.at_call(100, fired.append, 100)
         engine.run(until=50)
         assert fired == [10]
         assert engine.now == 50
@@ -167,29 +172,29 @@ class TestLimits:
 
     def test_past_scheduling_rejected(self):
         engine = Engine()
-        engine.at(10, lambda: None)
+        engine.at_call(10, nothing, None)
         engine.run()
         with pytest.raises(SimulationError):
-            engine.at(5, lambda: None)
+            engine.at_call(5, nothing, None)
 
     def test_past_scheduling_from_inside_callback_raises(self):
         """A callback that schedules into the past is a model bug; the
         error must surface out of run(), not be swallowed."""
         engine = Engine()
-        engine.at(10, lambda: engine.at(9, lambda: None))
+        engine.at_call(10, lambda _: engine.at_call(9, nothing, None), None)
         with pytest.raises(SimulationError, match="cannot schedule"):
             engine.run()
         assert engine.now == 10
 
     def test_negative_after_from_inside_callback_raises(self):
         engine = Engine()
-        engine.at(4, lambda: engine.after(-2, lambda: None))
+        engine.at_call(4, lambda _: engine.after_call(-2, nothing, None), None)
         with pytest.raises(SimulationError, match="non-negative"):
             engine.run()
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            Engine().after(-1, lambda: None)
+            Engine().after_call(-1, nothing, None)
 
     def test_queue_resumable_after_callback_error(self):
         """A propagating callback error consumes only the failing
@@ -198,12 +203,12 @@ class TestLimits:
         engine = Engine()
         fired = []
 
-        def boom():
+        def boom(_):
             raise ValueError("model bug")
 
-        engine.at(5, lambda: fired.append("before"))
-        engine.at(5, boom)
-        engine.at(5, lambda: fired.append("after"))
+        engine.at_call(5, fired.append, "before")
+        engine.at_call(5, boom, None)
+        engine.at_call(5, fired.append, "after")
         with pytest.raises(ValueError, match="model bug"):
             engine.run()
         assert fired == ["before"]
@@ -219,15 +224,15 @@ class TestLimits:
         engine = Engine()
         errors = []
 
-        def nested():
+        def nested(_):
             try:
                 engine.run()
             except SimulationError as exc:
                 errors.append(str(exc))
 
         fired = []
-        engine.at(1, nested)
-        engine.at(1, lambda: fired.append("after"))
+        engine.at_call(1, nested, None)
+        engine.at_call(1, fired.append, "after")
         engine.run()
         assert errors and "re-entrant" in errors[0]
         assert fired == ["after"]  # outer run continues normally
@@ -235,7 +240,7 @@ class TestLimits:
     def test_events_processed_counter(self):
         engine = Engine()
         for t in range(5):
-            engine.at(t, lambda: None)
+            engine.at_call(t, nothing, None)
         engine.run()
         assert engine.events_processed == 5
 
@@ -247,14 +252,19 @@ class TestCountersBetweenRuns:
 
     def test_after_normal_return(self):
         engine = Engine()
-        engine.at(1, lambda: engine.at(1, lambda: engine.after(2, lambda: None)))
-        engine.at_call(1, lambda _arg: None, None)
-        engine.at(4, lambda: None)
+
+        def spawn(delays):
+            if delays:
+                engine.after_call(delays[0], spawn, delays[1:])
+
+        engine.at_call(1, spawn, (0, 2))
+        engine.at_call(1, spawn, ())
+        engine.at_call(4, spawn, ())
         engine.run()
         assert engine.events_processed == 5
         assert engine.pending == 0
         assert engine.idle
-        engine.after(1, lambda: None)
+        engine.after_call(1, spawn, ())
         assert engine.pending == 1
         engine.run()
         assert engine.events_processed == 6
@@ -263,7 +273,7 @@ class TestCountersBetweenRuns:
     def test_after_until_pause(self):
         engine = Engine()
         for t in (1, 2, 3, 10, 11):
-            engine.at(t, lambda: None)
+            engine.at_call(t, nothing, None)
         engine.run(until=5)
         assert (engine.events_processed, engine.pending) == (3, 2)
         assert not engine.idle
@@ -274,13 +284,13 @@ class TestCountersBetweenRuns:
         engine = Engine()
         fired = []
 
-        def boom():
+        def boom(_):
             raise ValueError("model bug")
 
-        engine.at(5, lambda: fired.append(1))
-        engine.at(5, boom)
-        engine.at(5, lambda: fired.append(2))
-        engine.at(6, lambda: fired.append(3))
+        engine.at_call(5, fired.append, 1)
+        engine.at_call(5, boom, None)
+        engine.at_call(5, fired.append, 2)
+        engine.at_call(6, fired.append, 3)
         with pytest.raises(ValueError):
             engine.run()
         # The failing event counts as processed; the rest stay queued.
@@ -293,8 +303,8 @@ class TestCountersBetweenRuns:
     def test_now_is_a_plain_int_attribute(self):
         engine = Engine()
         seen = []
-        engine.at(7, lambda: seen.append(engine.now))
-        engine.at(12, lambda: None)
+        engine.at_call(7, lambda _: seen.append(engine.now), None)
+        engine.at_call(12, nothing, None)
         engine.run(until=9)
         assert seen == [7]
         assert engine.now == 9 and type(engine.now) is int
@@ -327,9 +337,9 @@ class Program:
     """Plays one random event forest on an engine, logging dispatches.
 
     Every event logs ``(cycle, name)``, then schedules its children
-    (rotating through ``at_call``, ``after_call`` and ``after``, so
-    delay-0 children land in the current cycle's bucket, also from its
-    last event), then raises if its node says so.
+    (alternating ``at_call`` and ``after_call``, so delay-0 children
+    land in the current cycle's bucket, also from its last event), then
+    raises if its node says so.
     """
 
     def __init__(self, engine, roots):
@@ -345,13 +355,10 @@ class Program:
         self.log.append((engine.now, name))
         for k, child in enumerate(children):
             entry = (f"{name}.{k}", child)
-            form = k % 3
-            if form == 0:
-                engine.at_call(engine.now + child[0], self._fire_cb, entry)
-            elif form == 1:
+            if k % 2:
                 engine.after_call(child[0], self._fire_cb, entry)
             else:
-                engine.after(child[0], lambda entry=entry: self._fire(entry))
+                engine.at_call(engine.now + child[0], self._fire_cb, entry)
         if raises:
             raise Boom(name)
 

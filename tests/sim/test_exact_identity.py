@@ -119,7 +119,9 @@ PINNED_TABLE_BY_SCHEMA = {
 # 8,993 (auto SRAD2).  Auto SC @0.5 replays two of its three estimated
 # kernels through the memo; auto SRAD2 @1.0 replays one freeze's
 # in-flight warps and queued TBs, and estimates two kernels after its
-# last detailed one, which no replay warms.
+# last detailed one, which no replay warms.  The replay plane decodes
+# its dirty victims through ``dram_coords`` too, which took auto
+# SRAD2's decode count from 9 to 11.
 COUNTED = {
     "decode_fields": (gpu_system, "decode_fields"),
     "FRFCFSScheduler.select": (FRFCFSScheduler, "select"),
@@ -138,7 +140,7 @@ HOST_CALLS = {
          "replay_ops": 2, "build_kernel_stream": 2,
          "StateCache.get": 2, "StateCache.put": 2},
     ("SRAD2", "gddr5", "PAE", 1.0, "auto"):
-        {"decode_fields": 9, "FRFCFSScheduler.select": 8993,
+        {"decode_fields": 11, "FRFCFSScheduler.select": 8993,
          "replay_ops": 2, "build_kernel_stream": 1,
          "StateCache.get": 0, "StateCache.put": 0},
 }

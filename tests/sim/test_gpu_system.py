@@ -14,7 +14,7 @@ from repro.core import hynix_gddr5_map
 from repro.dram.stacked import stacked_memory_config
 from repro.gpu.config import GPUConfig, config_with_sms
 from repro.gpu.thread_block import TBContext, WarpContext
-from repro.registry import make_scheme, make_workload
+from repro.registry import make_scheme, make_workload, memory_config
 from repro.sim.auto import Auto
 from repro.sim.gpu_system import GPUSystem, simulate
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
@@ -87,6 +87,41 @@ class TestConservation:
         # (plus end-of-run residue) bound DRAM writes from above.
         llc_writebacks = sum(s.cache.stats.writebacks for s in system.slices)
         assert system.dram.writes == llc_writebacks
+
+
+class TestSuiteConservation:
+    """The hierarchy's counters balance on suite workloads (exact mode):
+    every request issues, every DRAM read is an LLC MSHR fetch, every
+    DRAM write an LLC writeback, every response packet an L1 MSHR
+    fill, every DRAM access a row hit or an activate, and nothing is
+    left in flight."""
+
+    @pytest.mark.parametrize("name,scheme,scale,memory,n_sms", [
+        ("MT", "BASE", 0.25, "gddr5", 12),
+        ("SC", "PAE", 0.5, "stacked", 16),
+        ("BFS", "FAE", 0.5, "gddr5", 12),
+    ], ids=["MT-BASE-gddr5", "SC-PAE-stacked-16sms", "BFS-FAE-gddr5"])
+    def test_identities_hold(self, name, scheme, scale, memory, n_sms):
+        memory = memory_config(memory)
+        workload = make_workload(name, scale=scale)
+        system = GPUSystem(
+            make_scheme(scheme, memory.address_map),
+            config=config_with_sms(n_sms), timing=memory.timing,
+            dram_power_params=memory.power_params,
+        )
+        system.run(workload)
+        sms, slices, dram = system.sms, system.slices, system.dram
+        assert sum(sm.instructions_issued for sm in sms) == workload.n_requests
+        assert dram.reads == sum(s.mshr.allocations for s in slices) > 0
+        assert dram.writes == sum(s.cache.stats.writebacks for s in slices)
+        assert system.response_noc.stats.packets == sum(
+            sm.mshr.allocations for sm in sms
+        )
+        row_hits = sum(c.row_hits for c in dram.controllers)
+        assert row_hits + dram.activates == dram.reads + dram.writes
+        assert dram.pending == 0
+        assert all(not sm.mshr.in_flight for sm in sms)
+        assert all(not s.mshr.in_flight and not s.outstanding for s in slices)
 
 
 class TestMappingEffects:

@@ -130,6 +130,11 @@ class TestSweep:
         assert "eta 3s " in capsys.readouterr().err
 
 
+def without(mapping, key):
+    """A copy of *mapping* lacking *key*."""
+    return {k: v for k, v in mapping.items() if k != key}
+
+
 class TestShardAndMerge:
     GRID_ARGS = ["--benchmarks", "SP,HS", "--schemes", "PAE", "--scale", "0.25"]
 
@@ -188,6 +193,52 @@ class TestShardAndMerge:
     def test_merge_without_inputs_rejected(self, capsys):
         assert main(["merge"]) == 2
         assert "shard report" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def shard_report(self, tmp_path_factory):
+        """A one-shard report of SP/PAE (one run, no failures)."""
+        path = tmp_path_factory.mktemp("shard") / "shard.json"
+        assert main([
+            "sweep", "--benchmarks", "SP", "--schemes", "PAE",
+            "--scale", "0.25", "--cache-dir", "", "--shard", "1/1",
+            "-o", str(path),
+        ]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda report: [report], "shard report 1 is not a JSON object"),
+        (lambda report: {"format": report["format"]},
+         "shard report 1 has no 'grid' field"),
+        (lambda report: without(report, "schema"), "no 'schema' field"),
+        (lambda report: without(report, "shard"), "no 'shard' field"),
+        (lambda report: without(report, "runs"), "no 'runs' field"),
+        (lambda report: {**report, "shard": {"index": True, "count": 1}},
+         "shard report 1's 'shard' field does not parse: "
+         "shard index must be an integer"),
+        (lambda report: {**report, "shard": {"index": "1", "count": 1}},
+         "shard index must be an integer"),
+        (lambda report: {**report, "runs": [{
+            "config": without(report["runs"][0]["config"], "scheme"),
+            "result": report["runs"][0]["result"],
+        }]}, "shard report 1's run 1 does not parse: missing field 'scheme'"),
+        (lambda report: {**report, "runs": [{}]},
+         "run 1 does not parse: missing field 'config'"),
+        (lambda report: {**report, "failures": [{"key": "k"}]},
+         "failure 1 does not parse: missing field 'benchmark'"),
+    ], ids=["list", "only-format", "no-schema", "no-shard", "no-runs",
+            "index-true", "index-string", "run-without-scheme", "empty-run",
+            "bad-failure"])
+    def test_malformed_shard_report_fails_cleanly(
+        self, shard_report, tmp_path, capsys, change, message
+    ):
+        """A malformed shard report exits 2 with a message naming the
+        shard and the field, never a traceback."""
+        path = tmp_path / "shard.json"
+        path.write_text(json.dumps(change(shard_report)))
+        assert main(["merge", str(path), "-o", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and message in err
+        assert "Traceback" not in err
 
 
 class TestCacheCommand:
