@@ -284,6 +284,11 @@ class MemoryController:
             self._wake_scheduled_at = None
         self._pump()
 
+    def detach(self) -> None:
+        """Drop the callbacks that close reference cycles through this
+        controller once the run is over; banks and counters stay."""
+        self._wake_cb = self._data_done_cb = self._on_complete = None
+
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -114,10 +114,6 @@ class DRAMSystem:
         """Average DRAM power over *elapsed_cycles* (Fig. 16)."""
         return self._power_model.breakdown(self.controllers, elapsed_cycles)
 
-    def channel_request_counts(self) -> List[int]:
-        """Requests served per channel (for balance diagnostics)."""
-        return [c.reads + c.writes for c in self.controllers]
-
     def __repr__(self) -> str:
         return (
             f"DRAMSystem({self._timing.name!r}, channels={self.n_channels}, "

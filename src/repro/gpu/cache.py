@@ -52,9 +52,6 @@ class CacheStats:
         """Misses over all accesses (the paper's Fig. 13b metric)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def read_miss_rate(self) -> float:
-        return self.read_misses / self.reads if self.reads else 0.0
-
     def count_miss(self, is_write: bool) -> None:
         """Record a miss detected via ``probe`` (allocate-on-fill designs)."""
         if is_write:
@@ -159,10 +156,6 @@ class SetAssociativeCache:
         """
         return self._lines
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self._sets * self._ways * self._line_bytes
-
     def set_indices_array(self, lines: "np.ndarray") -> "np.ndarray":
         """The set id of each aligned line address in *lines*.
 
@@ -212,10 +205,6 @@ class SetAssociativeCache:
         entry_set[line] = use << 1 | entry & 1
         self.stats.read_hits += 1
         return True
-
-    def resident_lines(self) -> int:
-        """Total lines currently cached (for invariants in tests)."""
-        return sum(len(s) for s in self._lines)
 
     def access(
         self, line: int, is_write: bool, set_id: int
@@ -340,9 +329,6 @@ class MSHRFile:
     @property
     def in_flight(self) -> int:
         return len(self.waiters)
-
-    def outstanding_lines(self) -> Tuple[int, ...]:
-        return tuple(self.waiters)
 
     def allocate(self, line_address: int, waiter: object) -> str:
         """Try to register *waiter* for *line_address*.

@@ -136,6 +136,12 @@ class LLCSlice:
         self.outstanding -= 1
         self._send_response(request)
 
+    def detach(self) -> None:
+        """Drop the callbacks that close reference cycles through this
+        slice once the run is over; the cache and counters stay."""
+        self._respond_cb = self._send_response = None
+        self._submit_dram_read = self._submit_dram_writeback = None
+
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -104,10 +104,6 @@ class Crossbar:
         engine.at_call(delivery, on_delivered, arg)
         return delivery
 
-    def port_backlog(self, destination: int) -> int:
-        """Cycles of queued transfer time at an output port right now."""
-        return max(0, self._port_free_at[destination] - self._engine.now)
-
     def __repr__(self) -> str:
         return (
             f"Crossbar({self.name!r}, {self.n_inputs}x{self.n_outputs}, "

@@ -176,6 +176,19 @@ class SM:
             # A TB with no memory requests completes immediately.
             self._tb_done(tb)
 
+    def detach(self) -> None:
+        """Drop this SM's ties into its machine once the run is over.
+
+        The pre-bound callbacks, the system's and the TB scheduler's
+        hooks and, after a failed run, the TBs in flight (their
+        ``on_done`` is this SM) each close a reference cycle.
+        Counters, the L1 and its stats stay readable.
+        """
+        self._tick_cb = self._warp_ready_cb = self._op_completed_cb = None
+        self._send_read = self._send_write = self.on_tb_done = None
+        self.active_tbs.clear()
+        self.warp_count = 0
+
     def _tb_done(self, tb: TBContext) -> None:
         if tb in self.active_tbs:
             self.active_tbs.remove(tb)

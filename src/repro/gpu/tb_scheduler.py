@@ -112,6 +112,10 @@ class TBScheduler:
         cut = len(self._queue) - keep_last
         return [self._queue.popleft() for _ in range(cut)]
 
+    def detach(self) -> None:
+        """Drop the kernel-done hook into the machine once the run is over."""
+        self._on_kernel_done = None
+
     def _pick_sm(self, tb: TBContext) -> Optional[SM]:
         """Least-loaded SM that can accept *tb* (round-robin on ties)."""
         best: Optional[SM] = None

@@ -229,7 +229,9 @@ def merge_shard_reports(shards: Sequence[Dict[str, object]]) -> Dict[str, object
     """Combine a complete set of shard reports into the full report.
 
     Validates that every partial uses the shard format, that all agree
-    on the grid and cache schema, and that the shard indexes are
+    on the grid and on the cache schema, which must be the current
+    :data:`~repro.runner.config.CACHE_SCHEMA_VERSION` (an older
+    simulator's results are stale), and that the shard indexes are
     exactly ``1..N`` — then rebuilds the report from the union of runs.
     Raises :class:`MergeError` on any inconsistency or gap, and on a
     malformed report, naming the shard (its position in *shards*) and
@@ -261,6 +263,13 @@ def merge_shard_reports(shards: Sequence[Dict[str, object]]) -> Dict[str, object
     if len(schemas) != 1:
         raise MergeError(
             f"shard reports disagree on cache schema: {sorted(schemas)}"
+        )
+    (schema,) = schemas
+    if schema != json.dumps(CACHE_SCHEMA_VERSION):
+        # The shards agree, so the first one speaks for all of them.
+        raise MergeError(
+            f"shard report 1 has cache schema {schema}, not the current "
+            f"{CACHE_SCHEMA_VERSION}: its results are stale; re-run the shards"
         )
     counts = {spec.count for spec in specs}
     if len(counts) != 1:

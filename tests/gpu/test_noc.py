@@ -71,11 +71,12 @@ class TestStats:
         assert noc.stats.max_latency == 18
 
     def test_backlog(self):
+        """A one-flit probe waits out its port's queued transfer time."""
         engine, noc = build()
         noc.send(0, 0, 4, ignore, None)
         noc.send(0, 0, 4, ignore, None)
-        assert noc.port_backlog(0) == 8
-        assert noc.port_backlog(1) == 0
+        assert noc.send(0, 0, 1, ignore, None) == 8 + 1 + 10
+        assert noc.send(0, 1, 1, ignore, None) == 0 + 1 + 10
 
 
 class TestValidation:

@@ -133,7 +133,8 @@ class TestWarmPaths:
                 expected_forward.append(position)
         assert forwarded == expected_forward
         assert bulk.stats == step.stats
-        assert bulk.resident_lines() == step.resident_lines()
+        assert [set(t) for t in bulk.line_tables] == \
+            [set(t) for t in step.line_tables]
 
     def test_warm_back_matches_llc_policy(self):
         """warm_back_many == on_read/on_write tag behaviour, timeless."""
@@ -169,7 +170,8 @@ class TestWarmPaths:
         assert miss_positions == expected_misses
         assert writebacks == expected_writebacks
         assert bulk.stats == step.stats
-        assert bulk.resident_lines() == step.resident_lines()
+        assert [set(t) for t in bulk.line_tables] == \
+            [set(t) for t in step.line_tables]
 
 
 # Non-power-of-two set counts take the legacy fold-then-modulo path in

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runner import (
+    CACHE_SCHEMA_VERSION,
     MergeError,
     ResultCache,
     SHARD_FORMAT,
@@ -186,6 +187,29 @@ class TestMerge:
         a, b = self._shards(shared_cache, 2)
         with pytest.raises(MergeError, match="disagree on cache schema"):
             merge_shard_reports([a, {**b, "schema": schema}])
+
+    @pytest.mark.parametrize("schemas", [[1], [-3], [1, 1]],
+                             ids=["one-at-1", "one-at-minus-3", "two-at-1"])
+    def test_merge_stale_schema_rejected(self, shared_cache, schemas):
+        """Shards that agree on an old cache schema hold stale results."""
+        shards = [
+            {**shard, "schema": schema}
+            for shard, schema in zip(
+                self._shards(shared_cache, len(schemas)), schemas
+            )
+        ]
+        with pytest.raises(MergeError) as caught:
+            merge_shard_reports(shards)
+        assert str(caught.value).startswith(
+            f"shard report 1 has cache schema {schemas[0]}, not the current "
+            f"{CACHE_SCHEMA_VERSION}"
+        )
+
+    def test_merge_current_schema_accepted(self, shared_cache):
+        (shard,) = self._shards(shared_cache, 1)
+        assert shard["schema"] == CACHE_SCHEMA_VERSION
+        merged = merge_shard_reports([shard])
+        assert len(merged["runs"]) == len(GRID.configs())
 
     def test_merge_non_shard_report_rejected(self):
         with pytest.raises(MergeError, match="not a shard report"):

@@ -6,6 +6,7 @@ Small scales keep these fast; the full-scale behaviour is exercised by
 """
 
 import dataclasses
+import gc
 import random
 import sys
 import threading
@@ -24,6 +25,7 @@ from repro.runner import (
     sweep_report,
 )
 from repro.runner.worker import RunContext
+from repro.sim.gpu_system import GPUSystem
 
 SCALE = 0.25
 
@@ -158,6 +160,32 @@ class TestProgress:
                 tick.elapsed_seconds * (tick.total - tick.done) / tick.done
             )
         assert ticks[-1].eta_seconds == 0
+
+
+class TestMemory:
+    @pytest.mark.parametrize("fidelity", ["exact", "auto"])
+    def test_a_sweep_leaks_no_machine(self, tmp_path, fidelity):
+        """An inline sweep keeps no finished machine alive: not in the
+        memo, the progress callback or the cache put.  GC is disabled,
+        so reference counting alone must free each one."""
+        grid = SweepGrid(benchmarks=("MT", "SC"), schemes=("BASE", "PAE"),
+                         scale=0.1, fidelity=fidelity)
+        ticks = []
+        runner = SweepRunner(workers=1, cache_dir=tmp_path,
+                             progress=ticks.append)
+
+        def machines():
+            return sum(type(obj) is GPUSystem for obj in gc.get_objects())
+
+        gc.collect()
+        before = machines()
+        gc.disable()
+        try:
+            outcome = runner.run_outcomes(grid.configs())
+            assert machines() == before
+        finally:
+            gc.enable()
+        assert outcome.ok and runner.stats.executed == len(ticks) == 4
 
 
 class GatedContext(RunContext):

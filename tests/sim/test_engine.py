@@ -300,6 +300,35 @@ class TestCountersBetweenRuns:
         assert fired == [1, 2, 3]
         assert (engine.events_processed, engine.pending) == (4, 0)
 
+    def test_clear_after_callback_raises_mid_bucket(self):
+        """``clear`` drops what a failed run left queued, the rest of
+        the failing cycle included; the clock and counters stay, and
+        the engine runs on."""
+        engine = Engine()
+        fired = []
+
+        def boom(_):
+            raise ValueError("model bug")
+
+        engine.at_call(5, boom, None)
+        engine.at_call(5, fired.append, 1)
+        engine.at_call(6, fired.append, 2)
+        with pytest.raises(ValueError):
+            engine.run()
+        engine.clear()
+        assert (engine.events_processed, engine.pending, engine.now) == (1, 0, 5)
+        assert engine.idle
+        engine.after_call(1, fired.append, 3)
+        engine.run()
+        assert fired == [3]
+
+        def clear_inside(_):
+            engine.clear()
+
+        engine.after_call(1, clear_inside, None)
+        with pytest.raises(SimulationError, match="while run"):
+            engine.run()
+
     def test_now_is_a_plain_int_attribute(self):
         engine = Engine()
         seen = []

@@ -11,11 +11,15 @@ import pytest
 
 import repro
 from repro.core import hynix_gddr5_map
+from repro.dram.controller import MemoryController
 from repro.dram.stacked import stacked_memory_config
 from repro.gpu.config import GPUConfig, config_with_sms
+from repro.gpu.llc import LLCSlice
+from repro.gpu.sm import SM
 from repro.gpu.thread_block import TBContext, WarpContext
 from repro.registry import make_scheme, make_workload, memory_config
 from repro.sim.auto import Auto
+from repro.sim.engine import Engine
 from repro.sim.gpu_system import GPUSystem, simulate
 from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
 
@@ -298,32 +302,57 @@ def test_a_kernel_of_many_empty_tbs_runs(fidelity):
     assert system.scheduler.tbs_dispatched == 1002
 
 
-@pytest.mark.parametrize("fidelity", ["exact", "auto"])
-def test_finished_run_frees_its_contexts(fidelity):
-    """A finished run's warp and TB contexts, and the per-op lists
-    they share, are freed by reference counting: only the machine
-    graph is left for the cycle collector."""
-    if fidelity == "exact":
-        workload = make_workload("MT", scale=0.1)
-    else:
-        workload = make_workload("SRAD2", scale=1.0)
-    system = GPUSystem(make_scheme("PAE", AMAP))
-    auto = auto_for(fidelity, workload)
+MACHINE = (GPUSystem, SM, LLCSlice, MemoryController, Engine)
 
-    def contexts():
-        return sum(
-            type(obj) in (WarpContext, TBContext) for obj in gc.get_objects()
-        )
+
+def live(kinds):
+    """Objects of exactly these *kinds* the collector tracks."""
+    return sum(type(obj) in kinds for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("ending", ["exact", "auto", "raises"])
+def test_finished_run_frees_its_contexts(ending, monkeypatch):
+    """However a run ends, reference counting frees what it built: a
+    finished run's warp and TB contexts and the per-op lists they
+    share, and the whole machine once its owner drops the system.  GC
+    is disabled, so the cycle collector frees nothing."""
+    if ending == "auto":
+        workload = make_workload("SRAD2", scale=1.0)
+    else:
+        workload = make_workload("MT", scale=0.1)
+    if ending == "raises":
+        def failing_fill(sm, line, set_id):
+            raise RuntimeError("injected fill fault")
+
+        monkeypatch.setattr(SM, "on_fill", failing_fill)
+    auto = Auto.standalone(workload, AMAP) if ending == "auto" else None
 
     gc.collect()
-    baseline = contexts()
+    contexts, machines = live((WarpContext, TBContext)), live(MACHINE)
     gc.disable()
     try:
-        result = system.run(workload, auto=auto)
-        assert contexts() == baseline
+        system = GPUSystem(make_scheme("PAE", AMAP))
+        if ending == "raises":
+            with pytest.raises(RuntimeError, match="injected fill fault"):
+                system.run(workload)
+            # It failed mid-simulation: the queued events are dropped
+            # and the TBs in flight go with the system.
+            assert system.scheduler.in_flight > 0 and system.engine.idle
+        else:
+            result = system.run(workload, auto=auto)
+            assert live((WarpContext, TBContext)) == contexts
+            assert system._llc_log == [] and system._dram_log == []
+        # Counters, cache contents and the victim memo stay readable.
+        assert system.engine.events_processed > 0
+        assert any(
+            table for llc in system.slices for table in llc.cache.line_tables
+        )
+        assert system._victim_coords
+        del system
+        assert live((WarpContext, TBContext)) == contexts
+        assert live(MACHINE) == machines
     finally:
         gc.enable()
-    assert system._llc_log == [] and system._dram_log == []
-    if fidelity == "auto":
+    if ending == "auto":
         # The auto run froze a kernel: its warps were fast-forwarded.
         assert result.metadata["sampled"]["ff_phases"] >= 1

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.cli import _progress_printer, main
-from repro.runner import SweepProgress
+from repro.runner import CACHE_SCHEMA_VERSION, SweepProgress
 
 
 class TestSchemes:
@@ -225,9 +225,12 @@ class TestShardAndMerge:
          "run 1 does not parse: missing field 'config'"),
         (lambda report: {**report, "failures": [{"key": "k"}]},
          "failure 1 does not parse: missing field 'benchmark'"),
+        (lambda report: {**report, "schema": -3},
+         "shard report 1 has cache schema -3, not the current "
+         f"{CACHE_SCHEMA_VERSION}"),
     ], ids=["list", "only-format", "no-schema", "no-shard", "no-runs",
             "index-true", "index-string", "run-without-scheme", "empty-run",
-            "bad-failure"])
+            "bad-failure", "stale-schema"])
     def test_malformed_shard_report_fails_cleanly(
         self, shard_report, tmp_path, capsys, change, message
     ):
@@ -264,7 +267,6 @@ class TestCacheCommand:
         assert "pruned 0 record(s), kept 2" in capsys.readouterr().out
 
     def test_prune_refuses_current_schema(self, tmp_path, capsys):
-        from repro.runner import CACHE_SCHEMA_VERSION
         assert main([
             "cache", "prune", "--cache-dir", str(tmp_path),
             "--schema-version", str(CACHE_SCHEMA_VERSION),
