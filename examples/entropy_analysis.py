@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.registry import make_scheme
 from repro.core.entropy import application_entropy_profile
-from repro.workloads import KernelTrace, TBTrace, WarpTrace, Workload
+from repro.workloads import KernelTrace, Workload
 from repro.workloads.patterns import banded_rows, column_walk, make_tb
 
 
@@ -57,7 +57,7 @@ def main() -> None:
     print(f"\nvalleys: {find_entropy_valleys(profile)}")
 
     print("\nchannel/bank-bit entropy after each mapping scheme:")
-    addresses = [tb.addresses() for tb in workload.kernels[0].tbs]
+    addresses = [tb.addresses for tb in workload.kernels[0].tbs]
     for name in SCHEME_NAMES:
         scheme = make_scheme(name, amap, seed=0)
         mapped = [(np.atleast_1d(scheme.map(a))) for a in addresses]

@@ -58,7 +58,9 @@ commands as the paper's built-ins.
 Exit codes: 0 success, 2 usage / spec / merge errors, 3 **partial
 success** — the sweep (or merge) completed but some configs were
 quarantined by the failure policy; the report's ``"failures"`` section
-lists them (see :mod:`repro.runner.faults`).
+lists them (see :mod:`repro.runner.faults`).  ``simulate`` and
+``profile`` need every config, so a quarantined one ends them with
+exit 3 and its summary.
 
 Examples
 --------
@@ -100,6 +102,7 @@ from .runner import (
     MergeError,
     ResultCache,
     ShardSpec,
+    SweepFailure,
     SweepGrid,
     SweepRunner,
     default_workers,
@@ -932,6 +935,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # ValueError subclasses.
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except SweepFailure as failure:
+        # simulate / profile are strict: a quarantined config (a run
+        # that kept raising, e.g. on a corrupt trace file) is the
+        # partial-success exit of `repro sweep`, without a report.
+        print(f"error: {failure}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

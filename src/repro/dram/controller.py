@@ -262,8 +262,8 @@ class MemoryController:
         self.writes += n_writes
         self.requests_seen += n_reads + n_writes
         # Account the bursts the transfers would have occupied, so
-        # bandwidth_utilization stays meaningful against extrapolated
-        # cycle counts.
+        # busy_cycles counts replayed transfers as it counts detailed
+        # ones.
         self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
 
     def _wake_at(self, time: int) -> None:
@@ -312,10 +312,6 @@ class MemoryController:
         """Channel-wide row buffer hit rate."""
         total = self.accesses
         return self.row_hits / total if total else 0.0
-
-    def bandwidth_utilization(self, elapsed_cycles: int) -> float:
-        """Fraction of cycles the data bus moved data."""
-        return self.busy_cycles / elapsed_cycles if elapsed_cycles else 0.0
 
     def __repr__(self) -> str:
         return (

@@ -96,17 +96,6 @@ class DRAMTiming:
         return self.channels * self.banks_per_channel
 
     @property
-    def capacity_bytes(self) -> int:
-        """Total capacity implied by the geometry."""
-        return (
-            self.channels
-            * self.banks_per_channel
-            * self.rows_per_bank
-            * self.columns_per_row
-            * self.block_bytes
-        )
-
-    @property
     def peak_bandwidth_gbs(self) -> float:
         """Aggregate peak data bandwidth in GB/s."""
         return self.channels * self.bytes_per_cycle * self.clock_mhz * 1e6 / 1e9

@@ -52,13 +52,6 @@ class CacheStats:
         """Misses over all accesses (the paper's Fig. 13b metric)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def count_miss(self, is_write: bool) -> None:
-        """Record a miss detected via ``probe`` (allocate-on-fill designs)."""
-        if is_write:
-            self.write_misses += 1
-        else:
-            self.read_misses += 1
-
 
 class SetAssociativeCache:
     """A write-back, write-allocate, true-LRU set-associative cache.
@@ -193,7 +186,7 @@ class SetAssociativeCache:
 
         On a hit, refresh LRU, count a read hit and return True.  On a
         miss return False *without* allocating or counting — the caller
-        records the miss (``stats.count_miss``) and drives the fill
+        counts the miss (``stats.read_misses``) and drives the fill
         path.  Equivalent to ``probe() and access()`` but with one set
         lookup instead of two, which matters on the issue hot path.
         """

@@ -12,10 +12,11 @@ index in the L1 and in its LLC slice are precomputed, so the hot
 simulation path does no BIM math and no set hashing at all.  This is
 behaviourally identical to mapping at issue time because the BIM and
 the set hash are stateless.  The result is nine kernel-wide per-op
-lists holding every warp's ops back to back; a warp shares them and
-owns the range ``[op, end)``, so a run allocates per kernel, not per
-warp.  A warp refers to its TB weakly, so no reference cycle keeps a
-finished run's contexts waiting for the cycle collector.
+lists holding every TB's columns back to back.  A warp shares them and
+owns the range ``[op, end)``, as it owns a range of its TB's columns
+in the trace (``TBTrace.warp_ends``), so a run allocates per kernel,
+not per warp.  A warp refers to its TB weakly, so no reference cycle
+keeps a finished run's contexts waiting for the cycle collector.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ class TBContext:
     ) -> None:
         """*ops* are the kernel's nine per-op lists ``(gaps, writes,
         lines, channels, banks, rows, slices, l1_sets, llc_sets)`` and
-        *start* the offset of this TB's first op in them; its warps
-        take consecutive ranges in trace order.  The raw *trace* stays
-        on the context: a frozen kernel replays its still-queued TBs
-        from their traces.
+        *start* the offset of this TB's first op in them; warp *w*
+        owns the range the trace's ``warp_ends`` give it, shifted by
+        *start*.  The raw *trace* stays on the context: a frozen kernel
+        replays its still-queued TBs from their traces.
         """
         self.trace = trace
         self.tb_id = trace.tb_id
@@ -137,8 +138,9 @@ class TBContext:
         ref = weakref.ref(self)
         warps: List[WarpContext] = []
         remaining = 0
-        for warp_id, warp_trace in enumerate(trace.warps):
-            end = start + len(warp_trace)
+        base = start
+        for warp_id, end in enumerate(trace.warp_ends.tolist()):
+            end += base
             warps.append(WarpContext(ref, warp_id, ops, start, end))
             remaining += end > start
             start = end

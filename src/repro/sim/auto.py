@@ -81,15 +81,11 @@ def _kernel_fingerprint(kernel, address_map):
       BASE mapping — a pure function of the workload and memory
       geometry, never of the scheme under test.
     """
-    ops = sum(len(warp) for tb in kernel.tbs for warp in tb.warps)
-    group = (ops, len(kernel.tbs), sum(len(tb.warps) for tb in kernel.tbs))
-    arrays = [
-        np.asarray(warp.addresses, dtype=np.uint64)
-        for tb in kernel.tbs for warp in tb.warps if len(warp)
-    ]
-    if not arrays:
+    ops = sum(tb.n_requests for tb in kernel.tbs)
+    group = (ops, len(kernel.tbs), sum(tb.n_warps for tb in kernel.tbs))
+    if not ops:
         return ops, (group, "empty"), (group,)
-    addrs = np.sort(np.concatenate(arrays))
+    addrs = np.sort(np.concatenate([tb.addresses for tb in kernel.tbs]))
     digest = hashlib.blake2b(addrs.tobytes(), digest_size=16).hexdigest()
     channels, banks, rows = gpu_system.dram_coords(address_map, addrs)
     gbank = channels * address_map.field("bank").size + banks

@@ -179,15 +179,15 @@ class GPUSystem:
     def _prepare_kernel(self, kernel) -> Tuple[list, ...]:
         """Batched trace preparation for one kernel's warps.
 
-        All warp streams of the kernel are concatenated, and the
-        addresses mapped and decoded in a single vectorized pass, into
-        nine kernel-wide per-op lists ``(gaps, writes, lines,
-        channels, banks, rows, slices, l1_sets, llc_sets)`` holding
-        every warp's ops back to back in TB then warp order.  That is
-        the :class:`TBContext` prepare contract: a warp shares these
-        lists and owns the range from its offset to the next warp's
-        (see :meth:`_kernel_contexts`).  The BIM, the field decode and
-        the set hash are elementwise, so this is bit-identical to
+        The kernel's TB columns are concatenated, and the addresses
+        mapped and decoded in a single vectorized pass, into nine
+        kernel-wide per-op lists ``(gaps, writes, lines, channels,
+        banks, rows, slices, l1_sets, llc_sets)`` holding every warp's
+        ops back to back in TB then warp order.  That is the
+        :class:`TBContext` prepare contract: a warp shares these lists
+        and owns the range from its offset to the next warp's (see
+        :meth:`_kernel_contexts`).  The BIM, the field decode and the
+        set hash are elementwise, so this is bit-identical to
         preparing each warp on its own, but the numpy fixed cost and
         the list allocations are paid once per kernel instead of once
         per warp.  Every L1 shares one geometry and every LLC slice
@@ -197,16 +197,15 @@ class GPUSystem:
         Only stored lines can become dirty LLC victims, so the unique
         store lines are decoded once into the run's victim memo.
         """
-        nonempty = [warp for tb in kernel.tbs for warp in tb.warps if len(warp)]
-        if not nonempty:
+        addresses = np.concatenate([tb.addresses for tb in kernel.tbs])
+        if not addresses.size:
             return ([],) * 9
-        addresses = np.concatenate([t.addresses for t in nonempty])
         mapped = np.atleast_1d(self.scheme.map(addresses))
         lines, channels, banks, rows, slices = self._coords_of(mapped)
         l1_sets = self.sms[0].l1.set_indices_array(lines)
         llc_sets = self.slices[0].cache.set_indices_array(lines)
-        gaps = np.concatenate([t.gaps for t in nonempty])
-        writes = np.concatenate([t.writes for t in nonempty])
+        gaps = np.concatenate([tb.gaps for tb in kernel.tbs])
+        writes = np.concatenate([tb.writes for tb in kernel.tbs])
         if writes.any():
             self._remember_victims(np.unique(lines[writes]))
         return tuple(
@@ -398,10 +397,10 @@ class GPUSystem:
             limit = self.config.max_warps_per_sm
             for kernel in workload.kernels:
                 for tb in kernel.tbs:
-                    if len(tb.warps) > limit:
+                    if tb.n_warps > limit:
                         # No SM could ever take this TB: the run would stall.
                         raise ValueError(
-                            f"TB {tb.tb_id} has {len(tb.warps)} warps, more "
+                            f"TB {tb.tb_id} has {tb.n_warps} warps, more "
                             f"than an SM holds (max_warps_per_sm={limit})"
                         )
             if auto is not None:

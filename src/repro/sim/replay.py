@@ -353,19 +353,20 @@ def interleave_order(lengths: Sequence[int]) -> np.ndarray:
 
     One op per stream per turn, streams in index order within a turn —
     approximately the order co-resident warps would issue in.  Returns
-    the permutation of the concatenated streams: one stable lexsort
-    over (op position, stream index).
+    the permutation of the concatenated streams: one stable sort by op
+    position in its stream, which keeps stream order within a turn.
     """
-    position = np.concatenate([np.arange(n, dtype=np.int64) for n in lengths])
-    stream_index = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    return np.lexsort((stream_index, position))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    return np.argsort(position, kind="stable")
 
 
 def build_kernel_stream(tbs: Sequence, wave_cap: int) -> KernelStream:
     """Merge a sequence of TB traces into one replay stream.
 
     TBs are taken in order one machine window (*wave_cap*) at a time;
-    each wave's non-empty warp streams are merged by
+    each wave's warp streams (ranges of its TBs' columns) are merged by
     :func:`interleave_order`.  Deterministic, and a pure function of
     the traces and *wave_cap* — nothing scheme- or state-dependent
     enters, which is what makes an estimated kernel's stream
@@ -377,31 +378,20 @@ def build_kernel_stream(tbs: Sequence, wave_cap: int) -> KernelStream:
     write_parts: List[np.ndarray] = []
     tb_parts: List[np.ndarray] = []
     for start in range(0, len(tbs), wave_cap):
-        streams = []  # (tb_ordinal, addresses, writes) per non-empty warp
-        for offset, tb in enumerate(tbs[start:start + wave_cap]):
-            for warp in tb.warps:
-                if len(warp):
-                    streams.append((
-                        start + offset,
-                        np.asarray(warp.addresses, dtype=np.uint64),
-                        np.asarray(warp.writes, dtype=bool),
-                    ))
-        if not streams:
+        wave = tbs[start:start + wave_cap]
+        sizes = [tb.n_requests for tb in wave]
+        if not any(sizes):
             continue
-        lengths = [s[1].size for s in streams]
-        ordinals = np.repeat(
-            np.asarray([s[0] for s in streams], dtype=np.int32), lengths
+        # Each warp's end in the wave's concatenated columns.
+        warp_ends = np.concatenate([tb.warp_ends for tb in wave]) + np.repeat(
+            np.cumsum(sizes) - sizes, [tb.n_warps for tb in wave]
         )
-        addresses = np.concatenate([s[1] for s in streams])
-        writes = np.concatenate([s[2] for s in streams])
-        if len(streams) > 1:
-            order = interleave_order(lengths)
-            ordinals = ordinals[order]
-            addresses = addresses[order]
-            writes = writes[order]
-        addr_parts.append(addresses)
-        write_parts.append(writes)
-        tb_parts.append(ordinals)
+        order = interleave_order(np.diff(warp_ends, prepend=0))
+        addr_parts.append(np.concatenate([tb.addresses for tb in wave])[order])
+        write_parts.append(np.concatenate([tb.writes for tb in wave])[order])
+        tb_parts.append(np.repeat(
+            np.arange(start, start + len(wave), dtype=np.int32), sizes
+        )[order])
     if addr_parts:
         addresses = np.concatenate(addr_parts)
         writes = np.concatenate(write_parts)

@@ -1,6 +1,6 @@
 """Workload substrate: trace model, pattern generators and the Table II suite."""
 
-from .base import KernelTrace, TBTrace, Workload, WarpTrace
+from .base import KernelTrace, TBTrace, Workload
 from .io import load_workload, save_workload
 from .recipes import PATTERNS, RecipeError, build_recipe_workload, validate_recipe
 from .patterns import (
@@ -9,7 +9,6 @@ from .patterns import (
     butterfly_pass,
     column_walk,
     make_tb,
-    pack_warps,
     random_lines,
     row_segment,
     strided_gather,
@@ -40,7 +39,6 @@ __all__ = [
     "TBTrace",
     "TXN_BYTES",
     "VALLEY_BENCHMARKS",
-    "WarpTrace",
     "Workload",
     "align",
     "build_suite",
@@ -50,7 +48,6 @@ __all__ = [
     "dwt2d_kernel1",
     "load_workload",
     "make_tb",
-    "pack_warps",
     "save_workload",
     "random_lines",
     "row_segment",

@@ -8,6 +8,12 @@ request).  This mirrors the paper's methodology: entropy is computed
 from the per-TB request addresses, and the TB scheduler issues TBs in
 identifier order.
 
+The TB is the unit of storage.  A :class:`TBTrace` holds all its ops
+as three columns (``addresses``, ``gaps``, ``writes``) plus each
+warp's end offset in them; a warp owns a range of its TB's columns
+and has no object of its own.  This is the layout of the ``.npz``
+trace files (:mod:`repro.workloads.io`), cut at TB boundaries.
+
 Address convention: transaction addresses are 128-byte aligned input
 (pre-mapping) physical addresses in the 30-bit space of the Hynix map
 (or the 32-bit stacked space).  Compute intensity is captured by the
@@ -19,89 +25,62 @@ calibrated against the paper's Table II APKI column
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["WarpTrace", "TBTrace", "KernelTrace", "Workload"]
+__all__ = ["TBTrace", "KernelTrace", "Workload"]
 
 
-@dataclass(frozen=True)
-class WarpTrace:
-    """One warp's ordered stream of coalesced transactions.
+@dataclass(frozen=True, slots=True)
+class TBTrace:
+    """One Thread Block: its identifier and its ops as columns.
 
-    ``gaps[i]`` cycles of compute precede request *i*; ``writes[i]``
-    marks stores (fire-and-forget in the pipeline model).
+    Op *i* is a coalesced transaction at ``addresses[i]`` preceded by
+    ``gaps[i]`` cycles of compute; ``writes[i]`` marks a store
+    (fire-and-forget in the pipeline model).  Warp *w* owns ops
+    ``[warp_ends[w - 1], warp_ends[w])`` (from 0 for the first warp),
+    so a warp may be empty and every op belongs to one warp.
     """
 
-    gaps: np.ndarray
-    addresses: np.ndarray
-    writes: np.ndarray
-
-    def __post_init__(self) -> None:
-        gaps = np.ascontiguousarray(self.gaps, dtype=np.int64)
-        addresses = np.ascontiguousarray(self.addresses, dtype=np.uint64)
-        writes = np.ascontiguousarray(self.writes, dtype=bool)
-        if not (len(gaps) == len(addresses) == len(writes)):
-            raise ValueError(
-                f"warp trace arrays disagree on length: "
-                f"{len(gaps)}/{len(addresses)}/{len(writes)}"
-            )
-        if len(gaps) and gaps.min() < 0:
-            raise ValueError("compute gaps must be non-negative")
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "addresses", addresses)
-        object.__setattr__(self, "writes", writes)
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.addresses)
-
-    @classmethod
-    def from_addresses(
-        cls, addresses, gap: int = 0, writes=None
-    ) -> "WarpTrace":
-        """Build a trace with a uniform compute gap before each request."""
-        addresses = np.asarray(addresses, dtype=np.uint64)
-        n = len(addresses)
-        if writes is None:
-            writes = np.zeros(n, dtype=bool)
-        return cls(
-            gaps=np.full(n, gap, dtype=np.int64),
-            addresses=addresses,
-            writes=np.asarray(writes, dtype=bool),
-        )
-
-
-@dataclass(frozen=True)
-class TBTrace:
-    """One Thread Block: its identifier and warp streams."""
-
     tb_id: int
-    warps: Tuple[WarpTrace, ...]
+    addresses: np.ndarray
+    gaps: np.ndarray
+    writes: np.ndarray
+    warp_ends: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "warps", tuple(self.warps))
-        if not self.warps:
+        addresses = np.ascontiguousarray(self.addresses, dtype=np.uint64)
+        gaps = np.ascontiguousarray(self.gaps, dtype=np.int64)
+        writes = np.ascontiguousarray(self.writes, dtype=bool)
+        ends = np.ascontiguousarray(self.warp_ends, dtype=np.int64)
+        n = len(addresses)
+        if not len(gaps) == len(writes) == n:
+            raise ValueError(
+                f"TB {self.tb_id} columns disagree on length: "
+                f"{n}/{len(gaps)}/{len(writes)}"
+            )
+        if n and gaps.min() < 0:
+            raise ValueError("compute gaps must be non-negative")
+        if not len(ends):
             raise ValueError(f"TB {self.tb_id} has no warps")
+        if ends[0] < 0 or (ends[1:] < ends[:-1]).any() or ends[-1] != n:
+            raise ValueError(
+                f"TB {self.tb_id} warp ends must be non-decreasing and "
+                f"end at its {n} ops"
+            )
+        object.__setattr__(self, "addresses", addresses)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "writes", writes)
+        object.__setattr__(self, "warp_ends", ends)
 
     @property
     def n_warps(self) -> int:
-        return len(self.warps)
+        return len(self.warp_ends)
 
     @property
     def n_requests(self) -> int:
-        return sum(len(w) for w in self.warps)
-
-    def addresses(self) -> np.ndarray:
-        """All request addresses of the TB (entropy analysis input)."""
-        parts = [w.addresses for w in self.warps if len(w)]
-        if not parts:
-            return np.empty(0, dtype=np.uint64)
-        return np.concatenate(parts)
+        return len(self.addresses)
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,7 @@ class KernelTrace:
 
     def tb_address_arrays(self) -> List[np.ndarray]:
         """Per-TB address arrays in TB order (window-entropy input)."""
-        return [tb.addresses() for tb in self.tbs]
+        return [tb.addresses for tb in self.tbs]
 
 
 @dataclass(frozen=True)

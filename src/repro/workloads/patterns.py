@@ -12,17 +12,17 @@ benchmarks are built from:
 * irregular gathers (CSR sparse rows, graph frontiers, random walks).
 
 All helpers return uint64 numpy arrays of byte addresses wrapped into
-the given address-space size.  Packing transactions into warps is done
-by :func:`pack_warps`.
+the given address-space size.  :func:`make_tb` cuts a TB's stream into
+warps.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .base import TBTrace, WarpTrace
+from .base import TBTrace
 
 __all__ = [
     "TXN_BYTES",
@@ -34,7 +34,6 @@ __all__ = [
     "butterfly_pass",
     "banded_rows",
     "random_lines",
-    "pack_warps",
     "make_tb",
 ]
 
@@ -194,38 +193,6 @@ def banded_rows(
     return band * band_rows + local
 
 
-def pack_warps(
-    transactions: np.ndarray,
-    writes: Optional[np.ndarray] = None,
-    reqs_per_warp: int = 8,
-    gap: int = 8,
-) -> List[WarpTrace]:
-    """Split a TB's transaction stream into warp traces.
-
-    Consecutive chunks of *reqs_per_warp* transactions become one warp
-    each, mirroring how a TB's warps jointly cover its working set.
-    """
-    if reqs_per_warp <= 0:
-        raise ValueError(f"reqs_per_warp must be positive, got {reqs_per_warp}")
-    transactions = np.asarray(transactions, dtype=np.uint64)
-    if writes is None:
-        writes = np.zeros(len(transactions), dtype=bool)
-    writes = np.asarray(writes, dtype=bool)
-    if len(writes) != len(transactions):
-        raise ValueError("writes mask must match the transaction count")
-    warps: List[WarpTrace] = []
-    for start in range(0, len(transactions), reqs_per_warp):
-        chunk = slice(start, start + reqs_per_warp)
-        warps.append(
-            WarpTrace(
-                gaps=np.full(len(transactions[chunk]), gap, dtype=np.int64),
-                addresses=transactions[chunk],
-                writes=writes[chunk],
-            )
-        )
-    return warps
-
-
 def make_tb(
     tb_id: int,
     transactions: np.ndarray,
@@ -233,8 +200,24 @@ def make_tb(
     reqs_per_warp: int = 8,
     gap: int = 8,
 ) -> TBTrace:
-    """Convenience: one TB from a flat transaction stream."""
-    warps = pack_warps(transactions, writes, reqs_per_warp, gap)
-    if not warps:
+    """One TB from a flat transaction stream.
+
+    Consecutive chunks of *reqs_per_warp* transactions become one warp
+    each, mirroring how a TB's warps jointly cover its working set;
+    every transaction is preceded by *gap* compute cycles.
+    """
+    if reqs_per_warp <= 0:
+        raise ValueError(f"reqs_per_warp must be positive, got {reqs_per_warp}")
+    transactions = np.asarray(transactions, dtype=np.uint64)
+    n = len(transactions)
+    if writes is None:
+        writes = np.zeros(n, dtype=bool)
+    elif len(writes) != n:
+        raise ValueError("writes mask must match the transaction count")
+    if not n:
         raise ValueError(f"TB {tb_id} would have no transactions")
-    return TBTrace(tb_id, tuple(warps))
+    warp_ends = np.arange(reqs_per_warp, n + reqs_per_warp, reqs_per_warp)
+    warp_ends[-1] = n
+    return TBTrace(
+        tb_id, transactions, np.full(n, gap, dtype=np.int64), writes, warp_ends
+    )

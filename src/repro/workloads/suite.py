@@ -34,14 +34,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import registry
-from .base import KernelTrace, TBTrace, Workload, WarpTrace
+from .base import KernelTrace, Workload
 from .patterns import (
     TXN_BYTES,
     banded_rows,
     butterfly_pass,
     column_walk,
     make_tb,
-    pack_warps,
     random_lines,
     row_segment,
     strided_gather,

@@ -269,3 +269,24 @@ class TestTranslateKernelInputs:
 
     def test_empty_kernels(self):
         assert translate_kernel_inputs([], np.eye(4, dtype=np.uint8)) == []
+
+
+class TestSuiteAgainstOracle:
+    """The production profile sums each TB's bits over one explode of
+    the kernel; the per-TB oracle calls ``bit_value_ratios`` once per
+    TB.  Integer sums make every BVR, and so every profile, equal."""
+
+    @pytest.mark.parametrize("scale", [0.25, 0.5])
+    @pytest.mark.parametrize("memory", ["gddr5", "stacked"])
+    def test_every_benchmark_matches_bit_for_bit(self, memory, scale):
+        from entropy_oracle import application_profile
+        from repro.core.address_map import stacked_memory_map
+        from repro.workloads.suite import ALL_BENCHMARKS, build_workload
+
+        amap = AMAP if memory == "gddr5" else stacked_memory_map()
+        for name in ALL_BENCHMARKS:
+            kernels = build_workload(name, scale).entropy_kernel_inputs()
+            got = application_entropy_profile(kernels, amap, 12).values
+            assert np.array_equal(
+                got, application_profile(kernels, amap, 12)
+            ), f"{name} on {memory} @ {scale}"

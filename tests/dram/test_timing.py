@@ -7,6 +7,12 @@ import pytest
 from repro.dram.timing import DRAMTiming, gddr5_timing, stacked_timing
 
 
+def capacity(t: DRAMTiming) -> int:
+    """Bytes the timing geometry addresses."""
+    return (t.channels * t.banks_per_channel * t.rows_per_bank
+            * t.columns_per_row * t.block_bytes)
+
+
 class TestGDDR5:
     def setup_method(self):
         self.t = gddr5_timing()
@@ -21,7 +27,7 @@ class TestGDDR5:
         assert (self.t.cl, self.t.t_rcd, self.t.t_rp) == (12, 12, 12)
 
     def test_capacity_is_1gb(self):
-        assert self.t.capacity_bytes == 1 << 30
+        assert capacity(self.t) == 1 << 30
 
     def test_peak_bandwidth_matches_paper(self):
         assert self.t.peak_bandwidth_gbs == pytest.approx(118.3, abs=0.3)
@@ -49,7 +55,7 @@ class TestStacked:
     def test_capacity_matches_stacked_map(self):
         from repro.core.address_map import stacked_memory_map
 
-        assert self.t.capacity_bytes == stacked_memory_map().capacity
+        assert capacity(self.t) == stacked_memory_map().capacity
 
 
 class TestValidation:

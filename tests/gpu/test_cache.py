@@ -178,12 +178,6 @@ class TestStats:
         read(c, 0x0000)
         assert c.stats.miss_rate() == pytest.approx(0.5)
 
-    def test_count_miss_helper(self):
-        c = cache()
-        c.stats.count_miss(is_write=False)
-        c.stats.count_miss(is_write=True)
-        assert c.stats.read_misses == 1 and c.stats.write_misses == 1
-
     def test_empty_rates(self):
         assert cache().stats.miss_rate() == 0.0
         stats = cache().stats
@@ -296,7 +290,10 @@ class ReferenceLRU:
             else:
                 self.stats.read_hits += 1
             return True, None
-        self.stats.count_miss(is_write)
+        if is_write:
+            self.stats.write_misses += 1
+        else:
+            self.stats.read_misses += 1
         return False, self._install(line, is_write)
 
     def try_read(self, line):

@@ -108,7 +108,7 @@ class TestWarmPaths:
     ``tests/sim/test_replay_equiv.py``)."""
 
     def test_warm_through_matches_l1_policy(self):
-        """warm_through_many == try_read/count_miss/fill + write_through."""
+        """warm_through_many == try_read/miss count/fill + write_through."""
         rng = random.Random(3)
         lines = [rng.randrange(64) * 128 for _ in range(400)]
         writes = [rng.random() < 0.3 for _ in range(400)]
@@ -128,7 +128,7 @@ class TestWarmPaths:
             elif step.try_read(line, set_id):
                 pass
             else:
-                step.stats.count_miss(is_write=False)
+                step.stats.read_misses += 1
                 step.fill(line, False, set_id)  # allocate-on-fill, timeless
                 expected_forward.append(position)
         assert forwarded == expected_forward
@@ -155,14 +155,14 @@ class TestWarmPaths:
                 if step.probe(line, set_id):
                     step.access(line, True, set_id)
                 else:
-                    step.stats.count_miss(is_write=True)
+                    step.stats.write_misses += 1
                     victim = step.fill(line, True, set_id)
                     if victim is not None:
                         expected_writebacks.append(victim)
             elif step.try_read(line, set_id):
                 pass
             else:
-                step.stats.count_miss(is_write=False)
+                step.stats.read_misses += 1
                 expected_misses.append(position)
                 victim = step.fill(line, False, set_id)
                 if victim is not None:
@@ -235,4 +235,4 @@ class TestPrecomputedSetIds:
                     reference_set_index(llc, x) for x in lines
                 ]
                 checked += warp.end - warp.op
-        assert checked == sum(len(w) for tb in kernel.tbs for w in tb.warps)
+        assert checked == sum(tb.n_requests for tb in kernel.tbs)

@@ -8,7 +8,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.sm import SM, MemRequest
 from repro.gpu.thread_block import TBContext
 from repro.sim.engine import Engine
-from repro.workloads.base import TBTrace, WarpTrace
+from repro.workloads.base import TBTrace
 
 # Set hashing of the default L1 geometry (the precomputed per-op
 # ``l1_sets`` the prepare contract requires).
@@ -28,11 +28,10 @@ def identity_prepare(trace: TBTrace):
     The nine per-op lists of the TB's warps, back to back (the
     :class:`TBContext` prepare contract).
     """
-    lines = np.concatenate([w.addresses for w in trace.warps]).astype(np.int64)
+    lines = trace.addresses.astype(np.int64)
     zeros = np.zeros(len(lines), dtype=np.int64)
     return tuple(field.tolist() for field in (
-        np.concatenate([w.gaps for w in trace.warps]),
-        np.concatenate([w.writes for w in trace.warps]),
+        trace.gaps, trace.writes,
         lines, zeros, zeros, lines >> 7, zeros, L1.set_indices_array(lines),
         zeros,
     ))
@@ -61,17 +60,12 @@ class Harness:
 
     def tb(self, addresses, writes=None, gap=0, n_warps=1):
         per = len(addresses) // n_warps
-        warp_traces = []
-        for w in range(n_warps):
-            chunk = slice(w * per, (w + 1) * per)
-            warp_traces.append(WarpTrace(
-                gaps=np.full(per, gap, dtype=np.int64),
-                addresses=np.asarray(addresses[chunk], dtype=np.uint64),
-                writes=np.asarray(
-                    writes[chunk] if writes is not None else [False] * per
-                ),
-            ))
-        trace = TBTrace(0, tuple(warp_traces))
+        n = per * n_warps
+        trace = TBTrace(
+            0, addresses[:n], np.full(n, gap, dtype=np.int64),
+            writes[:n] if writes is not None else np.zeros(n, dtype=bool),
+            per * np.arange(1, n_warps + 1),
+        )
         return TBContext(trace, 0, identity_prepare(trace))
 
 

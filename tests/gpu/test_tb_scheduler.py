@@ -9,7 +9,8 @@ from repro.gpu.sm import SM
 from repro.gpu.tb_scheduler import TBScheduler
 from repro.gpu.thread_block import TBContext
 from repro.sim.engine import Engine
-from repro.workloads.base import TBTrace, WarpTrace
+from repro.workloads.base import TBTrace
+from repro.workloads.patterns import make_tb
 
 
 # Set hashing of the default L1 geometry (the precomputed per-op
@@ -20,11 +21,10 @@ L1 = SetAssociativeCache(_CFG.l1_sets, _CFG.l1_ways, _CFG.line_bytes)
 
 def identity_prepare(trace):
     """The nine per-op lists of the TB's warps, back to back."""
-    lines = np.concatenate([w.addresses for w in trace.warps]).astype(np.int64)
+    lines = trace.addresses.astype(np.int64)
     zeros = np.zeros(len(lines), dtype=np.int64)
     return tuple(field.tolist() for field in (
-        np.concatenate([w.gaps for w in trace.warps]),
-        np.concatenate([w.writes for w in trace.warps]),
+        trace.gaps, trace.writes,
         lines, zeros, zeros, zeros, zeros, L1.set_indices_array(lines), zeros,
     ))
 
@@ -47,8 +47,7 @@ class Harness:
         self.kernels_done += 1
 
     def tb(self, tb_id, line=0x1000):
-        trace = TBTrace(tb_id, (WarpTrace.from_addresses(
-            np.array([line + tb_id * 128], dtype=np.uint64)),))
+        trace = make_tb(tb_id, [line + tb_id * 128], gap=0)
         return TBContext(trace, 0, identity_prepare(trace))
 
     def drain_fills(self):
@@ -128,15 +127,12 @@ class TestWarpCountCounter:
             assert sm.warp_count == sum(tb.n_warps for tb in sm.active_tbs)
 
     def multi_warp_tb(self, tb_id, n_warps, empty_warps=0):
-        warps = tuple(
-            WarpTrace.from_addresses(np.array(
-                [0x1000 + (tb_id * 8 + w) * 128], dtype=np.uint64))
-            for w in range(n_warps)
-        ) + tuple(
-            WarpTrace.from_addresses(np.empty(0, dtype=np.uint64))
-            for _ in range(empty_warps)
+        """One op per warp, then *empty_warps* warps of no ops."""
+        trace = TBTrace(
+            tb_id, 0x1000 + (tb_id * 8 + np.arange(n_warps)) * 128,
+            np.zeros(n_warps, dtype=np.int64), np.zeros(n_warps, dtype=bool),
+            np.minimum(np.arange(1, n_warps + empty_warps + 1), n_warps),
         )
-        trace = TBTrace(tb_id, warps)
         return TBContext(trace, 0, identity_prepare(trace))
 
     def test_counter_tracks_assign_and_done_sequences(self):

@@ -16,7 +16,8 @@ from repro.sim.fidelity import (
 from repro.sim.auto import Auto, SampledAccounting, plan_auto
 from repro.sim.gpu_system import GPUSystem, simulate
 from repro.specs import SchemeSpec, WorkloadSpec
-from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
+from repro.workloads.base import KernelTrace, Workload
+from repro.workloads.patterns import make_tb
 
 AMAP = hynix_gddr5_map()
 
@@ -240,12 +241,7 @@ class TestAccuracyRegression:
 
 def one_op_workload():
     """A degenerate workload: one kernel, one TB, one warp, one read."""
-    warp = WarpTrace(
-        gaps=np.zeros(1, dtype=np.int64),
-        addresses=np.array([64], dtype=np.uint64),
-        writes=np.zeros(1, dtype=bool),
-    )
-    kernel = KernelTrace("k0", (TBTrace(0, (warp,)),))
+    kernel = KernelTrace("k0", (make_tb(0, [64], gap=0),))
     return Workload("one-op", "OO", (kernel,), expected_valley=False)
 
 

@@ -21,7 +21,8 @@ from repro.registry import make_scheme, make_workload, memory_config
 from repro.sim.auto import Auto
 from repro.sim.engine import Engine
 from repro.sim.gpu_system import GPUSystem, simulate
-from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
+from repro.workloads.base import KernelTrace, TBTrace, Workload
+from repro.workloads.patterns import make_tb
 
 AMAP = hynix_gddr5_map()
 
@@ -40,17 +41,14 @@ def concentrated_workload(n_tbs=48, reqs=8, stride=1 << 20, with_writes=False):
         writes = np.zeros(reqs, dtype=bool)
         if with_writes:
             writes[::2] = True
-        warps = (WarpTrace(np.full(reqs, 4, dtype=np.int64), addrs, writes),)
-        tbs.append(TBTrace(t, warps))
+        tbs.append(make_tb(t, addrs, writes, reqs_per_warp=reqs, gap=4))
     kernel = KernelTrace("k", tuple(tbs))
     return Workload("synthetic", "SYN", (kernel,), instructions_per_request=50)
 
 
 def two_kernel_workload():
-    tb = TBTrace(0, (WarpTrace.from_addresses(np.array([0, 128], dtype=np.uint64)),))
-    k1 = KernelTrace("k1", (tb,))
-    tb2 = TBTrace(0, (WarpTrace.from_addresses(np.array([4096], dtype=np.uint64)),))
-    k2 = KernelTrace("k2", (tb2,))
+    k1 = KernelTrace("k1", (make_tb(0, [0, 128], gap=0),))
+    k2 = KernelTrace("k2", (make_tb(0, [4096], gap=0),))
     return Workload("seq", "SEQ", (k1, k2), instructions_per_request=50)
 
 
@@ -199,8 +197,12 @@ class TestMetricsPlumbing:
 
 def one_tb_kernel(name, addresses, n_tbs=1):
     """A kernel of *n_tbs* one-warp TBs issuing *addresses* each."""
-    warp = WarpTrace.from_addresses(np.array(addresses, dtype=np.uint64))
-    return KernelTrace(name, tuple(TBTrace(t, (warp,)) for t in range(n_tbs)))
+    n = len(addresses)
+    return KernelTrace(name, tuple(
+        TBTrace(t, addresses, np.zeros(n, dtype=np.int64),
+                np.zeros(n, dtype=bool), [n])
+        for t in range(n_tbs)
+    ))
 
 
 def run_in_child(code, timeout=60):
@@ -248,16 +250,15 @@ def test_auto_poll_fails_when_nothing_can_progress():
     """Auto fidelity's poll loop raises when its engine is idle but
     TBs remain, instead of advancing nothing forever."""
     out = run_in_child("""
-import numpy as np
 from repro.core import hynix_gddr5_map
 from repro.gpu.sm import SM
 from repro.registry import make_scheme
 from repro.sim.gpu_system import simulate
-from repro.workloads.base import KernelTrace, TBTrace, Workload, WarpTrace
+from repro.workloads.base import KernelTrace, Workload
+from repro.workloads.patterns import make_tb
 
 SM.can_accept = lambda self, tb: False  # no TB is ever dispatched
-warp = WarpTrace.from_addresses(np.array([0, 128], dtype=np.uint64))
-kernel = KernelTrace("k", (TBTrace(0, (warp,)),))
+kernel = KernelTrace("k", (make_tb(0, [0, 128], gap=0),))
 workload = Workload("stuck", "STK", (kernel,), instructions_per_request=50)
 try:
     simulate(workload, make_scheme("PAE", hynix_gddr5_map()), fidelity="auto")

@@ -31,6 +31,7 @@ from repro.sim import replay
 from repro.sim.auto import Auto
 from repro.sim.gpu_system import GPUSystem
 from repro.sim.replay import build_kernel_stream, warm_back, warm_through
+from repro.workloads.base import TBTrace
 
 AMAP = hynix_gddr5_map()
 LINE = 128
@@ -257,7 +258,37 @@ class TestFullSystemEquiv:
         assert run(Auto.standalone(workload, AMAP)) == first == warm
 
 
+def round_robin_stream(tbs, wave_cap):
+    """Reference stream: per wave of *wave_cap* TBs, one op per
+    non-empty warp per turn, as ``(address, is_write, tb_ordinal)``."""
+    expected = []
+    for start in range(0, len(tbs), wave_cap):
+        streams = []
+        for tb_off, tb in enumerate(tbs[start:start + wave_cap]):
+            lo = 0
+            for hi in tb.warp_ends.tolist():
+                ops = list(zip(tb.addresses[lo:hi], tb.writes[lo:hi]))
+                lo = hi
+                if ops:
+                    streams.append((start + tb_off, ops))
+        depth = max((len(ops) for _, ops in streams), default=0)
+        for position in range(depth):
+            for tb_ordinal, ops in streams:
+                if position < len(ops):
+                    addr, is_write = ops[position]
+                    expected.append((int(addr), bool(is_write), tb_ordinal))
+    return expected
+
+
 class TestStreamBuild:
+    @staticmethod
+    def ops_of(stream):
+        return list(zip(
+            (int(a) for a in stream.addresses),
+            (bool(w) for w in stream.writes),
+            (int(t) for t in stream.tb_ordinals),
+        ))
+
     def test_stream_matches_context_order(self):
         """build_kernel_stream must reproduce the per-context interleave
         (one op per non-empty warp per turn, waves of wave_cap TBs), for
@@ -267,28 +298,41 @@ class TestStreamBuild:
         assert len(kernel.tbs) > 4
         for tbs in (list(kernel.tbs), list(kernel.tbs)[4:]):
             stream = build_kernel_stream(tbs, wave_cap=3)
-            # Reference: explicit per-wave round-robin over warp streams.
-            expected = []
-            for start in range(0, len(tbs), 3):
-                wave = tbs[start:start + 3]
-                streams = []
-                for tb_off, tb in enumerate(wave):
-                    for warp in tb.warps:
-                        ops = list(zip(warp.addresses, warp.writes))
-                        if ops:
-                            streams.append((start + tb_off, ops))
-                depth = max((len(ops) for _, ops in streams), default=0)
-                for position in range(depth):
-                    for tb_ordinal, ops in streams:
-                        if position < len(ops):
-                            addr, is_write = ops[position]
-                            expected.append((int(addr), bool(is_write),
-                                             tb_ordinal))
-            got = list(zip(
-                (int(a) for a in stream.addresses),
-                (bool(w) for w in stream.writes),
-                (int(t) for t in stream.tb_ordinals),
-            ))
-            assert got == expected
+            assert self.ops_of(stream) == round_robin_stream(tbs, 3)
             assert stream.n_tbs == len(tbs)
             assert stream.wave_cap == 3
+
+    def test_uneven_and_empty_warps(self):
+        """Warps of different lengths, empty warps and an empty TB take
+        their turns as in the reference; a wave of empty TBs adds no op."""
+        rng = random.Random(11)
+        tbs = []
+        for tb_id in range(9):
+            sizes = [rng.choice([0, 0, 1, 2, 5])
+                     for _ in range(rng.randint(1, 4))]
+            if tb_id in (3, 4, 5):
+                sizes = [0] * len(sizes)
+            n = sum(sizes)
+            tbs.append(TBTrace(
+                tb_id, [rng.randrange(1 << 20) * 128 for _ in range(n)],
+                [0] * n, [rng.random() < 0.3 for _ in range(n)],
+                np.cumsum(sizes),
+            ))
+        for wave_cap in (1, 2, 3, 4):
+            stream = build_kernel_stream(tbs, wave_cap)
+            assert self.ops_of(stream) == round_robin_stream(tbs, wave_cap)
+
+    def test_interleave_order_is_round_robin(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            lengths = [rng.choice([0, 1, 2, 3, 7])
+                       for _ in range(rng.randint(0, 6))]
+            streams = [[(s, p) for p in range(n)]
+                       for s, n in enumerate(lengths)]
+            flat = [op for ops in streams for op in ops]
+            expected = [
+                ops[p] for p in range(max(lengths, default=0))
+                for ops in streams if p < len(ops)
+            ]
+            order = replay.interleave_order(lengths)
+            assert [flat[i] for i in order] == expected

@@ -4,10 +4,12 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cli import _progress_printer, main
 from repro.runner import CACHE_SCHEMA_VERSION, SweepProgress
+from repro.specs import WorkloadSpec
 
 
 class TestSchemes:
@@ -504,6 +506,39 @@ def test_bad_timeout_fails_cleanly(timeout, capsys):
     err = capsys.readouterr().err
     assert "error: timeout must be positive and finite" in err
     assert "Traceback" not in err
+
+
+class TestStrictRunFailures:
+    """simulate and profile need every config: one quarantined by the
+    failure policy ends them with exit 3 and its summary, as `repro
+    sweep` exits 3, never with a SweepFailure traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "SP", "--schemes", "PM", "--scale", "0.1"],
+        ["profile", "SP", "--scheme", "PM", "--scale", "0.1"],
+    ], ids=["simulate", "profile"])
+    def test_quarantined_config_exits_three(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise@SP/PM:times=inf")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error: 1 config(s) failed permanently: SP/PM" in err
+        assert "Traceback" not in err
+
+    def test_corrupt_trace_file_exits_three(self, tmp_path, capsys):
+        from repro.workloads import build_workload, save_workload
+
+        trace = tmp_path / "sp.npz"
+        save_workload(build_workload("SP", scale=0.1), trace)
+        with np.load(trace) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["warp_lengths"][0] = -1
+        np.savez_compressed(trace, **arrays)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(WorkloadSpec.trace(trace).to_dict()))
+        assert main(["simulate", f"@{spec}", "--schemes", "PAE"]) == 3
+        err = capsys.readouterr().err
+        assert "warp_lengths holds a negative length" in err
+        assert "Traceback" not in err
 
 
 class TestProfile:

@@ -97,7 +97,7 @@ class TestBijectivityEndToEnd:
         workload = runner.workload("MT")
         scheme = runner.scheme("PAE", seed=0)
         addrs = np.unique(np.concatenate([
-            tb.addresses() for k in workload.kernels for tb in k.tbs
+            tb.addresses for k in workload.kernels for tb in k.tbs
         ]))
         mapped = np.atleast_1d(scheme.map(addrs))
         assert np.unique(mapped).size == addrs.size

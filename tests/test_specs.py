@@ -307,8 +307,8 @@ class TestWorkloadSpec:
         half = spec.build(scale=0.5)
         assert half.n_tbs == 6
         # Deterministic: same spec, same addresses.
-        a = spec.build(scale=0.5).kernels[0].tbs[0].addresses()
-        np.testing.assert_array_equal(a, half.kernels[0].tbs[0].addresses())
+        a = spec.build(scale=0.5).kernels[0].tbs[0].addresses
+        np.testing.assert_array_equal(a, half.kernels[0].tbs[0].addresses)
 
     def test_pattern_recipe_matches_direct_builder(self):
         spec = WorkloadSpec.pattern("CW", self.RECIPE)
@@ -345,8 +345,8 @@ class TestWorkloadSpec:
         loaded = spec.build()
         assert loaded.n_requests == workload.n_requests
         np.testing.assert_array_equal(
-            loaded.kernels[0].tbs[0].addresses(),
-            workload.kernels[0].tbs[0].addresses(),
+            loaded.kernels[0].tbs[0].addresses,
+            workload.kernels[0].tbs[0].addresses,
         )
 
     def test_trace_identity_ignores_path(self, tmp_path):

@@ -12,7 +12,6 @@ from repro.workloads.patterns import (
     butterfly_pass,
     column_walk,
     make_tb,
-    pack_warps,
     random_lines,
     row_segment,
     strided_gather,
@@ -121,18 +120,28 @@ class TestRandomLines:
 class TestPacking:
     def test_chunking(self):
         txns = np.arange(20, dtype=np.uint64) * 128
-        warps = pack_warps(txns, reqs_per_warp=8)
-        assert [len(w) for w in warps] == [8, 8, 4]
+        tb = make_tb(0, txns, reqs_per_warp=8)
+        assert tb.warp_ends.tolist() == [8, 16, 20]
+        assert (tb.addresses == txns).all()
+
+    def test_exact_multiple_has_no_empty_warp(self):
+        tb = make_tb(0, np.arange(16, dtype=np.uint64) * 128, reqs_per_warp=8)
+        assert tb.warp_ends.tolist() == [8, 16]
 
     def test_write_flags_follow(self):
         txns = np.arange(4, dtype=np.uint64) * 128
         writes = np.array([True, False, True, False])
-        warps = pack_warps(txns, writes, reqs_per_warp=2)
-        assert warps[0].writes[0] and not warps[0].writes[1]
+        tb = make_tb(0, txns, writes, reqs_per_warp=2)
+        assert tb.writes.tolist() == [True, False, True, False]
+        assert tb.warp_ends.tolist() == [2, 4]
 
     def test_flag_length_mismatch(self):
         with pytest.raises(ValueError):
-            pack_warps(np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=bool))
+            make_tb(0, np.zeros(3, dtype=np.uint64), np.zeros(2, dtype=bool))
+
+    def test_non_positive_warp_size_rejected(self):
+        with pytest.raises(ValueError):
+            make_tb(0, np.zeros(3, dtype=np.uint64), reqs_per_warp=0)
 
     def test_make_tb_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +149,8 @@ class TestPacking:
 
     def test_gap_applied(self):
         tb = make_tb(0, np.arange(4, dtype=np.uint64) * 128, gap=17)
-        assert (tb.warps[0].gaps == 17).all()
+        assert tb.gaps.tolist() == [17] * 4
+        assert not tb.writes.any()  # no mask: every op is a read
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,14 @@
 """Tests for the 16-benchmark suite of Table II."""
 
+import gc
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import application_entropy_profile, has_parallel_bit_valley, hynix_gddr5_map
+from repro.workloads.base import TBTrace
 from repro.workloads.suite import (
     ALL_BENCHMARKS,
     NON_VALLEY_BENCHMARKS,
@@ -46,7 +51,7 @@ class TestEveryBenchmark:
         # All addresses 128 B aligned and inside the 30-bit space.
         for kernel in wl.kernels:
             for tb in kernel.tbs:
-                addrs = tb.addresses()
+                addrs = tb.addresses
                 assert (addrs % 128 == 0).all()
                 assert (addrs < (1 << 30)).all()
 
@@ -54,8 +59,8 @@ class TestEveryBenchmark:
         a = build_workload(abbr, scale=0.25)
         b = build_workload(abbr, scale=0.25)
         assert a.n_requests == b.n_requests
-        first_a = a.kernels[0].tbs[0].addresses()
-        first_b = b.kernels[0].tbs[0].addresses()
+        first_a = a.kernels[0].tbs[0].addresses
+        first_b = b.kernels[0].tbs[0].addresses
         assert (first_a == first_b).all()
 
     def test_apki_matches_table2(self, abbr):
@@ -123,12 +128,54 @@ class TestStructure:
 
     def test_mt_has_writes(self):
         wl = build_workload("MT", scale=0.25)
-        writes = sum(int(w.writes.sum()) for k in wl.kernels for tb in k.tbs for w in tb.warps)
+        writes = sum(int(tb.writes.sum()) for k in wl.kernels for tb in k.tbs)
         assert writes > 0
 
     def test_compute_bound_hs_has_large_gaps(self):
         hs = build_workload("HS")
         mum = build_workload("MUM")
-        hs_gap = hs.kernels[0].tbs[0].warps[0].gaps[0]
-        mum_gap = mum.kernels[0].tbs[0].warps[0].gaps[0]
+        hs_gap = hs.kernels[0].tbs[0].gaps[0]
+        mum_gap = mum.kernels[0].tbs[0].gaps[0]
         assert hs_gap > 10 * mum_gap
+
+
+def _tbs(suite):
+    return [tb for w in suite.values() for k in w.kernels for tb in k.tbs]
+
+
+class TestTraceFootprint:
+    """A suite holds its ops, not per-warp wrappers around them."""
+
+    def test_no_object_type_outnumbers_the_tbs(self):
+        build_suite(scale=0.25)  # warm imports and module-level memos
+        gc.collect()
+        before = Counter(type(o) for o in gc.get_objects())
+        suite = build_suite(scale=0.25)
+        gc.collect()
+        grown = Counter(type(o) for o in gc.get_objects())
+        grown.subtract(before)
+        tbs = _tbs(suite)
+        # Enough warps per TB that a per-warp object would show.
+        assert sum(tb.n_warps for tb in tbs) > 2 * len(tbs)
+        assert grown[TBTrace] == len(tbs)
+        assert max(grown.values()) == len(tbs), grown.most_common(3)
+
+    def test_traced_bytes_stay_near_the_column_bytes(self):
+        build_suite(scale=0.1)  # warm imports and module-level memos
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            suite = build_suite(scale=0.5)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        columns = sum(
+            tb.addresses.nbytes + tb.gaps.nbytes + tb.writes.nbytes
+            for tb in _tbs(suite)
+        )
+        assert traced <= 2.5 * columns, (traced, columns)
