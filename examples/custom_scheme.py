@@ -40,9 +40,8 @@ XSTAGE = SchemeSpec.stages("XSTAGE", [
 # Way 2: a registered builder — harvest only the row bits into the
 # channel/bank bits (a narrower PAE).  Cache identity is the name.
 # In-process registration covers serial runs (and fork-based pools on
-# Linux); for portable multi-process sweeps put the builder in a module
-# and pass it via `repro sweep --register mymod:row_harvest` — spec
-# files like XSTAGE above need neither, they are self-describing.
+# Linux); for portable multi-process sweeps use a spec like XSTAGE
+# above, which is self-describing and needs no registration.
 @register_scheme("ROWHARVEST")
 def row_harvest(address_map, seed=0):
     """Broad scheme fed exclusively by row-address bits."""

@@ -29,7 +29,7 @@ import threading
 from repro import api
 from repro.client import ReproClient
 from repro.runner import render_report
-from repro.serve import ReproServer, ServerThread, TenantQuota
+from repro.serve import ReproServer, ServerThread
 
 SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "0.25"))
 
@@ -61,7 +61,6 @@ def main() -> int:
             port=0,  # ephemeral: no clash with anything else running
             cache_dir=cache_root,
             max_jobs=4,
-            quota=TenantQuota(max_jobs=2),
         )
         with ServerThread(server) as url:
             print(f"server up at {url}\n")

@@ -9,8 +9,8 @@ is evaluated on:
   the window-based entropy metric;
 * :mod:`repro.dram` — a GDDR5-class DRAM model with banks, FR-FCFS
   controllers, a Micron-style power model and a 3D-stacked variant;
-* :mod:`repro.gpu` — SMs, caches with MSHRs, a crossbar NoC,
-  coalescing and TB scheduling;
+* :mod:`repro.gpu` — SMs, caches with MSHRs, a crossbar NoC and TB
+  scheduling;
 * :mod:`repro.sim` — the event-driven full-system simulator;
 * :mod:`repro.workloads` — the 16-benchmark suite of the paper's
   Table II as synthetic trace generators;
@@ -59,11 +59,7 @@ from .core import (
 )
 from .dram import DRAMSystem, DRAMTiming, gddr5_timing, stacked_timing
 from .gpu import GPUConfig, baseline_config, config_with_sms
-from .registry import (
-    register_memory,
-    register_scheme,
-    register_workload,
-)
+from .registry import register_scheme, register_workload
 from .sim import GPUSystem, SimulationResult, simulate, speedup
 from .specs import SchemeSpec, WorkloadSpec
 from .workloads import (
@@ -108,7 +104,6 @@ __all__ = [
     "has_parallel_bit_valley",
     "hynix_gddr5_map",
     "kernel_entropy_profile",
-    "register_memory",
     "register_scheme",
     "register_workload",
     "registry",

@@ -247,8 +247,3 @@ class ExperimentRunner:
     def cached_runs(self) -> int:
         """Distinct simulation results memoized in this process."""
         return self._sweeper.cached_runs()
-
-    @property
-    def sweep_stats(self):
-        """Hit/miss accounting of the underlying sweep runner."""
-        return self._sweeper.stats

@@ -3,9 +3,7 @@
 Commands
 --------
 ``schemes``
-    List every registered mapping scheme (built-ins plus plugins) with
-    its hardware cost.  ``--register pkg.module:fn`` imports and
-    registers user schemes first.
+    List every registered mapping scheme with its hardware cost.
 ``map``
     Map one address through a scheme and show the DRAM coordinates.
 ``entropy``
@@ -34,7 +32,7 @@ Commands
     Run the sweep-as-a-service HTTP server (:mod:`repro.serve`): a
     warm runner pool shared across requests whose runners share one
     single-flight result memo, async jobs, and per-tenant cache
-    namespaces with quotas.
+    namespaces.
 ``submit``
     Submit the grid the flags describe to a running ``repro serve``
     (via :mod:`repro.client`), wait, and write the report — the remote
@@ -66,7 +64,7 @@ Examples
 --------
 ::
 
-    python -m repro schemes --register mypkg.schemes:my_builder
+    python -m repro schemes
     python -m repro map 0x12345680 --scheme PAE
     python -m repro entropy MT
     python -m repro simulate SRAD2 --schemes BASE,PM,PAE --scale 0.5
@@ -75,7 +73,7 @@ Examples
     python -m repro sweep --shard 1/4 --cache-dir /shared -o shard1.json
     python -m repro merge shard*.json -o report.json
     python -m repro cache ls --cache-dir .repro-cache --json
-    python -m repro serve --port 0 --workers 2 --tenant-max-bytes 10000000
+    python -m repro serve --port 0 --workers 2
     python -m repro submit --server http://127.0.0.1:8731 --benchmarks MT,SP
     python -m repro export-scheme PAE --seed 1 -o pae.json
     python -m repro import-scheme pae.json -o pae.spec.json
@@ -86,7 +84,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -133,25 +130,7 @@ def _workload_value(text: str) -> Union[str, WorkloadSpec]:
     return text.upper()
 
 
-def _apply_registrations(args) -> None:
-    """Load ``--register`` plugins and export them to worker processes.
-
-    The entry points are appended to :data:`repro.registry.PLUGIN_ENV_VAR`
-    so pool workers (which inherit the environment) register the same
-    entries before validating configs.
-    """
-    entries = [e for e in getattr(args, "register", []) or [] if e.strip()]
-    if not entries:
-        return
-    for entry in entries:
-        registry.load_entry_point(entry)
-    existing = os.environ.get(registry.PLUGIN_ENV_VAR, "").strip()
-    merged = ",".join(filter(None, [existing] + entries))
-    os.environ[registry.PLUGIN_ENV_VAR] = merged
-
-
 def _cmd_schemes(args) -> int:
-    _apply_registrations(args)
     amap = hynix_gddr5_map()
     rows = []
     for name in registry.scheme_names():
@@ -171,7 +150,6 @@ def _cmd_schemes(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    _apply_registrations(args)
     amap = hynix_gddr5_map()
     scheme = SchemeSpec.from_value(_scheme_value(args.scheme)).build(
         amap, seed=args.seed
@@ -195,7 +173,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    _apply_registrations(args)
     amap = hynix_gddr5_map()
     profile = api.entropy_profile(
         _workload_value(args.benchmark), scale=args.scale, window=args.window
@@ -211,7 +188,6 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _apply_registrations(args)
     schemes = [_scheme_value(s) for s in args.schemes.split(",") if s.strip()]
     print(f"simulating {args.benchmark} ...", file=sys.stderr)
     table = api.compare(
@@ -309,7 +285,6 @@ def _print_failures(report, command: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _apply_registrations(args)
     grid = _grid_from_args(args)
     shard = ShardSpec.parse(args.shard) if args.shard else None
     workers = args.workers if args.workers > 0 else default_workers()
@@ -345,7 +320,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    _apply_registrations(args)
     if args.shard_reports:
         reports = []
         for path in args.shard_reports:
@@ -459,7 +433,7 @@ def _cmd_serve(args) -> int:
     """Run the sweep-as-a-service HTTP server in the foreground."""
     import asyncio
 
-    from .serve import ReproServer, TenantQuota
+    from .serve import ReproServer
 
     workers = args.workers if args.workers > 0 else default_workers()
     server = ReproServer(
@@ -469,11 +443,6 @@ def _cmd_serve(args) -> int:
         runners=args.runners,
         max_jobs=args.max_jobs,
         cache_dir=args.cache_dir if args.cache_dir else None,
-        quota=TenantQuota(
-            max_bytes=args.tenant_max_bytes,
-            max_entries=args.tenant_max_entries,
-            max_jobs=args.tenant_max_jobs,
-        ),
         policy=FailurePolicy(
             max_retries=args.max_retries,
             timeout=args.timeout or None,
@@ -503,7 +472,6 @@ def _cmd_submit(args) -> int:
     """Submit a sweep to a running server and (by default) wait for it."""
     from .client import ReproClient
 
-    _apply_registrations(args)
     grid = _grid_from_args(args)
     client = ReproClient(
         args.server, tenant=args.tenant or None, timeout=args.http_timeout
@@ -532,7 +500,6 @@ def _cmd_submit(args) -> int:
 
 def _cmd_profile(args) -> int:
     """Run one config under cProfile and print the hottest rows."""
-    _apply_registrations(args)
     import cProfile
     import io as io_module
     import pstats
@@ -570,7 +537,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_export_scheme(args) -> int:
-    _apply_registrations(args)
     spec = SchemeSpec.from_value(_scheme_value(args.scheme))
     scheme = spec.build(hynix_gddr5_map(), seed=args.seed)
     dump_scheme(scheme, args.output)
@@ -579,7 +545,6 @@ def _cmd_export_scheme(args) -> int:
 
 
 def _cmd_import_scheme(args) -> int:
-    _apply_registrations(args)
     spec = SchemeSpec.from_file(args.scheme_file)
     # Re-validate: realize the BIM (invertibility is checked by the
     # constructor) against the reference map before vouching for it.
@@ -610,19 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
                  "repro.sim.fidelity)",
         )
 
-    def add_register_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--register", action="append", default=[], metavar="PKG.MOD[:FN]",
-            help="import and register a scheme/workload plugin before "
-                 "running (repeatable; exported to worker processes via "
-                 f"${registry.PLUGIN_ENV_VAR})",
-        )
-
     p = sub.add_parser(
         "schemes", help="list registered mapping schemes and hardware cost"
     )
     p.add_argument("--seed", type=int, default=0)
-    add_register_arg(p)
     p.set_defaults(func=_cmd_schemes)
 
     p = sub.add_parser("map", help="map one address through a scheme")
@@ -632,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered scheme name, or @file for a scheme spec",
     )
     p.add_argument("--seed", type=int, default=0)
-    add_register_arg(p)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("entropy", help="entropy profile of a workload")
@@ -641,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--scale", type=float, default=0.5)
-    add_register_arg(p)
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("simulate", help="simulate a workload under schemes")
@@ -653,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     add_fidelity_arg(p)
-    add_register_arg(p)
     p.set_defaults(func=_cmd_simulate)
 
     def add_grid_args(p: argparse.ArgumentParser) -> None:
@@ -676,12 +629,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-sms", default="12", help="comma-separated SM counts")
         p.add_argument(
             "--memories", default="gddr5",
-            help="comma-separated registered memory kinds (gddr5,stacked,...)",
+            help="comma-separated memory kinds (gddr5,stacked)",
         )
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("--window", type=int, default=12)
         add_fidelity_arg(p)
-        add_register_arg(p)
 
     p = sub.add_parser(
         "sweep", help="run a benchmark x scheme grid, emit a JSON report"
@@ -803,21 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
              "to disable persistence (default: .repro-cache)",
     )
     p.add_argument(
-        "--tenant-max-bytes", type=int, default=0,
-        help="per-tenant cache namespace byte quota, enforced after "
-             "every job by oldest-first eviction; 0 = unlimited (default)",
-    )
-    p.add_argument(
-        "--tenant-max-entries", type=int, default=0,
-        help="per-tenant cache namespace record quota; 0 = unlimited "
-             "(default)",
-    )
-    p.add_argument(
-        "--tenant-max-jobs", type=int, default=0,
-        help="per-tenant concurrent-job limit (HTTP 429 beyond it); "
-             "0 = unlimited (default)",
-    )
-    p.add_argument(
         "--timeout", type=float, default=0.0,
         help="per-run wall-clock timeout in seconds; 0 = none (default)",
     )
@@ -889,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of rows to print (default: 25)",
     )
     add_fidelity_arg(p)
-    add_register_arg(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
@@ -900,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="scheme.json")
-    add_register_arg(p)
     p.set_defaults(func=_cmd_export_scheme)
 
     p = sub.add_parser(
@@ -916,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="-",
         help="spec path, or - for stdout (default: -)",
     )
-    add_register_arg(p)
     p.set_defaults(func=_cmd_import_scheme)
 
     return parser
@@ -928,11 +862,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as error:
         # One shared failure path for every command: bad names, spec
-        # files, merge mismatches, missing trace files, stale
-        # $REPRO_PLUGINS imports — including errors raised mid-run,
-        # after validation (e.g. a trace file deleted since its spec
-        # was written).  RegistryError / SpecError / MergeError are all
-        # ValueError subclasses.
+        # files, merge mismatches, missing trace files — including
+        # errors raised mid-run, after validation (e.g. a trace file
+        # deleted since its spec was written).  RegistryError /
+        # SpecError / MergeError are all ValueError subclasses.
         print(f"error: {error}", file=sys.stderr)
         return 2
     except SweepFailure as failure:

@@ -107,10 +107,6 @@ class BinaryInvertibleMatrix:
         """True if the BIM only rearranges bits (Remap strategy)."""
         return bool((self._matrix.sum(axis=0) == 1).all() and (self._matrix.sum(axis=1) == 1).all())
 
-    def row_fanin(self, bit: int) -> int:
-        """Number of input bits XORed to produce output *bit*."""
-        return int(self._matrix[bit].sum())
-
     def xor_gate_count(self) -> int:
         """Two-input XOR gates needed by a direct tree implementation (Fig. 7)."""
         fanins = self._matrix.sum(axis=1).astype(int)

@@ -215,13 +215,6 @@ class EntropyProfile:
     def of_bits(self, bits: Iterable[int]) -> np.ndarray:
         return self.values[np.asarray(sorted(bits), dtype=int)]
 
-    def mean_over(self, *field_names: str) -> float:
-        """Mean entropy over the named fields' bits."""
-        bits = self.address_map.bits_of(*field_names)
-        if not bits:
-            raise ValueError(f"no bits for fields {field_names}")
-        return float(self.of_bits(bits).mean())
-
     def parallel_bit_entropy(self) -> float:
         """Mean entropy of the channel/bank (parallel-unit) bits."""
         return float(self.of_bits(self.address_map.parallel_bits()).mean())

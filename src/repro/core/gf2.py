@@ -20,13 +20,11 @@ __all__ = [
     "GF2Error",
     "as_gf2",
     "identity",
-    "is_gf2",
     "gf2_matmul",
     "gf2_matvec",
     "gf2_matvec_batch",
     "gf2_rank",
     "gf2_inverse",
-    "gf2_solve",
     "is_invertible",
     "random_invertible",
     "random_matrix",
@@ -48,12 +46,6 @@ def as_gf2(matrix) -> np.ndarray:
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise GF2Error("GF(2) arrays may only contain 0s and 1s")
     return arr.astype(np.uint8)
-
-
-def is_gf2(matrix) -> bool:
-    """Return True if *matrix* contains only 0s and 1s."""
-    arr = np.asarray(matrix)
-    return bool(np.isin(arr, (0, 1)).all())
 
 
 def identity(n: int) -> np.ndarray:
@@ -192,11 +184,6 @@ def gf2_inverse(matrix) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise GF2Error("matrix is singular over GF(2)")
     return reduced[:, n:].copy()
-
-
-def gf2_solve(matrix, rhs) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` over GF(2) for invertible *matrix*."""
-    return gf2_matvec(gf2_inverse(matrix), rhs)
 
 
 def random_matrix(n: int, m: int, rng: np.random.Generator, density: float = 0.5) -> np.ndarray:

@@ -108,27 +108,6 @@ class MappingScheme:
         """Apply the scheme to one address or an array of addresses."""
         return self.bim.apply(addresses)
 
-    def map_trace(self, address_arrays):
-        """Translate a whole trace (a sequence of address arrays) at once.
-
-        Concatenates every array, pushes the flat trace through one
-        batched GF(2) product (:func:`~repro.core.gf2.gf2_matvec_batch`)
-        and splits the result back, so translating e.g. all Thread
-        Blocks of a kernel costs one numpy call instead of one
-        :meth:`map` per TB.  Returns a list of ``uint64`` arrays with
-        the input lengths; equivalent to ``[self.map(a) for a in
-        address_arrays]`` element for element.
-        """
-        arrays = [
-            np.atleast_1d(np.asarray(a, dtype=np.uint64)) for a in address_arrays
-        ]
-        if not arrays:
-            return []
-        lengths = [a.size for a in arrays]
-        flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        mapped = gf2.gf2_matvec_batch(self.bim.matrix, flat)
-        return np.split(mapped, np.cumsum(lengths)[:-1])
-
     def unmap(self, addresses):
         """Invert the scheme (recover the original addresses)."""
         return self.bim.apply_inverse(addresses)

@@ -90,9 +90,6 @@ class MemoryController:
         # Statistics.
         self.reads = 0
         self.writes = 0
-        self.requests_seen = 0
-        self.busy_cycles = 0  # data-bus occupancy
-        self.queue_wait_total = 0  # arrival -> issue, summed
 
     # ------------------------------------------------------------------
     # Request intake
@@ -113,7 +110,6 @@ class MemoryController:
                     f"bank {request.bank} out of range for channel with "
                     f"{n_banks} banks"
                 )
-        self.requests_seen += len(requests)
         self._scheduler.enqueue_many(requests)
         self._blocked_until = None
         self._wake_at(self._engine.now)
@@ -176,7 +172,6 @@ class MemoryController:
                 data_start = self._bus_free_at
             data_end = data_start + t.t_burst
             self._bus_free_at = data_end
-            self.busy_cycles += t.t_burst
             bank_free = column_cmd + t.t_ccd
             if bank_free > bank.ready_at:
                 bank.ready_at = bank_free  # Bank.occupy_until, inline
@@ -184,8 +179,6 @@ class MemoryController:
                 self.writes += 1
             else:
                 self.reads += 1
-            if now > request.arrival:
-                self.queue_wait_total += now - request.arrival
             self._inflight += 1
             self._engine.at_call(data_end, self._data_done_cb, request)
             # The bank frees at column_cmd + tCCD which may be < data_end;
@@ -260,11 +253,6 @@ class MemoryController:
                 )
         self.reads += n_reads
         self.writes += n_writes
-        self.requests_seen += n_reads + n_writes
-        # Account the bursts the transfers would have occupied, so
-        # busy_cycles counts replayed transfers as it counts detailed
-        # ones.
-        self.busy_cycles += (n_reads + n_writes) * self._timing.t_burst
 
     def _wake_at(self, time: int) -> None:
         engine = self._engine

@@ -1,7 +1,6 @@
-"""GPU substrate: SMs, caches, NoC, coalescing, TB scheduling and power."""
+"""GPU substrate: SMs, caches, NoC, TB scheduling and power."""
 
 from .cache import CacheStats, MSHRFile, MSHROutcome, SetAssociativeCache
-from .coalescer import coalesce_instruction_stream, coalesce_warp, coalescing_degree
 from .config import GPUConfig, baseline_config, config_with_sms
 from .llc import LLCSlice
 from .noc import Crossbar, NoCStats
@@ -27,9 +26,6 @@ __all__ = [
     "TBScheduler",
     "WarpContext",
     "baseline_config",
-    "coalesce_instruction_stream",
-    "coalesce_warp",
-    "coalescing_degree",
     "config_with_sms",
     "default_gpu_power_params",
 ]

@@ -77,8 +77,7 @@ class CacheEntry:
     """One record as seen by ``repro cache ls`` (metadata may be absent).
 
     ``mtime`` is the record file's modification time — advisory, used
-    only for oldest-first quota eviction and operator listings, never
-    for correctness.
+    only for operator listings, never for correctness.
     """
 
     key: str
@@ -91,7 +90,7 @@ class CacheEntry:
     mtime: Optional[float] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (``repro cache ls --json``, quota accounting)."""
+        """JSON-safe form (``repro cache ls --json``)."""
         return {
             "key": self.key,
             "size_bytes": self.size_bytes,
@@ -300,17 +299,6 @@ class ResultCache:
                 mtime=stat.st_mtime,
             ))
         return out
-
-    def usage(self) -> Dict[str, int]:
-        """Total footprint: ``{"entries": N, "bytes": B}`` (records only)."""
-        entries = bytes_total = 0
-        for path in self._record_paths():
-            try:
-                bytes_total += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
-        return {"entries": entries, "bytes": bytes_total}
 
     def remove(self, key: str) -> None:
         """Delete the record and sidecar for *key* (if present)."""

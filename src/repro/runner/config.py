@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.schemes import SCHEME_NAMES
 from ..core.serialize import stable_hash
-from ..registry import RegistryError, memory_config, memory_entry
+from ..registry import MEMORY_NAMES, RegistryError, memory_config
 from ..sim.fidelity import EXACT, fidelity_to_json, parse_fidelity
 from ..specs import SchemeSpec, SpecError, WorkloadSpec, integer, real
 from ..workloads.suite import VALLEY_BENCHMARKS
@@ -73,10 +73,10 @@ def _float(value, what: str) -> float:
 
 def _validate_memory(memory: str) -> str:
     memory = str(memory).strip().lower()
-    try:
-        memory_entry(memory)
-    except RegistryError as error:
-        raise ValueError(str(error)) from None
+    if memory not in MEMORY_NAMES:
+        raise ValueError(
+            f"unknown memory kind {memory!r}; memory kinds: {MEMORY_NAMES}"
+        )
     return memory
 
 

@@ -90,7 +90,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..sim.results import SimulationResult
-from .cache import CacheStats, ResultCache
+from .cache import ResultCache
 from .config import RunConfig
 from .faults import FailurePolicy, FaultPlan, RunFailure, SweepFailure
 from .worker import execute_config, process_context
@@ -210,10 +210,6 @@ class SweepOutcome:
 
     results: List[Optional[SimulationResult]]
     failures: List[RunFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 @dataclass
@@ -812,11 +808,6 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    @property
-    def cache_stats(self) -> Optional[CacheStats]:
-        """Disk-cache accounting (None when no cache is configured)."""
-        return self.cache.stats if self.cache is not None else None
-
     def cached_runs(self) -> int:
         """Distinct results currently held in the in-process memo."""
         return self._memory.finished()

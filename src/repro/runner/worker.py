@@ -71,7 +71,7 @@ class RunContext:
 
     # -- immutable hardware descriptions --------------------------------
     def address_map(self, memory: str) -> AddressMap:
-        """The address map of a registered memory technology.
+        """The address map of a memory technology (gddr5 or stacked).
 
         Served from :func:`repro.registry.memory_config`, which
         memoizes per process.

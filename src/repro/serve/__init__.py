@@ -5,20 +5,19 @@ A long-lived HTTP front-end over :mod:`repro.api`: a warm
 whose runners share one single-flight result memo keyed by canonical
 cache keys (:class:`~repro.runner.sweep.RunMemo`), an async job
 manager (submit a scenario, poll its status, fetch the deterministic
-report), and per-tenant cache namespaces with byte / entry /
-concurrent-job quotas.
+report), and per-tenant cache namespaces.
 
 Layers (each its own module):
 
 * :mod:`~repro.serve.protocol` — the wire contract shared with
   :mod:`repro.client`,
-* :mod:`~repro.serve.tenants` — namespaces, quotas, job slots,
+* :mod:`~repro.serve.tenants` — per-tenant cache namespaces,
 * :mod:`~repro.serve.jobs` — the warm runner pool and job manager,
 * :mod:`~repro.serve.app` — the asyncio HTTP server.
 """
 
 from .app import ReproServer, ServerThread
-from .jobs import Job, JobManager, RunnerPool, TenantBusy
+from .jobs import Job, JobManager, RunnerPool
 from .protocol import (
     API_PREFIX,
     DEFAULT_TENANT,
@@ -28,7 +27,7 @@ from .protocol import (
     TenantError,
     validate_tenant,
 )
-from .tenants import TenantManager, TenantQuota
+from .tenants import TenantManager
 
 __all__ = [
     "API_PREFIX",
@@ -41,9 +40,7 @@ __all__ = [
     "ServerThread",
     "TENANT_HEADER",
     "TERMINAL_STATES",
-    "TenantBusy",
     "TenantError",
     "TenantManager",
-    "TenantQuota",
     "validate_tenant",
 ]

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from ..runner.config import SweepGrid
 from ..runner.faults import FailurePolicy
-from .jobs import JobManager, RunnerPool, TenantBusy
+from .jobs import JobManager, RunnerPool
 from .protocol import (
     API_PREFIX,
     MAX_BODY_BYTES,
@@ -39,7 +39,7 @@ from .protocol import (
     TenantError,
     error_body,
 )
-from .tenants import TenantManager, TenantQuota
+from .tenants import TenantManager
 
 __all__ = ["ReproServer", "ServerThread"]
 
@@ -64,7 +64,6 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
 }
 
@@ -88,13 +87,12 @@ class ReproServer:
         runners: int = 1,
         max_jobs: int = 8,
         cache_dir: Optional[str] = None,
-        quota: TenantQuota = TenantQuota(),
         policy: Optional[FailurePolicy] = None,
         faults: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
-        self.tenants = TenantManager(cache_root=cache_dir, quota=quota)
+        self.tenants = TenantManager(cache_root=cache_dir)
         self.pool = RunnerPool(
             size=runners, workers=workers, policy=policy, faults=faults,
         )
@@ -193,7 +191,13 @@ class ReproServer:
             if ":" in line:
                 name, value = line.split(":", 1)
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(
+                400, f"Content-Length must be a non-negative integer, "
+                f"got {raw_length!r}"
+            )
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413, f"request body of {length} bytes exceeds the "
@@ -285,10 +289,7 @@ class ReproServer:
             grid.configs()
         except (ValueError, TypeError) as error:
             raise _HttpError(400, f"invalid scenario: {error}")
-        try:
-            job = self.jobs.submit(grid, tenant)
-        except TenantBusy as error:
-            raise _HttpError(429, str(error))
+        job = self.jobs.submit(grid, tenant)
         return 202, job.status_dict()
 
     def _job(self, job_id: str):

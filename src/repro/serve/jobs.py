@@ -6,8 +6,8 @@ Three pieces:
     The **warm worker pool**.  A fixed set of
     :class:`~repro.runner.sweep.SweepRunner` instances built once at
     server start and checked out per job execution, so their process
-    pools (interpreter startup, ``REPRO_PLUGINS`` registration, the
-    per-worker :class:`~repro.runner.worker.RunContext` memos) and
+    pools (interpreter startup, the per-worker
+    :class:`~repro.runner.worker.RunContext` memos) and
     their shared single-flight result memo survive across requests —
     the whole point of running a service instead of a batch CLI.  The
     runner's disk cache is rebound to the requesting tenant's
@@ -28,8 +28,8 @@ Three pieces:
     checkout and one :meth:`~repro.runner.sweep.SweepRunner.run_outcomes`
     call, and the pool's shared memo makes overlapping jobs execute
     each unique config exactly once.  The
-    :class:`~repro.serve.tenants.TenantManager` handles namespace
-    selection, job-slot limits and post-job quota enforcement.
+    :class:`~repro.serve.tenants.TenantManager` picks each job's cache
+    namespace.
 
 Deadlock freedom: a runner publishes every key it leads (in a
 ``finally``) before it waits on keys another runner leads, so the
@@ -62,16 +62,11 @@ from .protocol import (
     JOB_PARTIAL,
     JOB_QUEUED,
     JOB_RUNNING,
-    TERMINAL_STATES,
     new_job_id,
 )
 from .tenants import TenantManager
 
-__all__ = ["Job", "JobManager", "RunnerPool", "TenantBusy"]
-
-
-class TenantBusy(RuntimeError):
-    """A tenant is at its concurrent-job quota (HTTP 429)."""
+__all__ = ["Job", "JobManager", "RunnerPool"]
 
 
 class RunnerPool:
@@ -159,10 +154,6 @@ class Job:
     report: Optional[Dict[str, object]] = None
     report_text: Optional[str] = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
     def status_dict(self) -> Dict[str, object]:
         """The ``GET /v1/sweeps/{id}`` payload."""
         data: Dict[str, object] = {
@@ -212,21 +203,14 @@ class JobManager:
     # Submission and lookup
     # ------------------------------------------------------------------
     def submit(self, grid: SweepGrid, tenant: str) -> Job:
-        """Accept *grid* as a new job for *tenant*; raises
-        :class:`TenantBusy` at the tenant's concurrent-job quota.
+        """Accept *grid* as a new job for *tenant*.
 
         The grid must already be validated (``grid.configs()`` — the
         HTTP layer does this so spec errors are a 400, not a failed
         job).
         """
-        if not self.tenants.try_acquire_job(tenant):
-            raise TenantBusy(
-                f"tenant {tenant!r} is at its concurrent-job limit "
-                f"({self.tenants.quota.max_jobs})"
-            )
         with self._lock:
             if self._closed:
-                self.tenants.release_job(tenant)
                 raise RuntimeError("server is shutting down")
             self._sequence += 1
             job = Job(id=new_job_id(self._sequence), tenant=tenant, grid=grid)
@@ -286,14 +270,9 @@ class JobManager:
             job.error = f"{type(error).__name__}: {error}"
             traceback.print_exc()
         finally:
-            self.tenants.release_job(job.tenant)
-            try:
-                self.tenants.enforce_quota(job.tenant)
-            except Exception:  # noqa: BLE001 — quota is advisory
-                traceback.print_exc()
             job.finished = time.time()
             # Terminal state is published last, so anything a poller
-            # may depend on (slot release, quota, report text) is
+            # may depend on (the report text, the finish time) is
             # already visible when it observes the job as finished.
             job.state = final_state
 

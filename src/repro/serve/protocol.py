@@ -29,9 +29,10 @@ parses: ``benchmarks`` and ``schemes`` lists plus optional ``seeds``,
 other key is a 400.
 
 Error responses are ``{"error": "<message>"}`` with a conventional
-status code: 400 malformed request / spec, 404 unknown job or path,
+status code: 400 malformed request (including a ``Content-Length``
+that is not a non-negative integer) or spec, 404 unknown job or path,
 405 wrong method, 409 report requested before the job finished, 413
-oversized body, 429 tenant at its concurrent-job limit.
+oversized body.
 """
 
 from __future__ import annotations

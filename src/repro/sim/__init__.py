@@ -4,14 +4,12 @@ from .auto import SampledAccounting
 from .engine import Engine, SimulationError
 from .fidelity import EXACT, fidelity_to_json, parse_fidelity
 from .gpu_system import GPUSystem, simulate
-from .metrics import MeanStat
 from .results import SimulationResult, perf_per_watt_ratio, speedup
 
 __all__ = [
     "EXACT",
     "Engine",
     "GPUSystem",
-    "MeanStat",
     "SampledAccounting",
     "SimulationError",
     "SimulationResult",

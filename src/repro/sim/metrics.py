@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MeanStat", "busy_time"]
+__all__ = ["busy_time"]
 
 
 def busy_time(starts, ends, units=None) -> int:
@@ -54,23 +54,3 @@ def busy_time(starts, ends, units=None) -> int:
     # Each interval adds what lies past the furthest end before it.
     added = ends[1:] - np.maximum(starts[1:], np.maximum.accumulate(ends)[:-1])
     return int(ends[0] - starts[0]) + int(added[added > 0].sum())
-
-
-class MeanStat:
-    """Streaming mean/max of a scalar (latency accounting)."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0
-        self.max_value = 0
-
-    def record(self, value: int) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max_value:
-            self.max_value = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0

@@ -71,27 +71,6 @@ class SimulationResult:
         """Performance per Watt of total system power."""
         return self.performance / self.system_power
 
-    @property
-    def ipc_proxy(self) -> float:
-        """Approximate instructions per cycle."""
-        return self.instructions / self.cycles
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dict of the headline metrics (for reports)."""
-        return {
-            "cycles": self.cycles,
-            "l1_miss_rate": self.l1_miss_rate,
-            "llc_miss_rate": self.llc_miss_rate,
-            "noc_mean_latency": self.noc_mean_latency,
-            "llc_parallelism": self.llc_parallelism,
-            "channel_parallelism": self.channel_parallelism,
-            "bank_parallelism": self.bank_parallelism,
-            "row_hit_rate": self.row_hit_rate,
-            "dram_power_total": self.dram_power.total,
-            "dram_power_activate": self.dram_power.activate,
-            "system_power": self.system_power,
-        }
-
     def to_dict(self) -> Dict[str, object]:
         """Portable, JSON-safe dict (cache records, sweep reports).
 

@@ -160,8 +160,8 @@ class TestProfiles:
         values = np.zeros(30)
         values[8:10] = 1.0
         profile = EntropyProfile(values, AMAP)
-        assert profile.mean_over("channel") == pytest.approx(1.0)
-        assert profile.mean_over("bank") == 0.0
+        assert profile.of_bits(AMAP.bits_of("channel")).mean() == pytest.approx(1.0)
+        assert profile.of_bits(AMAP.bits_of("bank")).mean() == 0.0
         assert profile.parallel_bit_entropy() == pytest.approx(2 / 6)
 
     def test_series_msb_first(self):

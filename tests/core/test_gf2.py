@@ -18,10 +18,6 @@ class TestValidation:
         with pytest.raises(GF2Error):
             gf2.as_gf2([[2, 0], [0, 1]])
 
-    def test_is_gf2(self):
-        assert gf2.is_gf2([0, 1, 1])
-        assert not gf2.is_gf2([0, 3])
-
     def test_identity_negative_dimension(self):
         with pytest.raises(GF2Error):
             gf2.identity(-1)
@@ -93,7 +89,7 @@ class TestInverse:
         m = gf2.random_invertible(6, rng)
         x = gf2.random_matrix(6, 1, rng)[:, 0]
         b = gf2.gf2_matvec(m, x)
-        assert (gf2.gf2_solve(m, b) == x).all()
+        assert (gf2.gf2_matvec(gf2.gf2_inverse(m), b) == x).all()
 
 
 class TestRandom:

@@ -227,24 +227,3 @@ def test_scheme_roundtrip_property(name, seed, addrs):
     scheme = make_scheme(name, AMAP, seed=seed)
     arr = np.asarray(addrs, dtype=np.uint64)
     assert (np.atleast_1d(scheme.unmap(scheme.map(arr))) == arr).all()
-
-
-class TestMapTrace:
-    def test_equivalent_to_per_array_map(self):
-        amap = hynix_gddr5_map()
-        rng = np.random.default_rng(5)
-        arrays = [
-            rng.integers(0, amap.capacity, size=n, dtype=np.uint64)
-            for n in (1, 7, 0, 33)
-        ]
-        for name in SCHEME_NAMES:
-            scheme = make_scheme(name, amap, seed=2)
-            batched = scheme.map_trace(arrays)
-            assert len(batched) == len(arrays)
-            for original, mapped in zip(arrays, batched):
-                assert mapped.shape == original.shape
-                assert (np.atleast_1d(scheme.map(original)) == mapped).all(), name
-
-    def test_empty_trace(self):
-        scheme = make_scheme("PAE", hynix_gddr5_map())
-        assert scheme.map_trace([]) == []

@@ -63,7 +63,6 @@ class ReferenceController(MemoryController):
                 data_start = self._bus_free_at
             data_end = data_start + t.t_burst
             self._bus_free_at = data_end
-            self.busy_cycles += t.t_burst
             bank_free = column_cmd + t.t_ccd
             if bank_free > bank.ready_at:
                 bank.ready_at = bank_free  # Bank.occupy_until, inline
@@ -71,8 +70,6 @@ class ReferenceController(MemoryController):
                 self.writes += 1
             else:
                 self.reads += 1
-            if now > request.arrival:
-                self.queue_wait_total += now - request.arrival
             self._inflight += 1
             self._engine.at_call(data_end, self._data_done_cb, request)
             # The bank frees at column_cmd + tCCD which may be < data_end;

@@ -141,8 +141,8 @@ def replay_traffic(controller, banks, rows, n_reads: int, n_writes: int) -> None
     """Replay decoded DRAM traffic through one channel, bank by bank.
 
     Each bank's sub-stream (order preserved) goes through
-    :func:`replay_rows`; the read/write, request and bus-occupancy
-    counters grow as if the bursts had transferred.
+    :func:`replay_rows`; the read and write counters grow as if the
+    bursts had transferred.
     """
     banks = np.asarray(banks)
     rows = np.asarray(rows)
@@ -150,8 +150,6 @@ def replay_traffic(controller, banks, rows, n_reads: int, n_writes: int) -> None
         replay_rows(controller.banks[bank_id], rows[banks == bank_id])
     controller.reads += n_reads
     controller.writes += n_writes
-    controller.requests_seen += n_reads + n_writes
-    controller.busy_cycles += (n_reads + n_writes) * controller._timing.t_burst
 
 
 def replay_ops(

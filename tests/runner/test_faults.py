@@ -202,7 +202,7 @@ class TestQuarantine:
         assert len(outcome.failures) == 1
         assert outcome.failures[0].attempts == POLICY.max_attempts
         assert sum(r is None for r in outcome.results) == 1
-        assert not outcome.ok
+        assert outcome.failures
 
     def test_strict_run_many_raises_after_completion(self):
         with SweepRunner(workers=2, policy=POLICY,

@@ -185,7 +185,7 @@ class TestMemory:
             assert machines() == before
         finally:
             gc.enable()
-        assert outcome.ok and runner.stats.executed == len(ticks) == 4
+        assert not outcome.failures and runner.stats.executed == len(ticks) == 4
 
 
 class GatedContext(RunContext):
@@ -354,7 +354,7 @@ class TestSharedMemo:
                 # Every runner holds the leader's own result object.
                 seen = {}
                 for batch, outcome in zip(batches, outcomes):
-                    assert outcome.ok
+                    assert not outcome.failures
                     for config, result in zip(batch, outcome.results):
                         key = config.config_hash()
                         assert result.metadata == {"key": key}

@@ -89,7 +89,7 @@ def test_serve_parser_defaults():
     assert args.port == 8731
     assert args.runners == 1
     assert args.max_jobs == 8
-    assert args.tenant_max_bytes == 0
+    assert not hasattr(args, "tenant_max_bytes")
     assert args.cache_dir == ".repro-cache"
 
 

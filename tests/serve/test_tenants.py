@@ -1,14 +1,9 @@
-"""Tenant namespaces, name validation, job slots, and quota eviction."""
+"""Tenant namespaces and name validation."""
 
 import pytest
 
-import repro.api as api
-from repro.runner import ResultCache, RunConfig
 from repro.serve.protocol import DEFAULT_TENANT, TenantError, validate_tenant
-from repro.serve.tenants import TenantManager, TenantQuota
-from repro.specs import SchemeSpec, WorkloadSpec
-
-SCALE = 0.25
+from repro.serve.tenants import TenantManager
 
 
 # ----------------------------------------------------------------------
@@ -43,110 +38,11 @@ def test_namespaces_are_distinct_directories(tmp_path):
     assert alice.root == tmp_path / "alice"
     assert bob.root == tmp_path / "bob"
     assert manager.cache_for("alice") is alice  # memoized
+    assert manager.snapshot() == {"namespaces": ["alice", "bob"]}
 
 
 def test_no_cache_root_disables_persistence():
     manager = TenantManager(cache_root=None)
     assert manager.cache_for("alice") is None
-    assert manager.namespace_path("alice") is None
-    assert manager.usage("alice") == {"entries": 0, "bytes": 0}
-    assert manager.enforce_quota("alice") == 0
+    assert manager.snapshot() == {"namespaces": []}
 
-
-# ----------------------------------------------------------------------
-# Concurrent-job slots
-# ----------------------------------------------------------------------
-def test_job_slots_enforced_per_tenant():
-    manager = TenantManager(quota=TenantQuota(max_jobs=2))
-    assert manager.try_acquire_job("alice")
-    assert manager.try_acquire_job("alice")
-    assert not manager.try_acquire_job("alice")  # full
-    assert manager.try_acquire_job("bob")  # other tenants unaffected
-    manager.release_job("alice")
-    assert manager.try_acquire_job("alice")
-    assert manager.active_jobs("alice") == 2
-
-
-def test_zero_max_jobs_means_unlimited():
-    manager = TenantManager(quota=TenantQuota(max_jobs=0))
-    for _ in range(20):
-        assert manager.try_acquire_job("alice")
-
-
-# ----------------------------------------------------------------------
-# Quota eviction (built on the cache ls/prune machinery)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def sample_result():
-    return api.simulate("SP", "BASE", scale=SCALE)
-
-
-def _fill(cache: ResultCache, result, count: int):
-    """Store *count* distinct records (distinct seeds), oldest first."""
-    import os
-    import time
-
-    keys = []
-    for seed in range(count):
-        config = RunConfig(
-            WorkloadSpec.from_value("SP"), SchemeSpec.from_value("BASE"),
-            seed=seed, scale=SCALE,
-        )
-        path = cache.put(config, result, wall_seconds=0.1)
-        # Distinct, strictly increasing mtimes so "oldest first" is
-        # deterministic without sleeping between writes.
-        stamp = time.time() - (count - seed) * 10
-        os.utime(path, (stamp, stamp))
-        keys.append(config.config_hash())
-    return keys
-
-
-def test_entry_quota_evicts_oldest_first(tmp_path, sample_result):
-    manager = TenantManager(
-        cache_root=str(tmp_path), quota=TenantQuota(max_entries=2)
-    )
-    keys = _fill(manager.cache_for("alice"), sample_result, 5)
-    evicted = manager.enforce_quota("alice")
-    assert evicted == 3
-    remaining = {e.key for e in manager.cache_for("alice").entries()}
-    assert remaining == set(keys[3:])  # the 2 newest survive
-    assert manager.usage("alice")["entries"] == 2
-
-
-def test_byte_quota_evicts_until_under_limit(tmp_path, sample_result):
-    manager = TenantManager(cache_root=str(tmp_path))
-    _fill(manager.cache_for("alice"), sample_result, 4)
-    per_record = manager.usage("alice")["bytes"] // 4
-    manager.quota = TenantQuota(max_bytes=per_record * 2 + 1)
-    assert manager.enforce_quota("alice") == 2
-    assert manager.usage("alice")["bytes"] <= per_record * 2 + 1
-    assert manager.usage("alice")["entries"] == 2
-
-
-def test_quota_only_touches_the_offending_tenant(tmp_path, sample_result):
-    manager = TenantManager(
-        cache_root=str(tmp_path), quota=TenantQuota(max_entries=1)
-    )
-    _fill(manager.cache_for("alice"), sample_result, 3)
-    _fill(manager.cache_for("bob"), sample_result, 3)
-    manager.enforce_quota("alice")
-    assert manager.usage("alice")["entries"] == 1
-    assert manager.usage("bob")["entries"] == 3  # untouched
-
-
-def test_unlimited_quota_never_evicts(tmp_path, sample_result):
-    manager = TenantManager(cache_root=str(tmp_path), quota=TenantQuota())
-    _fill(manager.cache_for("alice"), sample_result, 3)
-    assert manager.enforce_quota("alice") == 0
-    assert manager.usage("alice")["entries"] == 3
-
-
-def test_snapshot_reports_evictions(tmp_path, sample_result):
-    manager = TenantManager(
-        cache_root=str(tmp_path), quota=TenantQuota(max_entries=1)
-    )
-    _fill(manager.cache_for("alice"), sample_result, 3)
-    manager.enforce_quota("alice")
-    snap = manager.snapshot()
-    assert snap["evicted"] == {"alice": 2}
-    assert snap["namespaces"] == ["alice"]

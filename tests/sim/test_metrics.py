@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parallelism_oracle import OutstandingTracker, combined_parallelism
-from repro.sim.metrics import MeanStat, busy_time
+from repro.sim.metrics import busy_time
 
 
 class TestOutstandingTracker:
@@ -186,15 +186,3 @@ def test_grouped_integration_matches_combined_trackers(intervals):
     active = busy_time(starts, ends, groups)
     measured = busy_time(starts, ends, units) / active if active else 0.0
     assert measured == expected
-
-
-class TestMeanStat:
-    def test_mean_and_max(self):
-        s = MeanStat()
-        for v in (10, 20, 30):
-            s.record(v)
-        assert s.mean == pytest.approx(20.0)
-        assert s.max_value == 30
-
-    def test_empty_mean(self):
-        assert MeanStat().mean == 0.0

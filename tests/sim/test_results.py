@@ -27,13 +27,6 @@ class TestDerived:
         r = make_result()
         assert r.perf_per_watt == pytest.approx((1 / 1000) / 68)
 
-    def test_ipc_proxy(self):
-        assert make_result().ipc_proxy == pytest.approx(10.0)
-
-    def test_summary_keys(self):
-        summary = make_result().summary()
-        assert "row_hit_rate" in summary and "system_power" in summary
-
 
 class TestComparisons:
     def test_speedup(self):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.cli import _progress_printer, main
+from repro.cli import _progress_printer, build_parser, main
 from repro.runner import CACHE_SCHEMA_VERSION, SweepProgress
 from repro.specs import WorkloadSpec
 
@@ -449,30 +449,15 @@ class TestSpecSweep:
         assert captured.out == ""
 
 
-class TestRegisterFlag:
-    def test_schemes_register_lists_plugin(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_PLUGINS", "")
-        (tmp_path / "cli_plug_mod.py").write_text("""
-from repro.core.bim import BinaryInvertibleMatrix
-from repro.core.schemes import MappingScheme
-
-def cliplug(address_map):
-    return MappingScheme(
-        name="CLIPLUG",
-        bim=BinaryInvertibleMatrix.identity(address_map.width),
-        address_map=address_map,
-        strategy="identity",
-    )
-""")
-        monkeypatch.syspath_prepend(str(tmp_path))
-        assert main(["schemes", "--register", "cli_plug_mod:cliplug"]) == 0
-        out = capsys.readouterr().out
-        assert "CLIPLUG" in out
-        import os
-
-        assert "cli_plug_mod:cliplug" in os.environ["REPRO_PLUGINS"]
+@pytest.mark.parametrize("argv", [
+    ["serve", "--tenant-max-jobs", "1"],
+    ["sweep", "--register", "m:f"],
+], ids=["serve-tenant-max-jobs", "sweep-register"])
+def test_removed_settings_are_unknown_flags(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

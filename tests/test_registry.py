@@ -1,4 +1,4 @@
-"""Tests for the open scheme/workload/memory registries."""
+"""Tests for the scheme/workload registries and the memory kinds."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from repro.core.address_map import hynix_gddr5_map
 from repro.core.bim import BinaryInvertibleMatrix
 from repro.core.schemes import SCHEME_NAMES, MappingScheme
 from repro.registry import (
+    MEMORY_NAMES,
     MemoryConfig,
     RegistryError,
     make_scheme,
     make_workload,
     memory_config,
-    memory_names,
     register_scheme,
     register_workload,
     scheme_entry,
@@ -30,11 +30,7 @@ def scratch_registry(monkeypatch):
     """Run a test against copies of the registry tables."""
     monkeypatch.setattr(registry, "_SCHEMES", dict(registry._SCHEMES))
     monkeypatch.setattr(registry, "_WORKLOADS", dict(registry._WORKLOADS))
-    monkeypatch.setattr(
-        registry, "_MEMORY_BUILDERS", dict(registry._MEMORY_BUILDERS)
-    )
     monkeypatch.setattr(registry, "_MEMORY_CACHE", dict(registry._MEMORY_CACHE))
-    monkeypatch.setattr(registry, "_LOADED_PLUGINS", set(registry._LOADED_PLUGINS))
 
 
 class TestBuiltins:
@@ -48,7 +44,7 @@ class TestBuiltins:
         assert set(ALL_BENCHMARKS) <= set(workload_names())
 
     def test_memories_preregistered(self):
-        assert set(memory_names()) >= {"gddr5", "stacked"}
+        assert MEMORY_NAMES == ("gddr5", "stacked")
         gddr5 = memory_config("gddr5")
         assert isinstance(gddr5, MemoryConfig)
         assert gddr5.address_map.width == 30
@@ -141,118 +137,3 @@ class TestUserRegistration:
         assert workload.n_tbs == 4
         assert make_workload("testwl", scale=2.0).n_tbs == 8
 
-
-class TestPlugins:
-    def _write_plugin(self, tmp_path, monkeypatch, body: str, name="repro_test_plugin"):
-        (tmp_path / f"{name}.py").write_text(body)
-        monkeypatch.syspath_prepend(str(tmp_path))
-        return name
-
-    def test_entry_point_module_with_decorator(
-        self, tmp_path, monkeypatch, scratch_registry
-    ):
-        module = self._write_plugin(tmp_path, monkeypatch, """
-from repro.core.bim import BinaryInvertibleMatrix
-from repro.core.schemes import MappingScheme
-from repro.registry import register_scheme
-
-@register_scheme("PLUGID")
-def plug(address_map):
-    return MappingScheme(
-        name="PLUGID",
-        bim=BinaryInvertibleMatrix.identity(address_map.width),
-        address_map=address_map,
-        strategy="identity",
-    )
-""", name="repro_test_plugin_a")
-        registry.load_entry_point(module)
-        assert "PLUGID" in scheme_names()
-
-    def test_entry_point_bare_function(
-        self, tmp_path, monkeypatch, scratch_registry
-    ):
-        module = self._write_plugin(tmp_path, monkeypatch, """
-from repro.core.bim import BinaryInvertibleMatrix
-from repro.core.schemes import MappingScheme
-
-def my_plug_scheme(address_map):
-    return MappingScheme(
-        name="MY_PLUG_SCHEME",
-        bim=BinaryInvertibleMatrix.identity(address_map.width),
-        address_map=address_map,
-        strategy="identity",
-    )
-""", name="repro_test_plugin_b")
-        registry.load_entry_point(f"{module}:my_plug_scheme")
-        assert "MY_PLUG_SCHEME" in scheme_names()
-        assert make_scheme("MY_PLUG_SCHEME", AMAP).bim.is_identity
-
-    def test_entry_point_workload_builder(
-        self, tmp_path, monkeypatch, scratch_registry
-    ):
-        module = self._write_plugin(tmp_path, monkeypatch, """
-from repro.workloads.recipes import build_recipe_workload
-
-def my_plug_workload(scale=1.0):
-    return build_recipe_workload("MY_PLUG_WORKLOAD", {
-        "kernels": [{"pattern": "row_segment", "tbs": 2}],
-    }, scale=scale)
-""", name="repro_test_plugin_w")
-        registry.load_entry_point(f"{module}:my_plug_workload")
-        assert "MY_PLUG_WORKLOAD" in workload_names()
-        assert make_workload("MY_PLUG_WORKLOAD").n_tbs == 2
-
-    def test_entry_point_self_registered_memory(
-        self, tmp_path, monkeypatch, scratch_registry
-    ):
-        module = self._write_plugin(tmp_path, monkeypatch, """
-from repro.registry import MemoryConfig, register_memory
-
-@register_memory("plugmem")
-def plugmem():
-    from repro.core.address_map import hynix_gddr5_map
-    from repro.dram.timing import gddr5_timing
-    return MemoryConfig("plugmem", hynix_gddr5_map(), gddr5_timing(), None)
-""", name="repro_test_plugin_m")
-        # The ':attr' form must recognize the decorator already ran and
-        # not try to classify the zero-arg builder as a scheme.
-        registry.load_entry_point(f"{module}:plugmem")
-        assert "plugmem" in memory_names()
-        assert memory_config("plugmem").address_map.width == 30
-
-    def test_entry_point_must_not_shadow_builtin(
-        self, tmp_path, monkeypatch, scratch_registry
-    ):
-        module = self._write_plugin(tmp_path, monkeypatch, """
-def pae(address_map):
-    return None
-""", name="repro_test_plugin_shadow")
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.load_entry_point(f"{module}:pae")
-
-    def test_bad_entry_points_raise(self, scratch_registry):
-        with pytest.raises(RegistryError, match="cannot import"):
-            registry.load_entry_point("definitely_not_a_module_xyz")
-        with pytest.raises(RegistryError, match="no attribute"):
-            registry.load_entry_point("repro.registry:nope_nope")
-        with pytest.raises(RegistryError, match="classify"):
-            registry.load_entry_point("repro.registry:load_plugins")
-
-    def test_load_plugins_is_idempotent(
-        self, tmp_path, monkeypatch, scratch_registry
-    ):
-        module = self._write_plugin(tmp_path, monkeypatch, """
-COUNT = 0
-
-def _bump():
-    global COUNT
-    COUNT += 1
-
-_bump()
-""", name="repro_test_plugin_c")
-        registry.load_plugins(f"{module},{module}")
-        registry.load_plugins(module)
-        import importlib
-
-        mod = importlib.import_module(module)
-        assert mod.COUNT == 1
