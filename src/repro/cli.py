@@ -84,6 +84,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 import time
 from pathlib import Path
@@ -431,8 +432,6 @@ def _cmd_cache_prune(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Run the sweep-as-a-service HTTP server in the foreground."""
-    import asyncio
-
     from .serve import ReproServer
 
     workers = args.workers if args.workers > 0 else default_workers()
@@ -448,19 +447,18 @@ def _cmd_serve(args) -> int:
             timeout=args.timeout or None,
         ),
     )
-
-    async def _serve() -> None:
-        await server.start()
+    # SIGTERM (kill, a service manager) stops the server as Ctrl-C
+    # does, so the finally below also shuts the worker processes down.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        server.start()
         # Port file first, announce line second: launchers wait for the
         # line and then read the file, so this order leaves no race.
         if args.port_file:
             with open(args.port_file, "w") as handle:
                 handle.write(f"{server.port}\n")
         print(f"repro serve listening on {server.url}", flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_serve())
+        server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down", file=sys.stderr)
     finally:

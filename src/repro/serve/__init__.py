@@ -13,7 +13,8 @@ Layers (each its own module):
   :mod:`repro.client`,
 * :mod:`~repro.serve.tenants` — per-tenant cache namespaces,
 * :mod:`~repro.serve.jobs` — the warm runner pool and job manager,
-* :mod:`~repro.serve.app` — the asyncio HTTP server.
+* :mod:`~repro.serve.app` — the HTTP server, on the standard
+  library's :class:`http.server.ThreadingHTTPServer`.
 """
 
 from .app import ReproServer, ServerThread

@@ -1,30 +1,31 @@
-"""The ``repro serve`` HTTP front-end: an asyncio server over the jobs.
+"""The ``repro serve`` HTTP front-end: a threading server over the jobs.
 
-Stdlib-only by design (the repo's hard rule): a small hand-rolled
-HTTP/1.1 request loop on :func:`asyncio.start_server` rather than a
-web framework.  The protocol subset is deliberately tiny — one
-request per connection (``Connection: close``), JSON bodies with
+Stdlib-only by design (the repo's hard rule): the standard library's
+:class:`http.server.ThreadingHTTPServer`, not a web framework, runs
+one thread per request, parses it and enforces its limits (414,
+431).  The protocol subset is deliberately tiny — one request per
+connection (``Connection: close``), JSON bodies with
 ``Content-Length``, no chunked transfer, no keep-alive — because the
-clients are :mod:`repro.client`, ``curl`` and CI smoke scripts, not
-browsers.
+clients are :mod:`repro.client`, ``curl`` and CI smoke scripts.
 
-The event loop never blocks on simulation work: handlers only touch
+Request threads never block on simulation work: handlers only touch
 the :class:`~repro.serve.jobs.JobManager` job table (submission
-enqueues onto its thread pool and returns immediately), so a slow
-sweep cannot make ``/v1/healthz`` unresponsive.
+enqueues onto its thread pool and returns immediately), so neither a
+slow sweep nor a stalled client can make ``/v1/healthz`` unresponsive.
 
 Two run modes share one :class:`ReproServer`:
 
 * :meth:`ReproServer.serve_forever` — the CLI foreground mode,
-* :class:`ServerThread` — a context manager running the loop on a
-  daemon thread, for tests and :mod:`examples.serve_client`.
+* :class:`ServerThread` — a context manager serving on a daemon
+  thread, for tests and :mod:`examples.serve_client`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
+from functools import partial
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..runner.config import SweepGrid
@@ -56,18 +57,6 @@ class _HttpError(Exception):
         self.message = message
 
 
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-}
-
-
 class ReproServer:
     """The sweep-as-a-service server: HTTP front-end + warm pool + jobs.
 
@@ -97,139 +86,40 @@ class ReproServer:
             size=runners, workers=workers, policy=policy, faults=faults,
         )
         self.jobs = JobManager(self.pool, self.tenants, max_jobs=max_jobs)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._closed = False
+        self._httpd: Optional[ThreadingHTTPServer] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start accepting connections (idempotent)."""
-        if self._server is not None:
-            return
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        # With port=0 the OS picked; report the port clients must use.
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind and start listening (idempotent)."""
+        if self._httpd is None:
+            self._httpd = ThreadingHTTPServer(
+                (self.host, self.port), partial(_Handler, self)
+            )
+            # With port=0 the OS picked; report the port clients must use.
+            self.port = self._httpd.server_port
 
-    async def serve_forever(self) -> None:
-        await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Answer requests until :meth:`stop` is called from another thread."""
+        self.start()
+        self._httpd.serve_forever()
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def stop(self) -> None:
+        """End :meth:`serve_forever` (call from another thread) and
+        release the listening socket."""
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            self._httpd = None
 
     def close(self, wait: bool = True) -> None:
         """Tear down jobs and the warm pool (HTTP must be stopped first)."""
-        if self._closed:
-            return
-        self._closed = True
         self.jobs.close(wait=wait)
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            try:
-                method, path, headers, body = await self._read_request(reader)
-            except _HttpError as error:
-                await self._respond(
-                    writer, error.status, error_body(error.message)
-                )
-                return
-            except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-                return  # client hung up / garbage — nothing to answer
-            try:
-                status, payload = self._route(method, path, headers, body)
-            except _HttpError as error:
-                status, payload = error.status, error_body(error.message)
-            except Exception as error:  # noqa: BLE001 — server must survive
-                status, payload = 500, error_body(
-                    f"internal error: {type(error).__name__}: {error}"
-                )
-            await self._respond(writer, status, payload)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Dict[str, str], bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            raise ValueError("empty request")
-        parts = request_line.split()
-        if len(parts) != 3:
-            raise _HttpError(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
-        path = target.split("?", 1)[0]
-        headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            if ":" in line:
-                name, value = line.split(":", 1)
-                headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            raise _HttpError(
-                400, f"Content-Length must be a non-negative integer, "
-                f"got {raw_length!r}"
-            )
-        length = int(raw_length)
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(
-                413, f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload,
-    ) -> None:
-        """Send one JSON response.  *payload* may be a dict (rendered
-        compactly) or pre-rendered text (the byte-exact report path)."""
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        reason = _REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # client gone; the job (if any) continues regardless
 
     # ------------------------------------------------------------------
     # Routing
@@ -315,6 +205,93 @@ class ReproServer:
         return 200, job.report_text
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """One request: read the body, route it, write one JSON reply."""
+
+    protocol_version = "HTTP/1.1"
+
+    def __init__(self, app: ReproServer, *args) -> None:
+        self.app = app
+        super().__init__(*args)
+
+    def __getattr__(self, name: str):
+        # The stdlib dispatches to ``do_<METHOD>`` and answers 501 when
+        # there is none; here every method is routed (404 / 405).
+        if name.startswith("do_"):
+            return self._handle
+        raise AttributeError(name)
+
+    def parse_request(self) -> bool:
+        # The stdlib takes a two-word line as an HTTP/0.9 request; this
+        # protocol knows only "METHOD target version".
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        if len(self.requestline.split()) == 3:
+            return super().parse_request()
+        self.send_error(400, f"malformed request line: {self.requestline!r}")
+        return False
+
+    def _handle(self) -> None:
+        try:
+            status, payload = self.app._route(
+                self.command.upper(), self.path.split("?", 1)[0],
+                self.headers, self._read_body(),
+            )
+        except _HttpError as error:
+            status, payload = error.status, error_body(error.message)
+        except Exception as error:  # noqa: BLE001 — server must survive
+            status, payload = 500, error_body(
+                f"internal error: {type(error).__name__}: {error}"
+            )
+        self._reply(status, payload)
+
+    def _read_body(self) -> bytes:
+        raw_length = self.headers.get("Content-Length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(
+                400, f"Content-Length must be a non-negative integer, "
+                f"got {raw_length!r}"
+            )
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise _HttpError(
+                413, f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise _HttpError(
+                400, f"request body ended after {len(body)} of {length} bytes"
+            )
+        return body
+
+    def _reply(self, status: int, payload) -> None:
+        """Send one JSON response.  *payload* may be a dict (rendered
+        compactly) or pre-rendered text (the byte-exact report path)."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+        else:
+            body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            pass  # client gone; the job (if any) continues regardless
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's own rejections, in this protocol's JSON shape."""
+        # A line the stdlib could not parse leaves the request at
+        # HTTP/0.9, whose replies carry no status line; these have one.
+        self.request_version = self.protocol_version
+        self._reply(code, error_body(message or self.responses[code][0]))
+
+    def log_message(self, format, *args) -> None:
+        """Requests are not logged."""
+
+
 class ServerThread:
     """Run a :class:`ReproServer` on a daemon thread (tests, examples).
 
@@ -326,36 +303,19 @@ class ServerThread:
 
     def __init__(self, server: ReproServer) -> None:
         self.server = server
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
+        self._thread = threading.Thread(
+            target=server.serve_forever, name="repro-serve", daemon=True
+        )
 
     def start(self) -> str:
-        """Start serving; returns the base URL once the port is bound."""
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
+        """Bind, then serve on the thread; returns the base URL."""
+        self.server.start()
         self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("server failed to start within 30s")
         return self.server.url
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.server.start())
-            self._started.set()
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self.server.stop())
-            loop.close()
-
     def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
+        if self._thread.is_alive():
+            self.server.stop()
             self._thread.join(timeout=30)
         self.server.close()
 

@@ -18,9 +18,9 @@ Three pieces:
 :class:`Job`
     One submitted scenario: its grid, lifecycle state
     (see :mod:`repro.serve.protocol`), progress counters, quarantined
-    failures, and — once finished — the deterministic report, kept
-    both as a dict and as the rendered text so ``GET .../report``
-    serves bytes identical to ``repro sweep`` on the same grid.
+    failures, and — once finished — the deterministic report as
+    rendered text, so ``GET .../report`` serves bytes identical to
+    ``repro sweep`` on the same grid.
 
 :class:`JobManager`
     Bounded concurrent execution (a thread pool of ``max_jobs``
@@ -29,7 +29,9 @@ Three pieces:
     call, and the pool's shared memo makes overlapping jobs execute
     each unique config exactly once.  The
     :class:`~repro.serve.tenants.TenantManager` picks each job's cache
-    namespace.
+    namespace.  The table keeps every queued and running job and the
+    :data:`MAX_FINISHED_JOBS` most recently submitted finished ones;
+    an older finished job is forgotten, and its id answers 404.
 
 Deadlock freedom: a runner publishes every key it leads (in a
 ``finally``) before it waits on keys another runner leads, so the
@@ -62,11 +64,16 @@ from .protocol import (
     JOB_PARTIAL,
     JOB_QUEUED,
     JOB_RUNNING,
+    TERMINAL_STATES,
     new_job_id,
 )
 from .tenants import TenantManager
 
 __all__ = ["Job", "JobManager", "RunnerPool"]
+
+# Finished jobs a server keeps for their status and report; past this
+# the oldest is forgotten, so a long-lived server's table is bounded.
+MAX_FINISHED_JOBS = 256
 
 
 class RunnerPool:
@@ -151,7 +158,6 @@ class Job:
     coalesced: int = 0  # configs taken from another runner's run
     failures: List[RunFailure] = field(default_factory=list)
     error: Optional[str] = None
-    report: Optional[Dict[str, object]] = None
     report_text: Optional[str] = None
 
     def status_dict(self) -> Dict[str, object]:
@@ -257,10 +263,9 @@ class JobManager:
                 outcome = runner.run_outcomes(configs)
                 job.coalesced = runner.stats.coalesced - before
             job.completed = job.total
-            job.report = report_from_results(
+            job.report_text = render_report(report_from_results(
                 job.grid, configs, outcome.results, failures=outcome.failures
-            )
-            job.report_text = render_report(job.report)
+            ))
             job.failures = outcome.failures
             final_state = JOB_PARTIAL if outcome.failures else JOB_DONE
         except Exception as error:  # noqa: BLE001 — job-level quarantine
@@ -273,8 +278,15 @@ class JobManager:
             job.finished = time.time()
             # Terminal state is published last, so anything a poller
             # may depend on (the report text, the finish time) is
-            # already visible when it observes the job as finished.
-            job.state = final_state
+            # already visible when it observes the job as finished;
+            # the lock makes the table's trim visible by then too.
+            with self._lock:
+                job.state = final_state
+                finished = [i for i in self._order
+                            if self._jobs[i].state in TERMINAL_STATES]
+                for job_id in finished[:-MAX_FINISHED_JOBS]:
+                    del self._jobs[job_id]
+                    self._order.remove(job_id)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:

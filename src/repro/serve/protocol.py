@@ -29,10 +29,12 @@ parses: ``benchmarks`` and ``schemes`` lists plus optional ``seeds``,
 other key is a 400.
 
 Error responses are ``{"error": "<message>"}`` with a conventional
-status code: 400 malformed request (including a ``Content-Length``
-that is not a non-negative integer) or spec, 404 unknown job or path,
-405 wrong method, 409 report requested before the job finished, 413
-oversized body.
+status code: 400 malformed request (a request line that is not
+``METHOD target HTTP/x.y``, a ``Content-Length`` that is not a
+non-negative integer, a body that is not JSON) or spec, 404 unknown
+job or path, 405 wrong method, 409 report requested before the job
+finished, 413 oversized body, 414 request line over 64 KiB, 431 header
+line over 64 KiB or more than 100 headers.
 """
 
 from __future__ import annotations

@@ -1,11 +1,20 @@
 """CLI surfaces of PR 9: cache ls --json, submit error paths, parsers."""
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.api as api
 from repro.cli import build_parser, main
+from repro.client import ReproClient
 from repro.runner import CACHE_SCHEMA_VERSION
 
 
@@ -78,6 +87,46 @@ def test_submit_requires_server_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["submit", "--benchmarks", "SP"])
     assert info.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# repro serve — the process
+# ----------------------------------------------------------------------
+def test_sigterm_stops_the_server_and_its_workers(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    port_file = tmp_path / "port.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--port-file", str(port_file), "--workers", "2",
+         "--cache-dir", str(tmp_path / "cache")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (port_file.exists() and port_file.read_text().endswith("\n")):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "server never bound"
+            time.sleep(0.05)
+        client = ReproClient(
+            f"http://127.0.0.1:{port_file.read_text().strip()}", timeout=30
+        )
+        job = client.submit(
+            {"benchmarks": ["SP"], "schemes": ["PAE"], "scale": 0.25}
+        )
+        assert client.wait(job["id"], timeout=180)["state"] == "done"
+
+        proc.send_signal(signal.SIGTERM)
+        # The pool's worker processes inherit the pipes, so the output
+        # ends only once they have exited too.
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert "shutting down" in err
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 import repro.api as api
+import repro.serve.jobs
 from repro.client import ClientError, ReproClient
 from repro.runner import FailurePolicy, render_report
 from repro.serve import ReproServer, ServerThread
@@ -184,6 +187,68 @@ def test_400_on_malformed_content_length(server, length):
     assert "Content-Length" in json.loads(body)["error"]
 
 
+def read_reply(sock):
+    """Read *sock* to its end; return the reply's status line and
+    headers, and its body."""
+    reply = b""
+    while chunk := sock.recv(4096):
+        reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
+
+
+@pytest.mark.parametrize("request_bytes,status", [
+    (b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
+     431),
+    (b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    (b"GET /v1/healthz HTTP/1.1\r\n"
+     + b"".join(b"X-H%d: 1\r\n" % i for i in range(101)) + b"\r\n", 431),
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET /v1/healthz\r\n\r\n", 400),
+    (b"DELETE /v1/healthz HTTP/1.1\r\n\r\n", 405),
+], ids=["long-header", "long-target", "101-headers", "garbage", "two-words",
+        "delete"])
+def test_malformed_request_gets_a_json_status(server, request_bytes, status):
+    srv, url = server
+    with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        head, body = read_reply(sock)
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    assert json.loads(body)["error"]
+    assert client_for(url).healthz()["ok"] is True
+
+
+def test_a_stalled_body_does_not_delay_healthz(server):
+    srv, url = server
+    with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+        sock.sendall(b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100\r\n"
+                     b"\r\n" + b" " * 50)
+        begin = time.monotonic()
+        assert ReproClient(url, timeout=5).healthz()["ok"] is True
+        assert time.monotonic() - begin < 5
+        # A body that ends short of its Content-Length is the client's 400.
+        sock.shutdown(socket.SHUT_WR)
+        head, body = read_reply(sock)
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert "ended after 50 of 100 bytes" in json.loads(body)["error"]
+
+
+def test_stop_does_not_wait_for_a_stalled_client(tmp_path):
+    srv = ReproServer(port=0, cache_dir=str(tmp_path / "c"))
+    server_thread = ServerThread(srv)
+    url = server_thread.start()
+    with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+        sock.sendall(b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100\r\n"
+                     b"\r\n")
+        # Accepted in order: once healthz answers, the stalled request
+        # has its thread, blocked reading the body.
+        assert client_for(url).healthz()["ok"] is True
+        stopper = threading.Thread(target=server_thread.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive(), "stop waited for the stalled client"
+
+
 def test_404_on_unknown_job_and_path(server):
     _, url = server
     client = client_for(url)
@@ -221,6 +286,24 @@ def test_413_on_oversized_body(server):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
     assert info.value.code == 413
+
+
+def test_oldest_finished_job_is_forgotten_past_the_limit(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(repro.serve.jobs, "MAX_FINISHED_JOBS", 2)
+    srv = ReproServer(port=0, cache_dir=str(tmp_path / "c"))
+    with ServerThread(srv) as url:
+        client = client_for(url)
+        ids = []
+        for _ in range(3):
+            job = client.submit(SCENARIO)
+            assert client.wait(job["id"], timeout=180)["state"] == "done"
+            ids.append(job["id"])
+        expect_status(lambda: client.status(ids[0]), 404)
+        assert [entry["id"] for entry in client.jobs()["jobs"]] == [
+            ids[2], ids[1],
+        ]
+        assert client.report_text(ids[1]) == client.report_text(ids[2])
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ The load-bearing contracts of sweep-as-a-service:
   an internal error makes it ``failed`` without touching the manager.
 """
 
+import json
 import threading
 import time
 
@@ -173,9 +174,10 @@ def test_poisoned_config_makes_job_partial_not_dead(tmp_path):
         assert len(job.failures) == 1
         assert job.failures[0].benchmark == "SP"
         assert job.failures[0].scheme == "PM"
-        assert job.report["failures"]  # quarantine visible in the report
+        report = json.loads(job.report_text)
+        assert report["failures"]  # quarantine visible in the report
         # BASE still produced a result.
-        assert len([r for r in job.report["runs"]]) >= 1
+        assert len([r for r in report["runs"]]) >= 1
 
         # The manager survived: a healthy job still completes.
         healthy = manager.submit(
@@ -200,7 +202,7 @@ def test_internal_error_fails_the_job_only(tmp_path):
         wait_jobs([job])
         assert job.state == "failed"
         assert "boom at expansion time" in job.error
-        assert job.report is None
+        assert job.report_text is None
         # The manager survived the crash and still accounts for it.
         assert manager.snapshot()["jobs"] == {"failed": 1}
     finally:
