@@ -40,7 +40,6 @@ from .core.entropy import (
     translate_kernel_inputs,
 )
 from .runner.config import RunConfig, SweepGrid, unique_names
-from .runner.faults import FailurePolicy
 from .runner.report import render_report, shard_report, sweep_report
 from .runner.shard import ShardSpec
 from .runner.sweep import SweepRunner, default_workers
@@ -67,14 +66,14 @@ def _runner(
     runner: Optional[SweepRunner],
     workers: Optional[int],
     cache_dir,
-    policy: Optional[FailurePolicy] = None,
+    timeout: Optional[float] = None,
 ) -> Tuple[SweepRunner, bool]:
     """The runner to use, plus whether this call owns (and must close) it.
 
     A facade-created runner is closed before returning so a throwaway
     ``workers=N`` call never leaks its process pool; callers who pass
     ``runner=`` keep its pool alive across calls and close it themselves
-    (their runner's own failure policy applies — *policy* is for
+    (their runner's own timeout applies — *timeout* is for
     facade-created runners only).  With *workers* unset, the
     ``REPRO_WORKERS`` environment variable decides (so CI and launchers
     can fan api calls out without code changes); without it, calls run
@@ -84,7 +83,7 @@ def _runner(
         return runner, False
     if workers is None and os.environ.get("REPRO_WORKERS", "").strip():
         workers = default_workers()
-    return SweepRunner(workers=workers, cache_dir=cache_dir, policy=policy), True
+    return SweepRunner(workers=workers, cache_dir=cache_dir, timeout=timeout), True
 
 
 def _config(
@@ -226,7 +225,7 @@ def sweep(
     workers: Optional[int] = None,
     cache_dir=None,
     strict: bool = True,
-    policy: Optional[FailurePolicy] = None,
+    timeout: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run a sweep and return the deterministic report dict.
 
@@ -239,11 +238,12 @@ def sweep(
     report is returned, mergeable by :func:`repro.runner.report.merge_shard_reports`.
 
     *strict* (default) raises :class:`~repro.runner.faults.SweepFailure`
-    if any config is quarantined by the failure policy — after every
+    if any config is quarantined (on its first failure; a run is a
+    pure function of its config, so none is retried) — after every
     healthy config completed; ``strict=False`` returns a partial report
     with a ``"failures"`` section instead (the CLI behaviour).
-    *policy* is the :class:`~repro.runner.faults.FailurePolicy`
-    (retries, timeout) for the facade-created runner.
+    *timeout* is the per-run wall-clock budget in seconds of the
+    facade-created runner.
     """
     axes = {
         name: value for name, value in (
@@ -261,7 +261,7 @@ def sweep(
         grid = scenario_grid(scenario)
     else:
         grid = SweepGrid(**axes)
-    executor, owned = _runner(runner, workers, cache_dir, policy)
+    executor, owned = _runner(runner, workers, cache_dir, timeout)
     try:
         if shard is not None:
             spec = shard if isinstance(shard, ShardSpec) else ShardSpec.parse(shard)

@@ -55,10 +55,10 @@ commands as the paper's built-ins.
 
 Exit codes: 0 success, 2 usage / spec / merge errors, 3 **partial
 success** — the sweep (or merge) completed but some configs were
-quarantined by the failure policy; the report's ``"failures"`` section
-lists them (see :mod:`repro.runner.faults`).  ``simulate`` and
-``profile`` need every config, so a quarantined one ends them with
-exit 3 and its summary.
+quarantined, each on its first failure (an exception, a timeout or a
+worker death); the report's ``"failures"`` section lists them (see
+:mod:`repro.runner.faults`).  ``simulate`` and ``profile`` need every
+config, so a quarantined one ends them with exit 3 and its summary.
 
 Examples
 --------
@@ -96,7 +96,6 @@ from .core import SCHEME_NAMES, find_entropy_valleys, hynix_gddr5_map
 from .core.serialize import dump_scheme
 from .runner import (
     CACHE_SCHEMA_VERSION,
-    FailurePolicy,
     MergeError,
     ResultCache,
     ShardSpec,
@@ -278,8 +277,7 @@ def _print_failures(report, command: str) -> int:
     for record in failures:
         print(
             f"  {record['benchmark']}/{record['scheme']} "
-            f"[{record['kind']}] after {record['attempts']} attempt(s): "
-            f"{record['error']}",
+            f"[{record['kind']}]: {record['error']}",
             file=sys.stderr,
         )
     return 3
@@ -296,10 +294,7 @@ def _cmd_sweep(args) -> int:
         workers=workers,
         cache_dir=args.cache_dir if args.cache_dir else None,
         progress=_progress_printer() if args.progress else None,
-        policy=FailurePolicy(
-            max_retries=args.max_retries,
-            timeout=args.timeout or None,
-        ),
+        timeout=args.timeout or None,
     ) as runner:  # context manager: deterministic pool shutdown, even on error
         started = time.perf_counter()
         report = api.sweep(grid, shard=shard, runner=runner, strict=False)
@@ -442,10 +437,7 @@ def _cmd_serve(args) -> int:
         runners=args.runners,
         max_jobs=args.max_jobs,
         cache_dir=args.cache_dir if args.cache_dir else None,
-        policy=FailurePolicy(
-            max_retries=args.max_retries,
-            timeout=args.timeout or None,
-        ),
+        timeout=args.timeout or None,
     )
     # SIGTERM (kill, a service manager) stops the server as Ctrl-C
     # does, so the finally below also shuts the worker processes down.
@@ -660,11 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
              "parent (needs --workers > 1); 0 = no timeout (default)",
     )
     p.add_argument(
-        "--max-retries", type=int, default=2,
-        help="re-executions of a failing config before it is quarantined "
-             "into the report's 'failures' section (default: 2)",
-    )
-    p.add_argument(
         "-o", "--output", default="-",
         help="report path, or - for stdout (default: -)",
     )
@@ -755,10 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout", type=float, default=0.0,
         help="per-run wall-clock timeout in seconds; 0 = none (default)",
-    )
-    p.add_argument(
-        "--max-retries", type=int, default=2,
-        help="re-executions before a config is quarantined (default: 2)",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -80,14 +80,14 @@ submitted in input order, one future per config (see
 
 Failure semantics
 -----------------
-A :class:`~repro.runner.faults.FailurePolicy` governs how a sweep
-reacts to failing runs: worker exceptions are retried with exponential
-backoff and deterministic jitter up to ``max_retries`` times, hung
-runs are bounded by a parent-enforced per-run ``timeout``, a dead
-worker (``BrokenProcessPool``) triggers an automatic pool rebuild and
-a one-at-a-time *probe* of the configs it took down, and cache I/O
-errors degrade to unpersisted execution with a warning.  A config that
-keeps failing is **quarantined** as a structured
+A run is a pure function of its config, so a failing config is
+**quarantined** on its first failure, never retried: a worker
+exception quarantines it at once, hung runs are bounded by a
+parent-enforced per-run ``timeout``, a dead worker
+(``BrokenProcessPool``) triggers an automatic pool rebuild and a
+one-at-a-time *probe* of the configs it took down, and cache I/O
+errors degrade to unpersisted execution with a warning.  A
+quarantined config becomes a structured
 :class:`~repro.runner.faults.RunFailure`; ``run_outcomes`` returns
 them alongside the healthy results, strict ``run_many`` raises
 :class:`~repro.runner.faults.SweepFailure` after everything healthy
@@ -118,7 +118,6 @@ from .cache import CacheEntry, CacheStats, ResultCache
 from .config import CACHE_SCHEMA_VERSION, RunConfig, SweepGrid
 from .faults import (
     FAULT_ENV_VAR,
-    FailurePolicy,
     FaultPlan,
     FaultSpecError,
     InjectedFault,
@@ -152,7 +151,6 @@ __all__ = [
     "CacheEntry",
     "CacheStats",
     "FAULT_ENV_VAR",
-    "FailurePolicy",
     "FaultPlan",
     "FaultSpecError",
     "InjectedFault",

@@ -133,7 +133,6 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
         self._faults = FaultPlan.parse(faults) if isinstance(faults, str) else faults
-        self._write_counts: Dict[str, int] = {}
 
     def path_for(self, key: str) -> Path:
         """On-disk location of the record for cache key *key*."""
@@ -200,10 +199,8 @@ class ResultCache:
         record = {"config": config.to_dict(), "result": result.to_dict()}
         text = canonical_json(record) + "\n"
         if self._faults is not None:
-            index = self._write_counts.get(key, 0)
-            self._write_counts[key] = index + 1
             fault = self._faults.cache_fault(
-                config.benchmark_name, config.scheme_name, key, index
+                config.benchmark_name, config.scheme_name
             )
             if fault == "cacheio":
                 raise OSError(

@@ -140,9 +140,10 @@ class RunConfig:
             )
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if scheme.kind == "stages":
-            # Bit ranges, block bits and invertibility depend on the
-            # memory's address map: reject a bad pipeline before any run.
+        if scheme.kind != "registered":
+            # A literal matrix's width and a pipeline's bit ranges, block
+            # bits and invertibility depend on the memory's address map:
+            # reject a bad spec before any run.
             scheme.build(memory_config(self.memory).address_map)
 
     # -- display ---------------------------------------------------------

@@ -14,10 +14,10 @@ whether results came from the cache.
 
 Partial success: when a sweep runs non-strict (``repro sweep``'s
 default), quarantined configs appear in a ``"failures"`` section — one
-record per config with its key, kind, error text, attempt count and
-wall seconds — and are *omitted* from ``runs`` and from any derived
-table needing them (a variant whose run or BASE baseline failed is
-skipped; its healthy siblings still normalize).  A clean report has no
+record per config with its key, kind, error text and wall seconds —
+and are *omitted* from ``runs`` and from any derived table needing
+them (a variant whose run or BASE baseline failed is skipped; its
+healthy siblings still normalize).  A clean report has no
 ``"failures"`` key at all, so fault-free output stays byte-identical
 to pre-fault-tolerance reports.  ``wall_seconds`` inside a failure
 record is the one nondeterministic field in the format, and it only
@@ -302,8 +302,9 @@ def merge_shard_reports(shards: Sequence[Dict[str, object]]) -> Dict[str, object
 
     grid = SweepGrid.from_dict(grid_dicts[0])
     configs = grid.configs()
-    # A key with both a result (e.g. a later shard retried it off a
-    # shared cache) and a failure record resolves to the result.
+    # A key with both a result (e.g. one shard's worker was killed for
+    # memory and another shard ran the config) and a failure record
+    # resolves to the result.
     for key in by_key:
         failures_by_key.pop(key, None)
     missing_configs = [

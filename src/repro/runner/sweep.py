@@ -29,39 +29,38 @@ affects reported results.
 
 Failure semantics
 -----------------
-The runner survives every failure class a real fleet hits, governed by
-a :class:`~repro.runner.faults.FailurePolicy`:
+Every run is a pure function of its config, so a failure recurs on
+every re-run: the runner **quarantines** a config on its first
+failure, never retries it, and never lets it abort the sweep.
 
-* **Worker exceptions** never abort the sweep: the worker reports the
-  failing config, and the parent retries it with exponential backoff
-  and deterministic jitter up to ``max_retries`` times before
-  quarantining it.
+* **Worker exceptions:** the worker reports the failing config and
+  the parent quarantines it.
 * **Worker death** (OOM kill, segfault — surfacing as
   ``BrokenProcessPool``) rebuilds the pool automatically.  A lone
-  unfinished config is charged with the crash; several are all
+  unfinished config is quarantined as the culprit; several are all
   suspects, *probed* one config at a time so the next crash names its
-  culprit, which is charged and eventually quarantined.  A global
+  culprit.  A kill for memory depends on what ran beside it, so a
+  suspect that succeeds alone is a result, not a failure.  A global
   rebuild budget stops a crash-looping environment from spinning
   forever.
-* **Hung runs** are bounded by ``policy.timeout``: each future gets a
+* **Hung runs** are bounded by ``timeout``: each future gets a
   per-run wall-clock deadline enforced by the parent (a hung
   simulation never returns on its own); on expiry the pool is killed
-  and rebuilt, innocent in-flight work is resubmitted uncharged, and
-  the timed-out configs are retried / quarantined like crashes.
+  and rebuilt, the timed-out configs are quarantined, and innocent
+  in-flight work is resubmitted.  Timeout enforcement needs the pool:
+  inline execution cannot interrupt itself.
 * **Cache I/O errors** degrade, never abort: a failed record write is
   warned about once and the sweep continues unpersisted.
 * A **quarantined** config becomes a structured
   :class:`~repro.runner.faults.RunFailure` (config key, kind, error
-  text, attempts, wall) in :meth:`SweepRunner.run_outcomes`'s result;
+  text, wall) in :meth:`SweepRunner.run_outcomes`'s result;
   :meth:`SweepRunner.run_many` is the strict form that raises
   :class:`~repro.runner.faults.SweepFailure` instead — after every
   healthy config completed, not fail-fast.
 
-Retries and timeouts never alter a result, only whether one is
-produced: a run that eventually succeeds is byte-identical to one that
-succeeded first try.  Timeout enforcement needs the pool (inline
-execution cannot interrupt itself); inline runs still retry
-exceptions.  All recovery paths are testable deterministically through
+Failures never alter a result, only whether one is produced: every
+surviving result is byte-identical to a fault-free sweep.  All
+recovery paths are testable deterministically through
 :class:`~repro.runner.faults.FaultPlan` injection
 (``REPRO_FAULT_INJECT`` / the ``faults=`` argument).
 
@@ -78,7 +77,6 @@ serve``, the single-flight memo runs each config once.
 from __future__ import annotations
 
 import concurrent.futures
-import heapq
 import math
 import os
 import threading
@@ -92,7 +90,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..sim.results import SimulationResult
 from .cache import ResultCache
 from .config import RunConfig
-from .faults import FailurePolicy, FaultPlan, RunFailure, SweepFailure
+from .faults import FaultPlan, RunFailure, SweepFailure
 from .worker import execute_config, process_context
 
 __all__ = [
@@ -104,6 +102,10 @@ __all__ = [
     "coerce_workers",
     "default_workers",
 ]
+
+# A pool future gets TIMEOUT_GRACE seconds past the run timeout before
+# the parent declares it hung.
+TIMEOUT_GRACE = 0.5
 
 
 def coerce_workers(value, source: str = "workers") -> int:
@@ -164,8 +166,7 @@ class SweepStats:
     memo.  ``requested`` is the total number of configs asked for, so
     with no failures ``requested == memory_hits + cache_hits +
     executed + coalesced`` after every call (duplicate configs inside
-    one call count as memory hits).  ``retries`` counts re-executions
-    the failure policy scheduled; ``failed`` counts configs
+    one call count as memory hits).  ``failed`` counts configs
     quarantined as :class:`~repro.runner.faults.RunFailure`.
     """
 
@@ -173,7 +174,6 @@ class SweepStats:
     memory_hits: int = 0
     cache_hits: int = 0
     executed: int = 0
-    retries: int = 0
     failed: int = 0
     coalesced: int = 0
 
@@ -240,7 +240,7 @@ class RunMemo:
     leader of a waited-on key is executing or done, never waiting, and
     runners sharing a memo cannot deadlock.  A published
     :class:`~repro.runner.faults.RunFailure` wakes the waiters and
-    leaves the memo, so a later call retries the config.
+    leaves the memo, so a later call runs the config again.
     """
 
     def __init__(self) -> None:
@@ -288,7 +288,7 @@ class SweepRunner:
         cache_dir=None,
         context=None,
         progress: Optional[Callable[[SweepProgress], None]] = None,
-        policy: Optional[FailurePolicy] = None,
+        timeout: Optional[float] = None,
         faults: Union[FaultPlan, str, None] = None,
     ) -> None:
         """*context* is the :class:`~repro.runner.worker.RunContext` used
@@ -298,12 +298,15 @@ class SweepRunner:
         replay streams through the context's
         :class:`~repro.runner.state_cache.StateCache`, with or without a
         *cache_dir*.  *progress* is called with a :class:`SweepProgress`
-        after every completed miss.  *policy* governs retries/timeouts
-        (defaults to :class:`~repro.runner.faults.FailurePolicy`);
-        *faults* is a fault-injection plan or spec string, defaulting
-        to ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing."""
+        after every completed miss.  *timeout* is the per-run wall-clock
+        budget in seconds (positive and finite; None for none), enforced
+        on the pool only; *faults* is a fault-injection plan or spec
+        string, defaulting to ``$REPRO_FAULT_INJECT`` so chaos runs need
+        no plumbing."""
         self.workers = coerce_workers(workers) if workers is not None else 1
-        self.policy = policy if policy is not None else FailurePolicy()
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {timeout}")
+        self.timeout = timeout
         self.faults = (
             FaultPlan.parse(faults) if faults is not None else FaultPlan.from_env()
         )
@@ -327,8 +330,7 @@ class SweepRunner:
     def run_many(self, configs: Sequence[RunConfig]) -> List[SimulationResult]:
         """Run every config; results in input order.  Strict: raises
         :class:`~repro.runner.faults.SweepFailure` if any config was
-        quarantined — but only after every healthy config completed,
-        so a retried-and-recovered sweep returns normally."""
+        quarantined — but only after every healthy config completed."""
         outcome = self.run_outcomes(configs)
         if outcome.failures:
             raise SweepFailure(outcome.failures)
@@ -339,8 +341,8 @@ class SweepRunner:
 
         Never raises for per-run failures: quarantined configs come
         back as ``None`` results plus structured ``failures`` entries.
-        Failed configs are *not* memoized — a later call retries them
-        afresh.
+        Failed configs are *not* memoized — a later call runs them
+        again.
         """
         configs = list(configs)
         self.stats.requested += len(configs)
@@ -396,9 +398,8 @@ class SweepRunner:
             # waiter hangs on a key this call leads.
             for key, config in led.items():
                 self._memory.publish(key, outcomes.get(key) or self._failure(
-                    config, key, "exception",
-                    "the leading run raised before this config resolved",
-                    0, 0.0,
+                    config, "exception",
+                    "the leading run raised before this config resolved", 0.0,
                 ))
 
         # 4: the keys other runners lead.
@@ -426,7 +427,7 @@ class SweepRunner:
     def _execute(self, configs: List[RunConfig]) -> List["SweepRunner._Entry"]:
         """Simulate *configs*, returning entries in input order."""
         use_pool = self.workers > 1 and (
-            len(configs) > 1 or self.policy.timeout is not None
+            len(configs) > 1 or self.timeout is not None
         )
         if not use_pool:
             return self._execute_inline(configs)
@@ -465,58 +466,43 @@ class SweepRunner:
         )
 
     def _failure(
-        self, config: RunConfig, key: str, kind: str, error: str,
-        attempts: int, wall: float,
+        self, config: RunConfig, kind: str, error: str, wall: float
     ) -> RunFailure:
         return RunFailure(
-            key=key,
+            key=config.config_hash(),
             benchmark=config.benchmark_name,
             scheme=config.scheme_name,
             config=config.to_dict(),
             kind=kind,
             error=error,
-            attempts=attempts,
             wall_seconds=wall,
         )
 
     def _execute_inline(
         self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
-        """Serial in-process execution with retries (no timeout: inline
-        execution cannot interrupt itself — use workers > 1 for that)."""
+        """Serial in-process execution (no timeout: inline execution
+        cannot interrupt itself — use workers > 1 for that)."""
         context = self._context if self._context is not None else process_context()
-        policy = self.policy
         plan = self.faults
         started = time.perf_counter()
         out: List[SweepRunner._Entry] = []
         for done, config in enumerate(configs, start=1):
-            key = config.config_hash()
-            attempt = 0
-            wall_total = 0.0
-            while True:
-                run_started = time.perf_counter()
-                try:
-                    if plan is not None:
-                        plan.apply(
-                            config.benchmark_name, config.scheme_name,
-                            key, attempt, allow_exit=False,
-                        )
-                    result = context.execute(config)
-                except Exception as error:  # noqa: BLE001 — retried/reported
-                    wall_total += time.perf_counter() - run_started
-                    attempt += 1
-                    if attempt >= policy.max_attempts:
-                        out.append(self._failure(
-                            config, key, "exception",
-                            f"{type(error).__name__}: {error}",
-                            attempt, wall_total,
-                        ))
-                        break
-                    self.stats.retries += 1
-                    time.sleep(policy.backoff_seconds(key, attempt))
-                    continue
+            run_started = time.perf_counter()
+            try:
+                if plan is not None:
+                    plan.apply(
+                        config.benchmark_name, config.scheme_name,
+                        allow_exit=False,
+                    )
+                result = context.execute(config)
+            except Exception as error:  # noqa: BLE001 — quarantined, reported
+                out.append(self._failure(
+                    config, "exception", f"{type(error).__name__}: {error}",
+                    time.perf_counter() - run_started,
+                ))
+            else:
                 out.append((result, time.perf_counter() - run_started))
-                break
             self._emit_progress(SweepProgress(
                 done=done, total=len(configs),
                 elapsed_seconds=time.perf_counter() - started,
@@ -526,77 +512,56 @@ class SweepRunner:
     def _execute_pool(
         self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
-        """Parallel execution with the full failure policy.
+        """Parallel execution with worker-death and timeout recovery.
 
         Every pool task runs one config.  The orchestration loop
         tracks every config through exactly one place at a time — an
-        in-flight future, the retry heap, the probe queue (crash
-        forensics), the resubmission backlog, or a final entry — so
-        the loop terminates exactly when all configs are resolved.
-        See the module docstring for the recovery rules.
+        in-flight future, the probe queue (crash forensics), the
+        resubmission backlog, or a final entry — so the loop
+        terminates exactly when all configs are resolved.  See the
+        module docstring for the recovery rules.
         """
         n = len(configs)
-        policy = self.policy
-        keys = [c.config_hash() for c in configs]
         payloads = [c.to_dict() for c in configs]
         fault_spec = self.faults.spec if self.faults is not None else None
-        budget = policy.deadline_seconds()
+        budget = self.timeout + TIMEOUT_GRACE if self.timeout is not None else None
 
         entries: List[Optional[SweepRunner._Entry]] = [None] * n
-        attempts = [0] * n  # failed attempts charged so far, per config
-        fail_wall = [0.0] * n
         started = time.perf_counter()
         done_count = 0
 
         pending: Dict[concurrent.futures.Future, _Flight] = {}
-        retry_heap: List[Tuple[float, int]] = []  # (ready time, index)
         probe_queue: deque = deque()  # crash suspects, probed one at a time
         backlog: deque = deque(range(n))  # awaiting (re)submission
         rebuilds = 0
         # Enough rebuilds for every config to crash out individually,
-        # twice per attempt (as a suspect, then as a probe); beyond
-        # this the environment itself is killing workers and retrying
-        # is harm, not help.
-        rebuild_budget = max(8, 2 * policy.max_attempts * n)
+        # twice (as a suspect, then as a probe); beyond this the
+        # environment itself is killing workers.
+        rebuild_budget = max(8, 2 * n)
 
-        def tick() -> None:
+        def resolve(i: int, entry: "SweepRunner._Entry") -> None:
+            nonlocal done_count
+            entries[i] = entry
+            done_count += 1
             self._emit_progress(SweepProgress(
                 done=done_count, total=n,
                 elapsed_seconds=time.perf_counter() - started,
             ))
 
-        def charge(i: int, kind: str, error: str, wall: float) -> None:
-            """One failed attempt of config *i*: retry or quarantine."""
-            nonlocal done_count
-            attempts[i] += 1
-            fail_wall[i] += wall
-            if attempts[i] >= policy.max_attempts:
-                entries[i] = self._failure(
-                    configs[i], keys[i], kind, error, attempts[i], fail_wall[i]
-                )
-                done_count += 1
-            else:
-                self.stats.retries += 1
-                ready = time.monotonic() + policy.backoff_seconds(
-                    keys[i], attempts[i]
-                )
-                heapq.heappush(retry_heap, (ready, i))
-            tick()
+        def quarantine(i: int, kind: str, error: str, wall: float) -> None:
+            resolve(i, self._failure(configs[i], kind, error, wall))
 
         def process_payload(i: int, payload: Dict[str, object]) -> None:
-            nonlocal done_count
             if "error" in payload:
-                charge(
+                quarantine(
                     i, "exception", str(payload["error"]),
                     float(payload.get("wall_seconds", 0.0)),
                 )
                 return
-            entries[i] = (
+            resolve(i, (
                 SimulationResult.from_dict(payload["result"]),
                 float(payload["wall_seconds"]),
-            )
-            done_count += 1
-            tick()
+            ))
 
         def kill_pool() -> None:
             nonlocal rebuilds
@@ -629,21 +594,17 @@ class SweepRunner:
 
         def exhaust_budget() -> None:
             """Too many rebuilds: quarantine everything unresolved."""
-            nonlocal done_count
             probe_queue.clear()
             backlog.clear()
-            retry_heap.clear()
             for i in range(n):
                 if entries[i] is None:
-                    entries[i] = self._failure(
-                        configs[i], keys[i], "worker-crash",
+                    quarantine(
+                        i, "worker-crash",
                         f"pool rebuild budget exhausted after {rebuilds} "
                         f"rebuilds — workers are dying faster than runs "
                         f"complete",
-                        attempts[i] + 1, fail_wall[i],
+                        0.0,
                     )
-                    done_count += 1
-            tick()
 
         def submit(i: int, probe: bool = False) -> bool:
             if self._pool is None:
@@ -652,7 +613,7 @@ class SweepRunner:
                 )
             try:
                 future = self._pool.submit(
-                    execute_config, payloads[i], fault_spec, attempts[i],
+                    execute_config, payloads[i], fault_spec
                 )
             except BrokenProcessPool:
                 # Pool died between our last observation and this
@@ -672,11 +633,7 @@ class SweepRunner:
             if rebuilds > rebuild_budget:
                 exhaust_budget()
                 break
-            now = time.monotonic()
-            probing = bool(probe_queue) or any(
-                flight.probe for flight in pending.values()
-            )
-            if probing:
+            if probe_queue or any(flight.probe for flight in pending.values()):
                 # Crash forensics: exactly one future in flight, so the
                 # next pool break names that probe's config alone.
                 if not pending and probe_queue:
@@ -689,37 +646,23 @@ class SweepRunner:
                     if not submit(i):
                         backlog.appendleft(i)
                         break
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, i = heapq.heappop(retry_heap)
-                    if entries[i] is not None:
-                        continue
-                    if not submit(i):
-                        heapq.heappush(retry_heap, (now, i))
-                        break
 
             if not pending:
                 if probe_queue or backlog:
                     continue  # submit() recycled the pool; try again
-                if retry_heap:
-                    time.sleep(
-                        min(0.2, max(0.0, retry_heap[0][0] - time.monotonic()))
-                    )
-                    continue
                 break  # everything resolved
 
-            # How long may we block?  Until the nearest deadline or the
-            # nearest retry becoming ready, whichever comes first.
-            wait_timeout: Optional[float] = None
-            horizons = [
+            # Block until a future finishes or the nearest deadline.
+            deadlines = [
                 flight.deadline for flight in pending.values()
                 if flight.deadline is not None
             ]
-            if retry_heap and not probing:
-                horizons.append(retry_heap[0][0])
-            if horizons:
-                wait_timeout = max(0.0, min(horizons) - time.monotonic())
             done, _ = concurrent.futures.wait(
-                list(pending), timeout=wait_timeout,
+                list(pending),
+                timeout=(
+                    max(0.0, min(deadlines) - time.monotonic())
+                    if deadlines else None
+                ),
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
 
@@ -734,7 +677,7 @@ class SweepRunner:
                 except Exception as error:  # noqa: BLE001 — infra failure
                     # The future failed without killing the pool
                     # (pickling error, spec rejected by the worker...).
-                    charge(
+                    quarantine(
                         flight.index, "worker-crash",
                         f"{type(error).__name__}: {error}",
                         time.monotonic() - flight.submitted,
@@ -753,7 +696,7 @@ class SweepRunner:
                     exhaust_budget()
                     break
                 if len(suspects) == 1:
-                    charge(
+                    quarantine(
                         suspects[0], "worker-crash",
                         "worker process died (BrokenProcessPool)", 0.0,
                     )
@@ -770,7 +713,7 @@ class SweepRunner:
                 # A worker is hung past its wall-clock budget.  An
                 # expired future names its config precisely; other
                 # in-flight work is innocent but shares the pool we
-                # must kill, so it is resubmitted uncharged.
+                # must kill, so it is resubmitted.
                 unfinished = harvest_pending()
                 kill_pool()
                 if rebuilds > rebuild_budget:
@@ -779,9 +722,9 @@ class SweepRunner:
                 expired_ids = {id(flight) for flight in expired}
                 for flight in unfinished:
                     if id(flight) in expired_ids:
-                        charge(
+                        quarantine(
                             flight.index, "timeout",
-                            f"run exceeded the {policy.timeout}s wall-clock "
+                            f"run exceeded the {self.timeout}s wall-clock "
                             f"timeout",
                             now - flight.submitted,
                         )

@@ -219,25 +219,21 @@ def process_context() -> RunContext:
 
 
 def execute_config(
-    payload: Dict[str, object],
-    fault_spec: Optional[str] = None,
-    attempt: int = 0,
+    payload: Dict[str, object], fault_spec: Optional[str] = None
 ) -> Dict[str, object]:
     """Pool entry point: run one config in one task.
 
     Returns the result dict plus the measured wall seconds, which the
     caller records into the cache's runtime-metadata sidecar.  An
     exception from the run comes back as ``{"error": ...,
-    "error_type": ..., "wall_seconds": ...}`` for the parent to retry
-    or quarantine; only a process-killing fault (OOM, an injected
+    "error_type": ..., "wall_seconds": ...}`` for the parent to
+    quarantine; only a process-killing fault (OOM, an injected
     ``exit``) loses the task.
 
     *fault_spec* is a :class:`~repro.runner.faults.FaultPlan` spec
-    string (it crosses the process boundary; plan objects do not) and
-    *attempt* the parent's 0-based attempt counter for this config,
-    which ``times=N`` fault clauses count against.  Without a spec the
-    ``REPRO_FAULT_INJECT`` environment variable still applies, so CLI
-    chaos smoke runs need no plumbing.
+    string (it crosses the process boundary; plan objects do not).
+    Without one the ``REPRO_FAULT_INJECT`` environment variable still
+    applies, so CLI chaos smoke runs need no plumbing.
     """
     from .faults import FaultPlan  # worker import kept lazy & cycle-free
 
@@ -247,10 +243,7 @@ def execute_config(
     started = time.perf_counter()
     try:
         if plan is not None:
-            plan.apply(
-                config.benchmark_name, config.scheme_name,
-                config.config_hash(), attempt,
-            )
+            plan.apply(config.benchmark_name, config.scheme_name)
         result = context.execute(config)
     except Exception as error:  # noqa: BLE001 — reported, not hidden
         return {

@@ -22,7 +22,6 @@ from .jobs import Job, JobManager, RunnerPool
 from .protocol import (
     API_PREFIX,
     DEFAULT_TENANT,
-    JOB_STATES,
     TENANT_HEADER,
     TERMINAL_STATES,
     TenantError,
@@ -33,7 +32,6 @@ from .tenants import TenantManager
 __all__ = [
     "API_PREFIX",
     "DEFAULT_TENANT",
-    "JOB_STATES",
     "Job",
     "JobManager",
     "ReproServer",

@@ -29,7 +29,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..runner.config import SweepGrid
-from ..runner.faults import FailurePolicy
 from .jobs import JobManager, RunnerPool
 from .protocol import (
     API_PREFIX,
@@ -76,14 +75,14 @@ class ReproServer:
         runners: int = 1,
         max_jobs: int = 8,
         cache_dir: Optional[str] = None,
-        policy: Optional[FailurePolicy] = None,
+        timeout: Optional[float] = None,
         faults: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.tenants = TenantManager(cache_root=cache_dir)
         self.pool = RunnerPool(
-            size=runners, workers=workers, policy=policy, faults=faults,
+            size=runners, workers=workers, timeout=timeout, faults=faults,
         )
         self.jobs = JobManager(self.pool, self.tenants, max_jobs=max_jobs)
         self._httpd: Optional[ThreadingHTTPServer] = None

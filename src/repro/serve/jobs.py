@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..runner.config import SweepGrid
-from ..runner.faults import FailurePolicy, RunFailure
+from ..runner.faults import RunFailure
 from ..runner.report import render_report, report_from_results
 from ..runner.sweep import RunMemo, SweepProgress, SweepRunner, SweepStats
 from .protocol import (
@@ -82,7 +82,7 @@ class RunnerPool:
     ``size`` runners each own up to ``workers`` worker processes;
     checkout blocks until one is free, so at most ``size * workers``
     simulations run at once regardless of how many jobs are in
-    flight.  *faults* / *policy* apply to every runner (they come from
+    flight.  *timeout* / *faults* apply to every runner (they come from
     the server's flags and ``REPRO_FAULT_INJECT``).  All runners share
     one single-flight :class:`~repro.runner.sweep.RunMemo`, so no two
     of them ever run the same config.
@@ -92,17 +92,16 @@ class RunnerPool:
         self,
         size: int = 1,
         workers: Optional[int] = None,
-        policy: Optional[FailurePolicy] = None,
+        timeout: Optional[float] = None,
         faults: Optional[str] = None,
         runner_factory=SweepRunner,
     ) -> None:
         if size < 1:
             raise ValueError(f"runner pool size must be >= 1, got {size}")
-        self.size = size
         self.memo = RunMemo()
         self._idle: "queue.Queue[SweepRunner]" = queue.Queue()
         self._runners: List[SweepRunner] = [
-            runner_factory(workers=workers, policy=policy, faults=faults)
+            runner_factory(workers=workers, timeout=timeout, faults=faults)
             for _ in range(size)
         ]
         for runner in self._runners:

@@ -19,9 +19,10 @@ without one the :data:`DEFAULT_TENANT` namespace is used.
 Job lifecycle: ``queued`` (accepted, waiting for a job slot) ->
 ``running`` -> exactly one of the terminal states ``done`` (every
 config produced a result), ``partial`` (the sweep completed but some
-configs were quarantined by the failure policy — the status and report
-both carry the structured ``failures`` records), or ``failed`` (the
-job itself errored: bad grid expansion, an internal bug — no report).
+configs were quarantined, each on its first failure — the status and
+report both carry the structured ``failures`` records), or ``failed``
+(the job itself errored: bad grid expansion, an internal bug — no
+report).
 
 A grid document is what :meth:`repro.runner.config.SweepGrid.from_dict`
 parses: ``benchmarks`` and ``schemes`` lists plus optional ``seeds``,
@@ -51,7 +52,6 @@ __all__ = [
     "JOB_PARTIAL",
     "JOB_QUEUED",
     "JOB_RUNNING",
-    "JOB_STATES",
     "MAX_BODY_BYTES",
     "TENANT_HEADER",
     "TERMINAL_STATES",
@@ -74,7 +74,6 @@ JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_PARTIAL = "partial"
 JOB_FAILED = "failed"
-JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_PARTIAL, JOB_FAILED)
 TERMINAL_STATES = (JOB_DONE, JOB_PARTIAL, JOB_FAILED)
 
 # Tenant names become cache sub-directory names, so the alphabet is

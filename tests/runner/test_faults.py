@@ -1,32 +1,32 @@
-"""Fault-injection tests for the sweep runner's failure policy.
+"""Fault-injection tests for the sweep runner's failure handling.
 
-Every recovery path — retry, timeout, pool rebuild, crash probing,
-quarantine, cache-fault degradation — is
-driven deterministically through :class:`repro.runner.FaultPlan`
-injection, and every test asserts the core contract: **surviving
-results are byte-identical to a fault-free sweep**.  Faults decide
-whether a result is produced, never what it is.
+Every recovery path — quarantine on the first failure, timeout, pool
+rebuild, crash probing, cache-fault degradation — is driven
+deterministically through :class:`repro.runner.FaultPlan` injection,
+and every test asserts the core contract: **surviving results are
+byte-identical to a fault-free sweep**.  Faults decide whether a
+result is produced, never what it is.
 """
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.runner import (
-    FailurePolicy,
     FaultPlan,
     FaultSpecError,
     ResultCache,
     RunConfig,
+    RunContext,
+    RunFailure,
     ShardSpec,
     SweepFailure,
     SweepGrid,
     SweepRunner,
-    faults,
     merge_shard_reports,
-    render_report,
     shard_report,
     sweep_report,
 )
@@ -39,9 +39,6 @@ SP_PM = RunConfig(
 )
 
 GRID = SweepGrid(benchmarks=("SP", "MT"), schemes=("PM",), scale=SCALE)
-
-# One policy for everything: two retries at the default backoff.
-POLICY = FailurePolicy(max_retries=2)
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +66,11 @@ def assert_survivors_identical(report, clean):
 
 class TestFaultSpec:
     def test_parse_roundtrip_and_wildcards(self):
-        plan = FaultPlan.parse("raise@SP/PM:times=2; exit@*/PAE:code=9")
-        assert plan.spec == "raise@SP/PM:times=2; exit@*/PAE:code=9"
+        plan = FaultPlan.parse("raise@SP/PM; exit@*/PAE:code=9")
+        assert plan.spec == "raise@SP/PM; exit@*/PAE:code=9"
         first, second = plan.clauses
-        assert (first.mode, first.benchmark, first.scheme, first.times) == (
-            "raise", "SP", "PM", 2.0,
+        assert (first.mode, first.benchmark, first.scheme) == (
+            "raise", "SP", "PM",
         )
         assert second.benchmark is None and second.code == 9
 
@@ -95,97 +92,51 @@ class TestFaultSpec:
         "raise@rate=1.5",         # rate out of range
         "raise@SP/PM:rate=0.5",   # rate in params, not target
         "raise@SP/PM:bogus=1",    # unknown parameter
+        "hang@SP/PM:seconds=abc",  # values that do not parse
+        "exit@SP/PM:code=1.5",
+        "raise@rate=0.5",         # no rate clauses: a run is pure
+        "raise@SP/PM:times=2",    # no transient faults either
+        "raise@SP/PM:salt=s",
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(bad)
 
-    def test_times_bounds_attempts_and_inf_is_poison(self):
-        clause = FaultPlan.parse("raise@SP/PM:times=2").clauses[0]
-        assert clause.triggers("SP", "PM", "k", 0)
-        assert clause.triggers("SP", "PM", "k", 1)
-        assert not clause.triggers("SP", "PM", "k", 2)
-        assert not clause.triggers("MT", "PM", "k", 0)
-        poison = FaultPlan.parse("raise@SP/PM:times=inf").clauses[0]
-        assert poison.times == math.inf
-        assert poison.triggers("SP", "PM", "k", 500)
 
-    def test_rate_draws_are_deterministic_per_attempt(self):
-        clause = FaultPlan.parse("raise@rate=0.5:salt=s").clauses[0]
-        draws = [clause.triggers("SP", "PM", "key", a) for a in range(64)]
-        assert draws == [clause.triggers("SP", "PM", "key", a) for a in range(64)]
-        assert any(draws) and not all(draws)  # a coin, not a constant
+class RaisingContext(RunContext):
+    """Counts execute() calls per BENCHMARK/SCHEME; SP/PM raises."""
 
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
 
-class TestFailurePolicy:
-    def test_backoff_deterministic_bounded_and_growing(self):
-        policy = FailurePolicy()
-        first = policy.backoff_seconds("key", 1)
-        assert first == policy.backoff_seconds("key", 1)
-        assert first != policy.backoff_seconds("other", 1)  # desynced peers
-        ceiling = 1.0 + faults.JITTER
-        assert faults.BACKOFF_BASE <= first <= faults.BACKOFF_BASE * ceiling
-        second = policy.backoff_seconds("key", 2)
-        assert second >= faults.BACKOFF_BASE * faults.BACKOFF_FACTOR
-        assert policy.backoff_seconds("key", 50) <= faults.BACKOFF_MAX * ceiling
-
-    def test_deadline_is_timeout_plus_grace(self):
-        policy = FailurePolicy(timeout=2.0)
-        assert policy.deadline_seconds() == pytest.approx(
-            2.0 + faults.TIMEOUT_GRACE
-        )
-        assert FailurePolicy().deadline_seconds() is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FailurePolicy(max_retries=-1)
-        for timeout in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                FailurePolicy(timeout=timeout)
-
-
-class TestTransientFaults:
-    """Faults that stop before max_retries: retried, byte-identical."""
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_transient_raise_recovers(self, clean_report, workers):
-        with SweepRunner(workers=workers, policy=POLICY,
-                         faults="raise@SP/PM:times=2") as runner:
-            report = sweep_report(GRID, runner, strict=False)
-        assert "failures" not in report
-        assert render_report(report) == render_report(clean_report)
-        assert runner.stats.retries == 2
-        assert runner.stats.failed == 0
-
-    def test_worker_exit_rebuilds_pool_and_recovers(self, clean_report):
-        """An OOM-style worker death (os._exit) breaks the pool; the
-        runner rebuilds it and the config succeeds on retry."""
-        with SweepRunner(workers=2, policy=POLICY,
-                         faults="exit@MT/PM:times=1") as runner:
-            report = sweep_report(GRID, runner, strict=False)
-        assert "failures" not in report
-        assert render_report(report) == render_report(clean_report)
-        assert runner.stats.retries >= 1
-
-    def test_chaos_rate_report_is_byte_identical(self, clean_report):
-        """20% of (config, attempt) pairs fail; the report never shows it."""
-        with SweepRunner(workers=2, policy=FailurePolicy(max_retries=8),
-                         faults="raise@rate=0.2:salt=chaos") as runner:
-            report = sweep_report(GRID, runner, strict=False)
-        assert "failures" not in report
-        assert render_report(report) == render_report(clean_report)
+    def execute(self, config):
+        name = f"{config.benchmark_name}/{config.scheme_name}"
+        self.calls[name] += 1
+        if name == "SP/PM":
+            raise RuntimeError("deterministic failure")
+        return super().execute(config)
 
 
 class TestQuarantine:
+    def test_failing_config_runs_once(self):
+        context = RaisingContext()
+        with SweepRunner(workers=1, context=context, faults="") as runner:
+            outcome = runner.run_outcomes(GRID.configs())
+        assert context.calls["SP/PM"] == 1
+        assert [f.kind for f in outcome.failures] == ["exception"]
+        assert outcome.failures[0].error == "RuntimeError: deterministic failure"
+        assert runner.stats.failed == 1
+        assert runner.stats.executed == len(GRID.configs()) - 1
+
     def test_poison_config_quarantined_exactly_once(self, clean_report):
-        with SweepRunner(workers=2, policy=POLICY,
-                         faults="raise@SP/PM:times=inf") as runner:
+        with SweepRunner(workers=2, faults="raise@SP/PM") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert len(report["failures"]) == 1
         failure = report["failures"][0]
         assert failure["benchmark"] == "SP" and failure["scheme"] == "PM"
         assert failure["kind"] == "exception"
-        assert failure["attempts"] == POLICY.max_attempts
+        assert "attempts" not in failure
         assert "InjectedFault" in failure["error"]
         assert runner.stats.failed == 1
         # Healthy configs all completed, byte-identical to fault-free.
@@ -196,47 +147,43 @@ class TestQuarantine:
         assert "MT" in report["derived"]["speedup"]["PM"]
 
     def test_inline_quarantine_matches_pool(self):
-        with SweepRunner(workers=1, policy=POLICY,
-                         faults="raise@SP/PM:times=inf") as runner:
+        with SweepRunner(workers=1, faults="raise@SP/PM") as runner:
             outcome = runner.run_outcomes(GRID.configs())
         assert len(outcome.failures) == 1
-        assert outcome.failures[0].attempts == POLICY.max_attempts
+        assert "attempts" not in outcome.failures[0].to_dict()
         assert sum(r is None for r in outcome.results) == 1
-        assert outcome.failures
 
     def test_strict_run_many_raises_after_completion(self):
-        with SweepRunner(workers=2, policy=POLICY,
-                         faults="raise@SP/PM:times=inf") as runner:
+        with SweepRunner(workers=2, faults="raise@SP/PM") as runner:
             with pytest.raises(SweepFailure) as excinfo:
                 runner.run_many(GRID.configs())
         assert len(excinfo.value.failures) == 1
-        assert "SP/PM" in str(excinfo.value)
+        assert "SP/PM [exception]: InjectedFault" in str(excinfo.value)
         # Fail-at-the-end: the healthy configs did execute first.
         assert runner.stats.executed == len(GRID.configs()) - 1
 
     def test_failed_config_not_memoized(self):
-        """A quarantined config is retried fresh by a later call."""
-        runner = SweepRunner(workers=1, policy=POLICY,
-                             faults="raise@SP/PM:times=inf")
+        """A quarantined config runs again in a later call."""
+        runner = SweepRunner(workers=1, faults="raise@SP/PM")
         outcome = runner.run_outcomes(GRID.configs())
         assert len(outcome.failures) == 1
-        runner.faults = None  # the transient condition clears
+        runner.faults = None  # the fault is lifted
         results = runner.run_many(GRID.configs())
         assert all(r is not None for r in results)
 
     def test_poison_exit_isolated_by_probing(self):
         """A poison config among the futures a dead pool took down is
-        pinned by probing them one at a time and quarantined without
-        losing the configs that died alongside it."""
+        pinned by probing them one at a time and quarantined; a suspect
+        that succeeds alone is a result, not a failure."""
         grid = SweepGrid(benchmarks=("SP", "MT", "HS"), schemes=("PM",),
                          scale=SCALE)
         with SweepRunner(workers=2) as runner:
             clean = sweep_report(grid, runner)
-        with SweepRunner(workers=2, policy=FailurePolicy(max_retries=1),
-                         faults="exit@MT/PM:times=inf") as runner:
+        with SweepRunner(workers=2, faults="exit@MT/PM") as runner:
             report = sweep_report(grid, runner, strict=False)
         assert [f["benchmark"] for f in report["failures"]] == ["MT"]
         assert report["failures"][0]["kind"] == "worker-crash"
+        assert "attempts" not in report["failures"][0]
         assert len(report["runs"]) == len(grid.configs()) - 1
         assert runner.stats.executed == len(grid.configs()) - 1
         assert_survivors_identical(report, clean)
@@ -244,16 +191,20 @@ class TestQuarantine:
 
 class TestTimeout:
     def test_hung_run_times_out_and_peers_survive(self, clean_report):
-        policy = FailurePolicy(max_retries=0, timeout=2.0)
-        with SweepRunner(workers=2, policy=policy,
-                         faults="hang@SP/BASE:seconds=60,times=inf") as runner:
+        with SweepRunner(workers=2, timeout=2.0,
+                         faults="hang@SP/BASE:seconds=60") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert len(report["failures"]) == 1
         failure = report["failures"][0]
         assert failure["kind"] == "timeout"
         assert failure["benchmark"] == "SP" and failure["scheme"] == "BASE"
-        assert failure["attempts"] == 1
+        assert "attempts" not in failure
         assert_survivors_identical(report, clean_report)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SweepRunner(timeout=timeout)
 
 
 class TestCacheFaults:
@@ -261,8 +212,8 @@ class TestCacheFaults:
 
     def test_corrupt_write_self_heals(self, tmp_path):
         """A torn record write is detected on read and recomputed."""
-        with SweepRunner(cache_dir=tmp_path, policy=POLICY,
-                         faults="corrupt@SP/PM:times=1") as runner:
+        with SweepRunner(cache_dir=tmp_path,
+                         faults="corrupt@SP/PM") as runner:
             expected = runner.run_one(self.CONFIG)
         # The on-disk record is garbage ...
         key = self.CONFIG.config_hash()
@@ -280,8 +231,8 @@ class TestCacheFaults:
     def test_cache_io_error_degrades_with_warning(self, tmp_path):
         """Persistent write failure never fails the sweep: one warning,
         results still flow (just not persisted)."""
-        with SweepRunner(cache_dir=tmp_path, policy=POLICY,
-                         faults="cacheio@SP/PM:times=inf") as runner:
+        with SweepRunner(cache_dir=tmp_path,
+                         faults="cacheio@SP/PM") as runner:
             with pytest.warns(RuntimeWarning, match="result-cache write"):
                 result = runner.run_one(self.CONFIG)
         assert result is not None
@@ -316,8 +267,7 @@ class TestShardAndMergeFailures:
     def test_merge_carries_shard_failures(self, clean_report):
         shards = []
         for index in (1, 2):
-            with SweepRunner(workers=1, policy=POLICY,
-                             faults="raise@SP/PM:times=inf") as runner:
+            with SweepRunner(workers=1, faults="raise@SP/PM") as runner:
                 shards.append(shard_report(
                     GRID, ShardSpec.parse(f"{index}/2"), runner,
                     strict=False,
@@ -326,6 +276,18 @@ class TestShardAndMergeFailures:
         assert [f["benchmark"] for f in merged["failures"]] == ["SP"]
         assert len(merged["runs"]) == len(clean_report["runs"]) - 1
         assert_survivors_identical(merged, clean_report)
+
+    def test_failure_records_with_attempts_still_parse(self):
+        """Reports written while failing configs were retried carry an
+        ``attempts`` count; merge reads them and drops it."""
+        record = {
+            "key": "k", "benchmark": "SP", "scheme": "PM", "config": {},
+            "kind": "exception", "error": "InjectedFault: x",
+            "attempts": 3, "wall_seconds": 0.5,
+        }
+        failure = RunFailure.from_dict(record)
+        del record["attempts"]
+        assert failure.to_dict() == record
 
 
 class TestCLIExitCodes:
@@ -341,17 +303,11 @@ class TestCLIExitCodes:
         assert "failures" not in json.loads(out.read_text())
 
     def test_partial_sweep_exits_three(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise@SP/PM:times=inf")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise@SP/PM")
         out = tmp_path / "report.json"
         assert main(self.ARGS + ["-o", str(out)]) == 3
         report = json.loads(out.read_text())
         assert [f["scheme"] for f in report["failures"]] == ["PM"]
         err = capsys.readouterr().err
-        assert "quarantined" in err and "SP/PM" in err
-
-    def test_transient_env_fault_exits_zero(self, tmp_path, monkeypatch):
-        """The same sweep with a transient fault retries to a clean 0."""
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise@SP/PM:times=1")
-        out = tmp_path / "report.json"
-        assert main(self.ARGS + ["-o", str(out)]) == 0
-        assert "failures" not in json.loads(out.read_text())
+        assert "quarantined" in err
+        assert "SP/PM [exception]: InjectedFault" in err

@@ -17,7 +17,6 @@ import pytest
 
 from repro.analysis.experiments import ExperimentRunner
 from repro.runner import (
-    FailurePolicy,
     RunConfig,
     SweepGrid,
     SweepRunner,
@@ -276,9 +275,7 @@ class TestSharedMemo:
     def test_quarantined_config_leaves_the_memo(self):
         context = GatedContext(failures=1)
         context.gate.set()
-        first, second = shared_runners(
-            context=context, policy=FailurePolicy(max_retries=0)
-        )
+        first, second = shared_runners(context=context)
         config = RunConfig("SP", "BASE", scale=SCALE)
         outcome = first.run_outcomes([config])
         assert outcome.results == [None]

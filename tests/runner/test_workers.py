@@ -103,12 +103,8 @@ class TestExecuteConfig:
         assert out["wall_seconds"] >= 0.0
 
     def test_injected_faults_count_the_attempt(self):
-        payload, spec = self.CONFIG.to_dict(), "raise@SP/PM:times=2"
-        for attempt in (0, 1):
-            out = execute_config(payload, spec, attempt)
-            assert set(out) == {"error", "error_type", "wall_seconds"}
-            assert out["error"].startswith("InjectedFault: ")
-            assert out["error_type"] == "InjectedFault"
-        assert set(execute_config(payload, spec, 2)) == {
-            "result", "wall_seconds",
-        }
+        """The one run of a faulted config comes back as an error."""
+        out = execute_config(self.CONFIG.to_dict(), "raise@SP/PM")
+        assert set(out) == {"error", "error_type", "wall_seconds"}
+        assert out["error"].startswith("InjectedFault: ")
+        assert out["error_type"] == "InjectedFault"

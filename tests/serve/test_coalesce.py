@@ -34,7 +34,7 @@ def result():
 def failure(key):
     return RunFailure(
         key=key, benchmark="SP", scheme="BASE", config={},
-        kind="exception", error="injected", attempts=1, wall_seconds=0.0,
+        kind="exception", error="injected", wall_seconds=0.0,
     )
 
 

@@ -12,10 +12,13 @@ import pytest
 import repro.api as api
 import repro.serve.jobs
 from repro.client import ClientError, ReproClient
-from repro.runner import FailurePolicy, render_report
+from repro.core import hynix_gddr5_map
+from repro.registry import make_scheme
+from repro.runner import render_report
 from repro.serve import ReproServer, ServerThread
 from repro.serve.jobs import Job
 from repro.serve.protocol import JOB_QUEUED
+from repro.specs import SchemeSpec
 
 SCALE = 0.25
 SCENARIO = {"benchmarks": ["SP"], "schemes": ["PAE"], "scale": SCALE}
@@ -27,7 +30,6 @@ def server(tmp_path_factory):
         port=0,
         cache_dir=str(tmp_path_factory.mktemp("cache")),
         max_jobs=4,
-        policy=FailurePolicy(max_retries=0),
     )
     thread = ServerThread(srv)
     url = thread.start()
@@ -124,6 +126,12 @@ def test_400_on_malformed_scenario(server):
             400,
         )
         assert message in str(error)
+    # A literal matrix is built against the memory's map before any run.
+    pae = SchemeSpec.from_scheme(make_scheme("PAE", hynix_gddr5_map()))
+    error = expect_status(lambda: client_for(url).submit(dict(
+        SCENARIO, schemes=[pae.to_dict()], memories=["stacked"],
+    )), 400)
+    assert "spec width 30 does not match address map width 32" in str(error)
 
 
 @pytest.mark.parametrize("target,message", [
@@ -162,6 +170,7 @@ def test_400_on_non_json_body(server):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
     assert info.value.code == 400
+    info.value.close()
 
 
 def test_400_on_invalid_tenant_name(server):
@@ -286,6 +295,7 @@ def test_413_on_oversized_body(server):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
     assert info.value.code == 413
+    info.value.close()
 
 
 def test_oldest_finished_job_is_forgotten_past_the_limit(
@@ -311,9 +321,7 @@ def test_oldest_finished_job_is_forgotten_past_the_limit(
 # ----------------------------------------------------------------------
 def test_poisoned_config_yields_partial_job_and_server_survives(tmp_path):
     srv = ReproServer(
-        port=0, cache_dir=str(tmp_path / "c"),
-        policy=FailurePolicy(max_retries=0),
-        faults="raise@SP/PM:times=inf",
+        port=0, cache_dir=str(tmp_path / "c"), faults="raise@SP/PM",
     )
     with ServerThread(srv) as url:
         client = client_for(url)

@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.api as api
-from repro.runner import FailurePolicy, SweepGrid, SweepRunner, render_report
+from repro.runner import SweepGrid, SweepRunner, render_report
 from repro.runner.worker import RunContext
 from repro.serve.jobs import JobManager, RunnerPool
 from repro.serve.protocol import TERMINAL_STATES
@@ -55,11 +55,9 @@ class GateContext(CountingContext):
         return super().execute(config)
 
 
-def make_manager(tmp_path, context, *, runners=2, max_jobs=4,
-                 faults=None, policy=None):
+def make_manager(tmp_path, context, *, runners=2, max_jobs=4, faults=None):
     pool = RunnerPool(
         size=runners,
-        policy=policy,
         faults=faults,
         runner_factory=lambda **kw: SweepRunner(context=context, **kw),
     )
@@ -162,10 +160,7 @@ def test_runners_share_finished_results_across_tenants(tmp_path):
 # ----------------------------------------------------------------------
 def test_poisoned_config_makes_job_partial_not_dead(tmp_path):
     context = CountingContext()
-    manager = make_manager(
-        tmp_path, context, faults="raise@SP/PM:times=inf",
-        policy=FailurePolicy(max_retries=1),
-    )
+    manager = make_manager(tmp_path, context, faults="raise@SP/PM")
     try:
         grid = SweepGrid(benchmarks=("SP",), schemes=("PM",), scale=SCALE)
         job = manager.submit(grid, "alice")

@@ -431,6 +431,29 @@ class TestSpecSweep:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("memory,singular,message", [
+        ("stacked", False, "spec width 30 does not match address map width 32"),
+        ("gddr5", True, "matrix is not invertible over GF(2)"),
+    ], ids=["width-mismatch", "singular"])
+    def test_bad_bim_spec_exits_2_before_any_run(
+        self, tmp_path, capsys, memory, singular, message
+    ):
+        """Both used to fail inside the run, three times, and exit 3."""
+        exported = tmp_path / "pae.json"
+        assert main(["export-scheme", "PAE", "-o", str(exported)]) == 0
+        if singular:
+            data = json.loads(exported.read_text())
+            data["rows"][1] = data["rows"][0]
+            exported.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([
+            "sweep", "--benchmarks", "SP", "--schemes", f"@{exported}",
+            "--memories", memory, "--scale", "0.1", "--cache-dir", "",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main([
             "sweep", "--spec", str(tmp_path / "nope.json"), "--cache-dir", "",
@@ -452,7 +475,10 @@ class TestSpecSweep:
 @pytest.mark.parametrize("argv", [
     ["serve", "--tenant-max-jobs", "1"],
     ["sweep", "--register", "m:f"],
-], ids=["serve-tenant-max-jobs", "sweep-register"])
+    ["sweep", "--max-retries", "2"],
+    ["serve", "--max-retries", "0"],
+], ids=["serve-tenant-max-jobs", "sweep-register", "sweep-max-retries",
+        "serve-max-retries"])
 def test_removed_settings_are_unknown_flags(argv, capsys):
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(argv)
@@ -494,16 +520,16 @@ def test_bad_timeout_fails_cleanly(timeout, capsys):
 
 
 class TestStrictRunFailures:
-    """simulate and profile need every config: one quarantined by the
-    failure policy ends them with exit 3 and its summary, as `repro
-    sweep` exits 3, never with a SweepFailure traceback."""
+    """simulate and profile need every config: one quarantined ends
+    them with exit 3 and its summary, as `repro sweep` exits 3, never
+    with a SweepFailure traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "SP", "--schemes", "PM", "--scale", "0.1"],
         ["profile", "SP", "--scheme", "PM", "--scale", "0.1"],
     ], ids=["simulate", "profile"])
     def test_quarantined_config_exits_three(self, argv, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise@SP/PM:times=inf")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise@SP/PM")
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "error: 1 config(s) failed permanently: SP/PM" in err

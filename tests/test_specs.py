@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.address_map import hynix_gddr5_map
+from repro.core.gf2 import GF2Error
 from repro.core.serialize import dump_scheme, scheme_to_dict
 from repro.core.schemes import SCHEME_NAMES
 from repro.registry import make_scheme
@@ -263,6 +264,17 @@ class TestSchemeSpecStages:
             SweepGrid(benchmarks=("SP",), schemes=(SchemeSpec.stages("S", [
                 {"op": "xor", "target": 8, "sources": [8]},
             ]),)).configs()
+        # A literal matrix: its width must be the map's, and a singular
+        # one is refused too, whichever memory it is swept on.
+        pae = SchemeSpec.from_scheme(make_scheme("PAE", AMAP))
+        RunConfig(benchmark="SP", scheme=pae, memory="gddr5")
+        with pytest.raises(SpecError, match="width 30 does not match"):
+            RunConfig(benchmark="SP", scheme=pae, memory="stacked")
+        rows = list(pae.data["rows"])
+        rows[1] = rows[0]
+        singular = SchemeSpec.from_rows("SING", rows, pae.data["width"])
+        with pytest.raises(GF2Error, match="not invertible"):
+            SweepGrid(benchmarks=("SP",), schemes=(singular,)).configs()
 
     def test_integer_bit_documents_keep_their_cache_keys(self):
         spec = SchemeSpec.from_dict({
