@@ -7,8 +7,8 @@ root), then exercises the whole service surface through the plain
 over the network, minus the second machine:
 
 1. two tenants submit **overlapping** scenarios concurrently — the
-   warm runner pool's shared result memo makes sure every unique
-   config is simulated exactly once;
+   jobs take turns on the server's one warm runner, whose result memo
+   makes sure every unique config is simulated exactly once;
 2. each report is fetched and checked **byte-identical** to a direct
    in-process ``api.sweep`` of the same grid;
 3. ``/v1/healthz`` shows the dedup accounting and the per-tenant
@@ -50,7 +50,7 @@ def run_tenant(url: str, tenant: str, scenario: dict, out: dict) -> None:
     print(
         f"[{tenant}] {done['state']}: {progress['completed']}/"
         f"{progress['total']} configs, {progress['executed']} executed "
-        f"here, {progress['coalesced']} coalesced"
+        f"here"
     )
     out[tenant] = client.report_text(job["id"])
 

@@ -29,10 +29,9 @@ Commands
     evict stale schema versions from (``prune``) an on-disk result
     cache.
 ``serve``
-    Run the sweep-as-a-service HTTP server (:mod:`repro.serve`): a
-    warm runner pool shared across requests whose runners share one
-    single-flight result memo, async jobs, and per-tenant cache
-    namespaces.
+    Run the sweep-as-a-service HTTP server (:mod:`repro.serve`): one
+    warm runner whose result memo is shared across requests, async
+    jobs that take turns on it, and per-tenant cache namespaces.
 ``submit``
     Submit the grid the flags describe to a running ``repro serve``
     (via :mod:`repro.client`), wait, and write the report — the remote
@@ -434,7 +433,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         workers=workers,
-        runners=args.runners,
         max_jobs=args.max_jobs,
         cache_dir=args.cache_dir if args.cache_dir else None,
         timeout=args.timeout or None,
@@ -649,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout", type=float, default=0.0,
         help="per-run wall-clock timeout in seconds, enforced by the "
-             "parent (needs --workers > 1); 0 = no timeout (default)",
+             "parent; 0 = no timeout (default)",
     )
     p.add_argument(
         "-o", "--output", default="-",
@@ -721,18 +719,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes per runner; 0 = one per CPU or "
-             "$REPRO_WORKERS (default: 1)",
-    )
-    p.add_argument(
-        "--runners", type=int, default=1,
-        help="warm SweepRunner instances in the pool — at most "
-             "runners x workers simulations run at once (default: 1)",
+        help="worker processes of the server's one runner; 0 = one per "
+             "CPU or $REPRO_WORKERS (default: 1)",
     )
     p.add_argument(
         "--max-jobs", type=int, default=8,
-        help="jobs executing concurrently server-wide; excess queue "
-             "(default: 8)",
+        help="jobs accepted for execution at once, taking turns on the "
+             "one runner; excess queue (default: 8)",
     )
     p.add_argument(
         "--cache-dir", default=".repro-cache",

@@ -15,9 +15,10 @@ run of a process shares streams: inline sweeps, pool workers and
 tag/row state itself is *not* memoized: tags hold scheme-mapped lines.
 
 The memo is an LRU bounded at :data:`_MEMO_CAP` streams, locked
-because a ``repro serve`` process's inline runners share one context
-across threads.  Streams are read-only after construction, so sharing
-one object between runs is safe.
+because every inline sweep of a process shares the process-wide
+context (:func:`~repro.runner.worker.process_context`), and a program
+may sweep from several threads at once.  Streams are read-only after
+construction, so sharing one object between runs is safe.
 """
 
 from __future__ import annotations

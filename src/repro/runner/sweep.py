@@ -5,15 +5,13 @@ worker processes (``concurrent.futures.ProcessPoolExecutor``) with an
 on-disk :class:`~repro.runner.cache.ResultCache` in front and an
 in-memory memo behind it:
 
-1. every config is first looked up in the in-process memo, which is
-   single-flight (:class:`RunMemo`): an entry is a finished result or
-   a key some runner is computing, and the runners of a
-   :class:`~repro.serve.jobs.RunnerPool` share one memo, so a config
-   in flight on one runner is waited for, not run again, by the others,
+1. every config is first looked up in the in-process memo, a dict of
+   the runner's finished results keyed by canonical cache key (``repro
+   serve``'s jobs take turns on one runner, so they share it),
 2. then in the on-disk cache (if one is configured),
 3. remaining misses are deduplicated and executed — inline when
-   ``workers <= 1``, otherwise on the pool — and written back to the
-   cache together with a runtime-metadata sidecar.
+   ``workers <= 1`` and no timeout is set, otherwise on the pool — and
+   written back to the cache together with a runtime-metadata sidecar.
 
 Results are returned **in input order** regardless of which worker
 finished first, so a sweep's output is byte-for-byte identical whether
@@ -24,8 +22,10 @@ function of its config.
 Scheduling
 ----------
 Misses are submitted to the pool in input order, one future per
-config, and idle workers pull the next one.  Execution order never
-affects reported results.
+config, and idle workers pull the next one.  Under a timeout at most
+``workers`` futures are in flight, so each run's deadline starts when
+a worker can start it.  Execution order never affects reported
+results.
 
 Failure semantics
 -----------------
@@ -47,8 +47,9 @@ failure, never retries it, and never lets it abort the sweep.
   per-run wall-clock deadline enforced by the parent (a hung
   simulation never returns on its own); on expiry the pool is killed
   and rebuilt, the timed-out configs are quarantined, and innocent
-  in-flight work is resubmitted.  Timeout enforcement needs the pool:
-  inline execution cannot interrupt itself.
+  in-flight work is resubmitted.  Inline execution cannot interrupt
+  itself, so a timeout always runs on the pool, of one process at
+  ``workers=1``.
 * **Cache I/O errors** degrade, never abort: a failed record write is
   warned about once and the sweep continues unpersisted.
 * A **quarantined** config becomes a structured
@@ -70,8 +71,8 @@ Sweeps in different processes may share one cache directory.  When
 their grids overlap, both may compute a config the other is computing;
 that duplicates work but never changes a result, because records are
 content-addressed and written atomically, so the second write replaces
-the first with the same bytes.  Inside one process, or one ``repro
-serve``, the single-flight memo runs each config once.
+the first with the same bytes.  Inside one runner, and so inside one
+``repro serve``, the memo runs each config once.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-import threading
 import time
 import warnings
 from collections import deque
@@ -94,7 +94,6 @@ from .faults import FaultPlan, RunFailure, SweepFailure
 from .worker import execute_config, process_context
 
 __all__ = [
-    "RunMemo",
     "SweepRunner",
     "SweepOutcome",
     "SweepStats",
@@ -161,13 +160,12 @@ class SweepStats:
     """Accounting for one :class:`SweepRunner` instance.
 
     ``memory_hits`` are served from the in-process memo, ``cache_hits``
-    from disk, ``executed`` were actually simulated, and ``coalesced``
-    were taken from another runner's in-flight run through a shared
-    memo.  ``requested`` is the total number of configs asked for, so
-    with no failures ``requested == memory_hits + cache_hits +
-    executed + coalesced`` after every call (duplicate configs inside
-    one call count as memory hits).  ``failed`` counts configs
-    quarantined as :class:`~repro.runner.faults.RunFailure`.
+    from disk, and ``executed`` were actually simulated.  ``requested``
+    is the total number of configs asked for, so with no failures
+    ``requested == memory_hits + cache_hits + executed`` after every
+    call (duplicate configs inside one call count as memory hits).
+    ``failed`` counts configs quarantined as
+    :class:`~repro.runner.faults.RunFailure`.
     """
 
     requested: int = 0
@@ -175,7 +173,6 @@ class SweepStats:
     cache_hits: int = 0
     executed: int = 0
     failed: int = 0
-    coalesced: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -222,65 +219,12 @@ class _Flight:
     probe: bool = False
 
 
-class _Running:
-    """A memo key some runner is computing; waiters block on ``done``."""
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.outcome: Union[SimulationResult, RunFailure, None] = None
-
-
-class RunMemo:
-    """The in-process result memo, single-flight across the runners
-    that share it.
-
-    Each entry is a finished result or a :class:`_Running` marker for a
-    key one runner leads.  A leader publishes every key it leads, in a
-    ``finally``, before it waits on keys another runner leads, so the
-    leader of a waited-on key is executing or done, never waiting, and
-    runners sharing a memo cannot deadlock.  A published
-    :class:`~repro.runner.faults.RunFailure` wakes the waiters and
-    leaves the memo, so a later call runs the config again.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[str, Union[SimulationResult, _Running]] = {}
-
-    def join(self, key: str) -> Union[SimulationResult, _Running, None]:
-        """The entry for *key*; None when the caller now leads it."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._entries[key] = _Running()
-            return entry
-
-    def publish(
-        self, key: str, outcome: Union[SimulationResult, RunFailure]
-    ) -> None:
-        """Resolve a key the caller leads and wake its waiters."""
-        with self._lock:
-            running = self._entries.pop(key)
-            if isinstance(outcome, SimulationResult):
-                self._entries[key] = outcome
-        running.outcome = outcome
-        running.done.set()
-
-    def in_flight(self) -> int:
-        """Keys some runner is computing right now."""
-        with self._lock:
-            return sum(isinstance(e, _Running) for e in self._entries.values())
-
-    def finished(self) -> int:
-        """Results held."""
-        with self._lock:
-            return sum(
-                not isinstance(e, _Running) for e in self._entries.values()
-            )
-
-
 class SweepRunner:
-    """Runs batches of configs with caching, parallelism and fault tolerance."""
+    """Runs batches of configs with caching, parallelism and fault tolerance.
+
+    A runner is used by one thread at a time: its memo, stats, cache
+    binding and pool are unlocked.
+    """
 
     def __init__(
         self,
@@ -292,17 +236,17 @@ class SweepRunner:
         faults: Union[FaultPlan, str, None] = None,
     ) -> None:
         """*context* is the :class:`~repro.runner.worker.RunContext` used
-        for inline execution (``workers <= 1``); it defaults to the
-        process-wide one.  Pool workers always use their own process's
-        context.  Auto-fidelity runs share their scheme-independent
-        replay streams through the context's
+        for inline execution (``workers <= 1`` and no timeout); it
+        defaults to the process-wide one.  Pool workers always use
+        their own process's context.  Auto-fidelity runs share their
+        scheme-independent replay streams through the context's
         :class:`~repro.runner.state_cache.StateCache`, with or without a
         *cache_dir*.  *progress* is called with a :class:`SweepProgress`
         after every completed miss.  *timeout* is the per-run wall-clock
-        budget in seconds (positive and finite; None for none), enforced
-        on the pool only; *faults* is a fault-injection plan or spec
-        string, defaulting to ``$REPRO_FAULT_INJECT`` so chaos runs need
-        no plumbing."""
+        budget in seconds (positive and finite; None for none), counted
+        from when a worker can start the run; *faults* is a
+        fault-injection plan or spec string, defaulting to
+        ``$REPRO_FAULT_INJECT`` so chaos runs need no plumbing."""
         self.workers = coerce_workers(workers) if workers is not None else 1
         if timeout is not None and not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be positive and finite, got {timeout}")
@@ -316,7 +260,7 @@ class SweepRunner:
         )
         self.stats = SweepStats()
         self._progress = progress
-        self._memory = RunMemo()
+        self._memory: Dict[str, SimulationResult] = {}
         self._context = context
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._cache_warned = False
@@ -348,64 +292,40 @@ class SweepRunner:
         self.stats.requested += len(configs)
         keys = [c.config_hash() for c in configs]
         outcomes: Dict[str, Union[SimulationResult, RunFailure]] = {}
-        led: Dict[str, RunConfig] = {}  # keys this call resolves itself
-        waits: Dict[str, _Running] = {}  # keys another runner leads
-        try:
-            # 1: the memo.  Keys are deduplicated, so one config
-            # requested twice in a batch is simulated once.
-            for config, key in zip(configs, keys):
-                if key in outcomes or key in led or key in waits:
-                    self.stats.memory_hits += 1
-                    continue
-                entry = self._memory.join(key)
-                if entry is None:
-                    led[key] = config
-                elif isinstance(entry, _Running):
-                    waits[key] = entry
-                else:
-                    outcomes[key] = entry
-                    self.stats.memory_hits += 1
-            self.stats.coalesced += len(waits)
-
-            # 2: disk.
-            misses: List[str] = []
-            for key, config in led.items():
+        misses: Dict[str, RunConfig] = {}
+        # 1: the memo, then disk.  Keys are deduplicated, so one config
+        # requested twice in a batch is simulated once.
+        for config, key in zip(configs, keys):
+            if key in outcomes or key in misses:
+                self.stats.memory_hits += 1
+            elif key in self._memory:
+                outcomes[key] = self._memory[key]
+                self.stats.memory_hits += 1
+            else:
                 cached = self.cache.get(config) if self.cache is not None else None
-                if cached is not None:
-                    outcomes[key] = cached
-                    self.stats.cache_hits += 1
+                if cached is None:
+                    misses[key] = config
                 else:
-                    misses.append(key)
+                    outcomes[key] = self._memory[key] = cached
+                    self.stats.cache_hits += 1
 
-            # 3: execute the misses.
-            if misses:
-                computed = self._execute([led[key] for key in misses])
-                for key, entry in zip(misses, computed):
-                    if isinstance(entry, RunFailure):
-                        outcomes[key] = entry
-                        self.stats.failed += 1
-                        continue
-                    result, wall = entry
-                    outcomes[key] = result
-                    self.stats.executed += 1
-                    if self.cache is not None:
-                        try:
-                            self.cache.put(led[key], result, wall_seconds=wall)
-                        except OSError as error:
-                            self._cache_degraded(error)
-        finally:
-            # Publish before waiting, even when execution raised, so no
-            # waiter hangs on a key this call leads.
-            for key, config in led.items():
-                self._memory.publish(key, outcomes.get(key) or self._failure(
-                    config, "exception",
-                    "the leading run raised before this config resolved", 0.0,
-                ))
+        # 2: execute the misses.
+        if misses:
+            computed = self._execute(list(misses.values()))
+            for (key, config), entry in zip(misses.items(), computed):
+                if isinstance(entry, RunFailure):
+                    outcomes[key] = entry
+                    self.stats.failed += 1
+                    continue
+                result, wall = entry
+                outcomes[key] = self._memory[key] = result
+                self.stats.executed += 1
+                if self.cache is not None:
+                    try:
+                        self.cache.put(config, result, wall_seconds=wall)
+                    except OSError as error:
+                        self._cache_degraded(error)
 
-        # 4: the keys other runners lead.
-        for key, running in waits.items():
-            running.done.wait()
-            outcomes[key] = running.outcome
         failures = {
             key: outcomes[key] for key in keys
             if isinstance(outcomes[key], RunFailure)
@@ -425,13 +345,14 @@ class SweepRunner:
     _Entry = Union[Tuple[SimulationResult, float], RunFailure]
 
     def _execute(self, configs: List[RunConfig]) -> List["SweepRunner._Entry"]:
-        """Simulate *configs*, returning entries in input order."""
-        use_pool = self.workers > 1 and (
-            len(configs) > 1 or self.timeout is not None
-        )
-        if not use_pool:
-            return self._execute_inline(configs)
-        return self._execute_pool(configs)
+        """Simulate *configs*, returning entries in input order.
+
+        Inline execution cannot interrupt itself, so a timeout always
+        runs on the pool, of one process at ``workers=1``.
+        """
+        if self.timeout is not None or (self.workers > 1 and len(configs) > 1):
+            return self._execute_pool(configs)
+        return self._execute_inline(configs)
 
     def _emit_progress(self, progress: SweepProgress) -> None:
         """Invoke the user's progress callback, defusing it on error.
@@ -481,8 +402,8 @@ class SweepRunner:
     def _execute_inline(
         self, configs: List[RunConfig]
     ) -> List["SweepRunner._Entry"]:
-        """Serial in-process execution (no timeout: inline execution
-        cannot interrupt itself — use workers > 1 for that)."""
+        """Serial in-process execution (never under a timeout, which
+        needs the pool)."""
         context = self._context if self._context is not None else process_context()
         plan = self.faults
         started = time.perf_counter()
@@ -641,7 +562,10 @@ class SweepRunner:
                     if not submit(i, probe=True):
                         probe_queue.appendleft(i)
             else:
-                while backlog:
+                # A deadline starts at submission, so under a timeout no
+                # more runs are submitted than there are workers to
+                # start them.
+                while backlog and (budget is None or len(pending) < self.workers):
                     i = backlog.popleft()
                     if not submit(i):
                         backlog.appendleft(i)
@@ -753,7 +677,7 @@ class SweepRunner:
     # ------------------------------------------------------------------
     def cached_runs(self) -> int:
         """Distinct results currently held in the in-process memo."""
-        return self._memory.finished()
+        return len(self._memory)
 
     def __repr__(self) -> str:
         return (

@@ -29,7 +29,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..runner.config import SweepGrid
-from .jobs import JobManager, RunnerPool
+from ..runner.sweep import SweepRunner
+from .jobs import JobManager
 from .protocol import (
     API_PREFIX,
     MAX_BODY_BYTES,
@@ -57,13 +58,15 @@ class _HttpError(Exception):
 
 
 class ReproServer:
-    """The sweep-as-a-service server: HTTP front-end + warm pool + jobs.
+    """The sweep-as-a-service server: HTTP front-end + warm runner + jobs.
 
-    Owns its :class:`~repro.serve.jobs.RunnerPool`,
-    :class:`~repro.serve.tenants.TenantManager` and
-    :class:`~repro.serve.jobs.JobManager`; :meth:`close` tears all
-    three down.  ``port=0`` binds an ephemeral port — read the real
-    one from :attr:`port` after :meth:`start`.
+    Owns its :class:`~repro.serve.tenants.TenantManager` and
+    :class:`~repro.serve.jobs.JobManager`, which owns the one warm
+    :class:`~repro.runner.sweep.SweepRunner`; :meth:`close` tears them
+    down.  ``port=0`` binds an ephemeral port — read the real one from
+    :attr:`port` after :meth:`start`.  *runners* must be 1: the keyword
+    is kept only for existing callers, from when a server could hold
+    several runners.
     """
 
     def __init__(
@@ -78,13 +81,17 @@ class ReproServer:
         timeout: Optional[float] = None,
         faults: Optional[str] = None,
     ) -> None:
+        if runners != 1:
+            raise ValueError(f"a server has one runner, got runners={runners}")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be 0-65535, got {port}")
         self.host = host
         self.port = port
         self.tenants = TenantManager(cache_root=cache_dir)
-        self.pool = RunnerPool(
-            size=runners, workers=workers, timeout=timeout, faults=faults,
+        self.jobs = JobManager(
+            SweepRunner(workers=workers, timeout=timeout, faults=faults),
+            self.tenants, max_jobs=max_jobs,
         )
-        self.jobs = JobManager(self.pool, self.tenants, max_jobs=max_jobs)
         self._httpd: Optional[ThreadingHTTPServer] = None
 
     # ------------------------------------------------------------------
@@ -113,7 +120,7 @@ class ReproServer:
             self._httpd = None
 
     def close(self, wait: bool = True) -> None:
-        """Tear down jobs and the warm pool (HTTP must be stopped first)."""
+        """Tear down jobs and the warm runner (HTTP must be stopped first)."""
         self.jobs.close(wait=wait)
 
     @property

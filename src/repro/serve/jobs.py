@@ -1,20 +1,5 @@
 """Jobs: the asynchronous sweep executions behind ``repro serve``.
 
-Three pieces:
-
-:class:`RunnerPool`
-    The **warm worker pool**.  A fixed set of
-    :class:`~repro.runner.sweep.SweepRunner` instances built once at
-    server start and checked out per job execution, so their process
-    pools (interpreter startup, the per-worker
-    :class:`~repro.runner.worker.RunContext` memos) and
-    their shared single-flight result memo survive across requests —
-    the whole point of running a service instead of a batch CLI.  The
-    runner's disk cache is rebound to the requesting tenant's
-    namespace at checkout; the memo is deliberately *not* cleared
-    (results are pure functions of config, so sharing them across
-    tenants is exactly the coalescing win).
-
 :class:`Job`
     One submitted scenario: its grid, lifecycle state
     (see :mod:`repro.serve.protocol`), progress counters, quarantined
@@ -23,41 +8,38 @@ Three pieces:
     ``repro sweep`` on the same grid.
 
 :class:`JobManager`
-    Bounded concurrent execution (a thread pool of ``max_jobs``
-    workers; excess jobs wait in state ``queued``): each job is one
-    checkout and one :meth:`~repro.runner.sweep.SweepRunner.run_outcomes`
-    call, and the pool's shared memo makes overlapping jobs execute
-    each unique config exactly once.  The
-    :class:`~repro.serve.tenants.TenantManager` picks each job's cache
-    namespace.  The table keeps every queued and running job and the
-    :data:`MAX_FINISHED_JOBS` most recently submitted finished ones;
-    an older finished job is forgotten, and its id answers 404.
-
-Deadlock freedom: a runner publishes every key it leads (in a
-``finally``) before it waits on keys another runner leads, so the
-leader of a waited-on key is executing or done, never waiting — there
-is no cycle between runners.  With two or more runners a job keeps
-its runner while it waits for a config another runner is computing,
-so that runner sits idle meanwhile; in exchange, runners never
-re-execute each other's finished configs.  With one runner (the
-default) nothing ever waits.
+    Owns the server's one warm :class:`~repro.runner.sweep.SweepRunner`,
+    built once at server start, so its process pool (interpreter
+    startup, the per-worker :class:`~repro.runner.worker.RunContext`
+    memos) and its result memo survive across requests — the whole
+    point of running a service instead of a batch CLI.  Jobs run on a
+    thread pool of ``max_jobs`` workers (excess jobs wait in state
+    ``queued``) and take turns on the runner, so a job waiting for it
+    is already ``running``: each job is one
+    :meth:`~repro.runner.sweep.SweepRunner.run_outcomes` call under a
+    lock, with the runner's disk cache bound to the job's tenant
+    namespace (chosen by the
+    :class:`~repro.serve.tenants.TenantManager`).  The memo is
+    deliberately *not* cleared between jobs: results are pure functions
+    of config, so overlapping jobs, of any tenants, execute each unique
+    config exactly once.  The table keeps every queued and running job
+    and the :data:`MAX_FINISHED_JOBS` most recently submitted finished
+    ones; an older finished job is forgotten, and its id answers 404.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..runner.config import SweepGrid
 from ..runner.faults import RunFailure
 from ..runner.report import render_report, report_from_results
-from ..runner.sweep import RunMemo, SweepProgress, SweepRunner, SweepStats
+from ..runner.sweep import SweepProgress, SweepRunner
 from .protocol import (
     JOB_DONE,
     JOB_FAILED,
@@ -69,75 +51,11 @@ from .protocol import (
 )
 from .tenants import TenantManager
 
-__all__ = ["Job", "JobManager", "RunnerPool"]
+__all__ = ["Job", "JobManager"]
 
 # Finished jobs a server keeps for their status and report; past this
 # the oldest is forgotten, so a long-lived server's table is bounded.
 MAX_FINISHED_JOBS = 256
-
-
-class RunnerPool:
-    """A fixed pool of persistent, warm :class:`SweepRunner` instances.
-
-    ``size`` runners each own up to ``workers`` worker processes;
-    checkout blocks until one is free, so at most ``size * workers``
-    simulations run at once regardless of how many jobs are in
-    flight.  *timeout* / *faults* apply to every runner (they come from
-    the server's flags and ``REPRO_FAULT_INJECT``).  All runners share
-    one single-flight :class:`~repro.runner.sweep.RunMemo`, so no two
-    of them ever run the same config.
-    """
-
-    def __init__(
-        self,
-        size: int = 1,
-        workers: Optional[int] = None,
-        timeout: Optional[float] = None,
-        faults: Optional[str] = None,
-        runner_factory=SweepRunner,
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"runner pool size must be >= 1, got {size}")
-        self.memo = RunMemo()
-        self._idle: "queue.Queue[SweepRunner]" = queue.Queue()
-        self._runners: List[SweepRunner] = [
-            runner_factory(workers=workers, timeout=timeout, faults=faults)
-            for _ in range(size)
-        ]
-        for runner in self._runners:
-            runner._memory = self.memo
-            self._idle.put(runner)
-
-    @contextmanager
-    def checkout(self, cache=None, progress=None):
-        """Borrow a warm runner, rebound to *cache* for this use.
-
-        The runner's process pool and result memo persist across
-        checkouts; only the disk-cache binding and the progress
-        callback are per-use (the cache decides which tenant's
-        namespace new records land in).
-        """
-        runner = self._idle.get()
-        runner.cache = cache
-        runner._progress = progress
-        try:
-            yield runner
-        finally:
-            runner.cache = None
-            runner._progress = None
-            self._idle.put(runner)
-
-    def stats(self) -> SweepStats:
-        """Aggregate accounting across every runner in the pool."""
-        total = SweepStats()
-        for runner in self._runners:
-            for name, count in runner.stats.as_dict().items():
-                setattr(total, name, getattr(total, name) + count)
-        return total
-
-    def close(self) -> None:
-        for runner in self._runners:
-            runner.close()
 
 
 @dataclass
@@ -153,8 +71,7 @@ class Job:
     finished: Optional[float] = None
     total: int = 0  # configs in the grid
     completed: int = 0  # configs resolved
-    executed: int = 0  # simulations this job's runner actually ran
-    coalesced: int = 0  # configs taken from another runner's run
+    executed: int = 0  # simulations this job actually ran
     failures: List[RunFailure] = field(default_factory=list)
     error: Optional[str] = None
     report_text: Optional[str] = None
@@ -172,7 +89,6 @@ class Job:
                 "total": self.total,
                 "completed": self.completed,
                 "executed": self.executed,
-                "coalesced": self.coalesced,
             },
         }
         if self.failures:
@@ -183,18 +99,20 @@ class Job:
 
 
 class JobManager:
-    """Owns the job table and drives executions through the warm pool."""
+    """Owns the job table and drives executions through the warm runner."""
 
     def __init__(
         self,
-        runners: RunnerPool,
+        runner: SweepRunner,
         tenants: TenantManager,
         max_jobs: int = 8,
     ) -> None:
         if max_jobs < 1:
             raise ValueError(f"max_jobs must be >= 1, got {max_jobs}")
-        self.runners = runners
+        self.runner = runner
         self.tenants = tenants
+        # A runner is used by one thread at a time: jobs take turns.
+        self._runner_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=max_jobs, thread_name_prefix="repro-job"
         )
@@ -255,12 +173,17 @@ class JobManager:
             def on_progress(progress: SweepProgress) -> None:
                 job.executed = progress.done
 
-            with self.runners.checkout(
-                cache=self.tenants.cache_for(job.tenant), progress=on_progress
-            ) as runner:
-                before = runner.stats.coalesced
-                outcome = runner.run_outcomes(configs)
-                job.coalesced = runner.stats.coalesced - before
+            with self._runner_lock:
+                # The runner's process pool and memo persist across
+                # jobs; only its disk cache (the tenant's namespace)
+                # and its progress callback are per job.
+                self.runner.cache = self.tenants.cache_for(job.tenant)
+                self.runner._progress = on_progress
+                try:
+                    outcome = self.runner.run_outcomes(configs)
+                finally:
+                    self.runner.cache = None
+                    self.runner._progress = None
             job.completed = job.total
             job.report_text = render_report(report_from_results(
                 job.grid, configs, outcome.results, failures=outcome.failures
@@ -291,25 +214,25 @@ class JobManager:
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe service counters (for ``/v1/healthz``).
 
-        ``coalesce.leaders`` counts the configs a runner resolved
-        itself (a disk hit, an execution or a quarantine);
-        ``coalesce.coalesced`` those it took from another runner's
-        in-flight run.
+        ``coalesce.leaders`` counts the configs the runner resolved
+        without its memo (a disk hit, an execution or a quarantine).
+        ``coalesce.coalesced`` is always 0: it counted configs taken
+        from another runner's in-flight run, and a server has one
+        runner.  Both keys stay for readers of earlier servers.
         """
-        stats = self.runners.stats()
+        stats = self.runner.stats
         return {
             "jobs": self.counts(),
             "runner": stats.as_dict(),
             "coalesce": {
                 "leaders": stats.cache_hits + stats.executed + stats.failed,
-                "coalesced": stats.coalesced,
+                "coalesced": 0,
             },
-            "in_flight": self.runners.memo.in_flight(),
         }
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting jobs, drain (or abandon) workers, close runners."""
+        """Stop accepting jobs, drain (or abandon) workers, close the runner."""
         with self._lock:
             self._closed = True
         self._executor.shutdown(wait=wait, cancel_futures=not wait)
-        self.runners.close()
+        self.runner.close()

@@ -11,9 +11,9 @@ so every existing cache tool works per tenant unchanged: ``repro
 cache ls --cache-dir <root>/<tenant>`` inspects one namespace.
 
 Isolation boundary: namespaces isolate *persistence*, not results — a
-simulation is a pure function of its config, so the runner pool's
-shared single-flight memo deliberately shares results across tenants
-(that sharing is the coalescing win).  What one tenant can never do
+simulation is a pure function of its config, so the server's one
+runner memo deliberately shares results across tenants (that sharing
+is the dedup win).  What one tenant can never do
 is write into another's namespace.
 """
 

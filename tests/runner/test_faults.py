@@ -190,9 +190,11 @@ class TestQuarantine:
 
 
 class TestTimeout:
-    def test_hung_run_times_out_and_peers_survive(self, clean_report):
-        with SweepRunner(workers=2, timeout=2.0,
-                         faults="hang@SP/BASE:seconds=60") as runner:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hung_run_times_out_and_peers_survive(self, workers,
+                                                  clean_report):
+        with SweepRunner(workers=workers, timeout=2.0,
+                         faults="hang@SP/BASE:seconds=10") as runner:
             report = sweep_report(GRID, runner, strict=False)
         assert len(report["failures"]) == 1
         failure = report["failures"][0]
@@ -200,6 +202,18 @@ class TestTimeout:
         assert failure["benchmark"] == "SP" and failure["scheme"] == "BASE"
         assert "attempts" not in failure
         assert_survivors_identical(report, clean_report)
+
+    def test_a_queued_run_is_not_timed_out(self):
+        """A deadline starts when a worker can start the run: six runs
+        of 0.6 s on two workers take longer than the timeout in all,
+        yet none times out."""
+        grid = SweepGrid(benchmarks=("MT", "SP"), schemes=("PM", "PAE"),
+                         scale=0.1)
+        with SweepRunner(workers=2, timeout=1.0,
+                         faults="hang@*/*:seconds=0.6") as runner:
+            outcome = runner.run_outcomes(grid.configs())
+        assert outcome.failures == []
+        assert runner.stats.executed == len(grid.configs()) == 6
 
     @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
     def test_timeout_must_be_positive_and_finite(self, timeout):

@@ -36,7 +36,6 @@ from repro.runner import (
     sweep_report,
 )
 from repro.serve import ReproServer
-from repro.serve.jobs import RunnerPool
 
 SCALE = 0.25
 GRID = SweepGrid(benchmarks=("SP", "HS"), schemes=("PAE",), scale=SCALE)
@@ -313,9 +312,8 @@ class TestSharedCache:
 
     @pytest.mark.parametrize("make", [
         lambda: SweepRunner(claims=True),
-        lambda: RunnerPool(size=1, claims=True),
         lambda: ReproServer(port=0, claims=True),
-    ], ids=["SweepRunner", "RunnerPool", "ReproServer"])
+    ], ids=["SweepRunner", "ReproServer"])
     def test_no_claims_keyword(self, make):
         with pytest.raises(TypeError):
             make()

@@ -1,17 +1,11 @@
-"""Tests for the parallel sweep runner: ordering, caching, the shared
-single-flight memo, determinism.
+"""Tests for the parallel sweep runner: ordering, caching, the memo,
+determinism.
 
 Small scales keep these fast; the full-scale behaviour is exercised by
 ``benchmarks/test_sweep_runner.py``.
 """
 
-import dataclasses
 import gc
-import random
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -37,6 +31,20 @@ def small_configs():
     ]
 
 
+class FailOnceContext(RunContext):
+    """Counts execute() calls; the first one raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def execute(self, config):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("injected failure")
+        return super().execute(config)
+
+
 class TestOrderingAndMemo:
     def test_results_in_input_order(self):
         runner = SweepRunner()
@@ -60,6 +68,20 @@ class TestOrderingAndMemo:
         second = runner.run_one(RunConfig("SP", "BASE", scale=SCALE))
         assert first is second
         assert runner.stats.executed == 1
+
+    def test_quarantined_config_leaves_the_memo(self):
+        context = FailOnceContext()
+        runner = SweepRunner(context=context)
+        config = RunConfig("SP", "BASE", scale=SCALE)
+        outcome = runner.run_outcomes([config])
+        assert outcome.results == [None]
+        assert [f.kind for f in outcome.failures] == ["exception"]
+        assert runner.cached_runs() == 0
+        # The next call executes the config again.
+        assert runner.run_one(config).workload == "SP"
+        assert context.calls == 2
+        assert runner.stats.executed == 1
+        assert runner.cached_runs() == 1
 
 
 class TestDiskCache:
@@ -185,184 +207,3 @@ class TestMemory:
         finally:
             gc.enable()
         assert not outcome.failures and runner.stats.executed == len(ticks) == 4
-
-
-class GatedContext(RunContext):
-    """Counts execute() calls per config hash; every call signals
-    ``entered`` and waits for ``gate``, and the first *failures* calls
-    raise."""
-
-    def __init__(self, failures=0):
-        super().__init__()
-        self.lock = threading.Lock()
-        self.counts = {}
-        self.failures = failures
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-
-    def execute(self, config):
-        key = config.config_hash()
-        with self.lock:
-            self.counts[key] = self.counts.get(key, 0) + 1
-            fail = sum(self.counts.values()) <= self.failures
-        self.entered.set()
-        assert self.gate.wait(timeout=60), "test never released the gate"
-        if fail:
-            raise RuntimeError("injected failure")
-        return super().execute(config)
-
-
-class StubContext(RunContext):
-    """Returns a fresh copy of *template* per execute() call, counting
-    calls per config hash (thread-safe); simulates nothing."""
-
-    def __init__(self, template):
-        super().__init__()
-        self.template = template
-        self.lock = threading.Lock()
-        self.counts = {}
-
-    def execute(self, config):
-        key = config.config_hash()
-        with self.lock:
-            self.counts[key] = self.counts.get(key, 0) + 1
-        time.sleep(0.001)  # widen the window in which others must wait
-        return dataclasses.replace(self.template, metadata={"key": key})
-
-
-def shared_runners(**kwargs):
-    """Two runners sharing one memo, as a RunnerPool's runners do."""
-    first, second = SweepRunner(**kwargs), SweepRunner(**kwargs)
-    second._memory = first._memory
-    return first, second
-
-
-def wait_until(predicate, timeout=60):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.01)
-
-
-class TestSharedMemo:
-    """The memo is single-flight across the runners that share it."""
-
-    def test_waiter_reuses_the_leaders_result(self):
-        context = GatedContext()
-        first, second = shared_runners(context=context)
-        config = RunConfig("SP", "BASE", scale=SCALE)
-        other = RunConfig("SP", "PAE", scale=SCALE)
-        with ThreadPoolExecutor(2) as threads:
-            leader = threads.submit(first.run_one, config)
-            assert context.entered.wait(timeout=60)  # leader in execute()
-            waiter = threads.submit(second.run_many, [config, other])
-            # Registered as a waiter before the leader may finish.
-            wait_until(lambda: second.stats.coalesced == 1)
-            context.gate.set()
-            result = leader.result(timeout=60)
-            assert waiter.result(timeout=60)[0] is result
-        # One execution per key: the distinct key ran on the second
-        # runner, the shared one only on the first.
-        assert context.counts == {
-            config.config_hash(): 1, other.config_hash(): 1,
-        }
-        assert first.stats.executed == 1
-        assert second.stats.executed == 1
-        assert second.stats.coalesced == 1
-        assert first._memory.in_flight() == 0
-        assert first.cached_runs() == 2
-
-    def test_quarantined_config_leaves_the_memo(self):
-        context = GatedContext(failures=1)
-        context.gate.set()
-        first, second = shared_runners(context=context)
-        config = RunConfig("SP", "BASE", scale=SCALE)
-        outcome = first.run_outcomes([config])
-        assert outcome.results == [None]
-        assert [f.kind for f in outcome.failures] == ["exception"]
-        assert first._memory.in_flight() == 0
-        assert first.cached_runs() == 0
-        # The next call, on either runner, executes the config again.
-        assert second.run_one(config).workload == "SP"
-        assert context.counts == {config.config_hash(): 2}
-        assert second.stats.executed == 1
-
-    def test_raising_leader_still_resolves_its_waiter(self):
-        context = GatedContext()
-        first, second = shared_runners(context=context)
-
-        def crash(configs):
-            context.entered.set()
-            assert context.gate.wait(timeout=60)
-            raise RuntimeError("leader crashed")
-
-        first._execute = crash
-        config = RunConfig("SP", "BASE", scale=SCALE)
-        with ThreadPoolExecutor(2) as threads:
-            leader = threads.submit(first.run_one, config)
-            assert context.entered.wait(timeout=60)
-            waiter = threads.submit(second.run_outcomes, [config])
-            wait_until(lambda: second.stats.coalesced == 1)
-            context.gate.set()
-            with pytest.raises(RuntimeError, match="leader crashed"):
-                leader.result(timeout=60)
-            outcome = waiter.result(timeout=60)
-        assert outcome.results == [None]
-        assert [f.kind for f in outcome.failures] == ["exception"]
-        assert "leading run raised" in outcome.failures[0].error
-        assert first._memory.in_flight() == 0
-        assert context.counts == {}
-
-    def test_stress_many_runners_execute_each_key_once(self):
-        template = SweepRunner().run_one(RunConfig("SP", "BASE", scale=SCALE))
-        configs = [
-            RunConfig("SP", "BASE", scale=SCALE, seed=seed)
-            for seed in range(24)
-        ]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for round_ in range(5):
-                context = StubContext(template)
-                runners = [SweepRunner(context=context) for _ in range(8)]
-                for runner in runners[1:]:
-                    runner._memory = runners[0]._memory
-                rng = random.Random(round_)
-                batches = [rng.choices(configs, k=16) for _ in runners]
-                start = threading.Barrier(len(runners))
-                outcomes = [None] * len(runners)
-
-                def drive(i):
-                    start.wait(timeout=60)
-                    outcomes[i] = runners[i].run_outcomes(batches[i])
-
-                threads = [
-                    threading.Thread(target=drive, args=(i,), daemon=True)
-                    for i in range(len(runners))
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive(), "a runner hung"
-
-                requested = {c.config_hash() for b in batches for c in b}
-                assert context.counts == {key: 1 for key in requested}
-                # Every runner holds the leader's own result object.
-                seen = {}
-                for batch, outcome in zip(batches, outcomes):
-                    assert not outcome.failures
-                    for config, result in zip(batch, outcome.results):
-                        key = config.config_hash()
-                        assert result.metadata == {"key": key}
-                        assert seen.setdefault(key, result) is result
-                stats = [runner.stats for runner in runners]
-                assert sum(st.executed for st in stats) == len(requested)
-                assert all(
-                    st.requested
-                    == st.memory_hits + st.executed + st.coalesced
-                    for st in stats
-                )
-                assert runners[0]._memory.in_flight() == 0
-        finally:
-            sys.setswitchinterval(switch)

@@ -136,10 +136,18 @@ def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve"])
     assert args.host == "127.0.0.1"
     assert args.port == 8731
-    assert args.runners == 1
+    assert not hasattr(args, "runners")
     assert args.max_jobs == 8
     assert not hasattr(args, "tenant_max_bytes")
     assert args.cache_dir == ".repro-cache"
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_bad_port_fails_cleanly(port, capsys):
+    assert main(["serve", "--port", port, "--cache-dir", ""]) == 2
+    err = capsys.readouterr().err
+    assert f"error: port must be 0-65535, got {port}" in err
+    assert "Traceback" not in err
 
 
 def test_submit_parser_defaults():

@@ -242,6 +242,14 @@ def test_a_stalled_body_does_not_delay_healthz(server):
     assert "ended after 50 of 100 bytes" in json.loads(body)["error"]
 
 
+@pytest.mark.parametrize("settings", [
+    {"runners": 2}, {"runners": 0}, {"port": 70000}, {"port": -1},
+], ids=["runners-2", "runners-0", "port-70000", "port-negative"])
+def test_server_refuses_bad_settings(settings):
+    with pytest.raises(ValueError):
+        ReproServer(**{"port": 0, "cache_dir": None, **settings})
+
+
 def test_stop_does_not_wait_for_a_stalled_client(tmp_path):
     srv = ReproServer(port=0, cache_dir=str(tmp_path / "c"))
     server_thread = ServerThread(srv)

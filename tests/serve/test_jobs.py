@@ -1,4 +1,4 @@
-"""The warm runner pool and the job manager.
+"""The job manager and its one warm runner.
 
 The load-bearing contracts of sweep-as-a-service:
 
@@ -10,16 +10,23 @@ The load-bearing contracts of sweep-as-a-service:
   an internal error makes it ``failed`` without touching the manager.
 """
 
+import dataclasses
 import json
+import random
+import sys
 import threading
 import time
 
-import pytest
-
 import repro.api as api
-from repro.runner import SweepGrid, SweepRunner, render_report
+from repro.runner import (
+    ResultCache,
+    RunConfig,
+    SweepGrid,
+    SweepRunner,
+    render_report,
+)
 from repro.runner.worker import RunContext
-from repro.serve.jobs import JobManager, RunnerPool
+from repro.serve.jobs import JobManager
 from repro.serve.protocol import TERMINAL_STATES
 from repro.serve.tenants import TenantManager
 
@@ -42,27 +49,45 @@ class CountingContext(RunContext):
 
 
 class GateContext(CountingContext):
-    """Blocks every execute() until released; signals first entry."""
+    """Blocks every execute() until released; counts the calls that
+    entered and signals the first."""
 
     def __init__(self):
         super().__init__()
+        self.entries = 0
         self.entered = threading.Event()
         self.gate = threading.Event()
 
     def execute(self, config):
+        with self.lock:
+            self.entries += 1
         self.entered.set()
         assert self.gate.wait(timeout=60), "test never released the gate"
         return super().execute(config)
 
 
-def make_manager(tmp_path, context, *, runners=2, max_jobs=4, faults=None):
-    pool = RunnerPool(
-        size=runners,
-        faults=faults,
-        runner_factory=lambda **kw: SweepRunner(context=context, **kw),
-    )
+class StubContext(CountingContext):
+    """Returns a copy of *template* per execute() call, tagged with the
+    config's key; simulates nothing."""
+
+    def __init__(self, template):
+        super().__init__()
+        self.template = template
+
+    def execute(self, config):
+        key = config.config_hash()
+        with self.lock:
+            self.counts[key] = self.counts.get(key, 0) + 1
+        time.sleep(0.001)  # widen the window a racing job could use
+        return dataclasses.replace(self.template, metadata={"key": key})
+
+
+def make_manager(tmp_path, context, *, max_jobs=4, faults=None):
     tenants = TenantManager(cache_root=str(tmp_path / "cache"))
-    return JobManager(pool, tenants, max_jobs=max_jobs)
+    return JobManager(
+        SweepRunner(context=context, faults=faults), tenants,
+        max_jobs=max_jobs,
+    )
 
 
 def wait_jobs(jobs, timeout=120):
@@ -92,8 +117,8 @@ def test_parallel_overlapping_jobs_execute_each_config_once(tmp_path):
 
         unique = {c.config_hash() for grid in grids for c in grid.configs()}
         assert set(context.counts) == unique
-        # The core claim: the runners' shared single-flight memo means
-        # no config ever runs twice, however the jobs interleaved.
+        # The core claim: the runner's memo means no config ever runs
+        # twice, however the jobs interleaved.
         assert all(count == 1 for count in context.counts.values()), (
             context.counts
         )
@@ -105,38 +130,43 @@ def test_parallel_overlapping_jobs_execute_each_config_once(tmp_path):
 
 
 def test_identical_concurrent_jobs_coalesce_deterministically(tmp_path):
+    """An identical job submitted while the first runs waits its turn
+    on the runner, then finds every config in the memo."""
     context = GateContext()
     manager = make_manager(tmp_path, context)
     try:
         grid = SweepGrid(benchmarks=("SP",), schemes=("PM",), scale=SCALE)
         first = manager.submit(grid, "alice")
-        assert context.entered.wait(timeout=60)  # leader inside execute()
+        assert context.entered.wait(timeout=60)  # first inside execute()
 
         second = manager.submit(grid, "alice")
-        # Both configs must register as followers before we let the
-        # leader finish — that is what makes this test deterministic.
         deadline = time.monotonic() + 60
-        while manager.runners.stats().coalesced < 2:
+        while second.state != "running":
             assert time.monotonic() < deadline
             time.sleep(0.01)
+        # The second job holds a thread but not the runner: it has not
+        # asked the runner for a config while the first job is gated.
+        time.sleep(0.2)
+        assert context.entries == 1
+        assert manager.runner.stats.requested == len(grid.configs())
 
         context.gate.set()
         wait_jobs([first, second])
         assert first.state == "done" and second.state == "done"
-        assert second.coalesced == 2
+        assert first.executed == 2 and second.executed == 0
+        assert manager.runner.stats.memory_hits == 2
         assert all(count == 1 for count in context.counts.values())
         assert first.report_text == second.report_text
-        assert manager.runners.memo.in_flight() == 0
     finally:
         context.gate.set()
         manager.close()
 
 
 def test_runners_share_finished_results_across_tenants(tmp_path):
-    """A job on the other runner reuses a finished config from the
-    shared memo, though the tenants' disk namespaces differ."""
+    """A later job reuses a finished config from the runner's memo,
+    though the tenants' disk namespaces differ."""
     context = CountingContext()
-    manager = make_manager(tmp_path, context, runners=2)
+    manager = make_manager(tmp_path, context)
     try:
         grid = SweepGrid(benchmarks=("SP",), schemes=("PM",), scale=SCALE)
         first = manager.submit(grid, "alice")
@@ -146,8 +176,8 @@ def test_runners_share_finished_results_across_tenants(tmp_path):
         assert first.state == second.state == "done"
         unique = {c.config_hash() for c in grid.configs()}
         assert context.counts == {key: 1 for key in unique}
-        # Leaders are the configs a runner resolved itself; bob's were
-        # memo hits.
+        # Leaders are the configs the runner resolved without its
+        # memo; bob's were memo hits.
         assert manager.snapshot()["coalesce"] == {
             "leaders": 2, "coalesced": 0,
         }
@@ -205,48 +235,64 @@ def test_internal_error_fails_the_job_only(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The warm pool
+# The warm runner
 # ----------------------------------------------------------------------
-def test_runner_pool_memo_survives_across_checkouts(tmp_path):
+def test_each_job_writes_to_its_tenants_namespace_only(tmp_path):
     context = CountingContext()
-    pool = RunnerPool(
-        size=1,
-        runner_factory=lambda **kw: SweepRunner(context=context, **kw),
-    )
+    manager = make_manager(tmp_path, context)
     try:
+        root = tmp_path / "cache"
         grid = SweepGrid(benchmarks=("SP",), schemes=("PM",), scale=SCALE)
-        with pool.checkout() as runner:
-            runner.run_many(grid.configs())
-        with pool.checkout() as runner:
-            runner.run_many(grid.configs())
-        # Second checkout was served entirely from the warm memo.
-        assert all(count == 1 for count in context.counts.values())
-        assert pool.stats().memory_hits >= 2
+        job = manager.submit(grid, "alice")
+        wait_jobs([job])
+        assert job.state == "done"
+        assert manager.runner.cache is None  # unbound between jobs
+        records = sorted(root.rglob("*.json"))
+        assert records and all(
+            path.relative_to(root).parts[0] == "alice" for path in records
+        )
+        assert ResultCache(root / "alice").peek(grid.configs()[0]) is not None
+
+        other = manager.submit(
+            SweepGrid(benchmarks=("MT",), schemes=("PM",), scale=SCALE),
+            "bob",
+        )
+        wait_jobs([other])
+        assert other.state == "done" and manager.runner.cache is None
+        assert {path.relative_to(root).parts[0]
+                for path in root.rglob("*.json")} == {"alice", "bob"}
+        assert sorted(root.joinpath("alice").rglob("*.json")) == records
     finally:
-        pool.close()
+        manager.close()
 
 
-def test_runner_pool_rebinds_cache_per_checkout(tmp_path):
-    from repro.runner import ResultCache
-
-    pool = RunnerPool(size=1)
+def test_stress_many_jobs_take_turns_on_the_runner(tmp_path):
+    """Sixteen overlapping jobs on eight threads share one runner; with
+    a short switch interval, a job that used the runner beside another
+    would lose a memo entry or a stats update."""
+    template = SweepRunner().run_one(RunConfig("SP", "BASE", scale=SCALE))
+    context = StubContext(template)
+    manager = make_manager(tmp_path, context, max_jobs=8)
+    rng = random.Random(0)
+    grids = [
+        SweepGrid(benchmarks=("SP",), schemes=("PM",),
+                  seeds=tuple(rng.sample(range(12), 4)), scale=SCALE)
+        for _ in range(16)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        cache = ResultCache(tmp_path / "ns")
-        with pool.checkout(cache=cache) as runner:
-            assert runner.cache is cache
-        with pool.checkout() as runner:  # uncached checkout
-            assert runner.cache is None
+        jobs = [manager.submit(grid, "alice") for grid in grids]
+        wait_jobs(jobs)
     finally:
-        pool.close()
-
-
-def test_runner_pool_size_bounds_concurrent_checkouts():
-    pool = RunnerPool(size=1)
-    try:
-        with pool.checkout():
-            import queue as queue_module
-
-            with pytest.raises(queue_module.Empty):
-                pool._idle.get_nowait()
-    finally:
-        pool.close()
+        sys.setswitchinterval(switch)
+        manager.close()
+    assert [job.state for job in jobs] == ["done"] * len(jobs)
+    unique = {c.config_hash() for grid in grids for c in grid.configs()}
+    assert context.counts == {key: 1 for key in unique}
+    assert sum(job.executed for job in jobs) == len(unique)
+    stats = manager.runner.stats
+    assert stats.requested == sum(len(grid.configs()) for grid in grids)
+    assert stats.requested == (
+        stats.memory_hits + stats.cache_hits + stats.executed
+    )

@@ -477,8 +477,9 @@ class TestSpecSweep:
     ["sweep", "--register", "m:f"],
     ["sweep", "--max-retries", "2"],
     ["serve", "--max-retries", "0"],
+    ["serve", "--runners", "2"],
 ], ids=["serve-tenant-max-jobs", "sweep-register", "sweep-max-retries",
-        "serve-max-retries"])
+        "serve-max-retries", "serve-runners"])
 def test_removed_settings_are_unknown_flags(argv, capsys):
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(argv)
